@@ -5,7 +5,7 @@
 # which `--offline` enforces. Run from the repo root:
 #
 #   ./ci.sh          # build + test + fmt check
-#   ./ci.sh quick    # skip the release build (debug test cycle only)
+#   ./ci.sh quick    # skip the release build and the repo-benchmark block
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -167,6 +167,21 @@ cargo run -q --offline --release -p hf_bench --bin pipeline -- \
     --scale tiny --dataset ml --model ncf --set epochs=4 \
     --json target/ci-artifacts/pipeline_smoke.json
 test -s target/ci-artifacts/pipeline_smoke.json
+
+if [[ "$quick" != "quick" ]]; then
+    echo "==> repo benchmark (own workspace: tests + every workload, smoke windows)"
+    # benchmark/ is its own [workspace], so nothing above compiles it and
+    # an API drift in a crate it uses would first show in the benchmark
+    # stage. Build and test it against the crates as they are now, then
+    # run all five workloads briefly; no operation may fail. It builds
+    # into benchmark/target/ and writes under benchmark/results/, both
+    # git-ignored there.
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke \
+        > target/ci-artifacts/benchmark_smoke.log
+    awk '/^== summary/ { on = 1 } on && /^(serve|train)_/ { rows++; bad += $3 }
+         END { exit !(rows == 5 && bad == 0) }' target/ci-artifacts/benchmark_smoke.log
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

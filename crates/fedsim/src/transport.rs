@@ -108,18 +108,10 @@ impl ClientUpdate {
         let mut buf = Reader::new(buf.as_ref());
         let dim = buf.get_u32_le()? as usize;
         let n_rows = buf.get_u32_le()? as usize;
-        let row_bytes = n_rows.checked_mul(4 + 4 * dim)?;
-        if buf.remaining() < row_bytes {
-            return None;
-        }
-        let mut rows = Vec::with_capacity(n_rows);
+        let row_width = dim.checked_mul(4)?.checked_add(4)?;
+        let mut rows = Vec::with_capacity(buf.fits(n_rows, row_width)?);
         for _ in 0..n_rows {
-            let row = buf.get_u32_le()?;
-            let mut delta = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                delta.push(buf.get_f32_le()?);
-            }
-            rows.push((row, delta));
+            rows.push((buf.get_u32_le()?, buf.get_f32_vec(dim)?));
         }
         let n_thetas = buf.get_u32_le()? as usize;
         if n_thetas > 16 {
@@ -129,14 +121,7 @@ impl ClientUpdate {
         for _ in 0..n_thetas {
             let tier = buf.get_u8()?;
             let len = buf.get_u32_le()? as usize;
-            if buf.remaining() < 4 * len {
-                return None;
-            }
-            let mut flat = Vec::with_capacity(len);
-            for _ in 0..len {
-                flat.push(buf.get_f32_le()?);
-            }
-            thetas.push((tier, flat));
+            thetas.push((tier, buf.get_f32_vec(len)?));
         }
         Some(Self {
             items: SparseRowUpdate { dim, rows },

@@ -70,30 +70,38 @@ impl<'a> Reader<'a> {
         Some(head)
     }
 
-    /// Reads `n` little-endian `f32`s into a vector, checking the length
-    /// up front so a hostile count cannot trigger a huge allocation.
-    pub fn get_f32_vec(&mut self, n: usize) -> Option<Vec<f32>> {
-        if self.remaining() < n.checked_mul(4)? {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f32_le()?);
-        }
-        Some(out)
+    /// `Some(n)` when `n` elements of at least `width` bytes each fit in
+    /// the bytes remaining — the one place a count claimed by the input
+    /// is validated, before anything is allocated for it.
+    pub fn fits(&self, n: usize, width: usize) -> Option<usize> {
+        (n.checked_mul(width)? <= self.remaining()).then_some(n)
     }
 
-    /// Reads `n` little-endian `u32`s, with the same up-front length check
-    /// as [`Reader::get_f32_vec`].
+    /// Reads `n` fixed-width scalars; a hostile count fails
+    /// [`Reader::fits`] before the vector is allocated.
+    fn get_vec<T, const W: usize>(
+        &mut self,
+        n: usize,
+        from: impl Fn([u8; W]) -> T,
+    ) -> Option<Vec<T>> {
+        let bytes = self.get_bytes(self.fits(n, W)? * W)?;
+        let scalar = |chunk: &[u8]| from(chunk.try_into().expect("exact chunk"));
+        Some(bytes.chunks_exact(W).map(scalar).collect())
+    }
+
+    /// Reads `n` little-endian `f32`s (bit-exact), count checked up front.
+    pub fn get_f32_vec(&mut self, n: usize) -> Option<Vec<f32>> {
+        self.get_vec(n, |b| f32::from_bits(u32::from_le_bytes(b)))
+    }
+
+    /// Reads `n` little-endian `u32`s, count checked up front.
     pub fn get_u32_vec(&mut self, n: usize) -> Option<Vec<u32>> {
-        if self.remaining() < n.checked_mul(4)? {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_u32_le()?);
-        }
-        Some(out)
+        self.get_vec(n, u32::from_le_bytes)
+    }
+
+    /// Reads `n` little-endian `u64`s, count checked up front.
+    pub fn get_u64_vec(&mut self, n: usize) -> Option<Vec<u64>> {
+        self.get_vec(n, u64::from_le_bytes)
     }
 }
 
@@ -156,6 +164,11 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Empties the writer, keeping its allocation for the next record.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consumes the writer, returning the encoded buffer.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
@@ -209,6 +222,11 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_f32_vec(usize::MAX / 2), None);
         assert_eq!(r.get_u32_vec(u32::MAX as usize), None);
+        assert_eq!(r.get_u64_vec(2), None);
+        assert_eq!(r.fits(usize::MAX, 2), None);
+        assert_eq!(r.fits(2, 4), Some(2));
+        assert_eq!(r.get_u64_vec(1), Some(vec![0]));
+        let mut r = Reader::new(&buf);
         // Valid small reads still work afterwards.
         assert_eq!(r.get_f32_vec(2).map(|v| v.len()), Some(2));
     }

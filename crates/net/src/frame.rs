@@ -352,10 +352,14 @@ impl Frame {
                 w.put_u8(KIND_ERROR);
                 w.put_u64_le(e.id);
                 w.put_u16_le(e.code.to_wire());
-                let msg = e.message.as_bytes();
-                let len = msg.len().min(MAX_ERROR_MESSAGE);
+                // Cut on a char boundary: a split multi-byte character
+                // would make a frame `decode` itself rejects.
+                let mut len = e.message.len().min(MAX_ERROR_MESSAGE);
+                while !e.message.is_char_boundary(len) {
+                    len -= 1;
+                }
                 w.put_u32_le(len as u32);
-                w.put_bytes(&msg[..len]);
+                w.put_bytes(&e.message.as_bytes()[..len]);
             }
             Frame::Ping(token) => {
                 w.put_u8(KIND_PING);
@@ -417,10 +421,7 @@ impl Frame {
                 })?;
                 let cold_start = decode_bool(&mut r, "response", "cold_start")?;
                 let n = r.get_u32_le().ok_or(FrameError::Truncated)? as usize;
-                if r.remaining() < n.checked_mul(8).ok_or(FrameError::Truncated)? {
-                    return Err(FrameError::Truncated);
-                }
-                let mut items = Vec::with_capacity(n);
+                let mut items = Vec::with_capacity(r.fits(n, 8).ok_or(FrameError::Truncated)?);
                 for _ in 0..n {
                     let item = r.get_u32_le().ok_or(FrameError::Truncated)?;
                     let score = r.get_f32_le().ok_or(FrameError::Truncated)?;

@@ -86,6 +86,28 @@ fn every_truncation_of_every_frame_fails_cleanly() {
             );
         }
     }
+    // One more input: an error message over the 64 KiB cap whose cut
+    // lands inside a multi-byte character. `encode` truncates on a char
+    // boundary, so the frame still decodes — to a prefix, canonically.
+    let message = "€".repeat(30_000);
+    let payload = Frame::Error(WireError {
+        id: 7,
+        code: hf_net::ErrorCode::Internal,
+        message: message.clone(),
+    })
+    .encode();
+    match Frame::decode(&payload) {
+        Ok(Frame::Error(e)) => {
+            assert_eq!(
+                e.message.len(),
+                (64 << 10) - 1,
+                "cut at the last whole char"
+            );
+            assert!(message.starts_with(&e.message));
+            assert_eq!(Frame::Error(e).encode(), payload);
+        }
+        other => panic!("an over-long error message must still round-trip, got {other:?}"),
+    }
 }
 
 #[test]

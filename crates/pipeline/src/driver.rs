@@ -76,7 +76,9 @@ pub fn artifact_path(dir: &Path, version: u64) -> PathBuf {
 /// Scans `dir` for `artifact-v{N}.hfab` files and returns the highest
 /// `(version, path)`, or `None` if there are none yet. This is the
 /// reload closure's half of the hot-swap handshake: re-resolve the
-/// newest generation whenever a client sends `Reload`.
+/// newest generation whenever a client sends `Reload`. Exports land by
+/// rename (`ModelArtifact::save_file`), so a matching name is always a
+/// complete file; an in-flight `artifact-v{N}.hfab.tmp` never matches.
 pub fn latest_artifact(dir: &Path) -> std::io::Result<Option<(u64, PathBuf)>> {
     let mut best: Option<(u64, PathBuf)> = None;
     for entry in std::fs::read_dir(dir)? {
@@ -282,6 +284,12 @@ mod tests {
         let (latest, path) = latest_artifact(&dir).expect("readable dir").expect("some");
         assert_eq!(latest, driver.version());
         assert_eq!(path, artifact_path(&dir, driver.version()));
+        // An export in flight (or one that crashed) is a truncated
+        // `<next>.hfab.tmp` beside the finished generations: the scan
+        // must keep answering with the newest *complete* file.
+        let partial = artifact_path(&dir, latest + 1).with_extension("hfab.tmp");
+        std::fs::write(&partial, b"HFAB\x02\x00").expect("temp file written");
+        assert_eq!(latest_artifact(&dir).unwrap(), Some((latest, path)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

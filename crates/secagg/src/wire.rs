@@ -86,14 +86,7 @@ impl MaskedUpload {
         let round = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
         let uid = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
         let n = r.get_u32_le().ok_or(SecAggWireError::Truncated)? as usize;
-        let need = n.checked_mul(8).ok_or(SecAggWireError::Truncated)?;
-        if r.remaining() < need {
-            return Err(SecAggWireError::Truncated);
-        }
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(r.get_u64_le().ok_or(SecAggWireError::Truncated)?);
-        }
+        let words = r.get_u64_vec(n).ok_or(SecAggWireError::Truncated)?;
         if r.remaining() != 0 {
             return Err(SecAggWireError::Trailing {
                 extra: r.remaining(),

@@ -17,12 +17,16 @@
 //! or lazily ([`ModelArtifact::load_file_lazy`]), where tier tables and
 //! user records stay on disk until first touch. Both backends sit behind
 //! the same accessors and produce **bit-identical** rankings; the lazy
-//! one bounds resident memory by what requests actually touch.
+//! one bounds resident memory by what requests actually touch. Going
+//! out, [`ModelArtifact::to_bytes`] and [`ModelArtifact::save_file`]
+//! drive the one streaming writer in [`crate::binfmt`]; `save_file`
+//! never materialises the file and replaces its target atomically.
 //!
 //! The artifact schema itself is versioned ([`ARTIFACT_VERSION`]); it
 //! tracks the checkpoint schema it can ingest, so a reader upgrade is an
 //! artifact-version bump.
 
+use crate::binfmt::{self, Meta};
 use crate::lazy::{LazyConfig, LazyTiers, LazyUsers};
 use crate::ServeError;
 use hetefedrec_core::session::Session;
@@ -30,7 +34,9 @@ use hetefedrec_core::Strategy;
 use hf_dataset::{SplitDataset, Tier};
 use hf_models::{Ffn, ModelKind};
 use hf_tensor::Matrix;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::io::Cursor;
 use std::sync::Arc;
 
 use hetefedrec_core::config::TierDims;
@@ -87,6 +93,12 @@ impl std::ops::Deref for UserRef<'_> {
     }
 }
 
+impl Borrow<UserRecord> for UserRef<'_> {
+    fn borrow(&self) -> &UserRecord {
+        self
+    }
+}
+
 /// Where user records live.
 #[derive(Clone, Debug)]
 pub(crate) enum UserStore {
@@ -140,6 +152,7 @@ impl ModelArtifact {
         let num_items = split.num_items();
 
         let mut popularity = vec![0u32; num_items];
+        let mut fallback = TierMeans::new(&cfg.dims);
         let users: Vec<UserRecord> = (0..split.num_users())
             .map(|u| {
                 let tier = session.model_groups().tier(u);
@@ -148,6 +161,7 @@ impl ModelArtifact {
                 for &item in &history {
                     popularity[item as usize] += 1;
                 }
+                fallback.add(tier, &state.emb);
                 UserRecord {
                     tier,
                     emb: state.emb.clone(),
@@ -160,8 +174,6 @@ impl ModelArtifact {
             })
             .collect();
 
-        let fallback = tier_mean_fallback(&cfg.dims, users.iter().map(|u| (u.tier, &u.emb[..])));
-
         Self {
             model: cfg.model,
             dims: cfg.dims,
@@ -173,16 +185,15 @@ impl ModelArtifact {
             },
             users: UserStore::Eager(users),
             popularity,
-            fallback,
+            fallback: fallback.finish(),
         }
     }
 
-    /// Assembles an eager artifact from decoded parts (the binary
-    /// reader's constructor).
+    /// Assembles an artifact from decoded parts (the binary readers'
+    /// constructor, eager and lazy).
     pub(crate) fn assemble(
-        meta: crate::binfmt::Meta,
-        tables: [Matrix; 3],
-        thetas: [Ffn; 3],
+        meta: Meta,
+        params: TierParams,
         users: UserStore,
         popularity: Vec<u32>,
         fallback: [Vec<f32>; 3],
@@ -192,13 +203,21 @@ impl ModelArtifact {
             dims: meta.dims,
             standalone: meta.standalone,
             num_items: meta.num_items,
-            params: TierParams::Eager {
-                tables: Box::new(tables),
-                thetas: Box::new(thetas),
-            },
+            params,
             users,
             popularity,
             fallback,
+        }
+    }
+
+    /// The `meta` section this artifact encodes to.
+    pub(crate) fn meta(&self) -> Meta {
+        Meta {
+            model: self.model,
+            standalone: self.standalone,
+            dims: self.dims,
+            num_items: self.num_items,
+            num_users: self.num_users(),
         }
     }
 
@@ -229,31 +248,34 @@ impl ModelArtifact {
     /// record streams through, but at most one at a time beyond the
     /// caches).
     pub fn to_bytes(&self) -> Vec<u8> {
-        crate::binfmt::encode(self)
+        let widths: usize = Tier::ALL.iter().map(|&t| self.dims.dim(t)).sum();
+        let out = Cursor::new(Vec::with_capacity(64 + 4 * self.num_items * widths));
+        binfmt::write_artifact(self, out)
+            .expect("writing to memory cannot fail")
+            .into_inner()
     }
 
     /// Parses the binary on-disk format (either container version).
     /// Truncated, malformed, or version-mismatched buffers are rejected
     /// with [`ServeError::Artifact`], never a panic.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, ServeError> {
-        crate::binfmt::decode(buf)
+        binfmt::decode(buf)
     }
 
-    /// Writes the binary format to `path`, creating parent directories.
-    /// Serving hosts load this file directly ([`ModelArtifact::load_file`]
-    /// or [`ModelArtifact::load_file_lazy`]) instead of replaying a
+    /// Streams the binary format to `path` — the same writer as
+    /// [`ModelArtifact::to_bytes`], so the same bytes, but through a
+    /// buffered file handle: the file is never materialised in memory.
+    /// The write is **atomic**: it lands in a sibling `<path>.tmp` that
+    /// is renamed over `path` once complete and removed on error, so a
+    /// reader racing an export never opens a half-written artifact.
+    /// Parent directories are created. Serving hosts load the file
+    /// directly ([`ModelArtifact::load_file`] or
+    /// [`ModelArtifact::load_file_lazy`]) instead of replaying a
     /// checkpoint restore.
     pub fn save_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    ServeError::Artifact(format!("cannot create {}: {e}", parent.display()))
-                })?;
-            }
-        }
-        std::fs::write(path, self.to_bytes())
-            .map_err(|e| ServeError::Artifact(format!("cannot write {}: {e}", path.display())))
+        binfmt::write_file(path.as_ref(), |out| {
+            binfmt::write_artifact(self, out).map(drop)
+        })
     }
 
     /// Reads an artifact from the binary file format written by
@@ -385,25 +407,34 @@ impl ModelArtifact {
     }
 }
 
-/// Per-tier mean embedding over `(tier, emb)` pairs in ascending user
-/// order — the deterministic cold-start fallback shared by session
-/// export and synthesis.
-pub(crate) fn tier_mean_fallback<'a>(
-    dims: &TierDims,
-    users: impl Iterator<Item = (Tier, &'a [f32])>,
-) -> [Vec<f32>; 3] {
-    let mut fallback: [Vec<f32>; 3] = std::array::from_fn(|t| vec![0.0f32; dims.dim(Tier::ALL[t])]);
-    let mut counts = [0usize; 3];
-    for (tier, emb) in users {
-        let t = tier.index();
-        hf_tensor::ops::axpy_slice(&mut fallback[t], 1.0, emb);
-        counts[t] += 1;
-    }
-    for (f, &n) in fallback.iter_mut().zip(&counts) {
-        if n > 0 {
-            let inv = 1.0 / n as f32;
-            f.iter_mut().for_each(|x| *x *= inv);
+/// Running per-tier mean user embedding, fed in ascending user order —
+/// the deterministic cold-start fallback shared by session export and
+/// both synthesis paths (zeros for a tier with no users).
+pub(crate) struct TierMeans {
+    sums: [Vec<f32>; 3],
+    counts: [usize; 3],
+}
+
+impl TierMeans {
+    pub(crate) fn new(dims: &TierDims) -> Self {
+        Self {
+            sums: std::array::from_fn(|t| vec![0.0f32; dims.dim(Tier::ALL[t])]),
+            counts: [0; 3],
         }
     }
-    fallback
+
+    pub(crate) fn add(&mut self, tier: Tier, emb: &[f32]) {
+        hf_tensor::ops::axpy_slice(&mut self.sums[tier.index()], 1.0, emb);
+        self.counts[tier.index()] += 1;
+    }
+
+    pub(crate) fn finish(mut self) -> [Vec<f32>; 3] {
+        for (f, &n) in self.sums.iter_mut().zip(&self.counts) {
+            if n > 0 {
+                let inv = 1.0 / n as f32;
+                f.iter_mut().for_each(|x| *x *= inv);
+            }
+        }
+        self.sums
+    }
 }

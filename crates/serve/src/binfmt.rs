@@ -1,13 +1,10 @@
-//! Compact binary on-disk format for [`ModelArtifact`].
+//! The `HFAB` codec: the compact binary on-disk format of a
+//! [`ModelArtifact`], and the only module that knows its layout.
 //!
-//! Serving hosts should boot from a file, not by replaying a training
-//! checkpoint restore: the JSON checkpoint carries optimiser moments,
-//! scheduler queues, and RNG state the deployment side never reads, and
-//! parsing it costs a full session rebuild. This module is the
-//! deployment-shaped alternative — exactly the artifact fields, encoded
-//! through the workspace-wide little-endian [`hf_fedsim::wire`]
-//! primitives, floats as raw IEEE-754 bits so a reload is **bit-identical**
-//! to the exported artifact.
+//! Serving hosts boot from this file, not from a training checkpoint:
+//! it holds exactly the artifact fields, encoded through the
+//! workspace-wide little-endian [`hf_fedsim::wire`] primitives, floats as
+//! raw IEEE-754 bits so a reload is **bit-identical** to the export.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -18,70 +15,88 @@
 //! sections    tag:u8  len:u64  payload:[u8; len]   (repeated until EOF)
 //! ```
 //!
-//! Both container versions require each of the six sections (`meta`,
-//! `tables`, `thetas`, `users`, `popularity`, `fallback`) exactly once,
-//! in any order; unknown tags and duplicates are errors. Every count and
-//! section length is validated against `meta` and against the remaining
-//! buffer/file size *before* any payload allocation, so hostile inputs
+//! Each of the six sections (`meta`, `tables`, `thetas`, `users`,
+//! `popularity`, `fallback`) appears exactly once; unknown tags and
+//! duplicates are errors. In version 2 the three large sections open
+//! with an offset directory so [`crate::lazy`] can seek to one tier or
+//! one user:
+//!
+//! * `tables` — `3 × (off: u64, len: u64, rows: u64, cols: u32)`, then
+//!   the matrix payloads;
+//! * `thetas` — `3 × (off: u64, len: u64)`, then the predictor payloads;
+//! * `users` — `num_users × (off: u64, len: u32)`, then the records.
+//!
+//! Offsets are relative to the payload block after the directory, and
+//! directories are canonical (contiguous, in tier/user order, covering
+//! the block exactly), so `encode(decode(b)) == b`. Version 1 (the same
+//! payloads without directories) is read-only.
+//!
+//! There is **one writer** — [`ArtifactWriter`], streaming over any
+//! `Write + Seek` sink and driven by `to_bytes`, `save_file` and
+//! `synthesize_to_file` — and **one layout scan** — [`scan`], over any
+//! random-access byte source, the front half of both the eager decoder
+//! and the lazy open. The scan validates every declared length against
+//! the bytes remaining *before* a payload is touched, so hostile inputs
 //! fail with [`ServeError::Artifact`] instead of panicking or
 //! over-allocating.
-//!
-//! **Version 2 is offset-indexed** so sections can be mapped lazily by
-//! [`crate::lazy`]:
-//!
-//! * `users` — a fixed-width directory (`num_users` × `(off: u64,
-//!   len: u32)`, offsets relative to the payload block that follows the
-//!   directory) and then the per-record payloads. One user decodes with
-//!   two bounded reads and no scan over earlier records.
-//! * `tables` — a per-tier directory (`3 × (off: u64, len: u64,
-//!   rows: u64, cols: u32)`) then the matrix payloads, so a reader can
-//!   validate shapes and decode one tier on first touch.
-//! * `thetas` — a per-tier directory (`3 × (off: u64, len: u64)`) then
-//!   the predictor payloads.
-//!
-//! Directories are canonical: entries must be contiguous, in tier/user
-//! order, and cover the payload block exactly, which preserves the
-//! `encode(decode(b)) == b` round-trip property. `meta`, `popularity`,
-//! and `fallback` payloads are unchanged from v1. Version 1 documents
-//! (no directories) still load via the eager whole-section path.
 
-use crate::artifact::{ModelArtifact, SoloModel, UserRecord, UserStore, ARTIFACT_VERSION};
+use crate::artifact::{
+    ModelArtifact, SoloModel, TierParams, UserRecord, UserStore, ARTIFACT_VERSION,
+};
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
 use hf_fedsim::wire::{Reader, Writer};
 use hf_models::{Ffn, ModelKind};
 use hf_tensor::Matrix;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Read as _, Seek, SeekFrom, Write};
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 
 /// File magic: "HeteFedrec Artifact Binary".
-pub(crate) const MAGIC: &[u8; 4] = b"HFAB";
+const MAGIC: &[u8; 4] = b"HFAB";
 
 /// Container format version this module writes. The reader also accepts
-/// version-1 files (PR 7's whole-section layout) via the eager path.
+/// version-1 files (whole-section payloads, no directories).
 pub const BINFMT_VERSION: u16 = 2;
 
 /// Oldest container version the reader still accepts.
 pub const MIN_BINFMT_VERSION: u16 = 1;
 
 /// Section tags (all mandatory, each exactly once).
-pub(crate) const SEC_META: u8 = 1;
-pub(crate) const SEC_TABLES: u8 = 2;
-pub(crate) const SEC_THETAS: u8 = 3;
-pub(crate) const SEC_USERS: u8 = 4;
-pub(crate) const SEC_POPULARITY: u8 = 5;
-pub(crate) const SEC_FALLBACK: u8 = 6;
+const SEC_META: u8 = 1;
+const SEC_TABLES: u8 = 2;
+const SEC_THETAS: u8 = 3;
+const SEC_USERS: u8 = 4;
+const SEC_POPULARITY: u8 = 5;
+const SEC_FALLBACK: u8 = 6;
+const SECTION_NAMES: [&str; 7] = [
+    "",
+    "meta",
+    "tables",
+    "thetas",
+    "users",
+    "popularity",
+    "fallback",
+];
 
 /// Bytes before the first section: magic + container + schema.
-pub(crate) const HEADER_LEN: u64 = 4 + 2 + 4;
+const HEADER_LEN: u64 = 4 + 2 + 4;
 /// Bytes of one section header: tag + length.
-pub(crate) const SECTION_HEADER_LEN: u64 = 1 + 8;
+const SECTION_HEADER_LEN: u64 = 1 + 8;
 /// Bytes of one `users` directory entry: `off: u64, len: u32`.
-pub(crate) const USER_DIR_ENTRY: u64 = 8 + 4;
+const USER_DIR_ENTRY: u64 = 8 + 4;
 /// Bytes of one `tables` directory entry: `off, len, rows: u64, cols: u32`.
-pub(crate) const TABLE_DIR_ENTRY: u64 = 8 + 8 + 8 + 4;
+const TABLE_DIR_ENTRY: u64 = 8 + 8 + 8 + 4;
 /// Bytes of one `thetas` directory entry: `off: u64, len: u64`.
-pub(crate) const THETA_DIR_ENTRY: u64 = 8 + 8;
+const THETA_DIR_ENTRY: u64 = 8 + 8;
+
+/// Scalars framed per `write_all` when a table or popularity vector
+/// streams out — bounds the writer's scratch buffer at 256 KiB.
+const SCALARS_PER_WRITE: usize = 1 << 16;
 
 pub(crate) fn err(msg: impl Into<String>) -> ServeError {
     ServeError::Artifact(msg.into())
@@ -97,203 +112,232 @@ pub(crate) struct Meta {
     pub num_users: usize,
 }
 
-/// One `tables` directory entry (offsets relative to the payload block).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct TableDirEntry {
-    pub off: u64,
-    pub len: u64,
-    pub rows: u64,
-    pub cols: u32,
-}
+/// A byte range `(offset, length)`, absolute within the artifact.
+pub(crate) type Extent = (u64, u64);
+
+/// One tier's matrix payload and the `(rows, cols)` its directory entry
+/// declares.
+pub(crate) type TableEntry = (Extent, (usize, usize));
 
 // ---------------------------------------------------------------------
-// Encoding
+// Writing
 // ---------------------------------------------------------------------
 
-/// Encodes an artifact into the current (v2, offset-indexed) container.
-pub fn encode(a: &ModelArtifact) -> Vec<u8> {
-    let mut out = Writer::with_capacity(
-        64 + 4
-            * (0..3)
-                .map(|t| {
-                    let (rows, cols) = a.table_dims(Tier::ALL[t]);
-                    rows * cols
-                })
-                .sum::<usize>(),
-    );
-    put_header(&mut out, BINFMT_VERSION);
-    section(SEC_META, encode_meta(a), &mut out);
-    section(SEC_TABLES, encode_tables_v2(a), &mut out);
-    section(SEC_THETAS, encode_thetas_v2(a), &mut out);
-    section(SEC_USERS, encode_users_v2(a), &mut out);
-    section(SEC_POPULARITY, encode_popularity(a), &mut out);
-    section(SEC_FALLBACK, encode_fallback(a), &mut out);
-    out.into_vec()
+/// The one `HFAB` writer. It streams the v2 container front to back —
+/// [`begin`](Self::begin), [`tables`](Self::tables),
+/// [`thetas`](Self::thetas), [`users`](Self::users),
+/// [`finish`](Self::finish), each exactly once and in that order — and
+/// holds one table chunk or user record at a time plus the 12 B/user
+/// directory, whatever the sink.
+pub(crate) struct ArtifactWriter<W: Write + Seek> {
+    out: W,
+    meta: Meta,
+    /// Reused frame buffer: a record or chunk is encoded here, then
+    /// handed to `out` in one `write_all`.
+    scratch: Writer,
 }
 
-/// Encodes an artifact in the legacy v1 container (whole-section
-/// payloads, no directories). Kept for back-compat fixtures and tests;
-/// new files should use [`encode`].
-pub fn encode_v1(a: &ModelArtifact) -> Vec<u8> {
-    let mut out = Writer::new();
-    put_header(&mut out, 1);
-    section(SEC_META, encode_meta(a), &mut out);
+impl<W: Write + Seek> ArtifactWriter<W> {
+    /// Writes the file header and the `meta` section.
+    pub(crate) fn begin(out: W, meta: Meta) -> io::Result<Self> {
+        let mut w = Self {
+            out,
+            meta,
+            scratch: Writer::new(),
+        };
+        let mut head = Writer::new();
+        head.put_bytes(MAGIC);
+        head.put_u16_le(BINFMT_VERSION);
+        head.put_u32_le(ARTIFACT_VERSION as u32);
+        w.out.write_all(head.as_slice())?;
 
-    let mut w = Writer::new();
-    for tier in Tier::ALL {
-        put_matrix(&mut w, a.table(tier));
-    }
-    section(SEC_TABLES, w, &mut out);
-
-    let mut w = Writer::new();
-    for tier in Tier::ALL {
-        put_ffn(&mut w, a.theta(tier));
-    }
-    section(SEC_THETAS, w, &mut out);
-
-    let mut w = Writer::new();
-    for u in 0..a.num_users() {
-        let user = a.user(u).expect("user in range");
-        put_user(&mut w, &user);
-    }
-    section(SEC_USERS, w, &mut out);
-
-    section(SEC_POPULARITY, encode_popularity(a), &mut out);
-    section(SEC_FALLBACK, encode_fallback(a), &mut out);
-    out.into_vec()
-}
-
-fn put_header(out: &mut Writer, container: u16) {
-    out.put_bytes(MAGIC);
-    out.put_u16_le(container);
-    out.put_u32_le(ARTIFACT_VERSION as u32);
-}
-
-fn section(tag: u8, payload: Writer, out: &mut Writer) {
-    out.put_u8(tag);
-    out.put_u64_le(payload.len() as u64);
-    out.put_bytes(payload.as_slice());
-}
-
-fn encode_meta(a: &ModelArtifact) -> Writer {
-    encode_meta_parts(
-        a.model(),
-        a.is_standalone(),
-        &a.dims(),
-        a.num_items(),
-        a.num_users(),
-    )
-}
-
-/// `meta` payload from loose parts (shared with the streaming
-/// synthesizer, which has no artifact to point at).
-pub(crate) fn encode_meta_parts(
-    model: ModelKind,
-    standalone: bool,
-    dims: &TierDims,
-    num_items: usize,
-    num_users: usize,
-) -> Writer {
-    let mut w = Writer::new();
-    w.put_u8(model_tag(model));
-    w.put_u8(standalone as u8);
-    for tier in Tier::ALL {
-        w.put_u32_le(dims.dim(tier) as u32);
-    }
-    w.put_u64_le(num_items as u64);
-    w.put_u64_le(num_users as u64);
-    w
-}
-
-fn encode_tables_v2(a: &ModelArtifact) -> Writer {
-    let mut payloads: Vec<Writer> = Vec::with_capacity(3);
-    for tier in Tier::ALL {
-        let mut w = Writer::new();
-        put_matrix(&mut w, a.table(tier));
-        payloads.push(w);
-    }
-    // rows/cols ride in the directory so shapes validate without decoding.
-    let mut w = Writer::new();
-    let mut off = 0u64;
-    for (t, p) in payloads.iter().enumerate() {
-        let table = a.table(Tier::ALL[t]);
-        w.put_u64_le(off);
-        w.put_u64_le(p.len() as u64);
-        w.put_u64_le(table.rows() as u64);
-        w.put_u32_le(table.cols() as u32);
-        off += p.len() as u64;
-    }
-    for p in payloads {
-        w.put_bytes(p.as_slice());
-    }
-    w
-}
-
-fn encode_thetas_v2(a: &ModelArtifact) -> Writer {
-    let mut payloads: Vec<Writer> = Vec::with_capacity(3);
-    for tier in Tier::ALL {
-        let mut w = Writer::new();
-        put_ffn(&mut w, a.theta(tier));
-        payloads.push(w);
-    }
-    let mut w = Writer::new();
-    let mut off = 0u64;
-    for p in &payloads {
-        w.put_u64_le(off);
-        w.put_u64_le(p.len() as u64);
-        off += p.len() as u64;
-    }
-    for p in payloads {
-        w.put_bytes(p.as_slice());
-    }
-    w
-}
-
-fn encode_users_v2(a: &ModelArtifact) -> Writer {
-    // Directory first, payloads after; record lengths are only known
-    // once encoded, so encode into a payload writer and track entries.
-    let mut dir: Vec<(u64, u32)> = Vec::with_capacity(a.num_users());
-    let mut payload = Writer::new();
-    for u in 0..a.num_users() {
-        let user = a.user(u).expect("user in range");
-        let start = payload.len() as u64;
-        put_user(&mut payload, &user);
-        let len = payload.len() as u64 - start;
-        assert!(len <= u32::MAX as u64, "user record over 4 GiB");
-        dir.push((start, len as u32));
-    }
-    let mut w = Writer::with_capacity(dir.len() * USER_DIR_ENTRY as usize + payload.len());
-    for (off, len) in dir {
-        w.put_u64_le(off);
-        w.put_u32_le(len);
-    }
-    w.put_bytes(payload.as_slice());
-    w
-}
-
-fn encode_popularity(a: &ModelArtifact) -> Writer {
-    let mut w = Writer::with_capacity(4 * a.num_items());
-    for item in 0..a.num_items() {
-        w.put_u32_le(a.popularity(item as u32));
-    }
-    w
-}
-
-fn encode_fallback(a: &ModelArtifact) -> Writer {
-    let mut w = Writer::new();
-    for tier in Tier::ALL {
-        let f = a.fallback(tier);
-        w.put_u32_le(f.len() as u32);
-        for &x in f {
-            w.put_f32_le(x);
+        let mut m = Writer::new();
+        m.put_u8(model_tag(meta.model));
+        m.put_u8(meta.standalone as u8);
+        for tier in Tier::ALL {
+            m.put_u32_le(meta.dims.dim(tier) as u32);
         }
+        m.put_u64_le(meta.num_items as u64);
+        m.put_u64_le(meta.num_users as u64);
+        w.small_section(SEC_META, &[&m])?;
+        Ok(w)
     }
-    w
+
+    /// Writes one section header — the only place a tag and length are
+    /// framed.
+    fn section_header(&mut self, tag: u8, len: u64) -> io::Result<()> {
+        let mut head = [tag; SECTION_HEADER_LEN as usize];
+        head[1..].copy_from_slice(&len.to_le_bytes());
+        self.out.write_all(&head)
+    }
+
+    /// A section assembled in memory (everything but the big payloads).
+    fn small_section(&mut self, tag: u8, parts: &[&Writer]) -> io::Result<()> {
+        self.section_header(tag, parts.iter().map(|p| p.len() as u64).sum())?;
+        parts
+            .iter()
+            .try_for_each(|p| self.out.write_all(p.as_slice()))
+    }
+
+    /// Streams scalars through the scratch buffer in bounded chunks.
+    fn put_scalars<T: Copy>(&mut self, xs: &[T], put: impl Fn(&mut Writer, T)) -> io::Result<()> {
+        for chunk in xs.chunks(SCALARS_PER_WRITE) {
+            self.scratch.clear();
+            chunk.iter().for_each(|&x| put(&mut self.scratch, x));
+            self.out.write_all(self.scratch.as_slice())?;
+        }
+        Ok(())
+    }
+
+    /// Writes the `tables` section: `chunks(tier)` yields that tier's
+    /// row-major floats in any number of pieces. The directory is
+    /// analytic (an `r × c` matrix payload is `12 + 4rc` bytes), so
+    /// nothing is buffered. Returns the section's payload length.
+    pub(crate) fn tables<C: AsRef<[f32]>, I: IntoIterator<Item = C>>(
+        &mut self,
+        mut chunks: impl FnMut(Tier) -> I,
+    ) -> io::Result<u64> {
+        let Meta {
+            num_items: rows,
+            dims,
+            ..
+        } = self.meta;
+        let mut dir = Writer::new();
+        let mut off = 0u64;
+        for tier in Tier::ALL {
+            let len = 12 + 4 * (rows * dims.dim(tier)) as u64;
+            dir.put_u64_le(off);
+            dir.put_u64_le(len);
+            dir.put_u64_le(rows as u64);
+            dir.put_u32_le(dims.dim(tier) as u32);
+            off += len;
+        }
+        let section_len = dir.len() as u64 + off;
+        self.section_header(SEC_TABLES, section_len)?;
+        self.out.write_all(dir.as_slice())?;
+        for tier in Tier::ALL {
+            let mut shape = Writer::new();
+            shape.put_u64_le(rows as u64);
+            shape.put_u32_le(dims.dim(tier) as u32);
+            self.out.write_all(shape.as_slice())?;
+            let mut written = 0;
+            for chunk in chunks(tier) {
+                written += chunk.as_ref().len();
+                self.put_scalars(chunk.as_ref(), Writer::put_f32_le)?;
+            }
+            assert_eq!(written, rows * dims.dim(tier), "{tier:?} table shape");
+        }
+        Ok(section_len)
+    }
+
+    /// Writes the `thetas` section (small: framed whole).
+    pub(crate) fn thetas(&mut self, thetas: [&Ffn; 3]) -> io::Result<()> {
+        let (mut dir, mut block) = (Writer::new(), Writer::new());
+        for theta in thetas {
+            let off = block.len();
+            put_ffn(&mut block, theta);
+            dir.put_u64_le(off as u64);
+            dir.put_u64_le((block.len() - off) as u64);
+        }
+        self.small_section(SEC_THETAS, &[&dir, &block])
+    }
+
+    /// Writes the `users` section from `meta.num_users` records in user
+    /// order. Record lengths are only known once encoded, so the section
+    /// length and the directory are written as placeholders and
+    /// back-patched after the last record. Returns the payload length.
+    pub(crate) fn users<U: Borrow<UserRecord>>(
+        &mut self,
+        records: impl Iterator<Item = U>,
+    ) -> io::Result<u64> {
+        let at = self.out.stream_position()?;
+        let dir_len = self.meta.num_users as u64 * USER_DIR_ENTRY;
+        self.section_header(SEC_USERS, 0)?;
+        io::copy(&mut io::repeat(0).take(dir_len), &mut self.out)?;
+        let mut dir: Vec<(u64, u32)> = Vec::with_capacity(self.meta.num_users);
+        let mut off = 0u64;
+        for record in records {
+            self.scratch.clear();
+            put_user(&mut self.scratch, record.borrow());
+            self.out.write_all(self.scratch.as_slice())?;
+            let len = u32::try_from(self.scratch.len()).expect("user record over 4 GiB");
+            dir.push((off, len));
+            off += len as u64;
+        }
+        assert_eq!(dir.len(), self.meta.num_users, "records disagree with meta");
+        self.out.seek(SeekFrom::Start(at))?;
+        self.section_header(SEC_USERS, dir_len + off)?;
+        self.put_scalars(&dir, |w, (off, len)| {
+            w.put_u64_le(off);
+            w.put_u32_le(len);
+        })?;
+        self.out.seek(SeekFrom::End(0))?;
+        Ok(dir_len + off)
+    }
+
+    /// Writes `popularity` and `fallback`, flushes, and returns the sink
+    /// with the total bytes written.
+    pub(crate) fn finish(
+        mut self,
+        popularity: &[u32],
+        fallback: &[Vec<f32>; 3],
+    ) -> io::Result<(W, u64)> {
+        assert_eq!(popularity.len(), self.meta.num_items, "popularity length");
+        self.section_header(SEC_POPULARITY, 4 * popularity.len() as u64)?;
+        self.put_scalars(popularity, Writer::put_u32_le)?;
+        let mut w = Writer::new();
+        for f in fallback {
+            w.put_u32_le(f.len() as u32);
+            f.iter().for_each(|&x| w.put_f32_le(x));
+        }
+        self.small_section(SEC_FALLBACK, &[&w])?;
+        self.out.flush()?;
+        let len = self.out.stream_position()?;
+        Ok((self.out, len))
+    }
 }
 
-/// Encodes one user record (shared between v1 and v2 — v2 just indexes
-/// the same bytes).
-pub(crate) fn put_user(w: &mut Writer, user: &UserRecord) {
+/// Streams an artifact (eager or lazy) through the writer.
+pub(crate) fn write_artifact<W: Write + Seek>(a: &ModelArtifact, out: W) -> io::Result<W> {
+    let mut w = ArtifactWriter::begin(out, a.meta())?;
+    w.tables(|tier| [a.table(tier).as_slice()])?;
+    w.thetas(Tier::ALL.map(|tier| a.theta(tier)))?;
+    w.users((0..a.num_users()).map(|u| a.user(u).expect("user in range")))?;
+    Ok(w.finish(&a.popularity, &a.fallback)?.0)
+}
+
+/// Writes a file atomically: `body` streams through a `BufWriter` onto
+/// a sibling `<path>.tmp`, which replaces `path` by `rename` only after
+/// `body` has flushed cleanly, and is removed on any error — so a
+/// concurrent reader (a `Reload`, a `latest_artifact` scan) sees the
+/// previous file or the whole new one, never a prefix. Parent
+/// directories are created.
+pub(crate) fn write_file<T>(
+    path: &Path,
+    body: impl FnOnce(BufWriter<File>) -> io::Result<T>,
+) -> Result<T, ServeError> {
+    let fail =
+        |verb: &str, at: &Path, e: io::Error| err(format!("cannot {verb} {}: {e}", at.display()));
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        fs::create_dir_all(parent).map_err(|e| fail("create", parent, e))?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    File::create(&tmp)
+        // Table chunks exceed the buffer and pass straight through; it
+        // is the small user records this batches into 64 KiB writes.
+        .and_then(|file| body(BufWriter::with_capacity(1 << 16, file)))
+        .and_then(|done| fs::rename(&tmp, path).map(|()| done))
+        .map_err(|e| {
+            let _ = fs::remove_file(&tmp);
+            fail("write", path, e)
+        })
+}
+
+/// Encodes one user record (v1 and v2 share it — v2 just indexes the
+/// same bytes).
+fn put_user(w: &mut Writer, user: &UserRecord) {
     w.put_u8(user.tier.index() as u8);
     w.put_u32_le(user.emb.len() as u32);
     for &x in &user.emb {
@@ -324,12 +368,161 @@ pub(crate) fn put_user(w: &mut Writer, user: &UserRecord) {
     }
 }
 
+fn put_ffn(w: &mut Writer, ffn: &Ffn) {
+    let dims = ffn.dims();
+    w.put_u32_le(dims.len() as u32);
+    for &d in dims {
+        w.put_u32_le(d as u32);
+    }
+    let flat = ffn.to_flat();
+    w.put_u64_le(flat.len() as u64);
+    for &x in &flat {
+        w.put_f32_le(x);
+    }
+}
+
 // ---------------------------------------------------------------------
-// Decoding (whole-buffer ingestion; the lazy file path is crate::lazy)
+// Reading: the layout scan, then eager decoding (lazy is crate::lazy)
 // ---------------------------------------------------------------------
 
+/// Where the three large sections' payloads sit.
+pub(crate) enum ParamLayout {
+    /// v1: whole sections, decodable only front to back.
+    V1 {
+        tables: Extent,
+        thetas: Extent,
+        users: Extent,
+    },
+    /// v2: directories parsed and validated, extents absolute.
+    V2 {
+        tables: [TableEntry; 3],
+        thetas: [Extent; 3],
+        users: UserIndex,
+    },
+}
+
+/// The v2 `users` section: a fixed-width directory, then the records.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct UserIndex {
+    dir: u64,
+    block: Extent,
+}
+
+/// What [`scan`] learns without decoding a large payload.
+pub(crate) struct Layout {
+    pub meta: Meta,
+    pub popularity: Vec<u32>,
+    pub fallback: [Vec<f32>; 3],
+    pub params: ParamLayout,
+}
+
+/// Decodes `bytes` as exactly one `T` (no trailing bytes).
+pub(crate) fn exactly<T>(
+    bytes: &[u8],
+    what: impl std::fmt::Display,
+    get: impl FnOnce(&mut Reader) -> Option<T>,
+) -> Result<T, ServeError> {
+    let mut r = Reader::new(bytes);
+    get(&mut r)
+        .filter(|_| r.remaining() == 0)
+        .ok_or_else(|| err(format!("{what} is malformed")))
+}
+
+/// The one layout scan, shared by the eager decoder (over a borrowed
+/// buffer) and the lazy open (over a file): checks the header, walks
+/// the section table validating each declared length against the bytes
+/// remaining *before* the payload is touched — a section claiming
+/// `u64::MAX` bytes fails typed here, never an allocation or a panic —
+/// then decodes the small always-needed sections and, for v2, the three
+/// directories. `read(off, len)` is only ever asked for ranges inside
+/// `0..len`.
+pub(crate) fn scan<B: Deref<Target = [u8]>>(
+    len: u64,
+    read: impl Fn(u64, u64) -> Result<B, ServeError>,
+) -> Result<Layout, ServeError> {
+    let container = parse_header(&read(0, HEADER_LEN.min(len))?)?;
+
+    let mut sections: [Option<Extent>; 7] = [None; 7];
+    let mut cursor = HEADER_LEN;
+    while cursor < len {
+        let head = read(cursor, SECTION_HEADER_LEN.min(len - cursor))?;
+        let mut h = Reader::new(&head);
+        let tag = h.get_u8().ok_or_else(|| err("truncated section tag"))?;
+        let declared = h
+            .get_u64_le()
+            .ok_or_else(|| err("truncated section length"))?;
+        let payload = cursor + SECTION_HEADER_LEN;
+        if declared > len - payload {
+            return Err(err(format!(
+                "section {tag} claims {declared} bytes but only {} remain",
+                len - payload
+            )));
+        }
+        let slot = sections
+            .get_mut(tag as usize)
+            .filter(|_| (SEC_META..=SEC_FALLBACK).contains(&tag))
+            .ok_or_else(|| err(format!("unknown section tag {tag}")))?;
+        if slot.replace((payload, declared)).is_some() {
+            return Err(err(format!("duplicate section tag {tag}")));
+        }
+        cursor = payload + declared;
+    }
+    let section = |tag: u8| {
+        sections[tag as usize]
+            .ok_or_else(|| err(format!("missing `{}` section", SECTION_NAMES[tag as usize])))
+    };
+    let load = |(off, len): Extent| read(off, len);
+
+    let meta = parse_meta(&load(section(SEC_META)?)?)?;
+    let popularity = exactly(
+        &load(section(SEC_POPULARITY)?)?,
+        "`popularity` section",
+        |r| r.get_u32_vec(meta.num_items),
+    )?;
+    let fallback = decode_fallback(&load(section(SEC_FALLBACK)?)?, &meta.dims)?;
+
+    let (tables, thetas, users) = (
+        section(SEC_TABLES)?,
+        section(SEC_THETAS)?,
+        section(SEC_USERS)?,
+    );
+    let params = if container == 1 {
+        ParamLayout::V1 {
+            tables,
+            thetas,
+            users,
+        }
+    } else {
+        let dir = |(off, len): Extent, dir_len: u64| read(off, dir_len.min(len));
+        let user_dir = (meta.num_users as u64)
+            .checked_mul(USER_DIR_ENTRY)
+            .filter(|&d| d <= users.1)
+            .ok_or_else(|| {
+                err(format!(
+                    "`users` section too short for a {}-entry directory",
+                    meta.num_users
+                ))
+            })?;
+        ParamLayout::V2 {
+            tables: parse_table_dir(&dir(tables, 3 * TABLE_DIR_ENTRY)?, tables, &meta)?,
+            thetas: parse_theta_dir(&dir(thetas, 3 * THETA_DIR_ENTRY)?, thetas)?,
+            users: UserIndex {
+                dir: users.0,
+                block: (users.0 + user_dir, users.1 - user_dir),
+            },
+        }
+    };
+    Ok(Layout {
+        meta,
+        popularity,
+        fallback,
+        params,
+    })
+}
+
 /// Parses the file header, returning the container version.
-pub(crate) fn parse_header(r: &mut Reader) -> Result<u16, ServeError> {
+fn parse_header(head: &[u8]) -> Result<u16, ServeError> {
+    let mut r = Reader::new(head);
     let magic = r.get_bytes(4).ok_or_else(|| err("truncated header"))?;
     if magic != MAGIC {
         return Err(err("not an artifact file (bad magic)"));
@@ -352,42 +545,9 @@ pub(crate) fn parse_header(r: &mut Reader) -> Result<u16, ServeError> {
     Ok(container)
 }
 
-/// Walks the section table, validating each declared length against the
-/// bytes actually remaining *before* touching the payload — a section
-/// claiming `u64::MAX` bytes fails with a typed error here, never an
-/// allocation or a panic.
-fn split_sections<'a>(r: &mut Reader<'a>) -> Result<[Option<&'a [u8]>; 7], ServeError> {
-    let mut sections: [Option<&[u8]>; 7] = [None; 7];
-    while r.remaining() > 0 {
-        let tag = r.get_u8().ok_or_else(|| err("truncated section tag"))?;
-        let declared = r
-            .get_u64_le()
-            .ok_or_else(|| err("truncated section length"))?;
-        let len = usize::try_from(declared)
-            .ok()
-            .filter(|&n| n <= r.remaining())
-            .ok_or_else(|| {
-                err(format!(
-                    "section {tag} claims {declared} bytes but only {} remain",
-                    r.remaining()
-                ))
-            })?;
-        let payload = r.get_bytes(len).expect("length validated above");
-        let slot = sections
-            .get_mut(tag as usize)
-            .filter(|_| (SEC_META..=SEC_FALLBACK).contains(&tag))
-            .ok_or_else(|| err(format!("unknown section tag {tag}")))?;
-        if slot.replace(payload).is_some() {
-            return Err(err(format!("duplicate section tag {tag}")));
-        }
-    }
-    Ok(sections)
-}
-
 /// Decodes the `meta` payload.
-pub(crate) fn parse_meta(payload: &[u8]) -> Result<Meta, ServeError> {
-    let mut m = Reader::new(payload);
-    (|| {
+fn parse_meta(payload: &[u8]) -> Result<Meta, ServeError> {
+    exactly(payload, "`meta` section", |m| {
         let model = model_from_tag(m.get_u8()?)?;
         let standalone = match m.get_u8()? {
             0 => false,
@@ -400,324 +560,214 @@ pub(crate) fn parse_meta(payload: &[u8]) -> Result<Meta, ServeError> {
         if !(s > 0 && s < md && md < l) {
             return None;
         }
-        let num_items = usize::try_from(m.get_u64_le()?).ok()?;
-        let num_users = usize::try_from(m.get_u64_le()?).ok()?;
-        if m.remaining() != 0 {
-            return None;
-        }
         Some(Meta {
             model,
             standalone,
             dims: TierDims::new(s, md, l),
-            num_items,
-            num_users,
+            num_items: usize::try_from(m.get_u64_le()?).ok()?,
+            num_users: usize::try_from(m.get_u64_le()?).ok()?,
         })
-    })()
-    .ok_or_else(|| err("`meta` section is malformed"))
+    })
 }
 
-/// Parses and validates the v2 `tables` directory against the section
-/// length and the expected shapes. Entries must be contiguous and cover
-/// the payload block exactly (canonical layout).
-pub(crate) fn parse_table_dir(
-    payload_prefix: &[u8],
-    section_len: u64,
-    meta: &Meta,
-) -> Result<[TableDirEntry; 3], ServeError> {
-    let dir_len = 3 * TABLE_DIR_ENTRY;
-    if section_len < dir_len {
-        return Err(err("`tables` section too short for its directory"));
-    }
-    let block_len = section_len - dir_len;
-    let mut r = Reader::new(payload_prefix);
-    let mut entries = [TableDirEntry {
-        off: 0,
-        len: 0,
-        rows: 0,
-        cols: 0,
-    }; 3];
+/// Walks a three-entry tier directory: `entry` reads one entry's
+/// `(off, len)` and whatever else it carries. Entries must be
+/// contiguous and cover the payload block exactly (canonical layout);
+/// the extents returned are absolute.
+fn parse_tier_dir<X>(
+    name: &str,
+    dir: &[u8],
+    entry_len: u64,
+    section: Extent,
+    mut entry: impl FnMut(&mut Reader) -> Option<(u64, u64, X)>,
+) -> Result<[(Extent, X); 3], ServeError> {
+    let block_len = (section.1)
+        .checked_sub(3 * entry_len)
+        .ok_or_else(|| err(format!("`{name}` section too short for its directory")))?;
+    let block = section.0 + 3 * entry_len;
+    let mut r = Reader::new(dir);
+    let mut entries = Vec::with_capacity(3);
     let mut cursor = 0u64;
-    for (t, e) in entries.iter_mut().enumerate() {
-        let tier = Tier::ALL[t];
-        *e = (|| {
-            Some(TableDirEntry {
-                off: r.get_u64_le()?,
-                len: r.get_u64_le()?,
-                rows: r.get_u64_le()?,
-                cols: r.get_u32_le()?,
-            })
-        })()
-        .ok_or_else(|| err("`tables` directory is truncated"))?;
-        if e.off != cursor || e.len > block_len - cursor {
-            return Err(err(format!(
-                "`tables` directory entry for {tier:?} is out of bounds"
-            )));
-        }
-        // put_matrix payload: rows u64 + cols u32 + rows*cols f32s.
-        let want = (e.rows)
-            .checked_mul(e.cols as u64)
-            .and_then(|n| n.checked_mul(4))
-            .and_then(|n| n.checked_add(12));
-        if want != Some(e.len) {
-            return Err(err(format!(
-                "`tables` entry for {tier:?} declares {} bytes for a {}x{} matrix",
-                e.len, e.rows, e.cols
-            )));
-        }
-        if e.rows != meta.num_items as u64 || e.cols as usize != meta.dims.dim(tier) {
-            return Err(err(format!(
-                "{tier:?} table is {}x{}, expected {}x{}",
-                e.rows,
-                e.cols,
-                meta.num_items,
-                meta.dims.dim(tier)
-            )));
-        }
-        cursor += e.len;
-    }
-    if cursor != block_len {
-        return Err(err("`tables` section has trailing bytes"));
-    }
-    Ok(entries)
-}
-
-/// Parses and validates the v2 `thetas` directory (contiguous, exact
-/// coverage).
-pub(crate) fn parse_theta_dir(
-    payload_prefix: &[u8],
-    section_len: u64,
-) -> Result<[(u64, u64); 3], ServeError> {
-    let dir_len = 3 * THETA_DIR_ENTRY;
-    if section_len < dir_len {
-        return Err(err("`thetas` section too short for its directory"));
-    }
-    let block_len = section_len - dir_len;
-    let mut r = Reader::new(payload_prefix);
-    let mut entries = [(0u64, 0u64); 3];
-    let mut cursor = 0u64;
-    for (t, e) in entries.iter_mut().enumerate() {
-        let off = r
-            .get_u64_le()
-            .ok_or_else(|| err("`thetas` directory is truncated"))?;
-        let len = r
-            .get_u64_le()
-            .ok_or_else(|| err("`thetas` directory is truncated"))?;
+    for tier in Tier::ALL {
+        let (off, len, extra) =
+            entry(&mut r).ok_or_else(|| err(format!("`{name}` directory is truncated")))?;
         if off != cursor || len > block_len - cursor {
             return Err(err(format!(
-                "`thetas` directory entry for {:?} is out of bounds",
-                Tier::ALL[t]
+                "`{name}` directory entry for {tier:?} is out of bounds"
             )));
         }
-        *e = (off, len);
+        entries.push(((block + off, len), extra));
         cursor += len;
     }
     if cursor != block_len {
-        return Err(err("`thetas` section has trailing bytes"));
+        return Err(err(format!("`{name}` section has trailing bytes")));
     }
-    Ok(entries)
+    Ok(entries.try_into().ok().expect("three tiers"))
 }
 
-/// Validates the v2 `users` section framing: the fixed-width directory
-/// must fit, and the payload block is whatever follows it. Returns
-/// `(directory bytes, payload block bytes)` relative to the section
-/// start. Per-record bounds are checked on touch.
-pub(crate) fn users_section_split(section_len: u64, meta: &Meta) -> Result<(u64, u64), ServeError> {
-    let dir_len = (meta.num_users as u64)
-        .checked_mul(USER_DIR_ENTRY)
-        .filter(|&d| d <= section_len)
-        .ok_or_else(|| {
-            err(format!(
-                "`users` section too short for a {}-entry directory",
-                meta.num_users
-            ))
-        })?;
-    Ok((dir_len, section_len - dir_len))
-}
-
-/// Decodes the binary container (either version), validating every
-/// section against `meta`. This is the eager path: the whole buffer is
-/// parsed into memory. Lazy file-backed loading is
-/// [`ModelArtifact::load_file_lazy`].
-pub fn decode(buf: &[u8]) -> Result<ModelArtifact, ServeError> {
-    let mut r = Reader::new(buf);
-    let container = parse_header(&mut r)?;
-    let sections = split_sections(&mut r)?;
-    let section = |tag: u8, name: &str| {
-        sections[tag as usize].ok_or_else(|| err(format!("missing `{name}` section")))
-    };
-
-    let meta = parse_meta(section(SEC_META, "meta")?)?;
-
-    let (tables, thetas, users) = if container == 1 {
-        decode_params_v1(
-            section(SEC_TABLES, "tables")?,
-            section(SEC_THETAS, "thetas")?,
-            section(SEC_USERS, "users")?,
-            &meta,
-        )?
-    } else {
-        decode_params_v2(
-            section(SEC_TABLES, "tables")?,
-            section(SEC_THETAS, "thetas")?,
-            section(SEC_USERS, "users")?,
-            &meta,
-        )?
-    };
-
-    let mut p = Reader::new(section(SEC_POPULARITY, "popularity")?);
-    let popularity = p
-        .get_u32_vec(meta.num_items)
-        .filter(|_| p.remaining() == 0)
-        .ok_or_else(|| err("`popularity` section is malformed"))?;
-
-    let fallback = decode_fallback(section(SEC_FALLBACK, "fallback")?, &meta.dims)?;
-
-    Ok(ModelArtifact::assemble(
-        meta,
-        tables,
-        thetas,
-        UserStore::Eager(users),
-        popularity,
-        fallback,
-    ))
-}
-
-type Params = ([Matrix; 3], [Ffn; 3], Vec<UserRecord>);
-
-fn decode_params_v1(
-    tables: &[u8],
-    thetas: &[u8],
-    users: &[u8],
+/// Parses the v2 `tables` directory, validating each entry's length and
+/// shape against `meta`.
+fn parse_table_dir(
+    dir: &[u8],
+    section: Extent,
     meta: &Meta,
-) -> Result<Params, ServeError> {
-    let mut t = Reader::new(tables);
-    let mut out_tables = Vec::with_capacity(3);
-    for tier in Tier::ALL {
-        let table = get_matrix(&mut t)
-            .ok_or_else(|| err(format!("`tables` section is malformed at {tier:?}")))?;
-        check_table_shape(&table, tier, meta)?;
-        out_tables.push(table);
+) -> Result<[TableEntry; 3], ServeError> {
+    let dir = parse_tier_dir("tables", dir, TABLE_DIR_ENTRY, section, |r| {
+        let (off, len) = (r.get_u64_le()?, r.get_u64_le()?);
+        Some((off, len, (r.get_u64_le()?, r.get_u32_le()?)))
+    })?;
+    for (&((_, len), (rows, cols)), tier) in dir.iter().zip(Tier::ALL) {
+        // Matrix payload: rows u64 + cols u32 + rows*cols f32s.
+        let payload = rows
+            .checked_mul(cols as u64)
+            .and_then(|n| n.checked_mul(4))
+            .and_then(|n| n.checked_add(12));
+        if payload != Some(len) {
+            return Err(err(format!(
+                "`tables` entry for {tier:?} declares {len} bytes for a {rows}x{cols} matrix"
+            )));
+        }
+        let want = (meta.num_items, meta.dims.dim(tier));
+        if (rows, cols as u64) != (want.0 as u64, want.1 as u64) {
+            return Err(err(format!(
+                "{tier:?} table is {rows}x{cols}, expected {}x{}",
+                want.0, want.1
+            )));
+        }
     }
-    if t.remaining() != 0 {
-        return Err(err("`tables` section has trailing bytes"));
-    }
-
-    let mut t = Reader::new(thetas);
-    let mut out_thetas = Vec::with_capacity(3);
-    for tier in Tier::ALL {
-        let theta = get_ffn(&mut t)
-            .ok_or_else(|| err(format!("`thetas` section is malformed at {tier:?}")))?;
-        out_thetas.push(theta);
-    }
-    if t.remaining() != 0 {
-        return Err(err("`thetas` section has trailing bytes"));
-    }
-
-    let mut u = Reader::new(users);
-    let mut out_users = Vec::with_capacity(meta.num_users.min(u.remaining() / 10 + 1));
-    for user in 0..meta.num_users {
-        let record = get_user(&mut u, &meta.dims)
-            .ok_or_else(|| err(format!("`users` section is malformed at user {user}")))?;
-        out_users.push(record);
-    }
-    if u.remaining() != 0 {
-        return Err(err("`users` section has trailing bytes"));
-    }
-
-    Ok((
-        out_tables.try_into().expect("three tables"),
-        out_thetas.try_into().expect("three predictors"),
-        out_users,
-    ))
+    Ok(dir.map(|(extent, (rows, cols))| (extent, (rows as usize, cols as usize))))
 }
 
-fn decode_params_v2(
-    tables: &[u8],
-    thetas: &[u8],
-    users: &[u8],
-    meta: &Meta,
-) -> Result<Params, ServeError> {
-    // Tables: directory then payloads.
-    let dir = parse_table_dir(tables, tables.len() as u64, meta)?;
-    let block = &tables[(3 * TABLE_DIR_ENTRY) as usize..];
-    let mut out_tables = Vec::with_capacity(3);
-    for (t, e) in dir.iter().enumerate() {
-        let tier = Tier::ALL[t];
-        let mut r = Reader::new(&block[e.off as usize..(e.off + e.len) as usize]);
-        let table = get_matrix(&mut r)
-            .filter(|_| r.remaining() == 0)
-            .ok_or_else(|| err(format!("`tables` payload is malformed at {tier:?}")))?;
-        check_table_shape(&table, tier, meta)?;
-        out_tables.push(table);
-    }
+/// Parses the v2 `thetas` directory.
+fn parse_theta_dir(dir: &[u8], section: Extent) -> Result<[Extent; 3], ServeError> {
+    let entry = |r: &mut Reader| Some((r.get_u64_le()?, r.get_u64_le()?, ()));
+    Ok(parse_tier_dir("thetas", dir, THETA_DIR_ENTRY, section, entry)?.map(|(extent, ())| extent))
+}
 
-    // Thetas: directory then payloads.
-    let dir = parse_theta_dir(thetas, thetas.len() as u64)?;
-    let block = &thetas[(3 * THETA_DIR_ENTRY) as usize..];
-    let mut out_thetas = Vec::with_capacity(3);
-    for (t, &(off, len)) in dir.iter().enumerate() {
-        let mut r = Reader::new(&block[off as usize..(off + len) as usize]);
-        let theta = get_ffn(&mut r)
-            .filter(|_| r.remaining() == 0)
-            .ok_or_else(|| {
-                err(format!(
-                    "`thetas` payload is malformed at {:?}",
-                    Tier::ALL[t]
-                ))
-            })?;
-        out_thetas.push(theta);
-    }
-
-    // Users: fixed-width directory then record payloads. The eager path
-    // walks the directory in order and demands canonical contiguity.
-    let (dir_len, payload_len) = users_section_split(users.len() as u64, meta)?;
-    let (dir_bytes, payload) = users.split_at(dir_len as usize);
-    let mut d = Reader::new(dir_bytes);
-    let mut out_users = Vec::with_capacity(meta.num_users.min(payload.len() / 10 + 1));
-    let mut cursor = 0u64;
-    for user in 0..meta.num_users {
-        let off = d.get_u64_le().expect("directory length validated");
-        let len = d.get_u32_le().expect("directory length validated") as u64;
-        if off != cursor || len > payload_len - cursor {
+impl UserIndex {
+    /// Decodes user `user` through `read`: its directory entry, bounds-
+    /// checked against the payload block, then the record. Also returns
+    /// the record's extent relative to the block (the eager reader
+    /// additionally demands those be contiguous).
+    pub(crate) fn get<B: Deref<Target = [u8]>>(
+        &self,
+        user: usize,
+        dims: &TierDims,
+        read: impl Fn(u64, u64) -> Result<B, ServeError>,
+    ) -> Result<(UserRecord, Extent), ServeError> {
+        let entry = read(self.dir + user as u64 * USER_DIR_ENTRY, USER_DIR_ENTRY)?;
+        let mut d = Reader::new(&entry);
+        let off = d.get_u64_le().expect("12-byte entry");
+        let len = d.get_u32_le().expect("12-byte entry") as u64;
+        if off > self.block.1 || len > self.block.1 - off {
             return Err(err(format!(
                 "`users` directory entry {user} is out of bounds"
             )));
         }
-        let mut r = Reader::new(&payload[off as usize..(off + len) as usize]);
-        let record = get_user(&mut r, &meta.dims)
-            .filter(|_| r.remaining() == 0)
-            .ok_or_else(|| err(format!("`users` section is malformed at user {user}")))?;
-        out_users.push(record);
-        cursor += len;
+        let record = exactly(
+            &read(self.block.0 + off, len)?,
+            format_args!("`users` section at user {user}"),
+            |r| get_user(r, dims),
+        )?;
+        Ok((record, (off, len)))
     }
-    if cursor != payload_len {
-        return Err(err("`users` section has trailing bytes"));
-    }
+}
 
-    Ok((
-        out_tables.try_into().expect("three tables"),
-        out_thetas.try_into().expect("three predictors"),
-        out_users,
+/// A v1 section: `n` payloads back to back, filling it exactly.
+fn back_to_back<T>(
+    bytes: &[u8],
+    name: &str,
+    n: usize,
+    mut get: impl FnMut(&mut Reader, usize) -> Option<T>,
+) -> Result<Vec<T>, ServeError> {
+    let mut r = Reader::new(bytes);
+    // Not pre-sized: `n` is the file's claim, and nothing bounds it here.
+    let mut out = Vec::new();
+    for i in 0..n {
+        let entry = get(&mut r, i);
+        out.push(entry.ok_or_else(|| err(format!("`{name}` section is malformed at entry {i}")))?);
+    }
+    if r.remaining() != 0 {
+        return Err(err(format!("`{name}` section has trailing bytes")));
+    }
+    Ok(out)
+}
+
+/// Decodes the binary container (either version) eagerly: the layout
+/// scan, then every payload parsed into memory. Lazy file-backed
+/// loading is [`ModelArtifact::load_file_lazy`].
+pub fn decode(buf: &[u8]) -> Result<ModelArtifact, ServeError> {
+    let at = |(off, len): Extent| &buf[off as usize..(off + len) as usize];
+    let read = |off: u64, len: u64| Ok(at((off, len)));
+    let layout = scan(buf.len() as u64, read)?;
+    let meta = &layout.meta;
+
+    let (tables, thetas, users) = match layout.params {
+        ParamLayout::V1 {
+            tables,
+            thetas,
+            users,
+        } => (
+            back_to_back(at(tables), "tables", 3, |r, t| {
+                get_table(r, (meta.num_items, meta.dims.dim(Tier::ALL[t])))
+            })?,
+            back_to_back(at(thetas), "thetas", 3, |r, _| get_ffn(r))?,
+            back_to_back(at(users), "users", meta.num_users, |r, _| {
+                get_user(r, &meta.dims)
+            })?,
+        ),
+        ParamLayout::V2 {
+            tables,
+            thetas,
+            users: index,
+        } => {
+            let tables = (tables.iter().zip(Tier::ALL))
+                .map(|(&(extent, shape), tier)| {
+                    let what = format_args!("`tables` payload at {tier:?}");
+                    exactly(at(extent), what, |r| get_table(r, shape))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let thetas = (thetas.iter().zip(Tier::ALL))
+                .map(|(&extent, tier)| {
+                    let what = format_args!("`thetas` payload at {tier:?}");
+                    exactly(at(extent), what, get_ffn)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            // The eager path walks the directory in order and demands
+            // canonical contiguity. The directory was validated to fit
+            // the section, which bounds this allocation by the file size.
+            let mut users = Vec::with_capacity(meta.num_users);
+            let mut cursor = 0u64;
+            for user in 0..meta.num_users {
+                let (record, (off, len)) = index.get(user, &meta.dims, read)?;
+                if off != cursor {
+                    return Err(err(format!(
+                        "`users` directory entry {user} is out of bounds"
+                    )));
+                }
+                users.push(record);
+                cursor += len;
+            }
+            if cursor != index.block.1 {
+                return Err(err("`users` section has trailing bytes"));
+            }
+            (tables, thetas, users)
+        }
+    };
+
+    Ok(ModelArtifact::assemble(
+        layout.meta,
+        TierParams::Eager {
+            tables: Box::new(tables.try_into().expect("three tables")),
+            thetas: Box::new(thetas.try_into().expect("three predictors")),
+        },
+        UserStore::Eager(users),
+        layout.popularity,
+        layout.fallback,
     ))
 }
 
-fn check_table_shape(table: &Matrix, tier: Tier, meta: &Meta) -> Result<(), ServeError> {
-    if table.rows() != meta.num_items || table.cols() != meta.dims.dim(tier) {
-        return Err(err(format!(
-            "{tier:?} table is {}x{}, expected {}x{}",
-            table.rows(),
-            table.cols(),
-            meta.num_items,
-            meta.dims.dim(tier)
-        )));
-    }
-    Ok(())
-}
-
-pub(crate) fn decode_fallback(
-    payload: &[u8],
-    dims: &TierDims,
-) -> Result<[Vec<f32>; 3], ServeError> {
+fn decode_fallback(payload: &[u8], dims: &TierDims) -> Result<[Vec<f32>; 3], ServeError> {
     let mut f = Reader::new(payload);
     let mut fallback = Vec::with_capacity(3);
     for tier in Tier::ALL {
@@ -744,7 +794,7 @@ fn model_tag(model: ModelKind) -> u8 {
     }
 }
 
-pub(crate) fn model_from_tag(tag: u8) -> Option<ModelKind> {
+fn model_from_tag(tag: u8) -> Option<ModelKind> {
     match tag {
         0 => Some(ModelKind::Ncf),
         1 => Some(ModelKind::LightGcn),
@@ -752,32 +802,15 @@ pub(crate) fn model_from_tag(tag: u8) -> Option<ModelKind> {
     }
 }
 
-pub(crate) fn put_matrix(w: &mut Writer, m: &Matrix) {
-    w.put_u64_le(m.rows() as u64);
-    w.put_u32_le(m.cols() as u32);
-    for &x in m.as_slice() {
-        w.put_f32_le(x);
-    }
-}
-
-pub(crate) fn get_matrix(r: &mut Reader) -> Option<Matrix> {
+/// Reads one matrix payload, which must have exactly `shape`.
+pub(crate) fn get_table(r: &mut Reader, shape: (usize, usize)) -> Option<Matrix> {
     let rows = usize::try_from(r.get_u64_le()?).ok()?;
     let cols = r.get_u32_le()? as usize;
+    if (rows, cols) != shape {
+        return None;
+    }
     let data = r.get_f32_vec(rows.checked_mul(cols)?)?;
     Some(Matrix::from_vec(rows, cols, data))
-}
-
-pub(crate) fn put_ffn(w: &mut Writer, ffn: &Ffn) {
-    let dims = ffn.dims();
-    w.put_u32_le(dims.len() as u32);
-    for &d in dims {
-        w.put_u32_le(d as u32);
-    }
-    let flat = ffn.to_flat();
-    w.put_u64_le(flat.len() as u64);
-    for &x in &flat {
-        w.put_f32_le(x);
-    }
 }
 
 pub(crate) fn get_ffn(r: &mut Reader) -> Option<Ffn> {
@@ -794,8 +827,11 @@ pub(crate) fn get_ffn(r: &mut Reader) -> Option<Ffn> {
         dims.push(d);
     }
     let flat_len = usize::try_from(r.get_u64_le()?).ok()?;
-    // `Ffn::from_flat` panics on a length mismatch; check first.
-    let expect: usize = dims.windows(2).map(|w| w[1] * w[0] + w[1]).sum();
+    // `Ffn::from_flat` panics on a length mismatch; check first (in
+    // checked arithmetic — the layer widths are the file's claim).
+    let expect = dims.windows(2).try_fold(0usize, |sum, w| {
+        sum.checked_add(w[1].checked_mul(w[0])?.checked_add(w[1])?)
+    })?;
     if flat_len != expect {
         return None;
     }
@@ -803,7 +839,7 @@ pub(crate) fn get_ffn(r: &mut Reader) -> Option<Ffn> {
     Some(Ffn::from_flat(&dims, &flat))
 }
 
-pub(crate) fn get_user(r: &mut Reader, dims: &TierDims) -> Option<UserRecord> {
+fn get_user(r: &mut Reader, dims: &TierDims) -> Option<UserRecord> {
     let tier = *Tier::ALL.get(r.get_u8()? as usize)?;
     let emb_len = r.get_u32_le()? as usize;
     if emb_len != dims.dim(tier) {
@@ -817,11 +853,15 @@ pub(crate) fn get_user(r: &mut Reader, dims: &TierDims) -> Option<UserRecord> {
         1 => {
             let theta = get_ffn(r)?;
             let n_rows = r.get_u32_le()? as usize;
-            let mut rows = HashMap::with_capacity(n_rows.min(r.remaining() / 8 + 1));
+            // Every row is at least its `(item, width)` prefix.
+            let mut rows = HashMap::with_capacity(r.fits(n_rows, 8)?);
+            let mut prev = None;
             for _ in 0..n_rows {
                 let item = r.get_u32_le()?;
                 let width = r.get_u32_le()? as usize;
-                if width != dims.dim(tier) {
+                // Rows are written in ascending item order; anything
+                // else would not re-encode to the same bytes.
+                if width != dims.dim(tier) || prev.replace(item) >= Some(item) {
                     return None;
                 }
                 rows.insert(item, r.get_f32_vec(width)?);
@@ -856,6 +896,146 @@ mod tests {
         s.export_artifact()
     }
 
+    /// A small standalone-style artifact whose users carry hand-built
+    /// [`SoloModel`]s: every float is a dyadic rational of its position,
+    /// so the committed fixture holds no trained weights. Covers both solo
+    /// flags, an empty history, an empty overlay, and overlay rows
+    /// inserted out of item order (the file must hold them sorted).
+    fn solo_fixture_source() -> ModelArtifact {
+        let dims = TierDims::new(2, 4, 8);
+        let num_items = 6usize;
+        let ramp = |n: usize, salt: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| ((i * 7 + salt * 3) % 17) as f32 * 0.125 - 1.0)
+                .collect()
+        };
+        let ffn = |dim: usize, salt: usize| {
+            let d = hf_models::paper_predictor_dims(dim);
+            let n = d.windows(2).map(|w| w[0] * w[1] + w[1]).sum();
+            Ffn::from_flat(&d, &ramp(n, salt))
+        };
+        let mut popularity = vec![0u32; num_items];
+        let users: Vec<UserRecord> = (0..5usize)
+            .map(|u| {
+                let tier = Tier::ALL[u % 3];
+                let dim = dims.dim(tier);
+                let history: Vec<u32> = (0..u as u32).map(|i| (i * 2 + u as u32) % 6).collect();
+                for &item in &history {
+                    popularity[item as usize] += 1;
+                }
+                let solo = (u != 3).then(|| SoloModel {
+                    rows: [5u32, 1, 3][..u.min(3)]
+                        .iter()
+                        .map(|&item| (item, ramp(dim, 20 + u + item as usize)))
+                        .collect(),
+                    theta: ffn(dim, 10 + u),
+                });
+                UserRecord {
+                    tier,
+                    emb: ramp(dim, u),
+                    history,
+                    solo,
+                }
+            })
+            .collect();
+        let mut fallback = crate::artifact::TierMeans::new(&dims);
+        users.iter().for_each(|u| fallback.add(u.tier, &u.emb));
+        ModelArtifact {
+            model: ModelKind::Ncf,
+            dims,
+            standalone: true,
+            num_items,
+            params: TierParams::Eager {
+                tables: Box::new(std::array::from_fn(|t| {
+                    let cols = dims.dim(Tier::ALL[t]);
+                    Matrix::from_vec(num_items, cols, ramp(num_items * cols, 40 + t))
+                })),
+                thetas: Box::new(std::array::from_fn(|t| ffn(dims.dim(Tier::ALL[t]), 50 + t))),
+            },
+            users: UserStore::Eager(users),
+            popularity,
+            fallback: fallback.finish(),
+        }
+    }
+
+    /// Frozen files: `GOLDEN_V2` and `GOLDEN_V2_SOLO` are the pre-streaming
+    /// encoder's `to_bytes()` of [`synth_fixture_source`] and
+    /// [`solo_fixture_source`]; `FIXTURE_V1` is the v1 encoding of the
+    /// former (the v1 writer is gone — the file is the only source).
+    const FIXTURE_V1: &[u8] = include_bytes!("../tests/fixtures/artifact_v1.hfa");
+    const GOLDEN_V2: &[u8] = include_bytes!("../tests/fixtures/artifact_v2.hfa");
+    const GOLDEN_V2_SOLO: &[u8] = include_bytes!("../tests/fixtures/artifact_v2_solo.hfa");
+
+    fn synth_fixture_source() -> ModelArtifact {
+        let profile = hf_dataset::SyntheticProfile::new(48, 120);
+        ModelArtifact::synthesize(&profile, TierDims::new(4, 8, 16), 2024).unwrap()
+    }
+
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("hf_binfmt_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn every_writer_entry_point_reproduces_the_golden_bytes() {
+        let dir = scratch_dir("golden");
+        let path = dir.join("golden.hfa");
+        for (artifact, golden) in [
+            (synth_fixture_source(), GOLDEN_V2),
+            (solo_fixture_source(), GOLDEN_V2_SOLO),
+        ] {
+            assert!(artifact.to_bytes() == golden, "to_bytes drifted");
+            artifact.save_file(&path).expect("saved");
+            assert!(std::fs::read(&path).unwrap() == golden, "save_file drifted");
+            // Both readers re-encode the frozen bytes exactly.
+            let eager = ModelArtifact::from_bytes(golden).expect("golden decodes");
+            assert!(eager.to_bytes() == golden, "eager reload drifted");
+            let lazy = ModelArtifact::load_file_lazy(&path, crate::LazyConfig::default()).unwrap();
+            assert!(
+                lazy.is_lazy() && lazy.to_bytes() == golden,
+                "lazy reload drifted"
+            );
+        }
+        let profile = hf_dataset::SyntheticProfile::new(48, 120);
+        ModelArtifact::synthesize_to_file(&profile, TierDims::new(4, 8, 16), 2024, &path).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == GOLDEN_V2,
+            "synthesize_to_file drifted"
+        );
+        assert_eq!(file_names(&dir), ["golden.hfa"], "no temp file may remain");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_saves_leave_nothing_behind() {
+        let dir = scratch_dir("atomic");
+        let a = solo_fixture_source();
+        // The parent is a regular file: the directory cannot be created.
+        std::fs::write(dir.join("blocker"), b"x").unwrap();
+        assert!(a.save_file(dir.join("blocker").join("model.hfa")).is_err());
+        // The target is a directory: the temp file streams fine, the
+        // rename fails, and the temp file must be cleaned up.
+        std::fs::create_dir(dir.join("taken.hfa")).unwrap();
+        assert!(a.save_file(dir.join("taken.hfa")).is_err());
+        assert_eq!(file_names(&dir), ["blocker", "taken.hfa"]);
+        // A save over an existing artifact replaces it whole.
+        std::fs::write(dir.join("model.hfa"), b"stale").unwrap();
+        a.save_file(dir.join("model.hfa")).expect("saved");
+        assert!(std::fs::read(dir.join("model.hfa")).unwrap() == GOLDEN_V2_SOLO);
+        assert_eq!(file_names(&dir), ["blocker", "model.hfa", "taken.hfa"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn binary_roundtrip_is_bit_identical() {
         for (strategy, model) in [
@@ -884,17 +1064,10 @@ mod tests {
 
     #[test]
     fn v1_container_still_decodes_identically() {
-        for (strategy, model) in [
-            (Strategy::HeteFedRec(Ablation::FULL), ModelKind::Ncf),
-            (Strategy::Standalone, ModelKind::Ncf),
-        ] {
-            let a = artifact(strategy, model);
-            let v1 = encode_v1(&a);
-            assert_eq!(v1[4], 1, "v1 container tag");
-            let b = ModelArtifact::from_bytes(&v1).expect("v1 decodes");
-            // Re-encoding the v1 reload as v2 matches the direct v2 bytes.
-            assert_eq!(a.to_bytes(), b.to_bytes(), "{model:?}");
-        }
+        assert_eq!(FIXTURE_V1[4], 1, "v1 container tag");
+        let b = ModelArtifact::from_bytes(FIXTURE_V1).expect("v1 decodes");
+        // Re-encoding the v1 reload as v2 matches the direct v2 bytes.
+        assert!(b.to_bytes() == GOLDEN_V2, "v1 -> v2 re-encode drifted");
     }
 
     #[test]
@@ -912,7 +1085,7 @@ mod tests {
     #[test]
     fn truncations_and_mutations_never_panic() {
         let a = artifact(Strategy::Standalone, ModelKind::Ncf);
-        for bytes in [a.to_bytes(), encode_v1(&a)] {
+        for bytes in [a.to_bytes(), FIXTURE_V1.to_vec()] {
             // Every prefix must fail cleanly (the full buffer is the only
             // valid length).
             for cut in [0, 3, 4, 6, 10, 17, bytes.len() / 2, bytes.len() - 1] {

@@ -13,32 +13,26 @@
 //!   resident user state is capped at `shards × capacity` records no
 //!   matter how many users the file holds.
 //!
-//! Every offset and length is validated against the file size at open
-//! time (section table, tier directories) or at touch time (per-user
-//! directory entries) **before any allocation**, so a hostile file fails
-//! with [`ServeError::Artifact`], never an OOM.
-//!
-//! The decode functions are the same ones the eager reader uses, so a
-//! record fetched lazily is bit-identical to its eager twin — the
-//! determinism tests in `tests/lazy_serving.rs` pin this.
+//! The layout itself is [`crate::binfmt`]'s business: opening runs the
+//! same [`binfmt::scan`] as the eager decoder (over the file instead of
+//! a buffer), which validates every offset and length against the file
+//! size **before any allocation**, and touches go through the same
+//! payload decoders — so a hostile file fails with
+//! [`ServeError::Artifact`], never an OOM, and a record fetched lazily
+//! is bit-identical to its eager twin (`tests/lazy_serving.rs` pins it).
 //!
 //! Failure discipline: *structure* (headers, directories, shapes) is
 //! validated at open and returns errors; a payload that fails to decode
 //! at touch means the file was truncated or rewritten underneath a
 //! running server, and panics with a message naming the file. Serving
-//! from a file being modified in place is not supported.
+//! from a file being modified in place is not supported
+//! ([`ModelArtifact::save_file`] replaces files by rename, which is).
 
-use crate::artifact::TierParams;
-use crate::artifact::{ModelArtifact, UserRecord, UserStore};
-use crate::binfmt::{
-    self, err, Meta, TableDirEntry, HEADER_LEN, SECTION_HEADER_LEN, SEC_FALLBACK, SEC_META,
-    SEC_POPULARITY, SEC_TABLES, SEC_THETAS, SEC_USERS, TABLE_DIR_ENTRY, THETA_DIR_ENTRY,
-    USER_DIR_ENTRY,
-};
+use crate::artifact::{ModelArtifact, TierParams, UserRecord, UserStore};
+use crate::binfmt::{self, err, Extent, ParamLayout, TableEntry, UserIndex};
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
-use hf_fedsim::wire::Reader;
 use hf_models::Ffn;
 use hf_tensor::Matrix;
 use std::collections::HashMap;
@@ -114,11 +108,18 @@ impl ArtifactFile {
         Ok(buf)
     }
 
-    /// `read` for touch-time paths, where structure was validated at
+    /// Touch-time decode of one payload whose structure was validated at
     /// open: a failure means the file changed underneath the server.
-    fn read_or_die(&self, off: u64, len: u64, what: &str) -> Vec<u8> {
-        self.read(off, len).unwrap_or_else(|e| {
-            panic!("lazy artifact {what} no longer readable (file modified in place?): {e}")
+    fn touch<T>(
+        &self,
+        what: std::fmt::Arguments,
+        decode: impl FnOnce() -> Result<T, ServeError>,
+    ) -> T {
+        decode().unwrap_or_else(|e| {
+            panic!(
+                "lazy artifact {}: {what} no longer decodes (file modified in place?): {e}",
+                self.path.display()
+            )
         })
     }
 }
@@ -137,12 +138,8 @@ struct TierCache {
 #[derive(Clone, Debug)]
 pub(crate) struct LazyTiers {
     file: Arc<ArtifactFile>,
-    table_entries: [TableDirEntry; 3],
-    /// Absolute file offset of the tables payload block.
-    table_block: u64,
-    theta_entries: [(u64, u64); 3],
-    /// Absolute file offset of the thetas payload block.
-    theta_block: u64,
+    tables: [TableEntry; 3],
+    thetas: [Extent; 3],
     cache: Arc<TierCache>,
 }
 
@@ -150,45 +147,28 @@ impl LazyTiers {
     pub(crate) fn table(&self, tier: Tier) -> &Matrix {
         let t = tier.index();
         self.cache.tables[t].get_or_init(|| {
-            let e = &self.table_entries[t];
-            let bytes = self
-                .file
-                .read_or_die(self.table_block + e.off, e.len, "tier table");
-            let mut r = Reader::new(&bytes);
-            binfmt::get_matrix(&mut r)
-                .filter(|_| r.remaining() == 0)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "lazy artifact {}: {tier:?} table payload is malformed",
-                        self.file.path.display()
-                    )
+            let ((off, len), shape) = self.tables[t];
+            self.file.touch(format_args!("{tier:?} table"), || {
+                binfmt::exactly(&self.file.read(off, len)?, "payload", |r| {
+                    binfmt::get_table(r, shape)
                 })
+            })
         })
     }
 
     pub(crate) fn theta(&self, tier: Tier) -> &Ffn {
         let t = tier.index();
         self.cache.thetas[t].get_or_init(|| {
-            let (off, len) = self.theta_entries[t];
-            let bytes = self
-                .file
-                .read_or_die(self.theta_block + off, len, "tier predictor");
-            let mut r = Reader::new(&bytes);
-            binfmt::get_ffn(&mut r)
-                .filter(|_| r.remaining() == 0)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "lazy artifact {}: {tier:?} predictor payload is malformed",
-                        self.file.path.display()
-                    )
-                })
+            let (off, len) = self.thetas[t];
+            self.file.touch(format_args!("{tier:?} predictor"), || {
+                binfmt::exactly(&self.file.read(off, len)?, "payload", binfmt::get_ffn)
+            })
         })
     }
 
     /// Table shape from the directory — no decode forced.
     pub(crate) fn table_dims(&self, tier: Tier) -> (usize, usize) {
-        let e = &self.table_entries[tier.index()];
-        (e.rows as usize, e.cols as usize)
+        self.tables[tier.index()].1
     }
 }
 
@@ -216,11 +196,7 @@ pub(crate) struct LazyUsers {
     file: Arc<ArtifactFile>,
     dims: TierDims,
     num_users: usize,
-    /// Absolute file offset of the fixed-width user directory.
-    dir_off: u64,
-    /// Absolute file offset of the user payload block.
-    payload_off: u64,
-    payload_len: u64,
+    index: UserIndex,
     shards: Arc<Vec<Shard>>,
 }
 
@@ -268,32 +244,10 @@ impl LazyUsers {
 
     /// Decodes one record from disk: directory entry, then payload.
     fn fetch(&self, user: usize) -> UserRecord {
-        let entry = self.file.read_or_die(
-            self.dir_off + user as u64 * USER_DIR_ENTRY,
-            USER_DIR_ENTRY,
-            "user directory",
-        );
-        let mut d = Reader::new(&entry);
-        let off = d.get_u64_le().expect("12-byte entry");
-        let len = d.get_u32_le().expect("12-byte entry") as u64;
-        if off > self.payload_len || len > self.payload_len - off {
-            panic!(
-                "lazy artifact {}: user {user} directory entry is out of bounds",
-                self.file.path.display()
-            );
-        }
-        let bytes = self
-            .file
-            .read_or_die(self.payload_off + off, len, "user record");
-        let mut r = Reader::new(&bytes);
-        binfmt::get_user(&mut r, &self.dims)
-            .filter(|_| r.remaining() == 0)
-            .unwrap_or_else(|| {
-                panic!(
-                    "lazy artifact {}: user {user} payload is malformed",
-                    self.file.path.display()
-                )
-            })
+        self.file.touch(format_args!("user {user}"), || {
+            let read = |off, len| self.file.read(off, len);
+            Ok(self.index.get(user, &self.dims, read)?.0)
+        })
     }
 }
 
@@ -312,75 +266,16 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
     }
 
     let file = Arc::new(ArtifactFile::open(path)?);
-
-    let header = file.read(0, HEADER_LEN.min(file.len))?;
-    let mut r = Reader::new(&header);
-    let container = binfmt::parse_header(&mut r)?;
-    if container == 1 {
+    let layout = binfmt::scan(file.len, |off, len| file.read(off, len))?;
+    let ParamLayout::V2 {
+        tables,
+        thetas,
+        users: index,
+    } = layout.params
+    else {
         // v1 has no directories to seek by — eager is the only path.
         return ModelArtifact::load_file(path);
-    }
-
-    // Walk the section table without touching payloads: (tag, off, len).
-    let mut sections: [Option<(u64, u64)>; 7] = [None; 7];
-    let mut cursor = HEADER_LEN;
-    while cursor < file.len {
-        let head = file.read(cursor, SECTION_HEADER_LEN)?;
-        let mut h = Reader::new(&head);
-        let tag = h.get_u8().expect("9-byte header");
-        let declared = h.get_u64_le().expect("9-byte header");
-        let payload_off = cursor + SECTION_HEADER_LEN;
-        // Satellite fix applies here too: validate the declared length
-        // against the bytes remaining in the file before anything is
-        // allocated or skipped.
-        if declared > file.len - payload_off {
-            return Err(err(format!(
-                "section {tag} claims {declared} bytes but only {} remain",
-                file.len - payload_off
-            )));
-        }
-        let slot = sections
-            .get_mut(tag as usize)
-            .filter(|_| (SEC_META..=SEC_FALLBACK).contains(&tag))
-            .ok_or_else(|| err(format!("unknown section tag {tag}")))?;
-        if slot.replace((payload_off, declared)).is_some() {
-            return Err(err(format!("duplicate section tag {tag}")));
-        }
-        cursor = payload_off + declared;
-    }
-    let section = |tag: u8, name: &str| {
-        sections[tag as usize].ok_or_else(|| err(format!("missing `{name}` section")))
     };
-
-    // meta / popularity / fallback are small and always needed: eager.
-    let (off, len) = section(SEC_META, "meta")?;
-    let meta: Meta = binfmt::parse_meta(&file.read(off, len)?)?;
-
-    let (off, len) = section(SEC_POPULARITY, "popularity")?;
-    let pop_bytes = file.read(off, len)?;
-    let mut p = Reader::new(&pop_bytes);
-    let popularity = p
-        .get_u32_vec(meta.num_items)
-        .filter(|_| p.remaining() == 0)
-        .ok_or_else(|| err("`popularity` section is malformed"))?;
-
-    let (off, len) = section(SEC_FALLBACK, "fallback")?;
-    let fallback = binfmt::decode_fallback(&file.read(off, len)?, &meta.dims)?;
-
-    // tables / thetas: validate directories now, defer payloads.
-    let (off, len) = section(SEC_TABLES, "tables")?;
-    let dir = file.read(off, (3 * TABLE_DIR_ENTRY).min(len))?;
-    let table_entries = binfmt::parse_table_dir(&dir, len, &meta)?;
-    let table_block = off + 3 * TABLE_DIR_ENTRY;
-
-    let (off, len) = section(SEC_THETAS, "thetas")?;
-    let dir = file.read(off, (3 * THETA_DIR_ENTRY).min(len))?;
-    let theta_entries = binfmt::parse_theta_dir(&dir, len)?;
-    let theta_block = off + 3 * THETA_DIR_ENTRY;
-
-    // users: frame the directory, defer everything else to touch time.
-    let (off, len) = section(SEC_USERS, "users")?;
-    let (dir_len, payload_len) = binfmt::users_section_split(len, &meta)?;
 
     let shards = (0..cfg.user_shards)
         .map(|_| Shard {
@@ -389,29 +284,22 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
         })
         .collect::<Vec<_>>();
 
-    Ok(ModelArtifact {
-        model: meta.model,
-        dims: meta.dims,
-        standalone: meta.standalone,
-        num_items: meta.num_items,
-        params: TierParams::Lazy(LazyTiers {
+    Ok(ModelArtifact::assemble(
+        layout.meta,
+        TierParams::Lazy(LazyTiers {
             file: file.clone(),
-            table_entries,
-            table_block,
-            theta_entries,
-            theta_block,
+            tables,
+            thetas,
             cache: Arc::new(TierCache::default()),
         }),
-        users: UserStore::Lazy(LazyUsers {
+        UserStore::Lazy(LazyUsers {
             file,
-            dims: meta.dims,
-            num_users: meta.num_users,
-            dir_off: off,
-            payload_off: off + dir_len,
-            payload_len,
+            dims: layout.meta.dims,
+            num_users: layout.meta.num_users,
+            index,
             shards: Arc::new(shards),
         }),
-        popularity,
-        fallback,
-    })
+        layout.popularity,
+        layout.fallback,
+    ))
 }

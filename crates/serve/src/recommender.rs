@@ -10,8 +10,8 @@
 //! half* of each tier depends only on the frozen artifact, so by default
 //! the builder precomputes it once for the whole catalogue
 //! ([`SplitNcf::item_half_block`] over every row) and serving slices the
-//! stored panel; [`RecommenderBuilder::precompute_item_halves`]`(false)`
-//! keeps the memory-lean per-batch blocked
+//! stored panel; [`RecommenderBuilder::item_half_mode`] with
+//! [`ItemHalfMode::PerBatch`] keeps the memory-lean per-batch blocked
 //! [`Matrix::matmul_rows`](hf_tensor::Matrix::matmul_rows) product
 //! instead — the two are bit-identical per row by the [`SplitNcf`]
 //! contract. Ranking happens *inside* each unit: a panel's scores are
@@ -244,20 +244,6 @@ impl RecommenderBuilder {
     /// Known users never blend.
     pub fn cold_start_blend(mut self, gamma: f32) -> Self {
         self.cold_start_blend = gamma;
-        self
-    }
-
-    /// Whether [`build`](Self::build) precomputes each tier's first-layer
-    /// item halves for the whole catalogue (default `true`). Sugar for
-    /// [`item_half_mode`](Self::item_half_mode) with
-    /// [`ItemHalfMode::Precomputed`] / [`ItemHalfMode::PerBatch`];
-    /// responses are bit-identical either way.
-    pub fn precompute_item_halves(mut self, precompute: bool) -> Self {
-        self.item_half_mode = if precompute {
-            ItemHalfMode::Precomputed
-        } else {
-            ItemHalfMode::PerBatch
-        };
         self
     }
 

@@ -8,31 +8,26 @@
 //!
 //! * [`ModelArtifact::synthesize`] — materialise everything in memory
 //!   (the eager reference, fine up to a few hundred thousand users);
-//! * [`ModelArtifact::synthesize_to_file`] — stream the v2 container
-//!   straight to disk, holding one table chunk / one user record at a
-//!   time plus the 12-byte-per-user directory, so a 1M×1M artifact
-//!   builds in bounded memory.
+//! * [`ModelArtifact::synthesize_to_file`] — feed the same RNG streams
+//!   straight into [`crate::binfmt`]'s streaming writer, holding one
+//!   table chunk / one user record at a time plus the 12-byte-per-user
+//!   directory, so a 1M×1M artifact builds in bounded memory.
 //!
 //! **Byte-identity contract**: both paths draw every parameter from
-//! purpose-keyed RNG streams in the same order, so
-//! `synthesize(p, d, s).save_file(x)` and `synthesize_to_file(p, d, s, x)`
-//! write the *same bytes* — pinned by a test, and the foundation the
-//! capacity bench stands on (its lazy and eager measurements really are
-//! the same model).
+//! purpose-keyed RNG streams in the same order and both files come out
+//! of the one writer, so `synthesize(p, d, s).save_file(x)` and
+//! `synthesize_to_file(p, d, s, x)` write the *same bytes* — pinned by a
+//! test, and the foundation the capacity bench stands on (its lazy and
+//! eager measurements really are the same model).
 
-use crate::artifact::{tier_mean_fallback, ModelArtifact, TierParams, UserRecord, UserStore};
-use crate::binfmt::{
-    self, SEC_FALLBACK, SEC_META, SEC_POPULARITY, SEC_TABLES, SEC_THETAS, SEC_USERS,
-    TABLE_DIR_ENTRY, THETA_DIR_ENTRY, USER_DIR_ENTRY,
-};
+use crate::artifact::{ModelArtifact, TierMeans, TierParams, UserRecord, UserStore};
+use crate::binfmt::{self, ArtifactWriter, Meta};
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::{SyntheticProfile, Tier};
-use hf_fedsim::wire::Writer;
 use hf_models::{paper_predictor_dims, Ffn, ModelKind};
 use hf_tensor::rng::{substream, Rng, SeedStream};
 use hf_tensor::Matrix;
-use std::io::{BufWriter, Seek, SeekFrom, Write as _};
 
 /// Purpose keys for the synthesis RNG streams (disjoint from the
 /// dataset-profile key and from every other `Custom` stream).
@@ -122,16 +117,17 @@ impl ModelArtifact {
         let thetas: [Ffn; 3] = std::array::from_fn(|t| theta(seed, t, dims.dim(Tier::ALL[t])));
 
         let mut popularity = vec![0u32; num_items];
+        let mut fallback = TierMeans::new(&dims);
         let users: Vec<UserRecord> = (0..profile.num_users)
             .map(|u| {
                 let record = synth_user(profile, &dims, seed, u);
                 for &item in &record.history {
                     popularity[item as usize] += 1;
                 }
+                fallback.add(record.tier, &record.emb);
                 record
             })
             .collect();
-        let fallback = tier_mean_fallback(&dims, users.iter().map(|u| (u.tier, &u.emb[..])));
 
         Ok(Self {
             model: ModelKind::Ncf,
@@ -144,15 +140,15 @@ impl ModelArtifact {
             },
             users: UserStore::Eager(users),
             popularity,
-            fallback,
+            fallback: fallback.finish(),
         })
     }
 
     /// Streams a synthesized v2 artifact straight to `path` in bounded
     /// memory: tables go out in [`ROWS_PER_CHUNK`]-row chunks, user
-    /// records one at a time (their directory accumulates at 12 bytes
-    /// per user and is back-patched at the end). Byte-identical to
-    /// `synthesize(...)?.save_file(path)`.
+    /// records one at a time, popularity and the fallback means
+    /// accumulate as the records pass. Byte-identical to
+    /// `synthesize(...)?.save_file(path)`, and atomic like it.
     pub fn synthesize_to_file(
         profile: &SyntheticProfile,
         dims: TierDims,
@@ -160,186 +156,45 @@ impl ModelArtifact {
         path: impl AsRef<std::path::Path>,
     ) -> Result<SynthStats, ServeError> {
         profile.validate().map_err(synth_err)?;
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    ServeError::Artifact(format!("cannot create {}: {e}", parent.display()))
-                })?;
-            }
-        }
-        let file = std::fs::File::create(path)
-            .map_err(|e| ServeError::Artifact(format!("cannot write {}: {e}", path.display())))?;
-        let io = |e: std::io::Error| {
-            ServeError::Artifact(format!("cannot write {}: {e}", path.display()))
+        let meta = Meta {
+            model: ModelKind::Ncf,
+            standalone: false,
+            dims,
+            num_items: profile.num_items,
+            num_users: profile.num_users,
         };
-        let mut out = BufWriter::new(file);
-        let num_items = profile.num_items;
-        let num_users = profile.num_users;
+        binfmt::write_file(path.as_ref(), |out| {
+            let mut w = ArtifactWriter::begin(out, meta)?;
+            let tables_bytes = w.tables(|tier| {
+                let cols = dims.dim(tier);
+                let mut rng = table_rng(seed, tier.index());
+                (0..meta.num_items).step_by(ROWS_PER_CHUNK).map(move |row| {
+                    let rows = ROWS_PER_CHUNK.min(meta.num_items - row);
+                    let mut chunk = Vec::with_capacity(rows * cols);
+                    fill_normal(&mut rng, &mut chunk, rows * cols);
+                    chunk
+                })
+            })?;
+            let thetas: [Ffn; 3] = std::array::from_fn(|t| theta(seed, t, dims.dim(Tier::ALL[t])));
+            w.thetas(thetas.each_ref())?;
 
-        // Header + meta (binfmt's exact bytes).
-        let mut w = Writer::new();
-        w.put_bytes(binfmt::MAGIC);
-        w.put_u16_le(binfmt::BINFMT_VERSION);
-        w.put_u32_le(crate::artifact::ARTIFACT_VERSION as u32);
-        let meta = binfmt::encode_meta_parts(ModelKind::Ncf, false, &dims, num_items, num_users);
-        w.put_u8(SEC_META);
-        w.put_u64_le(meta.len() as u64);
-        w.put_bytes(meta.as_slice());
-        out.write_all(w.as_slice()).map_err(io)?;
-
-        // Tables: section length and directory are analytic (the payload
-        // of an r×c matrix is 12 + 4rc bytes), so no back-patching.
-        let table_payload = |t: usize| 12 + 4 * (num_items * dims.dim(Tier::ALL[t])) as u64;
-        let tables_bytes = 3 * TABLE_DIR_ENTRY + (0..3).map(table_payload).sum::<u64>();
-        let mut w = Writer::new();
-        w.put_u8(SEC_TABLES);
-        w.put_u64_le(tables_bytes);
-        let mut off = 0u64;
-        for t in 0..3 {
-            w.put_u64_le(off);
-            w.put_u64_le(table_payload(t));
-            w.put_u64_le(num_items as u64);
-            w.put_u32_le(dims.dim(Tier::ALL[t]) as u32);
-            off += table_payload(t);
-        }
-        out.write_all(w.as_slice()).map_err(io)?;
-        for t in 0..3 {
-            let cols = dims.dim(Tier::ALL[t]);
-            let mut rng = table_rng(seed, t);
-            let mut w = Writer::with_capacity(16 + 4 * ROWS_PER_CHUNK * cols);
-            w.put_u64_le(num_items as u64);
-            w.put_u32_le(cols as u32);
-            let mut row = 0;
-            let mut chunk = Vec::with_capacity(ROWS_PER_CHUNK * cols);
-            while row < num_items {
-                let rows = ROWS_PER_CHUNK.min(num_items - row);
-                chunk.clear();
-                fill_normal(&mut rng, &mut chunk, rows * cols);
-                for &x in &chunk {
-                    w.put_f32_le(x);
+            let mut popularity = vec![0u32; meta.num_items];
+            let mut fallback = TierMeans::new(&dims);
+            let users_bytes = w.users((0..meta.num_users).map(|u| {
+                let record = synth_user(profile, &dims, seed, u);
+                for &item in &record.history {
+                    popularity[item as usize] += 1;
                 }
-                out.write_all(w.as_slice()).map_err(io)?;
-                w = Writer::with_capacity(4 * ROWS_PER_CHUNK * cols);
-                row += rows;
-            }
-        }
-
-        // Thetas: small enough to assemble whole.
-        let thetas: [Ffn; 3] = std::array::from_fn(|t| theta(seed, t, dims.dim(Tier::ALL[t])));
-        let payloads: Vec<Writer> = thetas
-            .iter()
-            .map(|f| {
-                let mut w = Writer::new();
-                binfmt::put_ffn(&mut w, f);
-                w
+                fallback.add(record.tier, &record.emb);
+                record
+            }))?;
+            let (_, file_bytes) = w.finish(&popularity, &fallback.finish())?;
+            Ok(SynthStats {
+                file_bytes,
+                tables_bytes,
+                users_bytes,
+                interactions: popularity.iter().map(|&p| p as u64).sum(),
             })
-            .collect();
-        let mut w = Writer::new();
-        w.put_u8(SEC_THETAS);
-        w.put_u64_le(3 * THETA_DIR_ENTRY + payloads.iter().map(|p| p.len() as u64).sum::<u64>());
-        let mut off = 0u64;
-        for p in &payloads {
-            w.put_u64_le(off);
-            w.put_u64_le(p.len() as u64);
-            off += p.len() as u64;
-        }
-        for p in &payloads {
-            w.put_bytes(p.as_slice());
-        }
-        out.write_all(w.as_slice()).map_err(io)?;
-
-        // Users: length and directory are only known after the payload
-        // streams, so write placeholders and back-patch. The directory
-        // accumulates in memory (12 B/user — 12 MB at a million users).
-        let section_len_pos = out.stream_position().map_err(io)?;
-        let mut w = Writer::new();
-        w.put_u8(SEC_USERS);
-        w.put_u64_le(0); // patched below
-        out.write_all(w.as_slice()).map_err(io)?;
-        let dir_pos = out.stream_position().map_err(io)?;
-        let dir_len = num_users as u64 * USER_DIR_ENTRY;
-        {
-            let zeros = vec![0u8; 1 << 16];
-            let mut left = dir_len;
-            while left > 0 {
-                let n = (zeros.len() as u64).min(left) as usize;
-                out.write_all(&zeros[..n]).map_err(io)?;
-                left -= n as u64;
-            }
-        }
-        let mut dir: Vec<(u64, u32)> = Vec::with_capacity(num_users);
-        let mut popularity = vec![0u32; num_items];
-        let mut fb_sum: [Vec<f32>; 3] =
-            std::array::from_fn(|t| vec![0.0f32; dims.dim(Tier::ALL[t])]);
-        let mut fb_count = [0usize; 3];
-        let mut payload_off = 0u64;
-        let mut interactions = 0u64;
-        for u in 0..num_users {
-            let record = synth_user(profile, &dims, seed, u);
-            for &item in &record.history {
-                popularity[item as usize] += 1;
-            }
-            interactions += record.history.len() as u64;
-            hf_tensor::ops::axpy_slice(&mut fb_sum[record.tier.index()], 1.0, &record.emb);
-            fb_count[record.tier.index()] += 1;
-            let mut w = Writer::new();
-            binfmt::put_user(&mut w, &record);
-            out.write_all(w.as_slice()).map_err(io)?;
-            dir.push((payload_off, w.len() as u32));
-            payload_off += w.len() as u64;
-        }
-        let users_bytes = dir_len + payload_off;
-        // Back-patch the section length, then the directory.
-        out.seek(SeekFrom::Start(section_len_pos + 1)).map_err(io)?;
-        out.write_all(&users_bytes.to_le_bytes()).map_err(io)?;
-        out.seek(SeekFrom::Start(dir_pos)).map_err(io)?;
-        let mut w = Writer::with_capacity(12 * 8192);
-        for (i, &(off, len)) in dir.iter().enumerate() {
-            w.put_u64_le(off);
-            w.put_u32_le(len);
-            if w.len() >= 12 * 8192 || i + 1 == dir.len() {
-                out.write_all(w.as_slice()).map_err(io)?;
-                w = Writer::with_capacity(12 * 8192);
-            }
-        }
-        out.seek(SeekFrom::End(0)).map_err(io)?;
-
-        // Popularity.
-        let mut w = Writer::with_capacity(9 + 4 * num_items);
-        w.put_u8(SEC_POPULARITY);
-        w.put_u64_le(4 * num_items as u64);
-        for &p in &popularity {
-            w.put_u32_le(p);
-        }
-        out.write_all(w.as_slice()).map_err(io)?;
-
-        // Fallback: same mean arithmetic as `tier_mean_fallback`.
-        for (f, &n) in fb_sum.iter_mut().zip(&fb_count) {
-            if n > 0 {
-                let inv = 1.0 / n as f32;
-                f.iter_mut().for_each(|x| *x *= inv);
-            }
-        }
-        let mut w = Writer::new();
-        let fb_len: u64 = fb_sum.iter().map(|f| 4 + 4 * f.len() as u64).sum();
-        w.put_u8(SEC_FALLBACK);
-        w.put_u64_le(fb_len);
-        for f in &fb_sum {
-            w.put_u32_le(f.len() as u32);
-            for &x in f {
-                w.put_f32_le(x);
-            }
-        }
-        out.write_all(w.as_slice()).map_err(io)?;
-        out.flush().map_err(io)?;
-        let file_bytes = out.stream_position().map_err(io)?;
-
-        Ok(SynthStats {
-            file_bytes,
-            tables_bytes,
-            users_bytes,
-            interactions,
         })
     }
 }

@@ -1,12 +1,12 @@
 //! Back-compat contract: v1 `HFAB` artifacts written by older releases
 //! must keep loading, and must survive re-encoding as v2 with nothing
 //! lost — the fixture under `tests/fixtures/` is a frozen v1 byte
-//! stream, so this test fails if the v1 reader drifts.
+//! stream, so this test fails if the v1 reader drifts. (The v1 writer
+//! that produced it no longer exists; the file is the only source.)
 
 use hetefedrec_core::config::TierDims;
 use hf_dataset::SyntheticProfile;
 use hf_serve::{LazyConfig, ModelArtifact, RecommendRequest, RecommenderBuilder};
-use std::path::PathBuf;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -73,17 +73,4 @@ fn v1_fixture_loads_and_reencodes_bit_identically_as_v2() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Regenerates the committed fixture. Run manually after an *intentional*
-/// v1-encoder change (there should never be one — v1 is frozen):
-/// `cargo test -p hf_serve --test backcompat -- --ignored`
-#[test]
-#[ignore = "writes the committed fixture; run only to regenerate it"]
-fn regenerate_v1_fixture() {
-    let bytes = hf_serve::binfmt::encode_v1(&fixture_source());
-    let path = PathBuf::from(FIXTURE);
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, &bytes).unwrap();
-    println!("wrote {} bytes to {}", bytes.len(), path.display());
 }

@@ -200,18 +200,15 @@ fn lazy_open_validates_config_and_path() {
 
 #[test]
 fn lazy_open_of_v1_files_falls_back_to_eager() {
-    let profile = SyntheticProfile::new(30, 80);
-    let artifact = ModelArtifact::synthesize(&profile, TierDims::new(4, 8, 16), 9).unwrap();
-    let v1 = hf_serve::binfmt::encode_v1(&artifact);
-    let dir = std::env::temp_dir().join(format!("hf_lazy_v1_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("old.hfa");
-    std::fs::write(&path, &v1).unwrap();
-    let loaded = ModelArtifact::load_file_lazy(&path, LazyConfig::default()).expect("v1 fallback");
+    // The committed v1 fixture and the v2 encoding of the same artifact.
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let loaded =
+        ModelArtifact::load_file_lazy(format!("{fixtures}/artifact_v1.hfa"), LazyConfig::default())
+            .expect("v1 fallback");
     assert!(
         !loaded.is_lazy(),
         "v1 has no directories; must load eagerly"
     );
-    assert_eq!(loaded.to_bytes(), artifact.to_bytes());
-    std::fs::remove_dir_all(&dir).ok();
+    let v2 = std::fs::read(format!("{fixtures}/artifact_v2.hfa")).unwrap();
+    assert!(loaded.to_bytes() == v2, "v1 fallback re-encode drifted");
 }

@@ -158,17 +158,17 @@ fn precomputed_item_halves_match_the_memory_lean_path() {
             .chain([RecommendRequest::new(usize::MAX)])
             .collect();
         for panel_items in [7, 128, 100_000] {
-            let build = |precompute: bool| {
+            let build = |mode: ItemHalfMode| {
                 RecommenderBuilder::new(session.export_artifact())
                     .default_k(10)
                     .threads(2)
                     .panel_items(panel_items)
-                    .precompute_item_halves(precompute)
+                    .item_half_mode(mode)
                     .build()
                     .unwrap()
             };
-            let precomputed = build(true).recommend_batch(&requests);
-            let lean = build(false).recommend_batch(&requests);
+            let precomputed = build(ItemHalfMode::Precomputed).recommend_batch(&requests);
+            let lean = build(ItemHalfMode::PerBatch).recommend_batch(&requests);
             assert_eq!(precomputed.len(), lean.len());
             for (a, b) in precomputed.iter().zip(&lean) {
                 assert_eq!(a.user, b.user, "{model:?}/panel {panel_items}");
