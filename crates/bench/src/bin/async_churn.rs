@@ -22,7 +22,7 @@
 //! ```
 
 use hetefedrec_core::{Ablation, Mode, SessionBuilder, SessionEvent, Strategy};
-use hf_bench::{fmt5, make_split, rule, CliOptions, SnapshotRow};
+use hf_bench::{fmt5, rule, run_grid};
 use hf_dataset::DatasetProfile;
 use hf_fedsim::events::LatencyProfile;
 use hf_fedsim::faults::ChurnProfile;
@@ -114,17 +114,10 @@ fn run(cfg: &hetefedrec_core::TrainConfig, split: &hf_dataset::SplitDataset) -> 
 }
 
 fn main() {
-    let opts = CliOptions::parse(&[DatasetProfile::MovieLens]);
-    let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Async vs sync federation under churn (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
-
-    for model in &opts.models {
-        for profile in &opts.datasets {
-            println!("== {} on {} ==", model.name(), profile.name());
-            let split = make_split(*profile, opts.scale, opts.seed);
+    run_grid(
+        "Async vs sync federation under churn",
+        &[DatasetProfile::MovieLens],
+        |c, snapshot| {
             let header = format!(
                 "{:<20} {:<6} {:>8} {:>9} {:>10} {:>10} {:>7} {:>6}",
                 "scenario", "mode", "ndcg", "ticks", "trainings", "work/ktick", "stale", "max"
@@ -132,11 +125,11 @@ fn main() {
             println!("{header}\n{}", rule(&header));
             for scenario in &SCENARIOS {
                 for mode in [Mode::Sync, Mode::Async] {
-                    let mut cfg = hf_bench::make_config_with(&opts, *model, *profile);
+                    let mut cfg = c.cfg.clone();
                     cfg.mode = mode;
                     cfg.latency = scenario.latency.clone();
                     cfg.churn = scenario.churn;
-                    let stats = run(&cfg, &split);
+                    let stats = run(&cfg, &c.split);
                     let work_per_ktick = if stats.ticks == 0 {
                         0.0
                     } else {
@@ -154,9 +147,7 @@ fn main() {
                         stats.max_staleness,
                     );
                     snapshot.push(
-                        SnapshotRow::new()
-                            .label("model", model.name())
-                            .label("dataset", profile.name())
+                        c.row()
                             .label("scenario", scenario.name)
                             .label("mode", mode.tag())
                             .value("final_ndcg", stats.ndcg)
@@ -168,8 +159,6 @@ fn main() {
                     );
                 }
             }
-            println!();
-        }
-    }
-    opts.emit_json(&snapshot);
+        },
+    );
 }

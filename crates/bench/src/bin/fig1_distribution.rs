@@ -12,10 +12,7 @@ use hf_dataset::{DatasetProfile, DatasetStats};
 fn main() {
     let opts = CliOptions::parse(&DatasetProfile::ALL);
     let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Fig. 1: distribution of users' item interaction numbers (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
+    opts.banner("Fig. 1: distribution of users' item interaction numbers");
     for profile in &opts.datasets {
         let data = profile
             .config_scaled(opts.scale.fraction)

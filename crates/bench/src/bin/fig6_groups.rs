@@ -6,30 +6,22 @@
 //! ```
 
 use hetefedrec_core::{run_experiment, Strategy};
-use hf_bench::{fmt5, make_config_with, make_split, rule, CliOptions, SnapshotRow};
+use hf_bench::{fmt5, rule, run_grid};
 use hf_dataset::DatasetProfile;
 
 fn main() {
-    let opts = CliOptions::parse(&DatasetProfile::ALL);
-    let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Fig. 6: per-group NDCG@20 (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
-
-    for model in &opts.models {
-        for profile in &opts.datasets {
-            println!("== {} on {} ==", model.name(), profile.name());
+    run_grid(
+        "Fig. 6: per-group NDCG@20",
+        &DatasetProfile::ALL,
+        |c, snapshot| {
             let header = format!(
                 "{:<22} {:>9} {:>9} {:>9} {:>9}",
                 "Method", "Us", "Um", "Ul", "overall"
             );
             println!("{header}");
             println!("{}", rule(&header));
-            let split = make_split(*profile, opts.scale, opts.seed);
-            let cfg = make_config_with(&opts, *model, *profile);
             for strategy in Strategy::ALL {
-                let result = run_experiment(&cfg, strategy, &split);
+                let result = run_experiment(&c.cfg, strategy, &c.split);
                 let g = &result.final_eval.per_group;
                 println!(
                     "{:<22} {:>9} {:>9} {:>9} {:>9}",
@@ -40,9 +32,7 @@ fn main() {
                     fmt5(result.final_eval.overall.ndcg),
                 );
                 snapshot.push(
-                    SnapshotRow::new()
-                        .label("model", model.name())
-                        .label("dataset", profile.name())
+                    c.row()
                         .label("method", &result.strategy)
                         .value("ndcg_us", g[0].ndcg)
                         .value("ndcg_um", g[1].ndcg)
@@ -50,8 +40,6 @@ fn main() {
                         .value("ndcg_overall", result.final_eval.overall.ndcg),
                 );
             }
-            println!();
-        }
-    }
-    opts.emit_json(&snapshot);
+        },
+    );
 }

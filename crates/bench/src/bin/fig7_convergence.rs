@@ -12,31 +12,21 @@
 //! ```
 
 use hetefedrec_core::{Ablation, EpochReport, Mode, SessionBuilder, SessionEvent, Strategy};
-use hf_bench::{make_split, CliOptions, SnapshotRow};
+use hf_bench::run_grid;
 use hf_dataset::DatasetProfile;
 
 fn main() {
-    let opts = CliOptions::parse(&[DatasetProfile::MovieLens]);
-    let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Fig. 7: convergence (NDCG@20 per epoch, scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
-
     let strategies = [
         Strategy::AllSmall,
         Strategy::AllLarge,
         Strategy::ClusteredFedRec,
         Strategy::HeteFedRec(Ablation::FULL),
     ];
-
-    for model in &opts.models {
-        for profile in &opts.datasets {
-            println!("== {} on {} ==", model.name(), profile.name());
-            let split = make_split(*profile, opts.scale, opts.seed);
-            let cfg = hf_bench::make_config_with(&opts, *model, *profile);
-
-            let mut curves: Vec<(String, Vec<f64>)> = Vec::new();
+    run_grid(
+        "Fig. 7: convergence, NDCG@20 per epoch",
+        &[DatasetProfile::MovieLens],
+        |c, snapshot| {
+            let cfg = &c.cfg;
             let mut runs: Vec<(String, Strategy, Mode)> = strategies
                 .iter()
                 .map(|s| (s.name().to_string(), *s, cfg.mode))
@@ -52,10 +42,16 @@ fn main() {
                 Strategy::HeteFedRec(Ablation::FULL),
                 other,
             ));
+
+            print!("{:<22}", "epoch");
+            for e in 1..=cfg.epochs {
+                print!(" {e:>7}");
+            }
+            println!();
             for (name, strategy, mode) in runs {
                 let mut run_cfg = cfg.clone();
                 run_cfg.mode = mode;
-                let mut session = SessionBuilder::new(run_cfg, strategy, split.clone())
+                let mut session = SessionBuilder::new(run_cfg, strategy, c.split.clone())
                     .build()
                     .expect("valid experiment configuration");
                 let mut curve: Vec<f64> = Vec::with_capacity(cfg.epochs);
@@ -67,30 +63,17 @@ fn main() {
                         curve.push(eval.overall.ndcg);
                     }
                 }
-                curves.push((name, curve));
-            }
-
-            print!("{:<22}", "epoch");
-            for e in 1..=cfg.epochs {
-                print!(" {e:>7}");
-            }
-            println!();
-            for (name, curve) in &curves {
                 print!("{name:<22}");
-                for v in curve {
+                for v in &curve {
                     print!(" {v:>7.4}");
                 }
                 println!();
                 snapshot.push(
-                    SnapshotRow::new()
-                        .label("model", model.name())
-                        .label("dataset", profile.name())
+                    c.row()
                         .label("method", name)
-                        .series("ndcg_per_epoch", curve.clone()),
+                        .series("ndcg_per_epoch", curve),
                 );
             }
-            println!();
-        }
-    }
-    opts.emit_json(&snapshot);
+        },
+    );
 }

@@ -6,28 +6,20 @@
 //! ```
 
 use hetefedrec_core::{run_experiment, Ablation, Strategy};
-use hf_bench::{fmt5, make_config_with, make_split, CliOptions, SnapshotRow};
+use hf_bench::{fmt5, run_grid};
 use hf_dataset::DatasetProfile;
 
 fn main() {
-    let opts = CliOptions::parse(&[DatasetProfile::MovieLens]);
-    let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Fig. 8: NDCG@20 vs DDR weight alpha (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
-
     let alphas = [0.5f32, 0.75, 1.0, 1.5, 2.0];
-
-    for model in &opts.models {
-        for profile in &opts.datasets {
-            println!("== {} on {} ==", model.name(), profile.name());
-            let split = make_split(*profile, opts.scale, opts.seed);
+    run_grid(
+        "Fig. 8: NDCG@20 vs DDR weight alpha",
+        &[DatasetProfile::MovieLens],
+        |c, snapshot| {
             let mut points = Vec::new();
             for &alpha in &alphas {
-                let mut cfg = make_config_with(&opts, *model, *profile);
+                let mut cfg = c.cfg.clone();
                 cfg.alpha = alpha;
-                let r = run_experiment(&cfg, Strategy::HeteFedRec(Ablation::FULL), &split);
+                let r = run_experiment(&cfg, Strategy::HeteFedRec(Ablation::FULL), &c.split);
                 points.push((alpha, r.final_eval.overall.ndcg));
             }
             let peak = points
@@ -38,16 +30,8 @@ fn main() {
             for (alpha, ndcg) in &points {
                 let bar = ((ndcg / peak) * 40.0).round() as usize;
                 println!("alpha {alpha:<5} {} |{}", fmt5(*ndcg), "#".repeat(bar));
-                snapshot.push(
-                    SnapshotRow::new()
-                        .label("model", model.name())
-                        .label("dataset", profile.name())
-                        .value("alpha", *alpha as f64)
-                        .value("ndcg", *ndcg),
-                );
+                snapshot.push(c.row().value("alpha", *alpha as f64).value("ndcg", *ndcg));
             }
-            println!();
-        }
-    }
-    opts.emit_json(&snapshot);
+        },
+    );
 }

@@ -21,13 +21,11 @@ fn main() {
     let split = make_split(profile, opts.scale, opts.seed);
     let base = hf_bench::make_config_with(&opts, model, profile);
 
-    println!(
-        "Hyper-parameter sweep on {} / {} (scale={}, seed={})\n",
+    opts.banner(&format!(
+        "Hyper-parameter sweep on {} / {}",
         model.name(),
-        profile.name(),
-        opts.scale.name,
-        opts.seed
-    );
+        profile.name()
+    ));
 
     // RefCell so the shared `run` helper stays callable from every sweep
     // loop below (a plain `mut` capture would make `run` itself `FnMut`).

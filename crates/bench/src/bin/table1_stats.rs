@@ -27,10 +27,7 @@ impl ToJson for StatsRow {
 fn main() {
     let opts = CliOptions::parse(&DatasetProfile::ALL);
     let mut snapshot: Vec<StatsRow> = Vec::new();
-    println!(
-        "Table I: dataset statistics (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
+    opts.banner("Table I: dataset statistics");
     let header = format!(
         "{:<8} {:>7} {:>7} {:>11} {:>6} {:>6} {:>6}   | paper: {:>7} {:>7} {:>11} {:>6} {:>6} {:>6}",
         "Dataset", "Users", "Items", "Interact.", "Avg.", "<50%", "<80%",

@@ -12,10 +12,7 @@ use hf_dataset::DatasetProfile;
 fn main() {
     let opts = CliOptions::parse(&DatasetProfile::ALL);
     let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Table II: overall performance (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
+    opts.banner("Table II: overall performance");
 
     for model in &opts.models {
         println!("== {} ==", model.name());

@@ -16,10 +16,7 @@ use hf_tensor::rng::{stream, SeedStream};
 fn main() {
     let opts = CliOptions::parse(&[DatasetProfile::MovieLens]);
     let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Table III: one-time transmission cost per client type (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
+    opts.banner("Table III: one-time transmission cost per client type");
 
     for profile in &opts.datasets {
         let model = opts.models[0];

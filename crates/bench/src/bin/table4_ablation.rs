@@ -12,10 +12,7 @@ use hf_dataset::DatasetProfile;
 fn main() {
     let opts = CliOptions::parse(&DatasetProfile::ALL);
     let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Table IV: ablation study (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
+    opts.banner("Table IV: ablation study");
 
     let rows: [(&str, Ablation); 4] = [
         ("HeteFedRec", Ablation::FULL),

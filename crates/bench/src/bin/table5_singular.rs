@@ -13,10 +13,7 @@ use hf_dataset::{DatasetProfile, Tier};
 fn main() {
     let opts = CliOptions::parse(&DatasetProfile::ALL);
     let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Table V: variance of singular values of cov(Vl) ± DDR (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
+    opts.banner("Table V: variance of singular values of cov(Vl) ± DDR");
 
     for model in &opts.models {
         println!("== {} ==", model.name());

@@ -13,10 +13,7 @@ use hf_dataset::{DatasetProfile, DivisionRatio};
 fn main() {
     let opts = CliOptions::parse(&DatasetProfile::ALL);
     let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Table VI: client-division ratios (scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
+    opts.banner("Table VI: client-division ratios");
 
     let ratios = [
         DivisionRatio::PAPER_DEFAULT,

@@ -6,39 +6,31 @@
 //! ```
 
 use hetefedrec_core::{run_experiment, Ablation, Strategy, TierDims};
-use hf_bench::{fmt5, make_config_with, make_split, rule, CliOptions, SnapshotRow};
+use hf_bench::{fmt5, rule, run_grid};
 use hf_dataset::DatasetProfile;
 
 fn main() {
-    let opts = CliOptions::parse(&[DatasetProfile::MovieLens]);
-    let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    println!(
-        "Table VII: model-size settings (NDCG@20, scale={}, seed={})\n",
-        opts.scale.name, opts.seed
-    );
-
     let settings = [
         TierDims::rq5_tiny(),
         TierDims::paper_small(),
         TierDims::paper_large(),
     ];
-
-    for model in &opts.models {
-        for profile in &opts.datasets {
-            println!("== {} on {} ==", model.name(), profile.name());
+    run_grid(
+        "Table VII: model-size settings, NDCG@20",
+        &[DatasetProfile::MovieLens],
+        |c, snapshot| {
             let header = format!(
                 "{:<14} {:>10} {:>10} {:>12}",
                 "Dims", "All Small", "All Large", "HeteFedRec"
             );
             println!("{header}");
             println!("{}", rule(&header));
-            let split = make_split(*profile, opts.scale, opts.seed);
             for dims in settings {
-                let mut cfg = make_config_with(&opts, *model, *profile);
+                let mut cfg = c.cfg.clone();
                 cfg.dims = dims;
-                let small = run_experiment(&cfg, Strategy::AllSmall, &split);
-                let large = run_experiment(&cfg, Strategy::AllLarge, &split);
-                let hete = run_experiment(&cfg, Strategy::HeteFedRec(Ablation::FULL), &split);
+                let small = run_experiment(&cfg, Strategy::AllSmall, &c.split);
+                let large = run_experiment(&cfg, Strategy::AllLarge, &c.split);
+                let hete = run_experiment(&cfg, Strategy::HeteFedRec(Ablation::FULL), &c.split);
                 println!(
                     "{:<14} {:>10} {:>10} {:>12}",
                     dims.label(),
@@ -47,17 +39,13 @@ fn main() {
                     fmt5(hete.final_eval.overall.ndcg),
                 );
                 snapshot.push(
-                    SnapshotRow::new()
-                        .label("model", model.name())
-                        .label("dataset", profile.name())
+                    c.row()
                         .label("dims", dims.label())
                         .value("all_small_ndcg", small.final_eval.overall.ndcg)
                         .value("all_large_ndcg", large.final_eval.overall.ndcg)
                         .value("hetefedrec_ndcg", hete.final_eval.overall.ndcg),
                 );
             }
-            println!();
-        }
-    }
-    opts.emit_json(&snapshot);
+        },
+    );
 }

@@ -2,7 +2,9 @@
 //!
 //! Experiment harness: one runnable binary per table and figure of the
 //! paper (see `DESIGN.md` §4 for the full index) plus std-`Instant`
-//! micro-benchmarks (`benches/microbench.rs`).
+//! micro-benchmarks (`benches/microbench.rs`). Performance of the
+//! serving, pipeline and secure-aggregation paths is not measured here:
+//! that is the repo benchmark's job (`benchmark/README.md`).
 //!
 //! Every binary accepts:
 //!
@@ -163,6 +165,11 @@ impl CliOptions {
         }
     }
 
+    /// Prints the banner every binary opens with.
+    pub fn banner(&self, title: &str) {
+        println!("{title} (scale={}, seed={})\n", self.scale.name, self.seed);
+    }
+
     /// Writes `report` to the `--json` path, if one was given.
     ///
     /// Convenience wrapper over [`write_json_snapshot`] so a binary's main
@@ -271,30 +278,22 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 })
 }
 
-/// Serialises `report` and writes it to `path`, creating parent
-/// directories as needed. Exits with an error message on I/O failure
-/// (snapshots are an explicit user request; failing silently would lose
-/// the run's results). I/O failures exit 1 without the usage banner —
-/// the arguments were fine, the filesystem was not.
+/// Serialises `report` and writes it to `path` (atomically, parents
+/// created: [`hf_tensor::wire::write_file`]). Exits with an error
+/// message on I/O failure (snapshots are an explicit user request;
+/// failing silently would lose the run's results) — status 1 without the
+/// usage banner: the arguments were fine, the filesystem was not.
 pub fn write_json_snapshot(path: &str, report: &dyn hf_tensor::ser::ToJson) {
-    fn io_fail(msg: String) -> ! {
-        eprintln!("error: {msg}");
+    use std::io::Write as _;
+    let written = hf_tensor::wire::write_file(path.as_ref(), |mut out| {
+        writeln!(out, "{}", report.to_json())?;
+        out.flush()
+    });
+    if let Err(e) = written {
+        eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1)
     }
-    let path = std::path::Path::new(path);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                io_fail(format!("cannot create {}: {e}", parent.display()));
-            }
-        }
-    }
-    let mut doc = report.to_json();
-    doc.push('\n');
-    if let Err(e) = std::fs::write(path, doc) {
-        io_fail(format!("cannot write {}: {e}", path.display()));
-    }
-    eprintln!("json snapshot written to {}", path.display());
+    eprintln!("json snapshot written to {path}");
 }
 
 /// One generic `--json` snapshot row: string labels identifying the
@@ -383,6 +382,60 @@ pub fn make_config_with(
     let mut cfg = make_config(model, profile, opts.scale, opts.seed);
     opts.apply_overrides(&mut cfg);
     cfg
+}
+
+/// One model × dataset cell of an experiment grid: what [`run_grid`]
+/// hands a binary for each combination the CLI selected.
+pub struct Cell {
+    /// Base recommender of this cell.
+    pub model: ModelKind,
+    /// Dataset profile of this cell.
+    pub profile: DatasetProfile,
+    /// The profile generated and split at the CLI's scale and seed.
+    pub split: SplitDataset,
+    /// Paper defaults at the CLI's scale and seed, `--set` applied.
+    pub cfg: TrainConfig,
+}
+
+impl Cell {
+    /// A snapshot row labelled with this cell's model and dataset.
+    pub fn row(&self) -> SnapshotRow {
+        SnapshotRow::new()
+            .label("model", self.model.name())
+            .label("dataset", self.profile.name())
+    }
+}
+
+/// The skeleton the model × dataset binaries share: parse the CLI,
+/// print the banner, run `cell` on every combination (models outer,
+/// datasets inner) under an `== model on dataset ==` heading, then write
+/// the `--json` snapshot of the rows it pushed.
+pub fn run_grid(
+    title: &str,
+    default_datasets: &[DatasetProfile],
+    mut cell: impl FnMut(&Cell, &mut Vec<SnapshotRow>),
+) {
+    let opts = CliOptions::parse(default_datasets);
+    opts.banner(title);
+    let mut snapshot = Vec::new();
+    for &model in &opts.models {
+        for &profile in &opts.datasets {
+            println!("== {} on {} ==", model.name(), profile.name());
+            let split = make_split(profile, opts.scale, opts.seed);
+            let cfg = make_config_with(&opts, model, profile);
+            cell(
+                &Cell {
+                    model,
+                    profile,
+                    split,
+                    cfg,
+                },
+                &mut snapshot,
+            );
+            println!();
+        }
+    }
+    opts.emit_json(&snapshot);
 }
 
 /// Renders a horizontal rule sized to a header line.

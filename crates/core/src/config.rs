@@ -723,7 +723,8 @@ mod tests {
     #[test]
     fn validate_rejects_bad_fields_with_the_field_name() {
         let base = TrainConfig::test_default(ModelKind::Ncf);
-        let cases: Vec<(&str, Box<dyn Fn(&mut TrainConfig)>)> = vec![
+        type Mutation = Box<dyn Fn(&mut TrainConfig)>;
+        let cases: Vec<(&str, Mutation)> = vec![
             ("epochs", Box::new(|c| c.epochs = 0)),
             ("clients_per_round", Box::new(|c| c.clients_per_round = 0)),
             ("local_epochs", Box::new(|c| c.local_epochs = 0)),

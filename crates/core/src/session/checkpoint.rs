@@ -45,11 +45,13 @@ use hf_fedsim::faults::FaultInjector;
 use hf_fedsim::scheduler::RoundScheduler;
 use hf_tensor::ser::{obj, JsonValue, ToJson};
 use std::collections::VecDeque;
+use std::io::Write as _;
 
 /// Checkpoint document identifier.
 pub(crate) const CHECKPOINT_FORMAT: &str = "hetefedrec.checkpoint";
-/// Current checkpoint schema version (the writer stamps this only when
-/// the document actually carries v3 state; see [`Session::checkpoint`]).
+/// Newest checkpoint schema version. The writer stamps the lowest
+/// version that fits the state a document carries (see
+/// [`Session::checkpoint`]), so this one appears only after an ingest.
 pub(crate) const CHECKPOINT_VERSION: u64 = 4;
 /// Oldest schema version this build still restores.
 pub(crate) const MIN_CHECKPOINT_VERSION: u64 = 1;
@@ -155,17 +157,14 @@ impl Session {
     }
 
     /// Writes [`Session::checkpoint`] to a file, creating parent
-    /// directories as needed.
+    /// directories as needed. Atomic ([`hf_tensor::wire::write_file`]):
+    /// a failed or interrupted write leaves the previous checkpoint at
+    /// `path` intact.
     pub fn write_checkpoint(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut doc = self.checkpoint();
-        doc.push('\n');
-        std::fs::write(path, doc)
+        hf_tensor::wire::write_file(path.as_ref(), |mut out| {
+            writeln!(out, "{}", self.checkpoint())?;
+            out.flush()
+        })
     }
 
     /// Restores a session from a [`Session::checkpoint`] document with

@@ -165,6 +165,8 @@ pub struct SessionBuilder {
 }
 
 /// Where the session's configuration and state come from.
+// One per builder, consumed by `build`: boxing the config would buy nothing.
+#[allow(clippy::large_enum_variant)]
 enum Source {
     /// Fresh run: caller-supplied configuration, state initialised from
     /// the seed.
@@ -794,7 +796,7 @@ impl Session {
         }
         // The final *configured* epoch always evaluates; epochs driven
         // past the horizon via run_epoch follow the cadence alone.
-        self.epoch % self.eval_every == 0 || self.epoch == self.cfg.epochs
+        self.epoch.is_multiple_of(self.eval_every) || self.epoch == self.cfg.epochs
     }
 
     fn finish_epoch(&mut self) -> EpochReport {

@@ -138,7 +138,7 @@ impl ToJson for PendingSetup {
 impl Session {
     /// Wall-clock nanoseconds spent in (mask derivation, dropout
     /// recovery) since construction — `None` when secure aggregation is
-    /// off. The secagg bench reads this to report protocol overhead.
+    /// off. `examples/secure_aggregation.rs` prints it as protocol overhead.
     pub fn secagg_timing(&self) -> Option<(u64, u64)> {
         self.secagg
             .as_ref()

@@ -701,34 +701,111 @@ fn finished_sessions_checkpoint_and_stay_finished() {
     assert_eq!(resumed.history().epochs.len(), s.history().epochs.len());
 }
 
+// --- committed checkpoint fixtures -------------------------------------
+//
+// One document per version the writer can stamp — v2 (default sync), v3
+// (secure aggregation on), v4 (after an ingest that admits a user) —
+// plus the v1 form of the first, all written by the build that preceded
+// these tests, before the first round so only init-class floats are
+// committed. "Default checkpoints stay byte-identical to earlier
+// builds" and "v1 documents still restore" are pinned against these
+// files, not against documents this build just wrote.
+
+/// Indexed by `version - 1`.
+const FIXTURES: [&str; 4] = [
+    include_str!("../../tests/fixtures/checkpoint_v1.json"),
+    include_str!("../../tests/fixtures/checkpoint_v2.json"),
+    include_str!("../../tests/fixtures/checkpoint_v3.json"),
+    include_str!("../../tests/fixtures/checkpoint_v4.json"),
+];
+/// The stream the v4 fixture ingested: user 16 is one past the split.
+const FIXTURE_EVENTS: [(usize, u32); 1] = [(16, 3)];
+
+fn fixture_split() -> SplitDataset {
+    let config = SyntheticConfig {
+        num_users: 16,
+        num_items: 40,
+        ..SyntheticConfig::tiny()
+    };
+    SplitDataset::paper_split(&config.generate(5), 5)
+}
+
+/// The session the fixture of `version` was checkpointed from.
+fn fixture_session(version: usize) -> Session {
+    let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+    cfg.dims = crate::config::TierDims::rq5_tiny();
+    // What a v1 document restores to: it predates the async block.
+    cfg.async_cfg = crate::config::AsyncConfig::default();
+    cfg.secagg.enabled = version == 3;
+    let strategy = Strategy::HeteFedRec(Ablation::FULL);
+    let mut s = SessionBuilder::new(cfg, strategy, fixture_split())
+        .build()
+        .expect("valid config");
+    if version == 4 {
+        assert_eq!(s.ingest(&FIXTURE_EVENTS).admitted, 1);
+    }
+    s
+}
+
+#[test]
+fn checkpoint_fixtures_are_reproduced_and_restore_is_the_identity() {
+    for version in 2..=4 {
+        let fixture = FIXTURES[version - 1].trim_end();
+        assert!(fixture.contains(&format!("\"version\":{version},")));
+        assert!(
+            fixture_session(version).checkpoint() == fixture,
+            "v{version}: checkpoint bytes drifted from the committed fixture"
+        );
+        let mut split = fixture_split();
+        if version == 4 {
+            replay(&mut split, &FIXTURE_EVENTS);
+        }
+        let restored = Session::restore(fixture, split).expect("fixture restores");
+        assert!(
+            restored.checkpoint() == fixture,
+            "v{version}: restore -> checkpoint is not the identity"
+        );
+    }
+}
+
 #[test]
 fn v1_checkpoint_documents_still_restore() {
-    let mut reference = session(Strategy::AllSmall, ModelKind::Ncf);
-    reference.run();
-
-    let mut interrupted = session(Strategy::AllSmall, ModelKind::Ncf);
-    interrupted.step();
-    interrupted.step();
-    let mut json = interrupted.checkpoint();
-    // Reconstruct the exact v1 document: strip the orchestration fields
-    // the v2 config gained, drop the two v2 top-level sections, rewind
-    // the version tag.
-    let start = json.find(",\"mode\":").expect("cfg mode field");
-    let end = json.find(",\"strategy\"").expect("strategy field");
-    json.replace_range(start..end, "}");
-    let start = json.find(",\"clock\":").expect("clock field");
-    let end = json.find(",\"ledger\"").expect("ledger field");
-    json.replace_range(start..end, "");
-    let json = json.replacen("\"version\":2", "\"version\":1", 1);
-
-    let mut resumed = Session::restore(&json, tiny_split(9)).expect("v1 document restores");
+    let mut resumed = Session::restore(FIXTURES[0], fixture_split()).expect("v1 restores");
     assert_eq!(resumed.cfg().mode, Mode::Sync);
     assert_eq!(resumed.clock(), 0);
+    // It re-stamps as the v2 document it is the v1 form of...
+    assert!(resumed.checkpoint() == FIXTURES[1].trim_end());
+    // ...and runs on to the evaluation of a run never checkpointed.
+    let mut reference = fixture_session(2);
+    reference.run();
     resumed.run();
     assert_eq!(
         reference.final_eval().unwrap().overall.ndcg.to_bits(),
         resumed.final_eval().unwrap().overall.ndcg.to_bits()
     );
+}
+
+#[test]
+fn failed_checkpoint_writes_keep_the_previous_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("hf_ckpt_atomic_{}", std::process::id()));
+    let path = dir.join("session.json");
+    let s = fixture_session(2);
+    s.write_checkpoint(&path).expect("written");
+    s.write_checkpoint(&path).expect("replaced whole");
+    // Uncreatable: the parent is a regular file — the checkpoint itself.
+    assert!(s.write_checkpoint(path.join("session.json")).is_err());
+    // Unrenamable: the target is a directory; the temp file is removed.
+    std::fs::create_dir(dir.join("taken.json")).unwrap();
+    assert!(s.write_checkpoint(dir.join("taken.json")).is_err());
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["session.json", "taken.json"], "no temp file");
+    let kept = std::fs::read_to_string(&path).unwrap();
+    assert!(kept == FIXTURES[1], "the previous checkpoint stays whole");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

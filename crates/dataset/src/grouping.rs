@@ -310,11 +310,11 @@ mod tests {
         let counts: Vec<usize> = (0..200).map(|i| i % 97).collect();
         let g = ClientGroups::divide_by_counts(&counts, DivisionRatio::PAPER_DEFAULT);
         let (t_small, t_medium) = g.thresholds;
-        for u in 0..counts.len() {
+        for (u, &count) in counts.iter().enumerate() {
             match g.tier(u) {
-                Tier::Small => assert!(counts[u] <= t_small),
-                Tier::Medium => assert!(counts[u] <= t_medium),
-                Tier::Large => assert!(counts[u] >= t_small),
+                Tier::Small => assert!(count <= t_small),
+                Tier::Medium => assert!(count <= t_medium),
+                Tier::Large => assert!(count >= t_small),
             }
         }
     }

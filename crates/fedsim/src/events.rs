@@ -204,7 +204,7 @@ impl LatencyProfile {
 
     /// Restores a profile from its JSON form.
     pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
-        let profile = match v.get("kind")?.as_str()?.as_ref() {
+        let profile = match v.get("kind")?.as_str()? {
             "fixed" => LatencyProfile::Fixed(v.get("ticks")?.as_u64()?),
             "uniform" => LatencyProfile::Uniform {
                 min: v.get("min")?.as_u64()?,
@@ -265,7 +265,7 @@ impl ToJson for LatencyProfile {
 /// Mixes `(client, version)` into one substream index (same idiom as
 /// `FaultInjector::drops`).
 fn draw_key(client: usize, version: u64) -> u64 {
-    (client as u64).wrapping_mul(0x1000_0000_1b3) ^ version
+    (client as u64).wrapping_mul(0x0100_0000_01b3) ^ version
 }
 
 /// One in-flight client training: dispatched with the parameters of round

@@ -88,7 +88,7 @@ impl ChurnProfile {
 
     /// Restores a profile from its JSON form.
     pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
-        let profile = match v.get("kind")?.as_str()?.as_ref() {
+        let profile = match v.get("kind")?.as_str()? {
             "none" => ChurnProfile::None,
             "independent" => ChurnProfile::Independent {
                 offline_prob: v.get("offline_prob")?.as_f64()?,
@@ -205,7 +205,7 @@ impl FaultInjector {
         if self.drop_prob == 0.0 {
             return false;
         }
-        let key = round.wrapping_mul(0x1000_0000_1b3) ^ (client as u64);
+        let key = round.wrapping_mul(0x0100_0000_01b3) ^ (client as u64);
         let mut rng = substream(self.seed, SeedStream::Faults, key);
         rng.gen::<f64>() < self.drop_prob
     }
@@ -225,7 +225,7 @@ impl FaultInjector {
         if prob == 0.0 {
             return false;
         }
-        let key = window.wrapping_mul(0x1000_0000_1b3) ^ (client as u64);
+        let key = window.wrapping_mul(0x0100_0000_01b3) ^ (client as u64);
         let mut rng = substream(self.seed, SeedStream::Churn, key);
         rng.gen::<f64>() < prob
     }

@@ -22,9 +22,6 @@
 //! * [`events`] — logical-clock event scheduling (latency profiles, the
 //!   `(time, client)`-ordered arrival queue, dispatch bookkeeping) behind
 //!   the asynchronous training mode.
-//! * [`wire`] — the little-endian `Reader`/`Writer` primitives every
-//!   binary format in the workspace encodes through (update payloads
-//!   here, the compact artifact file in `hf_serve`, the `hf_net` frames).
 
 #![warn(missing_docs)]
 
@@ -35,7 +32,6 @@ pub mod linalg;
 pub mod parallel;
 pub mod scheduler;
 pub mod transport;
-pub mod wire;
 
 pub use comm::{CommLedger, RoundCost};
 pub use events::{EventQueue, EventScheduler, LatencyProfile, PendingArrival, TraversalPolicy};

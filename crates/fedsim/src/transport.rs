@@ -12,7 +12,7 @@
 //! and the Table III harness reports both the paper's dense accounting
 //! and the sparse bytes this format actually moves.
 
-use crate::wire::{Reader, Writer};
+use hf_tensor::wire::{Reader, Writer};
 
 /// Sparse row-keyed update to an embedding table.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -102,8 +102,10 @@ impl ClientUpdate {
 
     /// Parses the binary wire format.
     ///
-    /// Returns `None` on truncated or malformed input (a real server must
-    /// not panic on a hostile payload).
+    /// Returns `None` on truncated, malformed or over-long input (a real
+    /// server must not panic on a hostile payload; trailing bytes are
+    /// rejected so that `decode(b)?.encode() == b`, as in every other
+    /// codec of the workspace).
     pub fn decode(buf: impl AsRef<[u8]>) -> Option<Self> {
         let mut buf = Reader::new(buf.as_ref());
         let dim = buf.get_u32_le()? as usize;
@@ -122,6 +124,9 @@ impl ClientUpdate {
             let tier = buf.get_u8()?;
             let len = buf.get_u32_le()? as usize;
             thetas.push((tier, buf.get_f32_vec(len)?));
+        }
+        if buf.remaining() != 0 {
+            return None;
         }
         Some(Self {
             items: SparseRowUpdate { dim, rows },
@@ -175,6 +180,13 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut wire = sample().encode();
+        wire.extend([0x55, 0xAA, 0x01]);
+        assert!(ClientUpdate::decode(wire).is_none());
     }
 
     #[test]

@@ -284,26 +284,26 @@ mod tests {
             );
         }
         // Scored-item gradient.
-        for d in 0..3 {
+        for (d, &analytic) in d_item.iter().enumerate() {
             let mut tp = table.clone();
             *tp.get_mut(item, d) += eps;
             let mut tm = table.clone();
             *tm.get_mut(item, d) -= eps;
             let fd = (loss(&tp, &user, &mut ws) - loss(&tm, &user, &mut ws)) / (2.0 * eps);
             assert!(
-                (fd - d_item[d]).abs() < 5e-3 * fd.abs().max(1.0),
+                (fd - analytic).abs() < 5e-3 * fd.abs().max(1.0),
                 "d_item[{d}]"
             );
         }
         // In-graph item gradient: scale * d_prop.
         let (gi, scale) = graph_grads[0];
-        for d in 0..3 {
+        for (d, &through) in d_prop.iter().enumerate() {
             let mut tp = table.clone();
             *tp.get_mut(gi as usize, d) += eps;
             let mut tm = table.clone();
             *tm.get_mut(gi as usize, d) -= eps;
             let fd = (loss(&tp, &user, &mut ws) - loss(&tm, &user, &mut ws)) / (2.0 * eps);
-            let analytic = scale * d_prop[d];
+            let analytic = scale * through;
             assert!(
                 (fd - analytic).abs() < 5e-3 * fd.abs().max(1.0),
                 "graph item {gi} dim {d}: {analytic} vs {fd}"

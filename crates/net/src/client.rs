@@ -74,23 +74,17 @@ impl Client {
         Frame::Request(request)
             .write_to(&mut self.stream)
             .map_err(NetError::Io)?;
-        loop {
-            match self.read_frame()? {
-                Frame::Response(response) if response.id == id => return Ok(response),
-                Frame::Error(e) if e.id == id || e.id == 0 => {
-                    return Err(NetError::Remote {
-                        code: e.code,
-                        message: e.message,
-                    })
-                }
-                // With one request in flight, anything else is a
-                // protocol violation.
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "expected the answer to request {id}, got {other:?}"
-                    )))
-                }
-            }
+        match self.read_frame()? {
+            Frame::Response(response) if response.id == id => Ok(response),
+            Frame::Error(e) if e.id == id || e.id == 0 => Err(NetError::Remote {
+                code: e.code,
+                message: e.message,
+            }),
+            // With one request in flight, anything else is a protocol
+            // violation.
+            other => Err(NetError::Protocol(format!(
+                "expected the answer to request {id}, got {other:?}"
+            ))),
         }
     }
 

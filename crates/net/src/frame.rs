@@ -2,7 +2,7 @@
 //!
 //! Frames travel as little-endian length-prefixed byte strings in the
 //! same style as `hf_fedsim::transport` (and through the same
-//! [`hf_fedsim::wire`] primitives):
+//! [`hf_tensor::wire`] primitives):
 //!
 //! ```text
 //! len      u32   payload length (not counting this prefix), ≤ MAX_FRAME_LEN
@@ -26,8 +26,8 @@
 //! no wire form; [`WireRequest::try_from_request`] rejects them.
 
 use hf_dataset::Tier;
-use hf_fedsim::wire::{Reader, Writer};
 use hf_serve::{RecommendRequest, RecommendResponse, ScoredItem};
+use hf_tensor::wire::{Reader, Writer};
 use std::io::{self, Read, Write};
 
 /// Protocol version this module writes and the only one it reads.
@@ -490,9 +490,8 @@ impl Frame {
     /// any allocation.
     pub fn read_from<R: Read>(input: &mut R) -> Result<Option<Frame>, ReadFrameError> {
         let mut prefix = [0u8; 4];
-        match read_exact_or_eof(input, &mut prefix)? {
-            false => return Ok(None),
-            true => {}
+        if !read_exact_or_eof(input, &mut prefix)? {
+            return Ok(None);
         }
         let len = u32::from_le_bytes(prefix) as usize;
         if len > MAX_FRAME_LEN {

@@ -138,7 +138,7 @@ pub fn run(addr: impl ToSocketAddrs, config: &LoadGen) -> Result<LoadReport, Net
     if config.requests == 0 {
         return Err(NetError::Config("requests must be at least 1"));
     }
-    if !(config.target_qps > 0.0) {
+    if config.target_qps.is_nan() || config.target_qps <= 0.0 {
         return Err(NetError::Config("target_qps must be positive"));
     }
 

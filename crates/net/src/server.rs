@@ -310,10 +310,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn reader_loop(conn_id: u64, conn: Arc<Conn>, shared: &Shared) {
-    let mut read_half = match conn.raw.try_clone() {
-        Ok(s) => Some(s),
-        Err(_) => None,
-    };
+    let mut read_half = conn.raw.try_clone().ok();
     while let Some(stream) = read_half.as_mut() {
         if shared.stopping.load(Ordering::SeqCst) {
             break;

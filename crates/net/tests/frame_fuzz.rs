@@ -1,24 +1,21 @@
 //! Malformed-frame property test: no buffer, however mangled, may panic
 //! the decoder — and anything it *does* accept must be canonical.
 //!
-//! Strategy: round-trip a corpus of valid frames of every kind (with
-//! RNG-driven field values), then attack each encoding three seeded
-//! ways:
-//!
-//! * **truncation** — every strict prefix must fail with a typed error
-//!   (the encoding is length-exact, so no prefix is a valid frame);
-//! * **byte mutation** — flip random bytes; the decode must either fail
-//!   with a typed [`FrameError`] or succeed *canonically* (re-encoding
-//!   the accepted frame reproduces the mutated buffer bit for bit — a
-//!   mutation in a score travels as data, a mutation in a discriminant
-//!   or count is rejected);
-//! * **hostile prefixes** — random oversized/undersized outer length
-//!   prefixes fed through the stream reader must fail before allocating.
+//! Strategy: a corpus of valid frames of every kind (with RNG-driven
+//! field values) goes through the workspace's one seeded mutation
+//! harness, `hf_tensor::wire::fuzz_codec` — every strict prefix must
+//! fail with a typed error (the encoding is length-exact, so no prefix
+//! is a valid frame), and a byte-flipped copy must either fail with a
+//! typed [`FrameError`] or re-encode to the mutated buffer bit for bit.
+//! What only this codec has stays here: the over-long error message
+//! and **hostile prefixes** — random oversized/undersized outer length
+//! prefixes fed through the stream reader must fail before allocating.
 
 use hf_dataset::Tier;
 use hf_net::{Frame, FrameError, ReadFrameError, WireError, WireRequest, WireResponse};
 use hf_serve::ScoredItem;
 use hf_tensor::rng::{stream, Rng, SeedStream};
+use hf_tensor::wire::fuzz_codec;
 
 const FUZZ_SEED: u64 = 0x4652_414d; // "FRAM"
 
@@ -64,28 +61,25 @@ fn random_frame(rng: &mut impl Rng) -> Frame {
 }
 
 #[test]
-fn every_truncation_of_every_frame_fails_cleanly() {
-    let mut rng = stream(FUZZ_SEED, SeedStream::Custom(1));
-    for _ in 0..200 {
-        let frame = random_frame(&mut rng);
-        let payload = frame.encode();
-        assert_eq!(Frame::decode(&payload).as_ref(), Ok(&frame));
-        for cut in 0..payload.len() {
-            let err = Frame::decode(&payload[..cut])
-                .expect_err("a strict prefix must never decode as a frame");
-            // Typed, never a panic; the only acceptable causes are
-            // running out of bytes or a field check that fired early.
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated
-                        | FrameError::BadField { .. }
-                        | FrameError::Trailing { .. }
-                ),
-                "cut {cut} of {frame:?}: unexpected {err:?}"
-            );
-        }
-    }
+fn seeded_truncations_and_mutations_fail_typed_or_decode_canonically() {
+    fuzz_codec(
+        FUZZ_SEED,
+        300,
+        |rng| {
+            let frame = random_frame(rng);
+            let payload = frame.encode();
+            assert_eq!(Frame::decode(&payload).as_ref(), Ok(&frame));
+            payload
+        },
+        |buf| Frame::decode(buf).map(|frame| frame.encode()),
+        // A prefix can only run out of bytes or trip a field check early.
+        |e| {
+            matches!(
+                e,
+                FrameError::Truncated | FrameError::BadField { .. } | FrameError::Trailing { .. }
+            )
+        },
+    );
     // One more input: an error message over the 64 KiB cap whose cut
     // lands inside a multi-byte character. `encode` truncates on a char
     // boundary, so the frame still decodes — to a prefix, canonically.
@@ -108,40 +102,6 @@ fn every_truncation_of_every_frame_fails_cleanly() {
         }
         other => panic!("an over-long error message must still round-trip, got {other:?}"),
     }
-}
-
-#[test]
-fn seeded_byte_mutations_never_panic_and_accepts_are_canonical() {
-    let mut rng = stream(FUZZ_SEED, SeedStream::Custom(2));
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    for _ in 0..300 {
-        let frame = random_frame(&mut rng);
-        let payload = frame.encode();
-        for _ in 0..40 {
-            let mut mutated = payload.clone();
-            // 1-3 random byte flips.
-            for _ in 0..rng.gen_range(1..4usize) {
-                let pos = rng.gen_range(0..mutated.len());
-                mutated[pos] ^= rng.gen_range(1..=255u32) as u8;
-            }
-            match Frame::decode(&mutated) {
-                Ok(decoded) => {
-                    accepted += 1;
-                    assert_eq!(
-                        decoded.encode(),
-                        mutated,
-                        "accepted a non-canonical mutation of {frame:?}"
-                    );
-                }
-                Err(_) => rejected += 1, // typed error: exactly the contract
-            }
-        }
-    }
-    // Both outcomes must actually occur, or the test is vacuous: flips
-    // in payload data decode fine, flips in structure get rejected.
-    assert!(accepted > 0, "no mutation was ever accepted");
-    assert!(rejected > 0, "no mutation was ever rejected");
 }
 
 #[test]

@@ -159,7 +159,7 @@ impl<S: InteractionStream> PipelineDriver<S> {
         }
 
         self.cycles += 1;
-        let due = self.cfg.export_every != 0 && self.cycles % self.cfg.export_every == 0;
+        let due = self.cfg.export_every != 0 && self.cycles.is_multiple_of(self.cfg.export_every);
         let exported = if due || self.session.is_finished() {
             Some(self.export()?)
         } else {

@@ -8,7 +8,7 @@
 //! before allocating, and re-encode canonically — properties the fuzz
 //! suite in `tests/wire_fuzz.rs` attacks directly.
 
-use hf_fedsim::wire::{Reader, Writer};
+use hf_tensor::wire::{Reader, Writer};
 use std::fmt;
 
 /// Typed decode failures for secagg wire messages.

@@ -1,114 +1,72 @@
-//! Malformed-buffer property tests for the secagg wire messages,
-//! mirroring `crates/net/tests/frame_fuzz.rs`: no truncation or byte
-//! corruption may panic the decoders, and anything they accept must
-//! re-encode canonically.
+//! Malformed-buffer property tests for the secagg wire messages: both
+//! go through the workspace's one seeded mutation harness
+//! (`hf_tensor::wire::fuzz_codec`, shared with `hf_net`'s `frame_fuzz`)
+//! — no truncation or byte corruption may panic the decoders, and
+//! anything they accept must re-encode canonically. The cases only
+//! these messages have (hostile word counts, the `Trailing` count)
+//! follow.
 
 use hf_secagg::{MaskedUpload, SecAggWireError, ShareBundle};
 use hf_tensor::rng::{stream, Rng, SeedStream};
+use hf_tensor::wire::fuzz_codec;
 
 const FUZZ_SEED: u64 = 0x5341_5746; // "SAWF"
 
-/// Either secagg message, randomly shaped.
-#[derive(Clone, Debug, PartialEq)]
-enum Msg {
-    Upload(MaskedUpload),
-    Share(ShareBundle),
-}
-
-impl Msg {
-    fn encode(&self) -> Vec<u8> {
-        match self {
-            Msg::Upload(m) => m.encode(),
-            Msg::Share(s) => s.encode(),
-        }
-    }
-
-    fn decode(kind_is_upload: bool, buf: &[u8]) -> Result<Msg, SecAggWireError> {
-        if kind_is_upload {
-            MaskedUpload::decode(buf).map(Msg::Upload)
-        } else {
-            ShareBundle::decode(buf).map(Msg::Share)
-        }
-    }
-
-    fn is_upload(&self) -> bool {
-        matches!(self, Msg::Upload(_))
+fn random_upload(rng: &mut impl Rng) -> MaskedUpload {
+    let n = rng.gen_range(0usize..24);
+    MaskedUpload {
+        round: rng.gen_range(0..1_000u64),
+        uid: rng.gen_range(0..1_000_000u64),
+        words: (0..n).map(|_| rng.gen()).collect(),
     }
 }
 
-fn random_msg(rng: &mut impl Rng) -> Msg {
-    if rng.gen_bool(0.5) {
-        let n = rng.gen_range(0usize..24);
-        Msg::Upload(MaskedUpload {
-            round: rng.gen_range(0..1_000u64),
-            uid: rng.gen_range(0..1_000_000u64),
-            words: (0..n).map(|_| rng.gen()).collect(),
-        })
-    } else {
-        let owner = rng.gen_range(0..1_000u64);
-        Msg::Share(ShareBundle {
-            round: rng.gen_range(0..1_000u64),
-            owner,
-            holder: owner + 1 + rng.gen_range(0..1_000u64),
-            x: rng.gen_range(1..=255u32) as u8,
-            word: rng.gen(),
-        })
+fn random_share(rng: &mut impl Rng) -> ShareBundle {
+    let owner = rng.gen_range(0..1_000u64);
+    ShareBundle {
+        round: rng.gen_range(0..1_000u64),
+        owner,
+        holder: owner + 1 + rng.gen_range(0..1_000u64),
+        x: rng.gen_range(1..=255u32) as u8,
+        word: rng.gen(),
     }
 }
 
 #[test]
-fn every_truncation_of_every_message_fails_cleanly() {
-    let mut rng = stream(FUZZ_SEED, SeedStream::Custom(1));
-    for _ in 0..200 {
-        let msg = random_msg(&mut rng);
-        let buf = msg.encode();
-        assert_eq!(Msg::decode(msg.is_upload(), &buf).as_ref(), Ok(&msg));
-        for cut in 0..buf.len() {
-            let err = Msg::decode(msg.is_upload(), &buf[..cut])
-                .expect_err("a strict prefix must never decode");
-            assert!(
-                matches!(
-                    err,
-                    SecAggWireError::Truncated | SecAggWireError::BadField { .. }
-                ),
-                "cut {cut} of {msg:?}: unexpected {err:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn seeded_byte_mutations_never_panic_and_accepts_are_canonical() {
-    let mut rng = stream(FUZZ_SEED, SeedStream::Custom(2));
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    for _ in 0..300 {
-        let msg = random_msg(&mut rng);
-        let buf = msg.encode();
-        for _ in 0..40 {
-            let mut mutated = buf.clone();
-            // 1-3 random byte flips.
-            for _ in 0..rng.gen_range(1..4usize) {
-                let pos = rng.gen_range(0..mutated.len());
-                mutated[pos] ^= rng.gen_range(1..=255u32) as u8;
-            }
-            match Msg::decode(msg.is_upload(), &mutated) {
-                Ok(decoded) => {
-                    accepted += 1;
-                    assert_eq!(
-                        decoded.encode(),
-                        mutated,
-                        "accepted a non-canonical mutation of {msg:?}"
-                    );
-                }
-                Err(_) => rejected += 1, // typed error: exactly the contract
-            }
-        }
-    }
-    // Both outcomes must occur or the test is vacuous: flips in ring
-    // words travel as data, flips in the tag or count get rejected.
-    assert!(accepted > 0, "no mutation was ever accepted");
-    assert!(rejected > 0, "no mutation was ever rejected");
+fn seeded_truncations_and_mutations_fail_typed_or_decode_canonically() {
+    // A prefix can only run out of bytes or trip a field check early;
+    // flips in ring words travel as data, flips in the tag or count get
+    // rejected.
+    let prefix_error = |e: &SecAggWireError| {
+        matches!(
+            e,
+            SecAggWireError::Truncated | SecAggWireError::BadField { .. }
+        )
+    };
+    fuzz_codec(
+        FUZZ_SEED,
+        150,
+        |rng| {
+            let upload = random_upload(rng);
+            let buf = upload.encode();
+            assert_eq!(MaskedUpload::decode(&buf), Ok(upload));
+            buf
+        },
+        |buf| MaskedUpload::decode(buf).map(|m| m.encode()),
+        prefix_error,
+    );
+    fuzz_codec(
+        FUZZ_SEED + 1,
+        150,
+        |rng| {
+            let share = random_share(rng);
+            let buf = share.encode();
+            assert_eq!(ShareBundle::decode(&buf), Ok(share));
+            buf
+        },
+        |buf| ShareBundle::decode(buf).map(|s| s.encode()),
+        prefix_error,
+    );
 }
 
 #[test]
@@ -132,9 +90,11 @@ fn hostile_word_counts_fail_before_allocating() {
 #[test]
 fn trailing_garbage_is_a_typed_error() {
     let mut rng = stream(FUZZ_SEED, SeedStream::Custom(4));
-    let msg = random_msg(&mut rng);
-    let mut buf = msg.encode();
+    let trailing = SecAggWireError::Trailing { extra: 1 };
+    let mut buf = random_upload(&mut rng).encode();
     buf.push(0x55);
-    let err = Msg::decode(msg.is_upload(), &buf).unwrap_err();
-    assert_eq!(err, SecAggWireError::Trailing { extra: 1 });
+    assert_eq!(MaskedUpload::decode(&buf), Err(trailing));
+    let mut buf = random_share(&mut rng).encode();
+    buf.push(0x55);
+    assert_eq!(ShareBundle::decode(&buf), Err(trailing));
 }

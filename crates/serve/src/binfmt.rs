@@ -3,7 +3,7 @@
 //!
 //! Serving hosts boot from this file, not from a training checkpoint:
 //! it holds exactly the artifact fields, encoded through the
-//! workspace-wide little-endian [`hf_fedsim::wire`] primitives, floats as
+//! workspace-wide little-endian [`hf_tensor::wire`] primitives, floats as
 //! raw IEEE-754 bits so a reload is **bit-identical** to the export.
 //!
 //! Layout (all integers little-endian):
@@ -46,15 +46,15 @@ use crate::artifact::{
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
-use hf_fedsim::wire::{Reader, Writer};
 use hf_models::{Ffn, ModelKind};
+use hf_tensor::wire::{Reader, Writer};
 use hf_tensor::Matrix;
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::{self, BufWriter, Read as _, Seek, SeekFrom, Write};
 use std::ops::Deref;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File magic: "HeteFedrec Artifact Binary".
 const MAGIC: &[u8; 4] = b"HFAB";
@@ -306,33 +306,14 @@ pub(crate) fn write_artifact<W: Write + Seek>(a: &ModelArtifact, out: W) -> io::
     Ok(w.finish(&a.popularity, &a.fallback)?.0)
 }
 
-/// Writes a file atomically: `body` streams through a `BufWriter` onto
-/// a sibling `<path>.tmp`, which replaces `path` by `rename` only after
-/// `body` has flushed cleanly, and is removed on any error — so a
-/// concurrent reader (a `Reload`, a `latest_artifact` scan) sees the
-/// previous file or the whole new one, never a prefix. Parent
-/// directories are created.
+/// [`hf_tensor::wire::write_file`] (sibling `<path>.tmp`, flush,
+/// `rename`, temp removed on error) with the failure as a [`ServeError`].
 pub(crate) fn write_file<T>(
     path: &Path,
     body: impl FnOnce(BufWriter<File>) -> io::Result<T>,
 ) -> Result<T, ServeError> {
-    let fail =
-        |verb: &str, at: &Path, e: io::Error| err(format!("cannot {verb} {}: {e}", at.display()));
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fs::create_dir_all(parent).map_err(|e| fail("create", parent, e))?;
-    }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    File::create(&tmp)
-        // Table chunks exceed the buffer and pass straight through; it
-        // is the small user records this batches into 64 KiB writes.
-        .and_then(|file| body(BufWriter::with_capacity(1 << 16, file)))
-        .and_then(|done| fs::rename(&tmp, path).map(|()| done))
-        .map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            fail("write", path, e)
-        })
+    hf_tensor::wire::write_file(path, body)
+        .map_err(|e| err(format!("cannot write {}: {e}", path.display())))
 }
 
 /// Encodes one user record (v1 and v2 share it — v2 just indexes the

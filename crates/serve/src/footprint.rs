@@ -5,7 +5,7 @@
 //! accounting. On Linux the kernel's `VmRSS` line in
 //! `/proc/self/status` is that answer; elsewhere there is no portable
 //! std-only source, so the probes return `None` and callers degrade to
-//! analytic estimates (the capacity bench always emits both).
+//! analytic estimates (`examples/capacity.rs` prints both).
 
 /// Resident set size of the current process in bytes, or `None` when
 /// the platform offers no `/proc/self/status` (non-Linux) or the field

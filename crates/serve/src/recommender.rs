@@ -715,7 +715,7 @@ impl Recommender {
         for (i, score) in part.iter_mut().enumerate() {
             let item = (start + i) as u32;
             let popular = self.artifact.popularity(item) >= request.min_popularity;
-            let kept = request.filter.as_ref().map_or(true, |f| f(item));
+            let kept = request.filter.as_ref().is_none_or(|f| f(item));
             if !(popular && kept) {
                 *score = f32::NAN;
             }

@@ -17,8 +17,8 @@
 //! purpose-keyed RNG streams in the same order and both files come out
 //! of the one writer, so `synthesize(p, d, s).save_file(x)` and
 //! `synthesize_to_file(p, d, s, x)` write the *same bytes* — pinned by a
-//! test, and the foundation the capacity bench stands on (its lazy and
-//! eager measurements really are the same model).
+//! test, and the foundation `examples/capacity.rs` stands on (its lazy
+//! and eager rankings really are the same model).
 
 use crate::artifact::{ModelArtifact, TierMeans, TierParams, UserRecord, UserStore};
 use crate::binfmt::{self, ArtifactWriter, Meta};
@@ -42,7 +42,7 @@ const SCALE: f32 = 0.1;
 const ROWS_PER_CHUNK: usize = 4096;
 
 /// What [`ModelArtifact::synthesize_to_file`] wrote — the analytic
-/// breakdown capacity benches report alongside measured footprints.
+/// breakdown capacity runs report alongside measured footprints.
 #[derive(Clone, Copy, Debug)]
 pub struct SynthStats {
     /// Total file size in bytes.

@@ -27,6 +27,11 @@
 //! * [`ser`] — minimal JSON emission ([`ser::ToJson`]) so experiment
 //!   results snapshot without a serde dependency (the build must succeed
 //!   with an empty cargo registry).
+//! * [`wire`] — the little-endian `Reader`/`Writer` primitives every
+//!   binary format in the workspace encodes through (update payloads in
+//!   `hf_fedsim`, masked uploads in `hf_secagg`, the artifact file in
+//!   `hf_serve`, the `hf_net` frames), their shared fuzz harness, and
+//!   the one atomic file writer ([`wire::write_file`]).
 //!
 //! The crate is intentionally framework-free: the repro band for this paper
 //! flags Rust ML frameworks as immature for distillation workflows, so all
@@ -44,6 +49,7 @@ pub mod rng;
 pub mod ser;
 pub mod sim;
 pub mod stats;
+pub mod wire;
 
 pub use adam::{Adam, AdamConfig, SparseRowAdam};
 pub use matrix::Matrix;

@@ -148,8 +148,8 @@ mod tests {
         let m = init::normal(200, 4, 1.0, &mut rng);
         let cov = covariance(&m);
         let vars = column_variances(&m);
-        for j in 0..4 {
-            assert!((cov.get(j, j) - vars[j]).abs() < 1e-4);
+        for (j, &var) in vars.iter().enumerate() {
+            assert!((cov.get(j, j) - var).abs() < 1e-4);
         }
     }
 

@@ -50,7 +50,7 @@
 //!
 //! | Re-export | Contents |
 //! |---|---|
-//! | [`tensor`] | dense linear algebra, RNG streams, Adam, eigen-solver, JSON read/write |
+//! | [`tensor`] | dense linear algebra, RNG streams, Adam, eigen-solver, JSON read/write, little-endian wire primitives |
 //! | [`dataset`] | synthetic profiles, splits, negative sampling, grouping |
 //! | [`models`] | NCF / LightGCN with manual backprop |
 //! | [`fedsim`] | event scheduler, rounds, transport, communication accounting, faults/churn |

@@ -91,23 +91,17 @@ fn degenerate_payloads_roundtrip() {
     assert_eq!(ClientUpdate::decode(zero_dim.encode()).unwrap(), zero_dim);
 }
 
+/// Through the workspace's one codec harness: every strict prefix is
+/// rejected, and a byte-flipped payload either fails or re-encodes to
+/// exactly the mutated bytes — which is what rejecting trailing bytes
+/// buys (a shrunk row count used to decode with the tail ignored).
 #[test]
 fn every_truncation_of_a_valid_payload_is_rejected() {
-    let mut rng = wire_rng(7_777);
-    let mut u = gen_update(&mut rng);
-    // Ensure non-trivial rows and thetas so every section gets cut.
-    if u.items.rows.is_empty() || u.items.dim == 0 {
-        u = ClientUpdate {
-            items: SparseRowUpdate::new(3, vec![(1, vec![0.5, -1.0, 2.0])]),
-            thetas: vec![(0, vec![0.25; 7])],
-        };
-    }
-    let wire = u.encode();
-    for cut in 0..wire.len() {
-        assert!(
-            ClientUpdate::decode(&wire[..cut]).is_none(),
-            "prefix of length {cut}/{} decoded successfully",
-            wire.len()
-        );
-    }
+    hetefedrec::tensor::wire::fuzz_codec(
+        0xB17E5,
+        200,
+        |rng| gen_update(rng).encode(),
+        |wire| ClientUpdate::decode(wire).map(|u| u.encode()).ok_or(()),
+        |_| true,
+    );
 }
