@@ -11,10 +11,22 @@ cd "$(dirname "$0")"
 
 quick="${1:-}"
 
+# The benchmark block builds a package whose tracked lock file cargo
+# rewrites (it still records crate edges the workspace has since dropped,
+# and only a PR that may touch benchmark/ can refresh it): the block
+# saves the lock and this puts it back, so `git status` after a run is
+# what it was before.
+lock_saved=target/ci-artifacts/benchmark-Cargo.lock
+restore_benchmark_lock() {
+    if [[ -f "$lock_saved" ]]; then
+        mv -f "$lock_saved" benchmark/Cargo.lock
+    fi
+}
+
 # hf-serve runs in the background on fixed ports: if a step fails while
 # one is up, `set -e` exits the script, so kill it or the next run
 # cannot bind.
-trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; restore_benchmark_lock' EXIT
 
 if [[ "$quick" != "quick" ]]; then
     echo "==> cargo build --release --offline (zero crates.io deps)"
@@ -147,11 +159,13 @@ if [[ "$quick" != "quick" ]]; then
     # run all five workloads briefly; no operation may fail. It builds
     # into benchmark/target/ and writes under benchmark/results/, both
     # git-ignored there.
+    cp -p benchmark/Cargo.lock "$lock_saved"
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke \
         > target/ci-artifacts/benchmark_smoke.log
     awk '/^== summary/ { on = 1 } on && /^(serve|train)_/ { rows++; bad += $3 }
          END { exit !(rows == 5 && bad == 0) }' target/ci-artifacts/benchmark_smoke.log
+    restore_benchmark_lock
 fi
 
 echo "==> cargo fmt --check + clippy -D warnings"

@@ -14,10 +14,11 @@
 //!   their group at collection time (arrival batches are not known in
 //!   advance; overlapping setup with training is a recorded follow-up).
 //! * **The masked path.** Survivors quantize their (staleness-weighted)
-//!   deltas into the group layout, apply their pairwise masks (in
-//!   parallel — masking is per-client), and the session folds the masked
-//!   payloads serially into a wrapping ring aggregate, which is exact
-//!   and order-independent.
+//!   deltas into the group layout and apply their pairwise masks; the
+//!   fold is *streamed* ([`fold_group`]): each worker builds, folds and
+//!   drops one member's payload at a time, so a round holds three ring
+//!   vectors per worker, not two per survivor. Wrapping ring addition is
+//!   exact and commutative, so the sum is the same for any thread count.
 //! * **Recovery + self-check.** Members that committed at setup but
 //!   never delivered (churn, injected drops, or an unencodable update)
 //!   leave orphaned masks; survivors reveal the dropped member's
@@ -50,8 +51,9 @@ pub(super) struct SecAggState {
     /// prepared. Checkpointed: this is the in-flight round state that
     /// makes mid-epoch resume byte-identical.
     pub(super) pending: Option<PendingSetup>,
-    /// Wall-clock nanoseconds spent deriving and applying masks. Not
-    /// serialized (timing is an observation, not state).
+    /// Wall-clock nanoseconds spent in the streamed fold: quantizing,
+    /// deriving and applying masks, ring-adding. Not serialized (timing
+    /// is an observation, not state).
     pub(super) mask_nanos: u64,
     /// Wall-clock nanoseconds spent reconstructing dropped members'
     /// secrets and stripping orphaned masks. Not serialized.
@@ -136,9 +138,10 @@ impl ToJson for PendingSetup {
 }
 
 impl Session {
-    /// Wall-clock nanoseconds spent in (mask derivation, dropout
-    /// recovery) since construction — `None` when secure aggregation is
-    /// off. `examples/secure_aggregation.rs` prints it as protocol overhead.
+    /// Wall-clock nanoseconds spent in (the streamed quantize + mask +
+    /// fold, dropout recovery) since construction — `None` when secure
+    /// aggregation is off. `examples/secure_aggregation.rs` prints it as
+    /// protocol overhead.
     pub fn secagg_timing(&self) -> Option<(u64, u64)> {
         self.secagg
             .as_ref()
@@ -293,53 +296,27 @@ impl Session {
             let tier = clustered.then(|| self.model_groups.tier(group.members[0] as usize));
             let layout = self.secagg_layout(tier);
 
-            // A committed member survives when its (weighted) update both
-            // arrived and quantized; anything else orphans its masks.
-            let mut survivors: Vec<u64> = Vec::new();
-            let mut dropped: Vec<u64> = Vec::new();
-            let mut payloads: Vec<(u64, Vec<u64>)> = Vec::new();
-            for &m in &group.members {
-                let built = uploads
-                    .get(&m)
-                    .and_then(|(update, w)| build_payload(&layout, quant, update, *w));
-                match built {
-                    Some(payload) => {
-                        let (update, _) = &uploads[&m];
-                        if !(update.items.is_empty() && update.thetas.is_empty()) {
-                            accepted += 1;
-                        }
-                        survivors.push(m);
-                        payloads.push((m, payload));
-                    }
-                    None => dropped.push(m),
-                }
-            }
+            let mask_start = Instant::now();
+            let GroupFold {
+                survivors,
+                dropped,
+                accepted: group_accepted,
+                mut aggregate,
+                reference,
+            } = fold_group(group, &layout, quant, uploads, self.cfg.threads);
+            self.secagg.as_mut().expect("secagg state").mask_nanos +=
+                mask_start.elapsed().as_nanos() as u64;
+            accepted += group_accepted;
             stats.survivors += survivors.len();
             stats.dropped += dropped.len();
             if survivors.is_empty() {
                 continue;
             }
 
-            // Mask in parallel (per-client work), fold serially (ring
-            // addition is exact, so order and thread count are moot —
-            // the serial fold just keeps the loop simple).
-            let mask_start = Instant::now();
-            let masked: Vec<Vec<u64>> = parallel_map(&payloads, self.cfg.threads, |(m, p)| {
-                let mut words = p.clone();
-                group.mask_payload(*m, &mut words);
-                words
-            });
-            let mut aggregate = vec![0u64; layout.len()];
-            for words in &masked {
-                ring_add(&mut aggregate, words);
-            }
-            self.secagg.as_mut().expect("secagg state").mask_nanos +=
-                mask_start.elapsed().as_nanos() as u64;
-
-            for (_, words) in &payloads {
-                // Wire cost of one MaskedUpload: tag + round + uid +
-                // count + 8 bytes per ring word.
-                let bytes = 1 + 8 + 8 + 4 + 8 * words.len();
+            // Wire cost of one MaskedUpload: tag + round + uid + count +
+            // 8 bytes per ring word.
+            let bytes = 1 + 8 + 8 + 4 + 8 * layout.len();
+            for _ in &survivors {
                 self.ledger.record_secagg_upload(bytes);
                 stats.masked_bytes += bytes as u64;
             }
@@ -362,10 +339,6 @@ impl Session {
 
             // The proof obligation: after recovery, the masked aggregate
             // must equal the plaintext quantized ring sum bit-for-bit.
-            let mut reference = vec![0u64; layout.len()];
-            for (_, p) in &payloads {
-                ring_add(&mut reference, p);
-            }
             assert_eq!(
                 aggregate, reference,
                 "secure-aggregation self-check failed: unmasked sum diverged \
@@ -432,6 +405,80 @@ impl Session {
     }
 }
 
+/// One group's masked uploads, folded.
+struct GroupFold {
+    /// Members whose update arrived and quantized, in member order.
+    survivors: Vec<u64>,
+    /// Committed members that delivered nothing usable, in member order;
+    /// their masks are still in `aggregate`.
+    dropped: Vec<u64>,
+    /// Survivors with a non-empty update.
+    accepted: usize,
+    /// Ring sum of the survivors' masked payloads.
+    aggregate: Vec<u64>,
+    /// Ring sum of the same payloads before masking.
+    reference: Vec<u64>,
+}
+
+/// Folds a group's uploads without ever holding more than one payload
+/// per worker. Each of `threads` workers takes a contiguous share of the
+/// members (masking costs the same for every member) and, member by
+/// member, quantizes the payload, ring-adds it into its `reference`,
+/// masks it in place, ring-adds it into its `aggregate` and drops it;
+/// the per-worker sums are then ring-added in share order. A committed
+/// member survives when its (weighted) update both arrived and
+/// quantized; anything else orphans its masks.
+fn fold_group(
+    group: &PreparedGroup,
+    layout: &PayloadLayout,
+    quant: Quantizer,
+    uploads: &HashMap<u64, (ClientUpdate, f32)>,
+    threads: usize,
+) -> GroupFold {
+    let members = &group.members;
+    let shares = threads.min(members.len()).max(1);
+    let bounds: Vec<(usize, usize)> = (0..shares)
+        .map(|s| (s * members.len() / shares, (s + 1) * members.len() / shares))
+        .collect();
+    let mut partials = parallel_map(&bounds, shares, |&(start, end)| {
+        let mut fold = GroupFold {
+            survivors: Vec::new(),
+            dropped: Vec::new(),
+            accepted: 0,
+            aggregate: vec![0u64; layout.len()],
+            reference: vec![0u64; layout.len()],
+        };
+        for &m in &members[start..end] {
+            let built = uploads.get(&m).and_then(|(update, weight)| {
+                let payload = build_payload(layout, quant, update, *weight)?;
+                Some((update, payload))
+            });
+            let Some((update, mut payload)) = built else {
+                fold.dropped.push(m);
+                continue;
+            };
+            if !(update.items.is_empty() && update.thetas.is_empty()) {
+                fold.accepted += 1;
+            }
+            fold.survivors.push(m);
+            ring_add(&mut fold.reference, &payload);
+            group.mask_payload(m, &mut payload);
+            ring_add(&mut fold.aggregate, &payload);
+        }
+        fold
+    })
+    .into_iter();
+    let mut total = partials.next().expect("at least one share");
+    for part in partials {
+        total.survivors.extend(part.survivors);
+        total.dropped.extend(part.dropped);
+        total.accepted += part.accepted;
+        ring_add(&mut total.aggregate, &part.aggregate);
+        ring_add(&mut total.reference, &part.reference);
+    }
+    total
+}
+
 /// Quantizes one survivor's weighted update into the group's dense ring
 /// layout. The aggregation weight scales deltas client-side (before
 /// quantization); contributor counts stay unweighted, and each uploaded
@@ -473,5 +520,98 @@ fn ring_add(acc: &mut [u64], words: &[u64]) {
     debug_assert_eq!(acc.len(), words.len());
     for (a, &w) in acc.iter_mut().zip(words) {
         *a = a.wrapping_add(w);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hf_fedsim::transport::SparseRowUpdate;
+
+    const LAYOUT: PayloadLayout = PayloadLayout {
+        num_items: 12,
+        width: 4,
+        theta_lens: [3, 0, 0],
+    };
+
+    fn update(row: u32, x: f32) -> ClientUpdate {
+        ClientUpdate {
+            items: SparseRowUpdate::new(4, vec![(row, vec![x, -x, 0.5 * x, 2.0 * x])]),
+            thetas: vec![(0, vec![x, x + 0.25, -x])],
+        }
+    }
+
+    #[test]
+    fn streamed_fold_is_the_same_for_any_share_of_the_members() {
+        let quant = Quantizer::new(24).expect("valid scale");
+        let members: Vec<u64> = (0..24).map(|i| 100 + 3 * i).collect();
+        let mut rng = stream(9, SeedStream::SecAggSecret);
+        let group = PreparedGroup::setup(5, &members, &mut rng);
+
+        // Unencodable updates at the head of the first share, inside a
+        // middle share (8 workers: members 9..12) and at the tail of the
+        // last; one member that never delivered; one empty update (a
+        // survivor that is not an accepted upload).
+        let poisoned = [members[0], members[11], members[23]];
+        let silent = members[6];
+        let empty = members[17];
+        let mut uploads: HashMap<u64, (ClientUpdate, f32)> = HashMap::new();
+        for (i, &m) in members.iter().enumerate() {
+            let x = if poisoned.contains(&m) {
+                f32::NAN
+            } else {
+                0.01 * (i as f32 + 1.0)
+            };
+            let upload = if m == empty {
+                ClientUpdate::default()
+            } else {
+                update(i as u32 % 12, x)
+            };
+            if m != silent {
+                uploads.insert(m, (upload, 1.0 + 0.125 * (i % 3) as f32));
+            }
+        }
+        let dropped: Vec<u64> = vec![members[0], silent, members[11], members[23]];
+        let survivors: Vec<u64> = members
+            .iter()
+            .copied()
+            .filter(|m| !dropped.contains(m))
+            .collect();
+        let mut reference = vec![0u64; LAYOUT.len()];
+        for m in &survivors {
+            let (upload, weight) = &uploads[m];
+            let payload = build_payload(&LAYOUT, quant, upload, *weight).expect("finite update");
+            ring_add(&mut reference, &payload);
+        }
+
+        let folds: Vec<GroupFold> = [1, 2, 8]
+            .iter()
+            .map(|&threads| fold_group(&group, &LAYOUT, quant, &uploads, threads))
+            .collect();
+        for (fold, threads) in folds.iter().zip([1, 2, 8]) {
+            assert_eq!(fold.survivors, survivors, "{threads} threads");
+            assert_eq!(fold.dropped, dropped, "{threads} threads");
+            assert_eq!(fold.accepted, survivors.len() - 1, "{threads} threads");
+            assert_eq!(fold.reference, reference, "{threads} threads");
+            assert_eq!(fold.aggregate, folds[0].aggregate, "{threads} threads");
+            assert_ne!(fold.aggregate, reference, "orphaned masks must blind");
+
+            let mut aggregate = fold.aggregate.clone();
+            let recovered = group.unmask_dropped(&mut aggregate, &fold.dropped, &fold.survivors);
+            assert_eq!(recovered, Ok(dropped.len()));
+            assert_eq!(aggregate, reference, "{threads} threads: masks recovered");
+        }
+    }
+
+    #[test]
+    fn a_group_nobody_delivers_for_folds_to_nothing() {
+        let quant = Quantizer::new(24).expect("valid scale");
+        let mut rng = stream(9, SeedStream::SecAggSecret);
+        let group = PreparedGroup::setup(1, &[3, 4, 8], &mut rng);
+        let fold = fold_group(&group, &LAYOUT, quant, &HashMap::new(), 8);
+        assert!(fold.survivors.is_empty());
+        assert_eq!(fold.dropped, vec![3, 4, 8]);
+        assert_eq!(fold.accepted, 0);
+        assert!(fold.aggregate.iter().all(|&w| w == 0));
     }
 }

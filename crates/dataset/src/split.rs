@@ -58,19 +58,21 @@ impl SplitDataset {
                 let mut rng = substream(seed, SeedStream::Split, u as u64);
                 hf_tensor::rng::shuffle(&mut items, &mut rng);
 
+                // Three exact-size lists out of the shuffled order: the
+                // first `n_test` ids, the next `n_valid`, the rest.
                 let n = items.len();
                 let n_test = ((n as f64) * test_frac).floor() as usize;
                 let n_test = n_test.min(n.saturating_sub(1));
-                let test: Vec<ItemId> = items.drain(..n_test).collect();
+                let (test, rest) = items.split_at(n_test);
 
-                let n_valid = ((items.len() as f64) * valid_frac).floor() as usize;
-                let n_valid = n_valid.min(items.len().saturating_sub(1));
-                let valid: Vec<ItemId> = items.drain(..n_valid).collect();
+                let n_valid = ((rest.len() as f64) * valid_frac).floor() as usize;
+                let n_valid = n_valid.min(rest.len().saturating_sub(1));
+                let (valid, train) = rest.split_at(n_valid);
 
                 let mut split = UserSplit {
-                    train: items,
-                    valid,
-                    test,
+                    train: train.to_vec(),
+                    valid: valid.to_vec(),
+                    test: test.to_vec(),
                 };
                 split.train.sort_unstable();
                 split.valid.sort_unstable();
@@ -153,6 +155,18 @@ impl SplitDataset {
                 true
             }
         }
+    }
+
+    /// Heap bytes the split reserves: every list's *capacity* plus the
+    /// per-user headers (see [`ImplicitDataset::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        let ids: usize = self
+            .users
+            .iter()
+            .map(|u| u.train.capacity() + u.valid.capacity() + u.test.capacity())
+            .sum();
+        ids * std::mem::size_of::<ItemId>()
+            + self.users.capacity() * std::mem::size_of::<UserSplit>()
     }
 
     /// Total train/valid/test sizes.

@@ -20,8 +20,18 @@
 //! per user.
 
 use crate::types::{ImplicitDataset, ItemId};
+use hf_tensor::parallel::parallel_map;
 use hf_tensor::rng::Rng;
 use hf_tensor::rng::{stream, substream, SeedStream};
+
+/// Users handed to a worker at a time; one Gumbel key buffer is reused
+/// across them.
+const USERS_PER_CHUNK: usize = 16;
+
+/// Below this many `(user, item)` scores the whole population costs a few
+/// milliseconds and is built on the calling thread: spawning workers
+/// would be most of the bill (and test-sized datasets stay thread-free).
+const PARALLEL_MIN_SCORES: usize = 1 << 18;
 
 /// Configuration of the synthetic generator.
 #[derive(Clone, Debug)]
@@ -82,7 +92,26 @@ impl SyntheticConfig {
     }
 
     /// Generates the dataset deterministically from `seed`.
+    ///
+    /// Users fan out over every available core once the population is
+    /// large enough to pay for the threads; each user draws from its own
+    /// substream, so the result is bit-identical for any worker count.
     pub fn generate(&self, seed: u64) -> ImplicitDataset {
+        self.generate_on(seed, self.workers())
+    }
+
+    /// Threads [`generate`](Self::generate) fans out over: every core, or
+    /// one when the work is too small to pay for spawning them.
+    fn workers(&self) -> usize {
+        if self.num_users.saturating_mul(self.num_items) < PARALLEL_MIN_SCORES {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        }
+    }
+
+    /// [`generate`](Self::generate) on exactly `workers` threads.
+    pub(crate) fn generate_on(&self, seed: u64, workers: usize) -> ImplicitDataset {
         assert!(
             self.num_users > 0 && self.num_items > 1,
             "degenerate universe"
@@ -118,22 +147,31 @@ impl SyntheticConfig {
         let (mu, sigma) = self.lognormal_params();
         let max_count = self.num_items.saturating_sub(1).max(self.min_interactions);
 
-        let per_user: Vec<Vec<ItemId>> = (0..self.num_users)
-            .map(|u| {
-                // Per-user substream: independent of user iteration order.
-                let mut urng = substream(seed, SeedStream::Dataset, u as u64 + 1);
-                let c = urng.gen_range(0..self.num_clusters);
-                let latent = perturb(&centroids[c], self.cluster_spread, &mut urng);
-                let n = sample_lognormal_count(mu, sigma, &mut urng)
-                    .clamp(self.min_interactions, max_count);
-                self.select_items(&latent, &item_latents, &log_pop, n, &mut urng)
-            })
-            .collect();
+        let chunk_starts: Vec<usize> = (0..self.num_users).step_by(USERS_PER_CHUNK).collect();
+        let chunks = parallel_map(&chunk_starts, workers, |&start| {
+            let mut keys = Vec::with_capacity(self.num_items);
+            (start..(start + USERS_PER_CHUNK).min(self.num_users))
+                .map(|u| {
+                    // Per-user substream: independent of user iteration order.
+                    let mut urng = substream(seed, SeedStream::Dataset, u as u64 + 1);
+                    let c = urng.gen_range(0..self.num_clusters);
+                    let latent = perturb(&centroids[c], self.cluster_spread, &mut urng);
+                    let n = sample_lognormal_count(mu, sigma, &mut urng)
+                        .clamp(self.min_interactions, max_count);
+                    self.select_items(&latent, &item_latents, &log_pop, n, &mut urng, &mut keys)
+                })
+                .collect::<Vec<_>>()
+        });
+        // Reserved up front: `flatten` has no exact size hint, and a
+        // doubling `collect` would leave the outer list over-sized.
+        let mut per_user: Vec<Vec<ItemId>> = Vec::with_capacity(self.num_users);
+        per_user.extend(chunks.into_iter().flatten());
 
         ImplicitDataset::new(self.num_items, per_user)
     }
 
-    /// Gumbel-top-k selection of `n` items for one user.
+    /// Gumbel-top-k selection of `n` items for one user. `keys` is scratch
+    /// (refilled on every call); the returned list holds exactly its ids.
     fn select_items(
         &self,
         user_latent: &[f32],
@@ -141,24 +179,23 @@ impl SyntheticConfig {
         log_pop: &[f32],
         n: usize,
         rng: &mut impl Rng,
+        keys: &mut Vec<(f32, ItemId)>,
     ) -> Vec<ItemId> {
         let inv_temp = 1.0 / self.temperature.max(1e-3);
-        let mut keys: Vec<(f32, ItemId)> = item_latents
-            .iter()
-            .enumerate()
-            .map(|(i, latent)| {
-                let affinity = hf_tensor::ops::dot(user_latent, latent);
-                let score =
-                    inv_temp * (affinity + self.popularity_weight * log_pop[i]) + gumbel(rng);
-                (score, i as ItemId)
-            })
-            .collect();
+        keys.clear();
+        keys.extend(item_latents.iter().enumerate().map(|(i, latent)| {
+            let affinity = hf_tensor::ops::dot(user_latent, latent);
+            let score = inv_temp * (affinity + self.popularity_weight * log_pop[i]) + gumbel(rng);
+            (score, i as ItemId)
+        }));
         let n = n.min(keys.len());
         keys.select_nth_unstable_by(n.saturating_sub(1), |a, b| {
             b.0.partial_cmp(&a.0).expect("scores are finite")
         });
-        keys.truncate(n);
-        keys.into_iter().map(|(_, i)| i).collect()
+        // A fresh list of capacity `n`: collecting the truncated buffer
+        // itself would hand its whole `num_items`-wide allocation to the
+        // dataset for life.
+        keys[..n].iter().map(|&(_, i)| i).collect()
     }
 }
 
@@ -203,6 +240,58 @@ mod tests {
         for u in 0..a.num_users() {
             assert_eq!(a.user(u).items(), b.user(u).items());
         }
+    }
+
+    /// FNV-1a over the universe size and every list, in user order.
+    fn digest(d: &ImplicitDataset) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(d.num_items() as u64);
+        for (_, ints) in d.iter_users() {
+            eat(ints.len() as u64);
+            for &i in ints.items() {
+                eat(i as u64);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn output_is_pinned_and_independent_of_the_worker_count() {
+        // Digests of what the sequential, collect-in-place generator
+        // produced (computed at commit 131f2d0, before the fan-out).
+        let tiny = SyntheticConfig::tiny();
+        let ml = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.05);
+        let pinned = [
+            (&tiny, 42, 0x9764_8475_e7f2_c99f_u64),
+            (&tiny, 7, 0xedf0_0e66_2c16_1dec),
+            (&ml, 42, 0x9440_6622_8eca_80e1),
+            (&ml, 7, 0x2aab_7e47_8d3d_7bbb),
+        ];
+        for (cfg, seed, want) in pinned {
+            assert!(cfg.num_users > USERS_PER_CHUNK, "several chunks to steal");
+            for workers in [1, 2, 8] {
+                let got = digest(&cfg.generate_on(seed, workers));
+                assert_eq!(
+                    got, want,
+                    "{} users, seed {seed}, {workers} workers: {got:#018x}",
+                    cfg.num_users
+                );
+            }
+            assert_eq!(digest(&cfg.generate(seed)), want);
+        }
+    }
+
+    #[test]
+    fn only_populations_worth_a_thread_fan_out() {
+        assert_eq!(SyntheticConfig::tiny().workers(), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let ml = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.25);
+        assert_eq!(ml.workers(), cores);
     }
 
     #[test]

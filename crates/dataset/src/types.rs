@@ -20,10 +20,13 @@ pub struct UserInteractions {
 }
 
 impl UserInteractions {
-    /// Builds from an arbitrary item list; sorts and deduplicates.
+    /// Builds from an arbitrary item list; sorts, deduplicates and gives
+    /// back whatever capacity the argument carried beyond its ids (lists
+    /// live as long as the dataset; a builder's scratch room must not).
     pub fn new(mut items: Vec<ItemId>) -> Self {
         items.sort_unstable();
         items.dedup();
+        items.shrink_to_fit();
         Self { items }
     }
 
@@ -106,6 +109,15 @@ impl ImplicitDataset {
     pub fn interaction_counts(&self) -> Vec<usize> {
         self.users.iter().map(|u| u.len()).collect()
     }
+
+    /// Heap bytes the dataset reserves: every list's *capacity* plus the
+    /// list headers — `4 B × num_interactions()` plus 24 B a user when
+    /// nothing is wasted.
+    pub fn heap_bytes(&self) -> usize {
+        let ids: usize = self.users.iter().map(|u| u.items.capacity()).sum();
+        ids * std::mem::size_of::<ItemId>()
+            + self.users.capacity() * std::mem::size_of::<UserInteractions>()
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +142,14 @@ mod tests {
         let u = UserInteractions::new(vec![4, 1, 4, 2]);
         assert_eq!(u.items(), &[1, 2, 4]);
         assert_eq!(u.len(), 3);
+    }
+
+    #[test]
+    fn lists_keep_no_spare_capacity() {
+        let mut roomy = Vec::with_capacity(1_000);
+        roomy.extend([4, 1, 4, 2]);
+        let u = UserInteractions::new(roomy);
+        assert_eq!(u.items.capacity(), 3);
     }
 
     #[test]

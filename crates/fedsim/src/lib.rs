@@ -12,8 +12,10 @@
 //!   selected clients.
 //! * [`comm`] — communication-cost bookkeeping per client tier, the
 //!   quantities behind Table III.
-//! * [`parallel`] — work-stealing scoped worker pool running independent
-//!   client computations within a round.
+//! * [`parallel`] — re-export of [`hf_tensor::parallel`], the work-stealing
+//!   scoped worker pool running independent client computations within a
+//!   round (it lives beside `rng` so `hf_dataset` and `hf_serve` reach it
+//!   without this crate).
 //! * [`linalg`] — threaded dense-kernel drivers (row-partitioned matmul)
 //!   built on the same pool.
 //! * [`faults`] — seeded client-failure injection (dropped updates) and
@@ -29,9 +31,11 @@ pub mod comm;
 pub mod events;
 pub mod faults;
 pub mod linalg;
-pub mod parallel;
 pub mod scheduler;
 pub mod transport;
+
+// Kept under this path for its callers (the frozen `benchmark/` names it).
+pub use hf_tensor::parallel;
 
 pub use comm::{CommLedger, RoundCost};
 pub use events::{EventQueue, EventScheduler, LatencyProfile, PendingArrival, TraversalPolicy};

@@ -137,18 +137,27 @@ impl ReplayStream {
         let base_users = dataset.num_users() - cfg.new_users;
 
         // Per-user item holdout for the retained users.
+        let hold_of =
+            |len: usize| ((len as f64 * cfg.item_frac) as usize).min(len.saturating_sub(1));
+        let held: usize = (0..base_users)
+            .map(|u| hold_of(dataset.user(u).len()))
+            .sum();
         let mut base_lists: Vec<Vec<ItemId>> = Vec::with_capacity(base_users);
-        let mut existing: Vec<(UserId, ItemId)> = Vec::new();
+        let mut existing: Vec<(UserId, ItemId)> = Vec::with_capacity(held);
+        // Shuffled in a scratch buffer so each base list is allocated at
+        // exactly the size it keeps.
+        let mut items: Vec<ItemId> = Vec::new();
         for u in 0..base_users {
-            let mut items: Vec<ItemId> = dataset.user(u).items().to_vec();
-            let hold =
-                ((items.len() as f64 * cfg.item_frac) as usize).min(items.len().saturating_sub(1));
+            items.clear();
+            items.extend_from_slice(dataset.user(u).items());
+            let hold = hold_of(items.len());
             if hold > 0 {
                 let mut rng = stream(seed, SeedStream::Custom(u as u64));
                 shuffle(&mut items, &mut rng);
-                existing.extend(items.drain(items.len() - hold..).map(|it| (u, it)));
             }
-            base_lists.push(items);
+            let (kept, held_out) = items.split_at(items.len() - hold);
+            existing.extend(held_out.iter().map(|&it| (u, it)));
+            base_lists.push(kept.to_vec());
         }
         let base = ImplicitDataset::new(dataset.num_items(), base_lists);
 
@@ -160,7 +169,10 @@ impl ReplayStream {
 
         // Insert each new user's block at an evenly-spaced position, in
         // increasing user order (the admission contract).
-        let mut merged: Vec<(UserId, ItemId)> = Vec::new();
+        let withheld: usize = (base_users..dataset.num_users())
+            .map(|u| dataset.user(u).len())
+            .sum();
+        let mut merged: Vec<(UserId, ItemId)> = Vec::with_capacity(held + withheld);
         let slots = cfg.new_users + 1;
         let mut next = 0usize; // next new user (offset)
         for (i, &pair) in existing.iter().enumerate() {
@@ -274,6 +286,50 @@ mod tests {
                 assert!(d.user(u).contains(e.item));
                 assert!(!base.user(u).contains(e.item));
             }
+        }
+    }
+
+    #[test]
+    fn population_heap_follows_what_is_held() {
+        // The benchmark's population shape (MovieLens x 0.25 is 927
+        // items). A list that keeps its builder's scratch room — the
+        // generator's `num_items`-wide key buffer, a `drain`ed shuffle
+        // buffer — shows here as heap far above its ids.
+        let mut cfg = hf_dataset::DatasetProfile::MovieLens.config_scaled(0.25);
+        cfg.num_users = 2_000;
+        assert_eq!(cfg.num_items, 927);
+        let data = cfg.generate(42);
+        let replay = ReplayConfig {
+            item_frac: 0.2,
+            new_users: 8,
+            ..ReplayConfig::default()
+        };
+        let (base, _) = ReplayStream::replay(&data, &replay, 42);
+        let split = hf_dataset::SplitDataset::paper_split(&base, 42);
+
+        // Per list: the `Vec` header plus four ids of allocator rounding.
+        const LIST: usize = 24 + 16;
+        let ids = std::mem::size_of::<ItemId>();
+        let bound = |interactions: usize, lists: usize| interactions * ids + lists * LIST;
+        let (train, valid, test) = split.totals();
+        for (name, heap, bound) in [
+            (
+                "generate",
+                data.heap_bytes(),
+                bound(data.num_interactions(), data.num_users()),
+            ),
+            (
+                "replay base",
+                base.heap_bytes(),
+                bound(base.num_interactions(), base.num_users()),
+            ),
+            (
+                "paper_split",
+                split.heap_bytes(),
+                bound(train + valid + test, 3 * split.num_users()),
+            ),
+        ] {
+            assert!(heap <= bound, "{name}: {heap} B reserved, {bound} B held");
         }
     }
 

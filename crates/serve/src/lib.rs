@@ -16,7 +16,7 @@
 //!   configuration ([`ServeError`] per field) and the batch-oriented
 //!   query engine: requests group per model tier, score as blocked
 //!   `matmul_rows` products over item-table panels fanned out via
-//!   `hf_fedsim::parallel_map`, and funnel into
+//!   `hf_tensor::parallel::parallel_map`, and funnel into
 //!   `hf_metrics::top_k_excluding`.
 //!
 //! For million-user / million-item capacity the artifact layer is

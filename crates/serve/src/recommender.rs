@@ -6,7 +6,7 @@
 //!
 //! The hot path is **batch-oriented**: [`Recommender::recommend_batch`]
 //! groups requests by model tier and fans `(tier, item panel)` scoring
-//! units out over [`hf_fedsim::parallel_map`]. The first-layer *item
+//! units out over [`parallel_map`]. The first-layer *item
 //! half* of each tier depends only on the frozen artifact, so by default
 //! the builder precomputes it once for the whole catalogue
 //! ([`SplitNcf::item_half_block`] over every row) and serving slices the
@@ -32,10 +32,10 @@
 use crate::artifact::ModelArtifact;
 use crate::ServeError;
 use hf_dataset::Tier;
-use hf_fedsim::parallel::parallel_map;
 use hf_metrics::top_k_scored;
 use hf_models::scoring::{propagate_lightgcn, SplitNcf};
 use hf_models::ModelKind;
+use hf_tensor::parallel::parallel_map;
 use hf_tensor::Matrix;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -513,7 +513,7 @@ impl Recommender {
     /// reads the tier's precomputed item halves (or computes the blocked
     /// product in memory-lean mode), shares the panel across the tier's
     /// requests, ranks it down to per-request top-K candidates, and the
-    /// units fan out over [`hf_fedsim::parallel_map`]. Candidate lists
+    /// units fan out over [`parallel_map`]. Candidate lists
     /// merge under the same `(score desc, item asc)` order the panel
     /// ranking uses, which reproduces the dense whole-catalogue ranking
     /// exactly while never holding more than `k` survivors per request.

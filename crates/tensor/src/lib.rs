@@ -11,6 +11,10 @@
 //!   views for heterogeneous embeddings).
 //! * [`rng`] — deterministic, purpose-keyed random streams so every
 //!   experiment is bit-reproducible from a single seed.
+//! * [`parallel`] — the workspace's one worker pool: a work-stealing
+//!   scoped-thread [`parallel::parallel_map`] whose output is bit-identical
+//!   for any thread count (client training, dataset generation, serving
+//!   batches and the masked fold all fan out over it).
 //! * [`init`] — Glorot/Xavier and scaled-normal initialisers.
 //! * [`ops`] — scalar activations and losses (sigmoid, BCE-with-logits,
 //!   ReLU) plus a few vector helpers.
@@ -45,6 +49,7 @@ pub mod eigen;
 pub mod init;
 pub mod matrix;
 pub mod ops;
+pub mod parallel;
 pub mod rng;
 pub mod ser;
 pub mod sim;
