@@ -150,6 +150,16 @@ grep -q "masked aggregate == plaintext quantized aggregate" \
     target/ci-artifacts/secure_aggregation_smoke.log
 grep -q "recovery under injected dropout verified" \
     target/ci-artifacts/secure_aggregation_smoke.log
+# The integration test proves masked runs are byte-identical across
+# thread counts and across a mid-epoch resume with escrow in flight, and
+# that tier-prefix uploads train the model the dense uploads trained (bits
+# pinned from the commit before them); each proof line prints only when
+# its comparison held.
+cargo test -q --offline --release --test secagg_determinism -- --nocapture \
+    | tee target/ci-artifacts/secagg_determinism.log
+grep -q "secagg resume verified" target/ci-artifacts/secagg_determinism.log
+grep -q "tier-prefix aggregate == dense aggregate" \
+    target/ci-artifacts/secagg_determinism.log
 
 if [[ "$quick" != "quick" ]]; then
     echo "==> repo benchmark (own workspace: tests + every workload, smoke windows)"

@@ -1,6 +1,7 @@
 //! **Table III** — one-time transmission cost per client type, comparing
-//! All Small, All Large, and HeteFedRec, plus the measured sparse-upload
-//! sizes from a real training round.
+//! All Small, All Large, and HeteFedRec, the masked (secure-aggregation)
+//! upload each tier would make, and the measured sparse-upload sizes from
+//! a real training round.
 //!
 //! ```text
 //! cargo run --release -p hf_bench --bin table3_comm -- --scale small --dataset ml
@@ -31,6 +32,21 @@ fn main() {
             |tier: Tier| Ffn::new(&paper_predictor_dims(dims.dim(tier)), &mut rng).num_params();
         let thetas: Vec<usize> = Tier::ALL.iter().map(|&t| theta_size(t)).collect();
 
+        let mut session = SessionBuilder::new(
+            cfg.clone(),
+            Strategy::HeteFedRec(Ablation::FULL),
+            split.clone(),
+        )
+        .eval_every(0)
+        .build()
+        .expect("valid experiment configuration");
+
+        // With secure aggregation on, a client uploads its tier's prefix
+        // of the group's ring layout: the HeteFedRec column, one
+        // contributor count per item and two words per predictor, at 8
+        // bytes a ring word (analytic, from the session's own layout).
+        let layout = session.secagg_layout(None);
+
         println!(
             "== {} ({} items, dims {}) ==",
             profile.name(),
@@ -60,19 +76,23 @@ fn main() {
                     .label("client", tier.label())
                     .value("all_small_params", all_small.total() as f64)
                     .value("all_large_params", all_large.total() as f64)
-                    .value("hetefedrec_params", hete.total() as f64),
+                    .value("hetefedrec_params", hete.total() as f64)
+                    .value("masked_upload_words", layout.prefix_words(i) as f64),
+            );
+        }
+
+        println!("\nMasked upload per client (secure aggregation on, u64 ring words):");
+        for (i, tier) in Tier::ALL.iter().enumerate() {
+            let words = layout.prefix_words(i);
+            println!(
+                "{:<6} {:>22} {:>22}",
+                tier.label(),
+                format!("{words} words"),
+                format!("{:.1} KiB", (8 * words) as f64 / 1024.0),
             );
         }
 
         // Measured traffic over one epoch of actual training.
-        let mut session = SessionBuilder::new(
-            cfg.clone(),
-            Strategy::HeteFedRec(Ablation::FULL),
-            split.clone(),
-        )
-        .eval_every(0)
-        .build()
-        .expect("valid experiment configuration");
         session.run_epoch();
         let ledger = session.ledger();
         println!(

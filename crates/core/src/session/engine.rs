@@ -145,8 +145,9 @@ impl Session {
     ///
     /// With `secagg_groups` present the round aggregates through the
     /// masked ring path instead: eligibility was fixed at group setup,
-    /// survivors upload dense quantized payloads, and injected drops
-    /// become dropouts whose orphaned masks get recovered from escrow.
+    /// survivors upload their tier's quantized ring prefix, and injected
+    /// drops become dropouts whose orphaned masks get recovered from
+    /// escrow.
     fn execute_cohort(
         &mut self,
         cohort: &[usize],

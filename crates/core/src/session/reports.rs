@@ -69,6 +69,10 @@ pub struct SecAggRoundStats {
     pub participants: usize,
     /// Committed clients whose masked upload arrived.
     pub survivors: usize,
+    /// `survivors` split by model tier (S, M, L). Each uploaded its
+    /// tier's prefix of the group layout, so `masked_bytes` is the sum
+    /// over tiers of this count × the tier's `MaskedUpload` size.
+    pub survivors_by_tier: [usize; 3],
     /// Committed clients that dropped after setup (churn, injected
     /// drops, or an unencodable update).
     pub dropped: usize,
@@ -91,6 +95,7 @@ impl ToJson for SecAggRoundStats {
             o.field("groups", &self.groups)
                 .field("participants", &self.participants)
                 .field("survivors", &self.survivors)
+                .field("survivors_by_tier", &self.survivors_by_tier)
                 .field("dropped", &self.dropped)
                 .field("recovered", &self.recovered)
                 .field("masked_bytes", &self.masked_bytes)

@@ -2,9 +2,11 @@
 //! and dropout recovery (DESIGN.md §10).
 //!
 //! When [`TrainConfig::secagg`](crate::config::SecAggConfig) is enabled,
-//! every accepted upload travels as a **dense quantized u64 ring vector**
-//! blinded by pairwise masks, and the server only ever sees the group
-//! sum. The orchestration here has three parts:
+//! every accepted upload travels as a **quantized u64 ring vector**
+//! blinded by pairwise masks — the prefix of the group's nested tier
+//! bands ([`BandLayout`]) that the member's model tier holds, dense over
+//! the item rows — and the server only ever sees the group sum. The
+//! orchestration here has three parts:
 //!
 //! * **Setup scheduling.** Synchronous rounds pipeline: at the end of
 //!   round `r` the session prepares the key exchange and Shamir escrow
@@ -14,11 +16,13 @@
 //!   their group at collection time (arrival batches are not known in
 //!   advance; overlapping setup with training is a recorded follow-up).
 //! * **The masked path.** Survivors quantize their (staleness-weighted)
-//!   deltas into the group layout and apply their pairwise masks; the
-//!   fold is *streamed* ([`fold_group`]): each worker builds, folds and
-//!   drops one member's payload at a time, so a round holds three ring
-//!   vectors per worker, not two per survivor. Wrapping ring addition is
-//!   exact and commutative, so the sum is the same for any thread count.
+//!   deltas into their tier's prefix of the group layout and apply their
+//!   pairwise masks, each pair over the words both members carry; the
+//!   fold is *streamed* ([`fold_group`]): each worker builds one member's
+//!   prefix at a time in a buffer it reuses and ring-adds it into the
+//!   head of a full-length sum, so a round holds three ring vectors per
+//!   worker, not two per survivor. Wrapping ring addition is exact and
+//!   commutative, so the sum is the same for any thread count.
 //! * **Recovery + self-check.** Members that committed at setup but
 //!   never delivered (churn, injected drops, or an unencodable update)
 //!   leave orphaned masks; survivors reveal the dropped member's
@@ -34,7 +38,7 @@ use hf_dataset::Tier;
 use hf_fedsim::parallel::parallel_map;
 use hf_fedsim::transport::ClientUpdate;
 use hf_models::RowGradBuffer;
-use hf_secagg::{PayloadLayout, PreparedGroup, Quantizer};
+use hf_secagg::{BandLayout, PayloadLayout, PreparedGroup, Quantizer};
 use hf_tensor::rng::{stream, SeedStream, StdRng};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
@@ -236,32 +240,47 @@ impl Session {
         });
     }
 
-    /// The dense ring layout shared by one group: full item table at the
-    /// group width plus every predictor the group's members may upload.
-    fn secagg_layout(&self, tier: Option<Tier>) -> PayloadLayout {
+    /// The ring layout shared by one masking group: the full item table
+    /// in nested tier bands plus every predictor its members may upload.
+    /// `None` is the one cross-tier group of padded aggregation — a
+    /// member of model tier τ uploads `prefix_words(τ)` of it — and
+    /// `Some(t)` the tier-`t` group of clustered aggregation.
+    pub fn secagg_layout(&self, tier: Option<Tier>) -> BandLayout {
+        let num_items = self.split.num_items();
+        let theta_len = |t: Tier| self.server.theta(t).num_params();
         match tier {
-            // Padded aggregation: deltas land at their natural prefix of
-            // an Nl-wide row, and any member may carry any predictor.
-            None => PayloadLayout {
-                num_items: self.split.num_items(),
-                width: self.cfg.dims.largest(),
-                theta_lens: [
-                    self.server.theta(Tier::Small).num_params(),
-                    self.server.theta(Tier::Medium).num_params(),
-                    self.server.theta(Tier::Large).num_params(),
-                ],
+            // Padded aggregation: each tier's columns and predictor sit
+            // in its own band, so a delta lands at its natural prefix of
+            // an Nl-wide row.
+            None => BandLayout {
+                num_items,
+                widths: Tier::ALL.map(|t| self.cfg.dims.dim(t)),
+                theta_lens: Tier::ALL.map(theta_len),
             },
-            // Clustered: each tier masks among itself at its own width.
+            // Clustered: each tier masks among itself at its own width —
+            // one band of columns.
             Some(t) => {
                 let mut theta_lens = [0usize; 3];
-                theta_lens[t.index()] = self.server.theta(t).num_params();
+                theta_lens[t.index()] = theta_len(t);
                 PayloadLayout {
-                    num_items: self.split.num_items(),
+                    num_items,
                     width: self.cfg.dims.dim(t),
                     theta_lens,
                 }
+                .bands()
             }
         }
+    }
+
+    /// Ring words each member of `group` carries, in member order: the
+    /// prefix of `layout` its model tier holds. The one map both masking
+    /// and dropout recovery cut their pair streams by.
+    fn secagg_prefixes(&self, group: &PreparedGroup, layout: &BandLayout) -> Vec<usize> {
+        group
+            .members
+            .iter()
+            .map(|&m| layout.prefix_words(self.model_groups.tier(m as usize).index()))
+            .collect()
     }
 
     /// Executes the masked aggregation for one round: builds each
@@ -283,6 +302,7 @@ impl Session {
             groups: groups.len(),
             participants: 0,
             survivors: 0,
+            survivors_by_tier: [0; 3],
             dropped: 0,
             recovered: 0,
             masked_bytes: 0,
@@ -295,6 +315,7 @@ impl Session {
             stats.participants += group.member_count();
             let tier = clustered.then(|| self.model_groups.tier(group.members[0] as usize));
             let layout = self.secagg_layout(tier);
+            let prefixes = self.secagg_prefixes(group, &layout);
 
             let mask_start = Instant::now();
             let GroupFold {
@@ -303,7 +324,7 @@ impl Session {
                 accepted: group_accepted,
                 mut aggregate,
                 reference,
-            } = fold_group(group, &layout, quant, uploads, self.cfg.threads);
+            } = fold_group(group, &layout, &prefixes, quant, uploads, self.cfg.threads);
             self.secagg.as_mut().expect("secagg state").mask_nanos +=
                 mask_start.elapsed().as_nanos() as u64;
             accepted += group_accepted;
@@ -314,16 +335,21 @@ impl Session {
             }
 
             // Wire cost of one MaskedUpload: tag + round + uid + count +
-            // 8 bytes per ring word.
-            let bytes = 1 + 8 + 8 + 4 + 8 * layout.len();
-            for _ in &survivors {
+            // 8 bytes per ring word of the survivor's tier prefix.
+            for &m in &survivors {
+                let i = group.index_of(m).expect("a survivor is a group member");
+                let bytes = 1 + 8 + 8 + 4 + 8 * prefixes[i];
                 self.ledger.record_secagg_upload(bytes);
                 stats.masked_bytes += bytes as u64;
+                stats.survivors_by_tier[self.model_groups.tier(m as usize).index()] += 1;
             }
 
             if !dropped.is_empty() {
                 let recovery_start = Instant::now();
-                let recovered = group.unmask_dropped(&mut aggregate, &dropped, &survivors);
+                let recovered =
+                    group.unmask_dropped_prefix(&mut aggregate, &dropped, &survivors, |j| {
+                        prefixes[j]
+                    });
                 self.secagg.as_mut().expect("secagg state").recovery_nanos +=
                     recovery_start.elapsed().as_nanos() as u64;
                 match recovered {
@@ -361,23 +387,28 @@ impl Session {
     /// — the same seams the plaintext path reduces to.
     fn secagg_apply(
         &mut self,
-        layout: &PayloadLayout,
+        layout: &BandLayout,
         quant: Quantizer,
         tier: Option<Tier>,
         aggregate: &[u64],
     ) {
-        let mut acc = RowGradBuffer::new(layout.width);
+        let width = layout.widths[2];
+        let mut acc = RowGradBuffer::new(width);
         let mut counts: HashMap<u32, u32> = HashMap::new();
+        // One row, gathered from its three bands.
+        let mut delta = vec![0f32; width];
         for row in 0..layout.num_items {
             let count = aggregate[layout.item_count_offset() + row];
             if count == 0 {
                 continue;
             }
-            let base = row * layout.width;
-            let delta: Vec<f32> = aggregate[base..base + layout.width]
-                .iter()
-                .map(|&w| quant.decode(w))
-                .collect();
+            for b in 0..3 {
+                let cols = layout.band_columns(b);
+                let words = &aggregate[layout.row_offset(b, row)..][..cols.len()];
+                for (x, &w) in delta[cols].iter_mut().zip(words) {
+                    *x = quant.decode(w);
+                }
+            }
             acc.accumulate(row as u32, 1.0, &delta);
             counts.insert(row as u32, count.min(u32::MAX as u64) as u32);
         }
@@ -422,25 +453,23 @@ struct GroupFold {
 
 /// Folds a group's uploads without ever holding more than one payload
 /// per worker. Each of `threads` workers takes a contiguous share of the
-/// members (masking costs the same for every member) and, member by
-/// member, quantizes the payload, ring-adds it into its `reference`,
-/// masks it in place, ring-adds it into its `aggregate` and drops it;
-/// the per-worker sums are then ring-added in share order. A committed
+/// members ([`mask_cost_shares`]) and, member by member, quantizes the
+/// member's prefix (`prefixes[i]` words) into a buffer it reuses,
+/// ring-adds it into the head of its `reference`, masks it in place and
+/// ring-adds it into the head of its `aggregate`; the full-length
+/// per-worker sums are then ring-added in share order. A committed
 /// member survives when its (weighted) update both arrived and
 /// quantized; anything else orphans its masks.
 fn fold_group(
     group: &PreparedGroup,
-    layout: &PayloadLayout,
+    layout: &BandLayout,
+    prefixes: &[usize],
     quant: Quantizer,
     uploads: &HashMap<u64, (ClientUpdate, f32)>,
     threads: usize,
 ) -> GroupFold {
-    let members = &group.members;
-    let shares = threads.min(members.len()).max(1);
-    let bounds: Vec<(usize, usize)> = (0..shares)
-        .map(|s| (s * members.len() / shares, (s + 1) * members.len() / shares))
-        .collect();
-    let mut partials = parallel_map(&bounds, shares, |&(start, end)| {
+    let bounds = mask_cost_shares(prefixes, threads);
+    let mut partials = parallel_map(&bounds, bounds.len(), |&(start, end)| {
         let mut fold = GroupFold {
             survivors: Vec::new(),
             dropped: Vec::new(),
@@ -448,12 +477,15 @@ fn fold_group(
             aggregate: vec![0u64; layout.len()],
             reference: vec![0u64; layout.len()],
         };
-        for &m in &members[start..end] {
+        let mut buffer = vec![0u64; layout.len()];
+        for i in start..end {
+            let m = group.members[i];
+            let payload = &mut buffer[..prefixes[i]];
             let built = uploads.get(&m).and_then(|(update, weight)| {
-                let payload = build_payload(layout, quant, update, *weight)?;
-                Some((update, payload))
+                build_payload(layout, quant, update, *weight, payload)?;
+                Some(update)
             });
-            let Some((update, mut payload)) = built else {
+            let Some(update) = built else {
                 fold.dropped.push(m);
                 continue;
             };
@@ -461,9 +493,9 @@ fn fold_group(
                 fold.accepted += 1;
             }
             fold.survivors.push(m);
-            ring_add(&mut fold.reference, &payload);
-            group.mask_payload(m, &mut payload);
-            ring_add(&mut fold.aggregate, &payload);
+            ring_add(&mut fold.reference[..payload.len()], payload);
+            group.mask_prefix(m, payload, |j| prefixes[j]);
+            ring_add(&mut fold.aggregate[..payload.len()], payload);
         }
         fold
     })
@@ -479,26 +511,66 @@ fn fold_group(
     total
 }
 
-/// Quantizes one survivor's weighted update into the group's dense ring
-/// layout. The aggregation weight scales deltas client-side (before
-/// quantization); contributor counts stay unweighted, and each uploaded
-/// predictor carries its quantized weight so the server can form the
-/// weighted average from the sum alone. Returns `None` when any delta is
-/// non-finite — such a client cannot participate and is treated as
-/// dropped (its masks get recovered like any other dropout).
+/// Cuts the members into at most `threads` contiguous, non-empty shares
+/// of about equal masking work. Member `i` expands one pair stream per
+/// peer over the shorter of the two prefixes, so a Large member among
+/// Small peers costs little more than they do and equal head counts
+/// would leave a worker idle.
+fn mask_cost_shares(prefixes: &[usize], threads: usize) -> Vec<(usize, usize)> {
+    let n = prefixes.len();
+    let shares = threads.min(n).max(1);
+    let cost: Vec<usize> = prefixes
+        .iter()
+        .map(|&p| prefixes.iter().map(|&q| p.min(q)).sum::<usize>() - p)
+        .collect();
+    let total: usize = cost.iter().sum();
+    let mut bounds = Vec::with_capacity(shares);
+    let (mut start, mut done) = (0, 0);
+    for (i, c) in cost.iter().enumerate() {
+        done += c;
+        // Close share k at the first member that brings the running
+        // cost to (k + 1) / shares of the total; the last share takes
+        // whoever is left.
+        let (k, end) = (bounds.len(), i + 1);
+        if k + 1 < shares && end < n && done * shares >= total * (k + 1) {
+            bounds.push((start, end));
+            start = end;
+        }
+    }
+    bounds.push((start, n));
+    bounds
+}
+
+/// Quantizes one survivor's weighted update into `payload`, the prefix
+/// of the group's band layout its tier carries (zeroed here, so a worker
+/// can reuse one buffer). The aggregation weight scales deltas
+/// client-side (before quantization); contributor counts stay
+/// unweighted, and each uploaded predictor carries its quantized weight
+/// so the server can form the weighted average from the sum alone.
+/// Returns `None` when any delta is non-finite — such a client cannot
+/// participate and is treated as dropped (its masks get recovered like
+/// any other dropout). An update wider than the prefix is a bug and
+/// panics on the slice bound.
 fn build_payload(
-    layout: &PayloadLayout,
+    layout: &BandLayout,
     quant: Quantizer,
     update: &ClientUpdate,
     weight: f32,
-) -> Option<Vec<u64>> {
-    let mut payload = vec![0u64; layout.len()];
+    payload: &mut [u64],
+) -> Option<()> {
+    payload.fill(0);
     for (row, delta) in &update.items.rows {
         let row = *row as usize;
-        debug_assert!(delta.len() <= layout.width, "delta wider than group slot");
-        let base = row * layout.width;
-        for (d, &x) in delta.iter().enumerate() {
-            payload[base + d] = quant.encode(weight * x).ok()?;
+        for b in 0..3 {
+            let cols = layout.band_columns(b);
+            if cols.start >= delta.len() {
+                break;
+            }
+            let cols = cols.start..cols.end.min(delta.len());
+            let slots = &mut payload[layout.row_offset(b, row)..][..cols.len()];
+            for (slot, &x) in slots.iter_mut().zip(&delta[cols]) {
+                *slot = quant.encode(weight * x).ok()?;
+            }
         }
         payload[layout.item_count_offset() + row] = 1;
     }
@@ -506,13 +578,13 @@ fn build_payload(
         let t = *tier as usize;
         debug_assert_eq!(flat.len(), layout.theta_lens[t], "theta slot mismatch");
         let off = layout.theta_offset(t);
-        for (i, &x) in flat.iter().enumerate() {
-            payload[off + i] = quant.encode(weight * x).ok()?;
+        for (slot, &x) in payload[off..off + flat.len()].iter_mut().zip(flat) {
+            *slot = quant.encode(weight * x).ok()?;
         }
         payload[layout.theta_weight_offset(t)] = quant.encode(weight).ok()?;
         payload[layout.theta_count_offset(t)] = 1;
     }
-    Some(payload)
+    Some(())
 }
 
 /// Wrapping element-wise ring addition.
@@ -526,19 +598,112 @@ fn ring_add(acc: &mut [u64], words: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{train_client, ClientCtx};
+    use crate::session::engine::theta_tiers;
+    use crate::session::SessionBuilder;
+    use crate::strategy::{Ablation, Strategy};
+    use hf_dataset::{SplitDataset, SyntheticConfig};
+    use hf_fedsim::comm::RoundCost;
     use hf_fedsim::transport::SparseRowUpdate;
+    use hf_models::ModelKind;
 
-    const LAYOUT: PayloadLayout = PayloadLayout {
+    /// Three bands of 2, 1 and 1 columns; predictors of 3, 2 and 1 words.
+    const LAYOUT: BandLayout = BandLayout {
         num_items: 12,
-        width: 4,
-        theta_lens: [3, 0, 0],
+        widths: [2, 3, 4],
+        theta_lens: [3, 2, 1],
     };
 
-    fn update(row: u32, x: f32) -> ClientUpdate {
+    /// What a tier-`t` client uploads with UDL on: its tier's columns of
+    /// one row, and every predictor at or below its tier.
+    fn update(t: usize, row: u32, x: f32) -> ClientUpdate {
+        let delta = [x, -x, 0.5 * x, 2.0 * x];
+        let width = LAYOUT.widths[t];
         ClientUpdate {
-            items: SparseRowUpdate::new(4, vec![(row, vec![x, -x, 0.5 * x, 2.0 * x])]),
-            thetas: vec![(0, vec![x, x + 0.25, -x])],
+            items: SparseRowUpdate::new(width, vec![(row, delta[..width].to_vec())]),
+            thetas: (0..=t)
+                .map(|k| (k as u8, vec![x + k as f32; LAYOUT.theta_lens[k]]))
+                .collect(),
         }
+    }
+
+    /// The dense form every group carried before tier prefixes: one
+    /// full-length vector per member, rows row-major at the group width.
+    /// Kept as the reference the banded fold must equal once its
+    /// aggregate is mapped back ([`row_major`]).
+    fn build_dense_payload(
+        layout: &PayloadLayout,
+        quant: Quantizer,
+        update: &ClientUpdate,
+        weight: f32,
+    ) -> Option<Vec<u64>> {
+        let mut payload = vec![0u64; layout.len()];
+        for (row, delta) in &update.items.rows {
+            let row = *row as usize;
+            let base = row * layout.width;
+            for (d, &x) in delta.iter().enumerate() {
+                payload[base + d] = quant.encode(weight * x).ok()?;
+            }
+            payload[layout.item_count_offset() + row] = 1;
+        }
+        for (tier, flat) in &update.thetas {
+            let t = *tier as usize;
+            let off = layout.theta_offset(t);
+            for (i, &x) in flat.iter().enumerate() {
+                payload[off + i] = quant.encode(weight * x).ok()?;
+            }
+            payload[layout.theta_weight_offset(t)] = quant.encode(weight).ok()?;
+            payload[layout.theta_count_offset(t)] = 1;
+        }
+        Some(payload)
+    }
+
+    /// The dense layout with the same rows, columns and predictors.
+    fn dense_of(layout: &BandLayout) -> PayloadLayout {
+        PayloadLayout {
+            num_items: layout.num_items,
+            width: layout.widths[2],
+            theta_lens: layout.theta_lens,
+        }
+    }
+
+    /// A banded ring vector permuted into [`dense_of`]'s order.
+    fn row_major(layout: &BandLayout, words: &[u64]) -> Vec<u64> {
+        let dense = dense_of(layout);
+        assert_eq!(words.len(), dense.len(), "the same words, permuted");
+        let mut out = vec![0u64; dense.len()];
+        for row in 0..layout.num_items {
+            for b in 0..3 {
+                let cols = layout.band_columns(b);
+                let from = &words[layout.row_offset(b, row)..][..cols.len()];
+                out[row * dense.width..][cols].copy_from_slice(from);
+            }
+            out[dense.item_count_offset() + row] = words[layout.item_count_offset() + row];
+        }
+        for t in 0..3 {
+            let len = layout.theta_lens[t] + 2;
+            out[dense.theta_offset(t)..][..len]
+                .copy_from_slice(&words[layout.theta_offset(t)..][..len]);
+        }
+        out
+    }
+
+    /// Ring sum of the dense payloads of `members`' uploads.
+    fn dense_sum(
+        layout: &BandLayout,
+        quant: Quantizer,
+        uploads: &HashMap<u64, (ClientUpdate, f32)>,
+        members: &[u64],
+    ) -> Vec<u64> {
+        let dense = dense_of(layout);
+        let mut sum = vec![0u64; dense.len()];
+        for m in members {
+            let (upload, weight) = &uploads[m];
+            let payload =
+                build_dense_payload(&dense, quant, upload, *weight).expect("finite update");
+            ring_add(&mut sum, &payload);
+        }
+        sum
     }
 
     #[test]
@@ -547,11 +712,14 @@ mod tests {
         let members: Vec<u64> = (0..24).map(|i| 100 + 3 * i).collect();
         let mut rng = stream(9, SeedStream::SecAggSecret);
         let group = PreparedGroup::setup(5, &members, &mut rng);
+        // Mixed tiers, 5:3:2 in no particular uid order.
+        let tier_of = |i: usize| [0, 1, 0, 2, 0, 1, 0, 0, 1, 2][i % 10];
+        let prefixes: Vec<usize> = (0..24).map(|i| LAYOUT.prefix_words(tier_of(i))).collect();
 
         // Unencodable updates at the head of the first share, inside a
-        // middle share (8 workers: members 9..12) and at the tail of the
-        // last; one member that never delivered; one empty update (a
-        // survivor that is not an accepted upload).
+        // middle share and at the tail of the last; one member that
+        // never delivered; one empty update (a survivor that is not an
+        // accepted upload).
         let poisoned = [members[0], members[11], members[23]];
         let silent = members[6];
         let empty = members[17];
@@ -565,7 +733,7 @@ mod tests {
             let upload = if m == empty {
                 ClientUpdate::default()
             } else {
-                update(i as u32 % 12, x)
+                update(tier_of(i), i as u32 % 12, x)
             };
             if m != silent {
                 uploads.insert(m, (upload, 1.0 + 0.125 * (i % 3) as f32));
@@ -577,29 +745,34 @@ mod tests {
             .copied()
             .filter(|m| !dropped.contains(m))
             .collect();
-        let mut reference = vec![0u64; LAYOUT.len()];
-        for m in &survivors {
-            let (upload, weight) = &uploads[m];
-            let payload = build_payload(&LAYOUT, quant, upload, *weight).expect("finite update");
-            ring_add(&mut reference, &payload);
-        }
+        let reference = dense_sum(&LAYOUT, quant, &uploads, &survivors);
 
         let folds: Vec<GroupFold> = [1, 2, 8]
             .iter()
-            .map(|&threads| fold_group(&group, &LAYOUT, quant, &uploads, threads))
+            .map(|&threads| fold_group(&group, &LAYOUT, &prefixes, quant, &uploads, threads))
             .collect();
         for (fold, threads) in folds.iter().zip([1, 2, 8]) {
             assert_eq!(fold.survivors, survivors, "{threads} threads");
             assert_eq!(fold.dropped, dropped, "{threads} threads");
             assert_eq!(fold.accepted, survivors.len() - 1, "{threads} threads");
-            assert_eq!(fold.reference, reference, "{threads} threads");
+            assert_eq!(
+                row_major(&LAYOUT, &fold.reference),
+                reference,
+                "{threads} threads"
+            );
             assert_eq!(fold.aggregate, folds[0].aggregate, "{threads} threads");
-            assert_ne!(fold.aggregate, reference, "orphaned masks must blind");
+            assert_ne!(fold.aggregate, fold.reference, "orphaned masks must blind");
 
             let mut aggregate = fold.aggregate.clone();
-            let recovered = group.unmask_dropped(&mut aggregate, &fold.dropped, &fold.survivors);
+            let recovered =
+                group.unmask_dropped_prefix(&mut aggregate, &fold.dropped, &fold.survivors, |j| {
+                    prefixes[j]
+                });
             assert_eq!(recovered, Ok(dropped.len()));
-            assert_eq!(aggregate, reference, "{threads} threads: masks recovered");
+            assert_eq!(
+                aggregate, fold.reference,
+                "{threads} threads: masks recovered"
+            );
         }
     }
 
@@ -608,10 +781,192 @@ mod tests {
         let quant = Quantizer::new(24).expect("valid scale");
         let mut rng = stream(9, SeedStream::SecAggSecret);
         let group = PreparedGroup::setup(1, &[3, 4, 8], &mut rng);
-        let fold = fold_group(&group, &LAYOUT, quant, &HashMap::new(), 8);
+        let prefixes = [0, 2, 1].map(|t| LAYOUT.prefix_words(t));
+        let fold = fold_group(&group, &LAYOUT, &prefixes, quant, &HashMap::new(), 8);
         assert!(fold.survivors.is_empty());
         assert_eq!(fold.dropped, vec![3, 4, 8]);
         assert_eq!(fold.accepted, 0);
         assert!(fold.aggregate.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn shares_are_contiguous_non_empty_and_balance_the_mask_cost() {
+        let [s, m, l] = [0, 1, 2].map(|t| LAYOUT.prefix_words(t));
+        let cases: [&[usize]; 5] = [
+            &[s; 24],
+            &[l, s, s, s, s, s, s, s],
+            &[s, s, s, s, s, s, m, l],
+            &[s, m, l],
+            &[l],
+        ];
+        for prefixes in cases {
+            for threads in [1, 2, 3, 8, 64] {
+                let bounds = mask_cost_shares(prefixes, threads);
+                assert!(bounds.len() <= threads.min(prefixes.len()));
+                assert_eq!(bounds[0].0, 0);
+                assert_eq!(bounds[bounds.len() - 1].1, prefixes.len());
+                assert!(bounds.iter().all(|&(start, end)| start < end));
+                assert!(bounds.windows(2).all(|w| w[0].1 == w[1].0));
+            }
+        }
+        // Equal members: equal head counts, as before prefixes.
+        assert_eq!(
+            mask_cost_shares(&[s; 24], 8),
+            (0..8).map(|k| (3 * k, 3 * k + 3)).collect::<Vec<_>>()
+        );
+        // At the benchmark's Small and Large prefixes a Large member's
+        // streams cost 1.74 Small members': the cut falls one head short
+        // of the middle.
+        let (s, l) = (8_562, 31_760);
+        assert_eq!(
+            mask_cost_shares(&[l, l, l, l, s, s, s, s, s, s, s, s], 2),
+            [(0, 5), (5, 12)]
+        );
+    }
+
+    /// A secagg-enabled session of `strategy` over the tiny split.
+    fn masked_session(strategy: Strategy) -> Session {
+        let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+        cfg.secagg.enabled = true;
+        let data = SyntheticConfig::tiny().generate(9);
+        SessionBuilder::new(cfg, strategy, SplitDataset::paper_split(&data, 9))
+            .build()
+            .expect("valid config")
+    }
+
+    /// What `cohort` would upload this round: real local training
+    /// against the session's server state, with staleness-like weights.
+    fn trained_uploads(s: &Session, cohort: &[usize]) -> HashMap<u64, (ClientUpdate, f32)> {
+        let udl = s.strategy.ablation().udl;
+        cohort
+            .iter()
+            .map(|&uid| {
+                let tier = s.model_groups.tier(uid);
+                let ctx = ClientCtx {
+                    cfg: &s.cfg,
+                    strategy: s.strategy,
+                    split: &s.split,
+                    user_id: uid,
+                    model_tier: tier,
+                    table: s.server.table(tier),
+                    thetas: &s.server.thetas_for(tier, udl),
+                    theta_tiers: &theta_tiers(tier, udl),
+                    round_key: s.round_counter,
+                };
+                let update = train_client(&ctx, &s.users[uid]).update;
+                (uid as u64, (update, 1.0 - 0.25 * (uid % 3) as f32))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn banded_aggregate_is_the_dense_aggregate_permuted() {
+        let quant = Quantizer::new(16).expect("valid scale");
+        for strategy in [
+            Strategy::HeteFedRec(Ablation::FULL),
+            Strategy::DirectlyAggregate,
+            Strategy::AllSmall,
+            Strategy::ClusteredFedRec,
+        ] {
+            let s = masked_session(strategy);
+            let cohort: Vec<usize> = (0..s.split.num_users()).step_by(2).collect();
+            let mut uploads = trained_uploads(&s, &cohort);
+            let mut rng = stream(3, SeedStream::SecAggSecret);
+            let parts = s.secagg_partition(&cohort);
+            assert_eq!(
+                parts.len(),
+                if strategy == Strategy::ClusteredFedRec {
+                    3
+                } else {
+                    1
+                },
+                "{strategy:?}"
+            );
+            let mut carried = [false; 3];
+            for members in &parts {
+                // One member of every group commits and never delivers.
+                let silent = members[members.len() / 2];
+                uploads.remove(&silent);
+                let group = PreparedGroup::setup(s.round_counter, members, &mut rng);
+                let tier = (parts.len() > 1).then(|| s.model_groups.tier(members[0] as usize));
+                let layout = s.secagg_layout(tier);
+                let prefixes = s.secagg_prefixes(&group, &layout);
+                let survivors: Vec<u64> =
+                    members.iter().copied().filter(|&m| m != silent).collect();
+                let reference = dense_sum(&layout, quant, &uploads, &survivors);
+                assert!(
+                    reference.iter().any(|&w| w != 0),
+                    "{strategy:?}: nothing trained"
+                );
+
+                for threads in [1, 2, 8] {
+                    let mut fold = fold_group(&group, &layout, &prefixes, quant, &uploads, threads);
+                    assert_eq!(fold.survivors, survivors, "{strategy:?}, {threads} threads");
+                    assert_eq!(fold.dropped, [silent], "{strategy:?}, {threads} threads");
+                    let recovered = group.unmask_dropped_prefix(
+                        &mut fold.aggregate,
+                        &fold.dropped,
+                        &fold.survivors,
+                        |j| prefixes[j],
+                    );
+                    assert_eq!(recovered, Ok(1), "{strategy:?}, {threads} threads");
+                    assert_eq!(
+                        row_major(&layout, &fold.aggregate),
+                        reference,
+                        "{strategy:?}, {threads} threads: not the dense aggregate"
+                    );
+                }
+
+                // Nobody's update reaches past its own prefix: the words
+                // a survivor omits were exact ring zeros in the dense form.
+                for (&m, &prefix) in group.members.iter().zip(&prefixes) {
+                    let t = s.model_groups.tier(m as usize).index();
+                    carried[t] = true;
+                    if let Some((upload, weight)) = uploads.get(&m) {
+                        let mut full = vec![0u64; layout.len()];
+                        build_payload(&layout, quant, upload, *weight, &mut full[..prefix])
+                            .expect("finite update");
+                        let dense = build_dense_payload(&dense_of(&layout), quant, upload, *weight)
+                            .expect("finite update");
+                        assert_eq!(row_major(&layout, &full), dense, "{strategy:?}: member {m}");
+                    }
+                }
+            }
+            let expected = if strategy == Strategy::AllSmall {
+                [true, false, false]
+            } else {
+                [true; 3]
+            };
+            assert_eq!(carried, expected, "{strategy:?}: tiers in the cohort");
+        }
+    }
+
+    #[test]
+    fn a_prefix_is_table_iii_plus_counts_and_predictor_trailers() {
+        let s = masked_session(Strategy::HeteFedRec(Ablation::FULL));
+        let layout = s.secagg_layout(None);
+        let items = s.split.num_items();
+        let thetas: Vec<usize> = Tier::ALL
+            .iter()
+            .map(|&t| s.server.theta(t).num_params())
+            .collect();
+        for (i, &t) in Tier::ALL.iter().enumerate() {
+            let table_iii = RoundCost::dense(items, s.cfg.dims.dim(t), &thetas[..=i]);
+            assert_eq!(
+                layout.prefix_words(i),
+                table_iii.total() + items + 2 * (i + 1),
+                "{t:?}"
+            );
+        }
+        assert_eq!(layout.len(), dense_of(&layout).len());
+        // A clustered group is one band of columns at the tier's width.
+        for (i, &t) in Tier::ALL.iter().enumerate() {
+            let own = s.secagg_layout(Some(t));
+            assert_eq!(own.widths, [s.cfg.dims.dim(t); 3]);
+            assert_eq!(
+                own.prefix_words(i),
+                items * (s.cfg.dims.dim(t) + 1) + thetas[i] + 2 * (i + 1)
+            );
+        }
     }
 }

@@ -824,6 +824,38 @@ fn restore_rejects_mismatched_datasets_and_garbage() {
     assert!(Session::restore(&wrong_version, tiny_split(9)).is_err());
 }
 
+#[test]
+fn restore_rejects_a_pending_group_with_a_short_escrow_row() {
+    // A masked run interrupted mid-epoch carries the next cohort's keys
+    // and escrowed shares. A row one share short used to restore and
+    // then index out of bounds at the first dropout it had to recover.
+    let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+    cfg.clients_per_round = 8;
+    cfg.secagg.enabled = true;
+    let strategy = Strategy::HeteFedRec(Ablation::FULL);
+    let mut s = SessionBuilder::new(cfg, strategy, tiny_split(9))
+        .build()
+        .expect("valid config");
+    for _ in 0..3 {
+        s.step();
+    }
+    let mid = s.checkpoint();
+    assert!(mid.contains("\"version\":3"));
+    let restore = |doc: &str| {
+        SessionBuilder::from_checkpoint(doc, tiny_split(9)).and_then(SessionBuilder::build)
+    };
+    assert!(restore(&mid).is_ok());
+
+    let row = mid.find("\"escrow\":[[").expect("escrow in flight") + "\"escrow\":[[".len();
+    let share_end = row + mid[row..].find("],").expect("a first share") + 2;
+    let short = format!("{}{}", &mid[..row], &mid[share_end..]);
+    match restore(&short) {
+        Err(SessionError::Checkpoint(msg)) => assert!(msg.contains("escrow"), "{msg}"),
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("a short escrow row restored"),
+    }
+}
+
 // --- streaming ingest -------------------------------------------------
 
 /// Applies the same stream events a live session ingested to a freshly

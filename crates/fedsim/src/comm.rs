@@ -63,9 +63,10 @@ pub struct CommLedger {
     /// Download transmissions recorded.
     pub downloads: u64,
     /// Bytes of masked secure-aggregation uploads (subset of
-    /// `upload_bytes`; dense ring payloads are bigger than the sparse
-    /// plaintext format, and this tracks how much of the upload volume
-    /// travelled masked).
+    /// `upload_bytes`). A masked upload is dense over the item rows at
+    /// the uploader's own tier width — Table III's cost at 8 bytes a ring
+    /// word — so it is bigger than the sparse plaintext format, and this
+    /// tracks how much of the upload volume travelled masked.
     pub secagg_masked_bytes: u64,
     /// Secure-aggregation setup traffic: public-key exchange plus
     /// escrowed seed-share bundles (not part of `upload_bytes`).

@@ -106,9 +106,7 @@ impl PreparedGroup {
         );
         let n = members.len();
         let pairs: Vec<_> = (0..n).map(|_| keypair(rng)).collect();
-        // Each secret splits across the n-1 peers; a majority of peers
-        // must survive to recover it.
-        let threshold = if n > 1 { (n - 1) / 2 + 1 } else { 0 };
+        let threshold = majority_of_peers(n);
         let escrow = if n > 1 {
             pairs
                 .iter()
@@ -147,7 +145,20 @@ impl PreparedGroup {
 
     /// Applies all of member `uid`'s pairwise masks to its payload: the
     /// lower uid of each pair adds the stream, the higher subtracts it.
+    /// Every member carries `payload.len()` words — the equal-prefix case
+    /// of [`PreparedGroup::mask_prefix`].
     pub fn mask_payload(&self, uid: u64, payload: &mut [u64]) {
+        let len = payload.len();
+        self.mask_prefix(uid, payload, |_| len);
+    }
+
+    /// Masks member `uid`'s `payload` — its own prefix of the group's
+    /// ring vector — in a group whose `j`-th member (in member order)
+    /// carries the first `prefix_of(j)` words. The stream of pair
+    /// `(uid, j)` covers the words both carry, so it cancels against
+    /// `j`'s half wherever the two uploads overlap and touches nothing
+    /// past the shorter one.
+    pub fn mask_prefix(&self, uid: u64, payload: &mut [u64], prefix_of: impl Fn(usize) -> usize) {
         let i = self
             .index_of(uid)
             .unwrap_or_else(|| panic!("uid {uid} not in secagg group"));
@@ -155,8 +166,14 @@ impl PreparedGroup {
             if j == i {
                 continue;
             }
+            let shared = payload.len().min(prefix_of(j));
             let k = self.pair_secret(i, j);
-            apply_pair_mask(payload, k, self.round, self.members[i] < self.members[j]);
+            apply_pair_mask(
+                &mut payload[..shared],
+                k,
+                self.round,
+                self.members[i] < self.members[j],
+            );
         }
     }
 
@@ -202,21 +219,43 @@ impl PreparedGroup {
     /// arrived, so the aggregate carries exactly that term — subtract it
     /// when `v < d`, add it back when `v > d`. Masks between two dropped
     /// members appear in no surviving upload and need no correction.
+    ///
+    /// Every member carried `aggregate.len()` words — the equal-prefix
+    /// case of [`PreparedGroup::unmask_dropped_prefix`].
     pub fn unmask_dropped(
         &self,
         aggregate: &mut [u64],
         dropped: &[u64],
         survivors: &[u64],
     ) -> Result<usize, RecoveryError> {
+        let len = aggregate.len();
+        self.unmask_dropped_prefix(aggregate, dropped, survivors, |_| len)
+    }
+
+    /// [`PreparedGroup::unmask_dropped`] for uploads masked with
+    /// [`PreparedGroup::mask_prefix`] under the same `prefix_of`: the
+    /// orphaned term of `(d, v)` sits in the head of the aggregate, over
+    /// the shorter of the two members' prefixes.
+    pub fn unmask_dropped_prefix(
+        &self,
+        aggregate: &mut [u64],
+        dropped: &[u64],
+        survivors: &[u64],
+        prefix_of: impl Fn(usize) -> usize,
+    ) -> Result<usize, RecoveryError> {
+        let index_of = |uid| {
+            self.index_of(uid)
+                .ok_or(RecoveryError::UnknownMember { uid })
+        };
         let mut recovered = 0;
         for &duid in dropped {
             let secret = self.recover_secret(duid, survivors)?;
+            let di = index_of(duid)?;
             for &v in survivors {
-                let vi = self
-                    .index_of(v)
-                    .ok_or(RecoveryError::UnknownMember { uid: v })?;
+                let vi = index_of(v)?;
+                let shared = prefix_of(di).min(prefix_of(vi));
                 let k = shared_secret(secret, self.publics[vi]);
-                apply_pair_mask(aggregate, k, self.round, v >= duid);
+                apply_pair_mask(&mut aggregate[..shared], k, self.round, v >= duid);
             }
             recovered += 1;
         }
@@ -236,11 +275,18 @@ impl PreparedGroup {
         n * (n - 1) * (8 + crate::wire::ShareBundle::ENCODED_LEN as u64)
     }
 
-    /// Restores a checkpointed group.
+    /// Restores a checkpointed group, rejecting any document
+    /// [`PreparedGroup::setup`] could not have produced the shape of —
+    /// the masking and recovery paths index by these invariants.
     pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
         let members = v.get("members")?.as_u64_vec()?;
         let publics = v.get("publics")?.as_u64_vec()?;
         let secrets = v.get("secrets")?.as_u64_vec()?;
+        if members.is_empty() || !members.windows(2).all(|w| w[0] < w[1]) {
+            return Err(JsonError::msg(
+                "secagg group members must be non-empty and strictly increasing",
+            ));
+        }
         if publics.len() != members.len() || secrets.len() != members.len() {
             return Err(JsonError::msg("secagg group key arrays disagree on size"));
         }
@@ -259,17 +305,37 @@ impl PreparedGroup {
             }
             escrow.push(shares);
         }
-        if escrow.len() != members.len() {
-            return Err(JsonError::msg("secagg escrow disagrees with member count"));
+        let peers = members.len() - 1;
+        if escrow.len() != members.len() || escrow.iter().any(|shares| shares.len() != peers) {
+            return Err(JsonError::msg(
+                "secagg escrow must hold one share per peer for every member",
+            ));
+        }
+        let threshold = v.get("threshold")?.as_usize()?;
+        if threshold != majority_of_peers(members.len()) {
+            return Err(JsonError::msg(
+                "secagg threshold is not a majority of the member's peers",
+            ));
         }
         Ok(Self {
             round: v.get("round")?.as_u64()?,
             members,
             publics,
             secrets,
-            threshold: v.get("threshold")?.as_usize()?,
+            threshold,
             escrow,
         })
+    }
+}
+
+/// Shares needed to reconstruct one secret in a group of `n`: each
+/// secret splits across the `n − 1` peers and a majority of them must
+/// survive; 0 for a singleton, which has nobody to pair with.
+fn majority_of_peers(n: usize) -> usize {
+    if n > 1 {
+        (n - 1) / 2 + 1
+    } else {
+        0
     }
 }
 
@@ -426,5 +492,176 @@ mod tests {
         let restored = PreparedGroup::from_json(&parse_json(&json).unwrap()).unwrap();
         assert_eq!(restored, group);
         assert_eq!(restored.to_json(), json);
+    }
+
+    #[test]
+    fn malformed_group_documents_are_typed_errors() {
+        use hf_tensor::ser::parse_json;
+        let mut rng = stream(6, SeedStream::SecAggSecret);
+        let group = PreparedGroup::setup(11, &[2, 3, 5, 8], &mut rng);
+        let json = group.to_json();
+        let restore = |doc: &str| PreparedGroup::from_json(&parse_json(doc).unwrap());
+        assert!(restore(&json).is_ok());
+
+        // Members out of order: `index_of` binary-searches them.
+        let unsorted = json.replace("\"members\":[2,3,5,8]", "\"members\":[2,5,3,8]");
+        // One escrow row a share short: `recover_secret` indexes
+        // `escrow[d][k]` for every surviving peer `k`.
+        let first_share = format!(
+            "[{},{}],",
+            group.escrow[0][0].x,
+            group.escrow[0][0].payload_word()
+        );
+        let short_row = json.replacen(&first_share, "", 1);
+        // A threshold `setup` never picks (2 of 3 peers is the majority).
+        let low_threshold = json.replace("\"threshold\":2", "\"threshold\":1");
+        let nobody = PreparedGroup {
+            members: Vec::new(),
+            publics: Vec::new(),
+            secrets: Vec::new(),
+            threshold: 0,
+            escrow: Vec::new(),
+            ..group.clone()
+        }
+        .to_json();
+        for (what, doc) in [
+            ("unsorted members", unsorted),
+            ("short escrow row", short_row),
+            ("wrong threshold", low_threshold),
+            ("no members", nobody),
+        ] {
+            assert_ne!(doc, json, "{what}: the mutation did not apply");
+            assert!(restore(&doc).is_err(), "{what} must not restore");
+        }
+
+        // A singleton is the one group with threshold 0 and an empty row.
+        let solo = PreparedGroup::setup(1, &[7], &mut rng);
+        assert_eq!(restore(&solo.to_json()), Ok(solo));
+    }
+
+    /// A cohort of three model tiers: two Small members either side of
+    /// the only Large one, and two Medium ones.
+    const MIXED: [(u64, usize); 6] = [(2, 9), (5, 33), (7, 9), (11, 17), (12, 9), (20, 17)];
+
+    /// The group over [`MIXED`] and each member's plaintext prefix.
+    fn mixed_group(seed: u64) -> (PreparedGroup, Vec<Vec<u64>>) {
+        let mut rng = stream(seed, SeedStream::SecAggSecret);
+        let members = MIXED.map(|(m, _)| m);
+        let group = PreparedGroup::setup(4, &members, &mut rng);
+        let plain = MIXED
+            .iter()
+            .map(|&(m, prefix)| mask_words(m ^ 0x5151, 2, prefix))
+            .collect();
+        (group, plain)
+    }
+
+    /// Ring-adds each upload into the head of one full-length aggregate.
+    fn head_sum(uploads: &[&Vec<u64>]) -> Vec<u64> {
+        let mut acc = vec![0u64; 33];
+        for upload in uploads {
+            for (a, w) in acc.iter_mut().zip(upload.iter()) {
+                *a = a.wrapping_add(*w);
+            }
+        }
+        acc
+    }
+
+    fn masked_prefix(group: &PreparedGroup, i: usize, plain: &[u64]) -> Vec<u64> {
+        let mut words = plain.to_vec();
+        group.mask_prefix(MIXED[i].0, &mut words, |j| MIXED[j].1);
+        words
+    }
+
+    #[test]
+    fn unequal_prefixes_cancel_under_full_participation() {
+        let (group, plain) = mixed_group(7);
+        let masked: Vec<Vec<u64>> = (0..MIXED.len())
+            .map(|i| masked_prefix(&group, i, &plain[i]))
+            .collect();
+        for (m, p) in masked.iter().zip(&plain) {
+            assert_eq!(m.len(), p.len(), "an upload is exactly its prefix");
+            assert_ne!(m, p, "payloads must actually be masked");
+        }
+        // The only Large member's tail is past every peer's prefix: no
+        // pair stream reaches it (as exposed as its sum under zeros).
+        assert_eq!(masked[1][17..], plain[1][17..]);
+        assert_ne!(masked[1][..17], plain[1][..17]);
+        assert_eq!(
+            head_sum(&masked.iter().collect::<Vec<_>>()),
+            head_sum(&plain.iter().collect::<Vec<_>>())
+        );
+    }
+
+    #[test]
+    fn dropouts_in_every_tier_recover_to_the_plaintext_ring_sum() {
+        let (group, plain) = mixed_group(8);
+        // The only Large member; the Small member between the Large one
+        // and a Medium one; a Medium one; pairs; and one of each tier at
+        // once, which leaves exactly the 3-of-5 escrow threshold.
+        let cases: [&[u64]; 6] = [&[5], &[7], &[11], &[2, 20], &[5, 12], &[2, 5, 11]];
+        for dropped in cases {
+            let alive: Vec<usize> = (0..MIXED.len())
+                .filter(|&i| !dropped.contains(&MIXED[i].0))
+                .collect();
+            let survivors: Vec<u64> = alive.iter().map(|&i| MIXED[i].0).collect();
+            let masked: Vec<Vec<u64>> = alive
+                .iter()
+                .map(|&i| masked_prefix(&group, i, &plain[i]))
+                .collect();
+            let expected = head_sum(&alive.iter().map(|&i| &plain[i]).collect::<Vec<_>>());
+            let mut agg = head_sum(&masked.iter().collect::<Vec<_>>());
+            assert_ne!(agg, expected, "{dropped:?}: orphaned masks must be present");
+            let recovered =
+                group.unmask_dropped_prefix(&mut agg, dropped, &survivors, |j| MIXED[j].1);
+            assert_eq!(recovered, Ok(dropped.len()), "{dropped:?}");
+            assert_eq!(agg, expected, "{dropped:?}");
+        }
+    }
+
+    #[test]
+    fn uniform_prefixes_reproduce_the_full_length_mask_words() {
+        // What masking was before prefixes: every pair stream over the
+        // whole payload, the lower uid adding.
+        let mut rng = stream(9, SeedStream::SecAggSecret);
+        let members = [3u64, 8, 11, 20, 21];
+        let group = PreparedGroup::setup(6, &members, &mut rng);
+        let len = 29;
+        let full_length = |i: usize, words: &mut [u64]| {
+            for j in (0..members.len()).filter(|&j| j != i) {
+                let stream = mask_words(group.pair_secret(i, j), group.round, len);
+                for (w, s) in words.iter_mut().zip(stream) {
+                    *w = if i < j {
+                        w.wrapping_add(s)
+                    } else {
+                        w.wrapping_sub(s)
+                    };
+                }
+            }
+        };
+        let mut aggregate = vec![0u64; len];
+        for (i, &m) in members.iter().enumerate() {
+            let plain = mask_words(m ^ 0xabcd, 0, len);
+            let mut expected = plain.clone();
+            full_length(i, &mut expected);
+            let mut uniform = plain.clone();
+            group.mask_payload(m, &mut uniform);
+            let mut prefixed = plain;
+            group.mask_prefix(m, &mut prefixed, |_| len);
+            assert_eq!(uniform, expected, "member {m}");
+            assert_eq!(prefixed, expected, "member {m}");
+            if m != 11 {
+                for (a, w) in aggregate.iter_mut().zip(&uniform) {
+                    *a = a.wrapping_add(*w);
+                }
+            }
+        }
+        // Member 11 never delivered: both entry points strip the same
+        // full-length streams.
+        let survivors = [3u64, 8, 20, 21];
+        let mut by_prefix = aggregate.clone();
+        let uniform = group.unmask_dropped(&mut aggregate, &[11], &survivors);
+        let prefixed = group.unmask_dropped_prefix(&mut by_prefix, &[11], &survivors, |_| len);
+        assert_eq!((uniform, prefixed), (Ok(1), Ok(1)));
+        assert_eq!(aggregate, by_prefix);
     }
 }

@@ -31,7 +31,7 @@ pub mod wire;
 
 pub use dh::{keypair, modpow, shared_secret, KeyPair, DH_GENERATOR, DH_PRIME};
 pub use group::{PreparedGroup, RecoveryError};
-pub use mask::{apply_pair_mask, mask_words, PayloadLayout};
+pub use mask::{apply_pair_mask, mask_words, BandLayout, PayloadLayout};
 pub use quant::{QuantError, Quantizer, MAX_SCALE_BITS};
 pub use shamir::{reconstruct_secret, split_secret, SeedShare, ShamirError};
 pub use wire::{MaskedUpload, SecAggWireError, ShareBundle};

@@ -1,8 +1,10 @@
 //! Wire encodings for the secure-aggregation messages.
 //!
 //! Two message shapes travel during a masked round: a [`MaskedUpload`]
-//! (one client's dense ring payload) and a [`ShareBundle`] (one escrowed
-//! seed share in transit from its owner to a holder). Both use the
+//! (one client's masked ring words — the prefix of the group's
+//! [`BandLayout`](crate::BandLayout) its tier carries, so the count
+//! field differs between tiers of one group) and a [`ShareBundle`] (one
+//! escrowed seed share in transit from its owner to a holder). Both use the
 //! workspace little-endian [`Reader`]/[`Writer`] primitives, decode with
 //! typed errors only (never a panic), check hostile length prefixes
 //! before allocating, and re-encode canonically — properties the fuzz
@@ -45,14 +47,14 @@ pub const MASKED_UPLOAD_TAG: u8 = 0xA1;
 /// Message tag for [`ShareBundle`].
 pub const SHARE_BUNDLE_TAG: u8 = 0xA2;
 
-/// One client's masked dense ring payload for one round.
+/// One client's masked ring payload for one round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MaskedUpload {
     /// Round the masks belong to.
     pub round: u64,
     /// Uploading client.
     pub uid: u64,
-    /// Masked ring words, group-layout order.
+    /// Masked ring words, group-layout order: a prefix of the layout.
     pub words: Vec<u64>,
 }
 

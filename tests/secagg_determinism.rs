@@ -7,7 +7,8 @@
 //! reference (the engine hard-asserts it; the report records it), and a
 //! run interrupted mid-epoch — with pipelined escrow shares in flight —
 //! must resume byte-identically. CI greps this test's output for the
-//! `secagg resume verified` proof line.
+//! `secagg resume verified` and `tier-prefix aggregate == dense aggregate`
+//! proof lines.
 
 use hetefedrec::prelude::*;
 
@@ -267,4 +268,74 @@ fn v2_era_document_with_secagg_flipped_on_restores_with_fresh_state() {
         }
     }
     assert!(verified_rounds > 0, "no masked rounds ran after the flip");
+}
+
+/// FNV-1a over the three tier tables and predictors, in tier order.
+fn model_digest(session: &Session) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |xs: &[f32]| {
+        for x in xs {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    };
+    for tier in Tier::ALL {
+        eat(session.server().table(tier).as_slice());
+        eat(&session.server().theta(tier).to_flat());
+    }
+    h
+}
+
+#[test]
+fn tier_prefix_uploads_train_the_same_model_on_fewer_bytes() {
+    // Final NDCG@10 bits and model digest of the `masked_cfg` run at
+    // commit a159a01, where every survivor uploaded the whole Nl-wide
+    // ring vector whatever its tier. Every word a tier prefix leaves out
+    // was an exact ring 0 there, so the model must not move by a bit.
+    let pinned = [
+        (
+            Mode::Sync,
+            0x3fc1_2d30_712c_78c3_u64,
+            0x04e3_9b30_f430_4faa_u64,
+        ),
+        (Mode::Async, 0x3fcd_8d14_ac6c_136f, 0x93a6_e1b0_ab56_4caa),
+    ];
+    for (mode, ndcg_bits, digest) in pinned {
+        let strategy = Strategy::HeteFedRec(Ablation::FULL);
+        let mut session = SessionBuilder::new(masked_cfg(mode), strategy, tiny_split(9))
+            .build()
+            .expect("valid masked configuration");
+        // One MaskedUpload: tag + round + uid + count, 8 bytes a word.
+        let layout = session.secagg_layout(None);
+        let upload_bytes = |words: usize| 21 + 8 * words as u64;
+        let dense = upload_bytes(layout.len());
+        while let Some(event) = session.step() {
+            let SessionEvent::Round(r) = event else {
+                continue;
+            };
+            let s = r.secagg.expect("masked rounds always report secagg stats");
+            assert!(s.verified, "{mode:?}: round {} unverified", r.round);
+            assert_eq!(s.survivors_by_tier.iter().sum::<usize>(), s.survivors);
+            let by_prefix: u64 = (0..3)
+                .map(|t| s.survivors_by_tier[t] as u64 * upload_bytes(layout.prefix_words(t)))
+                .sum();
+            assert_eq!(s.masked_bytes, by_prefix, "{mode:?}: round {}", r.round);
+            if s.survivors > 0 {
+                assert!(
+                    s.masked_bytes < s.survivors as u64 * dense,
+                    "{mode:?}: round {} uploaded the dense form",
+                    r.round
+                );
+            }
+        }
+        let eval = session.final_eval().expect("final epoch evaluated");
+        assert_eq!(
+            eval.overall.ndcg.to_bits(),
+            ndcg_bits,
+            "{mode:?}: NDCG moved"
+        );
+        assert_eq!(model_digest(&session), digest, "{mode:?}: model moved");
+    }
+    println!("tier-prefix aggregate == dense aggregate");
 }
