@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! hf-serve --artifact model.hfa [--addr 127.0.0.1:7878]
-//!          [--batch-window-us 500] [--batch-max 64] [--queue-cap 1024]
-//!          [--threads 1] [--k 10] [--cold-start-blend 0.0]
+//!          [--batch-max 64] [--queue-cap 1024] [--threads 1] [--k 10]
+//!          [--cold-start-blend 0.0]
 //!          [--lazy] [--user-shards 64] [--user-shard-cap 256]
 //!          [--tile-panels N]
 //! ```
@@ -30,13 +30,11 @@ use hf_serve::{
     footprint, ArtifactSlot, ItemHalfMode, LazyConfig, ModelArtifact, Recommender,
     RecommenderBuilder,
 };
-use std::time::Duration;
 
 #[derive(Clone)]
 struct Args {
     artifact: String,
     addr: String,
-    batch_window_us: u64,
     batch_max: usize,
     queue_cap: usize,
     threads: usize,
@@ -49,8 +47,8 @@ struct Args {
 }
 
 const USAGE: &str = "usage: hf-serve --artifact <model.hfa>\n\
-    \x20   [--addr 127.0.0.1:7878] [--batch-window-us 500] [--batch-max 64]\n\
-    \x20   [--queue-cap 1024] [--threads 1] [--k 10] [--cold-start-blend 0.0]\n\
+    \x20   [--addr 127.0.0.1:7878] [--batch-max 64] [--queue-cap 1024]\n\
+    \x20   [--threads 1] [--k 10] [--cold-start-blend 0.0]\n\
     \x20   [--lazy] [--user-shards 64] [--user-shard-cap 256] [--tile-panels N]";
 
 fn usage_exit(msg: &str) -> ! {
@@ -63,7 +61,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         artifact: String::new(),
         addr: "127.0.0.1:7878".to_string(),
-        batch_window_us: 500,
         batch_max: 64,
         queue_cap: 1024,
         threads: 1,
@@ -83,11 +80,6 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--artifact" => artifact = Some(value("--artifact")),
             "--addr" => args.addr = value("--addr"),
-            "--batch-window-us" => {
-                args.batch_window_us = value("--batch-window-us")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --batch-window-us"))
-            }
             "--batch-max" => {
                 args.batch_max = value("--batch-max")
                     .parse()
@@ -210,7 +202,6 @@ fn main() {
     }
 
     let config = ServerConfig {
-        batch_window: Duration::from_micros(args.batch_window_us),
         batch_max: args.batch_max,
         queue_capacity: args.queue_cap,
     };
@@ -222,9 +213,8 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "hf-serve: listening on {} (window {} us, batch <= {}, queue <= {})",
+        "hf-serve: listening on {} (batch <= {}, queue <= {})",
         handle.local_addr(),
-        args.batch_window_us,
         args.batch_max,
         args.queue_cap
     );

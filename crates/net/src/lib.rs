@@ -9,10 +9,12 @@
 //!   wire-expressible request subset — exclusions, seen-masking,
 //!   popularity floor; closure filters do not travel.
 //! * `batcher` *(internal)* — the bounded in-flight queue whose pop
-//!   side is the **micro-batcher**: requests arriving within a
-//!   time/size window coalesce into single `recommend_batch` calls, and
-//!   a full queue blocks connection readers (backpressure, not
-//!   shedding).
+//!   side is the work-conserving **micro-batcher**: it blocks for the
+//!   first request, takes what else is already queued (up to
+//!   `batch_max`) into one `recommend_batch` call and never waits on a
+//!   timer, so an idle server answers at once and a loaded one coalesces
+//!   the backlog; a full queue blocks connection readers (backpressure,
+//!   not shedding).
 //! * [`server`] — the threaded accept loop: per-connection reader
 //!   threads, one batcher thread, graceful drain-then-stop shutdown on a
 //!   control signal (in-process [`ServerHandle::shutdown`] or an on-wire

@@ -11,9 +11,10 @@
 //!   and a malformed-but-framed payload is answered with a typed error
 //!   frame *without* closing the connection (frames are length-delimited,
 //!   so the stream can resynchronise);
-//! * **micro-batcher** — one thread popping coalesced batches and
-//!   answering them through a single `Recommender::recommend_batch` call
-//!   each; answers are written back under each connection's write lock.
+//! * **micro-batcher** — one thread popping whatever is queued (never
+//!   waiting for more) and answering each batch through a single
+//!   `Recommender::recommend_batch` call; answers are written back under
+//!   each connection's write lock.
 //!
 //! The recommender lives in an [`ArtifactSlot`], so the model can be
 //! **hot-swapped under live traffic**: the batcher loads the
@@ -46,12 +47,9 @@ use std::time::Duration;
 /// Tuning knobs for [`serve`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Coalescing window measured from the first request of a batch
-    /// (default 500 µs). Zero serves whatever is already queued without
-    /// ever delaying an isolated request.
-    pub batch_window: Duration,
     /// Largest micro-batch handed to one `recommend_batch` call
-    /// (default 64).
+    /// (default 64). A batch is whatever is queued when the batcher
+    /// comes back for more, never something it waited for.
     pub batch_max: usize,
     /// Bound on queued-but-unserved requests (default 1024). When full,
     /// connection readers block — backpressure, not load shedding.
@@ -61,7 +59,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            batch_window: Duration::from_micros(500),
             batch_max: 64,
             queue_capacity: 1024,
         }
@@ -114,7 +111,9 @@ struct Shared {
     /// Live connections, registered by the accept loop so shutdown can
     /// unblock their readers.
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    /// Reader threads still running (joined at shutdown).
+    /// Reader threads not yet joined: the accept loop joins the finished
+    /// ones before adding the next, shutdown joins the rest, so the table
+    /// follows the open connections rather than every one ever accepted.
     readers: Mutex<Vec<JoinHandle<()>>>,
     /// The hot-swappable serving artifact.
     slot: ArtifactSlot,
@@ -241,11 +240,10 @@ pub fn serve_slot(
 
     let batcher = {
         let shared = Arc::clone(&shared);
-        let window = config.batch_window;
         let max = config.batch_max;
         std::thread::Builder::new()
             .name("hf-net-batcher".into())
-            .spawn(move || batcher_loop(shared, max, window))
+            .spawn(move || batcher_loop(shared, max))
             .map_err(NetError::Io)?
     };
 
@@ -295,11 +293,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 })
         };
         if let Ok(handle) = reader {
-            shared
-                .readers
-                .lock()
-                .expect("reader table poisoned")
-                .push(handle);
+            let mut readers = shared.readers.lock().expect("reader table poisoned");
+            let mut i = 0;
+            while i < readers.len() {
+                if readers[i].is_finished() {
+                    let _ = readers.swap_remove(i).join();
+                } else {
+                    i += 1;
+                }
+            }
+            readers.push(handle);
         }
     }
     // No more readers will be created; once existing readers exit, the
@@ -404,8 +407,8 @@ fn reader_loop(conn_id: u64, conn: Arc<Conn>, shared: &Shared) {
         .remove(&conn_id);
 }
 
-fn batcher_loop(shared: Arc<Shared>, max: usize, window: Duration) {
-    while let Some(batch) = shared.queue.pop_batch(max, window) {
+fn batcher_loop(shared: Arc<Shared>, max: usize) {
+    while let Some(batch) = shared.queue.pop_batch(max) {
         // One slot load per batch: the whole batch is served — and
         // stamped — by a single artifact generation, and a swap landing
         // mid-batch takes effect at the next pop.
@@ -430,5 +433,55 @@ fn batcher_loop(shared: Arc<Shared>, max: usize, window: Duration) {
     let conns = shared.conns.lock().expect("connection table poisoned");
     for conn in conns.values() {
         let _ = conn.raw.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use hetefedrec_core::config::TierDims;
+    use hf_dataset::SyntheticProfile;
+    use hf_serve::{ModelArtifact, RecommenderBuilder};
+
+    #[test]
+    fn reader_handles_are_reaped_as_connections_close() {
+        let artifact =
+            ModelArtifact::synthesize(&SyntheticProfile::new(8, 16), TierDims::new(4, 8, 16), 3)
+                .expect("profile is valid");
+        let recommender = RecommenderBuilder::new(artifact).build().expect("builds");
+        let handle = serve(recommender, "127.0.0.1:0", ServerConfig::default()).expect("server up");
+        let addr = handle.local_addr();
+
+        // Connections that stay open must keep their readers.
+        let mut held: Vec<Client> = (0..3)
+            .map(|_| {
+                let mut client = Client::connect(addr).expect("connects");
+                client.ping().expect("pong");
+                client
+            })
+            .collect();
+        let mut peak = 0;
+        for _ in 0..300 {
+            let mut client = Client::connect(addr).expect("connects");
+            // The pong proves this connection's reader is registered.
+            client.ping().expect("pong");
+            drop(client);
+            // Its reader deregisters as its last act; the next accept
+            // then finds the handle finished.
+            while handle.shared.conns.lock().unwrap().len() > held.len() {
+                std::thread::yield_now();
+            }
+            peak = peak.max(handle.shared.readers.lock().unwrap().len());
+        }
+        assert!(
+            peak <= held.len() + 16,
+            "{peak} reader handles held for {} open connections",
+            held.len()
+        );
+        for client in &mut held {
+            client.ping().expect("a held connection still answers");
+        }
+        handle.shutdown();
     }
 }

@@ -59,7 +59,6 @@ fn reload_under_concurrent_load_drops_nothing_and_stamps_every_ranking() {
 
     let reload: ReloadFn = Box::new(move || Ok(recommender(fresh.clone())));
     let config = ServerConfig {
-        batch_window: Duration::from_micros(500),
         batch_max: 16,
         queue_capacity: 64,
     };

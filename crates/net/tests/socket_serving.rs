@@ -1,9 +1,10 @@
 //! End-to-end socket serving: the wire answers must be **bit-identical**
 //! to in-process `Recommender::recommend_batch` for the same requests,
 //! under every transport shape — sequential client round trips,
-//! concurrent connections, micro-batch coalescing, tiny queues forcing
-//! backpressure — and the server must survive malformed frames and shut
-//! down gracefully on the wire-level control signal.
+//! concurrent connections, pipelined backlogs coalescing into
+//! micro-batches, tiny queues forcing backpressure — and the server must
+//! survive malformed frames and shut down gracefully on the wire-level
+//! control signal.
 
 use hetefedrec_core::{Ablation, SessionBuilder, Strategy, TrainConfig};
 use hf_dataset::{SplitDataset, SyntheticConfig};
@@ -78,40 +79,66 @@ fn served_rankings_are_bit_identical_to_in_process() {
 }
 
 #[test]
-fn concurrent_connections_coalesce_and_stay_bit_identical() {
-    let recommender = trained_recommender();
-    let num_users = recommender.artifact().num_users();
-    let requests = varied_requests(num_users);
-    let expected = recommender.recommend_batch(&requests);
+fn every_batch_composition_stays_bit_identical() {
+    // Hostile queue shapes: batches of one behind a queue of two, wide
+    // batches behind the same tiny queue, wide batches behind a roomy one.
+    for (batch_max, queue_capacity) in [(1, 2), (32, 2), (32, 64)] {
+        let recommender = trained_recommender();
+        let requests = varied_requests(recommender.artifact().num_users());
+        let expected = recommender.recommend_batch(&requests);
+        let config = ServerConfig {
+            batch_max,
+            queue_capacity,
+        };
+        let handle = serve(recommender, "127.0.0.1:0", config).expect("server up");
+        let addr = handle.local_addr();
 
-    // A wide window so concurrent requests really do share batches.
-    let config = ServerConfig {
-        batch_window: Duration::from_millis(2),
-        batch_max: 32,
-        queue_capacity: 64,
-    };
-    let handle = serve(recommender, "127.0.0.1:0", config).expect("server up");
-    let addr = handle.local_addr();
-
-    let workers: Vec<_> = (0..4)
-        .map(|w| {
-            let requests = requests.clone();
-            let expected = expected.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("client connects");
-                // Interleave differently per worker so batches mix users.
-                for i in 0..requests.len() {
-                    let idx = (i * (w + 1)) % requests.len();
-                    let served = client.recommend(&requests[idx]).expect("served");
-                    assert_eq!(served, expected[idx], "worker {w} request {idx}");
-                }
+        let workers: Vec<_> = (0..4)
+            .map(|w| {
+                let requests = requests.clone();
+                let expected = expected.clone();
+                std::thread::spawn(move || {
+                    // Interleave differently per worker so batches mix users.
+                    let order: Vec<usize> = (0..requests.len())
+                        .map(|i| (i * (w + 1)) % requests.len())
+                        .collect();
+                    // One request in flight per connection: batches are
+                    // whatever the four connections happen to overlap.
+                    let mut client = Client::connect(addr).expect("client connects");
+                    for &idx in &order {
+                        let served = client.recommend(&requests[idx]).expect("served");
+                        assert_eq!(served, expected[idx], "worker {w} request {idx}");
+                    }
+                    // Everything in flight at once: the backlog that
+                    // builds behind the batcher is what fills a batch
+                    // (or, with a queue of two, what blocks the reader).
+                    let mut stream = std::net::TcpStream::connect(addr).expect("connects");
+                    for (id, &idx) in order.iter().enumerate() {
+                        let wire = WireRequest::try_from_request(id as u64, &requests[idx])
+                            .expect("wire-expressible");
+                        Frame::Request(wire).write_to(&mut stream).expect("sent");
+                    }
+                    for (id, &idx) in order.iter().enumerate() {
+                        match Frame::read_from(&mut stream).expect("answer arrives") {
+                            Some(Frame::Response(response)) => {
+                                assert_eq!(response.id, id as u64, "answers keep request order");
+                                assert_eq!(
+                                    response.into_response(),
+                                    expected[idx],
+                                    "worker {w} pipelined request {idx}"
+                                );
+                            }
+                            other => panic!("expected a response, got {other:?}"),
+                        }
+                    }
+                })
             })
-        })
-        .collect();
-    for worker in workers {
-        worker.join().expect("worker panicked");
+            .collect();
+        for worker in workers {
+            worker.join().expect("worker panicked");
+        }
+        handle.shutdown();
     }
-    handle.shutdown();
 }
 
 #[test]
@@ -120,7 +147,6 @@ fn tiny_queue_backpressure_loses_nothing() {
     let num_users = recommender.artifact().num_users() as u64;
     // Deliberately hostile: queue of 2, batches of 1.
     let config = ServerConfig {
-        batch_window: Duration::ZERO,
         batch_max: 1,
         queue_capacity: 2,
     };

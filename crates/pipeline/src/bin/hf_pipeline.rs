@@ -206,7 +206,6 @@ fn main() {
         build_recommender(artifact, reload_k)
     });
     let server_cfg = ServerConfig {
-        batch_window: Duration::from_micros(200),
         batch_max: 16,
         queue_capacity: 64,
     };
