@@ -115,12 +115,15 @@ grep -q "drained and stopped" target/ci-artifacts/hf_serve_smoke.log
 echo "==> capacity smoke (synthetic profile + lazy serving)"
 # The example synthesizes a 100k x 100k artifact straight to disk, boots
 # it lazily, and proves lazy/tiled/sharded rankings bit-identical to the
-# eager load (it exits non-zero on any mismatch).
+# eager load, and that load's resident growth — afterwards and at its
+# peak — within 1.25x of the payload it decodes (it exits non-zero on any
+# mismatch or overshoot).
 HF_CAPACITY_USERS=100000 HF_CAPACITY_ITEMS=100000 \
     HF_CAPACITY_ARTIFACT=target/ci-artifacts/capacity_model.hfa \
     cargo run -q --offline --release --example capacity \
     > target/ci-artifacts/capacity_smoke.log
 grep -q "lazy == eager rankings verified" target/ci-artifacts/capacity_smoke.log
+grep -q "eager load within 1.25x of payload" target/ci-artifacts/capacity_smoke.log
 test -s target/ci-artifacts/capacity_model.hfa
 # Boot the real hf-serve binary lazily on that artifact and verify every
 # served exchange against an in-process replay of the same file.

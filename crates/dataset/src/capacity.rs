@@ -85,13 +85,25 @@ impl SyntheticProfile {
     /// interaction list. Pure in `(self, seed, user)` — `O(interactions)`
     /// work, independent of every other user.
     pub fn user(&self, seed: u64, user: usize) -> (Tier, Vec<ItemId>) {
+        let (tier, n, mut rng) = self.draw_shape(seed, user);
+        (tier, self.draw_items(n, &mut rng))
+    }
+
+    /// One user's tier and interaction count — the first two draws of
+    /// [`SyntheticProfile::user`] without the item draws, so a builder
+    /// can size its buffers exactly before it generates anything.
+    pub fn user_shape(&self, seed: u64, user: usize) -> (Tier, usize) {
+        let (tier, n, _) = self.draw_shape(seed, user);
+        (tier, n)
+    }
+
+    fn draw_shape(&self, seed: u64, user: usize) -> (Tier, usize, impl Rng) {
         let mut rng = substream(seed, SeedStream::Custom(PROFILE_STREAM), user as u64 + 1);
         // Fixed draw order: tier, count, then items — so adding draws
         // later stays an explicit format change, not a silent one.
         let tier = self.draw_tier(&mut rng);
         let n = self.draw_count(&mut rng);
-        let items = self.draw_items(n, &mut rng);
-        (tier, items)
+        (tier, n, rng)
     }
 
     fn draw_tier(&self, rng: &mut impl Rng) -> Tier {
@@ -152,6 +164,8 @@ mod tests {
         let sweep: Vec<_> = (0..500).map(|u| p.user(99, u)).collect();
         for u in [0, 1, 321, 499] {
             assert_eq!(p.user(99, u), sweep[u], "user {u}");
+            let (tier, items) = &sweep[u];
+            assert_eq!(p.user_shape(99, u), (*tier, items.len()), "user {u}");
         }
         assert_ne!(p.user(99, 3), p.user(100, 3), "seed must matter");
     }

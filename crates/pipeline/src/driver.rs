@@ -5,8 +5,11 @@
 //! polls the stream against the session's simulated clock, hands the
 //! due events to [`Session::ingest`], steps the session through a fixed
 //! number of federation rounds, and every `export_every` cycles
-//! snapshots the model into a *versioned* artifact file
-//! (`artifact-v{N}.hfab`) under the configured directory. Version 1 is
+//! streams the model into a *versioned* artifact file
+//! (`artifact-v{N}.hfab`) under the configured directory — straight from
+//! the session's own state through the artifact writer
+//! ([`ExportArtifact::export_artifact_to`]): no artifact object is built
+//! only to be written out and dropped. Version 1 is
 //! written at construction — the serving side never waits for the
 //! first cycle — and the final state is always exported when the
 //! session finishes, whatever the cadence.
@@ -186,7 +189,7 @@ impl<S: InteractionStream> PipelineDriver<S> {
     fn export(&mut self) -> Result<(u64, PathBuf), ServeError> {
         self.version += 1;
         let path = artifact_path(&self.cfg.artifact_dir, self.version);
-        self.session.export_artifact().save_file(&path)?;
+        self.session.export_artifact_to(&path)?;
         Ok((self.version, path))
     }
 

@@ -16,6 +16,9 @@ use std::path::{Path, PathBuf};
 
 const SEED: u64 = 2024;
 
+/// `(generations, sequence_digest)` of the sync pipeline below.
+const PINNED_SEQUENCE: (usize, u64) = (4, 0x65aa_275c_aa0a_c12c);
+
 fn replay_cfg() -> ReplayConfig {
     ReplayConfig {
         item_frac: 0.2,
@@ -81,6 +84,21 @@ fn assert_sequences_match(a: &[Vec<u8>], b: &[Vec<u8>], what: &str) {
     }
 }
 
+/// FNV-1a over every generation's length and bytes, in version order.
+fn sequence_digest(sequence: &[Vec<u8>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for generation in sequence {
+        eat(&(generation.len() as u64).to_le_bytes());
+        eat(generation);
+    }
+    h
+}
+
 #[test]
 fn sync_pipeline_is_bit_identical_across_thread_counts() {
     let one = artifact_sequence(Mode::Sync, 1, "sync-t1");
@@ -88,6 +106,14 @@ fn sync_pipeline_is_bit_identical_across_thread_counts() {
         one.len() >= 3,
         "expected several generations, got {}",
         one.len()
+    );
+    // The sequence at commit 8f9f1da, where every export built a
+    // `ModelArtifact` and saved it: streaming the session straight
+    // through the writer must not move a byte of any generation.
+    assert_eq!(
+        (one.len(), sequence_digest(&one)),
+        PINNED_SEQUENCE,
+        "the exported generations drifted from the materialised export's"
     );
     let two = artifact_sequence(Mode::Sync, 2, "sync-t2");
     let eight = artifact_sequence(Mode::Sync, 8, "sync-t8");

@@ -18,9 +18,19 @@
 //! user records stay on disk until first touch. Both backends sit behind
 //! the same accessors and produce **bit-identical** rankings; the lazy
 //! one bounds resident memory by what requests actually touch. Going
-//! out, [`ModelArtifact::to_bytes`] and [`ModelArtifact::save_file`]
-//! drive the one streaming writer in [`crate::binfmt`]; `save_file`
-//! never materialises the file and replaces its target atomically.
+//! out, [`ModelArtifact::to_bytes`], [`ModelArtifact::save_file`] and
+//! [`ModelArtifact::session_to_file`] drive the one streaming writer in
+//! [`crate::binfmt`]; the file writers never materialise the file and
+//! replace their target atomically, and `session_to_file` never
+//! materialises the artifact either.
+//!
+//! **An eager artifact costs what it holds.** Eager user state is one
+//! `UserArena`: two flat buffers (every embedding, every history id)
+//! plus a tier byte and two end offsets per user, and a sparse map for
+//! the standalone baseline's private models — `4·(Σd + ΣI) + 17·U`
+//! bytes, whichever constructor filled it, with no per-user allocation.
+//! [`ModelArtifact::user`] lends a [`UserView`] into it; the lazy backend
+//! lends the same view out of its cached [`UserRecord`]s.
 //!
 //! The artifact schema itself is versioned ([`ARTIFACT_VERSION`]); it
 //! tracks the checkpoint schema it can ingest, so a reader upgrade is an
@@ -34,7 +44,6 @@ use hetefedrec_core::Strategy;
 use hf_dataset::{SplitDataset, Tier};
 use hf_models::{Ffn, ModelKind};
 use hf_tensor::Matrix;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::Cursor;
 use std::sync::Arc;
@@ -45,65 +54,176 @@ use hetefedrec_core::config::TierDims;
 /// `hetefedrec.checkpoint` v1 documents.
 pub const ARTIFACT_VERSION: u64 = 1;
 
-/// One user's frozen serving state.
+/// A standalone client's private parameters (overlay over the frozen
+/// initial table, plus its own predictor): `rows` keyed by item id, and
+/// `theta`. The serving side reads the training side's type as is, so an
+/// export borrows it instead of copying it.
+pub use hetefedrec_core::client::StandaloneState as SoloModel;
+
+/// One user's frozen serving state, borrowed — what every reader of an
+/// artifact sees, whichever backend holds the user.
+#[derive(Clone, Copy, Debug)]
+pub struct UserView<'a> {
+    /// The model tier this user is served with.
+    pub tier: Tier,
+    /// Private user embedding (width = tier dimension).
+    pub emb: &'a [f32],
+    /// Training positives, in split order — drives LightGCN propagation,
+    /// default exclusion, and popularity counts.
+    pub history: &'a [u32],
+    /// Standalone-baseline private model, when the artifact came from a
+    /// [`Strategy::Standalone`] run.
+    pub solo: Option<&'a SoloModel>,
+}
+
+/// One user's frozen serving state, owned: the unit the lazy backend
+/// decodes on first touch and caches (fields as in [`UserView`]).
 #[derive(Clone, Debug)]
 pub struct UserRecord {
     /// The model tier this user is served with.
     pub tier: Tier,
-    /// Private user embedding (width = tier dimension).
+    /// Private user embedding.
     pub emb: Vec<f32>,
-    /// Training positives, in split order — drives LightGCN propagation,
-    /// default exclusion, and popularity counts.
+    /// Training positives, in split order.
     pub history: Vec<u32>,
-    /// Standalone-baseline private model, when the artifact came from a
-    /// [`Strategy::Standalone`] run.
+    /// Standalone-baseline private model.
     pub solo: Option<SoloModel>,
 }
 
-/// A standalone client's private parameters (overlay over the frozen
-/// initial table, plus its own predictor).
-#[derive(Clone, Debug)]
-pub struct SoloModel {
-    /// Item rows the client trained privately, keyed by item id.
-    pub rows: HashMap<u32, Vec<f32>>,
-    /// The client's private predictor.
-    pub theta: Ffn,
-}
-
-/// A fetched user record: either borrowed straight out of the eager
-/// in-memory store, or a shared handle into the lazy store's shard cache
-/// (the record may be evicted and re-decoded later; the handle keeps
-/// this copy alive). Dereferences to [`UserRecord`], so call sites read
-/// the same either way.
-#[derive(Clone, Debug)]
-pub enum UserRef<'a> {
-    /// Borrowed from the eager `Vec<UserRecord>` backend.
-    Borrowed(&'a UserRecord),
-    /// A cache handle from the lazy sharded backend.
-    Cached(Arc<UserRecord>),
-}
-
-impl std::ops::Deref for UserRef<'_> {
-    type Target = UserRecord;
-    fn deref(&self) -> &UserRecord {
-        match self {
-            UserRef::Borrowed(r) => r,
-            UserRef::Cached(r) => r,
+impl UserRecord {
+    /// This record, borrowed.
+    pub fn view(&self) -> UserView<'_> {
+        UserView {
+            tier: self.tier,
+            emb: &self.emb,
+            history: &self.history,
+            solo: self.solo.as_ref(),
         }
     }
 }
 
-impl Borrow<UserRecord> for UserRef<'_> {
-    fn borrow(&self) -> &UserRecord {
-        self
+/// A fetched user: either a view straight into the eager arena, or a
+/// shared handle into the lazy store's shard cache (the record may be
+/// evicted and re-decoded later; the handle keeps this copy alive).
+/// [`UserRef::view`] reads the same either way.
+#[derive(Clone, Debug)]
+pub enum UserRef<'a> {
+    /// Borrowed from the eager arena.
+    Borrowed(UserView<'a>),
+    /// A cache handle from the lazy sharded backend.
+    Cached(Arc<UserRecord>),
+}
+
+impl UserRef<'_> {
+    /// The user's state, borrowed for as long as this handle lives.
+    pub fn view(&self) -> UserView<'_> {
+        match self {
+            UserRef::Borrowed(view) => *view,
+            UserRef::Cached(record) => record.view(),
+        }
+    }
+}
+
+/// Every eager user in two flat buffers: embeddings back to back, history
+/// ids back to back, and per user a tier byte and the two offsets its
+/// slices end at (they start where the previous user's end). Private
+/// standalone models are rare and large, so they sit in a sparse map.
+/// Filled in user order through [`UserArena::push_with`] alone.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct UserArena {
+    tiers: Vec<u8>,
+    /// `(embs, histories)` lengths once this user is in.
+    ends: Vec<(usize, usize)>,
+    embs: Vec<f32>,
+    histories: Vec<u32>,
+    solos: HashMap<usize, SoloModel>,
+}
+
+impl UserArena {
+    /// An arena with room for exactly `users` users holding `embs`
+    /// embedding floats and `ids` history ids between them. A caller
+    /// that only has upper bounds follows up with
+    /// [`UserArena::shrink_to_fit`]; capacity never written to is never
+    /// resident.
+    pub(crate) fn with_capacity(users: usize, embs: usize, ids: usize) -> Self {
+        Self {
+            tiers: Vec::with_capacity(users),
+            ends: Vec::with_capacity(users),
+            embs: Vec::with_capacity(embs),
+            histories: Vec::with_capacity(ids),
+            solos: HashMap::new(),
+        }
+    }
+
+    /// Appends one user: `fill` extends the two flat buffers with the
+    /// user's embedding and history and returns its tier and private
+    /// model. `None` (a decoder's malformed record) passes through and
+    /// leaves the arena unusable.
+    pub(crate) fn push_with(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<f32>, &mut Vec<u32>) -> Option<(Tier, Option<SoloModel>)>,
+    ) -> Option<()> {
+        let (tier, solo) = fill(&mut self.embs, &mut self.histories)?;
+        if let Some(solo) = solo {
+            self.solos.insert(self.tiers.len(), solo);
+        }
+        self.tiers.push(tier.index() as u8);
+        self.ends.push((self.embs.len(), self.histories.len()));
+        Some(())
+    }
+
+    /// Appends a copy of `user`.
+    pub(crate) fn push(&mut self, user: UserView<'_>) {
+        self.push_with(|embs, histories| {
+            embs.extend_from_slice(user.emb);
+            histories.extend_from_slice(user.history);
+            Some((user.tier, user.solo.cloned()))
+        })
+        .expect("a copy is never malformed");
+    }
+
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.embs.shrink_to_fit();
+        self.histories.shrink_to_fit();
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.tiers.len()
+    }
+
+    pub(crate) fn get(&self, user: usize) -> Option<UserView<'_>> {
+        let &(emb_end, history_end) = self.ends.get(user)?;
+        let (emb_start, history_start) = match user {
+            0 => (0, 0),
+            _ => self.ends[user - 1],
+        };
+        Some(UserView {
+            tier: Tier::ALL[self.tiers[user] as usize],
+            emb: &self.embs[emb_start..emb_end],
+            history: &self.histories[history_start..history_end],
+            solo: self.solos.get(&user),
+        })
+    }
+
+    /// Embedding floats plus history ids held.
+    pub(crate) fn scalars(&self) -> usize {
+        self.embs.len() + self.histories.len()
+    }
+
+    /// Heap bytes held (by capacity), private models aside.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.tiers.capacity()
+            + std::mem::size_of::<(usize, usize)>() * self.ends.capacity()
+            + 4 * (self.embs.capacity() + self.histories.capacity())
     }
 }
 
 /// Where user records live.
 #[derive(Clone, Debug)]
 pub(crate) enum UserStore {
-    /// All records decoded up front (training export, eager file load).
-    Eager(Vec<UserRecord>),
+    /// All users decoded up front (training export, eager file load).
+    Eager(UserArena),
     /// Records decoded on first touch from a v2 file, held in a sharded
     /// bounded LRU (see [`crate::lazy`]).
     Lazy(LazyUsers),
@@ -143,50 +263,59 @@ impl ModelArtifact {
     /// Snapshots a session's current model state into an artifact.
     ///
     /// The session keeps training afterwards if it likes; the artifact is
-    /// a deep copy and never changes.
+    /// a deep copy (into an exact-size arena) and never changes.
     pub fn from_session(session: &Session) -> Self {
-        let cfg = session.cfg();
-        let split = session.split();
         let server = session.server();
-        let standalone = matches!(session.strategy(), Strategy::Standalone);
-        let num_items = split.num_items();
-
-        let mut popularity = vec![0u32; num_items];
-        let mut fallback = TierMeans::new(&cfg.dims);
-        let users: Vec<UserRecord> = (0..split.num_users())
-            .map(|u| {
-                let tier = session.model_groups().tier(u);
-                let state = session.user_state(u);
-                let history = split.user(u).train.clone();
-                for &item in &history {
-                    popularity[item as usize] += 1;
-                }
-                fallback.add(tier, &state.emb);
-                UserRecord {
-                    tier,
-                    emb: state.emb.clone(),
-                    history,
-                    solo: state.standalone.as_ref().map(|s| SoloModel {
-                        rows: s.rows.clone(),
-                        theta: s.theta.clone(),
-                    }),
-                }
-            })
-            .collect();
-
-        Self {
-            model: cfg.model,
-            dims: cfg.dims,
-            standalone,
-            num_items,
-            params: TierParams::Eager {
+        let meta = session_meta(session);
+        let sizes = (0..meta.num_users).map(|u| session_user(session, u));
+        let (embs, ids) = sizes.fold((0, 0), |(embs, ids), user| {
+            (embs + user.emb.len(), ids + user.history.len())
+        });
+        let mut users = UserArena::with_capacity(meta.num_users, embs, ids);
+        let mut tally = Tally::new(meta.num_items, &meta.dims);
+        for u in 0..meta.num_users {
+            let user = session_user(session, u);
+            tally.add(user);
+            users.push(user);
+        }
+        let (popularity, fallback) = tally.finish();
+        Self::assemble(
+            meta,
+            TierParams::Eager {
                 tables: Box::new(std::array::from_fn(|t| server.table(Tier::ALL[t]).clone())),
                 thetas: Box::new(std::array::from_fn(|t| server.theta(Tier::ALL[t]).clone())),
             },
-            users: UserStore::Eager(users),
+            UserStore::Eager(users),
             popularity,
-            fallback: fallback.finish(),
-        }
+            fallback,
+        )
+    }
+
+    /// Streams a session's current model state to `path` without
+    /// building the artifact: tables, predictors, embeddings and
+    /// histories go from the session's own memory through the one writer,
+    /// popularity and the fallback means accumulate as the users pass.
+    /// Byte-identical to `from_session(session).save_file(path)` (pinned
+    /// by test) and atomic like it.
+    pub fn session_to_file(
+        session: &Session,
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<(), ServeError> {
+        let server = session.server();
+        let meta = session_meta(session);
+        binfmt::write_file(path.as_ref(), |out| {
+            let mut w = binfmt::ArtifactWriter::begin(out, meta)?;
+            w.tables(|tier| [server.table(tier).as_slice()])?;
+            w.thetas(Tier::ALL.map(|tier| server.theta(tier)))?;
+            let mut tally = Tally::new(meta.num_items, &meta.dims);
+            w.users(|u, out| {
+                let user = session_user(session, u);
+                tally.add(user);
+                binfmt::put_user(out, user);
+            })?;
+            let (popularity, fallback) = tally.finish();
+            w.finish(&popularity, &fallback).map(drop)
+        })
     }
 
     /// Assembles an artifact from decoded parts (the binary readers'
@@ -248,8 +377,7 @@ impl ModelArtifact {
     /// record streams through, but at most one at a time beyond the
     /// caches).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let widths: usize = Tier::ALL.iter().map(|&t| self.dims.dim(t)).sum();
-        let out = Cursor::new(Vec::with_capacity(64 + 4 * self.num_items * widths));
+        let out = Cursor::new(Vec::with_capacity(binfmt::encoded_len(self)));
         binfmt::write_artifact(self, out)
             .expect("writing to memory cannot fail")
             .into_inner()
@@ -259,7 +387,12 @@ impl ModelArtifact {
     /// Truncated, malformed, or version-mismatched buffers are rejected
     /// with [`ServeError::Artifact`], never a panic.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, ServeError> {
-        binfmt::decode(buf)
+        binfmt::decode(buf.len() as u64, |off, len| {
+            let (off, len) = (usize::try_from(off).ok(), usize::try_from(len).ok());
+            (off.zip(len))
+                .and_then(|(off, len)| buf.get(off..off.checked_add(len)?))
+                .ok_or_else(|| binfmt::err("read past the end of the buffer"))
+        })
     }
 
     /// Streams the binary format to `path` — the same writer as
@@ -279,12 +412,12 @@ impl ModelArtifact {
     }
 
     /// Reads an artifact from the binary file format written by
-    /// [`ModelArtifact::save_file`], decoding everything up front.
+    /// [`ModelArtifact::save_file`], decoding everything up front — the
+    /// decoder of [`ModelArtifact::from_bytes`] over a bounded read
+    /// window instead of a buffer, so the file is never resident beside
+    /// what is decoded from it.
     pub fn load_file(path: impl AsRef<std::path::Path>) -> Result<Self, ServeError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)
-            .map_err(|e| ServeError::Artifact(format!("cannot read {}: {e}", path.display())))?;
-        Self::from_bytes(&bytes)
+        crate::lazy::open_eager(path.as_ref())
     }
 
     /// Opens a v2 artifact file **lazily**: the header, directories,
@@ -407,34 +540,63 @@ impl ModelArtifact {
     }
 }
 
-/// Running per-tier mean user embedding, fed in ascending user order —
-/// the deterministic cold-start fallback shared by session export and
-/// both synthesis paths (zeros for a tier with no users).
-pub(crate) struct TierMeans {
+/// The `meta` section of a session's export.
+fn session_meta(session: &Session) -> Meta {
+    Meta {
+        model: session.cfg().model,
+        standalone: matches!(session.strategy(), Strategy::Standalone),
+        dims: session.cfg().dims,
+        num_items: session.split().num_items(),
+        num_users: session.split().num_users(),
+    }
+}
+
+/// One session user's serving state, borrowed from the session.
+fn session_user(session: &Session, user: usize) -> UserView<'_> {
+    let state = session.user_state(user);
+    UserView {
+        tier: session.model_groups().tier(user),
+        emb: &state.emb,
+        history: &session.split().user(user).train,
+        solo: state.standalone.as_ref(),
+    }
+}
+
+/// What an export accumulates as users pass in ascending order: per-item
+/// interaction counts, and the per-tier mean user embedding that is the
+/// deterministic cold-start fallback (zeros for a tier with no users).
+/// Shared by session export and both synthesis paths.
+pub(crate) struct Tally {
+    popularity: Vec<u32>,
     sums: [Vec<f32>; 3],
     counts: [usize; 3],
 }
 
-impl TierMeans {
-    pub(crate) fn new(dims: &TierDims) -> Self {
+impl Tally {
+    pub(crate) fn new(num_items: usize, dims: &TierDims) -> Self {
         Self {
+            popularity: vec![0; num_items],
             sums: std::array::from_fn(|t| vec![0.0f32; dims.dim(Tier::ALL[t])]),
             counts: [0; 3],
         }
     }
 
-    pub(crate) fn add(&mut self, tier: Tier, emb: &[f32]) {
-        hf_tensor::ops::axpy_slice(&mut self.sums[tier.index()], 1.0, emb);
-        self.counts[tier.index()] += 1;
+    pub(crate) fn add(&mut self, user: UserView<'_>) {
+        for &item in user.history {
+            self.popularity[item as usize] += 1;
+        }
+        hf_tensor::ops::axpy_slice(&mut self.sums[user.tier.index()], 1.0, user.emb);
+        self.counts[user.tier.index()] += 1;
     }
 
-    pub(crate) fn finish(mut self) -> [Vec<f32>; 3] {
+    /// `(popularity, fallback)`.
+    pub(crate) fn finish(mut self) -> (Vec<u32>, [Vec<f32>; 3]) {
         for (f, &n) in self.sums.iter_mut().zip(&self.counts) {
             if n > 0 {
                 let inv = 1.0 / n as f32;
                 f.iter_mut().for_each(|x| *x *= inv);
             }
         }
-        self.sums
+        (self.popularity, self.sums)
     }
 }

@@ -32,16 +32,23 @@
 //! payloads without directories) is read-only.
 //!
 //! There is **one writer** — [`ArtifactWriter`], streaming over any
-//! `Write + Seek` sink and driven by `to_bytes`, `save_file` and
-//! `synthesize_to_file` — and **one layout scan** — [`scan`], over any
-//! random-access byte source, the front half of both the eager decoder
-//! and the lazy open. The scan validates every declared length against
-//! the bytes remaining *before* a payload is touched, so hostile inputs
-//! fail with [`ServeError::Artifact`] instead of panicking or
-//! over-allocating.
+//! `Write + Seek` sink and driven by `to_bytes`, `save_file`,
+//! `session_to_file` and `synthesize_to_file` — **one layout scan** —
+//! [`scan`], over any random-access byte source, the front half of both
+//! the eager decoder and the lazy open — and **one eager decoder** —
+//! `decode`, over the same kind of source: a slice for `from_bytes`, a
+//! bounded read window over the file for `load_file`
+//! (`crate::lazy::open_eager`). The scan validates every declared length
+//! against the bytes remaining *before* a payload is touched, and the
+//! decoder sizes its one user arena from those validated lengths, so
+//! hostile inputs fail with [`ServeError::Artifact`] instead of panicking
+//! or over-allocating, and a valid file costs its payload to load: every
+//! user record is parsed where the source lends it, straight into the
+//! arena's flat buffers.
 
 use crate::artifact::{
-    ModelArtifact, SoloModel, TierParams, UserRecord, UserStore, ARTIFACT_VERSION,
+    ModelArtifact, SoloModel, TierParams, UserArena, UserRecord, UserStore, UserView,
+    ARTIFACT_VERSION,
 };
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
@@ -49,7 +56,6 @@ use hf_dataset::Tier;
 use hf_models::{Ffn, ModelKind};
 use hf_tensor::wire::{Reader, Writer};
 use hf_tensor::Matrix;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Read as _, Seek, SeekFrom, Write};
@@ -85,6 +91,8 @@ const SECTION_NAMES: [&str; 7] = [
 
 /// Bytes before the first section: magic + container + schema.
 const HEADER_LEN: u64 = 4 + 2 + 4;
+/// Bytes of the `meta` payload: model, standalone, three dims, two counts.
+const META_LEN: u64 = 1 + 1 + 3 * 4 + 8 + 8;
 /// Bytes of one section header: tag + length.
 const SECTION_HEADER_LEN: u64 = 1 + 8;
 /// Bytes of one `users` directory entry: `off: u64, len: u32`.
@@ -93,6 +101,16 @@ const USER_DIR_ENTRY: u64 = 8 + 4;
 const TABLE_DIR_ENTRY: u64 = 8 + 8 + 8 + 4;
 /// Bytes of one `thetas` directory entry: `off: u64, len: u64`.
 const THETA_DIR_ENTRY: u64 = 8 + 8;
+
+/// Bytes of a user record that holds nothing: tier byte, two `u32`
+/// counts, solo flag.
+const USER_RECORD_MIN: u64 = 1 + 4 + 4 + 1;
+
+/// The most the eager decoder asks its source for at once while it walks
+/// a table or the `users` directory — what lets a file-backed source keep
+/// a bounded window. Whole floats, so a table splits on scalar boundaries.
+pub(crate) const READ_CHUNK: u64 = 96 << 10;
+const _: () = assert!(READ_CHUNK.is_multiple_of(4));
 
 /// Scalars framed per `write_all` when a table or popularity vector
 /// streams out — bounds the writer's scratch buffer at 256 KiB.
@@ -242,29 +260,26 @@ impl<W: Write + Seek> ArtifactWriter<W> {
         self.small_section(SEC_THETAS, &[&dir, &block])
     }
 
-    /// Writes the `users` section from `meta.num_users` records in user
-    /// order. Record lengths are only known once encoded, so the section
-    /// length and the directory are written as placeholders and
-    /// back-patched after the last record. Returns the payload length.
-    pub(crate) fn users<U: Borrow<UserRecord>>(
-        &mut self,
-        records: impl Iterator<Item = U>,
-    ) -> io::Result<u64> {
+    /// Writes the `users` section: `put(u, out)` encodes user `u`'s
+    /// record ([`put_user`]) for each of `meta.num_users` users in order.
+    /// Record lengths are only known once encoded, so the section length
+    /// and the directory are written as placeholders and back-patched
+    /// after the last record. Returns the payload length.
+    pub(crate) fn users(&mut self, mut put: impl FnMut(usize, &mut Writer)) -> io::Result<u64> {
         let at = self.out.stream_position()?;
         let dir_len = self.meta.num_users as u64 * USER_DIR_ENTRY;
         self.section_header(SEC_USERS, 0)?;
         io::copy(&mut io::repeat(0).take(dir_len), &mut self.out)?;
         let mut dir: Vec<(u64, u32)> = Vec::with_capacity(self.meta.num_users);
         let mut off = 0u64;
-        for record in records {
+        for user in 0..self.meta.num_users {
             self.scratch.clear();
-            put_user(&mut self.scratch, record.borrow());
+            put(user, &mut self.scratch);
             self.out.write_all(self.scratch.as_slice())?;
             let len = u32::try_from(self.scratch.len()).expect("user record over 4 GiB");
             dir.push((off, len));
             off += len as u64;
         }
-        assert_eq!(dir.len(), self.meta.num_users, "records disagree with meta");
         self.out.seek(SeekFrom::Start(at))?;
         self.section_header(SEC_USERS, dir_len + off)?;
         self.put_scalars(&dir, |w, (off, len)| {
@@ -297,13 +312,44 @@ impl<W: Write + Seek> ArtifactWriter<W> {
     }
 }
 
-/// Streams an artifact (eager or lazy) through the writer.
+/// Streams an artifact (eager or lazy) through the writer. A lazy
+/// artifact's records are read past its user cache, so re-encoding a
+/// serving artifact leaves its hot set alone.
 pub(crate) fn write_artifact<W: Write + Seek>(a: &ModelArtifact, out: W) -> io::Result<W> {
     let mut w = ArtifactWriter::begin(out, a.meta())?;
     w.tables(|tier| [a.table(tier).as_slice()])?;
     w.thetas(Tier::ALL.map(|tier| a.theta(tier)))?;
-    w.users((0..a.num_users()).map(|u| a.user(u).expect("user in range")))?;
+    match &a.users {
+        UserStore::Eager(users) => {
+            w.users(|u, out| put_user(out, users.get(u).expect("user in range")))?
+        }
+        UserStore::Lazy(lazy) => w.users(|u, out| put_user(out, lazy.fetch(u).view()))?,
+    };
     Ok(w.finish(&a.popularity, &a.fallback)?.0)
+}
+
+/// The bytes `a` encodes to, exact when no user carries a private model
+/// (each of those adds its own) — what `to_bytes` reserves, so the
+/// buffer is allocated once.
+pub(crate) fn encoded_len(a: &ModelArtifact) -> usize {
+    let meta = a.meta();
+    let widths: usize = Tier::ALL.iter().map(|&t| meta.dims.dim(t)).sum();
+    let thetas: usize = (Tier::ALL.iter())
+        .map(|&t| 4 + 4 * a.theta(t).dims().len() + 8 + 4 * a.theta(t).num_params())
+        .sum();
+    let users = match &a.users {
+        UserStore::Eager(users) => {
+            (USER_DIR_ENTRY + USER_RECORD_MIN) as usize * users.len() + 4 * users.scalars()
+        }
+        UserStore::Lazy(lazy) => lazy.index().section_len() as usize,
+    };
+    let framing = HEADER_LEN + 6 * SECTION_HEADER_LEN + META_LEN;
+    let directories = 3 * (TABLE_DIR_ENTRY + THETA_DIR_ENTRY);
+    // Each table opens with `rows: u64, cols: u32`, each fallback with
+    // its `u32` length.
+    let tables = 3 * 12 + 4 * meta.num_items * widths;
+    let popularity_and_fallback = 4 * meta.num_items + 3 * 4 + 4 * widths;
+    (framing + directories) as usize + tables + thetas + users + popularity_and_fallback
 }
 
 /// [`hf_tensor::wire::write_file`] (sibling `<path>.tmp`, flush,
@@ -318,17 +364,17 @@ pub(crate) fn write_file<T>(
 
 /// Encodes one user record (v1 and v2 share it — v2 just indexes the
 /// same bytes).
-fn put_user(w: &mut Writer, user: &UserRecord) {
+pub(crate) fn put_user(w: &mut Writer, user: UserView<'_>) {
     w.put_u8(user.tier.index() as u8);
     w.put_u32_le(user.emb.len() as u32);
-    for &x in &user.emb {
+    for &x in user.emb {
         w.put_f32_le(x);
     }
     w.put_u32_le(user.history.len() as u32);
-    for &item in &user.history {
+    for &item in user.history {
         w.put_u32_le(item);
     }
-    match &user.solo {
+    match user.solo {
         None => w.put_u8(0),
         Some(solo) => {
             w.put_u8(1);
@@ -410,7 +456,8 @@ pub(crate) fn exactly<T>(
 }
 
 /// The one layout scan, shared by the eager decoder (over a borrowed
-/// buffer) and the lazy open (over a file): checks the header, walks
+/// buffer or a file's read window) and the lazy open (over a file):
+/// checks the header, walks
 /// the section table validating each declared length against the bytes
 /// remaining *before* the payload is touched — a section claiming
 /// `u64::MAX` bytes fails typed here, never an allocation or a panic —
@@ -626,32 +673,134 @@ fn parse_theta_dir(dir: &[u8], section: Extent) -> Result<[Extent; 3], ServeErro
 }
 
 impl UserIndex {
-    /// Decodes user `user` through `read`: its directory entry, bounds-
-    /// checked against the payload block, then the record. Also returns
-    /// the record's extent relative to the block (the eager reader
-    /// additionally demands those be contiguous).
+    /// The `users` section's byte length, directory included.
+    pub(crate) fn section_len(&self) -> u64 {
+        self.block.0 - self.dir + self.block.1
+    }
+
+    /// Parses the next directory entry off `dir`, bounds-checked against
+    /// the payload block: the record's extent relative to the block.
+    fn entry(&self, user: usize, dir: &mut Reader) -> Result<Extent, ServeError> {
+        let off = dir.get_u64_le();
+        let len = dir.get_u32_le().map(u64::from);
+        match (off, len) {
+            (Some(off), Some(len)) if off <= self.block.1 && len <= self.block.1 - off => {
+                Ok((off, len))
+            }
+            _ => Err(Self::out_of_bounds(user)),
+        }
+    }
+
+    fn out_of_bounds(user: usize) -> ServeError {
+        err(format!("`users` directory entry {user} is out of bounds"))
+    }
+
+    /// Walks the directory in [`READ_CHUNK`]-sized pieces, handing
+    /// `each` every user's entry in order.
+    fn walk<B: Deref<Target = [u8]>>(
+        &self,
+        num_users: usize,
+        read: impl Fn(u64, u64) -> Result<B, ServeError>,
+        mut each: impl FnMut(usize, Extent) -> Result<(), ServeError>,
+    ) -> Result<(), ServeError> {
+        let per_chunk = (READ_CHUNK / USER_DIR_ENTRY) as usize;
+        for first in (0..num_users).step_by(per_chunk) {
+            let n = per_chunk.min(num_users - first);
+            let dir = read(
+                self.dir + first as u64 * USER_DIR_ENTRY,
+                n as u64 * USER_DIR_ENTRY,
+            )?;
+            let mut dir = Reader::new(&dir);
+            for user in first..first + n {
+                each(user, self.entry(user, &mut dir)?)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes user `user` alone through `read` (the lazy store's touch):
+    /// its directory entry, then the record.
     pub(crate) fn get<B: Deref<Target = [u8]>>(
         &self,
         user: usize,
         dims: &TierDims,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
-    ) -> Result<(UserRecord, Extent), ServeError> {
+    ) -> Result<UserRecord, ServeError> {
         let entry = read(self.dir + user as u64 * USER_DIR_ENTRY, USER_DIR_ENTRY)?;
-        let mut d = Reader::new(&entry);
-        let off = d.get_u64_le().expect("12-byte entry");
-        let len = d.get_u32_le().expect("12-byte entry") as u64;
-        if off > self.block.1 || len > self.block.1 - off {
-            return Err(err(format!(
-                "`users` directory entry {user} is out of bounds"
-            )));
-        }
-        let record = exactly(
+        let (off, len) = self.entry(user, &mut Reader::new(&entry))?;
+        exactly(
             &read(self.block.0 + off, len)?,
             format_args!("`users` section at user {user}"),
-            |r| get_user(r, dims),
-        )?;
-        Ok((record, (off, len)))
+            |r| {
+                let (mut emb, mut history) = (Vec::new(), Vec::new());
+                let (tier, solo) = get_user(r, dims, &mut emb, &mut history)?;
+                Some(UserRecord {
+                    tier,
+                    emb,
+                    history,
+                    solo,
+                })
+            },
+        )
     }
+
+    /// Decodes every user into one arena. The directory is walked twice:
+    /// once alone, demanding the canonical layout (contiguous, in user
+    /// order, covering the block exactly) before anything is reserved,
+    /// then in step with the record block, each record parsed where
+    /// `read` lends it.
+    fn decode_all<B: Deref<Target = [u8]>>(
+        &self,
+        meta: &Meta,
+        read: impl Fn(u64, u64) -> Result<B, ServeError>,
+    ) -> Result<UserArena, ServeError> {
+        let mut cursor = 0u64;
+        self.walk(meta.num_users, &read, |user, (off, len)| {
+            if off != cursor {
+                return Err(Self::out_of_bounds(user));
+            }
+            cursor += len;
+            Ok(())
+        })?;
+        if cursor != self.block.1 {
+            return Err(err("`users` section has trailing bytes"));
+        }
+        let mut users = reserve_users(meta, self.block.1)?;
+        self.walk(meta.num_users, &read, |user, (off, len)| {
+            exactly(
+                &read(self.block.0 + off, len)?,
+                format_args!("`users` section at user {user}"),
+                |r| users.push_with(|embs, ids| get_user(r, &meta.dims, embs, ids)),
+            )
+        })?;
+        users.shrink_to_fit();
+        Ok(users)
+    }
+}
+
+/// An arena sized for `meta.num_users` records in `block_len` bytes,
+/// before any is parsed. A record is at least a tier byte, two counts, a
+/// solo flag and the smallest tier's embedding, which bounds the file's
+/// user count by its (already validated) length; embeddings are at most
+/// the largest tier's each, and whatever the fixed parts leave is the
+/// most the other buffer can hold. Upper bounds only —
+/// [`UserArena::shrink_to_fit`] once the records are in.
+fn reserve_users(meta: &Meta, block_len: u64) -> Result<UserArena, ServeError> {
+    let (users, block) = (meta.num_users as u64, block_len);
+    let (smallest, largest) = (
+        meta.dims.dim(Tier::Small) as u64,
+        meta.dims.dim(Tier::Large) as u64,
+    );
+    let fixed = users
+        .checked_mul(USER_RECORD_MIN + 4 * smallest)
+        .filter(|&fixed| fixed <= block)
+        .ok_or_else(|| err(format!("`users` section too short for {users} records")))?;
+    let scalars = (block - users * USER_RECORD_MIN) / 4;
+    Ok(UserArena::with_capacity(
+        meta.num_users,
+        scalars.min(users.saturating_mul(largest)) as usize,
+        ((block - fixed) / 4) as usize,
+    ))
 }
 
 /// A v1 section: `n` payloads back to back, filling it exactly.
@@ -674,29 +823,73 @@ fn back_to_back<T>(
     Ok(out)
 }
 
-/// Decodes the binary container (either version) eagerly: the layout
-/// scan, then every payload parsed into memory. Lazy file-backed
+/// Decodes one matrix payload at `extent` — `rows: u64, cols: u32`, then
+/// `rows × cols` floats — which must have exactly `shape`, asking `read`
+/// for at most [`READ_CHUNK`] bytes at a time.
+pub(crate) fn read_table<B: Deref<Target = [u8]>>(
+    (off, len): Extent,
+    shape: (usize, usize),
+    what: impl std::fmt::Display,
+    read: impl Fn(u64, u64) -> Result<B, ServeError>,
+) -> Result<Matrix, ServeError> {
+    let malformed = || err(format!("{what} is malformed"));
+    let floats = (shape.0 as u64)
+        .checked_mul(shape.1 as u64)
+        .filter(|n| n.checked_mul(4).and_then(|b| b.checked_add(12)) == Some(len))
+        .ok_or_else(malformed)?;
+    exactly(&read(off, 12)?, &what, |r| {
+        let rows = usize::try_from(r.get_u64_le()?).ok()?;
+        ((rows, r.get_u32_le()? as usize) == shape).then_some(())
+    })?;
+    // Bounded by `len`, which the scan checked against the source.
+    let mut data = Vec::with_capacity(floats as usize);
+    let mut at = off + 12;
+    while at < off + len {
+        let n = READ_CHUNK.min(off + len - at);
+        let chunk = read(at, n)?;
+        Reader::new(&chunk)
+            .extend_f32s((n / 4) as usize, &mut data)
+            .ok_or_else(malformed)?;
+        at += n;
+    }
+    Ok(Matrix::from_vec(shape.0, shape.1, data))
+}
+
+/// The one eager decoder, over any random-access source (a slice for
+/// [`ModelArtifact::from_bytes`], a read window over the file for
+/// [`ModelArtifact::load_file`]): the layout scan, then every payload
+/// parsed into memory where `read` lends it, either container version.
+/// Beyond the always-needed small sections it asks for at most
+/// [`READ_CHUNK`] bytes or one user record at a time (v1, which has no
+/// directories to walk by, asks for whole sections). Lazy file-backed
 /// loading is [`ModelArtifact::load_file_lazy`].
-pub fn decode(buf: &[u8]) -> Result<ModelArtifact, ServeError> {
-    let at = |(off, len): Extent| &buf[off as usize..(off + len) as usize];
-    let read = |off: u64, len: u64| Ok(at((off, len)));
-    let layout = scan(buf.len() as u64, read)?;
+pub(crate) fn decode<B: Deref<Target = [u8]>>(
+    len: u64,
+    read: impl Fn(u64, u64) -> Result<B, ServeError>,
+) -> Result<ModelArtifact, ServeError> {
+    let layout = scan(len, &read)?;
     let meta = &layout.meta;
+    let load = |(off, len): Extent| read(off, len);
 
     let (tables, thetas, users) = match layout.params {
         ParamLayout::V1 {
             tables,
             thetas,
             users,
-        } => (
-            back_to_back(at(tables), "tables", 3, |r, t| {
-                get_table(r, (meta.num_items, meta.dims.dim(Tier::ALL[t])))
-            })?,
-            back_to_back(at(thetas), "thetas", 3, |r, _| get_ffn(r))?,
-            back_to_back(at(users), "users", meta.num_users, |r, _| {
-                get_user(r, &meta.dims)
-            })?,
-        ),
+        } => {
+            let mut arena = reserve_users(meta, users.1)?;
+            back_to_back(&load(users)?, "users", meta.num_users, |r, _| {
+                arena.push_with(|embs, ids| get_user(r, &meta.dims, embs, ids))
+            })?;
+            arena.shrink_to_fit();
+            (
+                back_to_back(&load(tables)?, "tables", 3, |r, t| {
+                    get_table(r, (meta.num_items, meta.dims.dim(Tier::ALL[t])))
+                })?,
+                back_to_back(&load(thetas)?, "thetas", 3, |r, _| get_ffn(r))?,
+                arena,
+            )
+        }
         ParamLayout::V2 {
             tables,
             thetas,
@@ -705,34 +898,16 @@ pub fn decode(buf: &[u8]) -> Result<ModelArtifact, ServeError> {
             let tables = (tables.iter().zip(Tier::ALL))
                 .map(|(&(extent, shape), tier)| {
                     let what = format_args!("`tables` payload at {tier:?}");
-                    exactly(at(extent), what, |r| get_table(r, shape))
+                    read_table(extent, shape, what, &read)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             let thetas = (thetas.iter().zip(Tier::ALL))
                 .map(|(&extent, tier)| {
                     let what = format_args!("`thetas` payload at {tier:?}");
-                    exactly(at(extent), what, get_ffn)
+                    exactly(&load(extent)?, what, get_ffn)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            // The eager path walks the directory in order and demands
-            // canonical contiguity. The directory was validated to fit
-            // the section, which bounds this allocation by the file size.
-            let mut users = Vec::with_capacity(meta.num_users);
-            let mut cursor = 0u64;
-            for user in 0..meta.num_users {
-                let (record, (off, len)) = index.get(user, &meta.dims, read)?;
-                if off != cursor {
-                    return Err(err(format!(
-                        "`users` directory entry {user} is out of bounds"
-                    )));
-                }
-                users.push(record);
-                cursor += len;
-            }
-            if cursor != index.block.1 {
-                return Err(err("`users` section has trailing bytes"));
-            }
-            (tables, thetas, users)
+            (tables, thetas, index.decode_all(meta, &read)?)
         }
     };
 
@@ -783,8 +958,8 @@ fn model_from_tag(tag: u8) -> Option<ModelKind> {
     }
 }
 
-/// Reads one matrix payload, which must have exactly `shape`.
-pub(crate) fn get_table(r: &mut Reader, shape: (usize, usize)) -> Option<Matrix> {
+/// Reads one v1 matrix payload, which must have exactly `shape`.
+fn get_table(r: &mut Reader, shape: (usize, usize)) -> Option<Matrix> {
     let rows = usize::try_from(r.get_u64_le()?).ok()?;
     let cols = r.get_u32_le()? as usize;
     if (rows, cols) != shape {
@@ -820,15 +995,23 @@ pub(crate) fn get_ffn(r: &mut Reader) -> Option<Ffn> {
     Some(Ffn::from_flat(&dims, &flat))
 }
 
-fn get_user(r: &mut Reader, dims: &TierDims) -> Option<UserRecord> {
+/// Parses one user record, appending its embedding to `embs` and its
+/// history to `ids` (an arena's flat buffers, or a lone record's own);
+/// returns the tier and the private model, if the record carries one.
+fn get_user(
+    r: &mut Reader,
+    dims: &TierDims,
+    embs: &mut Vec<f32>,
+    ids: &mut Vec<u32>,
+) -> Option<(Tier, Option<SoloModel>)> {
     let tier = *Tier::ALL.get(r.get_u8()? as usize)?;
     let emb_len = r.get_u32_le()? as usize;
     if emb_len != dims.dim(tier) {
         return None;
     }
-    let emb = r.get_f32_vec(emb_len)?;
+    r.extend_f32s(emb_len, embs)?;
     let history_len = r.get_u32_le()? as usize;
-    let history = r.get_u32_vec(history_len)?;
+    r.extend_u32s(history_len, ids)?;
     let solo = match r.get_u8()? {
         0 => None,
         1 => {
@@ -851,22 +1034,17 @@ fn get_user(r: &mut Reader, dims: &TierDims) -> Option<UserRecord> {
         }
         _ => return None,
     };
-    Some(UserRecord {
-        tier,
-        emb,
-        history,
-        solo,
-    })
+    Some((tier, solo))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ExportArtifact, RecommendRequest, RecommenderBuilder};
-    use hetefedrec_core::{Ablation, SessionBuilder, Strategy, TrainConfig};
+    use hetefedrec_core::{Ablation, Session, SessionBuilder, Strategy, TrainConfig};
     use hf_dataset::{SplitDataset, SyntheticConfig};
 
-    fn artifact(strategy: Strategy, model: ModelKind) -> ModelArtifact {
+    fn session(strategy: Strategy, model: ModelKind) -> Session {
         let data = SyntheticConfig::tiny().generate(13);
         let split = SplitDataset::paper_split(&data, 13);
         let mut s = SessionBuilder::new(TrainConfig::test_default(model), strategy, split)
@@ -874,7 +1052,11 @@ mod tests {
             .build()
             .expect("valid config");
         s.run_epoch();
-        s.export_artifact()
+        s
+    }
+
+    fn artifact(strategy: Strategy, model: ModelKind) -> ModelArtifact {
+        session(strategy, model).export_artifact()
     }
 
     /// A small standalone-style artifact whose users carry hand-built
@@ -895,15 +1077,13 @@ mod tests {
             let n = d.windows(2).map(|w| w[0] * w[1] + w[1]).sum();
             Ffn::from_flat(&d, &ramp(n, salt))
         };
-        let mut popularity = vec![0u32; num_items];
-        let users: Vec<UserRecord> = (0..5usize)
-            .map(|u| {
+        let mut tally = crate::artifact::Tally::new(num_items, &dims);
+        let mut users = UserArena::default();
+        for u in 0..5usize {
+            let record = {
                 let tier = Tier::ALL[u % 3];
                 let dim = dims.dim(tier);
                 let history: Vec<u32> = (0..u as u32).map(|i| (i * 2 + u as u32) % 6).collect();
-                for &item in &history {
-                    popularity[item as usize] += 1;
-                }
                 let solo = (u != 3).then(|| SoloModel {
                     rows: [5u32, 1, 3][..u.min(3)]
                         .iter()
@@ -917,10 +1097,11 @@ mod tests {
                     history,
                     solo,
                 }
-            })
-            .collect();
-        let mut fallback = crate::artifact::TierMeans::new(&dims);
-        users.iter().for_each(|u| fallback.add(u.tier, &u.emb));
+            };
+            tally.add(record.view());
+            users.push(record.view());
+        }
+        let (popularity, fallback) = tally.finish();
         ModelArtifact {
             model: ModelKind::Ncf,
             dims,
@@ -935,7 +1116,7 @@ mod tests {
             },
             users: UserStore::Eager(users),
             popularity,
-            fallback: fallback.finish(),
+            fallback,
         }
     }
 
@@ -978,9 +1159,12 @@ mod tests {
             assert!(artifact.to_bytes() == golden, "to_bytes drifted");
             artifact.save_file(&path).expect("saved");
             assert!(std::fs::read(&path).unwrap() == golden, "save_file drifted");
-            // Both readers re-encode the frozen bytes exactly.
+            // Both readers re-encode the frozen bytes exactly, the eager
+            // one from a slice and from the file.
             let eager = ModelArtifact::from_bytes(golden).expect("golden decodes");
             assert!(eager.to_bytes() == golden, "eager reload drifted");
+            let eager = ModelArtifact::load_file(&path).expect("golden file decodes");
+            assert!(eager.to_bytes() == golden, "eager file reload drifted");
             let lazy = ModelArtifact::load_file_lazy(&path, crate::LazyConfig::default()).unwrap();
             assert!(
                 lazy.is_lazy() && lazy.to_bytes() == golden,
@@ -994,6 +1178,76 @@ mod tests {
             "synthesize_to_file drifted"
         );
         assert_eq!(file_names(&dir), ["golden.hfa"], "no temp file may remain");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn streamed_export_is_the_materialised_export_byte_for_byte() {
+        let dir = scratch_dir("streamed");
+        let path = dir.join("streamed.hfab");
+        for (strategy, model) in [
+            (Strategy::HeteFedRec(Ablation::FULL), ModelKind::Ncf),
+            (Strategy::HeteFedRec(Ablation::FULL), ModelKind::LightGcn),
+            (Strategy::Standalone, ModelKind::Ncf),
+        ] {
+            let s = session(strategy, model);
+            s.export_artifact_to(&path).expect("streamed");
+            let streamed = std::fs::read(&path).unwrap();
+            let materialised = s.export_artifact();
+            assert!(
+                streamed == materialised.to_bytes(),
+                "{model:?}/{strategy:?}: streamed export differs from to_bytes()"
+            );
+            materialised.save_file(&path).expect("saved");
+            assert!(
+                streamed == std::fs::read(&path).unwrap(),
+                "{model:?}/{strategy:?}: streamed export differs from save_file()"
+            );
+        }
+        assert_eq!(file_names(&dir), ["streamed.hfab"], "no temp file");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn arenas_keep_no_spare_capacity_and_to_bytes_allocates_once() {
+        let dir = scratch_dir("capacity");
+        let path = dir.join("model.hfab");
+        let profile = hf_dataset::SyntheticProfile::new(700, 400);
+        let synthesized = ModelArtifact::synthesize(&profile, TierDims::new(4, 8, 16), 5).unwrap();
+        synthesized.save_file(&path).unwrap();
+        let bytes = synthesized.to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len(), "to_bytes grew its buffer");
+        let standalone = artifact(Strategy::Standalone, ModelKind::Ncf);
+        for (what, artifact) in [
+            ("synthesize", synthesized),
+            ("load_file", ModelArtifact::load_file(&path).unwrap()),
+            ("from_bytes", ModelArtifact::from_bytes(&bytes).unwrap()),
+            (
+                "from_session",
+                artifact(Strategy::HeteFedRec(Ablation::FULL), ModelKind::Ncf),
+            ),
+            (
+                "from_bytes (standalone)",
+                ModelArtifact::from_bytes(&standalone.to_bytes()).unwrap(),
+            ),
+            ("from_session (standalone)", standalone),
+        ] {
+            let UserStore::Eager(users) = &artifact.users else {
+                panic!("{what}: an eager artifact");
+            };
+            // What is held — a float per embedding width, an id per
+            // interaction — plus a tier byte and two offsets per user.
+            assert_eq!(
+                users.heap_bytes(),
+                4 * users.scalars() + 17 * users.len(),
+                "{what}: the arena holds spare capacity"
+            );
+            let held: usize = (0..users.len())
+                .map(|u| users.get(u).expect("user in range"))
+                .map(|user| user.emb.len() + user.history.len())
+                .sum();
+            assert_eq!(users.scalars(), held, "{what}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,6 +21,13 @@
 //! [`ServeError::Artifact`], never an OOM, and a record fetched lazily
 //! is bit-identical to its eager twin (`tests/lazy_serving.rs` pins it).
 //!
+//! The *eager* file load lives here too, because it is the same decoder
+//! over the same file handle: `open_eager` hands `binfmt::decode` a
+//! `ReadWindows` source — two bounded buffers that follow the decoder's
+//! two cursors (the `users` directory and the record block advance in
+//! step) — so the decoder parses each record where the window holds it
+//! and the file is never resident beside what is decoded from it.
+//!
 //! Failure discipline: *structure* (headers, directories, shapes) is
 //! validated at open and returns errors; a payload that fails to decode
 //! at touch means the file was truncated or rewritten underneath a
@@ -35,6 +42,7 @@ use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
 use hf_models::Ffn;
 use hf_tensor::Matrix;
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
@@ -88,23 +96,33 @@ impl ArtifactFile {
         })
     }
 
-    /// Reads exactly `len` bytes at absolute offset `off`, validating
-    /// the range against the file size *before* allocating the buffer.
-    fn read(&self, off: u64, len: u64) -> Result<Vec<u8>, ServeError> {
+    /// `len` as a buffer size, once `off..off + len` is known to lie
+    /// inside the file — checked *before* any buffer is sized by it.
+    fn in_bounds(&self, off: u64, len: u64) -> Result<usize, ServeError> {
         let end = off.checked_add(len).filter(|&e| e <= self.len);
         let n = usize::try_from(len).ok().filter(|_| end.is_some());
-        let n = n.ok_or_else(|| {
+        n.ok_or_else(|| {
             err(format!(
                 "{}: read of {len} bytes at offset {off} exceeds file size {}",
                 self.path.display(),
                 self.len
             ))
-        })?;
-        let mut buf = vec![0u8; n];
+        })
+    }
+
+    /// Fills `buf` from absolute offset `off`.
+    fn read_into(&self, off: u64, buf: &mut [u8]) -> Result<(), ServeError> {
         let mut f = self.file.lock().expect("artifact file lock");
         f.seek(SeekFrom::Start(off))
-            .and_then(|_| f.read_exact(&mut buf))
-            .map_err(|e| err(format!("{}: read failed: {e}", self.path.display())))?;
+            .and_then(|_| f.read_exact(buf))
+            .map_err(|e| err(format!("{}: read failed: {e}", self.path.display())))
+    }
+
+    /// Reads exactly `len` bytes at absolute offset `off` into a buffer
+    /// of their own.
+    fn read(&self, off: u64, len: u64) -> Result<Vec<u8>, ServeError> {
+        let mut buf = vec![0u8; self.in_bounds(off, len)?];
+        self.read_into(off, &mut buf)?;
         Ok(buf)
     }
 
@@ -122,6 +140,83 @@ impl ArtifactFile {
             )
         })
     }
+}
+
+// ---------------------------------------------------------------------
+// Eager load through a bounded read window
+// ---------------------------------------------------------------------
+
+/// Bytes a window holds after a refill (a request for more gets more).
+const WINDOW: u64 = 128 << 10;
+const _: () = assert!(binfmt::READ_CHUNK <= WINDOW);
+
+/// One window: the file's bytes from `off` on.
+struct Window {
+    off: u64,
+    buf: Vec<u8>,
+}
+
+impl Window {
+    /// Lends `off..off + len` of the file, if this window is free to be
+    /// read and holds all of it.
+    fn lend(this: &RefCell<Self>, off: u64, len: u64) -> Option<Ref<'_, [u8]>> {
+        let window = this.try_borrow().ok()?;
+        let start = off.checked_sub(window.off)?;
+        (start + len <= window.buf.len() as u64)
+            .then(|| Ref::map(window, |w| &w.buf[start as usize..(start + len) as usize]))
+    }
+}
+
+/// The eager decoder's view of a file: `read` lends bytes out of one of
+/// two windows, refilling — from the requested offset forward — whichever
+/// is not lent out, the two taking turns. A decoder that holds a piece of
+/// the `users` directory while it asks for the records that piece names
+/// therefore keeps one window on each, and a sequential walk costs one
+/// `read` call per [`WINDOW`] bytes with nothing copied out.
+struct ReadWindows<'f> {
+    file: &'f ArtifactFile,
+    windows: [RefCell<Window>; 2],
+    /// The window the next refill tries first.
+    turn: Cell<usize>,
+}
+
+impl ReadWindows<'_> {
+    fn read(&self, off: u64, len: u64) -> Result<Ref<'_, [u8]>, ServeError> {
+        self.file.in_bounds(off, len)?;
+        if let Some(bytes) = self.windows.iter().find_map(|w| Window::lend(w, off, len)) {
+            return Ok(bytes);
+        }
+        let turn = self.turn.get();
+        let (slot, mut window) = [turn, 1 - turn]
+            .into_iter()
+            .find_map(|i| Some((i, self.windows[i].try_borrow_mut().ok()?)))
+            .expect("the decoder holds at most one window while it asks for more");
+        self.turn.set(1 - slot);
+        let fill = len.max(WINDOW.min(self.file.len - off)) as usize;
+        window.off = off;
+        window.buf.resize(fill, 0);
+        self.file.read_into(off, &mut window.buf)?;
+        drop(window);
+        Ok(Window::lend(&self.windows[slot], off, len).expect("the window just filled holds it"))
+    }
+}
+
+/// Loads an artifact file eagerly; see [`ModelArtifact::load_file`].
+pub(crate) fn open_eager(path: &Path) -> Result<ModelArtifact, ServeError> {
+    let file = ArtifactFile::open(path)?;
+    let source = ReadWindows {
+        file: &file,
+        // Sized once, so refills allocate nothing; what a small file
+        // never fills is never resident.
+        windows: std::array::from_fn(|_| {
+            RefCell::new(Window {
+                off: 0,
+                buf: Vec::with_capacity(WINDOW as usize),
+            })
+        }),
+        turn: Cell::new(0),
+    };
+    binfmt::decode(file.len, |off, len| source.read(off, len))
 }
 
 // ---------------------------------------------------------------------
@@ -147,10 +242,10 @@ impl LazyTiers {
     pub(crate) fn table(&self, tier: Tier) -> &Matrix {
         let t = tier.index();
         self.cache.tables[t].get_or_init(|| {
-            let ((off, len), shape) = self.tables[t];
+            let (extent, shape) = self.tables[t];
             self.file.touch(format_args!("{tier:?} table"), || {
-                binfmt::exactly(&self.file.read(off, len)?, "payload", |r| {
-                    binfmt::get_table(r, shape)
+                binfmt::read_table(extent, shape, "payload", |off, len| {
+                    self.file.read(off, len)
                 })
             })
         })
@@ -242,12 +337,19 @@ impl LazyUsers {
         Some(record)
     }
 
-    /// Decodes one record from disk: directory entry, then payload.
-    fn fetch(&self, user: usize) -> UserRecord {
+    /// Decodes one record from disk — directory entry, then payload —
+    /// past the cache: what [`LazyUsers::user`] does on a miss, and what
+    /// a re-encode does for every user, so that writing a serving
+    /// artifact out does not replace its hot set.
+    pub(crate) fn fetch(&self, user: usize) -> UserRecord {
         self.file.touch(format_args!("user {user}"), || {
-            let read = |off, len| self.file.read(off, len);
-            Ok(self.index.get(user, &self.dims, read)?.0)
+            self.index
+                .get(user, &self.dims, |off, len| self.file.read(off, len))
         })
+    }
+
+    pub(crate) fn index(&self) -> &UserIndex {
+        &self.index
     }
 }
 

@@ -10,8 +10,12 @@
 //! * [`ModelArtifact`] — an immutable, versioned snapshot of the frozen
 //!   item tables, per-tier predictors, and per-user serving state, with a
 //!   cold-start fallback for unknown users. Exported from a live session
-//!   ([`ExportArtifact::export_artifact`]) or rebuilt from a persisted
-//!   checkpoint ([`ModelArtifact::from_checkpoint_file`]).
+//!   ([`ExportArtifact::export_artifact`], or straight to a file with
+//!   [`ExportArtifact::export_artifact_to`]) or rebuilt from a persisted
+//!   checkpoint ([`ModelArtifact::from_checkpoint_file`]). Every user is
+//!   read through one borrowed [`UserView`] ([`ModelArtifact::user`] →
+//!   [`UserRef::view`]), whether it sits in the eager arena or the lazy
+//!   cache.
 //! * [`RecommenderBuilder`] → [`Recommender`] — validated serving
 //!   configuration ([`ServeError`] per field) and the batch-oriented
 //!   query engine: requests group per model tier, score as blocked
@@ -67,7 +71,7 @@ pub mod recommender;
 pub mod slot;
 pub mod synth;
 
-pub use artifact::{ModelArtifact, SoloModel, UserRecord, UserRef, ARTIFACT_VERSION};
+pub use artifact::{ModelArtifact, SoloModel, UserRecord, UserRef, UserView, ARTIFACT_VERSION};
 pub use binfmt::BINFMT_VERSION;
 pub use lazy::LazyConfig;
 pub use recommender::{
@@ -116,16 +120,26 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Session-side sugar for artifact export: `session.export_artifact()`.
+/// Session-side sugar for artifact export: `session.export_artifact()`
+/// for the object, `session.export_artifact_to(path)` for the file.
 pub trait ExportArtifact {
     /// Snapshots the current model state into an immutable
     /// [`ModelArtifact`].
     fn export_artifact(&self) -> ModelArtifact;
+
+    /// Streams the current model state to an artifact file — the bytes
+    /// `export_artifact().save_file(path)` writes, without building the
+    /// artifact in between ([`ModelArtifact::session_to_file`]).
+    fn export_artifact_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError>;
 }
 
 impl ExportArtifact for Session {
     fn export_artifact(&self) -> ModelArtifact {
         ModelArtifact::from_session(self)
+    }
+
+    fn export_artifact_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
+        ModelArtifact::session_to_file(self, path)
     }
 }
 

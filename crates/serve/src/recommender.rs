@@ -685,7 +685,8 @@ impl Recommender {
             Unit::Solo { query, start, end } => {
                 let (scorer, user) = resolved[query].solo.as_ref().expect("solo unit");
                 let record = self.artifact.user(*user).expect("known user");
-                let solo = record.solo.as_ref().expect("standalone state");
+                let record = record.view();
+                let solo = record.solo.expect("standalone state");
                 let table = self.artifact.table(record.tier);
                 let mut block = scorer.item_half_block(table, start, end);
                 // Patch the user's privately trained rows (bit-identical
@@ -729,10 +730,11 @@ impl Recommender {
         let dims = self.artifact.dims();
         match self.artifact.user(request.user) {
             Some(record) => {
+                let record = record.view();
                 let tier = record.tier;
                 let dim = dims.dim(tier);
                 let table = self.artifact.table(tier);
-                let overlay = record.solo.as_ref().map(|s| &s.rows);
+                let overlay = record.solo.map(|s| &s.rows);
                 let row_of = |item: u32| -> &[f32] {
                     if let Some(overlay) = overlay {
                         if let Some(row) = overlay.get(&item) {
@@ -742,16 +744,15 @@ impl Recommender {
                     table.row_prefix(item as usize, dim)
                 };
                 let repr = match self.artifact.model() {
-                    ModelKind::Ncf => record.emb.clone(),
+                    ModelKind::Ncf => record.emb.to_vec(),
                     ModelKind::LightGcn => propagate_lightgcn(
-                        &record.emb,
+                        record.emb,
                         record.history.len(),
                         record.history.iter().map(|&item| row_of(item)),
                     ),
                 };
                 let solo = record
                     .solo
-                    .as_ref()
                     .map(|s| (SplitNcf::from_ffn(dim, &s.theta), request.user));
                 let user_half = match &solo {
                     Some((scorer, _)) => scorer.user_half(&repr),
@@ -759,7 +760,7 @@ impl Recommender {
                 };
                 let mut exclude = request.exclude.clone();
                 if request.exclude_seen {
-                    exclude.extend_from_slice(&record.history);
+                    exclude.extend_from_slice(record.history);
                 }
                 exclude.sort_unstable();
                 exclude.dedup();

@@ -20,7 +20,7 @@
 //! test, and the foundation `examples/capacity.rs` stands on (its lazy
 //! and eager rankings really are the same model).
 
-use crate::artifact::{ModelArtifact, TierMeans, TierParams, UserRecord, UserStore};
+use crate::artifact::{ModelArtifact, Tally, TierParams, UserArena, UserStore, UserView};
 use crate::binfmt::{self, ArtifactWriter, Meta};
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
@@ -75,21 +75,27 @@ fn theta(seed: u64, t: usize, dim: usize) -> Ffn {
     Ffn::new(&paper_predictor_dims(dim), &mut rng)
 }
 
-fn user_emb(seed: u64, user: usize, dim: usize) -> Vec<f32> {
-    let mut rng = substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
-    let mut emb = Vec::with_capacity(dim);
-    fill_normal(&mut rng, &mut emb, dim);
-    emb
-}
-
-fn synth_user(profile: &SyntheticProfile, dims: &TierDims, seed: u64, user: usize) -> UserRecord {
+/// Synthesizes one user (no standalone state) and lends it to `sink` —
+/// the single source of user records for both synthesis paths. `emb` is
+/// scratch, reused across users.
+fn synth_user(
+    profile: &SyntheticProfile,
+    dims: &TierDims,
+    seed: u64,
+    user: usize,
+    emb: &mut Vec<f32>,
+    sink: impl FnOnce(UserView<'_>),
+) {
     let (tier, history) = profile.user(seed, user);
-    UserRecord {
+    let mut rng = substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
+    emb.clear();
+    fill_normal(&mut rng, emb, dims.dim(tier));
+    sink(UserView {
         tier,
-        emb: user_emb(seed, user, dims.dim(tier)),
-        history,
+        emb,
+        history: &history,
         solo: None,
-    }
+    })
 }
 
 impl ModelArtifact {
@@ -116,18 +122,22 @@ impl ModelArtifact {
         });
         let thetas: [Ffn; 3] = std::array::from_fn(|t| theta(seed, t, dims.dim(Tier::ALL[t])));
 
-        let mut popularity = vec![0u32; num_items];
-        let mut fallback = TierMeans::new(&dims);
-        let users: Vec<UserRecord> = (0..profile.num_users)
-            .map(|u| {
-                let record = synth_user(profile, &dims, seed, u);
-                for &item in &record.history {
-                    popularity[item as usize] += 1;
-                }
-                fallback.add(record.tier, &record.emb);
-                record
-            })
-            .collect();
+        // Sized exactly from the profile's shapes (two cheap draws a
+        // user) before any record is generated.
+        let (embs, ids) = (0..profile.num_users).fold((0, 0), |(embs, ids), u| {
+            let (tier, interactions) = profile.user_shape(seed, u);
+            (embs + dims.dim(tier), ids + interactions)
+        });
+        let mut users = UserArena::with_capacity(profile.num_users, embs, ids);
+        let mut tally = Tally::new(num_items, &dims);
+        let mut emb = Vec::new();
+        for u in 0..profile.num_users {
+            synth_user(profile, &dims, seed, u, &mut emb, |user| {
+                tally.add(user);
+                users.push(user);
+            });
+        }
+        let (popularity, fallback) = tally.finish();
 
         Ok(Self {
             model: ModelKind::Ncf,
@@ -140,7 +150,7 @@ impl ModelArtifact {
             },
             users: UserStore::Eager(users),
             popularity,
-            fallback: fallback.finish(),
+            fallback,
         })
     }
 
@@ -178,17 +188,16 @@ impl ModelArtifact {
             let thetas: [Ffn; 3] = std::array::from_fn(|t| theta(seed, t, dims.dim(Tier::ALL[t])));
             w.thetas(thetas.each_ref())?;
 
-            let mut popularity = vec![0u32; meta.num_items];
-            let mut fallback = TierMeans::new(&dims);
-            let users_bytes = w.users((0..meta.num_users).map(|u| {
-                let record = synth_user(profile, &dims, seed, u);
-                for &item in &record.history {
-                    popularity[item as usize] += 1;
-                }
-                fallback.add(record.tier, &record.emb);
-                record
-            }))?;
-            let (_, file_bytes) = w.finish(&popularity, &fallback.finish())?;
+            let mut tally = Tally::new(meta.num_items, &dims);
+            let mut emb = Vec::new();
+            let users_bytes = w.users(|u, out| {
+                synth_user(profile, &dims, seed, u, &mut emb, |user| {
+                    tally.add(user);
+                    binfmt::put_user(out, user);
+                })
+            })?;
+            let (popularity, fallback) = tally.finish();
+            let (_, file_bytes) = w.finish(&popularity, &fallback)?;
             Ok(SynthStats {
                 file_bytes,
                 tables_bytes,

@@ -6,7 +6,9 @@ use hetefedrec_core::config::TierDims;
 use hf_dataset::SyntheticProfile;
 use hf_serve::{
     ItemHalfMode, LazyConfig, ModelArtifact, RecommendRequest, RecommenderBuilder, ServeError,
+    UserRef,
 };
+use std::sync::Arc;
 
 fn synth_file(users: usize, items: usize, seed: u64, name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("hf_lazy_serving_{}", std::process::id()));
@@ -146,6 +148,42 @@ fn lazy_artifact_reencodes_bit_identically() {
     assert_eq!(eager.to_bytes(), lazy.to_bytes());
     assert_eq!(eager.num_users(), lazy.num_users());
     assert_eq!(eager.num_items(), lazy.num_items());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn reencoding_a_lazy_artifact_leaves_its_user_cache_alone() {
+    // A cache far smaller than the population: walking every user
+    // through it would evict all four touched records.
+    let path = synth_file(90, 150, 29, "hotset.hfa");
+    let cfg = LazyConfig {
+        user_shards: 2,
+        shard_capacity: 2,
+    };
+    let lazy = ModelArtifact::load_file_lazy(&path, cfg).unwrap();
+    let held = |user: usize| match lazy.user(user).expect("known user") {
+        UserRef::Cached(record) => record,
+        UserRef::Borrowed(_) => panic!("a lazy artifact lends cache handles"),
+    };
+    let hot: Vec<_> = (0..4).map(|u| (u, held(u))).collect();
+    assert_eq!(lazy.cached_user_records(), 4);
+
+    let dir = path.parent().unwrap();
+    assert!(lazy.to_bytes() == std::fs::read(&path).unwrap());
+    lazy.save_file(dir.join("hotset_copy.hfa")).expect("saved");
+
+    assert_eq!(
+        lazy.cached_user_records(),
+        4,
+        "the re-encode moved the cache"
+    );
+    for (user, record) in &hot {
+        assert!(
+            Arc::ptr_eq(record, &held(*user)),
+            "user {user} was evicted by the re-encode"
+        );
+    }
+    std::fs::remove_file(dir.join("hotset_copy.hfa")).ok();
     std::fs::remove_file(&path).ok();
 }
 

@@ -1,0 +1,133 @@
+//! What an eager file load asks the allocator for, counted: the number
+//! of allocations must not depend on how many users the file holds (one
+//! arena, not two `Vec`s a user), and a file whose `users` section lies
+//! about its size must fail typed before anything is sized by the lie.
+//!
+//! One `#[test]` on purpose — the counters are process-wide, and a
+//! second test running beside this one would be counted too.
+
+use hetefedrec_core::config::TierDims;
+use hf_dataset::SyntheticProfile;
+use hf_serve::{ModelArtifact, ServeError};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every request for memory (`realloc`
+/// is one: growing a buffer is what an unsized decoder does).
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are atomics and
+// allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`; `new_size`
+        // is the caller's, passed through as given.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(result, allocations, bytes asked for)` of one call.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCATIONS.load(Relaxed), BYTES.load(Relaxed));
+    let out = f();
+    (
+        out,
+        ALLOCATIONS.load(Relaxed) - before.0,
+        BYTES.load(Relaxed) - before.1,
+    )
+}
+
+/// Payload extent of the section tagged `tag` (`users` is 4): the file
+/// header is 10 bytes, each section `tag: u8, len: u64, payload`.
+fn section(bytes: &[u8], tag: u8) -> (usize, usize) {
+    let mut at = 10;
+    loop {
+        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+        if bytes[at] == tag {
+            return (at + 9, len);
+        }
+        at += 9 + len;
+    }
+}
+
+#[test]
+fn an_eager_load_allocates_by_section_not_by_user() {
+    let dir = std::env::temp_dir().join(format!("hf_load_allocations_{}", std::process::id()));
+    let file = |users: usize| {
+        let path = dir.join(format!("{users}.hfa"));
+        let profile = SyntheticProfile::new(users, 300);
+        ModelArtifact::synthesize_to_file(&profile, TierDims::new(4, 8, 16), 11, &path).unwrap();
+        path
+    };
+    let (few, many) = (file(500), file(5_000));
+
+    // Once uncounted, so first-use initialisation is nobody's.
+    ModelArtifact::load_file(&few).unwrap();
+    let (small, small_allocations, _) = counted(|| ModelArtifact::load_file(&few).unwrap());
+    let (large, large_allocations, large_bytes) =
+        counted(|| ModelArtifact::load_file(&many).unwrap());
+    assert_eq!((small.num_users(), large.num_users()), (500, 5_000));
+    assert_eq!(
+        small_allocations, large_allocations,
+        "ten times the users must not cost one allocation more"
+    );
+    assert!(large_allocations < 100, "{large_allocations} allocations");
+
+    // (b) Hostile `users` sections fail typed, before anything is sized
+    // by what they claim: the failing load asks for less memory than the
+    // section it refuses holds, where the load that succeeds asks for more.
+    let valid = std::fs::read(&many).unwrap();
+    let (users_at, users_len) = section(&valid, 4);
+    assert!(large_bytes > users_len as u64);
+    let hostile = dir.join("hostile.hfa");
+    let refused = |bytes: &[u8], needle: &str| {
+        std::fs::write(&hostile, bytes).unwrap();
+        let (outcome, _, bytes_asked) = counted(|| ModelArtifact::load_file(&hostile));
+        match outcome {
+            Err(ServeError::Artifact(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a typed artifact error, got {other:?}"),
+        }
+        assert!(
+            bytes_asked < users_len as u64,
+            "{needle}: {bytes_asked} bytes asked for before the refusal"
+        );
+    };
+    // The section claims 2^40 bytes.
+    let mut bytes = valid.clone();
+    bytes[users_at - 8..users_at].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    refused(&bytes, "claims");
+    // The last directory entry (`off: u64, len: u32`) starts past the
+    // record block's end.
+    let mut bytes = valid.clone();
+    let entry = users_at + 12 * 4_999;
+    bytes[entry..entry + 8].copy_from_slice(&(users_len as u64).to_le_bytes());
+    refused(&bytes, "out of bounds");
+    // The first entry's length runs the records off their canonical
+    // places: contiguity fails before any record is parsed.
+    let mut bytes = valid.clone();
+    bytes[users_at + 8] ^= 1;
+    refused(&bytes, "out of bounds");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -94,31 +94,50 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` fixed-width scalars; a hostile count fails
-    /// [`Reader::fits`] before the vector is allocated.
-    fn get_vec<T, const W: usize>(
+    /// [`Reader::fits`] before anything is allocated for it.
+    fn scalars<T, const W: usize>(
         &mut self,
         n: usize,
-        from: impl Fn([u8; W]) -> T,
-    ) -> Option<Vec<T>> {
+        from: impl Fn([u8; W]) -> T + 'a,
+    ) -> Option<impl ExactSizeIterator<Item = T> + 'a> {
         let bytes = self.get_bytes(self.fits(n, W)? * W)?;
-        let scalar = |chunk: &[u8]| from(chunk.try_into().expect("exact chunk"));
-        Some(bytes.chunks_exact(W).map(scalar).collect())
+        let scalar = move |chunk: &[u8]| from(chunk.try_into().expect("exact chunk"));
+        Some(bytes.chunks_exact(W).map(scalar))
     }
 
     /// Reads `n` little-endian `f32`s (bit-exact), count checked up front.
     pub fn get_f32_vec(&mut self, n: usize) -> Option<Vec<f32>> {
-        self.get_vec(n, |b| f32::from_bits(u32::from_le_bytes(b)))
+        Some(self.scalars(n, f32_from_le)?.collect())
     }
 
     /// Reads `n` little-endian `u32`s, count checked up front.
     pub fn get_u32_vec(&mut self, n: usize) -> Option<Vec<u32>> {
-        self.get_vec(n, u32::from_le_bytes)
+        Some(self.scalars(n, u32::from_le_bytes)?.collect())
+    }
+
+    /// Appends `n` little-endian `f32`s (bit-exact) to `out` — how a
+    /// decoder fills one flat buffer from many records. On a count that
+    /// does not fit, nothing is consumed or appended.
+    pub fn extend_f32s(&mut self, n: usize, out: &mut Vec<f32>) -> Option<()> {
+        out.extend(self.scalars(n, f32_from_le)?);
+        Some(())
+    }
+
+    /// Appends `n` little-endian `u32`s to `out`; see
+    /// [`Reader::extend_f32s`].
+    pub fn extend_u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Option<()> {
+        out.extend(self.scalars(n, u32::from_le_bytes)?);
+        Some(())
     }
 
     /// Reads `n` little-endian `u64`s, count checked up front.
     pub fn get_u64_vec(&mut self, n: usize) -> Option<Vec<u64>> {
-        self.get_vec(n, u64::from_le_bytes)
+        Some(self.scalars(n, u64::from_le_bytes)?.collect())
     }
+}
+
+fn f32_from_le(bytes: [u8; 4]) -> f32 {
+    f32::from_bits(u32::from_le_bytes(bytes))
 }
 
 /// Little-endian append-only writer.

@@ -9,6 +9,10 @@
 //! 2. **O(touched) residency** — after the batch, the lazy store holds
 //!    only the records the batch touched, and the resident-footprint
 //!    delta of the lazy boot stays below the eager materialisation.
+//! 3. **An eager load costs its payload** — resident memory grows across
+//!    `load_file` by at most 1.25× the bytes of the sections it decodes,
+//!    at the peak as well as afterwards (the file is never resident
+//!    beside its decoded copy).
 //!
 //! ```text
 //! cargo run --release --example capacity
@@ -85,7 +89,32 @@ fn main() {
     );
 
     // --- Eager reference ----------------------------------------------------
+    // The eager in-memory floor, from the artifact's own section sizes.
+    let eager_floor = stats.tables_bytes + stats.users_bytes + 4 * items as u64;
+    let before = footprint::resident_bytes().zip(footprint::peak_resident_bytes());
     let eager = ModelArtifact::load_file(&path).expect("eager load");
+    let after = footprint::resident_bytes().zip(footprint::peak_resident_bytes());
+    if let (Some((rss, peak)), Some((rss_after, peak_after))) = (before, after) {
+        let grown = rss_after.saturating_sub(rss);
+        // The high-water mark only says something about this load if
+        // the load moved it.
+        let at_peak = if peak_after > peak {
+            peak_after.saturating_sub(rss)
+        } else {
+            grown
+        };
+        println!(
+            "eager load grew resident memory by {} ({} at its peak) for {} of payload",
+            footprint::fmt_bytes(grown),
+            footprint::fmt_bytes(at_peak),
+            footprint::fmt_bytes(eager_floor)
+        );
+        if grown.max(at_peak) as f64 > 1.25 * eager_floor as f64 {
+            eprintln!("FAILED: an eager load must stay within 1.25x of the payload it decodes");
+            std::process::exit(1);
+        }
+        println!("eager load within 1.25x of payload");
+    }
     let eager_serve = RecommenderBuilder::new(eager)
         .default_k(10)
         .build()
@@ -116,8 +145,6 @@ fn main() {
         requests.len()
     );
 
-    // The eager in-memory floor, from the artifact's own section sizes.
-    let eager_floor = stats.tables_bytes + stats.users_bytes + 4 * items as u64;
     match lazy_delta {
         Some(delta) => println!(
             "resident delta of the lazy path: {} (eager materialises at least {})",
