@@ -115,7 +115,8 @@ grep -q "drained and stopped" target/ci-artifacts/hf_serve_smoke.log
 echo "==> capacity smoke (synthetic profile + lazy serving)"
 # The example synthesizes a 100k x 100k artifact straight to disk, boots
 # it lazily, and proves lazy/tiled/sharded rankings bit-identical to the
-# eager load, and that load's resident growth — afterwards and at its
+# eager load, the item-half store at exactly its budget after one pass and
+# after two, and the eager load's resident growth — afterwards and at its
 # peak — within 1.25x of the payload it decodes (it exits non-zero on any
 # mismatch or overshoot).
 HF_CAPACITY_USERS=100000 HF_CAPACITY_ITEMS=100000 \
@@ -123,6 +124,7 @@ HF_CAPACITY_USERS=100000 HF_CAPACITY_ITEMS=100000 \
     cargo run -q --offline --release --example capacity \
     > target/ci-artifacts/capacity_smoke.log
 grep -q "lazy == eager rankings verified" target/ci-artifacts/capacity_smoke.log
+grep -q "item-half budget held: 64 of 588 tiles" target/ci-artifacts/capacity_smoke.log
 grep -q "eager load within 1.25x of payload" target/ci-artifacts/capacity_smoke.log
 test -s target/ci-artifacts/capacity_model.hfa
 # Boot the real hf-serve binary lazily on that artifact and verify every

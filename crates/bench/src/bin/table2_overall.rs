@@ -6,28 +6,22 @@
 //! ```
 
 use hetefedrec_core::{run_experiment, Strategy};
-use hf_bench::{fmt5, make_split, rule, CliOptions, SnapshotRow};
+use hf_bench::{fmt5, rule, run_grid};
 use hf_dataset::DatasetProfile;
 
 fn main() {
-    let opts = CliOptions::parse(&DatasetProfile::ALL);
-    let mut snapshot: Vec<SnapshotRow> = Vec::new();
-    opts.banner("Table II: overall performance");
-
-    for model in &opts.models {
-        println!("== {} ==", model.name());
-        let header = format!(
-            "{:<22} {:>9} {:>9} | {:>9} {:>9}",
-            "Method", "Recall@20", "NDCG@20", "type", "epochs"
-        );
-        for profile in &opts.datasets {
-            println!("\n-- {} --", profile.name());
+    run_grid(
+        "Table II: overall performance",
+        &DatasetProfile::ALL,
+        |c, snapshot| {
+            let header = format!(
+                "{:<22} {:>9} {:>9} | {:>9} {:>9}",
+                "Method", "Recall@20", "NDCG@20", "type", "epochs"
+            );
             println!("{header}");
             println!("{}", rule(&header));
-            let split = make_split(*profile, opts.scale, opts.seed);
-            let cfg = hf_bench::make_config_with(&opts, *model, *profile);
             for strategy in Strategy::ALL {
-                let result = run_experiment(&cfg, strategy, &split);
+                let result = run_experiment(&c.cfg, strategy, &c.split);
                 let kind = if strategy.is_heterogeneous() {
                     "hetero"
                 } else {
@@ -42,9 +36,7 @@ fn main() {
                     result.history.epochs.len(),
                 );
                 snapshot.push(
-                    SnapshotRow::new()
-                        .label("model", model.name())
-                        .label("dataset", profile.name())
+                    c.row()
                         .label("method", &result.strategy)
                         .label("type", kind)
                         .value("recall", result.final_eval.overall.recall)
@@ -52,8 +44,6 @@ fn main() {
                         .value("epochs", result.history.epochs.len() as f64),
                 );
             }
-        }
-        println!();
-    }
-    opts.emit_json(&snapshot);
+        },
+    );
 }

@@ -38,7 +38,7 @@ use hf_dataset::Tier;
 use hf_fedsim::parallel::parallel_map;
 use hf_fedsim::transport::ClientUpdate;
 use hf_models::RowGradBuffer;
-use hf_secagg::{BandLayout, PayloadLayout, PreparedGroup, Quantizer};
+use hf_secagg::{BandLayout, MaskedUpload, PayloadLayout, PreparedGroup, Quantizer};
 use hf_tensor::rng::{stream, SeedStream, StdRng};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
@@ -334,11 +334,10 @@ impl Session {
                 continue;
             }
 
-            // Wire cost of one MaskedUpload: tag + round + uid + count +
-            // 8 bytes per ring word of the survivor's tier prefix.
+            // Wire cost of one MaskedUpload of the survivor's tier prefix.
             for &m in &survivors {
                 let i = group.index_of(m).expect("a survivor is a group member");
-                let bytes = 1 + 8 + 8 + 4 + 8 * prefixes[i];
+                let bytes = MaskedUpload::encoded_len_for(prefixes[i]);
                 self.ledger.record_secagg_upload(bytes);
                 stats.masked_bytes += bytes as u64;
                 stats.survivors_by_tier[self.model_groups.tier(m as usize).index()] += 1;

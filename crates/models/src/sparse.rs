@@ -4,8 +4,9 @@
 //! positives, sampled negatives, and — for LightGCN — its local-graph
 //! items). Accumulating into a dense `|V| x N` buffer would dominate the
 //! round cost, so gradients are keyed by row with slot reuse across a
-//! local epoch. The buffer is also the wire format producer: its contents
-//! become the sparse update a client uploads (DESIGN.md §5).
+//! local epoch. The server accumulates uploads in one; a client's own
+//! upload is the delta of the rows it cloned (`hetefedrec_core::client`'s
+//! `LocalRows`), not this buffer's contents.
 
 use std::collections::HashMap;
 

@@ -13,10 +13,12 @@
 //! replay, no dataset in sight. With `--lazy` the artifact is opened
 //! through `load_file_lazy` instead: user records decode on first touch
 //! into a sharded LRU (`--user-shards` × `--user-shard-cap` records
-//! resident at most) and item-half tiles are capped at `--tile-panels`
-//! (defaults to 64 under `--lazy`; `0` forces full precomputation).
-//! Either way the process reports its resident footprint once the
-//! recommender is built, prints one `listening on <addr>` line once the
+//! resident at most) and at most `--tile-panels` item-half tiles are
+//! kept (64 under `--lazy` unless given; `0`, and the default without
+//! `--lazy`, keep every tile, computed at boot). Either way the process
+//! reports its resident footprint once the recommender is built and the
+//! item-half policy it resolved (`item halves: all <N> tiles` / `up to
+//! <n> of <N> tiles`), prints one `listening on <addr>` line once the
 //! socket is bound, and serves until a client sends a `Shutdown` frame,
 //! then drains in-flight requests and exits 0.
 //!
@@ -49,7 +51,8 @@ struct Args {
 const USAGE: &str = "usage: hf-serve --artifact <model.hfa>\n\
     \x20   [--addr 127.0.0.1:7878] [--batch-max 64] [--queue-cap 1024]\n\
     \x20   [--threads 1] [--k 10] [--cold-start-blend 0.0]\n\
-    \x20   [--lazy] [--user-shards 64] [--user-shard-cap 256] [--tile-panels N]";
+    \x20   [--lazy] [--user-shards 64] [--user-shard-cap 256] [--tile-panels N]\n\
+    \x20   (item-half tiles kept: N; 0 = all, the default; 64 under --lazy)";
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("error: {msg}\n{USAGE}");
@@ -137,6 +140,18 @@ fn parse_args() -> Args {
     args
 }
 
+/// Item-half policy: under --lazy default to a budget of 64 tiles (bounded
+/// memory); eager keeps every tile. `--tile-panels 0` keeps every tile
+/// either way.
+fn item_half_mode(args: &Args) -> ItemHalfMode {
+    match args.tile_panels {
+        Some(0) => ItemHalfMode::Precomputed,
+        Some(n) => ItemHalfMode::Tiled { max_panels: n },
+        None if args.lazy => ItemHalfMode::Tiled { max_panels: 64 },
+        None => ItemHalfMode::Precomputed,
+    }
+}
+
 /// Loads the artifact file and builds a recommender per the CLI flags —
 /// the shared path for the initial build and every on-wire `Reload`.
 fn build_recommender(args: &Args) -> Result<Recommender, String> {
@@ -168,20 +183,11 @@ fn build_recommender(args: &Args) -> Result<Recommender, String> {
         }
     );
 
-    // Item-half policy: under --lazy default to tiling (bounded memory);
-    // eager keeps full precomputation. `--tile-panels 0` forces full
-    // precomputation either way.
-    let mode = match args.tile_panels {
-        Some(0) => ItemHalfMode::Precomputed,
-        Some(n) => ItemHalfMode::Tiled { max_panels: n },
-        None if args.lazy => ItemHalfMode::Tiled { max_panels: 64 },
-        None => ItemHalfMode::Precomputed,
-    };
     RecommenderBuilder::new(artifact)
         .default_k(args.k)
         .threads(args.threads)
         .cold_start_blend(args.blend)
-        .item_half_mode(mode)
+        .item_half_mode(item_half_mode(args))
         .build()
         .map_err(|e| format!("invalid serving configuration: {e}"))
 }
@@ -199,6 +205,14 @@ fn main() {
             footprint::fmt_bytes(rss)
         ),
         None => println!("hf-serve: resident footprint unavailable on this platform"),
+    }
+    let tiles = recommender.item_half_tiles();
+    match item_half_mode(&args) {
+        ItemHalfMode::Precomputed => println!("hf-serve: item halves: all {tiles} tiles"),
+        ItemHalfMode::Tiled { max_panels } => {
+            println!("hf-serve: item halves: up to {max_panels} of {tiles} tiles")
+        }
+        ItemHalfMode::PerBatch => println!("hf-serve: item halves: none held"),
     }
 
     let config = ServerConfig {

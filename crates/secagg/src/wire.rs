@@ -59,9 +59,15 @@ pub struct MaskedUpload {
 }
 
 impl MaskedUpload {
+    /// Encoded size in bytes of an upload of `words` ring words: tag,
+    /// round, uid, count, then 8 bytes a word.
+    pub fn encoded_len_for(words: usize) -> usize {
+        1 + 8 + 8 + 4 + 8 * words
+    }
+
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
-        1 + 8 + 8 + 4 + self.words.len() * 8
+        Self::encoded_len_for(self.words.len())
     }
 
     /// Canonical little-endian encoding.

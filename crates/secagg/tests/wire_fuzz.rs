@@ -49,6 +49,7 @@ fn seeded_truncations_and_mutations_fail_typed_or_decode_canonically() {
         |rng| {
             let upload = random_upload(rng);
             let buf = upload.encode();
+            assert_eq!(buf.len(), MaskedUpload::encoded_len_for(upload.words.len()));
             assert_eq!(MaskedUpload::decode(&buf), Ok(upload));
             buf
         },

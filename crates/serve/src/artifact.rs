@@ -37,7 +37,7 @@
 //! artifact-version bump.
 
 use crate::binfmt::{self, Meta};
-use crate::lazy::{LazyConfig, LazyTiers, LazyUsers};
+use crate::lazy::{LazyConfig, LazyUsers, Tiers};
 use crate::ServeError;
 use hetefedrec_core::session::Session;
 use hetefedrec_core::Strategy;
@@ -229,20 +229,6 @@ pub(crate) enum UserStore {
     Lazy(LazyUsers),
 }
 
-/// Where the frozen per-tier item tables and predictors live.
-#[derive(Clone, Debug)]
-pub(crate) enum TierParams {
-    /// Decoded up front.
-    Eager {
-        /// Frozen tier item tables `{Vs, Vm, Vl}` (each at its width).
-        tables: Box<[Matrix; 3]>,
-        /// Frozen tier predictors `{Θs, Θm, Θl}`.
-        thetas: Box<[Ffn; 3]>,
-    },
-    /// Decoded per tier on first touch from a v2 file.
-    Lazy(LazyTiers),
-}
-
 /// An immutable, versioned snapshot of a trained model, ready to serve.
 #[derive(Clone, Debug)]
 pub struct ModelArtifact {
@@ -250,7 +236,9 @@ pub struct ModelArtifact {
     pub(crate) dims: TierDims,
     pub(crate) standalone: bool,
     pub(crate) num_items: usize,
-    pub(crate) params: TierParams,
+    /// Frozen tier item tables `{Vs, Vm, Vl}` (each at its width) and
+    /// predictors `{Θs, Θm, Θl}`.
+    pub(crate) params: Tiers,
     pub(crate) users: UserStore,
     /// Per-item training-interaction counts (popularity floor support).
     pub(crate) popularity: Vec<u32>,
@@ -281,10 +269,10 @@ impl ModelArtifact {
         let (popularity, fallback) = tally.finish();
         Self::assemble(
             meta,
-            TierParams::Eager {
-                tables: Box::new(std::array::from_fn(|t| server.table(Tier::ALL[t]).clone())),
-                thetas: Box::new(std::array::from_fn(|t| server.theta(Tier::ALL[t]).clone())),
-            },
+            Tiers::filled(
+                Tier::ALL.map(|t| server.table(t).clone()),
+                Tier::ALL.map(|t| server.theta(t).clone()),
+            ),
             UserStore::Eager(users),
             popularity,
             fallback,
@@ -322,7 +310,7 @@ impl ModelArtifact {
     /// constructor, eager and lazy).
     pub(crate) fn assemble(
         meta: Meta,
-        params: TierParams,
+        params: Tiers,
         users: UserStore,
         popularity: Vec<u32>,
         fallback: [Vec<f32>; 3],
@@ -350,10 +338,11 @@ impl ModelArtifact {
         }
     }
 
-    /// Rebuilds an artifact from a `hetefedrec.checkpoint` v1 document
-    /// (as written by [`Session::checkpoint`]), using the `hf_tensor::ser`
-    /// reader. The caller supplies the identically generated split — the
-    /// checkpoint stores only model state, not the dataset.
+    /// Rebuilds an artifact from a `hetefedrec.checkpoint` document (any
+    /// schema version [`Session::restore`] accepts, v1–v4), using the
+    /// `hf_tensor::ser` reader. The caller supplies the identically
+    /// generated split — the checkpoint stores only model state, not the
+    /// dataset.
     pub fn from_checkpoint(json: &str, split: SplitDataset) -> Result<Self, ServeError> {
         let session = Session::restore(json, split)
             .map_err(|e| ServeError::Artifact(format!("cannot restore checkpoint: {e}")))?;
@@ -461,7 +450,7 @@ impl ModelArtifact {
     /// `true` when this artifact is file-backed and decodes state on
     /// first touch ([`ModelArtifact::load_file_lazy`]).
     pub fn is_lazy(&self) -> bool {
-        matches!(self.users, UserStore::Lazy(_)) || matches!(self.params, TierParams::Lazy(_))
+        matches!(self.users, UserStore::Lazy(_))
     }
 
     /// Item universe size.
@@ -500,31 +489,19 @@ impl ModelArtifact {
     /// One tier's frozen item table. On a lazy artifact the first touch
     /// decodes the tier from disk; it stays resident afterwards.
     pub fn table(&self, tier: Tier) -> &Matrix {
-        match &self.params {
-            TierParams::Eager { tables, .. } => &tables[tier.index()],
-            TierParams::Lazy(lazy) => lazy.table(tier),
-        }
+        self.params.table(tier)
     }
 
     /// One tier's frozen predictor (lazily decoded like
     /// [`ModelArtifact::table`]).
     pub fn theta(&self, tier: Tier) -> &Ffn {
-        match &self.params {
-            TierParams::Eager { thetas, .. } => &thetas[tier.index()],
-            TierParams::Lazy(lazy) => lazy.theta(tier),
-        }
+        self.params.theta(tier)
     }
 
     /// One tier table's shape `(rows, cols)` — available without forcing
     /// a lazy tier load (v2 directories carry the shape).
     pub fn table_dims(&self, tier: Tier) -> (usize, usize) {
-        match &self.params {
-            TierParams::Eager { tables, .. } => {
-                let t = &tables[tier.index()];
-                (t.rows(), t.cols())
-            }
-            TierParams::Lazy(lazy) => lazy.table_dims(tier),
-        }
+        self.params.table_dims(tier)
     }
 
     /// Training-interaction count of one item (0 for ids outside the

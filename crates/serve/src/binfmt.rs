@@ -47,9 +47,9 @@
 //! arena's flat buffers.
 
 use crate::artifact::{
-    ModelArtifact, SoloModel, TierParams, UserArena, UserRecord, UserStore, UserView,
-    ARTIFACT_VERSION,
+    ModelArtifact, SoloModel, UserArena, UserRecord, UserStore, UserView, ARTIFACT_VERSION,
 };
+use crate::lazy::Tiers;
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
@@ -913,10 +913,10 @@ pub(crate) fn decode<B: Deref<Target = [u8]>>(
 
     Ok(ModelArtifact::assemble(
         layout.meta,
-        TierParams::Eager {
-            tables: Box::new(tables.try_into().expect("three tables")),
-            thetas: Box::new(thetas.try_into().expect("three predictors")),
-        },
+        Tiers::filled(
+            tables.try_into().expect("three tables"),
+            thetas.try_into().expect("three predictors"),
+        ),
         UserStore::Eager(users),
         layout.popularity,
         layout.fallback,
@@ -1107,13 +1107,13 @@ mod tests {
             dims,
             standalone: true,
             num_items,
-            params: TierParams::Eager {
-                tables: Box::new(std::array::from_fn(|t| {
+            params: Tiers::filled(
+                std::array::from_fn(|t| {
                     let cols = dims.dim(Tier::ALL[t]);
                     Matrix::from_vec(num_items, cols, ramp(num_items * cols, 40 + t))
-                })),
-                thetas: Box::new(std::array::from_fn(|t| ffn(dims.dim(Tier::ALL[t]), 50 + t))),
-            },
+                }),
+                std::array::from_fn(|t| ffn(dims.dim(Tier::ALL[t]), 50 + t)),
+            ),
             users: UserStore::Eager(users),
             popularity,
             fallback,

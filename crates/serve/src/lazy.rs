@@ -4,9 +4,11 @@
 //! host never has to materialise the whole artifact: this module keeps
 //! the file open and decodes state on first touch —
 //!
-//! * [`LazyTiers`] — per-tier item tables and predictors behind
-//!   `OnceLock`s: a tier costs nothing until the first request for it,
-//!   then stays resident (tables are shared, hot, and bounded at three).
+//! * [`Tiers`] — per-tier item tables and predictors, one fill-once
+//!   `OnceLock` slot each: a tier costs nothing until the first request
+//!   for it, then stays resident (tables are shared, hot, and bounded at
+//!   three). An eager artifact is the same store with every slot filled
+//!   at construction and no file behind it.
 //! * [`LazyUsers`] — per-user records behind a **sharded bounded LRU**:
 //!   user `u` hashes to shard `u % shards`, each shard caches at most
 //!   `shard_capacity` decoded records and evicts least-recently-used, so
@@ -35,8 +37,8 @@
 //! from a file being modified in place is not supported
 //! ([`ModelArtifact::save_file`] replaces files by rename, which is).
 
-use crate::artifact::{ModelArtifact, TierParams, UserRecord, UserStore};
-use crate::binfmt::{self, err, Extent, ParamLayout, TableEntry, UserIndex};
+use crate::artifact::{ModelArtifact, UserRecord, UserStore};
+use crate::binfmt::{self, err, Extent, ParamLayout, UserIndex};
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
@@ -220,32 +222,49 @@ pub(crate) fn open_eager(path: &Path) -> Result<ModelArtifact, ServeError> {
 }
 
 // ---------------------------------------------------------------------
-// Lazy tier tables / predictors
+// Tier tables / predictors
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Default)]
-struct TierCache {
+struct TierSlots {
     tables: [OnceLock<Matrix>; 3],
     thetas: [OnceLock<Ffn>; 3],
 }
 
-/// Per-tier item tables and predictors, decoded on first touch.
+/// Per-tier item tables and predictors, one fill-once slot each: filled
+/// at construction, or decoded from the artifact file on first touch.
 #[derive(Clone, Debug)]
-pub(crate) struct LazyTiers {
-    file: Arc<ArtifactFile>,
-    tables: [TableEntry; 3],
-    thetas: [Extent; 3],
-    cache: Arc<TierCache>,
+pub(crate) struct Tiers {
+    slots: Arc<TierSlots>,
+    /// Table shapes `(rows, cols)`, known without a decode.
+    shapes: [(usize, usize); 3],
+    /// The file unset slots decode from, with each tier's table and
+    /// predictor extents; `None` when every slot was filled up front.
+    file: Option<(Arc<ArtifactFile>, [Extent; 3], [Extent; 3])>,
 }
 
-impl LazyTiers {
+const FILLED: &str = "a store with no file behind it was filled at construction";
+
+impl Tiers {
+    /// A store holding `tables` and `thetas` from the start.
+    pub(crate) fn filled(tables: [Matrix; 3], thetas: [Ffn; 3]) -> Self {
+        Self {
+            shapes: tables.each_ref().map(|t| (t.rows(), t.cols())),
+            slots: Arc::new(TierSlots {
+                tables: tables.map(OnceLock::from),
+                thetas: thetas.map(OnceLock::from),
+            }),
+            file: None,
+        }
+    }
+
     pub(crate) fn table(&self, tier: Tier) -> &Matrix {
         let t = tier.index();
-        self.cache.tables[t].get_or_init(|| {
-            let (extent, shape) = self.tables[t];
-            self.file.touch(format_args!("{tier:?} table"), || {
-                binfmt::read_table(extent, shape, "payload", |off, len| {
-                    self.file.read(off, len)
+        self.slots.tables[t].get_or_init(|| {
+            let (file, tables, _) = self.file.as_ref().expect(FILLED);
+            file.touch(format_args!("{tier:?} table"), || {
+                binfmt::read_table(tables[t], self.shapes[t], "payload", |off, len| {
+                    file.read(off, len)
                 })
             })
         })
@@ -253,17 +272,18 @@ impl LazyTiers {
 
     pub(crate) fn theta(&self, tier: Tier) -> &Ffn {
         let t = tier.index();
-        self.cache.thetas[t].get_or_init(|| {
-            let (off, len) = self.thetas[t];
-            self.file.touch(format_args!("{tier:?} predictor"), || {
-                binfmt::exactly(&self.file.read(off, len)?, "payload", binfmt::get_ffn)
+        self.slots.thetas[t].get_or_init(|| {
+            let (file, _, thetas) = self.file.as_ref().expect(FILLED);
+            let (off, len) = thetas[t];
+            file.touch(format_args!("{tier:?} predictor"), || {
+                binfmt::exactly(&file.read(off, len)?, "payload", binfmt::get_ffn)
             })
         })
     }
 
-    /// Table shape from the directory — no decode forced.
+    /// Table shape — no decode forced.
     pub(crate) fn table_dims(&self, tier: Tier) -> (usize, usize) {
-        self.tables[tier.index()].1
+        self.shapes[tier.index()]
     }
 }
 
@@ -388,12 +408,11 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
 
     Ok(ModelArtifact::assemble(
         layout.meta,
-        TierParams::Lazy(LazyTiers {
-            file: file.clone(),
-            tables,
-            thetas,
-            cache: Arc::new(TierCache::default()),
-        }),
+        Tiers {
+            slots: Arc::default(),
+            shapes: tables.map(|(_, shape)| shape),
+            file: Some((file.clone(), tables.map(|(extent, _)| extent), thetas)),
+        },
         UserStore::Lazy(LazyUsers {
             file,
             dims: layout.meta.dims,
@@ -404,4 +423,49 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
         layout.popularity,
         layout.fallback,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ItemHalfMode, RecommendRequest, RecommenderBuilder};
+    use hf_dataset::SyntheticProfile;
+
+    #[test]
+    fn tier_tables_decode_when_the_item_half_budget_asks_for_them() {
+        let path = std::env::temp_dir().join(format!("hf_tiers_{}.hfa", std::process::id()));
+        let profile = SyntheticProfile::new(30, 100);
+        ModelArtifact::synthesize_to_file(&profile, TierDims::new(4, 8, 16), 9, &path).unwrap();
+        let decoded = |a: &ModelArtifact| {
+            let tables = a.params.slots.tables.iter();
+            tables.filter(|t| t.get().is_some()).count()
+        };
+        let build = |mode| {
+            let lazy = ModelArtifact::load_file_lazy(&path, LazyConfig::default()).unwrap();
+            assert_eq!(decoded(&lazy), 0, "opening decodes no table");
+            RecommenderBuilder::new(lazy)
+                .panel_items(64)
+                .item_half_mode(mode)
+                .build()
+                .unwrap()
+        };
+
+        // Every tile is filled at build(), which reads every table.
+        let precomputed = build(ItemHalfMode::Precomputed);
+        assert_eq!(decoded(precomputed.artifact()), 3);
+        assert_eq!(precomputed.cached_item_half_panels(), 3 * 2);
+        assert_eq!(precomputed.item_half_tiles(), 3 * 2);
+
+        // No tile is wanted until a request is, and then only its tier's.
+        let lean = build(ItemHalfMode::PerBatch);
+        assert_eq!(decoded(lean.artifact()), 0);
+        let response = lean.recommend(&RecommendRequest::new(0));
+        assert_eq!(decoded(lean.artifact()), 1);
+        assert_eq!(lean.cached_item_half_panels(), 0);
+        assert_eq!(response, precomputed.recommend(&RecommendRequest::new(0)));
+
+        // An eager artifact is the same store, filled at load.
+        assert_eq!(decoded(&ModelArtifact::load_file(&path).unwrap()), 3);
+        std::fs::remove_file(&path).ok();
+    }
 }

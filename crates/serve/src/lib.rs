@@ -27,7 +27,7 @@
 //! **lazily loadable**: the v2 binary container ([`binfmt`]) is
 //! offset-indexed, [`ModelArtifact::load_file_lazy`] decodes tier tables
 //! and user records on first touch (bounded sharded LRU, [`lazy`]),
-//! [`ItemHalfMode::Tiled`] caps the precomputed item-half memory, and
+//! [`ItemHalfMode::Tiled`] caps the item-half tiles kept, and
 //! [`synth`] builds million-scale artifacts directly from an
 //! `hf_dataset::SyntheticProfile` without training. [`footprint`]
 //! reports what all of it actually costs in resident bytes.

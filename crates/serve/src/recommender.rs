@@ -7,13 +7,14 @@
 //! The hot path is **batch-oriented**: [`Recommender::recommend_batch`]
 //! groups requests by model tier and fans `(tier, item panel)` scoring
 //! units out over [`parallel_map`]. The first-layer *item
-//! half* of each tier depends only on the frozen artifact, so by default
-//! the builder precomputes it once for the whole catalogue
-//! ([`SplitNcf::item_half_block`] over every row) and serving slices the
-//! stored panel; [`RecommenderBuilder::item_half_mode`] with
-//! [`ItemHalfMode::PerBatch`] keeps the memory-lean per-batch blocked
-//! [`Matrix::matmul_rows`](hf_tensor::Matrix::matmul_rows) product
-//! instead — the two are bit-identical per row by the [`SplitNcf`]
+//! half* of each tier depends only on the frozen artifact, so each
+//! `(tier, panel)` tile ([`SplitNcf::item_half_block`], one blocked
+//! [`Matrix::matmul_rows`](hf_tensor::Matrix::matmul_rows) product) sits
+//! behind one fill-once slot: a tile that is kept is read with no lock
+//! and never computed again, and [`RecommenderBuilder::item_half_mode`]
+//! only sets how many tiles may be kept — every one, filled at `build()`
+//! (the default), none, or a budget. A tile is the same bits whether it
+//! was kept or computed for the unit at hand, by the [`SplitNcf`]
 //! contract. Ranking happens *inside* each unit: a panel's scores are
 //! reduced to its top-K candidates ([`hf_metrics::top_k_scored`] — ties
 //! break toward the smaller item id; NaN scores are skipped, which is how
@@ -37,9 +38,10 @@ use hf_models::scoring::{propagate_lightgcn, SplitNcf};
 use hf_models::ModelKind;
 use hf_tensor::parallel::parallel_map;
 use hf_tensor::Matrix;
+use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
 /// Item predicate for [`RecommendRequest::filter`]: return `false` to
 /// drop an item from the candidate set.
@@ -147,30 +149,35 @@ pub struct RecommendResponse {
     pub items: Vec<ScoredItem>,
 }
 
-/// How a [`Recommender`] holds the per-tier first-layer item halves.
+/// How many first-layer item-half tiles a [`Recommender`] may keep.
 ///
-/// The halves are a pure function of the frozen artifact, and all three
-/// modes produce **bit-identical** scores (the [`SplitNcf`] contract
-/// guarantees the blocked and whole-table products agree per row) — the
-/// choice is purely a memory/latency trade:
+/// A tile is the item halves of one `(tier, panel)`: `panel_items` rows
+/// of `hidden` floats (8 in the paper's predictor, whatever the tier's
+/// embedding width). Tiles are a pure function of the frozen artifact
+/// and every mode serves them through the same fill-once store with
+/// **bit-identical** scores (the [`SplitNcf`] contract: a panel's blocked
+/// product agrees per row wherever it is cut) — a mode is a budget:
 ///
-/// | mode | resident memory | per-batch work |
-/// |---|---|---|
-/// | [`Precomputed`](ItemHalfMode::Precomputed) | `3 × items × hidden` floats | none |
-/// | [`PerBatch`](ItemHalfMode::PerBatch) | one panel per in-flight unit | every panel recomputed |
-/// | [`Tiled`](ItemHalfMode::Tiled) | ≤ `max_panels × panel_items × hidden` floats | cache misses only |
+/// | mode | tiles kept | bytes held | computed per batch |
+/// |---|---|---|---|
+/// | [`Precomputed`](ItemHalfMode::Precomputed) | all `T = 3·⌈items / panel_items⌉`, at `build()` | `4 · 3 · items · hidden` | nothing |
+/// | [`PerBatch`](ItemHalfMode::PerBatch) | 0 | one tile per in-flight unit | every tile touched |
+/// | [`Tiled`](ItemHalfMode::Tiled) | the first `max_panels` touched | `≤ 4 · max_panels · panel_items · hidden` | touched − kept |
+///
+/// Nothing is ever evicted: every batch walks every tile of its tiers in
+/// the same order, and under that cyclic scan a policy that replaces
+/// never hits, while tiles that stay put hit on every pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ItemHalfMode {
-    /// Compute the whole catalogue's halves at build time (the default;
-    /// fastest steady state, `O(items)` resident).
+    /// Keep every tile, computed at build time (the default; fastest
+    /// steady state, `O(items)` resident).
     Precomputed,
-    /// Recompute each panel inside its scoring unit, holding nothing
-    /// between batches (the memory-lean mode).
+    /// Keep nothing: each scoring unit computes its tile and drops it
+    /// (the memory-lean mode).
     PerBatch,
-    /// Cache computed panels in a bounded LRU of at most `max_panels`
-    /// tiles (each `panel_items` rows wide), shared across tiers — the
-    /// capacity-serving middle ground: steady-state hot panels serve
-    /// from cache while peak memory stays configurable.
+    /// Keep the first `max_panels` tiles that requests touch, across all
+    /// tiers, and compute the rest per unit — resident item halves stay
+    /// within the budget however large the catalogue.
     Tiled {
         /// Maximum resident tiles across all tiers (must be ≥ 1).
         max_panels: usize,
@@ -247,10 +254,10 @@ impl RecommenderBuilder {
         self
     }
 
-    /// How the per-tier item halves are held — see [`ItemHalfMode`]. All
+    /// How many item-half tiles may be kept — see [`ItemHalfMode`]. All
     /// modes produce bit-identical rankings; [`ItemHalfMode::Tiled`]
-    /// bounds peak memory to `max_panels × panel_items` rows, which is
-    /// the capacity-serving configuration for million-item catalogues.
+    /// bounds the held halves to `max_panels × panel_items` rows, which
+    /// is the capacity-serving configuration for million-item catalogues.
     pub fn item_half_mode(mut self, mode: ItemHalfMode) -> Self {
         self.item_half_mode = mode;
         self
@@ -310,15 +317,15 @@ impl RecommenderBuilder {
         let scorers: [SplitNcf; 3] = std::array::from_fn(|t| {
             SplitNcf::from_ffn(dims.dim(Tier::ALL[t]), artifact.theta(Tier::ALL[t]))
         });
-        // The item halves are a pure function of the frozen artifact, so
-        // precomputed mode builds them once here instead of per batch.
-        let item_halves = match self.item_half_mode {
-            ItemHalfMode::Precomputed => ItemHalves::Full(Box::new(std::array::from_fn(|t| {
-                scorers[t].item_half_block(artifact.table(Tier::ALL[t]), 0, artifact.num_items())
-            }))),
-            ItemHalfMode::PerBatch => ItemHalves::PerBatch,
-            ItemHalfMode::Tiled { max_panels } => ItemHalves::Tiled(PanelCache::new(max_panels)),
-        };
+        let panels = artifact.num_items().div_ceil(self.panel_items);
+        let item_halves = TileStore::new(
+            3 * panels,
+            match self.item_half_mode {
+                ItemHalfMode::Precomputed => 3 * panels,
+                ItemHalfMode::PerBatch => 0,
+                ItemHalfMode::Tiled { max_panels } => max_panels,
+            },
+        );
         // Popularity prior per tier: the popularity-weighted mean item
         // row, accumulated in ascending item order so the result is
         // deterministic. Only materialised when the blend is on.
@@ -342,7 +349,7 @@ impl RecommenderBuilder {
                 prior
             })
         });
-        Ok(Recommender {
+        let recommender = Recommender {
             artifact,
             scorers,
             item_halves,
@@ -352,84 +359,67 @@ impl RecommenderBuilder {
             panel_items: self.panel_items,
             cold_start_tier: self.cold_start_tier,
             cold_start_blend: self.cold_start_blend,
-        })
+        };
+        // Precomputed halves are the store filled before the first
+        // request instead of by it.
+        if self.item_half_mode == ItemHalfMode::Precomputed {
+            for slot in 0..3 * panels {
+                recommender.item_half_tile(slot / panels, slot % panels * self.panel_items);
+            }
+        }
+        Ok(recommender)
     }
 }
 
-/// Item-half storage, keyed by [`ItemHalfMode`].
+/// The fill-once store behind every [`ItemHalfMode`]: one slot per
+/// `(tier, panel)` tile and a budget of tiles that may still be kept.
+///
+/// A slot that is set is read with no lock. An unset slot is computed and
+/// — while budget remains — kept for good; with the budget spent it is
+/// computed for the asking unit and dropped. Nothing is evicted, so a
+/// kept tile is never computed twice and the tiles held never exceed the
+/// budget. Which tiles end up kept depends on who asks first; what a
+/// tile holds does not, so neither do scores.
 #[derive(Debug)]
-enum ItemHalves {
-    /// Whole-catalogue halves per tier, built once.
-    Full(Box<[Matrix; 3]>),
-    /// Nothing held; each unit computes its panel's blocked product.
-    PerBatch,
-    /// Bounded LRU of computed `(tier, panel)` tiles.
-    Tiled(PanelCache),
+struct TileStore {
+    slots: Box<[OnceLock<Matrix>]>,
+    /// Tiles that may still be kept.
+    budget: AtomicUsize,
 }
 
-/// A bounded LRU of item-half tiles, shared across tiers and scoring
-/// threads. Tiles align with the planned panels (`panel_items` rows), so
-/// a cache hit hands a unit exactly the rows it scores. A miss computes
-/// the tile *outside* the lock — two threads may race to compute the
-/// same tile, but the products are bit-identical, so whichever insert
-/// lands is indistinguishable and determinism is unaffected.
-#[derive(Debug)]
-struct PanelCache {
-    max_panels: usize,
-    inner: Mutex<PanelCacheInner>,
-}
-
-#[derive(Debug, Default)]
-struct PanelCacheInner {
-    tick: u64,
-    map: HashMap<(u8, u32), (u64, Arc<Matrix>)>,
-}
-
-impl PanelCache {
-    fn new(max_panels: usize) -> Self {
+impl TileStore {
+    fn new(slots: usize, budget: usize) -> Self {
         Self {
-            max_panels,
-            inner: Mutex::new(PanelCacheInner::default()),
+            slots: (0..slots).map(|_| OnceLock::new()).collect(),
+            budget: AtomicUsize::new(budget),
         }
     }
 
-    fn get(&self, tier: usize, start: usize, compute: impl FnOnce() -> Matrix) -> Arc<Matrix> {
-        let key = (tier as u8, start as u32);
-        {
-            let mut cache = self.inner.lock().expect("panel cache lock");
-            cache.tick += 1;
-            let stamp = cache.tick;
-            if let Some((tick, tile)) = cache.map.get_mut(&key) {
-                *tick = stamp;
-                return tile.clone();
-            }
+    fn get(&self, slot: usize, compute: impl FnOnce() -> Matrix) -> Cow<'_, Matrix> {
+        let slot = &self.slots[slot];
+        if let Some(tile) = slot.get() {
+            return Cow::Borrowed(tile);
         }
-        let tile = Arc::new(compute());
-        let mut cache = self.inner.lock().expect("panel cache lock");
-        cache.tick += 1;
-        let stamp = cache.tick;
-        if let Some((tick, tile)) = cache.map.get_mut(&key) {
-            *tick = stamp;
-            return tile.clone();
+        let reserved = self
+            .budget
+            .fetch_update(Relaxed, Relaxed, |left| left.checked_sub(1));
+        if reserved.is_err() {
+            return Cow::Owned(compute());
         }
-        if cache.map.len() >= self.max_panels {
-            // Evict the least-recently-used tile (linear scan: the cap
-            // is small, and a miss already paid for a panel product).
-            if let Some(&lru) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (tick, _))| *tick)
-                .map(|(k, _)| k)
-            {
-                cache.map.remove(&lru);
-            }
+        let mut filled = false;
+        let tile = slot.get_or_init(|| {
+            filled = true;
+            compute()
+        });
+        if !filled {
+            // Another worker won the slot: its tile is the one kept.
+            self.budget.fetch_add(1, Relaxed);
         }
-        cache.map.insert(key, (stamp, tile.clone()));
-        tile
+        Cow::Borrowed(tile)
     }
 
-    fn resident(&self) -> usize {
-        self.inner.lock().expect("panel cache lock").map.len()
+    fn held(&self) -> usize {
+        self.slots.iter().filter(|s| s.get().is_some()).count()
     }
 }
 
@@ -439,8 +429,9 @@ pub struct Recommender {
     artifact: ModelArtifact,
     /// Per-tier split scorers built from the frozen predictors.
     scorers: [SplitNcf; 3],
-    /// First-layer item halves, held per [`ItemHalfMode`].
-    item_halves: ItemHalves,
+    /// First-layer item-half tiles, tier-major; the budget is the
+    /// [`ItemHalfMode`].
+    item_halves: TileStore,
     /// Per-tier popularity-weighted mean item row; `Some` only when the
     /// cold-start blend is on.
     pop_prior: Option<[Vec<f32>; 3]>,
@@ -488,16 +479,30 @@ impl Recommender {
         self.default_k
     }
 
-    /// How many item-half tiles are resident right now: the LRU
-    /// occupancy in [`ItemHalfMode::Tiled`], every panel of every tier
-    /// in [`ItemHalfMode::Precomputed`], zero in
-    /// [`ItemHalfMode::PerBatch`]. Capacity reporting for benches.
+    /// How many item-half tiles are resident right now: every one in
+    /// [`ItemHalfMode::Precomputed`], zero in [`ItemHalfMode::PerBatch`],
+    /// and in [`ItemHalfMode::Tiled`] the smaller of `max_panels` and the
+    /// tiles requests have touched so far.
     pub fn cached_item_half_panels(&self) -> usize {
-        match &self.item_halves {
-            ItemHalves::Full(_) => 3 * self.artifact.num_items().div_ceil(self.panel_items),
-            ItemHalves::PerBatch => 0,
-            ItemHalves::Tiled(cache) => cache.resident(),
-        }
+        self.item_halves.held()
+    }
+
+    /// How many item-half tiles the catalogue splits into: one per tier
+    /// and `panel_items` rows.
+    pub fn item_half_tiles(&self) -> usize {
+        self.item_halves.slots.len()
+    }
+
+    /// The item halves of `tier`'s panel starting at item `start`, out of
+    /// the store or computed for the caller.
+    fn item_half_tile(&self, tier: usize, start: usize) -> Cow<'_, Matrix> {
+        let panels = self.item_halves.slots.len() / 3;
+        let end = (start + self.panel_items).min(self.artifact.num_items());
+        self.item_halves
+            .get(tier * panels + start / self.panel_items, || {
+                let table = self.artifact.table(Tier::ALL[tier]);
+                self.scorers[tier].item_half_block(table, start, end)
+            })
     }
 
     /// Answers one request ([`Recommender::recommend_batch`] of one).
@@ -510,15 +515,15 @@ impl Recommender {
     /// Answers a batch of requests.
     ///
     /// Requests are grouped per model tier; each `(tier, panel)` unit
-    /// reads the tier's precomputed item halves (or computes the blocked
-    /// product in memory-lean mode), shares the panel across the tier's
+    /// takes its item-half tile from the fill-once store (kept, or
+    /// computed on the spot), shares the panel across the tier's
     /// requests, ranks it down to per-request top-K candidates, and the
     /// units fan out over [`parallel_map`]. Candidate lists
     /// merge under the same `(score desc, item asc)` order the panel
     /// ranking uses, which reproduces the dense whole-catalogue ranking
     /// exactly while never holding more than `k` survivors per request.
     /// Responses are returned in request order and are bit-identical for
-    /// every thread count, panel size, precompute setting, and batch
+    /// every thread count, panel size, item-half budget, and batch
     /// composition.
     pub fn recommend_batch(&self, requests: &[RecommendRequest]) -> Vec<RecommendResponse> {
         let resolved: Vec<Resolved> = requests.iter().map(|r| self.resolve(r)).collect();
@@ -647,36 +652,14 @@ impl Recommender {
         match *unit {
             Unit::Shared { tier, start, end } => {
                 let scorer = &self.scorers[tier];
-                // Precomputed halves are sliced in place; per-batch mode
-                // computes the panel's blocked product here; tiled mode
-                // serves it from the bounded LRU (computing on miss).
-                // All three are bit-identical per row by the SplitNcf
-                // contract.
-                let local;
-                let held;
-                let (rows, offset): (&Matrix, usize) = match &self.item_halves {
-                    ItemHalves::Full(halves) => (&halves[tier], start),
-                    ItemHalves::PerBatch => {
-                        let table = self.artifact.table(Tier::ALL[tier]);
-                        local = scorer.item_half_block(table, start, end);
-                        (&local, 0)
-                    }
-                    ItemHalves::Tiled(cache) => {
-                        held = cache.get(tier, start, || {
-                            let table = self.artifact.table(Tier::ALL[tier]);
-                            scorer.item_half_block(table, start, end)
-                        });
-                        (&held, 0)
-                    }
-                };
+                let held = self.item_half_tile(tier, start);
+                let rows: &Matrix = &held;
                 let mut ws = scorer.workspace();
                 tier_queries[tier]
                     .iter()
                     .map(|&q| {
                         let part: Vec<f32> = (0..end - start)
-                            .map(|r| {
-                                scorer.finish(&resolved[q].user_half, rows.row(offset + r), &mut ws)
-                            })
+                            .map(|r| scorer.finish(&resolved[q].user_half, rows.row(r), &mut ws))
                             .collect();
                         (q, start, part)
                     })
@@ -808,5 +791,72 @@ impl Recommender {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PANELS: usize = 10;
+
+    /// Scans the ten panels `scans` times in order, as every batch does,
+    /// returning how many tiles were computed.
+    fn scan(store: &TileStore, scans: usize) -> usize {
+        let computed = AtomicUsize::new(0);
+        for slot in (0..scans).flat_map(|_| 0..PANELS) {
+            let tile = store.get(slot, || {
+                computed.fetch_add(1, Relaxed);
+                Matrix::from_vec(1, 1, vec![slot as f32])
+            });
+            assert_eq!(tile.row(0), [slot as f32], "a tile is its slot's");
+        }
+        computed.into_inner()
+    }
+
+    #[test]
+    fn cyclic_scans_compute_only_what_the_budget_does_not_hold() {
+        // (budget, tiles computed over three scans, tiles held): the
+        // first `budget` tiles touched are computed once and kept, the
+        // rest once a scan. An LRU of 4 would compute all 30.
+        for (budget, computed, held) in [
+            (4, 10 + 6 + 6, 4),
+            (0, 30, 0),
+            (PANELS, 10, PANELS),
+            (1_000, 10, PANELS),
+        ] {
+            let store = TileStore::new(PANELS, budget);
+            assert_eq!(scan(&store, 3), computed, "budget {budget}");
+            assert_eq!(store.held(), held, "budget {budget}");
+            assert_eq!(
+                scan(&store, 1),
+                PANELS - held,
+                "a kept tile is not recomputed"
+            );
+        }
+    }
+
+    #[test]
+    fn racing_scans_never_hold_more_than_the_budget() {
+        let budget = 4;
+        let store = TileStore::new(PANELS, budget);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for slot in (0..3).flat_map(|_| 0..PANELS) {
+                        let tile = store.get(slot, || Matrix::from_vec(1, 1, vec![slot as f32]));
+                        assert_eq!(tile.row(0), [slot as f32]);
+                        assert!(store.held() <= budget);
+                    }
+                });
+            }
+        });
+        // Every reservation was either spent on a slot or refunded. A
+        // refund can land after the last miss of the race, so one more
+        // scan is what is guaranteed to spend it.
+        assert_eq!(store.held() + store.budget.load(Relaxed), budget);
+        scan(&store, 1);
+        assert_eq!(store.held(), budget);
+        assert_eq!(store.budget.load(Relaxed), 0);
     }
 }

@@ -20,8 +20,9 @@
 //! test, and the foundation `examples/capacity.rs` stands on (its lazy
 //! and eager rankings really are the same model).
 
-use crate::artifact::{ModelArtifact, Tally, TierParams, UserArena, UserStore, UserView};
+use crate::artifact::{ModelArtifact, Tally, UserArena, UserStore, UserView};
 use crate::binfmt::{self, ArtifactWriter, Meta};
+use crate::lazy::Tiers;
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::{SyntheticProfile, Tier};
@@ -144,10 +145,7 @@ impl ModelArtifact {
             dims,
             standalone: false,
             num_items,
-            params: TierParams::Eager {
-                tables: Box::new(tables),
-                thetas: Box::new(thetas),
-            },
+            params: Tiers::filled(tables, thetas),
             users: UserStore::Eager(users),
             popularity,
             fallback,

@@ -66,8 +66,14 @@ fn lazy_tiled_sharded_paths_match_eager_bitwise_across_threads() {
         .expect("reference build")
         .recommend_batch(&reqs);
 
-    // Tiny caches force constant eviction and re-decode mid-batch: three
-    // shards of two records, three resident item-half tiles.
+    // Item-half tiles the batch touches: eight 64-item panels for every
+    // tier it serves.
+    let tiers: std::collections::HashSet<_> = reference.iter().map(|r| r.tier.index()).collect();
+    let touched = tiers.len() * 500usize.div_ceil(64);
+
+    // A tiny user cache forces constant eviction and re-decode mid-batch
+    // (three shards of two records); the tile budgets run from below one
+    // tier's panel count to more than the catalogue holds.
     let tiny = LazyConfig {
         user_shards: 3,
         shard_capacity: 2,
@@ -76,6 +82,8 @@ fn lazy_tiled_sharded_paths_match_eager_bitwise_across_threads() {
         ("precomputed", ItemHalfMode::Precomputed),
         ("per-batch", ItemHalfMode::PerBatch),
         ("tiled", ItemHalfMode::Tiled { max_panels: 3 }),
+        ("tiled/1", ItemHalfMode::Tiled { max_panels: 1 }),
+        ("tiled/all", ItemHalfMode::Tiled { max_panels: 1_000 }),
     ];
     for (mode_name, mode) in modes {
         for threads in [1usize, 2, 8] {
@@ -97,12 +105,17 @@ fn lazy_tiled_sharded_paths_match_eager_bitwise_across_threads() {
                 "{mode_name}/{threads}: {} records resident",
                 r.artifact().cached_user_records()
             );
+            // Once warm the store holds its budget or everything asked
+            // of it, whichever is smaller — exactly, at any thread count.
             if let ItemHalfMode::Tiled { max_panels } = mode {
-                assert!(
-                    r.cached_item_half_panels() <= max_panels,
-                    "{mode_name}/{threads}: {} tiles resident",
-                    r.cached_item_half_panels()
+                assert_eq!(
+                    r.cached_item_half_panels(),
+                    max_panels.min(touched),
+                    "{mode_name}/{threads}: tiles resident"
                 );
+                let again = r.recommend_batch(&reqs);
+                assert_bit_identical(&reference, &again, &format!("{mode_name} warm"));
+                assert_eq!(r.cached_item_half_panels(), max_panels.min(touched));
             }
         }
     }

@@ -9,6 +9,8 @@
 //! 2. **O(touched) residency** — after the batch, the lazy store holds
 //!    only the records the batch touched, and the resident-footprint
 //!    delta of the lazy boot stays below the eager materialisation.
+//!    The item-half store holds exactly its 64-tile budget after the
+//!    batch and after serving it again, with the same bits.
 //! 3. **An eager load costs its payload** — resident memory grows across
 //!    `load_file` by at most 1.25× the bytes of the sections it decodes,
 //!    at the peak as well as afterwards (the file is never resident
@@ -35,6 +37,23 @@ fn env_size(name: &str, default: usize) -> usize {
         }),
         Err(_) => default,
     }
+}
+
+/// How many of two batches' responses differ in an item id or a score
+/// bit (each one named on stderr).
+fn mismatches(a: &[RecommendResponse], b: &[RecommendResponse], what: &str) -> usize {
+    let differs = |(a, b): &(&RecommendResponse, &RecommendResponse)| {
+        let same = a.items.len() == b.items.len()
+            && a.items
+                .iter()
+                .zip(&b.items)
+                .all(|(x, y)| x.item == y.item && x.score.to_bits() == y.score.to_bits());
+        if !same {
+            eprintln!("user {}: {what} rankings differ", a.user);
+        }
+        !same
+    };
+    a.iter().zip(b).filter(differs).count()
 }
 
 fn main() {
@@ -74,6 +93,17 @@ fn main() {
         .chain([RecommendRequest::new(usize::MAX)])
         .collect();
     let lazy_batch = lazy_serve.recommend_batch(&requests);
+    // The batch walks every tile of its tiers: the first 64 it touched
+    // are kept, and a second pass changes neither them nor an answer.
+    let budget = lazy_serve.item_half_tiles().min(64);
+    assert_eq!(lazy_serve.cached_item_half_panels(), budget);
+    let warm_batch = lazy_serve.recommend_batch(&requests);
+    assert_eq!(mismatches(&lazy_batch, &warm_batch, "cold and warm"), 0);
+    assert_eq!(lazy_serve.cached_item_half_panels(), budget);
+    println!(
+        "item-half budget held: {budget} of {} tiles",
+        lazy_serve.item_half_tiles()
+    );
     let touched = lazy_serve.artifact().cached_user_records();
     let lazy_delta = match (rss_before, footprint::resident_bytes()) {
         (Some(a), Some(b)) => Some(b.saturating_sub(a)),
@@ -121,18 +151,7 @@ fn main() {
         .expect("valid eager serving configuration");
     let eager_batch = eager_serve.recommend_batch(&requests);
 
-    let mut mismatches = 0usize;
-    for (a, b) in eager_batch.iter().zip(&lazy_batch) {
-        let same = a.items.len() == b.items.len()
-            && a.items
-                .iter()
-                .zip(&b.items)
-                .all(|(x, y)| x.item == y.item && x.score.to_bits() == y.score.to_bits());
-        if !same {
-            eprintln!("user {}: lazy and eager rankings differ", a.user);
-            mismatches += 1;
-        }
-    }
+    let mismatches = mismatches(&eager_batch, &lazy_batch, "lazy and eager");
     if mismatches > 0 {
         eprintln!(
             "FAILED: {mismatches} of {} responses differ",
