@@ -183,8 +183,12 @@ if [[ "$quick" != "quick" ]]; then
     restore_benchmark_lock
 fi
 
-echo "==> cargo fmt --check + clippy -D warnings"
+echo "==> cargo fmt --check + clippy -D warnings + rustdoc -D warnings"
 cargo fmt --check
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
+# Library docs only: the `hf-serve` binary's docs would collide with the
+# `hf_serve` library's output directory. A dangling intra-doc link (to a
+# deleted or private item) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace --lib
 
 echo "ci.sh: all green"

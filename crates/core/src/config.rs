@@ -261,12 +261,6 @@ pub struct AsyncConfig {
     pub buffer: usize,
     /// Maximum clients in flight at once.
     pub concurrency: usize,
-    /// Adaptive β: scale the discount exponent by the batch's observed mean
-    /// staleness, `β_eff = β · (1 + mean_staleness)`, so long-staleness
-    /// batches are damped smoothly instead of by a fixed power. Default
-    /// off; the off path is bit-identical to the fixed-β computation and is
-    /// omitted from serialized documents.
-    pub adaptive_beta: bool,
 }
 
 impl Default for AsyncConfig {
@@ -275,7 +269,6 @@ impl Default for AsyncConfig {
             staleness_beta: 0.5,
             buffer: 64,
             concurrency: 512,
-            adaptive_beta: false,
         }
     }
 }
@@ -286,26 +279,27 @@ impl ToJson for AsyncConfig {
             o.field("staleness_beta", &self.staleness_beta)
                 .field("buffer", &self.buffer)
                 .field("concurrency", &self.concurrency);
-            // Emitted only when on, so default-off documents stay
-            // byte-identical to every pre-adaptive-β checkpoint.
-            if self.adaptive_beta {
-                o.field("adaptive_beta", &self.adaptive_beta);
-            }
         });
     }
 }
 
 impl AsyncConfig {
-    /// Restores checkpointed async settings.
+    /// Restores checkpointed async settings. A document that turned on
+    /// the retired adaptive β (`"adaptive_beta": true`, only ever written
+    /// by tests) is refused rather than resumed under a different
+    /// weighting.
     pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
+        if let Some(adaptive) = v.opt("adaptive_beta") {
+            if adaptive.as_bool()? {
+                return Err(JsonError::msg(
+                    "adaptive_beta is no longer supported: this checkpoint cannot resume",
+                ));
+            }
+        }
         Ok(Self {
             staleness_beta: v.get("staleness_beta")?.as_f32()?,
             buffer: v.get("buffer")?.as_usize()?,
             concurrency: v.get("concurrency")?.as_usize()?,
-            adaptive_beta: match v.opt("adaptive_beta") {
-                Some(b) => b.as_bool()?,
-                None => false,
-            },
         })
     }
 }
@@ -628,7 +622,6 @@ impl TrainConfig {
                 staleness_beta: 0.5,
                 buffer: 8,
                 concurrency: 16,
-                adaptive_beta: false,
             },
             latency: LatencyProfile::unit(),
             churn: ChurnProfile::None,
@@ -783,7 +776,6 @@ mod tests {
             staleness_beta: 0.75,
             buffer: 48,
             concurrency: 192,
-            adaptive_beta: true,
         };
         cfg.latency = LatencyProfile::LogNormal {
             median: 4.0,
@@ -828,16 +820,20 @@ mod tests {
     }
 
     #[test]
-    fn default_off_adaptive_beta_serializes_without_the_field() {
+    fn documents_that_turned_on_adaptive_beta_fail_restore() {
         use hf_tensor::ser::{parse_json, ToJson};
         let cfg = TrainConfig::test_default(ModelKind::Ncf);
         let json = cfg.to_json();
-        assert!(
-            !json.contains("adaptive_beta"),
-            "default-off adaptive_beta must not appear in the document: {json}"
-        );
-        let back = TrainConfig::from_json(&parse_json(&json).unwrap()).unwrap();
-        assert!(!back.async_cfg.adaptive_beta);
+        let with = |flag: bool| {
+            let field = format!("\"concurrency\":16,\"adaptive_beta\":{flag}");
+            let doc = json.replace("\"concurrency\":16", &field);
+            assert_ne!(doc, json, "the async block carries the retired field");
+            TrainConfig::from_json(&parse_json(&doc).unwrap())
+        };
+        let e = with(true).expect_err("refused");
+        assert!(e.to_string().contains("adaptive_beta"), "{e}");
+        // `false` was its only behaviour, so that still restores.
+        assert_eq!(with(false).unwrap().async_cfg, cfg.async_cfg);
     }
 
     #[test]

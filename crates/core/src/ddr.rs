@@ -4,7 +4,7 @@
 //! loss term through its leading `Ns` columns — the *dimensional collapse*
 //! the paper diagnoses via the variance of the covariance matrix's
 //! singular values (Eq. 12, Table V). Penalising that variance directly
-//! requires an SVD per step, so the paper follows [70], [71] and
+//! requires an SVD per step, so the paper follows \[70\], \[71\] and
 //! regularises the Frobenius norm of the correlation matrix instead:
 //!
 //! ```text

@@ -81,18 +81,9 @@ impl Session {
             .iter()
             .map(|a| (round - 1).saturating_sub(a.dispatched_round))
             .collect();
-        // Adaptive β scales the discount exponent by the batch's mean
-        // staleness so long-staleness batches shrink smoothly; the off
-        // path keeps the exact fixed-β computation (bit-identical).
-        let effective_beta = if self.cfg.async_cfg.adaptive_beta && !stalenesses.is_empty() {
-            let mean = stalenesses.iter().sum::<u64>() as f32 / stalenesses.len() as f32;
-            beta * (1.0 + mean)
-        } else {
-            beta
-        };
         let weights: Vec<f32> = stalenesses
             .iter()
-            .map(|&s| 1.0 / (1.0 + s as f32).powf(effective_beta))
+            .map(|&s| 1.0 / (1.0 + s as f32).powf(beta))
             .collect();
 
         // Asynchronous groups form at collection time over the arrival

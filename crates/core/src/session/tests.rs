@@ -992,13 +992,6 @@ fn async_ingest_admits_into_the_event_engine() {
 }
 
 #[test]
-fn adaptive_beta_checkpoints_resume_bit_identically() {
-    let mut cfg = async_cfg(ModelKind::Ncf);
-    cfg.async_cfg.adaptive_beta = true;
-    checkpoint_roundtrip_cfg(cfg, Strategy::HeteFedRec(Ablation::FULL), 3, 2);
-}
-
-#[test]
 fn per_tier_latency_trains_and_checkpoints() {
     let per_tier = LatencyProfile::PerTier(Box::new([
         LatencyProfile::Fixed(2),

@@ -8,7 +8,7 @@
 //! of the queue as rounds (the final round of an epoch may be smaller).
 //!
 //! The shuffle itself is exposed through
-//! [`TraversalPolicy`](crate::events::TraversalPolicy): synchronous rounds
+//! [`TraversalPolicy`]: synchronous rounds
 //! are one policy over the per-epoch traversal (chunk it into lockstep
 //! cohorts); the event-driven asynchronous engine
 //! ([`crate::events::EventScheduler`]) is another consumer of the very same

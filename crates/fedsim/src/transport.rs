@@ -12,7 +12,7 @@
 //! and the Table III harness reports both the paper's dense accounting
 //! and the sparse bytes this format actually moves.
 
-use hf_tensor::wire::{Reader, Writer};
+use hf_tensor::wire::{DecodeError, Reader, Writer};
 
 /// Sparse row-keyed update to an embedding table.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -100,44 +100,35 @@ impl ClientUpdate {
         buf.into_vec()
     }
 
-    /// Parses the binary wire format.
-    ///
-    /// Returns `None` on truncated, malformed or over-long input (a real
-    /// server must not panic on a hostile payload; trailing bytes are
+    /// Parses the binary wire format, strictly: a hostile payload is a
+    /// typed [`DecodeError`], never a panic, and trailing bytes are
     /// rejected so that `decode(b)?.encode() == b`, as in every other
-    /// codec of the workspace).
-    pub fn decode(buf: impl AsRef<[u8]>) -> Option<Self> {
-        let mut buf = Reader::new(buf.as_ref());
-        let dim = buf.get_u32_le()? as usize;
-        let n_rows = buf.get_u32_le()? as usize;
-        let row_width = dim.checked_mul(4)?.checked_add(4)?;
-        let mut rows = Vec::with_capacity(buf.fits(n_rows, row_width)?);
-        for _ in 0..n_rows {
-            rows.push((buf.get_u32_le()?, buf.get_f32_vec(dim)?));
-        }
-        let n_thetas = buf.get_u32_le()? as usize;
-        if n_thetas > 16 {
-            return None; // sanity bound: no protocol has that many tiers
-        }
-        let mut thetas = Vec::with_capacity(n_thetas);
-        for _ in 0..n_thetas {
-            let tier = buf.get_u8()?;
-            let len = buf.get_u32_le()? as usize;
-            thetas.push((tier, buf.get_f32_vec(len)?));
-        }
-        if buf.remaining() != 0 {
-            return None;
-        }
-        Some(Self {
-            items: SparseRowUpdate { dim, rows },
-            thetas,
+    /// codec of the workspace.
+    pub fn decode(buf: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
+        Reader::whole(buf.as_ref(), |r| {
+            let dim = r.get_u32_le()? as usize;
+            let n_rows = r.get_u32_le()? as usize;
+            let row_width = dim.saturating_mul(4).saturating_add(4);
+            let mut rows = Vec::with_capacity(r.fits(n_rows, row_width)?);
+            for _ in 0..n_rows {
+                rows.push((r.get_u32_le()?, r.get_f32_vec(dim)?));
+            }
+            let n_thetas = r.get_u32_le()? as usize;
+            if n_thetas > 16 {
+                // Sanity bound: no protocol has that many tiers.
+                return Err(DecodeError::Invalid { field: "thetas" });
+            }
+            let mut thetas = Vec::with_capacity(n_thetas);
+            for _ in 0..n_thetas {
+                let tier = r.get_u8()?;
+                let len = r.get_u32_le()? as usize;
+                thetas.push((tier, r.get_f32_vec(len)?));
+            }
+            Ok(Self {
+                items: SparseRowUpdate { dim, rows },
+                thetas,
+            })
         })
-    }
-
-    /// Upload size under the paper's *dense* accounting (Table III):
-    /// the full `|V| x dim` table plus every predictor, in parameters.
-    pub fn dense_param_count(&self, num_items: usize) -> usize {
-        num_items * self.items.dim + self.thetas.iter().map(|(_, f)| f.len()).sum::<usize>()
     }
 }
 
@@ -175,8 +166,9 @@ mod tests {
     fn truncated_payload_is_rejected() {
         let wire = sample().encode();
         for cut in [0, 3, 7, 9, wire.len() - 1] {
-            assert!(
-                ClientUpdate::decode(&wire[..cut]).is_none(),
+            assert_eq!(
+                ClientUpdate::decode(&wire[..cut]),
+                Err(DecodeError::Truncated),
                 "cut at {cut} should fail"
             );
         }
@@ -186,7 +178,10 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut wire = sample().encode();
         wire.extend([0x55, 0xAA, 0x01]);
-        assert!(ClientUpdate::decode(wire).is_none());
+        assert_eq!(
+            ClientUpdate::decode(wire),
+            Err(DecodeError::Trailing { extra: 3 })
+        );
     }
 
     #[test]
@@ -195,20 +190,13 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&8u32.to_le_bytes());
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(ClientUpdate::decode(buf).is_none());
+        assert_eq!(ClientUpdate::decode(buf), Err(DecodeError::Truncated));
     }
 
     #[test]
     #[should_panic(expected = "width")]
     fn sparse_update_validates_row_width() {
         let _ = SparseRowUpdate::new(3, vec![(0, vec![1.0])]);
-    }
-
-    #[test]
-    fn dense_param_count_matches_table_iii_formula() {
-        let u = sample();
-        // size(V) + size(Θ): 100 items * dim 3 + (2 + 1) predictor params.
-        assert_eq!(u.dense_param_count(100), 303);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-user evaluation and aggregation.
 //!
-//! The protocol (paper §V-B, following [69], [73]): for every user with a
+//! The protocol (paper §V-B, following \[69\], \[73\]): for every user with a
 //! non-empty test set, score the full item universe, mask the user's
 //! training positives, take the top-K, and compute Recall@K / NDCG@K
 //! against the held-out items. Aggregates are plain means over evaluated

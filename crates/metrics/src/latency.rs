@@ -4,7 +4,7 @@
 //! storing every sample is wasteful and percentiles over a sorted vector
 //! do not merge across threads. [`LatencyHistogram`] instead counts
 //! samples in geometrically spaced buckets: constant *relative* error
-//! (each bucket is [`GROWTH`] wider than the previous one, so any
+//! (each bucket is `GROWTH` (8.3 %) wider than the previous one, so any
 //! reported quantile is within ~4% of the true value), constant memory,
 //! and lossless merging — each load-generator connection records into its
 //! own histogram and the totals are summed at the end.

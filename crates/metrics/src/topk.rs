@@ -2,7 +2,7 @@
 //!
 //! Full-ranking evaluation masks each user's training positives (they are
 //! trivially "known" and excluding them is the standard protocol the
-//! paper follows [69], [73]). A fixed-size binary min-heap over the
+//! paper follows \[69\], \[73\]). A fixed-size binary min-heap over the
 //! candidate scores gives `O(|V| log K)` selection without sorting the
 //! whole universe.
 

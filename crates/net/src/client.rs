@@ -59,12 +59,10 @@ impl Client {
 
     /// Sends one request and blocks for its answer.
     ///
-    /// Fails with [`NetError::NotWireExpressible`] if the request
-    /// carries a closure filter.
+    /// Fails with [`NetError::NotWireExpressible`] if the request has
+    /// no wire form (see [`WireRequest::try_from_request`]).
     pub fn recommend(&mut self, request: &RecommendRequest) -> Result<RecommendResponse, NetError> {
-        let id = self.fresh_id();
-        let wire =
-            WireRequest::try_from_request(id, request).map_err(|_| NetError::NotWireExpressible)?;
+        let wire = WireRequest::try_from_request(self.fresh_id(), request)?;
         self.recommend_wire(wire).map(WireResponse::into_response)
     }
 
@@ -130,13 +128,8 @@ impl Client {
     }
 
     fn read_frame(&mut self) -> Result<Frame, NetError> {
-        match Frame::read_from(&mut self.stream) {
-            Ok(Some(frame)) => Ok(frame),
-            Ok(None) => Err(NetError::Protocol(
-                "server closed the connection mid-exchange".to_string(),
-            )),
-            Err(crate::frame::ReadFrameError::Io(e)) => Err(NetError::Io(e)),
-            Err(crate::frame::ReadFrameError::Frame(e)) => Err(NetError::Frame(e)),
-        }
+        Frame::read_from(&mut self.stream)?.ok_or_else(|| {
+            NetError::Protocol("server closed the connection mid-exchange".to_string())
+        })
     }
 }

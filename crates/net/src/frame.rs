@@ -13,21 +13,24 @@
 //! ```
 //!
 //! Decoding is strict: unknown versions, unknown kinds, out-of-range
-//! enums, non-canonical booleans, truncated bodies, and trailing bytes
-//! are all **typed** [`FrameError`]s — never a panic, and never a
-//! silently-accepted frame. Because every accepted encoding is
+//! enums and non-canonical booleans are [`DecodeError::Invalid`],
+//! truncated bodies and trailing bytes the workspace's other two
+//! [`DecodeError`]s — never a panic, and never a silently-accepted
+//! frame. Because every accepted encoding is
 //! canonical, `decode(encode(f)) == f` and `encode(decode(b)) == b`
 //! hold for every frame; the byte-mutation property test leans on the
 //! second identity.
 //!
 //! The request body carries the *wire-expressible subset* of
 //! [`RecommendRequest`]: explicit exclusions, seen-masking, and the
-//! popularity floor. Closure filters ([`RecommendRequest::filter`]) have
-//! no wire form; [`WireRequest::try_from_request`] rejects them.
+//! popularity floor. Closure filters ([`RecommendRequest::filter`]) and
+//! a `k` beyond `u32::MAX` have no wire form;
+//! [`WireRequest::try_from_request`] rejects them.
 
+use crate::NetError;
 use hf_dataset::Tier;
 use hf_serve::{RecommendRequest, RecommendResponse, ScoredItem};
-use hf_tensor::wire::{Reader, Writer};
+use hf_tensor::wire::{DecodeError, Reader, Writer};
 use std::io::{self, Read, Write};
 
 /// Protocol version this module writes and the only one it reads.
@@ -37,6 +40,11 @@ pub const FRAME_VERSION: u8 = 1;
 /// is rejected before any allocation — a corrupt or hostile prefix must
 /// not turn into a multi-gigabyte `Vec`.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// What [`Frame::read_from`] reports for a length prefix beyond
+/// [`MAX_FRAME_LEN`]. Unlike any other decode failure it leaves the
+/// stream out of step: the body the prefix claims was never read.
+pub(crate) const OVERSIZED: DecodeError = DecodeError::Invalid { field: "len" };
 
 /// Upper bound on an error-frame message (the only variable-length text
 /// on the wire).
@@ -51,66 +59,6 @@ const KIND_PONG: u8 = 5;
 const KIND_SHUTDOWN: u8 = 6;
 const KIND_RELOAD: u8 = 7;
 const KIND_RELOADED: u8 = 8;
-
-/// A typed decode failure. Every malformed buffer maps to one of these;
-/// decoding never panics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FrameError {
-    /// The buffer ended in the middle of a field.
-    Truncated,
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
-    Oversized {
-        /// Length the prefix claimed.
-        len: u64,
-    },
-    /// The version byte is not [`FRAME_VERSION`].
-    BadVersion {
-        /// Version byte found on the wire.
-        got: u8,
-    },
-    /// The kind byte names no known frame.
-    BadKind {
-        /// Kind byte found on the wire.
-        got: u8,
-    },
-    /// A field holds an out-of-range or non-canonical value.
-    BadField {
-        /// Frame being decoded.
-        frame: &'static str,
-        /// Offending field.
-        field: &'static str,
-    },
-    /// The body decoded but bytes were left over.
-    Trailing {
-        /// Frame being decoded.
-        frame: &'static str,
-        /// Number of unconsumed bytes.
-        extra: usize,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Truncated => write!(f, "frame truncated mid-field"),
-            FrameError::Oversized { len } => {
-                write!(f, "frame claims {len} bytes (max {MAX_FRAME_LEN})")
-            }
-            FrameError::BadVersion { got } => {
-                write!(f, "frame version {got} (this peer speaks {FRAME_VERSION})")
-            }
-            FrameError::BadKind { got } => write!(f, "unknown frame kind {got}"),
-            FrameError::BadField { frame, field } => {
-                write!(f, "{frame} frame has a malformed `{field}` field")
-            }
-            FrameError::Trailing { frame, extra } => {
-                write!(f, "{frame} frame has {extra} trailing bytes")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
 
 /// Machine-readable cause carried by an [`Error`](Frame::Error) frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,19 +138,18 @@ impl WireRequest {
         }
     }
 
-    /// Converts a library request into its wire form, or reports why it
-    /// cannot travel: closure filters are not wire-expressible.
-    pub fn try_from_request(id: u64, request: &RecommendRequest) -> Result<Self, FrameError> {
+    /// Converts a library request into its wire form, or fails with
+    /// [`NetError::NotWireExpressible`]: a closure filter, or a `k` the
+    /// `u32` field cannot hold, has no wire form.
+    pub fn try_from_request(id: u64, request: &RecommendRequest) -> Result<Self, NetError> {
+        let k = u32::try_from(request.k).map_err(|_| NetError::NotWireExpressible)?;
         if request.filter.is_some() {
-            return Err(FrameError::BadField {
-                frame: "request",
-                field: "filter",
-            });
+            return Err(NetError::NotWireExpressible);
         }
         Ok(Self {
             id,
             user: request.user as u64,
-            k: request.k as u32,
+            k,
             exclude_seen: request.exclude_seen,
             min_popularity: request.min_popularity,
             exclude: request.exclude.clone(),
@@ -303,20 +250,6 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Name used in error diagnostics.
-    fn name(&self) -> &'static str {
-        match self {
-            Frame::Request(_) => "request",
-            Frame::Response(_) => "response",
-            Frame::Error(_) => "error",
-            Frame::Ping(_) => "ping",
-            Frame::Pong(_) => "pong",
-            Frame::Shutdown => "shutdown",
-            Frame::Reload => "reload",
-            Frame::Reloaded(_) => "reloaded",
-        }
-    }
-
     /// Encodes the frame payload (version, kind, body — without the
     /// outer length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -385,93 +318,63 @@ impl Frame {
 
     /// Decodes a frame payload. Strict: every byte must be consumed and
     /// every field must be canonical.
-    pub fn decode(payload: &[u8]) -> Result<Frame, FrameError> {
-        let mut r = Reader::new(payload);
-        let version = r.get_u8().ok_or(FrameError::Truncated)?;
-        if version != FRAME_VERSION {
-            return Err(FrameError::BadVersion { got: version });
-        }
-        let kind = r.get_u8().ok_or(FrameError::Truncated)?;
-        let frame = match kind {
-            KIND_REQUEST => {
-                let id = r.get_u64_le().ok_or(FrameError::Truncated)?;
-                let user = r.get_u64_le().ok_or(FrameError::Truncated)?;
-                let k = r.get_u32_le().ok_or(FrameError::Truncated)?;
-                let exclude_seen = decode_bool(&mut r, "request", "exclude_seen")?;
-                let min_popularity = r.get_u32_le().ok_or(FrameError::Truncated)?;
-                let n = r.get_u32_le().ok_or(FrameError::Truncated)? as usize;
-                let exclude = r.get_u32_vec(n).ok_or(FrameError::Truncated)?;
-                Frame::Request(WireRequest {
-                    id,
-                    user,
-                    k,
-                    exclude_seen,
-                    min_popularity,
-                    exclude,
-                })
+    pub fn decode(payload: &[u8]) -> Result<Frame, DecodeError> {
+        use DecodeError::Invalid;
+        Reader::whole(payload, |r| {
+            if r.get_u8()? != FRAME_VERSION {
+                return Err(Invalid { field: "version" });
             }
-            KIND_RESPONSE => {
-                let id = r.get_u64_le().ok_or(FrameError::Truncated)?;
-                let user = r.get_u64_le().ok_or(FrameError::Truncated)?;
-                let version = r.get_u64_le().ok_or(FrameError::Truncated)?;
-                let tier_idx = r.get_u8().ok_or(FrameError::Truncated)? as usize;
-                let tier = *Tier::ALL.get(tier_idx).ok_or(FrameError::BadField {
-                    frame: "response",
-                    field: "tier",
-                })?;
-                let cold_start = decode_bool(&mut r, "response", "cold_start")?;
-                let n = r.get_u32_le().ok_or(FrameError::Truncated)? as usize;
-                let mut items = Vec::with_capacity(r.fits(n, 8).ok_or(FrameError::Truncated)?);
-                for _ in 0..n {
-                    let item = r.get_u32_le().ok_or(FrameError::Truncated)?;
-                    let score = r.get_f32_le().ok_or(FrameError::Truncated)?;
-                    items.push(ScoredItem { item, score });
+            Ok(match r.get_u8()? {
+                KIND_REQUEST => Frame::Request(WireRequest {
+                    id: r.get_u64_le()?,
+                    user: r.get_u64_le()?,
+                    k: r.get_u32_le()?,
+                    exclude_seen: r.get_bool("exclude_seen")?,
+                    min_popularity: r.get_u32_le()?,
+                    exclude: r.get_u32_le().and_then(|n| r.get_u32_vec(n as usize))?,
+                }),
+                KIND_RESPONSE => {
+                    let (id, user, version) = (r.get_u64_le()?, r.get_u64_le()?, r.get_u64_le()?);
+                    let tier = *Tier::ALL
+                        .get(r.get_u8()? as usize)
+                        .ok_or(Invalid { field: "tier" })?;
+                    let cold_start = r.get_bool("cold_start")?;
+                    let n = r.get_u32_le()? as usize;
+                    let mut items = Vec::with_capacity(r.fits(n, 8)?);
+                    for _ in 0..n {
+                        let (item, score) = (r.get_u32_le()?, r.get_f32_le()?);
+                        items.push(ScoredItem { item, score });
+                    }
+                    Frame::Response(WireResponse {
+                        id,
+                        user,
+                        version,
+                        tier,
+                        cold_start,
+                        items,
+                    })
                 }
-                Frame::Response(WireResponse {
-                    id,
-                    user,
-                    version,
-                    tier,
-                    cold_start,
-                    items,
-                })
-            }
-            KIND_ERROR => {
-                let id = r.get_u64_le().ok_or(FrameError::Truncated)?;
-                let code = r.get_u16_le().ok_or(FrameError::Truncated)?;
-                let code = ErrorCode::from_wire(code).ok_or(FrameError::BadField {
-                    frame: "error",
-                    field: "code",
-                })?;
-                let len = r.get_u32_le().ok_or(FrameError::Truncated)? as usize;
-                if len > MAX_ERROR_MESSAGE {
-                    return Err(FrameError::BadField {
-                        frame: "error",
-                        field: "message",
-                    });
+                KIND_ERROR => {
+                    let id = r.get_u64_le()?;
+                    let code =
+                        ErrorCode::from_wire(r.get_u16_le()?).ok_or(Invalid { field: "code" })?;
+                    let len = r.get_u32_le()? as usize;
+                    if len > MAX_ERROR_MESSAGE {
+                        return Err(Invalid { field: "message" });
+                    }
+                    let message = std::str::from_utf8(r.get_bytes(len)?)
+                        .map_err(|_| Invalid { field: "message" })?
+                        .to_owned();
+                    Frame::Error(WireError { id, code, message })
                 }
-                let bytes = r.get_bytes(len).ok_or(FrameError::Truncated)?;
-                let message =
-                    String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadField {
-                        frame: "error",
-                        field: "message",
-                    })?;
-                Frame::Error(WireError { id, code, message })
-            }
-            KIND_PING => Frame::Ping(r.get_u64_le().ok_or(FrameError::Truncated)?),
-            KIND_PONG => Frame::Pong(r.get_u64_le().ok_or(FrameError::Truncated)?),
-            KIND_SHUTDOWN => Frame::Shutdown,
-            KIND_RELOAD => Frame::Reload,
-            KIND_RELOADED => Frame::Reloaded(r.get_u64_le().ok_or(FrameError::Truncated)?),
-            other => return Err(FrameError::BadKind { got: other }),
-        };
-        if r.remaining() != 0 {
-            return Err(FrameError::Trailing {
-                frame: frame.name(),
-                extra: r.remaining(),
-            });
-        }
-        Ok(frame)
+                KIND_PING => Frame::Ping(r.get_u64_le()?),
+                KIND_PONG => Frame::Pong(r.get_u64_le()?),
+                KIND_SHUTDOWN => Frame::Shutdown,
+                KIND_RELOAD => Frame::Reload,
+                KIND_RELOADED => Frame::Reloaded(r.get_u64_le()?),
+                _ => return Err(Invalid { field: "kind" }),
+            })
+        })
     }
 
     /// Writes the frame (length prefix + payload) to a stream.
@@ -485,52 +388,27 @@ impl Frame {
 
     /// Reads one frame from a stream. Returns `Ok(None)` on a clean EOF
     /// at a frame boundary; a mid-frame EOF is an
-    /// [`UnexpectedEof`](io::ErrorKind::UnexpectedEof) I/O error, and a
-    /// hostile length prefix fails as [`FrameError::Oversized`] *before*
+    /// [`UnexpectedEof`](io::ErrorKind::UnexpectedEof) [`NetError::Io`],
+    /// and a hostile length prefix fails as a [`NetError::Frame`] *before*
     /// any allocation.
-    pub fn read_from<R: Read>(input: &mut R) -> Result<Option<Frame>, ReadFrameError> {
+    pub fn read_from<R: Read>(input: &mut R) -> Result<Option<Frame>, NetError> {
         let mut prefix = [0u8; 4];
         if !read_exact_or_eof(input, &mut prefix)? {
             return Ok(None);
         }
         let len = u32::from_le_bytes(prefix) as usize;
         if len > MAX_FRAME_LEN {
-            return Err(ReadFrameError::Frame(FrameError::Oversized {
-                len: len as u64,
-            }));
+            return Err(NetError::Frame(OVERSIZED));
         }
         let mut payload = vec![0u8; len];
-        input.read_exact(&mut payload).map_err(ReadFrameError::Io)?;
-        Frame::decode(&payload)
-            .map(Some)
-            .map_err(ReadFrameError::Frame)
+        input.read_exact(&mut payload)?;
+        Ok(Some(Frame::decode(&payload)?))
     }
 }
-
-/// Failure modes of [`Frame::read_from`]: the transport broke, or the
-/// bytes arrived but did not decode.
-#[derive(Debug)]
-pub enum ReadFrameError {
-    /// The underlying stream failed.
-    Io(io::Error),
-    /// The bytes arrived but were not a valid frame.
-    Frame(FrameError),
-}
-
-impl std::fmt::Display for ReadFrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadFrameError::Io(e) => write!(f, "frame read failed: {e}"),
-            ReadFrameError::Frame(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ReadFrameError {}
 
 /// Fills `buf` from the stream. `Ok(false)` when the stream was already
 /// at EOF (zero bytes read); mid-buffer EOF is an error.
-fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8]) -> Result<bool, ReadFrameError> {
+fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8]) -> io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         match input.read(&mut buf[filled..]) {
@@ -538,30 +416,17 @@ fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8]) -> Result<bool, Rea
                 if filled == 0 {
                     return Ok(false);
                 }
-                return Err(ReadFrameError::Io(io::Error::new(
+                return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "stream closed mid-frame",
-                )));
+                ));
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ReadFrameError::Io(e)),
+            Err(e) => return Err(e),
         }
     }
     Ok(true)
-}
-
-/// Booleans are canonical on the wire: only `0` and `1` decode.
-fn decode_bool(
-    r: &mut Reader<'_>,
-    frame: &'static str,
-    field: &'static str,
-) -> Result<bool, FrameError> {
-    match r.get_u8().ok_or(FrameError::Truncated)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(FrameError::BadField { frame, field }),
-    }
 }
 
 #[cfg(test)]
@@ -642,39 +507,26 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&[0u8; 16]);
         match Frame::read_from(&mut &buf[..]) {
-            Err(ReadFrameError::Frame(FrameError::Oversized { len })) => {
-                assert_eq!(len, u32::MAX as u64);
-            }
-            other => panic!("expected Oversized, got {other:?}"),
+            Err(NetError::Frame(OVERSIZED)) => {}
+            other => panic!("expected the oversized-prefix error, got {other:?}"),
         }
     }
 
     #[test]
     fn bad_version_kind_and_fields_are_typed() {
+        let invalid = |field| Err(DecodeError::Invalid { field });
         let mut payload = Frame::Shutdown.encode();
         payload[0] = 99;
-        assert_eq!(
-            Frame::decode(&payload),
-            Err(FrameError::BadVersion { got: 99 })
-        );
+        assert_eq!(Frame::decode(&payload), invalid("version"));
 
         let mut payload = Frame::Shutdown.encode();
         payload[1] = 200;
-        assert_eq!(
-            Frame::decode(&payload),
-            Err(FrameError::BadKind { got: 200 })
-        );
+        assert_eq!(Frame::decode(&payload), invalid("kind"));
 
         // Non-canonical boolean.
         let mut payload = Frame::Request(WireRequest::new(1, 2)).encode();
         payload[22] = 7; // exclude_seen byte: 1 ver + 1 kind + 8 id + 8 user + 4 k
-        assert_eq!(
-            Frame::decode(&payload),
-            Err(FrameError::BadField {
-                frame: "request",
-                field: "exclude_seen"
-            })
-        );
+        assert_eq!(Frame::decode(&payload), invalid("exclude_seen"));
 
         // Out-of-range tier.
         let mut payload = Frame::Response(WireResponse {
@@ -687,13 +539,7 @@ mod tests {
         })
         .encode();
         payload[26] = 3; // tier byte: 1 ver + 1 kind + 8 id + 8 user + 8 version
-        assert_eq!(
-            Frame::decode(&payload),
-            Err(FrameError::BadField {
-                frame: "response",
-                field: "tier"
-            })
-        );
+        assert_eq!(Frame::decode(&payload), invalid("tier"));
     }
 
     #[test]
@@ -701,8 +547,9 @@ mod tests {
         for frame in specimen_frames() {
             let mut payload = frame.encode();
             payload.push(0);
-            assert!(
-                matches!(Frame::decode(&payload), Err(FrameError::Trailing { .. })),
+            assert_eq!(
+                Frame::decode(&payload),
+                Err(DecodeError::Trailing { extra: 1 }),
                 "{frame:?} must reject trailing bytes"
             );
         }
@@ -711,13 +558,10 @@ mod tests {
     #[test]
     fn closure_filters_are_not_wire_expressible() {
         let request = RecommendRequest::new(3).with_filter(|item| item % 2 == 0);
-        assert_eq!(
+        assert!(matches!(
             WireRequest::try_from_request(1, &request),
-            Err(FrameError::BadField {
-                frame: "request",
-                field: "filter"
-            })
-        );
+            Err(NetError::NotWireExpressible)
+        ));
         // The expressible subset converts and round-trips.
         let request = RecommendRequest::new(3)
             .with_k(5)
@@ -730,5 +574,18 @@ mod tests {
         assert_eq!(back.exclude, request.exclude);
         assert_eq!(back.exclude_seen, request.exclude_seen);
         assert_eq!(back.min_popularity, request.min_popularity);
+    }
+
+    #[test]
+    fn a_k_beyond_u32_is_not_wire_expressible() {
+        // Wrapped, 2^32 would travel as 0 — the server's default `k`.
+        let request = RecommendRequest::new(3).with_k(1 << 32);
+        assert!(matches!(
+            WireRequest::try_from_request(1, &request),
+            Err(NetError::NotWireExpressible)
+        ));
+        let request = RecommendRequest::new(3).with_k(u32::MAX as usize);
+        let wire = WireRequest::try_from_request(1, &request).expect("the largest wire k");
+        assert_eq!(wire.to_request().k, u32::MAX as usize);
     }
 }

@@ -5,7 +5,8 @@
 //! threads, no async runtime, no external crates):
 //!
 //! * [`frame`] — the wire vocabulary: little-endian length-prefixed
-//!   frames (versioned header, typed [`FrameError`]s) carrying the
+//!   frames (versioned header; a malformed one is the workspace's one
+//!   [`DecodeError`], carried as [`NetError::Frame`]) carrying the
 //!   wire-expressible request subset — exclusions, seen-masking,
 //!   popularity floor; closure filters do not travel.
 //! * `batcher` *(internal)* — the bounded in-flight queue whose pop
@@ -44,19 +45,21 @@ pub mod server;
 
 pub use client::Client;
 pub use frame::{
-    ErrorCode, Frame, FrameError, ReadFrameError, WireError, WireRequest, WireResponse,
-    FRAME_VERSION, MAX_FRAME_LEN,
+    ErrorCode, Frame, WireError, WireRequest, WireResponse, FRAME_VERSION, MAX_FRAME_LEN,
 };
 pub use loadgen::{run as run_loadgen, verify_exchanges, LoadGen, LoadReport};
 pub use server::{serve, serve_slot, ReloadFn, ServerConfig, ServerHandle};
+
+use hf_tensor::wire::DecodeError;
 
 /// Failure modes of the networking layer.
 #[derive(Debug)]
 pub enum NetError {
     /// The underlying socket failed.
     Io(std::io::Error),
-    /// Bytes arrived but did not decode as a frame.
-    Frame(FrameError),
+    /// Bytes arrived but did not decode as a frame (or their length
+    /// prefix exceeds [`MAX_FRAME_LEN`]).
+    Frame(DecodeError),
     /// The peer answered with a typed error frame.
     Remote {
         /// Machine-readable cause.
@@ -67,7 +70,8 @@ pub enum NetError {
     /// The peer sent a well-formed frame that violates the protocol
     /// (e.g. an unsolicited response).
     Protocol(String),
-    /// The request carries state with no wire form (a closure filter).
+    /// The request has no wire form: a closure filter, or a `k` beyond
+    /// `u32::MAX`.
     NotWireExpressible,
     /// A configuration field is out of range.
     Config(&'static str),
@@ -82,9 +86,10 @@ impl std::fmt::Display for NetError {
                 write!(f, "server error ({code}): {message}")
             }
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
-            NetError::NotWireExpressible => {
-                write!(f, "closure filters are not wire-expressible")
-            }
+            NetError::NotWireExpressible => write!(
+                f,
+                "request is not wire-expressible (closure filter or k above u32::MAX)"
+            ),
             NetError::Config(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
@@ -106,8 +111,8 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-impl From<FrameError> for NetError {
-    fn from(e: FrameError) -> Self {
+impl From<DecodeError> for NetError {
+    fn from(e: DecodeError) -> Self {
         NetError::Frame(e)
     }
 }

@@ -17,7 +17,7 @@
 //! `--verify` path replay the exact request stream through an in-process
 //! `Recommender` and demand bit-identical answers.
 
-use crate::frame::{Frame, ReadFrameError, WireRequest, WireResponse};
+use crate::frame::{Frame, WireRequest, WireResponse};
 use crate::NetError;
 use hf_metrics::LatencyHistogram;
 use hf_tensor::rng::{substream, Rng, SeedStream};
@@ -227,7 +227,7 @@ pub fn run(addr: impl ToSocketAddrs, config: &LoadGen) -> Result<LoadReport, Net
                         }
                         Ok(Some(_)) => {}  // pongs etc.: not ours to count
                         Ok(None) => break, // server closed
-                        Err(ReadFrameError::Io(e))
+                        Err(NetError::Io(e))
                             if e.kind() == std::io::ErrorKind::WouldBlock
                                 || e.kind() == std::io::ErrorKind::TimedOut =>
                         {
@@ -323,7 +323,7 @@ pub fn run(addr: impl ToSocketAddrs, config: &LoadGen) -> Result<LoadReport, Net
     })
 }
 
-/// Replays captured exchanges through an in-process [`Recommender`] and
+/// Replays captured exchanges through an in-process [`Recommender`](hf_serve::Recommender) and
 /// checks every served ranking is **bit-identical** (compared as encoded
 /// response frames, so item ids, order, and score bits all must match).
 /// Returns the number of verified exchanges.

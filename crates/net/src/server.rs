@@ -6,11 +6,13 @@
 //! * **accept loop** — one thread accepting connections until shutdown;
 //! * **connection readers** — one thread per connection decoding frames:
 //!   requests are pushed into the bounded job queue (blocking when full,
-//!   which is the backpressure contract — see [`crate::batcher`]), pings
+//!   which is the backpressure contract — see `crate::batcher`), pings
 //!   are answered inline, a shutdown frame triggers the graceful stop,
 //!   and a malformed-but-framed payload is answered with a typed error
 //!   frame *without* closing the connection (frames are length-delimited,
-//!   so the stream can resynchronise);
+//!   so the stream stays in step); an oversized length prefix is
+//!   answered the same way and then closes it, since the body it claims
+//!   was never read;
 //! * **micro-batcher** — one thread popping whatever is queued (never
 //!   waiting for more) and answering each batch through a single
 //!   `Recommender::recommend_batch` call; answers are written back under
@@ -33,7 +35,7 @@
 //! request is answered — then closes the sockets and joins every thread.
 
 use crate::batcher::Queue;
-use crate::frame::{ErrorCode, Frame, ReadFrameError, WireError, WireRequest, WireResponse};
+use crate::frame::{ErrorCode, Frame, WireError, WireRequest, WireResponse, OVERSIZED};
 use crate::NetError;
 use hf_serve::{ArtifactSlot, Recommender};
 use std::collections::HashMap;
@@ -387,17 +389,21 @@ fn reader_loop(conn_id: u64, conn: Arc<Conn>, shared: &Shared) {
                     message: format!("unexpected {other:?} frame on the server side"),
                 }));
             }
-            Err(ReadFrameError::Frame(e)) => {
-                // The length prefix framed the payload, so the stream is
-                // still in sync; answer with a typed error and keep
-                // serving this connection.
+            Err(NetError::Frame(e)) => {
                 let _ = conn.send(&Frame::Error(WireError {
                     id: 0,
                     code: ErrorCode::Malformed,
                     message: e.to_string(),
                 }));
+                // A payload its length prefix framed leaves the stream in
+                // step, so the connection keeps serving; a refused prefix
+                // leaves its body unread, and whatever follows would be
+                // parsed from the middle of it.
+                if e == OVERSIZED {
+                    break;
+                }
             }
-            Err(ReadFrameError::Io(_)) => break,
+            Err(_) => break,
         }
     }
     shared

@@ -4,18 +4,19 @@
 //! Strategy: a corpus of valid frames of every kind (with RNG-driven
 //! field values) goes through the workspace's one seeded mutation
 //! harness, `hf_tensor::wire::fuzz_codec` — every strict prefix must
-//! fail with a typed error (the encoding is length-exact, so no prefix
-//! is a valid frame), and a byte-flipped copy must either fail with a
-//! typed [`FrameError`] or re-encode to the mutated buffer bit for bit.
+//! fail with exactly [`DecodeError::Truncated`] (the encoding is
+//! length-exact and a prefix reads the valid header, so it can only run
+//! out of bytes), and a byte-flipped copy must either fail with a typed
+//! [`DecodeError`] or re-encode to the mutated buffer bit for bit.
 //! What only this codec has stays here: the over-long error message
 //! and **hostile prefixes** — random oversized/undersized outer length
 //! prefixes fed through the stream reader must fail before allocating.
 
 use hf_dataset::Tier;
-use hf_net::{Frame, FrameError, ReadFrameError, WireError, WireRequest, WireResponse};
+use hf_net::{Frame, NetError, WireError, WireRequest, WireResponse};
 use hf_serve::ScoredItem;
 use hf_tensor::rng::{stream, Rng, SeedStream};
-use hf_tensor::wire::fuzz_codec;
+use hf_tensor::wire::{fuzz_codec, DecodeError};
 
 const FUZZ_SEED: u64 = 0x4652_414d; // "FRAM"
 
@@ -72,13 +73,7 @@ fn seeded_truncations_and_mutations_fail_typed_or_decode_canonically() {
             payload
         },
         |buf| Frame::decode(buf).map(|frame| frame.encode()),
-        // A prefix can only run out of bytes or trip a field check early.
-        |e| {
-            matches!(
-                e,
-                FrameError::Truncated | FrameError::BadField { .. } | FrameError::Trailing { .. }
-            )
-        },
+        |e| *e == DecodeError::Truncated,
     );
     // One more input: an error message over the 64 KiB cap whose cut
     // lands inside a multi-byte character. `encode` truncates on a char
@@ -113,10 +108,8 @@ fn hostile_length_prefixes_fail_before_allocating() {
         let mut buf = (claimed as u32).to_le_bytes().to_vec();
         buf.extend((0..rng.gen_range(0..32usize)).map(|_| rng.gen_range(0..=255u32) as u8));
         match Frame::read_from(&mut &buf[..]) {
-            Err(ReadFrameError::Frame(FrameError::Oversized { len })) => {
-                assert_eq!(len, claimed);
-            }
-            other => panic!("claimed {claimed}: expected Oversized, got {other:?}"),
+            Err(NetError::Frame(DecodeError::Invalid { field: "len" })) => {}
+            other => panic!("claimed {claimed}: expected an invalid `len`, got {other:?}"),
         }
     }
     // An honest prefix with a short body is an I/O error (mid-frame EOF),
@@ -127,7 +120,7 @@ fn hostile_length_prefixes_fail_before_allocating() {
         frame.write_to(&mut buf).unwrap();
         let cut = rng.gen_range(4..buf.len());
         match Frame::read_from(&mut &buf[..cut]) {
-            Err(ReadFrameError::Io(e)) => {
+            Err(NetError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
             }
             other => panic!("mid-frame EOF must be an I/O error, got {other:?}"),

@@ -248,6 +248,41 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn an_oversized_length_prefix_closes_the_connection() {
+    let handle = serve(
+        trained_recommender(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("server up");
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // A prefix over MAX_FRAME_LEN, then a complete ping: the server never
+    // read the body the prefix claims, so the ping's bytes are not a
+    // frame boundary it can trust.
+    let mut bytes = (hf_net::MAX_FRAME_LEN as u32 + 1).to_le_bytes().to_vec();
+    Frame::Ping(9).write_to(&mut bytes).unwrap();
+    stream.write_all(&bytes).unwrap();
+    match Frame::read_from(&mut stream) {
+        Ok(Some(Frame::Error(e))) => assert_eq!(e.code, ErrorCode::Malformed),
+        // Closing with the ping unread may reset the connection before
+        // the error frame is read.
+        Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected a malformed-frame error, got {other:?}"),
+    }
+    // Then the connection is closed: no pong, and no hang.
+    match Frame::read_from(&mut stream) {
+        Ok(None) => {}
+        Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the connection must close after an oversized prefix, got {other:?}"),
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn ping_and_remote_shutdown_control_the_server() {
     let recommender = trained_recommender();
     let handle = serve(recommender, "127.0.0.1:0", ServerConfig::default()).expect("server up");

@@ -34,4 +34,4 @@ pub use group::{PreparedGroup, RecoveryError};
 pub use mask::{apply_pair_mask, mask_words, BandLayout, PayloadLayout};
 pub use quant::{QuantError, Quantizer, MAX_SCALE_BITS};
 pub use shamir::{reconstruct_secret, split_secret, SeedShare, ShamirError};
-pub use wire::{MaskedUpload, SecAggWireError, ShareBundle};
+pub use wire::{MaskedUpload, ShareBundle};

@@ -5,42 +5,12 @@
 //! [`BandLayout`](crate::BandLayout) its tier carries, so the count
 //! field differs between tiers of one group) and a [`ShareBundle`] (one
 //! escrowed seed share in transit from its owner to a holder). Both use the
-//! workspace little-endian [`Reader`]/[`Writer`] primitives, decode with
-//! typed errors only (never a panic), check hostile length prefixes
-//! before allocating, and re-encode canonically — properties the fuzz
-//! suite in `tests/wire_fuzz.rs` attacks directly.
+//! workspace little-endian [`Reader`]/[`Writer`] primitives, fail with
+//! the workspace's one [`DecodeError`] (never a panic), check hostile
+//! length prefixes before allocating, and re-encode canonically —
+//! properties the fuzz suite in `tests/wire_fuzz.rs` attacks directly.
 
-use hf_tensor::wire::{Reader, Writer};
-use std::fmt;
-
-/// Typed decode failures for secagg wire messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SecAggWireError {
-    /// The buffer ended before the message did.
-    Truncated,
-    /// Bytes remained after a complete message.
-    Trailing {
-        /// Unconsumed byte count.
-        extra: usize,
-    },
-    /// A field failed validation.
-    BadField {
-        /// Name of the offending field.
-        field: &'static str,
-    },
-}
-
-impl fmt::Display for SecAggWireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SecAggWireError::Truncated => write!(f, "buffer truncated"),
-            SecAggWireError::Trailing { extra } => write!(f, "{extra} trailing bytes"),
-            SecAggWireError::BadField { field } => write!(f, "invalid field {field}"),
-        }
-    }
-}
-
-impl std::error::Error for SecAggWireError {}
+use hf_tensor::wire::{DecodeError, Reader, Writer};
 
 /// Message tag for [`MaskedUpload`].
 pub const MASKED_UPLOAD_TAG: u8 = 0xA1;
@@ -85,22 +55,16 @@ impl MaskedUpload {
 
     /// Decodes a buffer, rejecting truncation, trailing bytes, a wrong
     /// tag, and hostile word counts (checked before allocation).
-    pub fn decode(buf: &[u8]) -> Result<Self, SecAggWireError> {
-        let mut r = Reader::new(buf);
-        let tag = r.get_u8().ok_or(SecAggWireError::Truncated)?;
-        if tag != MASKED_UPLOAD_TAG {
-            return Err(SecAggWireError::BadField { field: "tag" });
-        }
-        let round = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
-        let uid = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
-        let n = r.get_u32_le().ok_or(SecAggWireError::Truncated)? as usize;
-        let words = r.get_u64_vec(n).ok_or(SecAggWireError::Truncated)?;
-        if r.remaining() != 0 {
-            return Err(SecAggWireError::Trailing {
-                extra: r.remaining(),
-            });
-        }
-        Ok(Self { round, uid, words })
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        Reader::whole(buf, |r| {
+            if r.get_u8()? != MASKED_UPLOAD_TAG {
+                return Err(DecodeError::Invalid { field: "tag" });
+            }
+            let (round, uid) = (r.get_u64_le()?, r.get_u64_le()?);
+            let n = r.get_u32_le()? as usize;
+            let words = r.get_u64_vec(n)?;
+            Ok(Self { round, uid, words })
+        })
     }
 }
 
@@ -138,34 +102,26 @@ impl ShareBundle {
 
     /// Decodes a buffer; `x = 0` and `owner == holder` are structural
     /// errors (a member never holds its own escrow).
-    pub fn decode(buf: &[u8]) -> Result<Self, SecAggWireError> {
-        let mut r = Reader::new(buf);
-        let tag = r.get_u8().ok_or(SecAggWireError::Truncated)?;
-        if tag != SHARE_BUNDLE_TAG {
-            return Err(SecAggWireError::BadField { field: "tag" });
-        }
-        let round = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
-        let owner = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
-        let holder = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
-        let x = r.get_u8().ok_or(SecAggWireError::Truncated)?;
-        if x == 0 {
-            return Err(SecAggWireError::BadField { field: "x" });
-        }
-        if owner == holder {
-            return Err(SecAggWireError::BadField { field: "holder" });
-        }
-        let word = r.get_u64_le().ok_or(SecAggWireError::Truncated)?;
-        if r.remaining() != 0 {
-            return Err(SecAggWireError::Trailing {
-                extra: r.remaining(),
-            });
-        }
-        Ok(Self {
-            round,
-            owner,
-            holder,
-            x,
-            word,
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        Reader::whole(buf, |r| {
+            if r.get_u8()? != SHARE_BUNDLE_TAG {
+                return Err(DecodeError::Invalid { field: "tag" });
+            }
+            let (round, owner, holder) = (r.get_u64_le()?, r.get_u64_le()?, r.get_u64_le()?);
+            let x = r.get_u8()?;
+            if x == 0 {
+                return Err(DecodeError::Invalid { field: "x" });
+            }
+            if owner == holder {
+                return Err(DecodeError::Invalid { field: "holder" });
+            }
+            Ok(Self {
+                round,
+                owner,
+                holder,
+                x,
+                word: r.get_u64_le()?,
+            })
         })
     }
 }
@@ -201,12 +157,12 @@ mod tests {
         let zero_x = ShareBundle { x: 0, ..s }.encode();
         assert_eq!(
             ShareBundle::decode(&zero_x),
-            Err(SecAggWireError::BadField { field: "x" })
+            Err(DecodeError::Invalid { field: "x" })
         );
         let self_held = ShareBundle { holder: 5, ..s }.encode();
         assert_eq!(
             ShareBundle::decode(&self_held),
-            Err(SecAggWireError::BadField { field: "holder" })
+            Err(DecodeError::Invalid { field: "holder" })
         );
     }
 
@@ -220,6 +176,6 @@ mod tests {
         .encode();
         // Overwrite the count field (offset 17) with u32::MAX.
         buf[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(MaskedUpload::decode(&buf), Err(SecAggWireError::Truncated));
+        assert_eq!(MaskedUpload::decode(&buf), Err(DecodeError::Truncated));
     }
 }

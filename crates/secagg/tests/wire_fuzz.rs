@@ -2,13 +2,14 @@
 //! go through the workspace's one seeded mutation harness
 //! (`hf_tensor::wire::fuzz_codec`, shared with `hf_net`'s `frame_fuzz`)
 //! — no truncation or byte corruption may panic the decoders, and
-//! anything they accept must re-encode canonically. The cases only
-//! these messages have (hostile word counts, the `Trailing` count)
-//! follow.
+//! anything they accept must re-encode canonically; both encodings are
+//! length-exact, so every strict prefix fails with exactly
+//! [`DecodeError::Truncated`]. The cases only these messages have
+//! (hostile word counts, the `Trailing` count) follow.
 
-use hf_secagg::{MaskedUpload, SecAggWireError, ShareBundle};
+use hf_secagg::{MaskedUpload, ShareBundle};
 use hf_tensor::rng::{stream, Rng, SeedStream};
-use hf_tensor::wire::fuzz_codec;
+use hf_tensor::wire::{fuzz_codec, DecodeError};
 
 const FUZZ_SEED: u64 = 0x5341_5746; // "SAWF"
 
@@ -34,15 +35,10 @@ fn random_share(rng: &mut impl Rng) -> ShareBundle {
 
 #[test]
 fn seeded_truncations_and_mutations_fail_typed_or_decode_canonically() {
-    // A prefix can only run out of bytes or trip a field check early;
-    // flips in ring words travel as data, flips in the tag or count get
-    // rejected.
-    let prefix_error = |e: &SecAggWireError| {
-        matches!(
-            e,
-            SecAggWireError::Truncated | SecAggWireError::BadField { .. }
-        )
-    };
+    // A prefix reads the valid tag, ids and count, so it can only run
+    // out of bytes; flips in ring words travel as data, flips in the tag
+    // or count get rejected.
+    let prefix_error = |e: &DecodeError| *e == DecodeError::Truncated;
     fuzz_codec(
         FUZZ_SEED,
         150,
@@ -84,14 +80,14 @@ fn hostile_word_counts_fail_before_allocating() {
         let claimed: u32 = rng.gen_range(1_000_000..=u32::MAX);
         buf[17..21].copy_from_slice(&claimed.to_le_bytes());
         buf.extend((0..rng.gen_range(0..32usize)).map(|_| rng.gen_range(0..=255u32) as u8));
-        assert_eq!(MaskedUpload::decode(&buf), Err(SecAggWireError::Truncated));
+        assert_eq!(MaskedUpload::decode(&buf), Err(DecodeError::Truncated));
     }
 }
 
 #[test]
 fn trailing_garbage_is_a_typed_error() {
     let mut rng = stream(FUZZ_SEED, SeedStream::Custom(4));
-    let trailing = SecAggWireError::Trailing { extra: 1 };
+    let trailing = DecodeError::Trailing { extra: 1 };
     let mut buf = random_upload(&mut rng).encode();
     buf.push(0x55);
     assert_eq!(MaskedUpload::decode(&buf), Err(trailing));

@@ -43,6 +43,7 @@ use hetefedrec_core::session::Session;
 use hetefedrec_core::Strategy;
 use hf_dataset::{SplitDataset, Tier};
 use hf_models::{Ffn, ModelKind};
+use hf_tensor::wire::DecodeError;
 use hf_tensor::Matrix;
 use std::collections::HashMap;
 use std::io::Cursor;
@@ -157,19 +158,22 @@ impl UserArena {
 
     /// Appends one user: `fill` extends the two flat buffers with the
     /// user's embedding and history and returns its tier and private
-    /// model. `None` (a decoder's malformed record) passes through and
+    /// model. An error (a decoder's malformed record) passes through and
     /// leaves the arena unusable.
     pub(crate) fn push_with(
         &mut self,
-        fill: impl FnOnce(&mut Vec<f32>, &mut Vec<u32>) -> Option<(Tier, Option<SoloModel>)>,
-    ) -> Option<()> {
+        fill: impl FnOnce(
+            &mut Vec<f32>,
+            &mut Vec<u32>,
+        ) -> Result<(Tier, Option<SoloModel>), DecodeError>,
+    ) -> Result<(), DecodeError> {
         let (tier, solo) = fill(&mut self.embs, &mut self.histories)?;
         if let Some(solo) = solo {
             self.solos.insert(self.tiers.len(), solo);
         }
         self.tiers.push(tier.index() as u8);
         self.ends.push((self.embs.len(), self.histories.len()));
-        Some(())
+        Ok(())
     }
 
     /// Appends a copy of `user`.
@@ -177,7 +181,7 @@ impl UserArena {
         self.push_with(|embs, histories| {
             embs.extend_from_slice(user.emb);
             histories.extend_from_slice(user.history);
-            Some((user.tier, user.solo.cloned()))
+            Ok((user.tier, user.solo.cloned()))
         })
         .expect("a copy is never malformed");
     }

@@ -31,10 +31,10 @@
 //! the block exactly), so `encode(decode(b)) == b`. Version 1 (the same
 //! payloads without directories) is read-only.
 //!
-//! There is **one writer** — [`ArtifactWriter`], streaming over any
+//! There is **one writer** — `ArtifactWriter`, streaming over any
 //! `Write + Seek` sink and driven by `to_bytes`, `save_file`,
 //! `session_to_file` and `synthesize_to_file` — **one layout scan** —
-//! [`scan`], over any random-access byte source, the front half of both
+//! `scan`, over any random-access byte source, the front half of both
 //! the eager decoder and the lazy open — and **one eager decoder** —
 //! `decode`, over the same kind of source: a slice for `from_bytes`, a
 //! bounded read window over the file for `load_file`
@@ -54,7 +54,7 @@ use crate::ServeError;
 use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
 use hf_models::{Ffn, ModelKind};
-use hf_tensor::wire::{Reader, Writer};
+use hf_tensor::wire::{DecodeError, Reader, Writer};
 use hf_tensor::Matrix;
 use std::collections::HashMap;
 use std::fs::File;
@@ -443,16 +443,15 @@ pub(crate) struct Layout {
     pub params: ParamLayout,
 }
 
-/// Decodes `bytes` as exactly one `T` (no trailing bytes).
-pub(crate) fn exactly<T>(
-    bytes: &[u8],
+/// Decodes `bytes` as exactly one `T` ([`Reader::whole`]) — the one
+/// place a [`DecodeError`] becomes a [`ServeError::Artifact`] naming the
+/// part of the file it happened in.
+pub(crate) fn exactly<'a, T>(
+    bytes: &'a [u8],
     what: impl std::fmt::Display,
-    get: impl FnOnce(&mut Reader) -> Option<T>,
+    get: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
 ) -> Result<T, ServeError> {
-    let mut r = Reader::new(bytes);
-    get(&mut r)
-        .filter(|_| r.remaining() == 0)
-        .ok_or_else(|| err(format!("{what} is malformed")))
+    Reader::whole(bytes, get).map_err(|e| err(format!("{what} is malformed: {e}")))
 }
 
 /// The one layout scan, shared by the eager decoder (over a borrowed
@@ -473,12 +472,11 @@ pub(crate) fn scan<B: Deref<Target = [u8]>>(
     let mut sections: [Option<Extent>; 7] = [None; 7];
     let mut cursor = HEADER_LEN;
     while cursor < len {
-        let head = read(cursor, SECTION_HEADER_LEN.min(len - cursor))?;
-        let mut h = Reader::new(&head);
-        let tag = h.get_u8().ok_or_else(|| err("truncated section tag"))?;
-        let declared = h
-            .get_u64_le()
-            .ok_or_else(|| err("truncated section length"))?;
+        let (tag, declared) = exactly(
+            &read(cursor, SECTION_HEADER_LEN.min(len - cursor))?,
+            format_args!("section header at byte {cursor}"),
+            |h| Ok((h.get_u8()?, h.get_u64_le()?)),
+        )?;
         let payload = cursor + SECTION_HEADER_LEN;
         if declared > len - payload {
             return Err(err(format!(
@@ -550,22 +548,19 @@ pub(crate) fn scan<B: Deref<Target = [u8]>>(
 
 /// Parses the file header, returning the container version.
 fn parse_header(head: &[u8]) -> Result<u16, ServeError> {
-    let mut r = Reader::new(head);
-    let magic = r.get_bytes(4).ok_or_else(|| err("truncated header"))?;
+    let (magic, container, schema) = exactly(head, "header", |r| {
+        Ok((r.get_bytes(4)?, r.get_u16_le()?, r.get_u32_le()?))
+    })?;
     if magic != MAGIC {
         return Err(err("not an artifact file (bad magic)"));
     }
-    let container = r
-        .get_u16_le()
-        .ok_or_else(|| err("truncated container version"))?;
     if !(MIN_BINFMT_VERSION..=BINFMT_VERSION).contains(&container) {
         return Err(err(format!(
             "unsupported container version {container} (this reader speaks \
              {MIN_BINFMT_VERSION}..={BINFMT_VERSION})"
         )));
     }
-    let schema = r.get_u32_le().ok_or_else(|| err("truncated schema"))? as u64;
-    if schema != ARTIFACT_VERSION {
+    if schema as u64 != ARTIFACT_VERSION {
         return Err(err(format!(
             "artifact schema v{schema} not supported (want v{ARTIFACT_VERSION})"
         )));
@@ -576,24 +571,22 @@ fn parse_header(head: &[u8]) -> Result<u16, ServeError> {
 /// Decodes the `meta` payload.
 fn parse_meta(payload: &[u8]) -> Result<Meta, ServeError> {
     exactly(payload, "`meta` section", |m| {
-        let model = model_from_tag(m.get_u8()?)?;
-        let standalone = match m.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
+        let model = match m.get_u8()? {
+            0 => ModelKind::Ncf,
+            1 => ModelKind::LightGcn,
+            _ => return Err(DecodeError::Invalid { field: "model" }),
         };
-        let s = m.get_u32_le()? as usize;
-        let md = m.get_u32_le()? as usize;
-        let l = m.get_u32_le()? as usize;
+        let standalone = m.get_bool("standalone")?;
+        let (s, md, l) = (m.get_u32_le()?, m.get_u32_le()?, m.get_u32_le()?);
         if !(s > 0 && s < md && md < l) {
-            return None;
+            return Err(DecodeError::Invalid { field: "dims" });
         }
-        Some(Meta {
+        Ok(Meta {
             model,
             standalone,
-            dims: TierDims::new(s, md, l),
-            num_items: usize::try_from(m.get_u64_le()?).ok()?,
-            num_users: usize::try_from(m.get_u64_le()?).ok()?,
+            dims: TierDims::new(s as usize, md as usize, l as usize),
+            num_items: get_usize(m, "num_items")?,
+            num_users: get_usize(m, "num_users")?,
         })
     })
 }
@@ -607,18 +600,18 @@ fn parse_tier_dir<X>(
     dir: &[u8],
     entry_len: u64,
     section: Extent,
-    mut entry: impl FnMut(&mut Reader) -> Option<(u64, u64, X)>,
+    mut entry: impl FnMut(&mut Reader) -> Result<(u64, u64, X), DecodeError>,
 ) -> Result<[(Extent, X); 3], ServeError> {
     let block_len = (section.1)
         .checked_sub(3 * entry_len)
         .ok_or_else(|| err(format!("`{name}` section too short for its directory")))?;
     let block = section.0 + 3 * entry_len;
-    let mut r = Reader::new(dir);
+    let raw = exactly(dir, format_args!("`{name}` directory"), |r| {
+        (0..3).map(|_| entry(r)).collect::<Result<Vec<_>, _>>()
+    })?;
     let mut entries = Vec::with_capacity(3);
     let mut cursor = 0u64;
-    for tier in Tier::ALL {
-        let (off, len, extra) =
-            entry(&mut r).ok_or_else(|| err(format!("`{name}` directory is truncated")))?;
+    for ((off, len, extra), tier) in raw.into_iter().zip(Tier::ALL) {
         if off != cursor || len > block_len - cursor {
             return Err(err(format!(
                 "`{name}` directory entry for {tier:?} is out of bounds"
@@ -642,7 +635,7 @@ fn parse_table_dir(
 ) -> Result<[TableEntry; 3], ServeError> {
     let dir = parse_tier_dir("tables", dir, TABLE_DIR_ENTRY, section, |r| {
         let (off, len) = (r.get_u64_le()?, r.get_u64_le()?);
-        Some((off, len, (r.get_u64_le()?, r.get_u32_le()?)))
+        Ok((off, len, (r.get_u64_le()?, r.get_u32_le()?)))
     })?;
     for (&((_, len), (rows, cols)), tier) in dir.iter().zip(Tier::ALL) {
         // Matrix payload: rows u64 + cols u32 + rows*cols f32s.
@@ -668,7 +661,7 @@ fn parse_table_dir(
 
 /// Parses the v2 `thetas` directory.
 fn parse_theta_dir(dir: &[u8], section: Extent) -> Result<[Extent; 3], ServeError> {
-    let entry = |r: &mut Reader| Some((r.get_u64_le()?, r.get_u64_le()?, ()));
+    let entry = |r: &mut Reader| Ok((r.get_u64_le()?, r.get_u64_le()?, ()));
     Ok(parse_tier_dir("thetas", dir, THETA_DIR_ENTRY, section, entry)?.map(|(extent, ())| extent))
 }
 
@@ -684,7 +677,7 @@ impl UserIndex {
         let off = dir.get_u64_le();
         let len = dir.get_u32_le().map(u64::from);
         match (off, len) {
-            (Some(off), Some(len)) if off <= self.block.1 && len <= self.block.1 - off => {
+            (Ok(off), Ok(len)) if off <= self.block.1 && len <= self.block.1 - off => {
                 Ok((off, len))
             }
             _ => Err(Self::out_of_bounds(user)),
@@ -734,7 +727,7 @@ impl UserIndex {
             |r| {
                 let (mut emb, mut history) = (Vec::new(), Vec::new());
                 let (tier, solo) = get_user(r, dims, &mut emb, &mut history)?;
-                Some(UserRecord {
+                Ok(UserRecord {
                     tier,
                     emb,
                     history,
@@ -808,19 +801,13 @@ fn back_to_back<T>(
     bytes: &[u8],
     name: &str,
     n: usize,
-    mut get: impl FnMut(&mut Reader, usize) -> Option<T>,
+    mut get: impl FnMut(&mut Reader, usize) -> Result<T, DecodeError>,
 ) -> Result<Vec<T>, ServeError> {
-    let mut r = Reader::new(bytes);
-    // Not pre-sized: `n` is the file's claim, and nothing bounds it here.
-    let mut out = Vec::new();
-    for i in 0..n {
-        let entry = get(&mut r, i);
-        out.push(entry.ok_or_else(|| err(format!("`{name}` section is malformed at entry {i}")))?);
-    }
-    if r.remaining() != 0 {
-        return Err(err(format!("`{name}` section has trailing bytes")));
-    }
-    Ok(out)
+    // Not pre-sized (`collect` through `Result` starts empty): `n` is the
+    // file's claim, and nothing bounds it here.
+    exactly(bytes, format_args!("`{name}` section"), |r| {
+        (0..n).map(|i| get(r, i)).collect()
+    })
 }
 
 /// Decodes one matrix payload at `extent` — `rows: u64, cols: u32`, then
@@ -832,24 +819,19 @@ pub(crate) fn read_table<B: Deref<Target = [u8]>>(
     what: impl std::fmt::Display,
     read: impl Fn(u64, u64) -> Result<B, ServeError>,
 ) -> Result<Matrix, ServeError> {
-    let malformed = || err(format!("{what} is malformed"));
     let floats = (shape.0 as u64)
         .checked_mul(shape.1 as u64)
         .filter(|n| n.checked_mul(4).and_then(|b| b.checked_add(12)) == Some(len))
-        .ok_or_else(malformed)?;
-    exactly(&read(off, 12)?, &what, |r| {
-        let rows = usize::try_from(r.get_u64_le()?).ok()?;
-        ((rows, r.get_u32_le()? as usize) == shape).then_some(())
-    })?;
+        .ok_or_else(|| err(format!("{what} is {len} bytes, not a {shape:?} matrix")))?;
+    exactly(&read(off, 12)?, &what, |r| get_shape(r, shape))?;
     // Bounded by `len`, which the scan checked against the source.
     let mut data = Vec::with_capacity(floats as usize);
     let mut at = off + 12;
     while at < off + len {
         let n = READ_CHUNK.min(off + len - at);
-        let chunk = read(at, n)?;
-        Reader::new(&chunk)
-            .extend_f32s((n / 4) as usize, &mut data)
-            .ok_or_else(malformed)?;
+        exactly(&read(at, n)?, &what, |r| {
+            r.extend_f32s((n / 4) as usize, &mut data)
+        })?;
         at += n;
     }
     Ok(Matrix::from_vec(shape.0, shape.1, data))
@@ -924,23 +906,16 @@ pub(crate) fn decode<B: Deref<Target = [u8]>>(
 }
 
 fn decode_fallback(payload: &[u8], dims: &TierDims) -> Result<[Vec<f32>; 3], ServeError> {
-    let mut f = Reader::new(payload);
-    let mut fallback = Vec::with_capacity(3);
-    for tier in Tier::ALL {
-        let v = (|| {
-            let n = f.get_u32_le()? as usize;
-            if n != dims.dim(tier) {
-                return None;
+    exactly(payload, "`fallback` section", |f| {
+        let mut fallback = Vec::with_capacity(3);
+        for tier in Tier::ALL {
+            if f.get_u32_le()? as usize != dims.dim(tier) {
+                return Err(DecodeError::Invalid { field: "fallback" });
             }
-            f.get_f32_vec(n)
-        })()
-        .ok_or_else(|| err(format!("`fallback` section is malformed at {tier:?}")))?;
-        fallback.push(v);
-    }
-    if f.remaining() != 0 {
-        return Err(err("`fallback` section has trailing bytes"));
-    }
-    Ok(fallback.try_into().expect("three fallbacks"))
+            fallback.push(f.get_f32_vec(dims.dim(tier))?);
+        }
+        Ok(fallback.try_into().expect("three fallbacks"))
+    })
 }
 
 fn model_tag(model: ModelKind) -> u8 {
@@ -950,49 +925,50 @@ fn model_tag(model: ModelKind) -> u8 {
     }
 }
 
-fn model_from_tag(tag: u8) -> Option<ModelKind> {
-    match tag {
-        0 => Some(ModelKind::Ncf),
-        1 => Some(ModelKind::LightGcn),
-        _ => None,
+/// Reads a `u64` count or size that must also fit a `usize`.
+fn get_usize(r: &mut Reader, field: &'static str) -> Result<usize, DecodeError> {
+    usize::try_from(r.get_u64_le()?).map_err(|_| DecodeError::Invalid { field })
+}
+
+/// Reads a matrix header — `rows: u64, cols: u32` — which must be `shape`.
+fn get_shape(r: &mut Reader, (rows, cols): (usize, usize)) -> Result<(), DecodeError> {
+    if (r.get_u64_le()?, u64::from(r.get_u32_le()?)) != (rows as u64, cols as u64) {
+        return Err(DecodeError::Invalid { field: "shape" });
     }
+    Ok(())
 }
 
 /// Reads one v1 matrix payload, which must have exactly `shape`.
-fn get_table(r: &mut Reader, shape: (usize, usize)) -> Option<Matrix> {
-    let rows = usize::try_from(r.get_u64_le()?).ok()?;
-    let cols = r.get_u32_le()? as usize;
-    if (rows, cols) != shape {
-        return None;
-    }
-    let data = r.get_f32_vec(rows.checked_mul(cols)?)?;
-    Some(Matrix::from_vec(rows, cols, data))
+fn get_table(r: &mut Reader, shape: (usize, usize)) -> Result<Matrix, DecodeError> {
+    get_shape(r, shape)?;
+    // A product that overflows claims more floats than any input holds.
+    let data = r.get_f32_vec(shape.0.saturating_mul(shape.1))?;
+    Ok(Matrix::from_vec(shape.0, shape.1, data))
 }
 
-pub(crate) fn get_ffn(r: &mut Reader) -> Option<Ffn> {
+pub(crate) fn get_ffn(r: &mut Reader) -> Result<Ffn, DecodeError> {
     let ndims = r.get_u32_le()? as usize;
     if !(2..=16).contains(&ndims) {
-        return None; // no predictor in this workspace is deeper
+        // No predictor in this workspace is deeper.
+        return Err(DecodeError::Invalid { field: "dims" });
     }
     let mut dims = Vec::with_capacity(ndims);
     for _ in 0..ndims {
-        let d = r.get_u32_le()? as usize;
-        if d == 0 {
-            return None;
+        match r.get_u32_le()? {
+            0 => return Err(DecodeError::Invalid { field: "dims" }),
+            d => dims.push(d as usize),
         }
-        dims.push(d);
     }
-    let flat_len = usize::try_from(r.get_u64_le()?).ok()?;
+    let declared = r.get_u64_le()?;
     // `Ffn::from_flat` panics on a length mismatch; check first (in
     // checked arithmetic — the layer widths are the file's claim).
-    let expect = dims.windows(2).try_fold(0usize, |sum, w| {
-        sum.checked_add(w[1].checked_mul(w[0])?.checked_add(w[1])?)
-    })?;
-    if flat_len != expect {
-        return None;
-    }
-    let flat = r.get_f32_vec(flat_len)?;
-    Some(Ffn::from_flat(&dims, &flat))
+    let flat_len = (dims.windows(2))
+        .try_fold(0usize, |sum, w| {
+            sum.checked_add(w[1].checked_mul(w[0])?.checked_add(w[1])?)
+        })
+        .filter(|&n| n as u64 == declared)
+        .ok_or(DecodeError::Invalid { field: "flat" })?;
+    Ok(Ffn::from_flat(&dims, &r.get_f32_vec(flat_len)?))
 }
 
 /// Parses one user record, appending its embedding to `embs` and its
@@ -1003,38 +979,36 @@ fn get_user(
     dims: &TierDims,
     embs: &mut Vec<f32>,
     ids: &mut Vec<u32>,
-) -> Option<(Tier, Option<SoloModel>)> {
-    let tier = *Tier::ALL.get(r.get_u8()? as usize)?;
-    let emb_len = r.get_u32_le()? as usize;
-    if emb_len != dims.dim(tier) {
-        return None;
+) -> Result<(Tier, Option<SoloModel>), DecodeError> {
+    use DecodeError::Invalid;
+    let tier = *Tier::ALL
+        .get(r.get_u8()? as usize)
+        .ok_or(Invalid { field: "tier" })?;
+    let dim = dims.dim(tier);
+    if r.get_u32_le()? as usize != dim {
+        return Err(Invalid { field: "emb" });
     }
-    r.extend_f32s(emb_len, embs)?;
+    r.extend_f32s(dim, embs)?;
     let history_len = r.get_u32_le()? as usize;
     r.extend_u32s(history_len, ids)?;
-    let solo = match r.get_u8()? {
-        0 => None,
-        1 => {
-            let theta = get_ffn(r)?;
-            let n_rows = r.get_u32_le()? as usize;
-            // Every row is at least its `(item, width)` prefix.
-            let mut rows = HashMap::with_capacity(r.fits(n_rows, 8)?);
-            let mut prev = None;
-            for _ in 0..n_rows {
-                let item = r.get_u32_le()?;
-                let width = r.get_u32_le()? as usize;
-                // Rows are written in ascending item order; anything
-                // else would not re-encode to the same bytes.
-                if width != dims.dim(tier) || prev.replace(item) >= Some(item) {
-                    return None;
-                }
-                rows.insert(item, r.get_f32_vec(width)?);
-            }
-            Some(SoloModel { rows, theta })
+    if !r.get_bool("solo")? {
+        return Ok((tier, None));
+    }
+    let theta = get_ffn(r)?;
+    let n_rows = r.get_u32_le()? as usize;
+    // Every row is at least its `(item, width)` prefix.
+    let mut rows = HashMap::with_capacity(r.fits(n_rows, 8)?);
+    let mut prev = None;
+    for _ in 0..n_rows {
+        let (item, width) = (r.get_u32_le()?, r.get_u32_le()? as usize);
+        // Rows are written in ascending item order; anything else would
+        // not re-encode to the same bytes.
+        if width != dim || prev.replace(item) >= Some(item) {
+            return Err(Invalid { field: "rows" });
         }
-        _ => return None,
-    };
-    Some((tier, solo))
+        rows.insert(item, r.get_f32_vec(width)?);
+    }
+    Ok((tier, Some(SoloModel { rows, theta })))
 }
 
 #[cfg(test)]

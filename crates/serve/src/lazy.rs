@@ -4,19 +4,19 @@
 //! host never has to materialise the whole artifact: this module keeps
 //! the file open and decodes state on first touch —
 //!
-//! * [`Tiers`] — per-tier item tables and predictors, one fill-once
+//! * `Tiers` — per-tier item tables and predictors, one fill-once
 //!   `OnceLock` slot each: a tier costs nothing until the first request
 //!   for it, then stays resident (tables are shared, hot, and bounded at
 //!   three). An eager artifact is the same store with every slot filled
 //!   at construction and no file behind it.
-//! * [`LazyUsers`] — per-user records behind a **sharded bounded LRU**:
+//! * `LazyUsers` — per-user records behind a **sharded bounded LRU**:
 //!   user `u` hashes to shard `u % shards`, each shard caches at most
 //!   `shard_capacity` decoded records and evicts least-recently-used, so
 //!   resident user state is capped at `shards × capacity` records no
 //!   matter how many users the file holds.
 //!
 //! The layout itself is [`crate::binfmt`]'s business: opening runs the
-//! same [`binfmt::scan`] as the eager decoder (over the file instead of
+//! same `binfmt::scan` as the eager decoder (over the file instead of
 //! a buffer), which validates every offset and length against the file
 //! size **before any allocation**, and touches go through the same
 //! payload decoders — so a hostile file fails with

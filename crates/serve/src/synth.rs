@@ -153,7 +153,7 @@ impl ModelArtifact {
     }
 
     /// Streams a synthesized v2 artifact straight to `path` in bounded
-    /// memory: tables go out in [`ROWS_PER_CHUNK`]-row chunks, user
+    /// memory: tables go out in `ROWS_PER_CHUNK`-row chunks, user
     /// records one at a time, popularity and the fallback means
     /// accumulate as the records pass. Byte-identical to
     /// `synthesize(...)?.save_file(path)`, and atomic like it.

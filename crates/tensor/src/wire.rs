@@ -2,20 +2,56 @@
 //! `bytes` crate, shared by every binary format in the workspace.
 //!
 //! [`Reader`] is a borrowing cursor over `&[u8]`; every accessor returns
-//! `Option` so malformed or truncated input surfaces as a clean decode
-//! failure, never a panic. [`Writer`] is an append-only `Vec<u8>` builder.
-//! The update payloads in `hf_fedsim::transport`, the masked uploads in
-//! `hf_secagg`, the compact artifact format in `hf_serve`, and the
-//! `hf_net` frame vocabulary all encode through these two types, so
-//! "little-endian, length-prefixed" means the same thing everywhere —
-//! and [`fuzz_codec`] holds all four to the same mutation property. The
-//! scalar accessors are `#[inline]`: every caller is in another crate,
-//! and a codec calls them once per float.
+//! `Result<_, DecodeError>`, so a short read or a count that cannot fit
+//! is [`DecodeError::Truncated`] — never a panic — and
+//! [`Reader::whole`] is the one place bytes left over become
+//! [`DecodeError::Trailing`]. [`Writer`] is an append-only `Vec<u8>`
+//! builder. The update payloads in `hf_fedsim::transport`, the masked
+//! uploads in `hf_secagg`, the compact artifact format in `hf_serve`, and
+//! the `hf_net` frame vocabulary all encode through these two types and
+//! report [`DecodeError`], so "little-endian, length-prefixed" and
+//! "malformed" mean the same thing everywhere — and [`fuzz_codec`] holds
+//! all four to the same mutation property. The scalar accessors are
+//! `#[inline]`: every caller is in another crate, and a codec calls them
+//! once per float.
 
 use crate::rng::{stream, Rng, SeedStream, StdRng};
 use std::fs::{self, File};
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
+
+/// Why a byte string did not decode — the one decode error every binary
+/// codec in the workspace reports, so "malformed" means the same typed
+/// thing for a client update, a masked upload, an escrowed share, a
+/// serving frame and an artifact section.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The input ended mid-field, or a count claimed more elements than
+    /// the bytes left could hold.
+    Truncated,
+    /// A whole message decoded with bytes left over.
+    Trailing {
+        /// Bytes left unread.
+        extra: usize,
+    },
+    /// A field holds an out-of-range or non-canonical value.
+    Invalid {
+        /// The offending field.
+        field: &'static str,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "input ends mid-field"),
+            DecodeError::Trailing { extra } => write!(f, "{extra} trailing bytes"),
+            DecodeError::Invalid { field } => write!(f, "invalid `{field}` field"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
 
 /// Little-endian read cursor over a borrowed byte slice.
 #[derive(Clone, Copy, Debug)]
@@ -29,68 +65,98 @@ impl<'a> Reader<'a> {
         Self { buf }
     }
 
+    /// Decodes all of `buf` with `get`: bytes it leaves unread are
+    /// [`DecodeError::Trailing`]. The one trailing-byte check every codec
+    /// shares — what makes each accepted encoding canonical.
+    pub fn whole<T>(
+        buf: &'a [u8],
+        get: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        let mut r = Self::new(buf);
+        let value = get(&mut r)?;
+        match r.remaining() {
+            0 => Ok(value),
+            extra => Err(DecodeError::Trailing { extra }),
+        }
+    }
+
     /// Bytes not yet consumed.
     #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len()
     }
 
+    /// Reads `N` raw bytes.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let Some((head, rest)) = self.buf.split_first_chunk::<N>() else {
+            return Err(DecodeError::Truncated);
+        };
+        self.buf = rest;
+        Ok(*head)
+    }
+
     /// Reads one byte.
     #[inline]
-    pub fn get_u8(&mut self) -> Option<u8> {
-        let (&b, rest) = self.buf.split_first()?;
-        self.buf = rest;
-        Some(b)
+    pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(|[b]| b)
+    }
+
+    /// Reads a boolean byte. Booleans are canonical: only `0` and `1`
+    /// decode, anything else is an invalid `field`.
+    #[inline]
+    pub fn get_bool(&mut self, field: &'static str) -> Result<bool, DecodeError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError::Invalid { field }),
+        }
     }
 
     /// Reads a little-endian `u16`.
     #[inline]
-    pub fn get_u16_le(&mut self) -> Option<u16> {
-        let (head, rest) = self.buf.split_first_chunk::<2>()?;
-        self.buf = rest;
-        Some(u16::from_le_bytes(*head))
+    pub fn get_u16_le(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     #[inline]
-    pub fn get_u32_le(&mut self) -> Option<u32> {
-        let (head, rest) = self.buf.split_first_chunk::<4>()?;
-        self.buf = rest;
-        Some(u32::from_le_bytes(*head))
+    pub fn get_u32_le(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     #[inline]
-    pub fn get_u64_le(&mut self) -> Option<u64> {
-        let (head, rest) = self.buf.split_first_chunk::<8>()?;
-        self.buf = rest;
-        Some(u64::from_le_bytes(*head))
+    pub fn get_u64_le(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `f32` (bit-exact: floats travel as their
     /// IEEE-754 bits).
     #[inline]
-    pub fn get_f32_le(&mut self) -> Option<f32> {
-        self.get_u32_le().map(f32::from_bits)
+    pub fn get_f32_le(&mut self) -> Result<f32, DecodeError> {
+        self.array().map(f32_from_le)
     }
 
     /// Reads `n` raw bytes.
     #[inline]
-    pub fn get_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.buf.len() < n {
-            return None;
-        }
-        let (head, rest) = self.buf.split_at(n);
+    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let Some((head, rest)) = self.buf.split_at_checked(n) else {
+            return Err(DecodeError::Truncated);
+        };
         self.buf = rest;
-        Some(head)
+        Ok(head)
     }
 
-    /// `Some(n)` when `n` elements of at least `width` bytes each fit in
+    /// `Ok(n)` when `n` elements of at least `width` bytes each fit in
     /// the bytes remaining — the one place a count claimed by the input
     /// is validated, before anything is allocated for it.
     #[inline]
-    pub fn fits(&self, n: usize, width: usize) -> Option<usize> {
-        (n.checked_mul(width)? <= self.remaining()).then_some(n)
+    pub fn fits(&self, n: usize, width: usize) -> Result<usize, DecodeError> {
+        match n.checked_mul(width) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(DecodeError::Truncated),
+        }
     }
 
     /// Reads `n` fixed-width scalars; a hostile count fails
@@ -99,40 +165,40 @@ impl<'a> Reader<'a> {
         &mut self,
         n: usize,
         from: impl Fn([u8; W]) -> T + 'a,
-    ) -> Option<impl ExactSizeIterator<Item = T> + 'a> {
+    ) -> Result<impl ExactSizeIterator<Item = T> + 'a, DecodeError> {
         let bytes = self.get_bytes(self.fits(n, W)? * W)?;
         let scalar = move |chunk: &[u8]| from(chunk.try_into().expect("exact chunk"));
-        Some(bytes.chunks_exact(W).map(scalar))
+        Ok(bytes.chunks_exact(W).map(scalar))
     }
 
     /// Reads `n` little-endian `f32`s (bit-exact), count checked up front.
-    pub fn get_f32_vec(&mut self, n: usize) -> Option<Vec<f32>> {
-        Some(self.scalars(n, f32_from_le)?.collect())
+    pub fn get_f32_vec(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
+        Ok(self.scalars(n, f32_from_le)?.collect())
     }
 
     /// Reads `n` little-endian `u32`s, count checked up front.
-    pub fn get_u32_vec(&mut self, n: usize) -> Option<Vec<u32>> {
-        Some(self.scalars(n, u32::from_le_bytes)?.collect())
+    pub fn get_u32_vec(&mut self, n: usize) -> Result<Vec<u32>, DecodeError> {
+        Ok(self.scalars(n, u32::from_le_bytes)?.collect())
     }
 
     /// Appends `n` little-endian `f32`s (bit-exact) to `out` — how a
     /// decoder fills one flat buffer from many records. On a count that
     /// does not fit, nothing is consumed or appended.
-    pub fn extend_f32s(&mut self, n: usize, out: &mut Vec<f32>) -> Option<()> {
+    pub fn extend_f32s(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), DecodeError> {
         out.extend(self.scalars(n, f32_from_le)?);
-        Some(())
+        Ok(())
     }
 
     /// Appends `n` little-endian `u32`s to `out`; see
     /// [`Reader::extend_f32s`].
-    pub fn extend_u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Option<()> {
+    pub fn extend_u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), DecodeError> {
         out.extend(self.scalars(n, u32::from_le_bytes)?);
-        Some(())
+        Ok(())
     }
 
     /// Reads `n` little-endian `u64`s, count checked up front.
-    pub fn get_u64_vec(&mut self, n: usize) -> Option<Vec<u64>> {
-        Some(self.scalars(n, u64::from_le_bytes)?.collect())
+    pub fn get_u64_vec(&mut self, n: usize) -> Result<Vec<u64>, DecodeError> {
+        Ok(self.scalars(n, u64::from_le_bytes)?.collect())
     }
 }
 
@@ -259,7 +325,9 @@ pub fn write_file<T>(
 /// * reproduce the valid bytes;
 /// * reject every strict prefix (all of them for a message of up to
 ///   4 KiB, 16 seeded cuts for a file beyond that) with an error
-///   `prefix_error` allows;
+///   `prefix_error` allows — for a length-exact [`DecodeError`] codec,
+///   exactly [`DecodeError::Truncated`]: every field check on a prefix
+///   reads the bytes the valid original held, so it can only run out;
 /// * for 40 copies with 1–3 flipped bytes (half the flips biased into
 ///   the first KiB, where a container keeps its structure), either fail
 ///   or re-encode to exactly the mutated bytes — a flip in a float
@@ -330,25 +398,31 @@ mod tests {
         w.put_bytes(b"hi");
         let buf = w.into_vec();
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_u8(), Some(7));
-        assert_eq!(r.get_u16_le(), Some(0xBEEF));
-        assert_eq!(r.get_u32_le(), Some(123_456));
-        assert_eq!(r.get_u64_le(), Some(u64::MAX - 1));
-        assert_eq!(r.get_f32_le().map(f32::to_bits), Some((-0.0f32).to_bits()));
-        assert_eq!(r.get_bytes(2), Some(&b"hi"[..]));
+        assert_eq!(r.get_u8(), Ok(7));
+        assert_eq!(r.get_u16_le(), Ok(0xBEEF));
+        assert_eq!(r.get_u32_le(), Ok(123_456));
+        assert_eq!(r.get_u64_le(), Ok(u64::MAX - 1));
+        assert_eq!(r.get_f32_le().map(f32::to_bits), Ok((-0.0f32).to_bits()));
+        assert_eq!(r.get_bytes(2), Ok(&b"hi"[..]));
         assert_eq!(r.remaining(), 0);
-        assert_eq!(r.get_u8(), None);
+        assert_eq!(r.get_u8(), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn truncated_reads_fail_cleanly() {
         let buf = [1u8, 2, 3];
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_u32_le(), None);
-        assert_eq!(r.get_bytes(4), None);
+        assert_eq!(r.get_u32_le(), Err(DecodeError::Truncated));
+        assert_eq!(r.get_bytes(4), Err(DecodeError::Truncated));
         // A failed read consumes nothing.
         assert_eq!(r.remaining(), 3);
-        assert_eq!(r.get_u8(), Some(1));
+        assert_eq!(r.get_u8(), Ok(1));
+        // A whole-buffer decode that stops short reports what it left.
+        assert_eq!(
+            Reader::whole(&buf, |r| r.get_u8()),
+            Err(DecodeError::Trailing { extra: 2 })
+        );
+        assert_eq!(Reader::whole(&buf, |r| r.get_bytes(3)), Ok(&buf[..]));
     }
 
     #[test]
@@ -381,14 +455,15 @@ mod tests {
     fn hostile_vec_counts_are_rejected_without_allocating() {
         let buf = [0u8; 8];
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_f32_vec(usize::MAX / 2), None);
-        assert_eq!(r.get_u32_vec(u32::MAX as usize), None);
-        assert_eq!(r.get_u64_vec(2), None);
-        assert_eq!(r.fits(usize::MAX, 2), None);
-        assert_eq!(r.fits(2, 4), Some(2));
-        assert_eq!(r.get_u64_vec(1), Some(vec![0]));
+        const TRUNCATED: DecodeError = DecodeError::Truncated;
+        assert_eq!(r.get_f32_vec(usize::MAX / 2), Err(TRUNCATED));
+        assert_eq!(r.get_u32_vec(u32::MAX as usize), Err(TRUNCATED));
+        assert_eq!(r.get_u64_vec(2), Err(TRUNCATED));
+        assert_eq!(r.fits(usize::MAX, 2), Err(TRUNCATED));
+        assert_eq!(r.fits(2, 4), Ok(2));
+        assert_eq!(r.get_u64_vec(1), Ok(vec![0]));
         let mut r = Reader::new(&buf);
         // Valid small reads still work afterwards.
-        assert_eq!(r.get_f32_vec(2).map(|v| v.len()), Some(2));
+        assert_eq!(r.get_f32_vec(2).map(|v| v.len()), Ok(2));
     }
 }

@@ -26,7 +26,6 @@ fn async_cfg(model: ModelKind) -> TrainConfig {
         staleness_beta: 0.5,
         buffer: 6,
         concurrency: 24,
-        adaptive_beta: false,
     };
     cfg.latency = LatencyProfile::LogNormal {
         median: 3.0,

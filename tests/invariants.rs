@@ -18,6 +18,7 @@ use hetefedrec::metrics::eval::Evaluator;
 use hetefedrec::models::ModelKind;
 use hetefedrec::prelude::Tier;
 use hetefedrec::tensor::rng::{substream, Rng, SeedStream, StdRng};
+use hetefedrec::tensor::wire::DecodeError;
 use hetefedrec::tensor::{sim, stats, Matrix};
 
 const ITEMS: usize = 24;
@@ -253,8 +254,9 @@ fn transport_is_robust() {
 
 /// Decode also survives *mutated valid* payloads — closer to the hostile
 /// inputs a server actually sees than uniform noise — and whatever it
-/// still accepts re-encodes to the bytes it was given (the workspace's
-/// one codec harness, over tier-shaped updates).
+/// still accepts re-encodes to the bytes it was given, while every strict
+/// prefix fails with exactly `Truncated` (the workspace's one codec
+/// harness, over tier-shaped updates).
 #[test]
 fn transport_survives_bit_flips() {
     hetefedrec::tensor::wire::fuzz_codec(
@@ -264,8 +266,8 @@ fn transport_survives_bit_flips() {
             let tier = gen_tier(rng);
             gen_update(rng, tier).1.encode()
         },
-        |wire| ClientUpdate::decode(wire).map(|u| u.encode()).ok_or(()),
-        |_| true,
+        |wire| ClientUpdate::decode(wire).map(|u| u.encode()),
+        |e| *e == DecodeError::Truncated,
     );
 }
 

@@ -46,7 +46,6 @@ fn masked_cfg(mode: Mode) -> TrainConfig {
             staleness_beta: 0.5,
             buffer: 6,
             concurrency: 24,
-            adaptive_beta: false,
         };
         cfg.latency = LatencyProfile::LogNormal {
             median: 3.0,

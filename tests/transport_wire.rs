@@ -5,6 +5,7 @@
 
 use hetefedrec::fedsim::transport::{ClientUpdate, SparseRowUpdate};
 use hetefedrec::tensor::rng::{substream, Rng, SeedStream, StdRng};
+use hetefedrec::tensor::wire::DecodeError;
 
 fn wire_rng(case: u64) -> StdRng {
     substream(0xB17E5, SeedStream::Custom(99), case)
@@ -53,7 +54,7 @@ fn encode_decode_is_identity() {
         let mut rng = wire_rng(case);
         let u = gen_update(&mut rng);
         let decoded = ClientUpdate::decode(u.encode())
-            .unwrap_or_else(|| panic!("case {case}: valid payload rejected"));
+            .unwrap_or_else(|e| panic!("case {case}: valid payload rejected: {e}"));
         assert_eq!(u, decoded, "case {case}");
     }
 }
@@ -91,17 +92,19 @@ fn degenerate_payloads_roundtrip() {
     assert_eq!(ClientUpdate::decode(zero_dim.encode()).unwrap(), zero_dim);
 }
 
-/// Through the workspace's one codec harness: every strict prefix is
-/// rejected, and a byte-flipped payload either fails or re-encodes to
-/// exactly the mutated bytes — which is what rejecting trailing bytes
-/// buys (a shrunk row count used to decode with the tail ignored).
+/// Through the workspace's one codec harness: every strict prefix fails
+/// with exactly `Truncated` (the encoding is length-exact, and a prefix
+/// reads the valid counts), and a byte-flipped payload either fails or
+/// re-encodes to exactly the mutated bytes — which is what rejecting
+/// trailing bytes buys (a shrunk row count used to decode with the tail
+/// ignored).
 #[test]
 fn every_truncation_of_a_valid_payload_is_rejected() {
     hetefedrec::tensor::wire::fuzz_codec(
         0xB17E5,
         200,
         |rng| gen_update(rng).encode(),
-        |wire| ClientUpdate::decode(wire).map(|u| u.encode()).ok_or(()),
-        |_| true,
+        |wire| ClientUpdate::decode(wire).map(|u| u.encode()),
+        |e| *e == DecodeError::Truncated,
     );
 }
