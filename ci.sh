@@ -36,8 +36,16 @@ fi
 echo "==> cargo test -q (workspace: unit + integration + doctests)"
 cargo test -q --offline --workspace
 
-echo "==> bench smoke (std::time::Instant harness, no criterion)"
-cargo test -q --offline -p hf_bench --benches
+echo "==> non-test line count"
+# Every .rs under crates/ src/ examples/ outside tests/ directories and
+# tests.rs files, each cut where a column-0 #[cfg(test)] opens an inline
+# `mod … {` (a `#[cfg(test)] mod tests;` declaration is not a cut).
+find crates src examples -name '*.rs' -not -path '*/tests/*' -not -name tests.rs -exec awk '
+    FNR == 1 { cut = 0; prev = "" }
+    !cut && prev == "#[cfg(test)]" && /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ \{/ { n--; cut = 1 }
+    !cut { n++ }
+    { prev = $0 }
+    END { print n }' {} + | awk '{ n += $1 } END { print "non-test lines: " n }'
 
 echo "==> smoke snapshot artefact (--json wiring)"
 cargo run -q --offline -p hf_bench --bin table1_stats -- \

@@ -1,10 +1,9 @@
 //! # hf_bench
 //!
 //! Experiment harness: one runnable binary per table and figure of the
-//! paper (see `DESIGN.md` §4 for the full index) plus std-`Instant`
-//! micro-benchmarks (`benches/microbench.rs`). Performance of the
-//! serving, pipeline and secure-aggregation paths is not measured here:
-//! that is the repo benchmark's job (`benchmark/README.md`).
+//! paper (see `DESIGN.md` §4 for the full index). Performance is not
+//! measured here: that is the repo benchmark's job
+//! (`benchmark/README.md`).
 //!
 //! Every binary accepts:
 //!

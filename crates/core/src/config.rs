@@ -340,9 +340,11 @@ impl ToJson for SecAggConfig {
 impl SecAggConfig {
     /// Restores checkpointed secure-aggregation settings.
     pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
+        let scale_bits = v.get("scale_bits")?.as_u64()?;
         Ok(Self {
             enabled: v.get("enabled")?.as_bool()?,
-            scale_bits: v.get("scale_bits")?.as_u64()? as u32,
+            scale_bits: u32::try_from(scale_bits)
+                .map_err(|_| JsonError::msg(format!("scale_bits {scale_bits} overflows u32")))?,
         })
     }
 }
@@ -834,6 +836,20 @@ mod tests {
         assert!(e.to_string().contains("adaptive_beta"), "{e}");
         // `false` was its only behaviour, so that still restores.
         assert_eq!(with(false).unwrap().async_cfg, cfg.async_cfg);
+    }
+
+    #[test]
+    fn scale_bits_beyond_u32_fail_restore() {
+        use hf_tensor::ser::{parse_json, ToJson};
+        let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+        cfg.secagg.enabled = true;
+        let json = cfg.to_json();
+        // 2^32 + 16 would wrap to the valid 16 under a narrowing cast and
+        // resume under a quantizer the document never named.
+        let doc = json.replace("\"scale_bits\":16", "\"scale_bits\":4294967312");
+        assert_ne!(doc, json, "the secagg block carries scale_bits");
+        let e = TrainConfig::from_json(&parse_json(&doc).unwrap()).expect_err("refused");
+        assert!(e.to_string().contains("scale_bits"), "{e}");
     }
 
     #[test]

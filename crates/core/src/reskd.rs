@@ -202,7 +202,7 @@ mod tests {
         };
         let mut reference = tables(15);
         let loss_ref = distill_round(&mut reference, &kd, 1, &mut stream(8, SeedStream::Distill));
-        for threads in [2, 8] {
+        for threads in [2, 4, 8] {
             let mut t = tables(15);
             let loss = distill_round(&mut t, &kd, threads, &mut stream(8, SeedStream::Distill));
             assert_eq!(loss.to_bits(), loss_ref.to_bits(), "threads = {threads}");

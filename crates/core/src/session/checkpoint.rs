@@ -168,8 +168,8 @@ impl Session {
     }
 
     /// Restores a session from a [`Session::checkpoint`] document with
-    /// default observer settings. Use [`SessionBuilder::from_checkpoint`]
-    /// to re-attach hooks, cadence, or early stopping.
+    /// default settings. Use [`SessionBuilder::from_checkpoint`] to
+    /// re-apply cadence or early stopping.
     pub fn restore(json: &str, split: SplitDataset) -> Result<Self, SessionError> {
         SessionBuilder::from_checkpoint(json, split)?.build()
     }
@@ -365,8 +365,6 @@ impl Session {
             data_groups,
             eval_every: 1,
             early_stop: None,
-            round_hooks: Vec::new(),
-            epoch_hooks: Vec::new(),
         })
     }
 }

@@ -12,8 +12,8 @@
 //! * [`Session`] — the federation loop exposed as a *stepper* of typed
 //!   events: every [`Session::step`] (or iteration of
 //!   [`Session::events`]) yields a [`RoundReport`] or an [`EpochReport`],
-//!   with observer hooks, configurable eval cadence, and built-in early
-//!   stopping on an NDCG plateau.
+//!   with configurable eval cadence and built-in early stopping on an
+//!   NDCG plateau.
 //! * Orchestration modes — [`Mode::Sync`](crate::config::Mode) runs the
 //!   paper's lockstep rounds; [`Mode::Async`](crate::config::Mode) runs
 //!   the event-driven engine (`engine` submodule): clients are dispatched
@@ -32,9 +32,8 @@
 //!   exactly the same `EvalOutput` as an uninterrupted one. v1 (pre
 //!   event-engine) documents still restore, as synchronous runs.
 //!
-//! Observer hooks and eval/early-stop *settings* live on the builder and
-//! are not part of a checkpoint (closures cannot be serialised); re-apply
-//! them when resuming.
+//! Eval/early-stop *settings* live on the builder and are not part of a
+//! checkpoint; re-apply them when resuming.
 
 mod checkpoint;
 mod engine;
@@ -133,9 +132,6 @@ struct EarlyStopConfig {
     min_delta: f64,
 }
 
-type RoundHook = Box<dyn FnMut(&RoundReport)>;
-type EpochHook = Box<dyn FnMut(&EpochReport)>;
-
 /// Fluent constructor for a [`Session`].
 ///
 /// ```
@@ -159,9 +155,6 @@ pub struct SessionBuilder {
     eval_every: usize,
     early_stop: Option<EarlyStopConfig>,
     threads_override: Option<usize>,
-    mode_override: Option<Mode>,
-    round_hooks: Vec<RoundHook>,
-    epoch_hooks: Vec<EpochHook>,
 }
 
 /// Where the session's configuration and state come from.
@@ -190,16 +183,13 @@ impl SessionBuilder {
             eval_every: 1,
             early_stop: None,
             threads_override: None,
-            mode_override: None,
-            round_hooks: Vec::new(),
-            epoch_hooks: Vec::new(),
         }
     }
 
     /// Starts a builder that will *resume* from a [`Session::checkpoint`]
     /// document. Configuration and strategy come from the checkpoint; the
     /// caller supplies the (identically generated) split dataset plus any
-    /// observers, cadence, or early-stopping settings, then calls
+    /// cadence or early-stopping settings, then calls
     /// [`SessionBuilder::build`]. The document is parsed (and any
     /// malformed-checkpoint error surfaces) at build time, so a restore
     /// pays exactly one parse.
@@ -225,9 +215,6 @@ impl SessionBuilder {
             eval_every: 1,
             early_stop: None,
             threads_override: None,
-            mode_override: None,
-            round_hooks: Vec::new(),
-            epoch_hooks: Vec::new(),
         }
     }
 
@@ -251,33 +238,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Registers a per-round observer, called after every completed round.
-    pub fn on_round(mut self, hook: impl FnMut(&RoundReport) + 'static) -> Self {
-        self.round_hooks.push(Box::new(hook));
-        self
-    }
-
-    /// Registers a per-epoch observer, called at every epoch boundary.
-    pub fn on_epoch(mut self, hook: impl FnMut(&EpochReport) + 'static) -> Self {
-        self.epoch_hooks.push(Box::new(hook));
-        self
-    }
-
     /// Overrides the worker-thread count (results are bit-identical for
     /// every thread count, so this is always safe — including when
     /// resuming a checkpoint taken under a different setting).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads_override = Some(threads);
-        self
-    }
-
-    /// Overrides the orchestration mode from the configuration (or, when
-    /// resuming, from the checkpoint). Unlike [`SessionBuilder::threads`]
-    /// this changes what the run computes; switching modes on a mid-epoch
-    /// checkpoint additionally abandons the interrupted epoch's remaining
-    /// work, so prefer epoch-boundary checkpoints when flipping it.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode_override = Some(mode);
         self
     }
 
@@ -298,18 +263,12 @@ impl SessionBuilder {
             eval_every,
             early_stop,
             threads_override,
-            mode_override,
-            round_hooks,
-            epoch_hooks,
         } = self;
 
         let mut session = match source {
             Source::Fresh { mut cfg, strategy } => {
                 if let Some(threads) = threads_override {
                     cfg.threads = threads;
-                }
-                if let Some(mode) = mode_override {
-                    cfg.mode = mode;
                 }
                 cfg.validate()?;
                 let model_groups = strategy.assign_tiers(&split, cfg.ratio);
@@ -373,8 +332,6 @@ impl SessionBuilder {
                     ingested_events: 0,
                     eval_every: 1,
                     early_stop: None,
-                    round_hooks: Vec::new(),
-                    epoch_hooks: Vec::new(),
                 }
             }
             Source::Checkpoint { json } => {
@@ -399,9 +356,6 @@ impl SessionBuilder {
                 if let Some(threads) = threads_override {
                     cfg.threads = threads;
                 }
-                if let Some(mode) = mode_override {
-                    cfg.mode = mode;
-                }
                 cfg.validate()?;
                 // Ingest-bearing (v4) documents carry their frozen tier
                 // assignments: streamed interactions changed train counts
@@ -414,8 +368,6 @@ impl SessionBuilder {
         };
         session.eval_every = eval_every;
         session.early_stop = early_stop;
-        session.round_hooks = round_hooks;
-        session.epoch_hooks = epoch_hooks;
         Ok(session)
     }
 }
@@ -470,16 +422,14 @@ pub struct Session {
     /// included). Resume replays exactly this many events from the same
     /// stream before restoring, so the split matches the checkpoint.
     ingested_events: u64,
-    // --- observers (builder-side; not checkpointed) ---
+    // --- builder-side settings (not checkpointed) ---
     eval_every: usize,
     early_stop: Option<EarlyStopConfig>,
-    round_hooks: Vec<RoundHook>,
-    epoch_hooks: Vec<EpochHook>,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Hooks are opaque closures; summarise the run state instead.
+        // The full state is megabytes of tables; summarise the run instead.
         f.debug_struct("Session")
             .field("strategy", &self.strategy.name())
             .field("mode", &self.cfg.mode.tag())
@@ -616,9 +566,6 @@ impl Session {
             };
             self.epoch_loss_sum += loss_sum;
             self.epoch_sample_sum += report.samples;
-            for hook in &mut self.round_hooks {
-                hook(&report);
-            }
             return Some(SessionEvent::Round(report));
         }
         Some(SessionEvent::Epoch(self.finish_epoch()))
@@ -658,13 +605,6 @@ impl Session {
     /// then reports [`StopReason::Requested`] and yields `None`.
     pub fn request_stop(&mut self) {
         self.stop_requested = true;
-    }
-
-    /// Changes the evaluation cadence mid-run (see
-    /// [`SessionBuilder::eval_every`]). Lets long runs cheapen
-    /// intermediate epochs once the curve is understood.
-    pub fn set_eval_every(&mut self, n: usize) {
-        self.eval_every = n;
     }
 
     /// Evaluates the current model state (does not advance the run).
@@ -827,15 +767,11 @@ impl Session {
             self.finished = Some(StopReason::Completed);
         }
 
-        let report = EpochReport {
+        EpochReport {
             epoch: self.epoch,
             train_loss,
             eval,
-        };
-        for hook in &mut self.epoch_hooks {
-            hook(&report);
         }
-        report
     }
 
     fn note_eval(&mut self, ndcg: f64) {

@@ -42,7 +42,6 @@ use hf_secagg::{BandLayout, MaskedUpload, PayloadLayout, PreparedGroup, Quantize
 use hf_tensor::rng::{stream, SeedStream, StdRng};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Session-owned secure-aggregation state. Present exactly when the
 /// configuration enables the masked path.
@@ -55,13 +54,6 @@ pub(super) struct SecAggState {
     /// prepared. Checkpointed: this is the in-flight round state that
     /// makes mid-epoch resume byte-identical.
     pub(super) pending: Option<PendingSetup>,
-    /// Wall-clock nanoseconds spent in the streamed fold: quantizing,
-    /// deriving and applying masks, ring-adding. Not serialized (timing
-    /// is an observation, not state).
-    pub(super) mask_nanos: u64,
-    /// Wall-clock nanoseconds spent reconstructing dropped members'
-    /// secrets and stripping orphaned masks. Not serialized.
-    pub(super) recovery_nanos: u64,
 }
 
 /// A prepared (but not yet consumed) group setup for one future round.
@@ -80,8 +72,6 @@ impl SecAggState {
         Self {
             rng: stream(cfg.seed, SeedStream::SecAggSecret),
             pending: None,
-            mask_nanos: 0,
-            recovery_nanos: 0,
         }
     }
 
@@ -117,8 +107,6 @@ impl SecAggState {
         Ok(Self {
             rng: StdRng::from_json(v.get("rng")?)?,
             pending,
-            mask_nanos: 0,
-            recovery_nanos: 0,
         })
     }
 }
@@ -142,16 +130,6 @@ impl ToJson for PendingSetup {
 }
 
 impl Session {
-    /// Wall-clock nanoseconds spent in (the streamed quantize + mask +
-    /// fold, dropout recovery) since construction — `None` when secure
-    /// aggregation is off. `examples/secure_aggregation.rs` prints it as
-    /// protocol overhead.
-    pub fn secagg_timing(&self) -> Option<(u64, u64)> {
-        self.secagg
-            .as_ref()
-            .map(|st| (st.mask_nanos, st.recovery_nanos))
-    }
-
     /// Partitions a scheduled cohort into masking groups: the eligible
     /// members (those whose uploads the strategy accepts) form one
     /// Nl-wide group under padded aggregation, or one group per model
@@ -317,7 +295,6 @@ impl Session {
             let layout = self.secagg_layout(tier);
             let prefixes = self.secagg_prefixes(group, &layout);
 
-            let mask_start = Instant::now();
             let GroupFold {
                 survivors,
                 dropped,
@@ -325,8 +302,6 @@ impl Session {
                 mut aggregate,
                 reference,
             } = fold_group(group, &layout, &prefixes, quant, uploads, self.cfg.threads);
-            self.secagg.as_mut().expect("secagg state").mask_nanos +=
-                mask_start.elapsed().as_nanos() as u64;
             accepted += group_accepted;
             stats.survivors += survivors.len();
             stats.dropped += dropped.len();
@@ -344,14 +319,9 @@ impl Session {
             }
 
             if !dropped.is_empty() {
-                let recovery_start = Instant::now();
-                let recovered =
-                    group.unmask_dropped_prefix(&mut aggregate, &dropped, &survivors, |j| {
-                        prefixes[j]
-                    });
-                self.secagg.as_mut().expect("secagg state").recovery_nanos +=
-                    recovery_start.elapsed().as_nanos() as u64;
-                match recovered {
+                match group
+                    .unmask_dropped_prefix(&mut aggregate, &dropped, &survivors, |j| prefixes[j])
+                {
                     Ok(n) => stats.recovered += n,
                     Err(_) => {
                         // Below the escrow threshold: the aggregate is

@@ -16,8 +16,6 @@
 //!   scoped worker pool running independent client computations within a
 //!   round (it lives beside `rng` so `hf_dataset` and `hf_serve` reach it
 //!   without this crate).
-//! * [`linalg`] — threaded dense-kernel drivers (row-partitioned matmul)
-//!   built on the same pool.
 //! * [`faults`] — seeded client-failure injection (dropped updates) and
 //!   churn profiles for robustness experiments beyond the paper's happy
 //!   path.
@@ -30,7 +28,6 @@
 pub mod comm;
 pub mod events;
 pub mod faults;
-pub mod linalg;
 pub mod scheduler;
 pub mod transport;
 

@@ -212,7 +212,6 @@ fn main() {
         ItemHalfMode::Tiled { max_panels } => {
             println!("hf-serve: item halves: up to {max_panels} of {tiles} tiles")
         }
-        ItemHalfMode::PerBatch => println!("hf-serve: item halves: none held"),
     }
 
     let config = ServerConfig {

@@ -457,11 +457,11 @@ mod tests {
         assert_eq!(precomputed.item_half_tiles(), 3 * 2);
 
         // No tile is wanted until a request is, and then only its tier's.
-        let lean = build(ItemHalfMode::PerBatch);
+        let lean = build(ItemHalfMode::Tiled { max_panels: 1 });
         assert_eq!(decoded(lean.artifact()), 0);
         let response = lean.recommend(&RecommendRequest::new(0));
         assert_eq!(decoded(lean.artifact()), 1);
-        assert_eq!(lean.cached_item_half_panels(), 0);
+        assert_eq!(lean.cached_item_half_panels(), 1);
         assert_eq!(response, precomputed.recommend(&RecommendRequest::new(0)));
 
         // An eager artifact is the same store, filled at load.

@@ -278,12 +278,11 @@ mod tests {
         let s = trained_session(Strategy::HeteFedRec(Ablation::FULL), ModelKind::Ncf, 1);
         let r = RecommenderBuilder::new(s.export_artifact())
             .default_k(5)
-            .cold_start_tier(Tier::Medium)
             .build()
             .unwrap();
         let resp = r.recommend(&RecommendRequest::new(usize::MAX));
         assert!(resp.cold_start);
-        assert_eq!(resp.tier, Tier::Medium);
+        assert_eq!(resp.tier, Tier::Small);
         assert_eq!(resp.items.len(), 5);
         // Deterministic: asking again gives the identical answer.
         assert_eq!(r.recommend(&RecommendRequest::new(usize::MAX)), resp);

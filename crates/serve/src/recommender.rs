@@ -13,7 +13,7 @@
 //! behind one fill-once slot: a tile that is kept is read with no lock
 //! and never computed again, and [`RecommenderBuilder::item_half_mode`]
 //! only sets how many tiles may be kept — every one, filled at `build()`
-//! (the default), none, or a budget. A tile is the same bits whether it
+//! (the default), or a budget. A tile is the same bits whether it
 //! was kept or computed for the unit at hand, by the [`SplitNcf`]
 //! contract. Ranking happens *inside* each unit: a panel's scores are
 //! reduced to its top-K candidates ([`hf_metrics::top_k_scored`] — ties
@@ -149,6 +149,11 @@ pub struct RecommendResponse {
     pub items: Vec<ScoredItem>,
 }
 
+/// Tier whose model and fallback embedding serve unknown users: the small
+/// tier, where data-volume grouping places the clients with the fewest
+/// interactions.
+const COLD_START_TIER: Tier = Tier::Small;
+
 /// How many first-layer item-half tiles a [`Recommender`] may keep.
 ///
 /// A tile is the item halves of one `(tier, panel)`: `panel_items` rows
@@ -161,7 +166,6 @@ pub struct RecommendResponse {
 /// | mode | tiles kept | bytes held | computed per batch |
 /// |---|---|---|---|
 /// | [`Precomputed`](ItemHalfMode::Precomputed) | all `T = 3·⌈items / panel_items⌉`, at `build()` | `4 · 3 · items · hidden` | nothing |
-/// | [`PerBatch`](ItemHalfMode::PerBatch) | 0 | one tile per in-flight unit | every tile touched |
 /// | [`Tiled`](ItemHalfMode::Tiled) | the first `max_panels` touched | `≤ 4 · max_panels · panel_items · hidden` | touched − kept |
 ///
 /// Nothing is ever evicted: every batch walks every tile of its tiers in
@@ -172,9 +176,6 @@ pub enum ItemHalfMode {
     /// Keep every tile, computed at build time (the default; fastest
     /// steady state, `O(items)` resident).
     Precomputed,
-    /// Keep nothing: each scoring unit computes its tile and drops it
-    /// (the memory-lean mode).
-    PerBatch,
     /// Keep the first `max_panels` tiles that requests touch, across all
     /// tiers, and compute the rest per unit — resident item halves stay
     /// within the budget however large the catalogue.
@@ -190,7 +191,6 @@ pub struct RecommenderBuilder {
     default_k: usize,
     threads: usize,
     panel_items: usize,
-    cold_start_tier: Tier,
     cold_start_blend: f32,
     item_half_mode: ItemHalfMode,
 }
@@ -205,7 +205,6 @@ impl RecommenderBuilder {
             default_k: 10,
             threads: 1,
             panel_items: 512,
-            cold_start_tier: Tier::Small,
             cold_start_blend: 0.0,
             item_half_mode: ItemHalfMode::Precomputed,
         }
@@ -227,12 +226,6 @@ impl RecommenderBuilder {
     /// Items per scoring panel (the `matmul_rows` block unit).
     pub fn panel_items(mut self, items: usize) -> Self {
         self.panel_items = items;
-        self
-    }
-
-    /// Tier whose model and fallback embedding serve unknown users.
-    pub fn cold_start_tier(mut self, tier: Tier) -> Self {
-        self.cold_start_tier = tier;
         self
     }
 
@@ -322,32 +315,28 @@ impl RecommenderBuilder {
             3 * panels,
             match self.item_half_mode {
                 ItemHalfMode::Precomputed => 3 * panels,
-                ItemHalfMode::PerBatch => 0,
                 ItemHalfMode::Tiled { max_panels } => max_panels,
             },
         );
-        // Popularity prior per tier: the popularity-weighted mean item
-        // row, accumulated in ascending item order so the result is
-        // deterministic. Only materialised when the blend is on.
+        // Popularity prior of the cold-start tier: the popularity-weighted
+        // mean item row, accumulated in ascending item order so the result
+        // is deterministic. Only materialised when the blend is on.
         let pop_prior = (self.cold_start_blend > 0.0).then(|| {
-            std::array::from_fn(|t| {
-                let tier = Tier::ALL[t];
-                let table = artifact.table(tier);
-                let mut prior = vec![0.0f32; dims.dim(tier)];
-                let mut total = 0.0f32;
-                for item in 0..artifact.num_items() {
-                    let w = artifact.popularity(item as u32) as f32;
-                    if w > 0.0 {
-                        hf_tensor::ops::axpy_slice(&mut prior, w, table.row(item));
-                        total += w;
-                    }
+            let table = artifact.table(COLD_START_TIER);
+            let mut prior = vec![0.0f32; dims.dim(COLD_START_TIER)];
+            let mut total = 0.0f32;
+            for item in 0..artifact.num_items() {
+                let w = artifact.popularity(item as u32) as f32;
+                if w > 0.0 {
+                    hf_tensor::ops::axpy_slice(&mut prior, w, table.row(item));
+                    total += w;
                 }
-                if total > 0.0 {
-                    let inv = 1.0 / total;
-                    prior.iter_mut().for_each(|x| *x *= inv);
-                }
-                prior
-            })
+            }
+            if total > 0.0 {
+                let inv = 1.0 / total;
+                prior.iter_mut().for_each(|x| *x *= inv);
+            }
+            prior
         });
         let recommender = Recommender {
             artifact,
@@ -357,7 +346,6 @@ impl RecommenderBuilder {
             default_k: self.default_k,
             threads: self.threads,
             panel_items: self.panel_items,
-            cold_start_tier: self.cold_start_tier,
             cold_start_blend: self.cold_start_blend,
         };
         // Precomputed halves are the store filled before the first
@@ -432,13 +420,12 @@ pub struct Recommender {
     /// First-layer item-half tiles, tier-major; the budget is the
     /// [`ItemHalfMode`].
     item_halves: TileStore,
-    /// Per-tier popularity-weighted mean item row; `Some` only when the
-    /// cold-start blend is on.
-    pop_prior: Option<[Vec<f32>; 3]>,
+    /// The cold-start tier's popularity-weighted mean item row; `Some`
+    /// only when the cold-start blend is on.
+    pop_prior: Option<Vec<f32>>,
     default_k: usize,
     threads: usize,
     panel_items: usize,
-    cold_start_tier: Tier,
     cold_start_blend: f32,
 }
 
@@ -480,8 +467,8 @@ impl Recommender {
     }
 
     /// How many item-half tiles are resident right now: every one in
-    /// [`ItemHalfMode::Precomputed`], zero in [`ItemHalfMode::PerBatch`],
-    /// and in [`ItemHalfMode::Tiled`] the smaller of `max_panels` and the
+    /// [`ItemHalfMode::Precomputed`], and in [`ItemHalfMode::Tiled`] the
+    /// smaller of `max_panels` and the
     /// tiles requests have touched so far.
     pub fn cached_item_half_panels(&self) -> usize {
         self.item_halves.held()
@@ -757,7 +744,7 @@ impl Recommender {
             }
             None => {
                 // Cold start: unknown user, fallback embedding, no history.
-                let tier = self.cold_start_tier;
+                let tier = COLD_START_TIER;
                 let fallback = self.artifact.fallback(tier);
                 // With the blend on, mix the popularity prior into the
                 // fallback; at γ = 0 the original slice is used untouched
@@ -768,7 +755,7 @@ impl Recommender {
                         let gamma = self.cold_start_blend;
                         blended = fallback
                             .iter()
-                            .zip(&prior[tier.index()])
+                            .zip(prior)
                             .map(|(&f, &p)| (1.0 - gamma) * f + gamma * p)
                             .collect();
                         &blended

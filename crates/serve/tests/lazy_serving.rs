@@ -80,7 +80,6 @@ fn lazy_tiled_sharded_paths_match_eager_bitwise_across_threads() {
     };
     let modes = [
         ("precomputed", ItemHalfMode::Precomputed),
-        ("per-batch", ItemHalfMode::PerBatch),
         ("tiled", ItemHalfMode::Tiled { max_panels: 3 }),
         ("tiled/1", ItemHalfMode::Tiled { max_panels: 1 }),
         ("tiled/all", ItemHalfMode::Tiled { max_panels: 1_000 }),

@@ -262,9 +262,9 @@ impl Matrix {
     /// Product of the row slice `self[row_start..row_end]` with `other`,
     /// as a `(row_end - row_start) x other.cols` matrix.
     ///
-    /// This is the unit of work a threaded driver fans out (see
-    /// `hf_fedsim::linalg::par_matmul`): concatenating the blocks for a
-    /// partition of `0..rows` reproduces [`Matrix::matmul`] bit for bit,
+    /// This is the unit of work the serving path fans out, one item-table
+    /// panel per call (`hf_models::scoring`): concatenating the blocks for
+    /// a partition of `0..rows` reproduces [`Matrix::matmul`] bit for bit,
     /// because each output row is computed identically in isolation.
     ///
     /// # Panics

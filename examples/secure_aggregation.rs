@@ -72,13 +72,6 @@ fn main() {
          {masked_bytes} masked bytes + {setup_bytes} setup bytes, NDCG@10 {:.4}",
         eval.overall.ndcg
     );
-    if let Some((mask_nanos, recovery_nanos)) = session.secagg_timing() {
-        println!(
-            "protocol time: {:.2}ms masking, {:.2}ms recovery",
-            mask_nanos as f64 / 1e6,
-            recovery_nanos as f64 / 1e6
-        );
-    }
 
     // Plaintext twin for the overhead comparison (identical schedule:
     // secagg draws from its own RNG stream, so flipping it off perturbs

@@ -136,8 +136,9 @@ fn serving_rankings_agree_with_evaluate() {
 
 #[test]
 fn precomputed_item_halves_match_the_memory_lean_path() {
-    // The builder's precomputed whole-catalogue item halves and the
-    // per-batch blocked product must be bit-identical, for every panel
+    // The builder's precomputed whole-catalogue item halves and a
+    // one-tile budget, which computes every other tile per unit, must be
+    // bit-identical, for every panel
     // size (including one larger than the catalogue) and for shared,
     // standalone-solo, and cold-start requests alike.
     for (model, strategy) in [
@@ -168,7 +169,7 @@ fn precomputed_item_halves_match_the_memory_lean_path() {
                     .unwrap()
             };
             let precomputed = build(ItemHalfMode::Precomputed).recommend_batch(&requests);
-            let lean = build(ItemHalfMode::PerBatch).recommend_batch(&requests);
+            let lean = build(ItemHalfMode::Tiled { max_panels: 1 }).recommend_batch(&requests);
             assert_eq!(precomputed.len(), lean.len());
             for (a, b) in precomputed.iter().zip(&lean) {
                 assert_eq!(a.user, b.user, "{model:?}/panel {panel_items}");
