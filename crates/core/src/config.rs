@@ -560,29 +560,15 @@ impl TrainConfig {
             threads: v.get("threads")?.as_usize()?,
             seed: v.get("seed")?.as_u64()?,
             drop_prob: v.get("drop_prob")?.as_f64()?,
-            // The orchestration fields are optional: v1 checkpoints predate
-            // them and restore as the synchronous paper setting.
-            mode: match v.opt("mode") {
-                Some(m) => {
-                    let tag = m.as_str()?;
-                    Mode::from_tag(tag)
-                        .ok_or_else(|| JsonError::msg(format!("unknown mode `{tag}`")))?
-                }
-                None => Mode::Sync,
+            mode: {
+                let tag = v.get("mode")?.as_str()?;
+                Mode::from_tag(tag)
+                    .ok_or_else(|| JsonError::msg(format!("unknown mode `{tag}`")))?
             },
-            async_cfg: match v.opt("async") {
-                Some(a) => AsyncConfig::from_json(a)?,
-                None => AsyncConfig::default(),
-            },
-            latency: match v.opt("latency") {
-                Some(l) => LatencyProfile::from_json(l)?,
-                None => LatencyProfile::unit(),
-            },
-            churn: match v.opt("churn") {
-                Some(c) => ChurnProfile::from_json(c)?,
-                None => ChurnProfile::None,
-            },
-            // Absent in v1/v2 documents and in every default-off run.
+            async_cfg: AsyncConfig::from_json(v.get("async")?)?,
+            latency: LatencyProfile::from_json(v.get("latency")?)?,
+            churn: ChurnProfile::from_json(v.get("churn")?)?,
+            // Absent in v2 documents and in every default-off run.
             secagg: match v.opt("secagg") {
                 Some(s) => SecAggConfig::from_json(s)?,
                 None => SecAggConfig::default(),
@@ -866,21 +852,6 @@ mod tests {
         ]));
         let back = TrainConfig::from_json(&parse_json(&cfg.to_json()).unwrap()).unwrap();
         assert_eq!(back.latency, cfg.latency);
-    }
-
-    #[test]
-    fn v1_config_without_orchestration_fields_restores_as_sync() {
-        use hf_tensor::ser::{parse_json, ToJson};
-        let cfg = TrainConfig::test_default(ModelKind::Ncf);
-        // Strip the orchestration fields to reconstruct a v1 document.
-        let json = cfg.to_json();
-        let cut = json.find(",\"mode\":").expect("mode field present");
-        let v1 = format!("{}}}", &json[..cut]);
-        let back = TrainConfig::from_json(&parse_json(&v1).unwrap()).unwrap();
-        assert_eq!(back.mode, Mode::Sync);
-        assert_eq!(back.async_cfg, AsyncConfig::default());
-        assert_eq!(back.latency, LatencyProfile::unit());
-        assert_eq!(back.churn, ChurnProfile::None);
     }
 
     #[test]

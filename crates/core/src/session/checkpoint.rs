@@ -2,16 +2,14 @@
 //!
 //! Schema history:
 //!
-//! * **v1** — the original synchronous document: config, strategy, server
-//!   and client state, scheduler RNG, fault injector, ledger, stepper
-//!   bookkeeping, history.
-//! * **v2** — adds the orchestration fields of the event-driven engine:
-//!   the config gains `mode`/`async`/`latency`/`churn`, the fault
-//!   injector gains its churn profile, and the document gains `clock`
-//!   (synchronous logical time) and `event_scheduler` (the async
-//!   engine's clock, in-flight arrival queue, not-yet-dispatched
-//!   traversal remainder, and per-client dispatch versions; `null` in
-//!   synchronous runs).
+//! * **v2** — the oldest document this build restores: config (with
+//!   `mode`/`async`/`latency`/`churn`), strategy, server and client
+//!   state, scheduler RNG, fault injector (with its churn profile),
+//!   ledger, stepper bookkeeping, history, `clock` (synchronous logical
+//!   time) and `event_scheduler` (the async engine's clock, in-flight
+//!   arrival queue, not-yet-dispatched traversal remainder, and
+//!   per-client dispatch versions; `null` in synchronous runs). The
+//!   pre-event-engine v1 document is refused by its version stamp.
 //! * **v3** — adds the secure-aggregation state: the config gains
 //!   `secagg`, and the document gains a `secagg` object carrying the
 //!   key-agreement RNG plus any pipelined group setup (members, public
@@ -23,14 +21,13 @@
 //!   (streamed interactions mutate train counts after division, so the
 //!   restore path must not recompute tiers from the split).
 //!
-//! Every addition has a prior-version default (`Sync`, unit latency, no
-//! churn, tick 0, no engine, secure aggregation off, no ingest), so old
-//! documents still restore — the reader accepts
-//! `MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION`. Conversely a run with
-//! secure aggregation *off* stamps version 2 and omits the `secagg`
-//! field, and one that never ingested omits `ingest` (stamping at most
-//! v3), so default-configuration checkpoints stay byte-identical to
-//! earlier builds.
+//! Every later addition has a prior-version default (secure aggregation
+//! off, no ingest), so v2 and v3 documents still restore — the reader
+//! accepts `MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION` (2..=4).
+//! Conversely a run with secure aggregation *off* stamps version 2 and
+//! omits the `secagg` field, and one that never ingested omits `ingest`
+//! (stamping at most v3), so default-configuration checkpoints stay
+//! byte-identical to earlier builds.
 
 use super::reports::{History, StopReason};
 use super::{Session, SessionBuilder, SessionError};
@@ -54,7 +51,7 @@ pub(crate) const CHECKPOINT_FORMAT: &str = "hetefedrec.checkpoint";
 /// [`Session::checkpoint`]), so this one appears only after an ingest.
 pub(crate) const CHECKPOINT_VERSION: u64 = 4;
 /// Oldest schema version this build still restores.
-pub(crate) const MIN_CHECKPOINT_VERSION: u64 = 1;
+pub(crate) const MIN_CHECKPOINT_VERSION: u64 = 2;
 
 impl Session {
     /// Serialises the session's complete mutable state as a versioned
@@ -112,8 +109,6 @@ impl Session {
                 .field("stop_requested", &self.stop_requested)
                 .field("best_ndcg", &self.best_ndcg)
                 .field("evals_since_improvement", &self.evals_since_improvement)
-                // v2 additions, kept contiguous so a v1 document is
-                // exactly this document minus the two fields.
                 .field("clock", &self.clock)
                 .field("event_scheduler", &self.async_state);
             // v3 addition, present only when the state exists.
@@ -282,15 +277,11 @@ impl Session {
             Some(best.as_f64()?)
         };
 
-        // v2 additions — absent from v1 documents, whose defaults (tick
-        // 0, fresh engine) reproduce the pre-event-engine state exactly.
-        let clock = match doc.opt("clock") {
-            Some(v) => v.as_u64()?,
-            None => 0,
-        };
+        let clock = doc.get("clock")?.as_u64()?;
         let async_state = if cfg.mode == Mode::Async {
-            let mut st = match doc.opt("event_scheduler") {
-                Some(v) if !v.is_null() => EventScheduler::from_json(
+            // `null` (what a synchronous run writes) means a fresh engine.
+            let mut st = match doc.get("event_scheduler")? {
+                v if !v.is_null() => EventScheduler::from_json(
                     v,
                     split.num_users(),
                     cfg.async_cfg.concurrency,

@@ -29,8 +29,8 @@
 //!   communication ledger, round counter, mid-epoch cohort queue,
 //!   history) via `hf_tensor::ser`; restoring it resumes the run
 //!   **bit-identically** — a checkpointed-and-resumed run produces
-//!   exactly the same `EvalOutput` as an uninterrupted one. v1 (pre
-//!   event-engine) documents still restore, as synchronous runs.
+//!   exactly the same `EvalOutput` as an uninterrupted one. Documents
+//!   older than v2 (pre event-engine) are refused by their version.
 //!
 //! Eval/early-stop *settings* live on the builder and are not part of a
 //! checkpoint; re-apply them when resuming.

@@ -664,16 +664,14 @@ fn finished_sessions_checkpoint_and_stay_finished() {
 // --- committed checkpoint fixtures -------------------------------------
 //
 // One document per version the writer can stamp — v2 (default sync), v3
-// (secure aggregation on), v4 (after an ingest that admits a user) —
-// plus the v1 form of the first, all written by the build that preceded
-// these tests, before the first round so only init-class floats are
-// committed. "Default checkpoints stay byte-identical to earlier
-// builds" and "v1 documents still restore" are pinned against these
-// files, not against documents this build just wrote.
+// (secure aggregation on), v4 (after an ingest that admits a user) — all
+// written by the build that preceded these tests, before the first round
+// so only init-class floats are committed. "Default checkpoints stay
+// byte-identical to earlier builds" is pinned against these files, not
+// against documents this build just wrote.
 
-/// Indexed by `version - 1`.
-const FIXTURES: [&str; 4] = [
-    include_str!("../../tests/fixtures/checkpoint_v1.json"),
+/// Indexed by `version - 2`.
+const FIXTURES: [&str; 3] = [
     include_str!("../../tests/fixtures/checkpoint_v2.json"),
     include_str!("../../tests/fixtures/checkpoint_v3.json"),
     include_str!("../../tests/fixtures/checkpoint_v4.json"),
@@ -694,7 +692,7 @@ fn fixture_split() -> SplitDataset {
 fn fixture_session(version: usize) -> Session {
     let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
     cfg.dims = crate::config::TierDims::rq5_tiny();
-    // What a v1 document restores to: it predates the async block.
+    // The fixtures carry the default async block, not `test_default`'s.
     cfg.async_cfg = crate::config::AsyncConfig::default();
     cfg.secagg.enabled = version == 3;
     let strategy = Strategy::HeteFedRec(Ablation::FULL);
@@ -710,7 +708,7 @@ fn fixture_session(version: usize) -> Session {
 #[test]
 fn checkpoint_fixtures_are_reproduced_and_restore_is_the_identity() {
     for version in 2..=4 {
-        let fixture = FIXTURES[version - 1].trim_end();
+        let fixture = FIXTURES[version - 2].trim_end();
         assert!(fixture.contains(&format!("\"version\":{version},")));
         assert!(
             fixture_session(version).checkpoint() == fixture,
@@ -729,20 +727,15 @@ fn checkpoint_fixtures_are_reproduced_and_restore_is_the_identity() {
 }
 
 #[test]
-fn v1_checkpoint_documents_still_restore() {
-    let mut resumed = Session::restore(FIXTURES[0], fixture_split()).expect("v1 restores");
-    assert_eq!(resumed.cfg().mode, Mode::Sync);
-    assert_eq!(resumed.clock(), 0);
-    // It re-stamps as the v2 document it is the v1 form of...
-    assert!(resumed.checkpoint() == FIXTURES[1].trim_end());
-    // ...and runs on to the evaluation of a run never checkpointed.
-    let mut reference = fixture_session(2);
-    reference.run();
-    resumed.run();
-    assert_eq!(
-        reference.final_eval().unwrap().overall.ndcg.to_bits(),
-        resumed.final_eval().unwrap().overall.ndcg.to_bits()
-    );
+fn a_v1_checkpoint_is_refused() {
+    let v1 = FIXTURES[0].replacen("\"version\":2,", "\"version\":1,", 1);
+    match Session::restore(&v1, fixture_split()) {
+        Err(SessionError::Checkpoint(msg)) => {
+            assert!(msg.contains("unsupported version 1 "), "{msg}")
+        }
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("a v1 document restored"),
+    }
 }
 
 #[test]
@@ -764,7 +757,7 @@ fn failed_checkpoint_writes_keep_the_previous_checkpoint() {
     names.sort();
     assert_eq!(names, ["session.json", "taken.json"], "no temp file");
     let kept = std::fs::read_to_string(&path).unwrap();
-    assert!(kept == FIXTURES[1], "the previous checkpoint stays whole");
+    assert!(kept == FIXTURES[0], "the previous checkpoint stays whole");
     std::fs::remove_dir_all(&dir).ok();
 }
 

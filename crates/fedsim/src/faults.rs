@@ -180,21 +180,16 @@ impl FaultInjector {
 
     /// Restores a checkpointed injector. Decisions are a pure function of
     /// `(seed, round, client)`, so seed + probabilities are the whole
-    /// state. The `churn` section is optional: v1 checkpoints predate it
-    /// and restore with churn disabled.
+    /// state.
     pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
         let drop_prob = v.get("drop_prob")?.as_f64()?;
         if !(0.0..1.0).contains(&drop_prob) {
             return Err(JsonError::msg("drop probability in [0,1)"));
         }
-        let churn = match v.opt("churn") {
-            Some(c) => ChurnProfile::from_json(c)?,
-            None => ChurnProfile::None,
-        };
         Ok(Self {
             seed: v.get("seed")?.as_u64()?,
             drop_prob,
-            churn,
+            churn: ChurnProfile::from_json(v.get("churn")?)?,
         })
     }
 
@@ -333,18 +328,6 @@ mod tests {
             })
             .collect();
         assert_eq!(forward, interleaved);
-    }
-
-    #[test]
-    fn legacy_json_without_churn_restores_with_churn_disabled() {
-        use hf_tensor::ser::parse_json;
-        let doc = parse_json(r#"{"seed":9,"drop_prob":0.25}"#).unwrap();
-        let f = FaultInjector::from_json(&doc).unwrap();
-        assert_eq!(f.churn(), ChurnProfile::None);
-        assert!((0..100).all(|c| !f.offline(0, c)));
-        // And its verdicts match a freshly built injector.
-        let fresh = FaultInjector::new(9, 0.25);
-        assert!((0..100).all(|c| f.drops(3, c) == fresh.drops(3, c)));
     }
 
     #[test]

@@ -37,8 +37,28 @@ impl Ord for Entry {
 }
 
 /// Selects the `k` highest-scoring items, skipping any in the `exclude`
-/// mask. Ties break toward the smaller item id so results are
-/// deterministic. NaN scores are skipped.
+/// mask: [`top_k_scored`] over the whole universe (`base = 0`), ids only.
+pub fn top_k_excluding(scores: &[f32], k: usize, exclude: &[u32]) -> Vec<u32> {
+    top_k_scored(scores, k, 0, exclude)
+        .into_iter()
+        .map(|e| e.0)
+        .collect()
+}
+
+/// Selects the `k` highest-scoring items of a panel, skipping any in the
+/// `exclude` mask: `scores[i]` holds the score of item `base + i`, and
+/// the returned candidates carry their scores so per-panel winners can
+/// be merged without re-reading (or even retaining) the panel's score
+/// vector.
+///
+/// NaN scores are skipped, the `exclude` mask is honoured (ids are
+/// global, i.e. already offset by `base`), ties break toward the smaller
+/// item id so results are deterministic, and the output is sorted
+/// best-first by `(score desc, item asc)`. Merging the outputs of a panel
+/// partition of the universe under that same order and truncating to `k`
+/// therefore reproduces the ranking over the concatenated scores exactly:
+/// any item a panel evicts was beaten by `k` items of its own panel, so
+/// it cannot appear in the global top-K.
 ///
 /// The mask lookup binary-searches, which requires sorted input; callers
 /// normally pass the pre-sorted training positives. An unsorted mask used
@@ -46,63 +66,6 @@ impl Ord for Entry {
 /// missed members, so "known" items leaked into the top-K). It is now
 /// detected with one `O(|exclude|)` scan and sorted into a local copy
 /// before use.
-pub fn top_k_excluding(scores: &[f32], k: usize, exclude: &[u32]) -> Vec<u32> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let sorted_fallback: Vec<u32>;
-    let exclude = if exclude.windows(2).all(|w| w[0] <= w[1]) {
-        exclude
-    } else {
-        let mut copy = exclude.to_vec();
-        copy.sort_unstable();
-        sorted_fallback = copy;
-        &sorted_fallback
-    };
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(k + 1);
-    for (i, &score) in scores.iter().enumerate() {
-        if score.is_nan() {
-            continue;
-        }
-        let item = i as u32;
-        if exclude.binary_search(&item).is_ok() {
-            continue;
-        }
-        if heap.len() < k {
-            heap.push(Entry { score, item });
-        } else if let Some(worst) = heap.peek() {
-            // Keep the candidate if it beats the current worst (or ties
-            // with a smaller id).
-            let better = score > worst.score || (score == worst.score && item < worst.item);
-            if better {
-                heap.pop();
-                heap.push(Entry { score, item });
-            }
-        }
-    }
-    let mut out: Vec<Entry> = heap.into_vec();
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| a.item.cmp(&b.item))
-    });
-    out.into_iter().map(|e| e.item).collect()
-}
-
-/// Panel-scoped variant of [`top_k_excluding`] for blocked serving:
-/// `scores[i]` holds the score of item `base + i`, and the returned
-/// candidates carry their scores so per-panel winners can be merged
-/// without re-reading (or even retaining) the panel's score vector.
-///
-/// Selection rules are identical to [`top_k_excluding`] — NaN scores are
-/// skipped, the `exclude` mask is honoured (ids are global, i.e. already
-/// offset by `base`), ties break toward the smaller item id — and the
-/// output is sorted best-first by `(score desc, item asc)`. Merging the
-/// outputs of a panel partition of the universe under that same order and
-/// truncating to `k` therefore reproduces `top_k_excluding` over the
-/// concatenated scores exactly: any item a panel evicts was beaten by `k`
-/// items of its own panel, so it cannot appear in the global top-K.
 pub fn top_k_scored(scores: &[f32], k: usize, base: u32, exclude: &[u32]) -> Vec<(u32, f32)> {
     if k == 0 {
         return Vec::new();
@@ -128,6 +91,8 @@ pub fn top_k_scored(scores: &[f32], k: usize, base: u32, exclude: &[u32]) -> Vec
         if heap.len() < k {
             heap.push(Entry { score, item });
         } else if let Some(worst) = heap.peek() {
+            // Keep the candidate if it beats the current worst (or ties
+            // with a smaller id).
             let better = score > worst.score || (score == worst.score && item < worst.item);
             if better {
                 heap.pop();

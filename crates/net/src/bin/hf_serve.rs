@@ -3,7 +3,6 @@
 //! ```text
 //! hf-serve --artifact model.hfa [--addr 127.0.0.1:7878]
 //!          [--batch-max 64] [--queue-cap 1024] [--threads 1] [--k 10]
-//!          [--cold-start-blend 0.0]
 //!          [--lazy] [--user-shards 64] [--user-shard-cap 256]
 //!          [--tile-panels N]
 //! ```
@@ -41,7 +40,6 @@ struct Args {
     queue_cap: usize,
     threads: usize,
     k: usize,
-    blend: f32,
     lazy: bool,
     user_shards: usize,
     user_shard_cap: usize,
@@ -50,7 +48,7 @@ struct Args {
 
 const USAGE: &str = "usage: hf-serve --artifact <model.hfa>\n\
     \x20   [--addr 127.0.0.1:7878] [--batch-max 64] [--queue-cap 1024]\n\
-    \x20   [--threads 1] [--k 10] [--cold-start-blend 0.0]\n\
+    \x20   [--threads 1] [--k 10]\n\
     \x20   [--lazy] [--user-shards 64] [--user-shard-cap 256] [--tile-panels N]\n\
     \x20   (item-half tiles kept: N; 0 = all, the default; 64 under --lazy)";
 
@@ -68,7 +66,6 @@ fn parse_args() -> Args {
         queue_cap: 1024,
         threads: 1,
         k: 10,
-        blend: 0.0,
         lazy: false,
         user_shards: LazyConfig::default().user_shards,
         user_shard_cap: LazyConfig::default().shard_capacity,
@@ -102,11 +99,6 @@ fn parse_args() -> Args {
                 args.k = value("--k")
                     .parse()
                     .unwrap_or_else(|_| usage_exit("bad --k"))
-            }
-            "--cold-start-blend" => {
-                args.blend = value("--cold-start-blend")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --cold-start-blend"))
             }
             "--lazy" => args.lazy = true,
             "--user-shards" => {
@@ -186,7 +178,6 @@ fn build_recommender(args: &Args) -> Result<Recommender, String> {
     RecommenderBuilder::new(artifact)
         .default_k(args.k)
         .threads(args.threads)
-        .cold_start_blend(args.blend)
         .item_half_mode(item_half_mode(args))
         .build()
         .map_err(|e| format!("invalid serving configuration: {e}"))

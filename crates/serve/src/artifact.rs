@@ -8,14 +8,13 @@
 //! per-tier cold-start fallback embedding for users the training run
 //! never saw.
 //!
-//! Artifacts are produced from a live [`Session`] (`export_artifact()`),
-//! rebuilt from a persisted training checkpoint
-//! ([`ModelArtifact::from_checkpoint`] /
-//! [`ModelArtifact::from_checkpoint_file`]), synthesized at arbitrary
-//! scale without training ([`ModelArtifact::synthesize`]), or loaded
-//! from the binary file format — eagerly ([`ModelArtifact::load_file`])
-//! or lazily ([`ModelArtifact::load_file_lazy`]), where tier tables and
-//! user records stay on disk until first touch. Both backends sit behind
+//! Artifacts are produced from a live [`Session`] (`export_artifact()`;
+//! a persisted training checkpoint is [`Session::restore`]d first),
+//! synthesized at arbitrary scale without training
+//! ([`ModelArtifact::synthesize`]), or loaded from the binary file format
+//! — eagerly ([`ModelArtifact::load_file`]) or lazily
+//! ([`ModelArtifact::load_file_lazy`]), where tier tables and user
+//! records stay on disk until first touch. Both backends sit behind
 //! the same accessors and produce **bit-identical** rankings; the lazy
 //! one bounds resident memory by what requests actually touch. Going
 //! out, [`ModelArtifact::to_bytes`], [`ModelArtifact::save_file`] and
@@ -32,16 +31,16 @@
 //! [`ModelArtifact::user`] lends a [`UserView`] into it; the lazy backend
 //! lends the same view out of its cached [`UserRecord`]s.
 //!
-//! The artifact schema itself is versioned ([`ARTIFACT_VERSION`]); it
-//! tracks the checkpoint schema it can ingest, so a reader upgrade is an
-//! artifact-version bump.
+//! The artifact schema ([`ARTIFACT_VERSION`]) and its container
+//! ([`crate::BINFMT_VERSION`]) are versioned, and a reader accepts exactly
+//! the versions this build writes.
 
 use crate::binfmt::{self, Meta};
 use crate::lazy::{LazyConfig, LazyUsers, Tiers};
 use crate::ServeError;
 use hetefedrec_core::session::Session;
 use hetefedrec_core::Strategy;
-use hf_dataset::{SplitDataset, Tier};
+use hf_dataset::Tier;
 use hf_models::{Ffn, ModelKind};
 use hf_tensor::wire::DecodeError;
 use hf_tensor::Matrix;
@@ -51,8 +50,8 @@ use std::sync::Arc;
 
 use hetefedrec_core::config::TierDims;
 
-/// Artifact schema version. Version 1 snapshots the state of
-/// `hetefedrec.checkpoint` v1 documents.
+/// Artifact schema version: the model state a session exports (tier
+/// tables and predictors, per-user state, popularity, fallback).
 pub const ARTIFACT_VERSION: u64 = 1;
 
 /// A standalone client's private parameters (overlay over the frozen
@@ -228,7 +227,7 @@ impl UserArena {
 pub(crate) enum UserStore {
     /// All users decoded up front (training export, eager file load).
     Eager(UserArena),
-    /// Records decoded on first touch from a v2 file, held in a sharded
+    /// Records decoded on first touch from the file, held in a sharded
     /// bounded LRU (see [`crate::lazy`]).
     Lazy(LazyUsers),
 }
@@ -342,27 +341,6 @@ impl ModelArtifact {
         }
     }
 
-    /// Rebuilds an artifact from a `hetefedrec.checkpoint` document (any
-    /// schema version [`Session::restore`] accepts, v1–v4), using the
-    /// `hf_tensor::ser` reader. The caller supplies the identically
-    /// generated split — the checkpoint stores only model state, not the
-    /// dataset.
-    pub fn from_checkpoint(json: &str, split: SplitDataset) -> Result<Self, ServeError> {
-        let session = Session::restore(json, split)
-            .map_err(|e| ServeError::Artifact(format!("cannot restore checkpoint: {e}")))?;
-        Ok(Self::from_session(&session))
-    }
-
-    /// [`ModelArtifact::from_checkpoint`] reading the document from a file.
-    pub fn from_checkpoint_file(
-        path: impl AsRef<std::path::Path>,
-        split: SplitDataset,
-    ) -> Result<Self, ServeError> {
-        let json = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| ServeError::Artifact(format!("cannot read checkpoint: {e}")))?;
-        Self::from_checkpoint(&json, split)
-    }
-
     /// Serialises the artifact to the compact binary on-disk format
     /// (`crate::binfmt`): length-prefixed sections of little-endian
     /// scalars, floats as IEEE-754 bits, so a reload is bit-identical.
@@ -376,7 +354,7 @@ impl ModelArtifact {
             .into_inner()
     }
 
-    /// Parses the binary on-disk format (either container version).
+    /// Parses the binary on-disk format ([`crate::BINFMT_VERSION`] only).
     /// Truncated, malformed, or version-mismatched buffers are rejected
     /// with [`ServeError::Artifact`], never a panic.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, ServeError> {
@@ -413,16 +391,13 @@ impl ModelArtifact {
         crate::lazy::open_eager(path.as_ref())
     }
 
-    /// Opens a v2 artifact file **lazily**: the header, directories,
+    /// Opens an artifact file **lazily**: the header, directories,
     /// `meta`, `popularity`, and `fallback` sections are read and
     /// validated up front, but tier tables and user records stay on disk
     /// until first touch. User records are cached in a sharded bounded
     /// LRU sized by `cfg`, so resident memory is `O(touched)` with a
     /// configurable ceiling — and rankings are bit-identical to the
     /// eager path.
-    ///
-    /// Version-1 files have no directories to seek by; they fall back to
-    /// the eager [`ModelArtifact::load_file`] path transparently.
     pub fn load_file_lazy(
         path: impl AsRef<std::path::Path>,
         cfg: LazyConfig,
@@ -503,7 +478,7 @@ impl ModelArtifact {
     }
 
     /// One tier table's shape `(rows, cols)` — available without forcing
-    /// a lazy tier load (v2 directories carry the shape).
+    /// a lazy tier load (the file's directories carry the shape).
     pub fn table_dims(&self, tier: Tier) -> (usize, usize) {
         self.params.table_dims(tier)
     }

@@ -10,16 +10,15 @@
 //!
 //! ```text
 //! magic       b"HFAB"
-//! container   u16   BINFMT_VERSION (2; v1 files still decode)
+//! container   u16   BINFMT_VERSION (2; nothing else decodes)
 //! schema      u32   ARTIFACT_VERSION the payload snapshots
 //! sections    tag:u8  len:u64  payload:[u8; len]   (repeated until EOF)
 //! ```
 //!
 //! Each of the six sections (`meta`, `tables`, `thetas`, `users`,
 //! `popularity`, `fallback`) appears exactly once; unknown tags and
-//! duplicates are errors. In version 2 the three large sections open
-//! with an offset directory so [`crate::lazy`] can seek to one tier or
-//! one user:
+//! duplicates are errors. The three large sections open with an offset
+//! directory so [`crate::lazy`] can seek to one tier or one user:
 //!
 //! * `tables` — `3 × (off: u64, len: u64, rows: u64, cols: u32)`, then
 //!   the matrix payloads;
@@ -28,8 +27,9 @@
 //!
 //! Offsets are relative to the payload block after the directory, and
 //! directories are canonical (contiguous, in tier/user order, covering
-//! the block exactly), so `encode(decode(b)) == b`. Version 1 (the same
-//! payloads without directories) is read-only.
+//! the block exactly), so `encode(decode(b)) == b`. The reader accepts
+//! the version this module writes and nothing else: a file stamped with
+//! any other container version is refused by its header.
 //!
 //! There is **one writer** — `ArtifactWriter`, streaming over any
 //! `Write + Seek` sink and driven by `to_bytes`, `save_file`,
@@ -65,12 +65,9 @@ use std::path::Path;
 /// File magic: "HeteFedrec Artifact Binary".
 const MAGIC: &[u8; 4] = b"HFAB";
 
-/// Container format version this module writes. The reader also accepts
-/// version-1 files (whole-section payloads, no directories).
+/// Container format version this module writes, and the only one the
+/// reader accepts.
 pub const BINFMT_VERSION: u16 = 2;
-
-/// Oldest container version the reader still accepts.
-pub const MIN_BINFMT_VERSION: u16 = 1;
 
 /// Section tags (all mandatory, each exactly once).
 const SEC_META: u8 = 1;
@@ -362,8 +359,7 @@ pub(crate) fn write_file<T>(
         .map_err(|e| err(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Encodes one user record (v1 and v2 share it — v2 just indexes the
-/// same bytes).
+/// Encodes one user record (the `users` directory indexes these bytes).
 pub(crate) fn put_user(w: &mut Writer, user: UserView<'_>) {
     w.put_u8(user.tier.index() as u8);
     w.put_u32_le(user.emb.len() as u32);
@@ -412,35 +408,23 @@ fn put_ffn(w: &mut Writer, ffn: &Ffn) {
 // Reading: the layout scan, then eager decoding (lazy is crate::lazy)
 // ---------------------------------------------------------------------
 
-/// Where the three large sections' payloads sit.
-pub(crate) enum ParamLayout {
-    /// v1: whole sections, decodable only front to back.
-    V1 {
-        tables: Extent,
-        thetas: Extent,
-        users: Extent,
-    },
-    /// v2: directories parsed and validated, extents absolute.
-    V2 {
-        tables: [TableEntry; 3],
-        thetas: [Extent; 3],
-        users: UserIndex,
-    },
-}
-
-/// The v2 `users` section: a fixed-width directory, then the records.
+/// The `users` section: a fixed-width directory, then the records.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct UserIndex {
     dir: u64,
     block: Extent,
 }
 
-/// What [`scan`] learns without decoding a large payload.
+/// What [`scan`] learns without decoding a large payload: the small
+/// sections, and the three large ones' directories, parsed and validated
+/// with extents absolute.
 pub(crate) struct Layout {
     pub meta: Meta,
     pub popularity: Vec<u32>,
     pub fallback: [Vec<f32>; 3],
-    pub params: ParamLayout,
+    pub tables: [TableEntry; 3],
+    pub thetas: [Extent; 3],
+    pub users: UserIndex,
 }
 
 /// Decodes `bytes` as exactly one `T` ([`Reader::whole`]) — the one
@@ -460,14 +444,14 @@ pub(crate) fn exactly<'a, T>(
 /// the section table validating each declared length against the bytes
 /// remaining *before* the payload is touched — a section claiming
 /// `u64::MAX` bytes fails typed here, never an allocation or a panic —
-/// then decodes the small always-needed sections and, for v2, the three
+/// then decodes the small always-needed sections and the three
 /// directories. `read(off, len)` is only ever asked for ranges inside
 /// `0..len`.
 pub(crate) fn scan<B: Deref<Target = [u8]>>(
     len: u64,
     read: impl Fn(u64, u64) -> Result<B, ServeError>,
 ) -> Result<Layout, ServeError> {
-    let container = parse_header(&read(0, HEADER_LEN.min(len))?)?;
+    parse_header(&read(0, HEADER_LEN.min(len))?)?;
 
     let mut sections: [Option<Extent>; 7] = [None; 7];
     let mut cursor = HEADER_LEN;
@@ -512,52 +496,41 @@ pub(crate) fn scan<B: Deref<Target = [u8]>>(
         section(SEC_THETAS)?,
         section(SEC_USERS)?,
     );
-    let params = if container == 1 {
-        ParamLayout::V1 {
-            tables,
-            thetas,
-            users,
-        }
-    } else {
-        let dir = |(off, len): Extent, dir_len: u64| read(off, dir_len.min(len));
-        let user_dir = (meta.num_users as u64)
-            .checked_mul(USER_DIR_ENTRY)
-            .filter(|&d| d <= users.1)
-            .ok_or_else(|| {
-                err(format!(
-                    "`users` section too short for a {}-entry directory",
-                    meta.num_users
-                ))
-            })?;
-        ParamLayout::V2 {
-            tables: parse_table_dir(&dir(tables, 3 * TABLE_DIR_ENTRY)?, tables, &meta)?,
-            thetas: parse_theta_dir(&dir(thetas, 3 * THETA_DIR_ENTRY)?, thetas)?,
-            users: UserIndex {
-                dir: users.0,
-                block: (users.0 + user_dir, users.1 - user_dir),
-            },
-        }
-    };
+    let dir = |(off, len): Extent, dir_len: u64| read(off, dir_len.min(len));
+    let user_dir = (meta.num_users as u64)
+        .checked_mul(USER_DIR_ENTRY)
+        .filter(|&d| d <= users.1)
+        .ok_or_else(|| {
+            err(format!(
+                "`users` section too short for a {}-entry directory",
+                meta.num_users
+            ))
+        })?;
     Ok(Layout {
+        tables: parse_table_dir(&dir(tables, 3 * TABLE_DIR_ENTRY)?, tables, &meta)?,
+        thetas: parse_theta_dir(&dir(thetas, 3 * THETA_DIR_ENTRY)?, thetas)?,
+        users: UserIndex {
+            dir: users.0,
+            block: (users.0 + user_dir, users.1 - user_dir),
+        },
         meta,
         popularity,
         fallback,
-        params,
     })
 }
 
-/// Parses the file header, returning the container version.
-fn parse_header(head: &[u8]) -> Result<u16, ServeError> {
+/// Checks the file header: magic, container version, artifact schema.
+fn parse_header(head: &[u8]) -> Result<(), ServeError> {
     let (magic, container, schema) = exactly(head, "header", |r| {
         Ok((r.get_bytes(4)?, r.get_u16_le()?, r.get_u32_le()?))
     })?;
     if magic != MAGIC {
         return Err(err("not an artifact file (bad magic)"));
     }
-    if !(MIN_BINFMT_VERSION..=BINFMT_VERSION).contains(&container) {
+    if container != BINFMT_VERSION {
         return Err(err(format!(
             "unsupported container version {container} (this reader speaks \
-             {MIN_BINFMT_VERSION}..={BINFMT_VERSION})"
+             {BINFMT_VERSION})"
         )));
     }
     if schema as u64 != ARTIFACT_VERSION {
@@ -565,7 +538,7 @@ fn parse_header(head: &[u8]) -> Result<u16, ServeError> {
             "artifact schema v{schema} not supported (want v{ARTIFACT_VERSION})"
         )));
     }
-    Ok(container)
+    Ok(())
 }
 
 /// Decodes the `meta` payload.
@@ -626,7 +599,7 @@ fn parse_tier_dir<X>(
     Ok(entries.try_into().ok().expect("three tiers"))
 }
 
-/// Parses the v2 `tables` directory, validating each entry's length and
+/// Parses the `tables` directory, validating each entry's length and
 /// shape against `meta`.
 fn parse_table_dir(
     dir: &[u8],
@@ -659,7 +632,7 @@ fn parse_table_dir(
     Ok(dir.map(|(extent, (rows, cols))| (extent, (rows as usize, cols as usize))))
 }
 
-/// Parses the v2 `thetas` directory.
+/// Parses the `thetas` directory.
 fn parse_theta_dir(dir: &[u8], section: Extent) -> Result<[Extent; 3], ServeError> {
     let entry = |r: &mut Reader| Ok((r.get_u64_le()?, r.get_u64_le()?, ()));
     Ok(parse_tier_dir("thetas", dir, THETA_DIR_ENTRY, section, entry)?.map(|(extent, ())| extent))
@@ -716,7 +689,7 @@ impl UserIndex {
     pub(crate) fn get<B: Deref<Target = [u8]>>(
         &self,
         user: usize,
-        dims: &TierDims,
+        meta: &Meta,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
     ) -> Result<UserRecord, ServeError> {
         let entry = read(self.dir + user as u64 * USER_DIR_ENTRY, USER_DIR_ENTRY)?;
@@ -726,7 +699,7 @@ impl UserIndex {
             format_args!("`users` section at user {user}"),
             |r| {
                 let (mut emb, mut history) = (Vec::new(), Vec::new());
-                let (tier, solo) = get_user(r, dims, &mut emb, &mut history)?;
+                let (tier, solo) = get_user(r, meta, &mut emb, &mut history)?;
                 Ok(UserRecord {
                     tier,
                     emb,
@@ -763,7 +736,7 @@ impl UserIndex {
             exactly(
                 &read(self.block.0 + off, len)?,
                 format_args!("`users` section at user {user}"),
-                |r| users.push_with(|embs, ids| get_user(r, &meta.dims, embs, ids)),
+                |r| users.push_with(|embs, ids| get_user(r, meta, embs, ids)),
             )
         })?;
         users.shrink_to_fit();
@@ -796,20 +769,6 @@ fn reserve_users(meta: &Meta, block_len: u64) -> Result<UserArena, ServeError> {
     ))
 }
 
-/// A v1 section: `n` payloads back to back, filling it exactly.
-fn back_to_back<T>(
-    bytes: &[u8],
-    name: &str,
-    n: usize,
-    mut get: impl FnMut(&mut Reader, usize) -> Result<T, DecodeError>,
-) -> Result<Vec<T>, ServeError> {
-    // Not pre-sized (`collect` through `Result` starts empty): `n` is the
-    // file's claim, and nothing bounds it here.
-    exactly(bytes, format_args!("`{name}` section"), |r| {
-        (0..n).map(|i| get(r, i)).collect()
-    })
-}
-
 /// Decodes one matrix payload at `extent` — `rows: u64, cols: u32`, then
 /// `rows × cols` floats — which must have exactly `shape`, asking `read`
 /// for at most [`READ_CHUNK`] bytes at a time.
@@ -840,58 +799,28 @@ pub(crate) fn read_table<B: Deref<Target = [u8]>>(
 /// The one eager decoder, over any random-access source (a slice for
 /// [`ModelArtifact::from_bytes`], a read window over the file for
 /// [`ModelArtifact::load_file`]): the layout scan, then every payload
-/// parsed into memory where `read` lends it, either container version.
-/// Beyond the always-needed small sections it asks for at most
-/// [`READ_CHUNK`] bytes or one user record at a time (v1, which has no
-/// directories to walk by, asks for whole sections). Lazy file-backed
-/// loading is [`ModelArtifact::load_file_lazy`].
+/// parsed into memory where `read` lends it. Beyond the always-needed
+/// small sections it asks for at most [`READ_CHUNK`] bytes or one user
+/// record at a time. Lazy file-backed loading is
+/// [`ModelArtifact::load_file_lazy`].
 pub(crate) fn decode<B: Deref<Target = [u8]>>(
     len: u64,
     read: impl Fn(u64, u64) -> Result<B, ServeError>,
 ) -> Result<ModelArtifact, ServeError> {
     let layout = scan(len, &read)?;
-    let meta = &layout.meta;
-    let load = |(off, len): Extent| read(off, len);
-
-    let (tables, thetas, users) = match layout.params {
-        ParamLayout::V1 {
-            tables,
-            thetas,
-            users,
-        } => {
-            let mut arena = reserve_users(meta, users.1)?;
-            back_to_back(&load(users)?, "users", meta.num_users, |r, _| {
-                arena.push_with(|embs, ids| get_user(r, &meta.dims, embs, ids))
-            })?;
-            arena.shrink_to_fit();
-            (
-                back_to_back(&load(tables)?, "tables", 3, |r, t| {
-                    get_table(r, (meta.num_items, meta.dims.dim(Tier::ALL[t])))
-                })?,
-                back_to_back(&load(thetas)?, "thetas", 3, |r, _| get_ffn(r))?,
-                arena,
-            )
-        }
-        ParamLayout::V2 {
-            tables,
-            thetas,
-            users: index,
-        } => {
-            let tables = (tables.iter().zip(Tier::ALL))
-                .map(|(&(extent, shape), tier)| {
-                    let what = format_args!("`tables` payload at {tier:?}");
-                    read_table(extent, shape, what, &read)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let thetas = (thetas.iter().zip(Tier::ALL))
-                .map(|(&extent, tier)| {
-                    let what = format_args!("`thetas` payload at {tier:?}");
-                    exactly(&load(extent)?, what, get_ffn)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            (tables, thetas, index.decode_all(meta, &read)?)
-        }
-    };
+    let tables = (layout.tables.iter().zip(Tier::ALL))
+        .map(|(&(extent, shape), tier)| {
+            let what = format_args!("`tables` payload at {tier:?}");
+            read_table(extent, shape, what, &read)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let thetas = (layout.thetas.iter().zip(Tier::ALL))
+        .map(|(&(off, len), tier)| {
+            let what = format_args!("`thetas` payload at {tier:?}");
+            exactly(&read(off, len)?, what, get_ffn)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let users = layout.users.decode_all(&layout.meta, &read)?;
 
     Ok(ModelArtifact::assemble(
         layout.meta,
@@ -938,14 +867,6 @@ fn get_shape(r: &mut Reader, (rows, cols): (usize, usize)) -> Result<(), DecodeE
     Ok(())
 }
 
-/// Reads one v1 matrix payload, which must have exactly `shape`.
-fn get_table(r: &mut Reader, shape: (usize, usize)) -> Result<Matrix, DecodeError> {
-    get_shape(r, shape)?;
-    // A product that overflows claims more floats than any input holds.
-    let data = r.get_f32_vec(shape.0.saturating_mul(shape.1))?;
-    Ok(Matrix::from_vec(shape.0, shape.1, data))
-}
-
 pub(crate) fn get_ffn(r: &mut Reader) -> Result<Ffn, DecodeError> {
     let ndims = r.get_u32_le()? as usize;
     if !(2..=16).contains(&ndims) {
@@ -974,23 +895,30 @@ pub(crate) fn get_ffn(r: &mut Reader) -> Result<Ffn, DecodeError> {
 /// Parses one user record, appending its embedding to `embs` and its
 /// history to `ids` (an arena's flat buffers, or a lone record's own);
 /// returns the tier and the private model, if the record carries one.
+/// Every item id it names — history or private row — must lie inside the
+/// catalogue, or ranking would index past the item tables.
 fn get_user(
     r: &mut Reader,
-    dims: &TierDims,
+    meta: &Meta,
     embs: &mut Vec<f32>,
     ids: &mut Vec<u32>,
 ) -> Result<(Tier, Option<SoloModel>), DecodeError> {
     use DecodeError::Invalid;
+    let in_catalogue = |item: u32| (item as usize) < meta.num_items;
     let tier = *Tier::ALL
         .get(r.get_u8()? as usize)
         .ok_or(Invalid { field: "tier" })?;
-    let dim = dims.dim(tier);
+    let dim = meta.dims.dim(tier);
     if r.get_u32_le()? as usize != dim {
         return Err(Invalid { field: "emb" });
     }
     r.extend_f32s(dim, embs)?;
     let history_len = r.get_u32_le()? as usize;
+    let history_start = ids.len();
     r.extend_u32s(history_len, ids)?;
+    if !ids[history_start..].iter().all(|&item| in_catalogue(item)) {
+        return Err(Invalid { field: "history" });
+    }
     if !r.get_bool("solo")? {
         return Ok((tier, None));
     }
@@ -1003,7 +931,7 @@ fn get_user(
         let (item, width) = (r.get_u32_le()?, r.get_u32_le()? as usize);
         // Rows are written in ascending item order; anything else would
         // not re-encode to the same bytes.
-        if width != dim || prev.replace(item) >= Some(item) {
+        if width != dim || !in_catalogue(item) || prev.replace(item) >= Some(item) {
             return Err(Invalid { field: "rows" });
         }
         rows.insert(item, r.get_f32_vec(width)?);
@@ -1096,9 +1024,7 @@ mod tests {
 
     /// Frozen files: `GOLDEN_V2` and `GOLDEN_V2_SOLO` are the pre-streaming
     /// encoder's `to_bytes()` of [`synth_fixture_source`] and
-    /// [`solo_fixture_source`]; `FIXTURE_V1` is the v1 encoding of the
-    /// former (the v1 writer is gone — the file is the only source).
-    const FIXTURE_V1: &[u8] = include_bytes!("../tests/fixtures/artifact_v1.hfa");
+    /// [`solo_fixture_source`].
     const GOLDEN_V2: &[u8] = include_bytes!("../tests/fixtures/artifact_v2.hfa");
     const GOLDEN_V2_SOLO: &[u8] = include_bytes!("../tests/fixtures/artifact_v2_solo.hfa");
 
@@ -1272,14 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_container_still_decodes_identically() {
-        assert_eq!(FIXTURE_V1[4], 1, "v1 container tag");
-        let b = ModelArtifact::from_bytes(FIXTURE_V1).expect("v1 decodes");
-        // Re-encoding the v1 reload as v2 matches the direct v2 bytes.
-        assert!(b.to_bytes() == GOLDEN_V2, "v1 -> v2 re-encode drifted");
-    }
-
-    #[test]
     fn file_roundtrip() {
         let a = artifact(Strategy::HeteFedRec(Ablation::FULL), ModelKind::Ncf);
         let dir = std::env::temp_dir().join(format!("hf_binfmt_test_{}", std::process::id()));
@@ -1292,28 +1210,95 @@ mod tests {
     }
 
     #[test]
-    fn truncations_and_mutations_never_panic() {
-        let a = artifact(Strategy::Standalone, ModelKind::Ncf);
-        for bytes in [a.to_bytes(), FIXTURE_V1.to_vec()] {
-            // Every prefix must fail cleanly (the full buffer is the only
-            // valid length).
-            for cut in [0, 3, 4, 6, 10, 17, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    ModelArtifact::from_bytes(&bytes[..cut]).is_err(),
-                    "cut at {cut} must be rejected"
-                );
-            }
-            // Header corruptions produce typed errors.
-            let mut bad = bytes.clone();
-            bad[0] = b'X';
-            assert!(ModelArtifact::from_bytes(&bad).is_err(), "bad magic");
-            let mut bad = bytes.clone();
-            bad[4] = 0xFF; // container version
-            assert!(ModelArtifact::from_bytes(&bad).is_err(), "bad version");
-            let mut bad = bytes.clone();
-            bad[6] = 0xFF; // schema version
-            assert!(ModelArtifact::from_bytes(&bad).is_err(), "bad schema");
+    fn header_corruptions_are_refused() {
+        for (at, byte, what) in [
+            (0, b'X', "bad magic"),
+            (4, 1, "container version 1"),
+            (4, 0xFF, "container version 0xFF"),
+            (6, 0xFF, "schema version"),
+        ] {
+            let mut bad = GOLDEN_V2.to_vec();
+            bad[at] = byte;
+            assert!(ModelArtifact::from_bytes(&bad).is_err(), "{what}");
         }
+    }
+
+    #[test]
+    fn a_v1_container_is_refused() {
+        let mut v1 = GOLDEN_V2.to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let dir = scratch_dir("v1");
+        let path = dir.join("v1.hfa");
+        std::fs::write(&path, &v1).unwrap();
+        for (reader, refused) in [
+            ("from_bytes", ModelArtifact::from_bytes(&v1).err()),
+            ("load_file", ModelArtifact::load_file(&path).err()),
+            (
+                "load_file_lazy",
+                ModelArtifact::load_file_lazy(&path, crate::LazyConfig::default()).err(),
+            ),
+        ] {
+            let e = refused.unwrap_or_else(|| panic!("{reader} accepted a v1 container"));
+            assert!(
+                matches!(&e, ServeError::Artifact(msg) if msg.contains("container version 1 ")),
+                "{reader}: {e}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `a`'s bytes with user 0's record replaced by `edit` of it.
+    fn with_user_zero(a: &ModelArtifact, edit: impl FnOnce(&mut UserRecord)) -> Vec<u8> {
+        let UserStore::Eager(users) = &a.users else {
+            panic!("an eager artifact");
+        };
+        let user = users.get(0).expect("user 0");
+        let mut patched = UserRecord {
+            tier: user.tier,
+            emb: user.emb.to_vec(),
+            history: user.history.to_vec(),
+            solo: user.solo.cloned(),
+        };
+        edit(&mut patched);
+        let mut w = ArtifactWriter::begin(std::io::Cursor::new(Vec::new()), a.meta()).unwrap();
+        w.tables(|tier| [a.table(tier).as_slice()]).unwrap();
+        w.thetas(Tier::ALL.map(|tier| a.theta(tier))).unwrap();
+        w.users(|u, out| match u {
+            0 => put_user(out, patched.view()),
+            _ => put_user(out, users.get(u).expect("user in range")),
+        })
+        .unwrap();
+        let (out, _) = w.finish(&a.popularity, &a.fallback).unwrap();
+        out.into_inner()
+    }
+
+    #[test]
+    fn item_ids_outside_the_catalogue_are_refused() {
+        // Regression: a history id past the catalogue used to decode, then
+        // panic the first ranking of that user (LightGCN indexes the item
+        // table by it).
+        let lightgcn = artifact(Strategy::HeteFedRec(Ablation::FULL), ModelKind::LightGcn);
+        let past_the_end = lightgcn.num_items() as u32 + 5;
+        let history = with_user_zero(&lightgcn, |u| u.history = vec![past_the_end]);
+        // A private row keyed past the catalogue is the same fault.
+        let solo = solo_fixture_source();
+        let (num_items, dim) = (solo.num_items() as u32, solo.dims().dim(Tier::Small));
+        let rows = with_user_zero(&solo, |u| {
+            let private = u.solo.as_mut().expect("user 0 carries a private model");
+            private.rows.insert(num_items, vec![0.0; dim]);
+        });
+        let dir = scratch_dir("catalogue");
+        let path = dir.join("bad.hfa");
+        for (bytes, field) in [(history, "history"), (rows, "rows")] {
+            let e = ModelArtifact::from_bytes(&bytes).expect_err(field);
+            assert!(e.to_string().contains(field), "{field}: {e}");
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                ModelArtifact::load_file(&path).is_err(),
+                "{field}: load_file"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Lazy, file-backed artifact state.
 //!
-//! The v2 container ([`crate::binfmt`]) is offset-indexed, so a serving
+//! The `HFAB` container ([`crate::binfmt`]) is offset-indexed, so a serving
 //! host never has to materialise the whole artifact: this module keeps
 //! the file open and decodes state on first touch —
 //!
@@ -38,9 +38,8 @@
 //! ([`ModelArtifact::save_file`] replaces files by rename, which is).
 
 use crate::artifact::{ModelArtifact, UserRecord, UserStore};
-use crate::binfmt::{self, err, Extent, ParamLayout, UserIndex};
+use crate::binfmt::{self, err, Extent, Meta, UserIndex};
 use crate::ServeError;
-use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
 use hf_models::Ffn;
 use hf_tensor::Matrix;
@@ -309,15 +308,14 @@ struct Shard {
 #[derive(Clone, Debug)]
 pub(crate) struct LazyUsers {
     file: Arc<ArtifactFile>,
-    dims: TierDims,
-    num_users: usize,
+    meta: Meta,
     index: UserIndex,
     shards: Arc<Vec<Shard>>,
 }
 
 impl LazyUsers {
     pub(crate) fn num_users(&self) -> usize {
-        self.num_users
+        self.meta.num_users
     }
 
     pub(crate) fn cached_records(&self) -> usize {
@@ -328,7 +326,7 @@ impl LazyUsers {
     }
 
     pub(crate) fn user(&self, user: usize) -> Option<Arc<UserRecord>> {
-        if user >= self.num_users {
+        if user >= self.meta.num_users {
             return None;
         }
         let shard = &self.shards[user % self.shards.len()];
@@ -364,7 +362,7 @@ impl LazyUsers {
     pub(crate) fn fetch(&self, user: usize) -> UserRecord {
         self.file.touch(format_args!("user {user}"), || {
             self.index
-                .get(user, &self.dims, |off, len| self.file.read(off, len))
+                .get(user, &self.meta, |off, len| self.file.read(off, len))
         })
     }
 
@@ -377,8 +375,7 @@ impl LazyUsers {
 // Opening
 // ---------------------------------------------------------------------
 
-/// Opens a v2 artifact lazily; v1 files fall back to the eager reader.
-/// See [`ModelArtifact::load_file_lazy`].
+/// Opens an artifact lazily; see [`ModelArtifact::load_file_lazy`].
 pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, ServeError> {
     if cfg.user_shards == 0 {
         return Err(ServeError::config("user_shards", "must be at least 1"));
@@ -389,15 +386,6 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
 
     let file = Arc::new(ArtifactFile::open(path)?);
     let layout = binfmt::scan(file.len, |off, len| file.read(off, len))?;
-    let ParamLayout::V2 {
-        tables,
-        thetas,
-        users: index,
-    } = layout.params
-    else {
-        // v1 has no directories to seek by — eager is the only path.
-        return ModelArtifact::load_file(path);
-    };
 
     let shards = (0..cfg.user_shards)
         .map(|_| Shard {
@@ -410,14 +398,17 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
         layout.meta,
         Tiers {
             slots: Arc::default(),
-            shapes: tables.map(|(_, shape)| shape),
-            file: Some((file.clone(), tables.map(|(extent, _)| extent), thetas)),
+            shapes: layout.tables.map(|(_, shape)| shape),
+            file: Some((
+                file.clone(),
+                layout.tables.map(|(extent, _)| extent),
+                layout.thetas,
+            )),
         },
         UserStore::Lazy(LazyUsers {
             file,
-            dims: layout.meta.dims,
-            num_users: layout.meta.num_users,
-            index,
+            meta: layout.meta,
+            index: layout.users,
             shards: Arc::new(shards),
         }),
         layout.popularity,
@@ -429,6 +420,7 @@ pub(crate) fn open_lazy(path: &Path, cfg: LazyConfig) -> Result<ModelArtifact, S
 mod tests {
     use super::*;
     use crate::{ItemHalfMode, RecommendRequest, RecommenderBuilder};
+    use hetefedrec_core::config::TierDims;
     use hf_dataset::SyntheticProfile;
 
     #[test]

@@ -11,8 +11,8 @@
 //!   item tables, per-tier predictors, and per-user serving state, with a
 //!   cold-start fallback for unknown users. Exported from a live session
 //!   ([`ExportArtifact::export_artifact`], or straight to a file with
-//!   [`ExportArtifact::export_artifact_to`]) or rebuilt from a persisted
-//!   checkpoint ([`ModelArtifact::from_checkpoint_file`]). Every user is
+//!   [`ExportArtifact::export_artifact_to`]); a persisted checkpoint is
+//!   restored into a session first. Every user is
 //!   read through one borrowed [`UserView`] ([`ModelArtifact::user`] →
 //!   [`UserRef::view`]), whether it sits in the eager arena or the lazy
 //!   cache.
@@ -21,10 +21,10 @@
 //!   query engine: requests group per model tier, score as blocked
 //!   `matmul_rows` products over item-table panels fanned out via
 //!   `hf_tensor::parallel::parallel_map`, and funnel into
-//!   `hf_metrics::top_k_excluding`.
+//!   `hf_metrics::top_k_scored`.
 //!
 //! For million-user / million-item capacity the artifact layer is
-//! **lazily loadable**: the v2 binary container ([`binfmt`]) is
+//! **lazily loadable**: the `HFAB` binary container ([`binfmt`]) is
 //! offset-indexed, [`ModelArtifact::load_file_lazy`] decodes tier tables
 //! and user records on first touch (bounded sharded LRU, [`lazy`]),
 //! [`ItemHalfMode::Tiled`] caps the item-half tiles kept, and
@@ -348,78 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_start_blend_off_is_bit_identical_and_validated() {
-        let s = trained_session(Strategy::HeteFedRec(Ablation::FULL), ModelKind::Ncf, 1);
-        let plain = RecommenderBuilder::new(s.export_artifact())
-            .default_k(7)
-            .build()
-            .unwrap();
-        let zero = RecommenderBuilder::new(s.export_artifact())
-            .default_k(7)
-            .cold_start_blend(0.0)
-            .build()
-            .unwrap();
-        let cold = RecommendRequest::new(usize::MAX);
-        assert_eq!(plain.recommend(&cold), zero.recommend(&cold));
-
-        // Out-of-range weights are rejected by field name.
-        for bad in [-0.1, 1.5, f32::NAN] {
-            let err = RecommenderBuilder::new(s.export_artifact())
-                .cold_start_blend(bad)
-                .build()
-                .expect_err("invalid blend");
-            assert!(
-                matches!(
-                    err,
-                    ServeError::Config {
-                        field: "cold_start_blend",
-                        ..
-                    }
-                ),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn cold_start_blend_reshapes_cold_users_only() {
-        for model in [ModelKind::Ncf, ModelKind::LightGcn] {
-            let s = trained_session(Strategy::HeteFedRec(Ablation::FULL), model, 2);
-            let plain = RecommenderBuilder::new(s.export_artifact())
-                .default_k(10)
-                .build()
-                .unwrap();
-            let blended = RecommenderBuilder::new(s.export_artifact())
-                .default_k(10)
-                .cold_start_blend(1.0) // pure popularity prior
-                .build()
-                .unwrap();
-            // Known users never blend: bit-identical responses.
-            for user in 0..s.split().num_users() {
-                let a = plain.recommend(&RecommendRequest::new(user));
-                let b = blended.recommend(&RecommendRequest::new(user));
-                for (x, y) in a.items.iter().zip(&b.items) {
-                    assert_eq!(x.item, y.item, "{model:?} user {user}");
-                    assert_eq!(x.score.to_bits(), y.score.to_bits());
-                }
-            }
-            // Cold users see different *scores* under the prior (the
-            // pseudo-user is not the tier mean), deterministically.
-            let cold = RecommendRequest::new(usize::MAX);
-            let a = blended.recommend(&cold);
-            assert!(a.cold_start && !a.items.is_empty());
-            assert_eq!(a, blended.recommend(&cold));
-            let b = plain.recommend(&cold);
-            let same_scores = a
-                .items
-                .iter()
-                .zip(&b.items)
-                .all(|(x, y)| x.score.to_bits() == y.score.to_bits());
-            assert!(!same_scores, "{model:?}: γ=1 must change cold scores");
-        }
-    }
-
-    #[test]
     fn standalone_artifacts_serve_private_models() {
         let s = trained_session(Strategy::Standalone, ModelKind::Ncf, 1);
         let a = s.export_artifact();
@@ -485,9 +413,8 @@ mod tests {
             .default_k(10)
             .build()
             .unwrap();
-        let checkpoint = s.checkpoint();
-        let reloaded = ModelArtifact::from_checkpoint(&checkpoint, tiny_split(9)).unwrap();
-        let from_ckpt = RecommenderBuilder::new(reloaded)
+        let restored = Session::restore(&s.checkpoint(), tiny_split(9)).unwrap();
+        let from_ckpt = RecommenderBuilder::new(restored.export_artifact())
             .default_k(10)
             .build()
             .unwrap();
@@ -500,8 +427,5 @@ mod tests {
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
             }
         }
-        // Garbage documents are rejected, not panicked on.
-        assert!(ModelArtifact::from_checkpoint("not json", tiny_split(9)).is_err());
-        assert!(ModelArtifact::from_checkpoint_file("/nonexistent/path", tiny_split(9)).is_err());
     }
 }

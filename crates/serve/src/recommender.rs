@@ -191,21 +191,19 @@ pub struct RecommenderBuilder {
     default_k: usize,
     threads: usize,
     panel_items: usize,
-    cold_start_blend: f32,
     item_half_mode: ItemHalfMode,
 }
 
 impl RecommenderBuilder {
     /// Starts a builder over an artifact with serving defaults: `k = 10`,
-    /// single-threaded, 512-item panels, small-tier cold start (no
-    /// popularity blend), item halves precomputed.
+    /// single-threaded, 512-item panels, small-tier cold start, item
+    /// halves precomputed.
     pub fn new(artifact: ModelArtifact) -> Self {
         Self {
             artifact,
             default_k: 10,
             threads: 1,
             panel_items: 512,
-            cold_start_blend: 0.0,
             item_half_mode: ItemHalfMode::Precomputed,
         }
     }
@@ -226,24 +224,6 @@ impl RecommenderBuilder {
     /// Items per scoring panel (the `matmul_rows` block unit).
     pub fn panel_items(mut self, items: usize) -> Self {
         self.panel_items = items;
-        self
-    }
-
-    /// Blend weight `γ ∈ [0, 1]` mixing the popularity prior into the
-    /// cold-start representation (default `0`, off).
-    ///
-    /// The artifact already carries both halves of the mix: the per-tier
-    /// mean user embedding (the fallback) and per-item training
-    /// interaction counts. At `build()` the counts become a per-tier
-    /// *popularity prior* — the popularity-weighted mean item-embedding
-    /// row, i.e. the pseudo-user whose taste is the catalogue's traffic —
-    /// and unknown users are served from
-    /// `(1 - γ) · fallback + γ · prior` instead of the bare fallback.
-    /// At `γ = 0` the blend arithmetic is skipped entirely, so responses
-    /// are **bit-identical** to a recommender built without the knob.
-    /// Known users never blend.
-    pub fn cold_start_blend(mut self, gamma: f32) -> Self {
-        self.cold_start_blend = gamma;
         self
     }
 
@@ -274,15 +254,6 @@ impl RecommenderBuilder {
             return Err(ServeError::config(
                 "panel_items",
                 "scoring panels must hold at least one item",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.cold_start_blend) {
-            return Err(ServeError::config(
-                "cold_start_blend",
-                format!(
-                    "blend weight must be in [0, 1], got {}",
-                    self.cold_start_blend
-                ),
             ));
         }
         if let ItemHalfMode::Tiled { max_panels } = self.item_half_mode {
@@ -318,35 +289,13 @@ impl RecommenderBuilder {
                 ItemHalfMode::Tiled { max_panels } => max_panels,
             },
         );
-        // Popularity prior of the cold-start tier: the popularity-weighted
-        // mean item row, accumulated in ascending item order so the result
-        // is deterministic. Only materialised when the blend is on.
-        let pop_prior = (self.cold_start_blend > 0.0).then(|| {
-            let table = artifact.table(COLD_START_TIER);
-            let mut prior = vec![0.0f32; dims.dim(COLD_START_TIER)];
-            let mut total = 0.0f32;
-            for item in 0..artifact.num_items() {
-                let w = artifact.popularity(item as u32) as f32;
-                if w > 0.0 {
-                    hf_tensor::ops::axpy_slice(&mut prior, w, table.row(item));
-                    total += w;
-                }
-            }
-            if total > 0.0 {
-                let inv = 1.0 / total;
-                prior.iter_mut().for_each(|x| *x *= inv);
-            }
-            prior
-        });
         let recommender = Recommender {
             artifact,
             scorers,
             item_halves,
-            pop_prior,
             default_k: self.default_k,
             threads: self.threads,
             panel_items: self.panel_items,
-            cold_start_blend: self.cold_start_blend,
         };
         // Precomputed halves are the store filled before the first
         // request instead of by it.
@@ -420,13 +369,9 @@ pub struct Recommender {
     /// First-layer item-half tiles, tier-major; the budget is the
     /// [`ItemHalfMode`].
     item_halves: TileStore,
-    /// The cold-start tier's popularity-weighted mean item row; `Some`
-    /// only when the cold-start blend is on.
-    pop_prior: Option<Vec<f32>>,
     default_k: usize,
     threads: usize,
     panel_items: usize,
-    cold_start_blend: f32,
 }
 
 /// A resolved request: serving tier, first-layer user half, exclusions,
@@ -746,25 +691,9 @@ impl Recommender {
                 // Cold start: unknown user, fallback embedding, no history.
                 let tier = COLD_START_TIER;
                 let fallback = self.artifact.fallback(tier);
-                // With the blend on, mix the popularity prior into the
-                // fallback; at γ = 0 the original slice is used untouched
-                // (no arithmetic, so responses stay bit-identical).
-                let blended: Vec<f32>;
-                let base: &[f32] = match &self.pop_prior {
-                    Some(prior) if self.cold_start_blend > 0.0 => {
-                        let gamma = self.cold_start_blend;
-                        blended = fallback
-                            .iter()
-                            .zip(prior)
-                            .map(|(&f, &p)| (1.0 - gamma) * f + gamma * p)
-                            .collect();
-                        &blended
-                    }
-                    _ => fallback,
-                };
                 let repr = match self.artifact.model() {
-                    ModelKind::Ncf => base.to_vec(),
-                    ModelKind::LightGcn => propagate_lightgcn(base, 0, std::iter::empty()),
+                    ModelKind::Ncf => fallback.to_vec(),
+                    ModelKind::LightGcn => propagate_lightgcn(fallback, 0, std::iter::empty()),
                 };
                 let mut exclude = request.exclude.clone();
                 exclude.sort_unstable();

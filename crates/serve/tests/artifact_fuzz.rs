@@ -3,8 +3,8 @@
 //! accepts from a slice it accepts from a file, the lazy open accepts
 //! too, and all three re-encode to exactly the bytes they were given.
 //!
-//! The committed golden files (a synthesized artifact, one whose users
-//! carry private `SoloModel`s, and the frozen v1 container) go through
+//! The committed golden files (a synthesized artifact, and one whose
+//! users carry private `SoloModel`s) go through
 //! the workspace's one seeded mutation harness
 //! (`hf_tensor::wire::fuzz_codec`, shared with `hf_net`'s `frame_fuzz`)
 //! by all **three** entry points at once: the eager reader over both its
@@ -17,7 +17,6 @@ use hf_tensor::wire::fuzz_codec;
 
 const FUZZ_SEED: u64 = 0x4846_4142; // "HFAB"
 
-const V1: &[u8] = include_bytes!("fixtures/artifact_v1.hfa");
 const V2: &[u8] = include_bytes!("fixtures/artifact_v2.hfa");
 const V2_SOLO: &[u8] = include_bytes!("fixtures/artifact_v2_solo.hfa");
 
@@ -26,7 +25,7 @@ fn seeded_mutations_never_panic_and_accepts_are_canonical_through_both_readers()
     let dir = std::env::temp_dir().join(format!("hf_artifact_fuzz_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mutated.hfa");
-    let mut goldens = [V2, V2_SOLO, V1].into_iter().cycle();
+    let mut goldens = [V2, V2_SOLO].into_iter().cycle();
     fuzz_codec(
         FUZZ_SEED,
         45,
@@ -56,8 +55,7 @@ fn seeded_mutations_never_panic_and_accepts_are_canonical_through_both_readers()
                 eager == lazy.to_bytes(),
                 "eager and lazy re-encodings differ"
             );
-            // v1 re-encodes as v2, so only v2 inputs are fixpoints.
-            Ok(if bytes[4] == 2 { eager } else { bytes.to_vec() })
+            Ok(eager)
         },
         |_| true,
     );

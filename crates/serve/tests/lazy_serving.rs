@@ -247,18 +247,3 @@ fn lazy_open_validates_config_and_path() {
     assert!(ModelArtifact::load_file_lazy("/nonexistent/x.hfa", LazyConfig::default()).is_err());
     std::fs::remove_file(&path).ok();
 }
-
-#[test]
-fn lazy_open_of_v1_files_falls_back_to_eager() {
-    // The committed v1 fixture and the v2 encoding of the same artifact.
-    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
-    let loaded =
-        ModelArtifact::load_file_lazy(format!("{fixtures}/artifact_v1.hfa"), LazyConfig::default())
-            .expect("v1 fallback");
-    assert!(
-        !loaded.is_lazy(),
-        "v1 has no directories; must load eagerly"
-    );
-    let v2 = std::fs::read(format!("{fixtures}/artifact_v2.hfa")).unwrap();
-    assert!(loaded.to_bytes() == v2, "v1 fallback re-encode drifted");
-}

@@ -7,8 +7,9 @@
 //!    batched `Recommender` are bit-identical to the offline
 //!    `Session::evaluate()` numbers (one shared scorer).
 //! 2. **Artifact reload** — the session checkpoint written to disk
-//!    rebuilds (via `ModelArtifact::from_checkpoint_file`) a recommender
-//!    whose top-K lists are bit-identical to the directly exported one.
+//!    restores (`SessionBuilder::from_checkpoint_file`) a session whose
+//!    exported recommender's top-K lists are bit-identical to the
+//!    directly exported one.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -104,8 +105,10 @@ fn main() {
     session
         .write_checkpoint(&checkpoint_path)
         .expect("checkpoint written");
-    let reloaded = ModelArtifact::from_checkpoint_file(&checkpoint_path, make_split())
-        .expect("checkpoint rebuilds the artifact");
+    let reloaded = SessionBuilder::from_checkpoint_file(&checkpoint_path, make_split())
+        .and_then(SessionBuilder::build)
+        .expect("checkpoint restores the session")
+        .export_artifact();
     let from_disk = RecommenderBuilder::new(reloaded)
         .default_k(10)
         .threads(2)

@@ -106,31 +106,3 @@ fn async_mid_stream_resume_lands_on_the_same_bytes() {
     );
     println!("async resume verified");
 }
-
-#[test]
-fn v1_era_sync_checkpoints_restore_end_to_end() {
-    // The committed v1 document and its v2 twin were written by an
-    // earlier build (before the first round of a 16-user session, see
-    // `crates/core/src/session/tests.rs`); the facade must restore the
-    // v1 one and finish the run exactly as the v2 one does.
-    let config = SyntheticConfig {
-        num_users: 16,
-        num_items: 40,
-        ..SyntheticConfig::tiny()
-    };
-    let split = SplitDataset::paper_split(&config.generate(5), 5);
-    let v1 = include_str!("../crates/core/tests/fixtures/checkpoint_v1.json");
-    let v2 = include_str!("../crates/core/tests/fixtures/checkpoint_v2.json");
-    assert!(v1.contains("\"version\":1,") && !v1.contains("event_scheduler"));
-
-    let mut from_v1 = Session::restore(v1, split.clone()).expect("v1 document restores");
-    let mut from_v2 = Session::restore(v2, split).expect("v2 document restores");
-    from_v1.run();
-    from_v2.run();
-    let (a, b) = (
-        from_v1.final_eval().expect("evaluated"),
-        from_v2.final_eval().expect("evaluated"),
-    );
-    assert_eq!(a.overall.ndcg.to_bits(), b.overall.ndcg.to_bits());
-    assert!(from_v1.checkpoint() == from_v2.checkpoint());
-}
