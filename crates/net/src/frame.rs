@@ -476,17 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_roundtrips() {
-        for frame in specimen_frames() {
-            let payload = frame.encode();
-            let back = Frame::decode(&payload).unwrap_or_else(|e| panic!("{frame:?}: {e}"));
-            assert_eq!(frame, back);
-            // Canonical: re-encoding the decode reproduces the bytes.
-            assert_eq!(payload, back.encode());
-        }
-    }
-
-    #[test]
     fn stream_roundtrip_and_clean_eof() {
         let frames = specimen_frames();
         let mut buf = Vec::new();
@@ -499,17 +488,6 @@ mod tests {
             assert_eq!(*frame, got);
         }
         assert!(Frame::read_from(&mut cursor).unwrap().is_none());
-    }
-
-    #[test]
-    fn oversized_prefix_is_rejected_before_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 16]);
-        match Frame::read_from(&mut &buf[..]) {
-            Err(NetError::Frame(OVERSIZED)) => {}
-            other => panic!("expected the oversized-prefix error, got {other:?}"),
-        }
     }
 
     #[test]

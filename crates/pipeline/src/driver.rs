@@ -82,6 +82,8 @@ pub fn artifact_path(dir: &Path, version: u64) -> PathBuf {
 /// newest generation whenever a client sends `Reload`. Exports land by
 /// rename (`ModelArtifact::save_file`), so a matching name is always a
 /// complete file; an in-flight `artifact-v{N}.hfab.tmp` never matches.
+/// Only names [`artifact_path`] writes match: `N` in canonical decimal,
+/// so a stray `artifact-v+9.hfab` or `artifact-v07.hfab` is ignored.
 pub fn latest_artifact(dir: &Path) -> std::io::Result<Option<(u64, PathBuf)>> {
     let mut best: Option<(u64, PathBuf)> = None;
     for entry in std::fs::read_dir(dir)? {
@@ -92,7 +94,7 @@ pub fn latest_artifact(dir: &Path) -> std::io::Result<Option<(u64, PathBuf)>> {
         let Some(version) = name
             .strip_prefix("artifact-v")
             .and_then(|rest| rest.strip_suffix(".hfab"))
-            .and_then(|v| v.parse::<u64>().ok())
+            .and_then(|v| v.parse::<u64>().ok().filter(|n| n.to_string() == v))
         else {
             continue;
         };
@@ -291,8 +293,36 @@ mod tests {
         // `<next>.hfab.tmp` beside the finished generations: the scan
         // must keep answering with the newest *complete* file.
         let partial = artifact_path(&dir, latest + 1).with_extension("hfab.tmp");
-        std::fs::write(&partial, b"HFAB\x02\x00").expect("temp file written");
+        std::fs::write(&partial, b"HFAB\x03\x00").expect("temp file written");
         assert_eq!(latest_artifact(&dir).unwrap(), Some((latest, path)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn latest_artifact_matches_only_names_artifact_path_writes() {
+        let dir = tempdir("names");
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in [
+            "artifact-v7.hfab",
+            "artifact-v8.hfab",
+            "artifact-v+9.hfab",
+            "artifact-v09.hfab",
+            "artifact-v007.hfab",
+            "artifact-v.hfab",
+        ] {
+            std::fs::write(dir.join(name), b"").unwrap();
+        }
+        assert_eq!(
+            latest_artifact(&dir).unwrap(),
+            Some((8, artifact_path(&dir, 8)))
+        );
+        // Version 7 is `artifact-v7.hfab`, whatever order the directory
+        // lists `artifact-v007.hfab` in.
+        std::fs::remove_file(artifact_path(&dir, 8)).unwrap();
+        assert_eq!(
+            latest_artifact(&dir).unwrap(),
+            Some((7, artifact_path(&dir, 7)))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -68,7 +68,7 @@ pub struct UserView<'a> {
     pub tier: Tier,
     /// Private user embedding (width = tier dimension).
     pub emb: &'a [f32],
-    /// Training positives, in split order — drives LightGCN propagation,
+    /// Training positives, strictly ascending — drives LightGCN propagation,
     /// default exclusion, and popularity counts.
     pub history: &'a [u32],
     /// Standalone-baseline private model, when the artifact came from a
@@ -84,7 +84,7 @@ pub struct UserRecord {
     pub tier: Tier,
     /// Private user embedding.
     pub emb: Vec<f32>,
-    /// Training positives, in split order.
+    /// Training positives, strictly ascending.
     pub history: Vec<u32>,
     /// Standalone-baseline private model.
     pub solo: Option<SoloModel>,
@@ -209,6 +209,7 @@ impl UserArena {
     }
 
     /// Embedding floats plus history ids held.
+    #[cfg(test)]
     pub(crate) fn scalars(&self) -> usize {
         self.embs.len() + self.histories.len()
     }

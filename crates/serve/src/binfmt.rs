@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! magic       b"HFAB"
-//! container   u16   BINFMT_VERSION (2; nothing else decodes)
+//! container   u16   BINFMT_VERSION (3; nothing else decodes)
 //! schema      u32   ARTIFACT_VERSION the payload snapshots
 //! sections    tag:u8  len:u64  payload:[u8; len]   (repeated until EOF)
 //! ```
@@ -23,13 +23,25 @@
 //! * `tables` — `3 × (off: u64, len: u64, rows: u64, cols: u32)`, then
 //!   the matrix payloads;
 //! * `thetas` — `3 × (off: u64, len: u64)`, then the predictor payloads;
-//! * `users` — `num_users × (off: u64, len: u32)`, then the records.
+//! * `users` — `num_users × end: u64`, then the records: user `u`'s is
+//!   `end(u − 1)..end(u)` (the first starts at 0).
 //!
 //! Offsets are relative to the payload block after the directory, and
 //! directories are canonical (contiguous, in tier/user order, covering
-//! the block exactly), so `encode(decode(b)) == b`. The reader accepts
-//! the version this module writes and nothing else: a file stamped with
-//! any other container version is refused by its header.
+//! the block exactly), so `encode(decode(b)) == b`. A user record is
+//!
+//! ```text
+//! tier     u8
+//! emb      dim(tier) × f32
+//! history  count: uleb, then ids as gaps      (strictly ascending)
+//! solo     u8   0 | 1, then predictor, rows: uleb, rows × (key gap: uleb, dim × f32)
+//! ```
+//!
+//! where a strictly ascending id list travels as its first id, then each
+//! `id − prev − 1`, every one a canonical ULEB128 — about a byte an id
+//! where a raw `u32` takes four. The reader accepts the version this
+//! module writes and nothing else: a file stamped with any other container
+//! version is refused by its header.
 //!
 //! There is **one writer** — `ArtifactWriter`, streaming over any
 //! `Write + Seek` sink and driven by `to_bytes`, `save_file`,
@@ -67,7 +79,7 @@ const MAGIC: &[u8; 4] = b"HFAB";
 
 /// Container format version this module writes, and the only one the
 /// reader accepts.
-pub const BINFMT_VERSION: u16 = 2;
+pub const BINFMT_VERSION: u16 = 3;
 
 /// Section tags (all mandatory, each exactly once).
 const SEC_META: u8 = 1;
@@ -92,16 +104,16 @@ const HEADER_LEN: u64 = 4 + 2 + 4;
 const META_LEN: u64 = 1 + 1 + 3 * 4 + 8 + 8;
 /// Bytes of one section header: tag + length.
 const SECTION_HEADER_LEN: u64 = 1 + 8;
-/// Bytes of one `users` directory entry: `off: u64, len: u32`.
-const USER_DIR_ENTRY: u64 = 8 + 4;
+/// Bytes of one `users` directory entry: `end: u64`.
+const USER_DIR_ENTRY: u64 = 8;
 /// Bytes of one `tables` directory entry: `off, len, rows: u64, cols: u32`.
 const TABLE_DIR_ENTRY: u64 = 8 + 8 + 8 + 4;
 /// Bytes of one `thetas` directory entry: `off: u64, len: u64`.
 const THETA_DIR_ENTRY: u64 = 8 + 8;
 
-/// Bytes of a user record that holds nothing: tier byte, two `u32`
-/// counts, solo flag.
-const USER_RECORD_MIN: u64 = 1 + 4 + 4 + 1;
+/// The fewest bytes a user record holds besides its embedding: the tier
+/// byte, a one-byte (empty) history count and the solo flag.
+const USER_RECORD_MIN: u64 = 1 + 1 + 1;
 
 /// The most the eager decoder asks its source for at once while it walks
 /// a table or the `users` directory — what lets a file-backed source keep
@@ -138,11 +150,11 @@ pub(crate) type TableEntry = (Extent, (usize, usize));
 // Writing
 // ---------------------------------------------------------------------
 
-/// The one `HFAB` writer. It streams the v2 container front to back —
+/// The one `HFAB` writer. It streams the v3 container front to back —
 /// [`begin`](Self::begin), [`tables`](Self::tables),
 /// [`thetas`](Self::thetas), [`users`](Self::users),
 /// [`finish`](Self::finish), each exactly once and in that order — and
-/// holds one table chunk or user record at a time plus the 12 B/user
+/// holds one table chunk or user record at a time plus the 8 B/user
 /// directory, whatever the sink.
 pub(crate) struct ArtifactWriter<W: Write + Seek> {
     out: W,
@@ -267,24 +279,20 @@ impl<W: Write + Seek> ArtifactWriter<W> {
         let dir_len = self.meta.num_users as u64 * USER_DIR_ENTRY;
         self.section_header(SEC_USERS, 0)?;
         io::copy(&mut io::repeat(0).take(dir_len), &mut self.out)?;
-        let mut dir: Vec<(u64, u32)> = Vec::with_capacity(self.meta.num_users);
-        let mut off = 0u64;
+        let mut ends: Vec<u64> = Vec::with_capacity(self.meta.num_users);
+        let mut end = 0u64;
         for user in 0..self.meta.num_users {
             self.scratch.clear();
             put(user, &mut self.scratch);
             self.out.write_all(self.scratch.as_slice())?;
-            let len = u32::try_from(self.scratch.len()).expect("user record over 4 GiB");
-            dir.push((off, len));
-            off += len as u64;
+            end += self.scratch.len() as u64;
+            ends.push(end);
         }
         self.out.seek(SeekFrom::Start(at))?;
-        self.section_header(SEC_USERS, dir_len + off)?;
-        self.put_scalars(&dir, |w, (off, len)| {
-            w.put_u64_le(off);
-            w.put_u32_le(len);
-        })?;
+        self.section_header(SEC_USERS, dir_len + end)?;
+        self.put_scalars(&ends, Writer::put_u64_le)?;
         self.out.seek(SeekFrom::End(0))?;
-        Ok(dir_len + off)
+        Ok(dir_len + end)
     }
 
     /// Writes `popularity` and `fallback`, flushes, and returns the sink
@@ -335,9 +343,12 @@ pub(crate) fn encoded_len(a: &ModelArtifact) -> usize {
         .map(|&t| 4 + 4 * a.theta(t).dims().len() + 8 + 4 * a.theta(t).num_params())
         .sum();
     let users = match &a.users {
-        UserStore::Eager(users) => {
-            (USER_DIR_ENTRY + USER_RECORD_MIN) as usize * users.len() + 4 * users.scalars()
-        }
+        // A directory entry, the tier and solo bytes, the embedding and
+        // the coded history.
+        UserStore::Eager(users) => (0..users.len())
+            .map(|u| users.get(u).expect("user in range"))
+            .map(|user| (USER_DIR_ENTRY + 2) as usize + 4 * user.emb.len() + ids_len(user.history))
+            .sum(),
         UserStore::Lazy(lazy) => lazy.index().section_len() as usize,
     };
     let framing = HEADER_LEN + 6 * SECTION_HEADER_LEN + META_LEN;
@@ -360,16 +371,17 @@ pub(crate) fn write_file<T>(
 }
 
 /// Encodes one user record (the `users` directory indexes these bytes).
+///
+/// # Panics
+/// If the history is not strictly ascending — every producer keeps it
+/// so, and the file must not hold what the decoder refuses.
 pub(crate) fn put_user(w: &mut Writer, user: UserView<'_>) {
     w.put_u8(user.tier.index() as u8);
-    w.put_u32_le(user.emb.len() as u32);
     for &x in user.emb {
         w.put_f32_le(x);
     }
-    w.put_u32_le(user.history.len() as u32);
-    for &item in user.history {
-        w.put_u32_le(item);
-    }
+    w.put_uleb32(user.history.len() as u32);
+    gaps(user.history.iter().copied()).for_each(|gap| w.put_uleb32(gap));
     match user.solo {
         None => w.put_u8(0),
         Some(solo) => {
@@ -379,16 +391,35 @@ pub(crate) fn put_user(w: &mut Writer, user: UserView<'_>) {
             // not leak into the file bytes.
             let mut rows: Vec<(&u32, &Vec<f32>)> = solo.rows.iter().collect();
             rows.sort_by_key(|(&item, _)| item);
-            w.put_u32_le(rows.len() as u32);
-            for (&item, row) in rows {
-                w.put_u32_le(item);
-                w.put_u32_le(row.len() as u32);
-                for &x in row {
-                    w.put_f32_le(x);
-                }
+            w.put_uleb32(rows.len() as u32);
+            for (gap, (_, row)) in gaps(rows.iter().map(|(&item, _)| item)).zip(&rows) {
+                assert_eq!(row.len(), user.emb.len(), "private row width");
+                w.put_uleb32(gap);
+                row.iter().for_each(|&x| w.put_f32_le(x));
             }
         }
     }
+}
+
+/// The codes of a strictly ascending id list: the first id, then each
+/// `id − prev − 1` — small numbers, so a ULEB128 each is about a byte.
+fn gaps(ids: impl IntoIterator<Item = u32>) -> impl Iterator<Item = u32> {
+    let mut next = 0u64;
+    ids.into_iter().map(move |id| {
+        let gap = (u64::from(id).checked_sub(next)).expect("item ids must be strictly ascending");
+        next = u64::from(id) + 1;
+        gap as u32
+    })
+}
+
+/// Bytes of `x` as a ULEB128.
+fn uleb_len(x: u32) -> usize {
+    (32 - (x | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes of an id list as [`put_user`] codes it: the count, then the gaps.
+fn ids_len(ids: &[u32]) -> usize {
+    uleb_len(ids.len() as u32) + gaps(ids.iter().copied()).map(uleb_len).sum::<usize>()
 }
 
 fn put_ffn(w: &mut Writer, ffn: &Ffn) {
@@ -644,32 +675,28 @@ impl UserIndex {
         self.block.0 - self.dir + self.block.1
     }
 
-    /// Parses the next directory entry off `dir`, bounds-checked against
-    /// the payload block: the record's extent relative to the block.
-    fn entry(&self, user: usize, dir: &mut Reader) -> Result<Extent, ServeError> {
-        let off = dir.get_u64_le();
-        let len = dir.get_u32_le().map(u64::from);
-        match (off, len) {
-            (Ok(off), Ok(len)) if off <= self.block.1 && len <= self.block.1 - off => {
-                Ok((off, len))
-            }
-            _ => Err(Self::out_of_bounds(user)),
+    /// Parses user `user`'s end off `dir`: its record runs from `start`
+    /// (the previous user's end) to there, which must lie inside the
+    /// payload block. The extent is relative to the block.
+    fn entry(&self, user: usize, start: u64, dir: &mut Reader) -> Result<Extent, ServeError> {
+        match dir.get_u64_le() {
+            Ok(end) if start <= end && end <= self.block.1 => Ok((start, end - start)),
+            _ => Err(err(format!(
+                "`users` directory entry {user} is out of bounds"
+            ))),
         }
     }
 
-    fn out_of_bounds(user: usize) -> ServeError {
-        err(format!("`users` directory entry {user} is out of bounds"))
-    }
-
     /// Walks the directory in [`READ_CHUNK`]-sized pieces, handing
-    /// `each` every user's entry in order.
+    /// `each` every user's extent in order; returns the last end.
     fn walk<B: Deref<Target = [u8]>>(
         &self,
         num_users: usize,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
         mut each: impl FnMut(usize, Extent) -> Result<(), ServeError>,
-    ) -> Result<(), ServeError> {
+    ) -> Result<u64, ServeError> {
         let per_chunk = (READ_CHUNK / USER_DIR_ENTRY) as usize;
+        let mut end = 0;
         for first in (0..num_users).step_by(per_chunk) {
             let n = per_chunk.min(num_users - first);
             let dir = read(
@@ -678,22 +705,39 @@ impl UserIndex {
             )?;
             let mut dir = Reader::new(&dir);
             for user in first..first + n {
-                each(user, self.entry(user, &mut dir)?)?;
+                let (start, len) = self.entry(user, end, &mut dir)?;
+                each(user, (start, len))?;
+                end = start + len;
             }
         }
-        Ok(())
+        Ok(end)
     }
 
     /// Decodes user `user` alone through `read` (the lazy store's touch):
-    /// its directory entry, then the record.
+    /// its directory window — the previous user's end, then its own (its
+    /// own alone for user 0) — then the record.
     pub(crate) fn get<B: Deref<Target = [u8]>>(
         &self,
         user: usize,
         meta: &Meta,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
     ) -> Result<UserRecord, ServeError> {
-        let entry = read(self.dir + user as u64 * USER_DIR_ENTRY, USER_DIR_ENTRY)?;
-        let (off, len) = self.entry(user, &mut Reader::new(&entry))?;
+        let (at, len) = match user {
+            0 => (self.dir, USER_DIR_ENTRY),
+            _ => (
+                self.dir + (user as u64 - 1) * USER_DIR_ENTRY,
+                2 * USER_DIR_ENTRY,
+            ),
+        };
+        let window = read(at, len)?;
+        let mut window = Reader::new(&window);
+        let start = match user {
+            0 => 0,
+            _ => window
+                .get_u64_le()
+                .expect("`read` lends exactly the two ends asked for"),
+        };
+        let (off, len) = self.entry(user, start, &mut window)?;
         exactly(
             &read(self.block.0 + off, len)?,
             format_args!("`users` section at user {user}"),
@@ -711,24 +755,15 @@ impl UserIndex {
     }
 
     /// Decodes every user into one arena. The directory is walked twice:
-    /// once alone, demanding the canonical layout (contiguous, in user
-    /// order, covering the block exactly) before anything is reserved,
-    /// then in step with the record block, each record parsed where
-    /// `read` lends it.
+    /// once alone, demanding ends that never fall and a last one that
+    /// covers the block exactly, before anything is reserved, then in step
+    /// with the record block, each record parsed where `read` lends it.
     fn decode_all<B: Deref<Target = [u8]>>(
         &self,
         meta: &Meta,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
     ) -> Result<UserArena, ServeError> {
-        let mut cursor = 0u64;
-        self.walk(meta.num_users, &read, |user, (off, len)| {
-            if off != cursor {
-                return Err(Self::out_of_bounds(user));
-            }
-            cursor += len;
-            Ok(())
-        })?;
-        if cursor != self.block.1 {
+        if self.walk(meta.num_users, &read, |_, _| Ok(()))? != self.block.1 {
             return Err(err("`users` section has trailing bytes"));
         }
         let mut users = reserve_users(meta, self.block.1)?;
@@ -745,11 +780,11 @@ impl UserIndex {
 }
 
 /// An arena sized for `meta.num_users` records in `block_len` bytes,
-/// before any is parsed. A record is at least a tier byte, two counts, a
-/// solo flag and the smallest tier's embedding, which bounds the file's
-/// user count by its (already validated) length; embeddings are at most
-/// the largest tier's each, and whatever the fixed parts leave is the
-/// most the other buffer can hold. Upper bounds only —
+/// before any is parsed. A record is at least a tier byte, a one-byte
+/// count, a solo flag and the smallest tier's embedding, which bounds the
+/// file's user count by its (already validated) length; embeddings are
+/// at most the largest tier's each, and every history id takes at least a
+/// byte of what the fixed parts leave. Upper bounds only —
 /// [`UserArena::shrink_to_fit`] once the records are in.
 fn reserve_users(meta: &Meta, block_len: u64) -> Result<UserArena, ServeError> {
     let (users, block) = (meta.num_users as u64, block_len);
@@ -761,11 +796,11 @@ fn reserve_users(meta: &Meta, block_len: u64) -> Result<UserArena, ServeError> {
         .checked_mul(USER_RECORD_MIN + 4 * smallest)
         .filter(|&fixed| fixed <= block)
         .ok_or_else(|| err(format!("`users` section too short for {users} records")))?;
-    let scalars = (block - users * USER_RECORD_MIN) / 4;
+    let floats = (block - users * USER_RECORD_MIN) / 4;
     Ok(UserArena::with_capacity(
         meta.num_users,
-        scalars.min(users.saturating_mul(largest)) as usize,
-        ((block - fixed) / 4) as usize,
+        floats.min(users.saturating_mul(largest)) as usize,
+        (block - fixed) as usize,
     ))
 }
 
@@ -903,40 +938,55 @@ fn get_user(
     embs: &mut Vec<f32>,
     ids: &mut Vec<u32>,
 ) -> Result<(Tier, Option<SoloModel>), DecodeError> {
-    use DecodeError::Invalid;
-    let in_catalogue = |item: u32| (item as usize) < meta.num_items;
     let tier = *Tier::ALL
         .get(r.get_u8()? as usize)
-        .ok_or(Invalid { field: "tier" })?;
+        .ok_or(DecodeError::Invalid { field: "tier" })?;
     let dim = meta.dims.dim(tier);
-    if r.get_u32_le()? as usize != dim {
-        return Err(Invalid { field: "emb" });
-    }
     r.extend_f32s(dim, embs)?;
-    let history_len = r.get_u32_le()? as usize;
-    let history_start = ids.len();
-    r.extend_u32s(history_len, ids)?;
-    if !ids[history_start..].iter().all(|&item| in_catalogue(item)) {
-        return Err(Invalid { field: "history" });
-    }
+    let n = r.get_uleb32("history")? as usize;
+    // Every id is at least a byte.
+    ids.reserve(r.fits(n, 1)?);
+    get_ids(r, n, meta.num_items, "history", |_, item| {
+        ids.push(item);
+        Ok(())
+    })?;
     if !r.get_bool("solo")? {
         return Ok((tier, None));
     }
     let theta = get_ffn(r)?;
-    let n_rows = r.get_u32_le()? as usize;
-    // Every row is at least its `(item, width)` prefix.
-    let mut rows = HashMap::with_capacity(r.fits(n_rows, 8)?);
-    let mut prev = None;
-    for _ in 0..n_rows {
-        let (item, width) = (r.get_u32_le()?, r.get_u32_le()? as usize);
-        // Rows are written in ascending item order; anything else would
-        // not re-encode to the same bytes.
-        if width != dim || !in_catalogue(item) || prev.replace(item) >= Some(item) {
-            return Err(Invalid { field: "rows" });
-        }
-        rows.insert(item, r.get_f32_vec(width)?);
-    }
+    let n = r.get_uleb32("rows")? as usize;
+    let mut rows = HashMap::with_capacity(r.fits(n, 1 + 4 * dim)?);
+    get_ids(r, n, meta.num_items, "rows", |r, item| {
+        rows.insert(item, r.get_f32_vec(dim)?);
+        Ok(())
+    })?;
     Ok((tier, Some(SoloModel { rows, theta })))
+}
+
+/// Reads `n` ids coded by [`gaps`], handing each to `each` with the
+/// reader. They are strictly ascending by construction, so only the last
+/// needs the catalogue check; an id past `u32::MAX` or the catalogue is an
+/// invalid `field`.
+fn get_ids(
+    r: &mut Reader,
+    n: usize,
+    num_items: usize,
+    field: &'static str,
+    mut each: impl FnMut(&mut Reader, u32) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
+    let mut next = 0u64;
+    for _ in 0..n {
+        let id = next + u64::from(r.get_uleb32(field)?);
+        each(
+            r,
+            u32::try_from(id).map_err(|_| DecodeError::Invalid { field })?,
+        )?;
+        next = id + 1;
+    }
+    if next > num_items as u64 {
+        return Err(DecodeError::Invalid { field });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -966,6 +1016,7 @@ mod tests {
     /// so the committed fixture holds no trained weights. Covers both solo
     /// flags, an empty history, an empty overlay, and overlay rows
     /// inserted out of item order (the file must hold them sorted).
+    /// Histories are strictly ascending, as every producer's are.
     fn solo_fixture_source() -> ModelArtifact {
         let dims = TierDims::new(2, 4, 8);
         let num_items = 6usize;
@@ -985,7 +1036,9 @@ mod tests {
             let record = {
                 let tier = Tier::ALL[u % 3];
                 let dim = dims.dim(tier);
-                let history: Vec<u32> = (0..u as u32).map(|i| (i * 2 + u as u32) % 6).collect();
+                let mut history: Vec<u32> = (0..u as u32).map(|i| (i * 2 + u as u32) % 6).collect();
+                history.sort_unstable();
+                history.dedup();
                 let solo = (u != 3).then(|| SoloModel {
                     rows: [5u32, 1, 3][..u.min(3)]
                         .iter()
@@ -1022,11 +1075,11 @@ mod tests {
         }
     }
 
-    /// Frozen files: `GOLDEN_V2` and `GOLDEN_V2_SOLO` are the pre-streaming
+    /// Frozen files: `GOLDEN` and `GOLDEN_SOLO` are the container-3
     /// encoder's `to_bytes()` of [`synth_fixture_source`] and
     /// [`solo_fixture_source`].
-    const GOLDEN_V2: &[u8] = include_bytes!("../tests/fixtures/artifact_v2.hfa");
-    const GOLDEN_V2_SOLO: &[u8] = include_bytes!("../tests/fixtures/artifact_v2_solo.hfa");
+    const GOLDEN: &[u8] = include_bytes!("../tests/fixtures/artifact_v3.hfa");
+    const GOLDEN_SOLO: &[u8] = include_bytes!("../tests/fixtures/artifact_v3_solo.hfa");
 
     fn synth_fixture_source() -> ModelArtifact {
         let profile = hf_dataset::SyntheticProfile::new(48, 120);
@@ -1053,8 +1106,8 @@ mod tests {
         let dir = scratch_dir("golden");
         let path = dir.join("golden.hfa");
         for (artifact, golden) in [
-            (synth_fixture_source(), GOLDEN_V2),
-            (solo_fixture_source(), GOLDEN_V2_SOLO),
+            (synth_fixture_source(), GOLDEN),
+            (solo_fixture_source(), GOLDEN_SOLO),
         ] {
             assert!(artifact.to_bytes() == golden, "to_bytes drifted");
             artifact.save_file(&path).expect("saved");
@@ -1074,7 +1127,7 @@ mod tests {
         let profile = hf_dataset::SyntheticProfile::new(48, 120);
         ModelArtifact::synthesize_to_file(&profile, TierDims::new(4, 8, 16), 2024, &path).unwrap();
         assert!(
-            std::fs::read(&path).unwrap() == GOLDEN_V2,
+            std::fs::read(&path).unwrap() == GOLDEN,
             "synthesize_to_file drifted"
         );
         assert_eq!(file_names(&dir), ["golden.hfa"], "no temp file may remain");
@@ -1166,7 +1219,7 @@ mod tests {
         // A save over an existing artifact replaces it whole.
         std::fs::write(dir.join("model.hfa"), b"stale").unwrap();
         a.save_file(dir.join("model.hfa")).expect("saved");
-        assert!(std::fs::read(dir.join("model.hfa")).unwrap() == GOLDEN_V2_SOLO);
+        assert!(std::fs::read(dir.join("model.hfa")).unwrap() == GOLDEN_SOLO);
         assert_eq!(file_names(&dir), ["blocker", "model.hfa", "taken.hfa"]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1217,59 +1270,125 @@ mod tests {
             (4, 0xFF, "container version 0xFF"),
             (6, 0xFF, "schema version"),
         ] {
-            let mut bad = GOLDEN_V2.to_vec();
+            let mut bad = GOLDEN.to_vec();
             bad[at] = byte;
             assert!(ModelArtifact::from_bytes(&bad).is_err(), "{what}");
         }
     }
 
     #[test]
-    fn a_v1_container_is_refused() {
-        let mut v1 = GOLDEN_V2.to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let dir = scratch_dir("v1");
-        let path = dir.join("v1.hfa");
-        std::fs::write(&path, &v1).unwrap();
-        for (reader, refused) in [
-            ("from_bytes", ModelArtifact::from_bytes(&v1).err()),
-            ("load_file", ModelArtifact::load_file(&path).err()),
-            (
-                "load_file_lazy",
-                ModelArtifact::load_file_lazy(&path, crate::LazyConfig::default()).err(),
-            ),
-        ] {
-            let e = refused.unwrap_or_else(|| panic!("{reader} accepted a v1 container"));
-            assert!(
-                matches!(&e, ServeError::Artifact(msg) if msg.contains("container version 1 ")),
-                "{reader}: {e}"
-            );
+    fn older_containers_are_refused() {
+        let dir = scratch_dir("older");
+        let path = dir.join("old.hfa");
+        for version in [1u16, 2] {
+            let mut old = GOLDEN.to_vec();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            for (reader, refused) in [
+                ("from_bytes", ModelArtifact::from_bytes(&old).err()),
+                ("load_file", ModelArtifact::load_file(&path).err()),
+                (
+                    "load_file_lazy",
+                    ModelArtifact::load_file_lazy(&path, crate::LazyConfig::default()).err(),
+                ),
+            ] {
+                let e = refused.unwrap_or_else(|| panic!("{reader} accepted container {version}"));
+                let needle = format!("container version {version} ");
+                assert!(
+                    matches!(&e, ServeError::Artifact(msg) if msg.contains(&needle)),
+                    "{reader}: {e}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `a`'s bytes with user 0's record replaced by `edit` of it.
-    fn with_user_zero(a: &ModelArtifact, edit: impl FnOnce(&mut UserRecord)) -> Vec<u8> {
+    /// `a`'s bytes with user 0's record written by `put` instead, raw.
+    fn with_user_zero_bytes(
+        a: &ModelArtifact,
+        put: impl FnOnce(&mut Writer, UserView<'_>),
+    ) -> Vec<u8> {
         let UserStore::Eager(users) = &a.users else {
             panic!("an eager artifact");
         };
-        let user = users.get(0).expect("user 0");
-        let mut patched = UserRecord {
-            tier: user.tier,
-            emb: user.emb.to_vec(),
-            history: user.history.to_vec(),
-            solo: user.solo.cloned(),
-        };
-        edit(&mut patched);
+        let mut put = Some(put);
         let mut w = ArtifactWriter::begin(std::io::Cursor::new(Vec::new()), a.meta()).unwrap();
         w.tables(|tier| [a.table(tier).as_slice()]).unwrap();
         w.thetas(Tier::ALL.map(|tier| a.theta(tier))).unwrap();
-        w.users(|u, out| match u {
-            0 => put_user(out, patched.view()),
-            _ => put_user(out, users.get(u).expect("user in range")),
+        w.users(|u, out| {
+            let user = users.get(u).expect("user in range");
+            match put.take() {
+                Some(put) => put(out, user),
+                None => put_user(out, user),
+            }
         })
         .unwrap();
         let (out, _) = w.finish(&a.popularity, &a.fallback).unwrap();
         out.into_inner()
+    }
+
+    /// `a`'s bytes with user 0's record replaced by `edit` of it.
+    fn with_user_zero(a: &ModelArtifact, edit: impl FnOnce(&mut UserRecord)) -> Vec<u8> {
+        with_user_zero_bytes(a, |out, user| {
+            let mut patched = UserRecord {
+                tier: user.tier,
+                emb: user.emb.to_vec(),
+                history: user.history.to_vec(),
+                solo: user.solo.cloned(),
+            };
+            edit(&mut patched);
+            put_user(out, patched.view());
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn the_writer_refuses_a_history_that_is_not_strictly_ascending() {
+        with_user_zero(&synth_fixture_source(), |u| u.history = vec![3, 3]);
+    }
+
+    #[test]
+    fn hostile_history_codes_are_refused() {
+        let a = synth_fixture_source();
+        // User 0's record with its history coded as `codes` (the count,
+        // then the gaps), which the writer would never produce.
+        let coded = |codes: &[u32]| {
+            with_user_zero_bytes(&a, |out, user| {
+                out.put_u8(user.tier.index() as u8);
+                user.emb.iter().for_each(|&x| out.put_f32_le(x));
+                codes.iter().for_each(|&code| out.put_uleb32(code));
+                out.put_u8(0);
+            })
+        };
+        let last = a.num_items() as u32;
+        let dir = scratch_dir("history");
+        let path = dir.join("bad.hfa");
+        for (bytes, what, needle) in [
+            (
+                coded(&[2, 10, u32::MAX]),
+                "a gap past u32::MAX",
+                "`history`",
+            ),
+            (
+                with_user_zero(&a, |u| u.history = vec![0, last]),
+                "a last id equal to num_items",
+                "`history`",
+            ),
+            (coded(&[1000, 1, 2]), "a count past the record", "mid-field"),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            for (reader, outcome) in [
+                ("from_bytes", ModelArtifact::from_bytes(&bytes).err()),
+                ("load_file", ModelArtifact::load_file(&path).err()),
+            ] {
+                let e = outcome.unwrap_or_else(|| panic!("{reader} accepted {what}"));
+                assert!(
+                    matches!(&e, ServeError::Artifact(msg) if msg.contains(needle)),
+                    "{reader}, {what}: {e}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

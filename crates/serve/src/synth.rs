@@ -10,7 +10,7 @@
 //!   (the eager reference, fine up to a few hundred thousand users);
 //! * [`ModelArtifact::synthesize_to_file`] — feed the same RNG streams
 //!   straight into [`crate::binfmt`]'s streaming writer, holding one
-//!   table chunk / one user record at a time plus the 12-byte-per-user
+//!   table chunk / one user record at a time plus the 8-byte-per-user
 //!   directory, so a 1M×1M artifact builds in bounded memory.
 //!
 //! **Byte-identity contract**: both paths draw every parameter from
@@ -50,8 +50,9 @@ pub struct SynthStats {
     pub file_bytes: u64,
     /// The `tables` section payload (directory + three matrices).
     pub tables_bytes: u64,
-    /// The `users` section payload (directory + all records) — the term
-    /// an eager load pays in full and a lazy load caps at the shard LRU.
+    /// The `users` section payload (directory + all records). Histories
+    /// are delta-coded here at about a byte an id, where a decoded record
+    /// holds four.
     pub users_bytes: u64,
     /// Total interactions across all users.
     pub interactions: u64,
@@ -152,7 +153,7 @@ impl ModelArtifact {
         })
     }
 
-    /// Streams a synthesized v2 artifact straight to `path` in bounded
+    /// Streams a synthesized artifact straight to `path` in bounded
     /// memory: tables go out in `ROWS_PER_CHUNK`-row chunks, user
     /// records one at a time, popularity and the fallback means
     /// accumulate as the records pass. Byte-identical to

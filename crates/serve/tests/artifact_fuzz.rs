@@ -17,15 +17,15 @@ use hf_tensor::wire::fuzz_codec;
 
 const FUZZ_SEED: u64 = 0x4846_4142; // "HFAB"
 
-const V2: &[u8] = include_bytes!("fixtures/artifact_v2.hfa");
-const V2_SOLO: &[u8] = include_bytes!("fixtures/artifact_v2_solo.hfa");
+const V3: &[u8] = include_bytes!("fixtures/artifact_v3.hfa");
+const V3_SOLO: &[u8] = include_bytes!("fixtures/artifact_v3_solo.hfa");
 
 #[test]
 fn seeded_mutations_never_panic_and_accepts_are_canonical_through_both_readers() {
     let dir = std::env::temp_dir().join(format!("hf_artifact_fuzz_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mutated.hfa");
-    let mut goldens = [V2, V2_SOLO].into_iter().cycle();
+    let mut goldens = [V3, V3_SOLO].into_iter().cycle();
     fuzz_codec(
         FUZZ_SEED,
         45,

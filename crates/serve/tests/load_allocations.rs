@@ -80,14 +80,17 @@ fn an_eager_load_allocates_by_section_not_by_user() {
         ModelArtifact::synthesize_to_file(&profile, TierDims::new(4, 8, 16), 11, &path).unwrap();
         path
     };
-    let (few, many) = (file(500), file(5_000));
+    // Enough users that the `users` section (about a byte an id) dwarfs
+    // the two read windows and the tables a refused load has asked for.
+    const MANY: usize = 20_000;
+    let (few, many) = (file(MANY / 10), file(MANY));
 
     // Once uncounted, so first-use initialisation is nobody's.
     ModelArtifact::load_file(&few).unwrap();
     let (small, small_allocations, _) = counted(|| ModelArtifact::load_file(&few).unwrap());
     let (large, large_allocations, large_bytes) =
         counted(|| ModelArtifact::load_file(&many).unwrap());
-    assert_eq!((small.num_users(), large.num_users()), (500, 5_000));
+    assert_eq!((small.num_users(), large.num_users()), (MANY / 10, MANY));
     assert_eq!(
         small_allocations, large_allocations,
         "ten times the users must not cost one allocation more"
@@ -117,17 +120,23 @@ fn an_eager_load_allocates_by_section_not_by_user() {
     let mut bytes = valid.clone();
     bytes[users_at - 8..users_at].copy_from_slice(&(1u64 << 40).to_le_bytes());
     refused(&bytes, "claims");
-    // The last directory entry (`off: u64, len: u32`) starts past the
-    // record block's end.
+    // The last directory entry (`end: u64`) ends past the record block.
+    let end = |bytes: &mut [u8], user: usize, at: u64| {
+        let entry = users_at + 8 * user;
+        bytes[entry..entry + 8].copy_from_slice(&at.to_le_bytes());
+    };
     let mut bytes = valid.clone();
-    let entry = users_at + 12 * 4_999;
-    bytes[entry..entry + 8].copy_from_slice(&(users_len as u64).to_le_bytes());
+    end(&mut bytes, MANY - 1, users_len as u64);
     refused(&bytes, "out of bounds");
-    // The first entry's length runs the records off their canonical
-    // places: contiguity fails before any record is parsed.
+    // User 1 ends before user 0 does: the ends must never fall, and that
+    // fails before any record is parsed.
     let mut bytes = valid.clone();
-    bytes[users_at + 8] ^= 1;
+    end(&mut bytes, 1, 1);
     refused(&bytes, "out of bounds");
+    // The last end stops one byte short of the block.
+    let mut bytes = valid.clone();
+    end(&mut bytes, MANY - 1, (users_len - 8 * MANY - 1) as u64);
+    refused(&bytes, "trailing bytes");
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,9 +6,11 @@
 //! is [`DecodeError::Truncated`] — never a panic — and
 //! [`Reader::whole`] is the one place bytes left over become
 //! [`DecodeError::Trailing`]. [`Writer`] is an append-only `Vec<u8>`
-//! builder. The update payloads in `hf_fedsim::transport`, the masked
-//! uploads in `hf_secagg`, the compact artifact format in `hf_serve`, and
-//! the `hf_net` frame vocabulary all encode through these two types and
+//! builder. Both speak one variable-length integer, a canonical ULEB128
+//! `u32` ([`Writer::put_uleb32`], [`Reader::get_uleb32`]). The update
+//! payloads in `hf_fedsim::transport`, the masked uploads in
+//! `hf_secagg`, the compact artifact format in `hf_serve`, and the
+//! `hf_net` frame vocabulary all encode through these two types and
 //! report [`DecodeError`], so "little-endian, length-prefixed" and
 //! "malformed" mean the same thing everywhere — and [`fuzz_codec`] holds
 //! all four to the same mutation property. The scalar accessors are
@@ -138,6 +140,35 @@ impl<'a> Reader<'a> {
         self.array().map(f32_from_le)
     }
 
+    /// Reads a ULEB128 `u32` ([`Writer::put_uleb32`]). Varints are
+    /// canonical: an encoding longer than its value needs (a last group of
+    /// zero after the first byte) or a value past `u32::MAX` is an invalid
+    /// `field`, and a cut mid-varint is [`DecodeError::Truncated`].
+    #[inline]
+    pub fn get_uleb32(&mut self, field: &'static str) -> Result<u32, DecodeError> {
+        // Most values a codec writes this way fit one byte.
+        if let Some((&byte, rest)) = self.buf.split_first().filter(|(&b, _)| b < 0x80) {
+            self.buf = rest;
+            return Ok(u32::from(byte));
+        }
+        let mut value = 0u32;
+        for (i, &byte) in self.buf.iter().enumerate().take(5) {
+            // The fifth group holds bits 28..32: anything above is too big.
+            if i == 4 && byte > 0x0F {
+                return Err(DecodeError::Invalid { field });
+            }
+            value |= u32::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(DecodeError::Invalid { field });
+                }
+                self.buf = &self.buf[i + 1..];
+                return Ok(value);
+            }
+        }
+        Err(DecodeError::Truncated)
+    }
+
     /// Reads `n` raw bytes.
     #[inline]
     pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
@@ -186,13 +217,6 @@ impl<'a> Reader<'a> {
     /// does not fit, nothing is consumed or appended.
     pub fn extend_f32s(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), DecodeError> {
         out.extend(self.scalars(n, f32_from_le)?);
-        Ok(())
-    }
-
-    /// Appends `n` little-endian `u32`s to `out`; see
-    /// [`Reader::extend_f32s`].
-    pub fn extend_u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), DecodeError> {
-        out.extend(self.scalars(n, u32::from_le_bytes)?);
         Ok(())
     }
 
@@ -265,6 +289,18 @@ impl Writer {
     #[inline]
     pub fn put_f32_le(&mut self, x: f32) {
         self.put_u32_le(x.to_bits());
+    }
+
+    /// Appends `x` as ULEB128: seven bits a byte, low group first, the high
+    /// bit set on every byte but the last — one byte below 128, at most
+    /// five.
+    #[inline]
+    pub fn put_uleb32(&mut self, mut x: u32) {
+        while x >= 0x80 {
+            self.buf.push(x as u8 | 0x80);
+            x >>= 7;
+        }
+        self.buf.push(x as u8);
     }
 
     /// Appends raw bytes.
@@ -423,6 +459,38 @@ mod tests {
             Err(DecodeError::Trailing { extra: 2 })
         );
         assert_eq!(Reader::whole(&buf, |r| r.get_bytes(3)), Ok(&buf[..]));
+    }
+
+    #[test]
+    fn uleb32_roundtrips_and_refuses_cuts_and_non_canonical_encodings() {
+        for (x, len) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u32::MAX, 5),
+        ] {
+            let mut w = Writer::new();
+            w.put_uleb32(x);
+            let buf = w.into_vec();
+            assert_eq!(buf.len(), len, "{x}");
+            assert_eq!(Reader::whole(&buf, |r| r.get_uleb32("x")), Ok(x));
+            for cut in 0..len {
+                let mut r = Reader::new(&buf[..cut]);
+                assert_eq!(r.get_uleb32("x"), Err(DecodeError::Truncated), "{x}@{cut}");
+                assert_eq!(r.remaining(), cut, "a failed read consumes nothing");
+            }
+        }
+        let invalid = Err(DecodeError::Invalid { field: "x" });
+        for bad in [
+            &[0x80, 0x00][..],                         // 0, over-long
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0x8F, 0x00][..], // six bytes
+            &[0x80, 0x80, 0x80, 0x80, 0x10][..],       // 2^32
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0x7F][..],       // 2^35 - 1
+        ] {
+            assert_eq!(Reader::new(bad).get_uleb32("x"), invalid, "{bad:?}");
+        }
     }
 
     #[test]
