@@ -80,6 +80,15 @@ cargo run -q --offline --release -p hf_bench --bin async_churn -- \
     --scale tiny --dataset ml --model ncf \
     --json target/ci-artifacts/async_churn_smoke.json
 test -s target/ci-artifacts/async_churn_smoke.json
+# A latency the engine clock cannot hold is a usage error (exit 2, the
+# offending key named on stderr), not a run that overflows later.
+status=0
+cargo run -q --offline --release -p hf_bench --bin async_churn -- \
+    --scale tiny --dataset ml --model ncf \
+    --set latency=fixed:18446744073709551615 \
+    > /dev/null 2> target/ci-artifacts/async_churn_bad_latency.err || status=$?
+test "$status" -eq 2
+grep -q "latency" target/ci-artifacts/async_churn_bad_latency.err
 # The integration test proves async runs are byte-identical across
 # thread counts and across a mid-stream checkpoint/resume, printing its
 # proof line only when the resumed bytes match.

@@ -184,8 +184,8 @@ impl CliOptions {
     /// Supported keys: `local_lr`, `user_lr`, `server_lr`, `alpha`,
     /// `kd_lr`, `kd_items`, `kd_steps`, `epochs`, `local_epochs`,
     /// `clients_per_round`, `negatives`, `item_agg_norm`
-    /// (`sum|mean|sqrt`), `server_opt` (`sgd|adam`), `udl_aux`
-    /// (auxiliary-task weight), `drop_prob`, `eval_k`, `ddr_max_rows`,
+    /// (`sum|mean|sqrt_count`), `udl_aux` (auxiliary-task weight),
+    /// `drop_prob`, `eval_k`, `ddr_max_rows`,
     /// and the event-engine knobs: `mode` (`sync|async`),
     /// `staleness_beta`, `async_buffer`, `async_concurrency`, `latency`
     /// (`fixed:T`, `uniform:MIN:MAX`, `lognormal:MEDIAN:SIGMA`), `churn`
@@ -193,7 +193,7 @@ impl CliOptions {
     /// secure-aggregation knobs: `secagg` (`on|off`),
     /// `secagg_scale_bits`.
     pub fn apply_overrides(&self, cfg: &mut TrainConfig) {
-        use hetefedrec_core::config::{ItemAggNorm, Mode, ServerOpt};
+        use hetefedrec_core::config::{ItemAggNorm, Mode};
         use hf_fedsim::events::LatencyProfile;
         use hf_fedsim::faults::ChurnProfile;
         fn bad<T>(k: &str, v: &str) -> T {
@@ -219,19 +219,7 @@ impl CliOptions {
                 "ddr_max_rows" => cfg.ddr_max_rows = v.parse().unwrap_or_else(|_| bad(k, v)),
                 "udl_aux" => cfg.udl_aux_weight = v.parse().unwrap_or_else(|_| bad(k, v)),
                 "item_agg_norm" => {
-                    cfg.item_agg_norm = match v.as_str() {
-                        "sum" => ItemAggNorm::Sum,
-                        "mean" => ItemAggNorm::Mean,
-                        "sqrt" => ItemAggNorm::SqrtCount,
-                        _ => bad(k, v),
-                    }
-                }
-                "server_opt" => {
-                    cfg.server_opt = match v.as_str() {
-                        "sgd" => ServerOpt::SgdSum,
-                        "adam" => ServerOpt::Adam,
-                        _ => bad(k, v),
-                    }
+                    cfg.item_agg_norm = ItemAggNorm::from_tag(v).unwrap_or_else(|| bad(k, v))
                 }
                 "mode" => cfg.mode = Mode::from_tag(v).unwrap_or_else(|| bad(k, v)),
                 "staleness_beta" => {

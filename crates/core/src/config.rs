@@ -70,11 +70,6 @@ impl TierDims {
         self.dims[tier.index()]
     }
 
-    /// All three dimensions, ascending.
-    pub fn as_array(&self) -> [usize; 3] {
-        self.dims
-    }
-
     /// The widest dimension (`Nl`).
     pub fn largest(&self) -> usize {
         self.dims[2]
@@ -148,18 +143,6 @@ impl KdConfig {
     }
 }
 
-/// How the server folds aggregated deltas into the public parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerOpt {
-    /// Eq. 9 literal: `V -= server_lr * Σ Δ` (deltas already carry the
-    /// local learning rate, so `server_lr = 1` reproduces summed local
-    /// progress). Predictors average rather than sum — see DESIGN.md §5.
-    SgdSum,
-    /// Server-side Adam over the summed deltas (per embedding row and per
-    /// predictor tensor) — the ablation alternative.
-    Adam,
-}
-
 /// Per-row normalisation of the aggregated item-embedding delta.
 ///
 /// Eq. 8's plain sum lets a popular item accumulate one full local step
@@ -167,8 +150,7 @@ pub enum ServerOpt {
 /// items and destabilises training (visible as post-peak degradation in
 /// the convergence curves). Normalising by the contributor count per row
 /// restores stability; `SqrtCount` is the compromise that keeps some
-/// popularity-proportional progress. The server-optimiser ablation bench
-/// compares all three.
+/// popularity-proportional progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ItemAggNorm {
     /// Eq. 8 literal: plain sum.
@@ -177,25 +159,6 @@ pub enum ItemAggNorm {
     Mean,
     /// Divide each row's summed delta by sqrt(contributor count).
     SqrtCount,
-}
-
-impl ServerOpt {
-    /// Stable checkpoint tag.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ServerOpt::SgdSum => "sgd_sum",
-            ServerOpt::Adam => "adam",
-        }
-    }
-
-    /// Parses a [`ServerOpt::tag`] spelling.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "sgd_sum" => Some(ServerOpt::SgdSum),
-            "adam" => Some(ServerOpt::Adam),
-            _ => None,
-        }
-    }
 }
 
 impl ItemAggNorm {
@@ -349,6 +312,11 @@ impl SecAggConfig {
     }
 }
 
+/// The one server update rule's tag. Every configuration document
+/// carries it, so documents written while a second rule existed stay
+/// byte-identical and still restore.
+const SERVER_OPT: &str = "sgd_sum";
+
 /// Full configuration of one federated training run.
 #[derive(Clone, Debug)]
 pub struct TrainConfig {
@@ -371,11 +339,14 @@ pub struct TrainConfig {
     /// (paper: Adam, 0.001 — we default higher because each client is
     /// selected only once per epoch).
     pub user_lr: f32,
-    /// Server application of aggregated updates.
-    pub server_opt: ServerOpt,
     /// Per-row normalisation of aggregated item deltas.
     pub item_agg_norm: ItemAggNorm,
-    /// Server learning-rate scale on summed item deltas.
+    /// Server learning-rate scale on the aggregated deltas. The server
+    /// applies Eq. 9 as written, `V ← V + server_lr · ΣΔ`, where each Δ is
+    /// a client's local step and so already carries the local learning
+    /// rate: `server_lr = 1` reproduces summed local progress. Predictors
+    /// average rather than sum (see
+    /// [`ServerState::apply_round_weighted`](crate::server::ServerState::apply_round_weighted)).
     pub server_lr: f32,
     /// Negatives per positive (paper: 4).
     pub negatives: usize,
@@ -428,7 +399,6 @@ impl TrainConfig {
             local_epochs: 2,
             local_lr: 0.05,
             user_lr: 0.01,
-            server_opt: ServerOpt::SgdSum,
             item_agg_norm: ItemAggNorm::SqrtCount,
             server_lr: 2.0,
             negatives: 4,
@@ -530,7 +500,17 @@ impl TrainConfig {
     }
 
     /// Restores a checkpointed configuration (re-validated).
+    ///
+    /// Every document carries `"server_opt":"sgd_sum"`, the one server
+    /// rule; any other tag is refused rather than resumed under a
+    /// different update.
     pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
+        let server_opt = v.get("server_opt")?.as_str()?;
+        if server_opt != SERVER_OPT {
+            return Err(JsonError::msg(format!(
+                "server_opt `{server_opt}` is not supported: this checkpoint cannot resume"
+            )));
+        }
         let cfg = Self {
             model: ModelKind::from_json(v.get("model")?)?,
             dims: TierDims::from_json(v.get("dims")?)?,
@@ -540,11 +520,6 @@ impl TrainConfig {
             local_epochs: v.get("local_epochs")?.as_usize()?,
             local_lr: v.get("local_lr")?.as_f32()?,
             user_lr: v.get("user_lr")?.as_f32()?,
-            server_opt: {
-                let tag = v.get("server_opt")?.as_str()?;
-                ServerOpt::from_tag(tag)
-                    .ok_or_else(|| JsonError::msg(format!("unknown server_opt `{tag}`")))?
-            },
             item_agg_norm: {
                 let tag = v.get("item_agg_norm")?.as_str()?;
                 ItemAggNorm::from_tag(tag)
@@ -589,7 +564,6 @@ impl TrainConfig {
             local_epochs: 1,
             local_lr: 0.05,
             user_lr: 0.01,
-            server_opt: ServerOpt::SgdSum,
             item_agg_norm: ItemAggNorm::SqrtCount,
             server_lr: 2.0,
             negatives: 4,
@@ -629,7 +603,7 @@ impl ToJson for TrainConfig {
                 .field("local_epochs", &self.local_epochs)
                 .field("local_lr", &self.local_lr)
                 .field("user_lr", &self.user_lr)
-                .field("server_opt", &self.server_opt.tag())
+                .field("server_opt", &SERVER_OPT)
                 .field("item_agg_norm", &self.item_agg_norm.tag())
                 .field("server_lr", &self.server_lr)
                 .field("negatives", &self.negatives)
@@ -678,7 +652,7 @@ mod tests {
     #[test]
     fn paper_defaults_follow_section_v_d() {
         let cfg = TrainConfig::paper_defaults(ModelKind::Ncf, DatasetProfile::Douban);
-        assert_eq!(cfg.dims.as_array(), [32, 64, 128]);
+        assert_eq!(cfg.dims, TierDims::new(32, 64, 128));
         assert_eq!(cfg.clients_per_round, 256);
         assert_eq!(cfg.negatives, 4);
         assert_eq!(cfg.eval_k, 20);
@@ -688,7 +662,7 @@ mod tests {
     #[test]
     fn ml_defaults_use_small_dims() {
         let cfg = TrainConfig::paper_defaults(ModelKind::LightGcn, DatasetProfile::MovieLens);
-        assert_eq!(cfg.dims.as_array(), [8, 16, 32]);
+        assert_eq!(cfg.dims, TierDims::new(8, 16, 32));
     }
 
     #[test]
@@ -755,7 +729,6 @@ mod tests {
     fn config_json_roundtrips_exactly() {
         use hf_tensor::ser::{parse_json, ToJson};
         let mut cfg = TrainConfig::paper_defaults(ModelKind::LightGcn, DatasetProfile::Douban);
-        cfg.server_opt = ServerOpt::Adam;
         cfg.item_agg_norm = ItemAggNorm::Mean;
         cfg.drop_prob = 0.25;
         cfg.local_lr = 1.0 / 3.0;
@@ -782,7 +755,6 @@ mod tests {
         assert_eq!(back.dims, cfg.dims);
         assert_eq!(back.ratio, cfg.ratio);
         assert_eq!(back.epochs, cfg.epochs);
-        assert_eq!(back.server_opt, cfg.server_opt);
         assert_eq!(back.item_agg_norm, cfg.item_agg_norm);
         assert_eq!(back.local_lr.to_bits(), cfg.local_lr.to_bits());
         assert_eq!(back.drop_prob.to_bits(), cfg.drop_prob.to_bits());
@@ -822,6 +794,22 @@ mod tests {
         assert!(e.to_string().contains("adaptive_beta"), "{e}");
         // `false` was its only behaviour, so that still restores.
         assert_eq!(with(false).unwrap().async_cfg, cfg.async_cfg);
+    }
+
+    #[test]
+    fn documents_naming_another_server_rule_fail_restore() {
+        use hf_tensor::ser::{parse_json, ToJson};
+        let json = TrainConfig::test_default(ModelKind::Ncf).to_json();
+        assert!(TrainConfig::from_json(&parse_json(&json).unwrap()).is_ok());
+        for tag in ["adam", "bogus"] {
+            let doc = json.replace(
+                "\"server_opt\":\"sgd_sum\"",
+                &format!("\"server_opt\":\"{tag}\""),
+            );
+            assert_ne!(doc, json, "the document carries server_opt");
+            let e = TrainConfig::from_json(&parse_json(&doc).unwrap()).expect_err(tag);
+            assert!(e.to_string().contains("server_opt"), "{e}");
+        }
     }
 
     #[test]

@@ -41,8 +41,7 @@ pub mod session;
 pub mod strategy;
 
 pub use config::{
-    AsyncConfig, ConfigError, ItemAggNorm, KdConfig, Mode, SecAggConfig, ServerOpt, TierDims,
-    TrainConfig,
+    AsyncConfig, ConfigError, ItemAggNorm, KdConfig, Mode, SecAggConfig, TierDims, TrainConfig,
 };
 pub use eval::EvalOutput;
 pub use experiment::{run_experiment, ExperimentResult};

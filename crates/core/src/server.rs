@@ -1,25 +1,23 @@
 //! Central-server state: public parameters, padding-based heterogeneous
 //! aggregation (Eq. 7–10, 15), and the distillation hook.
 
-use crate::config::{ItemAggNorm, KdConfig, ServerOpt, TierDims, TrainConfig};
+use crate::config::{ItemAggNorm, KdConfig, TierDims, TrainConfig};
 use crate::reskd;
 use crate::strategy::Strategy;
 use hf_dataset::Tier;
 use hf_fedsim::transport::ClientUpdate;
 use hf_models::{paper_predictor_dims, Ffn, RowGradBuffer};
-use hf_tensor::adam::{Adam, AdamConfig, SparseRowAdam};
 use hf_tensor::rng::StdRng;
 use hf_tensor::rng::{stream, SeedStream};
 use hf_tensor::Matrix;
 use std::collections::HashMap;
 
-/// The server's public parameters and optimiser state.
+/// The server's public parameters and distillation RNG.
 #[derive(Clone, Debug)]
 pub struct ServerState {
     num_items: usize,
     dims: TierDims,
     strategy: Strategy,
-    server_opt: ServerOpt,
     item_agg_norm: ItemAggNorm,
     server_lr: f32,
     /// Tier item-embedding tables `{Vs, Vm, Vl}`, initialised from the
@@ -27,9 +25,6 @@ pub struct ServerState {
     tables: [Matrix; 3],
     /// Tier predictors `{Θs, Θm, Θl}`.
     thetas: [Ffn; 3],
-    /// Server-Adam state (only allocated under [`ServerOpt::Adam`]).
-    item_adam: Option<Box<[SparseRowAdam; 3]>>,
-    theta_adam: Option<Box<[Adam; 3]>>,
     /// Distillation RNG (its own stream so KD sampling never perturbs
     /// anything else).
     kd_rng: StdRng,
@@ -55,35 +50,14 @@ impl ServerState {
             Ffn::new(&paper_predictor_dims(dims.dim(Tier::Medium)), &mut rng),
             Ffn::new(&paper_predictor_dims(dims.dim(Tier::Large)), &mut rng),
         ];
-        let (item_adam, theta_adam) = match cfg.server_opt {
-            ServerOpt::SgdSum => (None, None),
-            ServerOpt::Adam => {
-                let ac = AdamConfig::with_lr(cfg.server_lr);
-                (
-                    Some(Box::new([
-                        SparseRowAdam::new(num_items, dims.dim(Tier::Small), ac),
-                        SparseRowAdam::new(num_items, dims.dim(Tier::Medium), ac),
-                        SparseRowAdam::new(num_items, dims.dim(Tier::Large), ac),
-                    ])),
-                    Some(Box::new([
-                        Adam::new(thetas[0].num_params(), ac),
-                        Adam::new(thetas[1].num_params(), ac),
-                        Adam::new(thetas[2].num_params(), ac),
-                    ])),
-                )
-            }
-        };
         Self {
             num_items,
             dims,
             strategy,
-            server_opt: cfg.server_opt,
             item_agg_norm: cfg.item_agg_norm,
             server_lr: cfg.server_lr,
             tables,
             thetas,
-            item_adam,
-            theta_adam,
             kd_rng: stream(cfg.seed, SeedStream::Distill),
         }
     }
@@ -127,7 +101,7 @@ impl ServerState {
     /// and each tier table then absorbs the prefix slice matching its
     /// width (which preserves `Vs = Vm[:Ns] = Vl[:Ns]`, Eq. 10). Under
     /// [`Strategy::ClusteredFedRec`] the sum instead stays within each
-    /// tier. Predictor deltas are **averaged** per tier (DESIGN.md §5).
+    /// tier. Predictor deltas are **averaged** per tier.
     pub fn apply_round(&mut self, updates: &[(Tier, ClientUpdate)]) {
         self.apply_round_weighted(updates, &vec![1.0; updates.len()]);
     }
@@ -140,6 +114,12 @@ impl ServerState {
     /// unweighted), and predictor deltas become a weighted average
     /// (`Σ wᵢ·Δᵢ / Σ wᵢ`). All-ones weights reproduce
     /// [`ServerState::apply_round`] bit-for-bit.
+    ///
+    /// Both then step by Eq. 9 as written, `V ← V + server_lr · ΣΔ`, with
+    /// no optimiser state: each Δ is a client's local step and already
+    /// carries the local learning rate. Predictors average rather than sum
+    /// because every upload carries a dense delta for the whole predictor,
+    /// so a sum would scale its step with the cohort size.
     ///
     /// # Panics
     /// Panics if `weights.len() != updates.len()`.
@@ -233,20 +213,9 @@ impl ServerState {
             return;
         }
         let inv = 1.0 / weight_sum;
-        match self.server_opt {
-            ServerOpt::SgdSum => {
-                sum.iter_mut().for_each(|x| *x *= inv * self.server_lr);
-                let delta = Ffn::from_flat(self.thetas[idx].dims(), &sum);
-                self.thetas[idx].add_scaled(1.0, &delta);
-            }
-            ServerOpt::Adam => {
-                // Mean delta as negative gradient.
-                sum.iter_mut().for_each(|x| *x *= -inv);
-                let mut flat = self.thetas[idx].to_flat();
-                self.theta_adam.as_mut().expect("adam state")[idx].step(&mut flat, &sum);
-                self.thetas[idx] = Ffn::from_flat(self.thetas[idx].dims(), &flat);
-            }
-        }
+        sum.iter_mut().for_each(|x| *x *= inv * self.server_lr);
+        let delta = Ffn::from_flat(self.thetas[idx].dims(), &sum);
+        self.thetas[idx].add_scaled(1.0, &delta);
     }
 
     /// Applies the configured per-row normalisation to an aggregated
@@ -276,24 +245,8 @@ impl ServerState {
         for &tier in tiers {
             let dim = self.dims.dim(tier).min(acc.dim());
             let table = &mut self.tables[tier.index()];
-            match self.server_opt {
-                ServerOpt::SgdSum => {
-                    for (row, delta) in acc.iter() {
-                        table.row_axpy(row as usize, self.server_lr, &delta[..dim]);
-                    }
-                }
-                ServerOpt::Adam => {
-                    let adam = &mut self.item_adam.as_mut().expect("adam state")[tier.index()];
-                    let mut grad = vec![0.0f32; dim];
-                    for (row, delta) in acc.iter() {
-                        // Deltas are descent directions; Adam consumes
-                        // gradients, so negate.
-                        for (g, &d) in grad.iter_mut().zip(&delta[..dim]) {
-                            *g = -d;
-                        }
-                        adam.step_row(row as usize, table.row_prefix_mut(row as usize, dim), &grad);
-                    }
-                }
+            for (row, delta) in acc.iter() {
+                table.row_axpy(row as usize, self.server_lr, &delta[..dim]);
             }
         }
     }
@@ -311,19 +264,18 @@ impl ServerState {
         hf_tensor::stats::singular_value_variance(&self.tables[tier.index()])
     }
 
-    /// Writes the server's *mutable* state (tables, predictors, optimiser
-    /// moments, distillation RNG) as JSON. Config-derived fields are not
-    /// repeated — [`ServerState::from_json`] rebuilds them from the
-    /// configuration stored alongside the snapshot.
+    /// Writes the server's *mutable* state (tables, predictors,
+    /// distillation RNG) as JSON. Config-derived fields are not repeated —
+    /// [`ServerState::from_json`] rebuilds them from the configuration
+    /// stored alongside the snapshot. `item_adam` and `theta_adam` are
+    /// always `null`: the retired server-Adam state keeps its place so
+    /// every snapshot stays byte-identical.
     pub fn snapshot_json(&self, out: &mut String) {
         hf_tensor::ser::obj(out, |o| {
             o.field("tables", &self.tables)
                 .field("thetas", &self.thetas)
-                .field("item_adam", &self.item_adam.as_ref().map(|a| a.as_slice()))
-                .field(
-                    "theta_adam",
-                    &self.theta_adam.as_ref().map(|a| a.as_slice()),
-                )
+                .field("item_adam", &None::<bool>)
+                .field("theta_adam", &None::<bool>)
                 .field("kd_rng", &self.kd_rng);
         });
     }
@@ -369,41 +321,23 @@ impl ServerState {
         }
         let thetas: [Ffn; 3] = thetas.try_into().expect("length checked");
 
-        let (item_adam, theta_adam) = match cfg.server_opt {
-            ServerOpt::SgdSum => {
-                if !v.get("item_adam")?.is_null() || !v.get("theta_adam")?.is_null() {
-                    return Err(JsonError::msg(
-                        "adam state present but server_opt is sgd_sum",
-                    ));
-                }
-                (None, None)
+        // Every snapshot carries the retired server-Adam state as `null`.
+        for key in ["item_adam", "theta_adam"] {
+            if !v.get(key)?.is_null() {
+                return Err(JsonError::msg(format!(
+                    "{key} is no longer supported: this checkpoint cannot resume"
+                )));
             }
-            ServerOpt::Adam => {
-                let mut ia = Vec::with_capacity(3);
-                for t in read3("item_adam")? {
-                    ia.push(SparseRowAdam::from_json(t)?);
-                }
-                let mut ta = Vec::with_capacity(3);
-                for t in read3("theta_adam")? {
-                    ta.push(Adam::from_json(t)?);
-                }
-                let ia: [SparseRowAdam; 3] = ia.try_into().expect("length checked");
-                let ta: [Adam; 3] = ta.try_into().expect("length checked");
-                (Some(Box::new(ia)), Some(Box::new(ta)))
-            }
-        };
+        }
 
         Ok(Self {
             num_items,
             dims: cfg.dims,
             strategy,
-            server_opt: cfg.server_opt,
             item_agg_norm: cfg.item_agg_norm,
             server_lr: cfg.server_lr,
             tables,
             thetas,
-            item_adam,
-            theta_adam,
             kd_rng: StdRng::from_json(v.get("kd_rng")?)?,
         })
     }
@@ -625,22 +559,20 @@ mod tests {
     }
 
     #[test]
-    fn adam_server_opt_moves_parameters() {
-        let mut c = cfg();
-        c.server_opt = ServerOpt::Adam;
-        c.server_lr = 0.01;
-        let mut s = ServerState::new(30, &c, Strategy::HeteFedRec(Ablation::NO_RESKD));
-        let theta_len = s.theta(Tier::Small).num_params();
-        let before_row = s.table(Tier::Large).row(5).to_vec();
-        let before_theta = s.theta(Tier::Small).to_flat();
-        s.apply_round(&[update(Tier::Small, 5, 4, 1.0, theta_len)]);
-        // Adam's first step has magnitude ≈ lr in the delta direction.
-        let after_row = s.table(Tier::Large).row(5);
-        for d in 0..4 {
-            assert!((after_row[d] - before_row[d] - 0.01).abs() < 1e-4);
+    fn snapshots_carrying_server_adam_state_fail_restore() {
+        use hf_tensor::ser::parse_json;
+        let strategy = Strategy::HeteFedRec(Ablation::FULL);
+        let mut json = String::new();
+        server(strategy).snapshot_json(&mut json);
+        let restore =
+            |doc: &str| ServerState::from_json(&parse_json(doc).unwrap(), 30, &cfg(), strategy);
+        assert!(restore(&json).is_ok());
+        for key in ["item_adam", "theta_adam"] {
+            let doc = json.replace(&format!("\"{key}\":null"), &format!("\"{key}\":[]"));
+            assert_ne!(doc, json, "the snapshot carries `{key}`");
+            let e = restore(&doc).expect_err(key);
+            assert!(e.to_string().contains(key), "{e}");
         }
-        let after_theta = s.theta(Tier::Small).to_flat();
-        assert!((after_theta[0] - before_theta[0] - 0.01).abs() < 1e-4);
     }
 
     #[test]

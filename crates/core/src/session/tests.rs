@@ -315,6 +315,33 @@ fn builder_rejects_invalid_configs_without_panicking() {
 }
 
 #[test]
+fn a_latency_past_two_to_the_forty_ticks_is_refused_before_the_clock_overflows() {
+    let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+    cfg.latency = LatencyProfile::Fixed(u64::MAX);
+    match SessionBuilder::new(cfg, Strategy::AllSmall, tiny_split(9)).build() {
+        Err(err) => assert!(
+            matches!(err, SessionError::Config(ref c) if c.field == "latency"),
+            "{err}"
+        ),
+        Ok(mut s) => {
+            // Each synchronous round adds its slowest draw to the clock.
+            s.step();
+            s.step();
+            panic!("a u64::MAX latency built a session (clock {})", s.clock());
+        }
+    }
+    // A restored document is refused the same way.
+    let json = session(Strategy::AllSmall, ModelKind::Ncf).checkpoint();
+    let doc = json.replace(
+        "\"latency\":{\"kind\":\"fixed\",\"ticks\":1}",
+        "\"latency\":{\"kind\":\"fixed\",\"ticks\":18446744073709551615}",
+    );
+    assert_ne!(doc, json, "the checkpoint carries the latency profile");
+    let err = Session::restore(&doc, tiny_split(9)).expect_err("refused");
+    assert!(err.to_string().contains("latency"), "{err}");
+}
+
+#[test]
 fn eq10_holds_through_training_without_reskd() {
     let mut s = session(Strategy::HeteFedRec(Ablation::NO_RESKD), ModelKind::Ncf);
     s.run_epoch();
@@ -622,33 +649,6 @@ fn sync_with_churn_checkpoints() {
     let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
     cfg.churn = ChurnProfile::Independent { offline_prob: 0.3 };
     checkpoint_roundtrip_cfg(cfg, Strategy::AllSmall, 2, 1);
-}
-
-#[test]
-fn adam_server_state_checkpoints() {
-    let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
-    cfg.server_opt = crate::config::ServerOpt::Adam;
-    cfg.server_lr = 0.01;
-    let mut reference = SessionBuilder::new(
-        cfg.clone(),
-        Strategy::HeteFedRec(Ablation::FULL),
-        tiny_split(9),
-    )
-    .build()
-    .unwrap();
-    reference.run();
-    let mut interrupted =
-        SessionBuilder::new(cfg, Strategy::HeteFedRec(Ablation::FULL), tiny_split(9))
-            .build()
-            .unwrap();
-    interrupted.step();
-    interrupted.step();
-    let mut resumed = Session::restore(&interrupted.checkpoint(), tiny_split(9)).unwrap();
-    resumed.run();
-    assert_eq!(
-        reference.final_eval().unwrap().overall.ndcg.to_bits(),
-        resumed.final_eval().unwrap().overall.ndcg.to_bits()
-    );
 }
 
 #[test]

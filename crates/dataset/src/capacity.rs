@@ -144,12 +144,6 @@ impl SyntheticProfile {
         }
         picked.into_iter().collect()
     }
-
-    /// Total interactions across a user range (used for progress and
-    /// analytic size estimates without materialising records twice).
-    pub fn interactions_in(&self, seed: u64, users: std::ops::Range<usize>) -> u64 {
-        users.map(|u| self.user(seed, u).1.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]

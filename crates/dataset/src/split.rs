@@ -21,11 +21,6 @@ pub struct UserSplit {
 }
 
 impl UserSplit {
-    /// Training-set size (excluding validation).
-    pub fn train_len(&self) -> usize {
-        self.train.len()
-    }
-
     /// `true` iff `item` is a train or validation positive (the set a
     /// client may not sample as a negative).
     pub fn is_local_positive(&self, item: ItemId) -> bool {

@@ -52,14 +52,6 @@ impl DatasetStats {
             std_dev: var.sqrt(),
         }
     }
-
-    /// Formats this row like Table I.
-    pub fn table_row(&self, name: &str) -> String {
-        format!(
-            "{name:<8} {:>7} {:>7} {:>11} {:>6.0} {:>6} {:>6}",
-            self.users, self.items, self.interactions, self.mean, self.p50, self.p80
-        )
-    }
 }
 
 impl hf_tensor::ser::ToJson for DatasetStats {
@@ -223,13 +215,5 @@ mod tests {
         let h = InteractionHistogram::compute(&d, 8);
         let txt = h.render(30);
         assert_eq!(txt.lines().count(), h.counts.len());
-    }
-
-    #[test]
-    fn table_row_formats() {
-        let d = SyntheticConfig::tiny().generate(5);
-        let s = DatasetStats::compute(&d);
-        let row = s.table_row("Tiny");
-        assert!(row.contains("Tiny"));
     }
 }

@@ -42,6 +42,11 @@ pub trait TraversalPolicy {
     fn next_traversal(&mut self) -> Vec<usize>;
 }
 
+/// The longest latency a profile may name or draw, in ticks. The clock
+/// adds one draw per dispatch, so a bound far below `u64::MAX` keeps it
+/// from overflowing.
+const MAX_TICKS: u64 = 1 << 40;
+
 /// Ticks a dispatched client takes before its update arrives.
 ///
 /// Every draw is a pure function of `(seed, client, version)` via the
@@ -88,6 +93,9 @@ impl LatencyProfile {
                 if *t == 0 {
                     return Err("fixed latency must be at least 1 tick");
                 }
+                if *t > MAX_TICKS {
+                    return Err("fixed latency may not exceed 2^40 ticks");
+                }
             }
             LatencyProfile::Uniform { min, max } => {
                 if *min == 0 {
@@ -95,6 +103,9 @@ impl LatencyProfile {
                 }
                 if min > max {
                     return Err("uniform latency needs min <= max");
+                }
+                if *max > MAX_TICKS {
+                    return Err("uniform latency max may not exceed 2^40 ticks");
                 }
             }
             LatencyProfile::LogNormal { median, sigma } => {
@@ -123,7 +134,6 @@ impl LatencyProfile {
     /// [`LatencyProfile::PerTier`] consults it, so draws under the flat
     /// profiles are bit-identical whatever tier the caller passes.
     pub fn draw(&self, seed: u64, client: usize, version: u64, tier: usize) -> u64 {
-        const MAX_TICKS: u64 = 1 << 40;
         match self {
             LatencyProfile::Fixed(t) => *t,
             LatencyProfile::Uniform { min, max } => {
@@ -606,6 +616,30 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn latency_above_two_to_the_forty_ticks_is_refused() {
+        let edge = 1u64 << 40;
+        let per_tier = |sub: LatencyProfile| {
+            LatencyProfile::PerTier(Box::new([
+                LatencyProfile::unit(),
+                sub,
+                LatencyProfile::unit(),
+            ]))
+        };
+        for ticks in [edge, edge + 1] {
+            let ok = ticks == edge;
+            let fixed = LatencyProfile::Fixed(ticks);
+            let uniform = LatencyProfile::Uniform { min: 1, max: ticks };
+            assert_eq!(fixed.validate().is_ok(), ok, "{fixed:?}");
+            assert_eq!(uniform.validate().is_ok(), ok, "{uniform:?}");
+            assert_eq!(per_tier(fixed).validate().is_ok(), ok);
+            assert_eq!(per_tier(uniform).validate().is_ok(), ok);
+            let parsed = LatencyProfile::parse(&format!("fixed:{ticks}"));
+            assert_eq!(parsed.is_ok(), ok, "{parsed:?}");
+        }
+        assert!(LatencyProfile::parse("fixed:18446744073709551615").is_err());
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl RoundScheduler {
         client
     }
 
-    /// Number of rounds per epoch (`ceil(num_clients / clients_per_round)`).
-    pub fn rounds_per_epoch(&self) -> usize {
-        self.queue.len().div_ceil(self.clients_per_round)
-    }
-
     /// Shuffles the queue and returns this epoch's rounds — the synchronous
     /// policy: the traversal chunked into lockstep cohorts.
     pub fn next_epoch(&mut self) -> Vec<Vec<usize>> {
@@ -157,7 +152,6 @@ mod tests {
         let rounds = s.next_epoch();
         assert_eq!(rounds.len(), 1);
         assert_eq!(rounds[0].len(), 10);
-        assert_eq!(s.rounds_per_epoch(), 1);
     }
 
     #[test]

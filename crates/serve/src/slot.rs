@@ -69,22 +69,6 @@ impl ArtifactSlot {
         guard.1 = Arc::new(recommender);
         guard.0
     }
-
-    /// Installs `recommender` under an explicit version (must advance).
-    ///
-    /// # Panics
-    /// Panics if `version` does not increase — versions are the
-    /// attribution key, so reuse would make responses ambiguous.
-    pub fn swap_versioned(&self, version: u64, recommender: Recommender) {
-        let mut guard = self.inner.lock().expect("artifact slot poisoned");
-        assert!(
-            version > guard.0,
-            "artifact version must advance ({} -> {version})",
-            guard.0
-        );
-        guard.0 = version;
-        guard.1 = Arc::new(recommender);
-    }
 }
 
 impl std::fmt::Debug for ArtifactSlot {
@@ -156,12 +140,5 @@ mod tests {
         slot.swap(recommender(1));
         let resp = handle.join().unwrap();
         assert!(!resp.items.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "must advance")]
-    fn explicit_versions_must_increase() {
-        let slot = ArtifactSlot::with_version(5, recommender(0));
-        slot.swap_versioned(5, recommender(0));
     }
 }

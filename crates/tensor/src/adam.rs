@@ -1,16 +1,8 @@
-//! Adam optimiser state, dense and sparse-row flavours.
+//! Dense Adam optimiser state.
 //!
-//! The paper adopts Adam with learning rate 0.001 (Section V-D). Two usage
-//! patterns appear in the reproduction:
-//!
-//! * [`Adam`] — dense state over a flat parameter vector, used for FFN
-//!   predictor parameters and per-client private user embeddings.
-//! * [`SparseRowAdam`] — row-keyed state for embedding tables where a step
-//!   only touches the rows present in a batch (a federated client touches
-//!   only its own items; the server touches only rows that received
-//!   updates). Moment tensors are allocated lazily per row, and the
-//!   per-row timestep is tracked individually so bias correction stays
-//!   exact for rarely-updated rows.
+//! The paper adopts Adam with learning rate 0.001 (Section V-D). [`Adam`]
+//! keeps its moments over a flat parameter vector; each client steps its
+//! private user embedding with it.
 
 /// Adam hyper-parameters.
 #[derive(Clone, Copy, Debug)]
@@ -108,79 +100,6 @@ impl Adam {
     }
 }
 
-/// Adam state keyed by embedding-table row, for sparse updates.
-///
-/// Rows never seen carry no memory cost beyond a `None` slot.
-#[derive(Clone, Debug)]
-pub struct SparseRowAdam {
-    config: AdamConfig,
-    dim: usize,
-    rows: Vec<Option<RowState>>,
-}
-
-#[derive(Clone, Debug)]
-struct RowState {
-    m: Vec<f32>,
-    v: Vec<f32>,
-    t: u64,
-}
-
-impl SparseRowAdam {
-    /// Creates state for a table of `num_rows` rows of width `dim`.
-    pub fn new(num_rows: usize, dim: usize, config: AdamConfig) -> Self {
-        Self {
-            config,
-            dim,
-            rows: vec![None; num_rows],
-        }
-    }
-
-    /// Embedding width this state was created for.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of rows that have received at least one update.
-    pub fn active_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
-    }
-
-    /// Applies an Adam update to a single row (or row prefix: `grad` may be
-    /// shorter than `dim`, in which case only the leading entries step —
-    /// the heterogeneous-tier case where a small-tier update reaches a wide
-    /// table).
-    ///
-    /// # Panics
-    /// Panics if `row` is out of range, `params` is shorter than `grad`,
-    /// or `grad` is wider than `dim`.
-    pub fn step_row(&mut self, row: usize, params: &mut [f32], grad: &[f32]) {
-        assert!(grad.len() <= self.dim, "grad wider than table dim");
-        assert!(params.len() >= grad.len(), "param slice shorter than grad");
-        let state = self.rows[row].get_or_insert_with(|| RowState {
-            m: vec![0.0; self.dim],
-            v: vec![0.0; self.dim],
-            t: 0,
-        });
-        state.t += 1;
-        let AdamConfig {
-            lr,
-            beta1,
-            beta2,
-            eps,
-        } = self.config;
-        let bc1 = 1.0 - beta1.powi(state.t as i32);
-        let bc2 = 1.0 - beta2.powi(state.t as i32);
-        for i in 0..grad.len() {
-            let g = grad[i];
-            state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g;
-            state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g;
-            let m_hat = state.m[i] / bc1;
-            let v_hat = state.v[i] / bc2;
-            params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint (de)serialization
 // ---------------------------------------------------------------------------
@@ -238,68 +157,6 @@ impl Adam {
     }
 }
 
-impl ToJson for SparseRowAdam {
-    fn write_json(&self, out: &mut String) {
-        struct Rows<'a>(&'a [Option<RowState>]);
-        impl ToJson for Rows<'_> {
-            fn write_json(&self, out: &mut String) {
-                out.push('[');
-                let mut first = true;
-                for (row, state) in self.0.iter().enumerate() {
-                    if let Some(s) = state {
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        obj(out, |o| {
-                            o.field("row", &row)
-                                .field("t", &s.t)
-                                .field("m", &s.m)
-                                .field("v", &s.v);
-                        });
-                    }
-                }
-                out.push(']');
-            }
-        }
-        obj(out, |o| {
-            o.field("config", &self.config)
-                .field("dim", &self.dim)
-                .field("num_rows", &self.rows.len())
-                .field("rows", &Rows(&self.rows));
-        });
-    }
-}
-
-impl SparseRowAdam {
-    /// Restores checkpointed row-keyed optimiser state. Only rows that
-    /// had received updates are present in the snapshot; all others come
-    /// back as their lazily-allocated `None` slot.
-    pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
-        let config = AdamConfig::from_json(v.get("config")?)?;
-        let dim = v.get("dim")?.as_usize()?;
-        let num_rows = v.get("num_rows")?.as_usize()?;
-        let mut rows: Vec<Option<RowState>> = vec![None; num_rows];
-        for entry in v.get("rows")?.as_arr()? {
-            let row = entry.get("row")?.as_usize()?;
-            if row >= num_rows {
-                return Err(JsonError::msg(format!("row {row} out of range {num_rows}")));
-            }
-            let m = entry.get("m")?.as_f32_vec()?;
-            let mv = entry.get("v")?.as_f32_vec()?;
-            if m.len() != dim || mv.len() != dim {
-                return Err(JsonError::msg("sparse adam row width mismatch"));
-            }
-            rows[row] = Some(RowState {
-                m,
-                v: mv,
-                t: entry.get("t")?.as_u64()?,
-            });
-        }
-        Ok(Self { config, dim, rows })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,52 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rows_are_lazily_allocated() {
-        let mut adam = SparseRowAdam::new(100, 4, AdamConfig::default());
-        assert_eq!(adam.active_rows(), 0);
-        let mut row = [0.0; 4];
-        adam.step_row(7, &mut row, &[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(adam.active_rows(), 1);
-    }
-
-    #[test]
-    fn sparse_per_row_timesteps_match_dense_behaviour() {
-        // A row updated in isolation must follow the same trajectory as a
-        // dense Adam on that row alone.
-        let cfg = AdamConfig::with_lr(0.05);
-        let mut sparse = SparseRowAdam::new(10, 2, cfg);
-        let mut dense = Adam::new(2, cfg);
-        let mut row_sparse = [1.0_f32, -1.0];
-        let mut row_dense = [1.0_f32, -1.0];
-        for step in 0..20 {
-            let g = [0.3 + step as f32 * 0.01, -0.2];
-            sparse.step_row(3, &mut row_sparse, &g);
-            dense.step(&mut row_dense, &g);
-        }
-        for (a, b) in row_sparse.iter().zip(&row_dense) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sparse_prefix_update_leaves_tail_untouched() {
-        let mut adam = SparseRowAdam::new(4, 6, AdamConfig::with_lr(0.1));
-        let mut row = [5.0_f32; 6];
-        adam.step_row(0, &mut row, &[1.0, 1.0]); // prefix width 2
-        assert_ne!(row[0], 5.0);
-        assert_ne!(row[1], 5.0);
-        assert!(row[2..].iter().all(|&x| x == 5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "grad wider")]
-    fn sparse_rejects_overwide_grad() {
-        let mut adam = SparseRowAdam::new(2, 2, AdamConfig::default());
-        let mut row = [0.0; 3];
-        adam.step_row(0, &mut row, &[1.0, 1.0, 1.0]);
-    }
-
-    #[test]
     fn dense_adam_checkpoint_resumes_bit_identically() {
         use crate::ser::parse_json;
         let mut a = Adam::new(3, AdamConfig::with_lr(0.05));
@@ -404,43 +215,5 @@ mod tests {
         }
         assert_eq!(xa.map(f32::to_bits), xb.map(f32::to_bits));
         assert_eq!(a.steps(), b.steps());
-    }
-
-    #[test]
-    fn sparse_adam_checkpoint_resumes_bit_identically() {
-        use crate::ser::parse_json;
-        let mut a = SparseRowAdam::new(8, 2, AdamConfig::with_lr(0.1));
-        let mut rows = [[0.5_f32, -0.5]; 8];
-        for i in [1usize, 5, 5, 7] {
-            a.step_row(i, &mut rows[i], &[0.3, -0.2]);
-        }
-        let mut b = SparseRowAdam::from_json(&parse_json(&a.to_json()).unwrap()).unwrap();
-        assert_eq!(b.active_rows(), a.active_rows());
-        assert_eq!(b.dim(), 2);
-        let mut ra = rows;
-        let mut rb = rows;
-        for i in [0usize, 5, 7] {
-            a.step_row(i, &mut ra[i], &[-0.1, 0.4]);
-            b.step_row(i, &mut rb[i], &[-0.1, 0.4]);
-        }
-        for (x, y) in ra.iter().flatten().zip(rb.iter().flatten()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn sparse_minimises_per_row_quadratics() {
-        let mut adam = SparseRowAdam::new(3, 1, AdamConfig::with_lr(0.1));
-        let targets = [1.0_f32, -2.0, 0.5];
-        let mut rows = [[0.0_f32]; 3];
-        for _ in 0..400 {
-            for (i, target) in targets.iter().enumerate() {
-                let g = [2.0 * (rows[i][0] - target)];
-                adam.step_row(i, &mut rows[i], &g);
-            }
-        }
-        for (row, target) in rows.iter().zip(&targets) {
-            assert!((row[0] - target).abs() < 2e-2);
-        }
     }
 }

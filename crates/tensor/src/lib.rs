@@ -56,7 +56,7 @@ pub mod sim;
 pub mod stats;
 pub mod wire;
 
-pub use adam::{Adam, AdamConfig, SparseRowAdam};
+pub use adam::{Adam, AdamConfig};
 pub use matrix::Matrix;
 pub use rng::{stream, SeedStream};
 pub use ser::ToJson;

@@ -198,15 +198,6 @@ impl Matrix {
         Matrix::from_vec(indices.len(), self.cols, out)
     }
 
-    /// Copies a subset of rows restricted to the leading `width` columns.
-    pub fn select_rows_prefix(&self, indices: &[usize], width: usize) -> Matrix {
-        let mut out = Vec::with_capacity(indices.len() * width);
-        for &r in indices {
-            out.extend_from_slice(self.row_prefix(r, width));
-        }
-        Matrix::from_vec(indices.len(), width, out)
-    }
-
     /// Fills every element with `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);
@@ -532,13 +523,6 @@ mod tests {
         let m = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f32);
         let s = m.select_rows(&[3, 1]);
         assert_eq!(s.as_slice(), &[6.0, 7.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn select_rows_prefix_combines_both() {
-        let m = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f32);
-        let s = m.select_rows_prefix(&[2, 0], 2);
-        assert_eq!(s.as_slice(), &[6.0, 7.0, 0.0, 1.0]);
     }
 
     #[test]

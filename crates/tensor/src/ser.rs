@@ -598,13 +598,6 @@ impl<'a> JsonValue<'a> {
             .map_err(|_| JsonError::msg(format!("`{tok}` is not a u64")))
     }
 
-    /// Signed integer content.
-    pub fn as_i64(&self) -> Result<i64, JsonError> {
-        let tok = self.num()?;
-        tok.parse()
-            .map_err(|_| JsonError::msg(format!("`{tok}` is not an i64")))
-    }
-
     /// `usize` content (via `u64`).
     pub fn as_usize(&self) -> Result<usize, JsonError> {
         let v = self.as_u64()?;
@@ -637,11 +630,6 @@ impl<'a> JsonValue<'a> {
     /// Reads an array of `f32` (checkpointed parameter buffers).
     pub fn as_f32_vec(&self) -> Result<Vec<f32>, JsonError> {
         self.as_arr()?.iter().map(JsonValue::as_f32).collect()
-    }
-
-    /// Reads an array of `f64`.
-    pub fn as_f64_vec(&self) -> Result<Vec<f64>, JsonError> {
-        self.as_arr()?.iter().map(JsonValue::as_f64).collect()
     }
 
     /// Reads an array of `u64`.
@@ -740,7 +728,6 @@ mod tests {
         assert_eq!(parse_json("true").unwrap(), JsonValue::Bool(true));
         assert_eq!(parse_json(" false ").unwrap(), JsonValue::Bool(false));
         assert_eq!(parse_json("\"hi\"").unwrap().as_str().unwrap(), "hi");
-        assert_eq!(parse_json("-12").unwrap().as_i64().unwrap(), -12);
         assert_eq!(parse_json("0").unwrap().as_u64().unwrap(), 0);
         assert_eq!(parse_json("1.5e3").unwrap().as_f64().unwrap(), 1500.0);
     }

@@ -77,8 +77,8 @@ pub mod prelude {
     pub use hetefedrec_core::{
         run_experiment, Ablation, AsyncConfig, AsyncRoundStats, ConfigError, EpochRecord,
         EpochReport, EvalOutput, ExperimentResult, History, ItemAggNorm, KdConfig, Mode,
-        RoundReport, SecAggConfig, SecAggRoundStats, ServerOpt, Session, SessionBuilder,
-        SessionError, SessionEvent, StopReason, Strategy, TierDims, TrainConfig,
+        RoundReport, SecAggConfig, SecAggRoundStats, Session, SessionBuilder, SessionError,
+        SessionEvent, StopReason, Strategy, TierDims, TrainConfig,
     };
     pub use hf_dataset::{
         ClientGroups, DatasetProfile, DivisionRatio, ImplicitDataset, SplitDataset,
