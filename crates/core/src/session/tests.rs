@@ -969,3 +969,54 @@ fn per_tier_latency_trains_and_checkpoints() {
     cfg.latency = per_tier;
     checkpoint_roundtrip_cfg(cfg, Strategy::HeteFedRec(Ablation::FULL), 3, 2);
 }
+
+// --- LightGCN training bits ----------------------------------------------
+
+/// FNV-1a 64 over a checkpoint document's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn lightgcn_training_bits_are_pinned() {
+    // Every LightGCN float a run produces (user embeddings and their Adam
+    // state, tier tables, predictors) lands in the checkpoint, so these
+    // digests pin the client's propagation and its chain rule in both
+    // orchestration modes. If one moves, training arithmetic changed.
+    let cases = [
+        (
+            Strategy::HeteFedRec(Ablation::FULL),
+            Mode::Sync,
+            0x0cd8_9c67_f682_2dc7u64,
+        ),
+        (
+            Strategy::HeteFedRec(Ablation::FULL),
+            Mode::Async,
+            0xff2a_5587_62b8_38ef,
+        ),
+        (Strategy::Standalone, Mode::Sync, 0x7b02_e5e8_6ce8_5853),
+        (Strategy::Standalone, Mode::Async, 0xd26e_385c_df70_246d),
+        (
+            Strategy::DirectlyAggregate,
+            Mode::Sync,
+            0x9607_e570_62f7_a15e,
+        ),
+        (
+            Strategy::DirectlyAggregate,
+            Mode::Async,
+            0xa596_9e27_6583_eea3,
+        ),
+    ];
+    for (strategy, mode, want) in cases {
+        let mut cfg = TrainConfig::test_default(ModelKind::LightGcn);
+        cfg.mode = mode;
+        let mut s = SessionBuilder::new(cfg, strategy, tiny_split(5))
+            .build()
+            .expect("valid config");
+        s.run();
+        let got = fnv1a(s.checkpoint().as_bytes());
+        assert_eq!(got, want, "{strategy:?} {mode:?}: {got:#018x}");
+    }
+}

@@ -287,5 +287,13 @@ mod tests {
         // Degree zero: pure halving of the embedding.
         let cold = propagate_lightgcn(&emb, 0, std::iter::empty());
         assert_eq!(cold, vec![0.5, -1.0]);
+        // Rows wider than the embedding (a narrower tier's task reading
+        // full-width rows): only the leading columns count.
+        let wide: Vec<Vec<f32>> = rows
+            .iter()
+            .map(|r| [r.as_slice(), &[99.0, -99.0]].concat())
+            .collect();
+        let got_wide = propagate_lightgcn(&emb, 2, wide.iter().map(|r| r.as_slice()));
+        assert_eq!(got_wide, got);
     }
 }
