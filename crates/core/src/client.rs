@@ -22,6 +22,7 @@ use hf_dataset::{NegativeSampler, SplitDataset, Tier};
 use hf_fedsim::transport::{ClientUpdate, SparseRowUpdate};
 use hf_models::ffn::Ffn;
 use hf_models::ncf::{NcfEngine, NcfWorkspace};
+use hf_models::scoring::propagate_lightgcn;
 use hf_models::ModelKind;
 use hf_tensor::adam::{Adam, AdamConfig};
 use hf_tensor::ops::{bce_with_logits, bce_with_logits_grad};
@@ -329,17 +330,17 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     // --- Local passes ---------------------------------------------------------
     for _pass in 0..cfg.local_epochs.max(1) {
         // LightGCN: refresh each task's propagated user from the current
-        // local rows (stale within the pass — DESIGN.md §5).
+        // local rows once per pass. It is held fixed within the pass, so
+        // the graph-row gradients can be summed in `d_prop_total` and
+        // applied once at the end instead of re-propagating over every
+        // graph row after every sample.
         if is_gcn {
             for task in &mut tasks {
-                let prop = &mut task.prop_user;
-                prop.clear();
-                prop.extend_from_slice(&state.emb[..task.dim]);
-                for &item in &graph_items {
-                    let row = local.get(item);
-                    hf_tensor::ops::axpy_slice(prop, graph_coeff, &row[..task.dim]);
-                }
-                prop.iter_mut().for_each(|x| *x *= 0.5);
+                task.prop_user = propagate_lightgcn(
+                    &state.emb[..task.dim],
+                    graph_items.len(),
+                    graph_items.iter().map(|&i| local.get(i)),
+                );
             }
         }
 

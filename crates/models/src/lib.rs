@@ -12,31 +12,32 @@
 //!   *client-local* bipartite graph (one layer, privacy constraint from
 //!   §III-B), then scored with the same predictor (Eq. 5).
 //!
-//! There is no autograd anywhere in this workspace — the repro hint warns
-//! that Rust ML frameworks are immature for this workload — so every
-//! gradient is analytic and checked against finite differences in the
-//! test suites.
+//! There is no autograd anywhere in this workspace, so every gradient is
+//! analytic. The [`ffn`] and [`ncf`] gradients are checked against finite
+//! differences in their test suites. LightGCN's extra chain rule (through
+//! the propagation, in `hetefedrec_core::client::train_client`) is pinned
+//! by the checkpoint digests of `lightgcn_training_bits_are_pinned`
+//! instead.
 //!
 //! Layout:
 //! * [`ffn`] — the shared feedforward predictor with forward caches,
 //!   backward pass, and flat (de)serialisation for federated transport.
 //! * [`ncf`] — the NCF scoring engine.
-//! * [`lightgcn`] — local-graph propagation + scoring engine.
 //! * [`scoring`] — the split-layer serving/evaluation scorer shared by
 //!   `hetefedrec_core::eval` and `hf_serve` (panel-batchable, with a
-//!   bit-identity contract between its scalar and blocked paths).
+//!   bit-identity contract between its scalar and blocked paths), and
+//!   the one LightGCN propagation, used by training, evaluation and
+//!   serving.
 //! * [`sparse`] — row-sparse gradient accumulation for item embeddings.
 
 #![warn(missing_docs)]
 
 pub mod ffn;
-pub mod lightgcn;
 pub mod ncf;
 pub mod scoring;
 pub mod sparse;
 
 pub use ffn::{Ffn, FfnCache};
-pub use lightgcn::{LightGcnEngine, LocalGraph};
 pub use ncf::NcfEngine;
 pub use scoring::{SplitNcf, SplitWorkspace};
 pub use sparse::RowGradBuffer;

@@ -29,7 +29,8 @@
 //! monolithic [`crate::ncf::NcfEngine::forward`] chain (float addition is
 //! not associative); the split form is the canonical scoring path — local
 //! *training* keeps the monolithic engine, whose backward pass matches its
-//! own forward.
+//! own forward. LightGCN's propagation step, [`propagate_lightgcn`], is
+//! shared by all three: training, evaluation and serving.
 
 use crate::ffn::{Ffn, FfnCache};
 use hf_tensor::ops::{dot, relu};
@@ -167,7 +168,16 @@ impl SplitNcf {
 /// `degree` is the number of graph rows (the user's training positives);
 /// `rows` must yield exactly the item rows in a **fixed order** — the
 /// accumulation order is part of the determinism contract shared by
-/// evaluation and serving.
+/// training, evaluation and serving. Rows may be wider than `emb`; only
+/// their leading `emb.len()` columns count (heterogeneous prefixes).
+///
+/// **Substitution note:** only the user side is propagated. The
+/// symmetric item-side step `e_i^(1) = e_u / sqrt(|I_u|)` would reach
+/// only *in-graph* items, which at training time are exactly the
+/// positives, so the model would partly learn "the item carries my user
+/// component" as the label, a signal absent for held-out test items.
+/// Items therefore score with their raw embeddings, which keeps the
+/// local-graph propagation without the train/eval mismatch.
 pub fn propagate_lightgcn<'a>(
     emb: &[f32],
     degree: usize,
