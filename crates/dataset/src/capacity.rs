@@ -27,56 +27,41 @@ use hf_tensor::rng::{substream, Rng, SeedStream};
 /// other [`SeedStream::Custom`] user in the workspace).
 const PROFILE_STREAM: u64 = 0x6361_7061; // "capa"
 
-/// A deterministic million-scale serving-load profile.
+/// Fraction of users per tier `[small, medium, large]`. Users draw their
+/// tier independently from this mix.
+const TIER_MIX: [f64; 3] = [0.5, 0.3, 0.2];
+/// Mean of the per-user interaction count (before capping).
+const MEAN_INTERACTIONS: f64 = 20.0;
+/// Hard cap on per-user interactions (bounds record size).
+const MAX_INTERACTIONS: usize = 512;
+/// Zipf exponent `s ∈ [0, 1)` of item popularity; higher concentrates
+/// interactions on the head (low ids).
+const ZIPF_EXPONENT: f64 = 0.7;
+
+/// A deterministic million-scale serving-load profile: the fixed shape
+/// (tier mix 50/30/20, mean 20 interactions capped at 512, Zipf 0.7) at a
+/// chosen scale.
 #[derive(Clone, Debug)]
 pub struct SyntheticProfile {
     /// Number of users.
     pub num_users: usize,
     /// Item-universe size.
     pub num_items: usize,
-    /// Fraction of users per tier `[small, medium, large]`; must sum to
-    /// ~1. Users draw their tier independently from this mix.
-    pub tier_mix: [f64; 3],
-    /// Mean of the per-user interaction count (before capping).
-    pub mean_interactions: f64,
-    /// Hard cap on per-user interactions (bounds record size).
-    pub max_interactions: usize,
-    /// Zipf exponent `s ∈ [0, 1)` of item popularity; higher
-    /// concentrates interactions on the head (low ids).
-    pub zipf_exponent: f64,
 }
 
 impl SyntheticProfile {
-    /// A profile with the default shape (`tier mix 50/30/20`, mean 20
-    /// interactions capped at 512, Zipf 0.7) at the given scale.
+    /// A profile at the given scale.
     pub fn new(num_users: usize, num_items: usize) -> Self {
         Self {
             num_users,
             num_items,
-            tier_mix: [0.5, 0.3, 0.2],
-            mean_interactions: 20.0,
-            max_interactions: 512,
-            zipf_exponent: 0.7,
         }
     }
 
-    /// Sanity-checks the profile shape (positive universe, usable tier
-    /// mix, Zipf exponent below 1 so the inverse CDF is defined).
+    /// Sanity-checks the scale (at least one user and two items).
     pub fn validate(&self) -> Result<(), String> {
         if self.num_users == 0 || self.num_items < 2 {
             return Err("profile needs at least 1 user and 2 items".into());
-        }
-        let total: f64 = self.tier_mix.iter().sum();
-        if self.tier_mix.iter().any(|&p| p < 0.0) || (total - 1.0).abs() > 1e-6 {
-            return Err(format!(
-                "tier mix must be non-negative and sum to 1, got {total}"
-            ));
-        }
-        if !(0.0..1.0).contains(&self.zipf_exponent) {
-            return Err("zipf exponent must be in [0, 1)".into());
-        }
-        if self.mean_interactions < 1.0 || self.max_interactions == 0 {
-            return Err("profile needs at least one interaction per user".into());
         }
         Ok(())
     }
@@ -101,16 +86,16 @@ impl SyntheticProfile {
         let mut rng = substream(seed, SeedStream::Custom(PROFILE_STREAM), user as u64 + 1);
         // Fixed draw order: tier, count, then items — so adding draws
         // later stays an explicit format change, not a silent one.
-        let tier = self.draw_tier(&mut rng);
+        let tier = Self::draw_tier(&mut rng);
         let n = self.draw_count(&mut rng);
         (tier, n, rng)
     }
 
-    fn draw_tier(&self, rng: &mut impl Rng) -> Tier {
-        let x: f64 = rng.gen::<f64>() * self.tier_mix.iter().sum::<f64>();
-        if x < self.tier_mix[0] {
+    fn draw_tier(rng: &mut impl Rng) -> Tier {
+        let x: f64 = rng.gen::<f64>() * TIER_MIX.iter().sum::<f64>();
+        if x < TIER_MIX[0] {
             Tier::Small
-        } else if x < self.tier_mix[0] + self.tier_mix[1] {
+        } else if x < TIER_MIX[0] + TIER_MIX[1] {
             Tier::Medium
         } else {
             Tier::Large
@@ -120,13 +105,13 @@ impl SyntheticProfile {
     /// Capped Pareto count: shape `α = 2` with minimum `m = mean/2`, so
     /// `E[X] = α·m/(α-1) = mean` while the `1/x²` tail survives the cap
     /// nearly intact (truncation shaves `m²/cap` off the mean — under 1%
-    /// at the defaults). Clamped to `[1, max_interactions]` and to half
+    /// at this shape). Clamped to `[1, MAX_INTERACTIONS]` and to half
     /// the catalogue (so distinct-item sampling stays cheap).
     fn draw_count(&self, rng: &mut impl Rng) -> usize {
-        let m = self.mean_interactions / 2.0;
+        let m = MEAN_INTERACTIONS / 2.0;
         let u: f64 = (1.0 - rng.gen::<f64>()).max(1e-12); // (0, 1]
         let x = m / u.sqrt(); // inverse CDF of Pareto(α = 2, m)
-        let cap = self.max_interactions.min(self.num_items / 2).max(1);
+        let cap = MAX_INTERACTIONS.min(self.num_items / 2).max(1);
         (x.round() as usize).clamp(1, cap)
     }
 
@@ -135,7 +120,7 @@ impl SyntheticProfile {
     /// `r = N·U^(1/(1-s))`. Duplicates retry (bounded: `n` is at most
     /// half the catalogue, so each retry succeeds with probability ≥ ½).
     fn draw_items(&self, n: usize, rng: &mut impl Rng) -> Vec<ItemId> {
-        let inv = 1.0 / (1.0 - self.zipf_exponent);
+        let inv = 1.0 / (1.0 - ZIPF_EXPONENT);
         let mut picked = std::collections::BTreeSet::new();
         while picked.len() < n {
             let u: f64 = rng.gen::<f64>();
@@ -169,7 +154,7 @@ mod tests {
         let p = SyntheticProfile::new(300, 1_000);
         for u in 0..300 {
             let (_, items) = p.user(5, u);
-            assert!(!items.is_empty() && items.len() <= p.max_interactions);
+            assert!(!items.is_empty() && items.len() <= MAX_INTERACTIONS);
             assert!(
                 items.windows(2).all(|w| w[0] < w[1]),
                 "user {u} not sorted-distinct"
@@ -193,7 +178,7 @@ mod tests {
                 .filter(|&&i| (i as usize) < p.num_items / 10)
                 .count() as u64;
         }
-        for (t, &want) in p.tier_mix.iter().enumerate() {
+        for (t, &want) in TIER_MIX.iter().enumerate() {
             let got = tiers[t] as f64 / p.num_users as f64;
             assert!((got - want).abs() < 0.05, "tier {t}: {got} vs {want}");
         }
@@ -201,19 +186,13 @@ mod tests {
         assert!(head as f64 > 0.3 * total as f64, "head {head} of {total}");
         // Pareto mean lands near the target despite the cap.
         let mean = total as f64 / p.num_users as f64;
-        assert!((mean - p.mean_interactions).abs() < 8.0, "mean {mean}");
+        assert!((mean - MEAN_INTERACTIONS).abs() < 8.0, "mean {mean}");
     }
 
     #[test]
     fn validate_rejects_degenerate_profiles() {
         assert!(SyntheticProfile::new(0, 100).validate().is_err());
         assert!(SyntheticProfile::new(10, 1).validate().is_err());
-        let mut p = SyntheticProfile::new(10, 100);
-        p.tier_mix = [0.9, 0.2, 0.2];
-        assert!(p.validate().is_err());
-        let mut p = SyntheticProfile::new(10, 100);
-        p.zipf_exponent = 1.0;
-        assert!(p.validate().is_err());
         assert!(SyntheticProfile::new(10, 100).validate().is_ok());
     }
 }
