@@ -114,16 +114,43 @@ impl hf_tensor::ser::ToJson for StandaloneState {
 }
 
 impl UserState {
-    /// Restores a checkpointed client state.
-    pub fn from_json(v: &hf_tensor::ser::JsonValue<'_>) -> Result<Self, hf_tensor::ser::JsonError> {
+    /// Restores a checkpointed client state over a catalogue of
+    /// `num_items` items. The Adam moments and every standalone row must
+    /// be as wide as the embedding, and every row's item id in range.
+    pub fn from_json(
+        v: &hf_tensor::ser::JsonValue<'_>,
+        num_items: usize,
+    ) -> Result<Self, hf_tensor::ser::JsonError> {
+        use hf_tensor::ser::JsonError;
+        let emb = v.get("emb")?.as_f32_vec()?;
+        let adam = Adam::from_json(v.get("adam")?)?;
+        if adam.len() != emb.len() {
+            return Err(JsonError::msg(format!(
+                "`adam` tracks {} parameters for a {}-wide embedding",
+                adam.len(),
+                emb.len()
+            )));
+        }
         let standalone = match v.get("standalone")? {
             s if s.is_null() => None,
             s => {
                 let mut rows = HashMap::new();
                 for entry in s.get("rows")?.as_arr()? {
-                    let item = u32::try_from(entry.get("item")?.as_u64()?)
-                        .map_err(|_| hf_tensor::ser::JsonError::msg("item id overflows u32"))?;
-                    rows.insert(item, entry.get("row")?.as_f32_vec()?);
+                    let item = entry.get("item")?.as_usize()?;
+                    if item >= num_items {
+                        return Err(JsonError::msg(format!(
+                            "standalone `item` {item} is outside the {num_items}-item catalogue"
+                        )));
+                    }
+                    let row = entry.get("row")?.as_f32_vec()?;
+                    if row.len() != emb.len() {
+                        return Err(JsonError::msg(format!(
+                            "standalone `row` of item {item} has width {}, expected {}",
+                            row.len(),
+                            emb.len()
+                        )));
+                    }
+                    rows.insert(item as u32, row);
                 }
                 Some(StandaloneState {
                     rows,
@@ -132,8 +159,8 @@ impl UserState {
             }
         };
         Ok(Self {
-            emb: v.get("emb")?.as_f32_vec()?,
-            adam: Adam::from_json(v.get("adam")?)?,
+            emb,
+            adam,
             standalone,
         })
     }

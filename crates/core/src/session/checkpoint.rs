@@ -244,7 +244,8 @@ impl Session {
         }
         let mut users = Vec::with_capacity(users_json.len());
         for (u, v) in users_json.iter().enumerate() {
-            let state = UserState::from_json(v)?;
+            let state = UserState::from_json(v, split.num_items())
+                .map_err(|e| SessionError::Checkpoint(format!("user {u}: {e}")))?;
             let expected_dim = cfg.dims.dim(model_groups.tier(u));
             if state.emb.len() != expected_dim {
                 return Err(SessionError::Checkpoint(format!(
@@ -326,7 +327,7 @@ impl Session {
         };
 
         Ok(Session {
-            scheduler: RoundScheduler::from_json(doc.get("scheduler")?)?,
+            scheduler: RoundScheduler::from_json(doc.get("scheduler")?, split.num_users())?,
             faults: FaultInjector::from_json(doc.get("faults")?)?,
             ledger: CommLedger::from_json(doc.get("ledger")?)?,
             round_counter: doc.get("round_counter")?.as_u64()?,

@@ -809,6 +809,114 @@ fn restore_rejects_a_pending_group_with_a_short_escrow_row() {
     }
 }
 
+// --- restore refuses what would panic later ---------------------------
+
+/// A checkpoint of `strategy` after one step under `mode`.
+fn one_step_checkpoint(strategy: Strategy, mode: Mode) -> String {
+    let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+    cfg.mode = mode;
+    let mut s = SessionBuilder::new(cfg, strategy, tiny_split(9))
+        .build()
+        .expect("valid config");
+    s.step();
+    s.checkpoint()
+}
+
+/// Byte range of the first number after `key`, searching from `anchor`
+/// on; `key` ends just before the number or its array's `[`.
+fn first_number(doc: &str, anchor: &str, key: &str) -> std::ops::Range<usize> {
+    let from = doc.find(anchor).expect("anchor present");
+    let start = from + doc[from..].find(key).expect("key present") + key.len();
+    let start = start + usize::from(doc[start..].starts_with('['));
+    let end = start + doc[start..].find([',', ']', '}']).expect("number ends");
+    start..end
+}
+
+/// `doc` with `range` replaced by `with`.
+fn spliced(doc: &str, range: std::ops::Range<usize>, with: &str) -> String {
+    format!("{}{with}{}", &doc[..range.start], &doc[range.end..])
+}
+
+/// `doc` with the first element of the array after `key` removed.
+fn first_element_dropped(doc: &str, anchor: &str, key: &str) -> String {
+    let r = first_number(doc, anchor, key);
+    assert_eq!(&doc[r.end..=r.end], ",", "array has a second element");
+    spliced(doc, r.start..r.end + 1, "")
+}
+
+/// The message `doc` is refused with; restoring it is a failure.
+fn refusal(doc: &str) -> String {
+    match Session::restore(doc, tiny_split(9)) {
+        Err(SessionError::Checkpoint(msg)) => msg,
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("a corrupt document restored"),
+    }
+}
+
+#[test]
+fn restore_refuses_a_scheduler_queue_id_past_the_population() {
+    let json = one_step_checkpoint(Strategy::AllSmall, Mode::Sync);
+    let r = first_number(&json, "\"scheduler\"", "\"queue\":");
+    let msg = refusal(&spliced(&json, r, "999999"));
+    assert!(msg.contains("queue"), "{msg}");
+}
+
+#[test]
+fn restore_refuses_a_scheduler_queue_that_repeats_a_client() {
+    let json = one_step_checkpoint(Strategy::AllSmall, Mode::Sync);
+    let start = json.find("\"queue\":[").expect("queue") + "\"queue\":[".len();
+    let end = start + json[start..].find(']').expect("queue ends");
+    let n = json[start..end].split(',').count();
+    let first = &json[first_number(&json, "\"scheduler\"", "\"queue\":")];
+    let repeated = vec![first; n].join(",");
+    let msg = refusal(&spliced(&json, start..end, &repeated));
+    assert!(msg.contains("queue"), "{msg}");
+}
+
+#[test]
+fn restore_refuses_a_pending_dispatch_id_past_the_population() {
+    let json = one_step_checkpoint(Strategy::AllSmall, Mode::Async);
+    let r = first_number(&json, "\"event_scheduler\"", "\"pending_dispatch\":");
+    let msg = refusal(&spliced(&json, r, "999999"));
+    assert!(msg.contains("pending_dispatch"), "{msg}");
+}
+
+#[test]
+fn restore_refuses_an_in_flight_arrival_past_the_population() {
+    let json = one_step_checkpoint(Strategy::AllSmall, Mode::Async);
+    let r = first_number(&json, "\"event_scheduler\"", "\"client\":");
+    let msg = refusal(&spliced(&json, r, "999999"));
+    assert!(msg.contains("events"), "{msg}");
+}
+
+#[test]
+fn restore_refuses_adam_moments_shorter_than_the_embedding() {
+    let json = one_step_checkpoint(Strategy::AllSmall, Mode::Sync);
+    let short_m = first_element_dropped(&json, "\"users\"", "\"m\":");
+    let short = first_element_dropped(&short_m, "\"users\"", "\"v\":");
+    let msg = refusal(&short);
+    assert!(msg.contains("adam"), "{msg}");
+}
+
+#[test]
+fn restore_refuses_a_standalone_row_of_the_wrong_width() {
+    let json = one_step_checkpoint(Strategy::Standalone, Mode::Sync);
+    let msg = refusal(&first_element_dropped(
+        &json,
+        "\"standalone\":{\"rows\":[{",
+        "\"row\":",
+    ));
+    assert!(msg.contains("row"), "{msg}");
+}
+
+#[test]
+fn restore_refuses_a_standalone_row_past_the_catalogue() {
+    let json = one_step_checkpoint(Strategy::Standalone, Mode::Sync);
+    let r = first_number(&json, "\"standalone\":{\"rows\":[{", "\"item\":");
+    let msg = refusal(&spliced(&json, r, "99999"));
+    assert!(msg.contains("item"), "{msg}");
+}
+
 // --- streaming ingest -------------------------------------------------
 
 /// Applies the same stream events a live session ingested to a freshly

@@ -520,7 +520,8 @@ impl EventScheduler {
     /// Restores a checkpointed scheduler. The latency profile, concurrency
     /// and seed come from the configuration (they are not per-run state);
     /// only the clock, queue, pending dispatches and dispatch versions are
-    /// read from `v`.
+    /// read from `v`. Every client id they name must be below
+    /// `population`.
     pub fn from_json(
         v: &JsonValue<'_>,
         population: usize,
@@ -541,6 +542,22 @@ impl EventScheduler {
         s.queue = EventQueue::from_json(v.get("events")?)?;
         s.pending_dispatch = v.get("pending_dispatch")?.as_usize_vec()?.into();
         s.dispatch_versions = dispatch_versions;
+        let stray = |field: &str, client: usize| {
+            JsonError::msg(format!(
+                "`{field}` names client {client} of population {population}"
+            ))
+        };
+        if let Some(&c) = s.pending_dispatch.iter().find(|&&c| c >= population) {
+            return Err(stray("pending_dispatch", c));
+        }
+        if let Some(Reverse(a)) = s
+            .queue
+            .heap
+            .iter()
+            .find(|Reverse(a)| a.client >= population)
+        {
+            return Err(stray("events", a.client));
+        }
         Ok(s)
     }
 }

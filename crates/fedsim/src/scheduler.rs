@@ -68,12 +68,23 @@ impl RoundScheduler {
             .collect()
     }
 
-    /// Restores a checkpointed scheduler (queue order + shuffle-RNG state),
-    /// resuming the epoch sequence exactly where it was captured.
-    pub fn from_json(v: &hf_tensor::ser::JsonValue<'_>) -> Result<Self, hf_tensor::ser::JsonError> {
+    /// Restores a checkpointed scheduler (queue order + shuffle-RNG state)
+    /// over `population` clients, resuming the epoch sequence exactly where
+    /// it was captured. The queue must hold every client exactly once.
+    pub fn from_json(
+        v: &hf_tensor::ser::JsonValue<'_>,
+        population: usize,
+    ) -> Result<Self, hf_tensor::ser::JsonError> {
         let queue = v.get("queue")?.as_usize_vec()?;
-        if queue.is_empty() {
-            return Err(hf_tensor::ser::JsonError::msg("empty scheduler queue"));
+        let mut seen = vec![false; population];
+        let is_permutation = queue.len() == population
+            && queue
+                .iter()
+                .all(|&c| c < population && !std::mem::replace(&mut seen[c], true));
+        if population == 0 || !is_permutation {
+            return Err(hf_tensor::ser::JsonError::msg(format!(
+                "scheduler `queue` is not a permutation of the {population} clients"
+            )));
         }
         let clients_per_round = v.get("clients_per_round")?.as_usize()?;
         if clients_per_round == 0 {
@@ -188,7 +199,7 @@ mod tests {
         let mut s = RoundScheduler::new(8, 4, 9);
         s.next_epoch();
         s.admit();
-        let mut resumed = RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap()).unwrap();
+        let mut resumed = RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap(), 9).unwrap();
         assert_eq!(s.next_epoch(), resumed.next_epoch());
     }
 
@@ -197,7 +208,8 @@ mod tests {
         use hf_tensor::ser::{parse_json, ToJson};
         let mut s = RoundScheduler::new(50, 16, 7);
         s.next_epoch();
-        let mut resumed = RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap()).unwrap();
+        let mut resumed =
+            RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap(), 50).unwrap();
         for _ in 0..3 {
             assert_eq!(s.next_epoch(), resumed.next_epoch());
         }
