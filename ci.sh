@@ -52,6 +52,11 @@ cargo run -q --offline -p hf_bench --bin table1_stats -- \
     --scale tiny --dataset ml --json target/ci-artifacts/table1_smoke.json
 test -s target/ci-artifacts/table1_smoke.json
 
+echo "==> LightGCN smoke (table4_ablation trains Fed-LightGCN end to end)"
+cargo run -q --offline -p hf_bench --bin table4_ablation -- \
+    --scale tiny --dataset ml --model lightgcn --json target/ci-artifacts/table4_lightgcn_smoke.json
+test -s target/ci-artifacts/table4_lightgcn_smoke.json
+
 echo "==> checkpoint/resume smoke (movie_recommendation example)"
 # The example checkpoints mid-run, restores, and asserts the restored
 # evaluation is bit-identical to the uninterrupted run (it exits non-zero

@@ -28,6 +28,7 @@ use hf_tensor::adam::{Adam, AdamConfig};
 use hf_tensor::ops::{bce_with_logits, bce_with_logits_grad};
 use hf_tensor::rng::Rng;
 use hf_tensor::rng::{substream, SeedStream};
+use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use hf_tensor::Matrix;
 use std::collections::HashMap;
 
@@ -75,9 +76,9 @@ impl UserState {
     }
 }
 
-impl hf_tensor::ser::ToJson for UserState {
+impl ToJson for UserState {
     fn write_json(&self, out: &mut String) {
-        hf_tensor::ser::obj(out, |o| {
+        obj(out, |o| {
             o.field("emb", &self.emb)
                 .field("adam", &self.adam)
                 .field("standalone", &self.standalone);
@@ -85,12 +86,12 @@ impl hf_tensor::ser::ToJson for UserState {
     }
 }
 
-impl hf_tensor::ser::ToJson for StandaloneState {
+impl ToJson for StandaloneState {
     fn write_json(&self, out: &mut String) {
         // Rows emit sorted by item id so snapshots are stable across runs
         // (HashMap iteration order is not).
         struct Rows<'a>(&'a HashMap<u32, Vec<f32>>);
-        impl hf_tensor::ser::ToJson for Rows<'_> {
+        impl ToJson for Rows<'_> {
             fn write_json(&self, out: &mut String) {
                 let mut items: Vec<u32> = self.0.keys().copied().collect();
                 items.sort_unstable();
@@ -99,14 +100,14 @@ impl hf_tensor::ser::ToJson for StandaloneState {
                     if i > 0 {
                         out.push(',');
                     }
-                    hf_tensor::ser::obj(out, |o| {
+                    obj(out, |o| {
                         o.field("item", item).field("row", &self.0[item]);
                     });
                 }
                 out.push(']');
             }
         }
-        hf_tensor::ser::obj(out, |o| {
+        obj(out, |o| {
             o.field("rows", &Rows(&self.rows))
                 .field("theta", &self.theta);
         });
@@ -117,11 +118,7 @@ impl UserState {
     /// Restores a checkpointed client state over a catalogue of
     /// `num_items` items. The Adam moments and every standalone row must
     /// be as wide as the embedding, and every row's item id in range.
-    pub fn from_json(
-        v: &hf_tensor::ser::JsonValue<'_>,
-        num_items: usize,
-    ) -> Result<Self, hf_tensor::ser::JsonError> {
-        use hf_tensor::ser::JsonError;
+    pub fn from_json(v: &JsonValue<'_>, num_items: usize) -> Result<Self, JsonError> {
         let emb = v.get("emb")?.as_f32_vec()?;
         let adam = Adam::from_json(v.get("adam")?)?;
         if adam.len() != emb.len() {

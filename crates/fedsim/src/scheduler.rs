@@ -17,6 +17,7 @@
 use crate::events::TraversalPolicy;
 use hf_tensor::rng::StdRng;
 use hf_tensor::rng::{stream, SeedStream};
+use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 
 /// Epoch/round scheduler over a fixed client population.
 #[derive(Clone, Debug)]
@@ -71,10 +72,7 @@ impl RoundScheduler {
     /// Restores a checkpointed scheduler (queue order + shuffle-RNG state)
     /// over `population` clients, resuming the epoch sequence exactly where
     /// it was captured. The queue must hold every client exactly once.
-    pub fn from_json(
-        v: &hf_tensor::ser::JsonValue<'_>,
-        population: usize,
-    ) -> Result<Self, hf_tensor::ser::JsonError> {
+    pub fn from_json(v: &JsonValue<'_>, population: usize) -> Result<Self, JsonError> {
         let queue = v.get("queue")?.as_usize_vec()?;
         let mut seen = vec![false; population];
         let is_permutation = queue.len() == population
@@ -82,13 +80,13 @@ impl RoundScheduler {
                 .iter()
                 .all(|&c| c < population && !std::mem::replace(&mut seen[c], true));
         if population == 0 || !is_permutation {
-            return Err(hf_tensor::ser::JsonError::msg(format!(
+            return Err(JsonError::msg(format!(
                 "scheduler `queue` is not a permutation of the {population} clients"
             )));
         }
         let clients_per_round = v.get("clients_per_round")?.as_usize()?;
         if clients_per_round == 0 {
-            return Err(hf_tensor::ser::JsonError::msg("zero round size"));
+            return Err(JsonError::msg("zero round size"));
         }
         Ok(Self {
             queue,
@@ -109,9 +107,9 @@ impl TraversalPolicy for RoundScheduler {
     }
 }
 
-impl hf_tensor::ser::ToJson for RoundScheduler {
+impl ToJson for RoundScheduler {
     fn write_json(&self, out: &mut String) {
-        hf_tensor::ser::obj(out, |o| {
+        obj(out, |o| {
             o.field("queue", &self.queue)
                 .field("clients_per_round", &self.clients_per_round)
                 .field("rng", &self.rng);
@@ -195,7 +193,7 @@ mod tests {
 
     #[test]
     fn admission_is_checkpointed_with_the_queue() {
-        use hf_tensor::ser::{parse_json, ToJson};
+        use hf_tensor::ser::parse_json;
         let mut s = RoundScheduler::new(8, 4, 9);
         s.next_epoch();
         s.admit();
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn checkpoint_resumes_the_epoch_sequence_exactly() {
-        use hf_tensor::ser::{parse_json, ToJson};
+        use hf_tensor::ser::parse_json;
         let mut s = RoundScheduler::new(50, 16, 7);
         s.next_epoch();
         let mut resumed =

@@ -39,8 +39,8 @@
 //!
 //! The crate is intentionally framework-free: the repro band for this paper
 //! flags Rust ML frameworks as immature for distillation workflows, so all
-//! gradients in the workspace are written (and finite-difference tested) by
-//! hand on top of these primitives.
+//! gradients in the workspace are written by hand on top of these
+//! primitives (`hf_models` says which are finite-difference tested).
 
 #![warn(missing_docs)]
 
