@@ -180,13 +180,15 @@ grep -q "recovery under injected dropout verified" \
 # The integration test proves masked runs are byte-identical across
 # thread counts and across a mid-epoch resume with escrow in flight, and
 # that tier-prefix uploads train the model the dense uploads trained (bits
-# pinned from the commit before them); each proof line prints only when
-# its comparison held.
+# pinned from the commit before them), and pins every masked round's setup,
+# masks and recovery by checkpoint and round-report digests; each proof
+# line prints only when its comparison held.
 cargo test -q --offline --release --test secagg_determinism -- --nocapture \
     | tee target/ci-artifacts/secagg_determinism.log
 grep -q "secagg resume verified" target/ci-artifacts/secagg_determinism.log
 grep -q "tier-prefix aggregate == dense aggregate" \
     target/ci-artifacts/secagg_determinism.log
+grep -q "masked setups pinned" target/ci-artifacts/secagg_determinism.log
 
 if [[ "$quick" != "quick" ]]; then
     echo "==> repo benchmark (own workspace: tests + every workload, smoke windows)"

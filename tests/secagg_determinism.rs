@@ -338,3 +338,79 @@ fn tier_prefix_uploads_train_the_same_model_on_fewer_bytes() {
     }
     println!("tier-prefix aggregate == dense aggregate");
 }
+
+/// FNV-1a 64 over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn masked_setups_are_pinned() {
+    // Digests of every epoch-boundary checkpoint (the secagg RNG, model
+    // and ledger) and of every round's report (per-round protocol stats)
+    // of a masked run with dropouts to recover, measured at b0b5f39. If
+    // one moves, a round's group setup, masks or recovery changed.
+    use hetefedrec::tensor::ser::ToJson;
+    let cases = [
+        (
+            Mode::Sync,
+            Strategy::HeteFedRec(Ablation::FULL),
+            [0x2fa6_a6fb_ff02_05e3u64, 0x6afc_c7bb_8473_d129],
+            0x124b_5c52_9355_1c15u64,
+        ),
+        (
+            Mode::Sync,
+            Strategy::ClusteredFedRec,
+            [0x8f65_9cf0_ec8c_ab86, 0xda04_718a_617e_6009],
+            0x6170_f727_27a0_5a40,
+        ),
+        (
+            Mode::Async,
+            Strategy::HeteFedRec(Ablation::FULL),
+            [0xc1d4_7dc6_fe52_fdcb, 0x7404_77af_bcce_b8c4],
+            0xd3d5_18ff_40c7_faa3,
+        ),
+        (
+            Mode::Async,
+            Strategy::ClusteredFedRec,
+            [0x1cca_ec8f_ee47_a241, 0x8310_1d06_e711_a9b8],
+            0xb277_3234_54cb_0b2f,
+        ),
+    ];
+    for (mode, strategy, want_epochs, want_rounds) in cases {
+        let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+        cfg.mode = mode;
+        cfg.clients_per_round = 8;
+        cfg.drop_prob = 0.2;
+        cfg.secagg.enabled = true;
+        let mut session = SessionBuilder::new(cfg, strategy, tiny_split(9))
+            .build()
+            .expect("valid masked configuration");
+        let mut epochs = Vec::new();
+        let mut rounds = FNV_OFFSET;
+        let mut recovered = 0usize;
+        while let Some(event) = session.step() {
+            match event {
+                SessionEvent::Round(r) => {
+                    recovered += r.secagg.as_ref().map_or(0, |s| s.recovered);
+                    rounds = fnv1a(rounds, r.to_json().as_bytes());
+                }
+                SessionEvent::Epoch(_) => {
+                    epochs.push(fnv1a(FNV_OFFSET, session.checkpoint().as_bytes()));
+                }
+            }
+        }
+        assert!(recovered > 0, "{mode:?} {strategy:?}: recovery never ran");
+        assert_eq!(
+            (epochs.as_slice(), rounds),
+            (want_epochs.as_slice(), want_rounds),
+            "{mode:?} {strategy:?}: epochs {:x?}, rounds {rounds:#018x}",
+            epochs
+        );
+    }
+    println!("masked setups pinned");
+}
