@@ -178,7 +178,8 @@ grep -q "masked aggregate == plaintext quantized aggregate" \
 grep -q "recovery under injected dropout verified" \
     target/ci-artifacts/secure_aggregation_smoke.log
 # The integration test proves masked runs are byte-identical across
-# thread counts and across a mid-epoch resume with escrow in flight, and
+# thread counts and across a mid-epoch resume (the document carries the
+# key-agreement RNG, from which the resumed rounds set up their groups), and
 # that tier-prefix uploads train the model the dense uploads trained (bits
 # pinned from the commit before them), and pins every masked round's setup,
 # masks and recovery by checkpoint and round-report digests; each proof

@@ -11,10 +11,11 @@
 //!   per-client dispatch versions; `null` in synchronous runs). The
 //!   pre-event-engine v1 document is refused by its version stamp.
 //! * **v3** — adds the secure-aggregation state: the config gains
-//!   `secagg`, and the document gains a `secagg` object carrying the
-//!   key-agreement RNG plus any pipelined group setup (members, public
-//!   keys, secrets, and escrowed seed shares for the next synchronous
-//!   cohort) so a mid-round resume replays the exact same masks.
+//!   `secagg`, and the document gains a `secagg` object
+//!   `{"rng":…,"pending":null}` — the key-agreement RNG, from which a
+//!   resumed run sets up the exact same groups. `pending` once carried a
+//!   pipelined setup for the next cohort; it is always `null` now, and a
+//!   document with a setup in flight is refused.
 //! * **v4** — adds the streaming-ingest state: an `ingest` object with
 //!   the baseline population, the number of stream events applied, and
 //!   the frozen per-client tier assignments plus division thresholds
@@ -308,9 +309,7 @@ impl Session {
         // since flipped on by hand).
         let secagg = if cfg.secagg.enabled {
             Some(match doc.opt("secagg") {
-                Some(v) if !v.is_null() => {
-                    super::secagg::SecAggState::from_json(v, split.num_users())?
-                }
+                Some(v) if !v.is_null() => super::secagg::SecAggState::from_json(v)?,
                 _ => super::secagg::SecAggState::new(&cfg),
             })
         } else {

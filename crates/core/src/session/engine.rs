@@ -31,7 +31,7 @@ impl Session {
         // Secure-aggregation groups commit at setup against the full
         // scheduled cohort; members churn takes offline become dropouts
         // whose masks the survivors recover.
-        let groups = self.secagg_groups_for_round(cohort);
+        let groups = self.secagg_groups(cohort);
         let available: Vec<usize> = cohort
             .iter()
             .copied()
@@ -39,9 +39,6 @@ impl Session {
             .collect();
         let weights = vec![1.0f32; available.len()];
         let result = self.execute_cohort(&available, &weights, groups);
-        // Pipeline the next cohort's key exchange and escrow so the
-        // shares exist before that round starts (and are checkpointed).
-        self.secagg_prepare_next();
         let duration = available
             .iter()
             .map(|&uid| {
@@ -89,7 +86,7 @@ impl Session {
         // Asynchronous groups form at collection time over the arrival
         // batch (clients churned offline never dispatched, so the only
         // dropouts here are injected upload losses).
-        let groups = self.secagg_groups_for_batch(&cohort);
+        let groups = self.secagg_groups(&cohort);
         let (mut report, loss_sum) = self.execute_cohort(&cohort, &weights, groups);
         self.async_fill();
 

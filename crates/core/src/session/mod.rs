@@ -413,8 +413,8 @@ pub struct Session {
     /// The event-driven engine — `Some` exactly when `cfg.mode` is
     /// [`Mode::Async`].
     async_state: Option<EventScheduler>,
-    /// Secure-aggregation state (key-agreement RNG plus any pipelined
-    /// group setup) — `Some` exactly when `cfg.secagg.enabled`.
+    /// Secure-aggregation state (the key-agreement RNG) — `Some`
+    /// exactly when `cfg.secagg.enabled`.
     secagg: Option<secagg::SecAggState>,
     /// Population size at construction, before any streamed ingest.
     baseline_users: usize,

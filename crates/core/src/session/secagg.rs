@@ -8,13 +8,12 @@
 //! the item rows — and the server only ever sees the group sum. The
 //! orchestration here has three parts:
 //!
-//! * **Setup scheduling.** Synchronous rounds pipeline: at the end of
-//!   round `r` the session prepares the key exchange and Shamir escrow
-//!   for the *next* cohort in the epoch queue, so a mid-epoch checkpoint
-//!   carries in-flight escrowed shares (the checkpoint v3 state) and a
-//!   resumed run replays them byte-identically. Asynchronous rounds form
-//!   their group at collection time (arrival batches are not known in
-//!   advance; overlapping setup with training is a recorded follow-up).
+//! * **Setup when the round runs.** Both modes set a round's groups up
+//!   (key exchange and Shamir escrow) as the round starts: over the
+//!   scheduled cohort in synchronous mode, over the arrival batch in
+//!   asynchronous mode. Setup alone advances the key-agreement RNG, so
+//!   the RNG is all a checkpoint carries and a resumed run draws the
+//!   same groups from it.
 //! * **The masked path.** Survivors quantize their (staleness-weighted)
 //!   deltas into their tier's prefix of the group layout and apply their
 //!   pairwise masks, each pair over the words both members carry; the
@@ -50,20 +49,6 @@ pub(super) struct SecAggState {
     /// setup, so enabling secure aggregation never perturbs scheduling,
     /// training, or fault draws).
     pub(super) rng: StdRng,
-    /// Pipelined setup for the next synchronous cohort, if one has been
-    /// prepared. Checkpointed: this is the in-flight round state that
-    /// makes mid-epoch resume byte-identical.
-    pub(super) pending: Option<PendingSetup>,
-}
-
-/// A prepared (but not yet consumed) group setup for one future round.
-pub(super) struct PendingSetup {
-    /// The round the setup was prepared for.
-    pub(super) round: u64,
-    /// The scheduled cohort it was prepared against.
-    pub(super) cohort: Vec<usize>,
-    /// One prepared group per masking partition.
-    pub(super) groups: Vec<PreparedGroup>,
 }
 
 impl SecAggState {
@@ -71,60 +56,31 @@ impl SecAggState {
     pub(super) fn new(cfg: &TrainConfig) -> Self {
         Self {
             rng: stream(cfg.seed, SeedStream::SecAggSecret),
-            pending: None,
         }
     }
 
-    /// Restores checkpointed state, validating uids against the
-    /// population size.
-    pub(super) fn from_json(v: &JsonValue<'_>, num_users: usize) -> Result<Self, JsonError> {
-        let pending = match v.get("pending")? {
-            p if p.is_null() => None,
-            p => {
-                let cohort = p.get("cohort")?.as_usize_vec()?;
-                if cohort.iter().any(|&u| u >= num_users) {
-                    return Err(JsonError::msg(
-                        "pending secagg cohort references unknown client",
-                    ));
-                }
-                let mut groups = Vec::new();
-                for g in p.get("groups")?.as_arr()? {
-                    let g = PreparedGroup::from_json(g)?;
-                    if g.members.iter().any(|&m| m as usize >= num_users) {
-                        return Err(JsonError::msg(
-                            "pending secagg group references unknown client",
-                        ));
-                    }
-                    groups.push(g);
-                }
-                Some(PendingSetup {
-                    round: p.get("round")?.as_u64()?,
-                    cohort,
-                    groups,
-                })
-            }
-        };
+    /// Restores checkpointed state. Groups are set up when their round
+    /// runs, so a document carrying a setup in flight (`pending`, which
+    /// earlier builds wrote mid-epoch) is refused rather than resumed
+    /// on different masks.
+    pub(super) fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
+        if !v.get("pending")?.is_null() {
+            return Err(JsonError::msg(
+                "secagg `pending` holds a group setup in flight: this checkpoint cannot resume",
+            ));
+        }
         Ok(Self {
             rng: StdRng::from_json(v.get("rng")?)?,
-            pending,
         })
     }
 }
 
 impl ToJson for SecAggState {
     fn write_json(&self, out: &mut String) {
+        // `pending` is always null: the retired in-flight setup keeps its
+        // place so every document stays byte-identical.
         obj(out, |o| {
-            o.field("rng", &self.rng).field("pending", &self.pending);
-        });
-    }
-}
-
-impl ToJson for PendingSetup {
-    fn write_json(&self, out: &mut String) {
-        obj(out, |o| {
-            o.field("round", &self.round)
-                .field("cohort", &self.cohort)
-                .field("groups", &self.groups);
+            o.field("rng", &self.rng).field("pending", &None::<bool>);
         });
     }
 }
@@ -158,64 +114,19 @@ impl Session {
         parts.into_iter().filter(|m| !m.is_empty()).collect()
     }
 
-    /// Runs the setup phase (key agreement + escrow) for one cohort.
-    fn secagg_setup(&mut self, round: u64, cohort: &[usize]) -> Vec<PreparedGroup> {
-        let parts = self.secagg_partition(cohort);
-        let st = self.secagg.as_mut().expect("secagg state present");
-        parts
-            .iter()
-            .map(|members| PreparedGroup::setup(round, members, &mut st.rng))
-            .collect()
-    }
-
-    /// Obtains the group setups for the synchronous round about to run:
-    /// consumes the pipelined setup when it matches this round and
-    /// cohort, otherwise (first round of an epoch, or a resume whose
-    /// pending state was for different work) draws a fresh one.
-    pub(super) fn secagg_groups_for_round(
-        &mut self,
-        cohort: &[usize],
-    ) -> Option<Vec<PreparedGroup>> {
+    /// Sets up the masking groups (key agreement + escrow) for the round
+    /// about to run over `cohort`; `None` when secure aggregation is off.
+    pub(super) fn secagg_groups(&mut self, cohort: &[usize]) -> Option<Vec<PreparedGroup>> {
         self.secagg.as_ref()?;
+        let parts = self.secagg_partition(cohort);
         let round = self.round_counter;
         let st = self.secagg.as_mut().expect("checked above");
-        if let Some(pending) = st.pending.take() {
-            if pending.round == round && pending.cohort == cohort {
-                return Some(pending.groups);
-            }
-            // Stale (mode flip or abandoned epoch): discard and redraw.
-        }
-        Some(self.secagg_setup(round, cohort))
-    }
-
-    /// Group setup for an asynchronous arrival batch, formed at
-    /// collection time.
-    pub(super) fn secagg_groups_for_batch(
-        &mut self,
-        cohort: &[usize],
-    ) -> Option<Vec<PreparedGroup>> {
-        self.secagg.as_ref()?;
-        Some(self.secagg_setup(self.round_counter, cohort))
-    }
-
-    /// Pipelines the setup for the next cohort in the synchronous epoch
-    /// queue, so its escrowed shares exist before the round starts (and
-    /// land in any checkpoint taken between the rounds).
-    pub(super) fn secagg_prepare_next(&mut self) {
-        if self.secagg.is_none() {
-            return;
-        }
-        let Some(next) = self.pending.front().cloned() else {
-            return;
-        };
-        let round = self.round_counter + 1;
-        let groups = self.secagg_setup(round, &next);
-        let st = self.secagg.as_mut().expect("secagg state present");
-        st.pending = Some(PendingSetup {
-            round,
-            cohort: next,
-            groups,
-        });
+        Some(
+            parts
+                .iter()
+                .map(|members| PreparedGroup::setup(round, members, &mut st.rng))
+                .collect(),
+        )
     }
 
     /// The ring layout shared by one masking group: the full item table

@@ -778,10 +778,11 @@ fn restore_rejects_mismatched_datasets_and_garbage() {
 }
 
 #[test]
-fn restore_rejects_a_pending_group_with_a_short_escrow_row() {
-    // A masked run interrupted mid-epoch carries the next cohort's keys
-    // and escrowed shares. A row one share short used to restore and
-    // then index out of bounds at the first dropout it had to recover.
+fn restore_refuses_a_secagg_setup_in_flight() {
+    // Groups are set up when their round runs, so a masked document
+    // carries the key-agreement RNG and `"pending":null`. A setup in
+    // flight (what earlier builds wrote mid-epoch) is refused, not
+    // resumed on masks this build would not draw.
     let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
     cfg.clients_per_round = 8;
     cfg.secagg.enabled = true;
@@ -794,19 +795,20 @@ fn restore_rejects_a_pending_group_with_a_short_escrow_row() {
     }
     let mid = s.checkpoint();
     assert!(mid.contains("\"version\":3"));
-    let restore = |doc: &str| {
-        SessionBuilder::from_checkpoint(doc, tiny_split(9)).and_then(SessionBuilder::build)
-    };
-    assert!(restore(&mid).is_ok());
+    assert!(Session::restore(&mid, tiny_split(9)).is_ok());
 
-    let row = mid.find("\"escrow\":[[").expect("escrow in flight") + "\"escrow\":[[".len();
-    let share_end = row + mid[row..].find("],").expect("a first share") + 2;
-    let short = format!("{}{}", &mid[..row], &mid[share_end..]);
-    match restore(&short) {
-        Err(SessionError::Checkpoint(msg)) => assert!(msg.contains("escrow"), "{msg}"),
-        Err(other) => panic!("wrong error: {other}"),
-        Ok(_) => panic!("a short escrow row restored"),
-    }
+    let null = "\"pending\":null";
+    assert_eq!(
+        mid.matches(null).count(),
+        1,
+        "only secagg's pending is null"
+    );
+    let in_flight = mid.replace(
+        null,
+        "\"pending\":{\"round\":4,\"cohort\":[0],\"groups\":[]}",
+    );
+    let msg = refusal(&in_flight);
+    assert!(msg.contains("pending"), "{msg}");
 }
 
 // --- restore refuses what would panic later ---------------------------

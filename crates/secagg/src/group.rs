@@ -8,17 +8,16 @@
 //! *surviving* peers hold, and (c) strip the orphaned masks a dropped
 //! member left in the aggregate.
 //!
-//! The struct is fully serializable (checkpoint v3 carries prepared
-//! setups for pending cohorts), and the recovery path is honest: it
-//! only consumes shares whose holders survived, fails with a typed
-//! error below the threshold, and verifies the reconstructed secret
-//! against the member's published public key.
+//! A group lives for the one round it was set up for (the session sets
+//! it up when that round runs, so no checkpoint carries one), and the
+//! recovery path is honest: it only consumes shares whose holders
+//! survived, fails with a typed error below the threshold, and verifies
+//! the reconstructed secret against the member's published public key.
 
 use crate::dh::{keypair, modpow, shared_secret, DH_GENERATOR, DH_PRIME};
 use crate::mask::apply_pair_mask;
 use crate::shamir::{reconstruct_secret, split_secret, SeedShare, ShamirError};
 use hf_tensor::rng::Rng;
-use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use std::fmt;
 
 /// Errors from dropout recovery.
@@ -73,6 +72,10 @@ impl From<ShamirError> for RecoveryError {
     }
 }
 
+/// The most members one group can hold: each secret is escrowed as one
+/// Shamir share per peer, and GF(256) has 255 nonzero evaluation points.
+pub const MAX_GROUP_MEMBERS: usize = 256;
+
 /// One group's completed setup for one round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedGroup {
@@ -97,16 +100,23 @@ pub struct PreparedGroup {
 impl PreparedGroup {
     /// Runs the setup phase: keypairs, public-key exchange, and Shamir
     /// escrow of every secret across the member's peers. `members` must
-    /// be strictly increasing (sort + dedup upstream) and non-empty.
+    /// be strictly increasing (sort + dedup upstream), non-empty and at
+    /// most [`MAX_GROUP_MEMBERS`] long.
     pub fn setup(round: u64, members: &[u64], rng: &mut impl Rng) -> Self {
-        assert!(!members.is_empty(), "secagg group needs at least 1 member");
+        assert!(
+            (1..=MAX_GROUP_MEMBERS).contains(&members.len()),
+            "secagg group needs 1..={MAX_GROUP_MEMBERS} members, got {}",
+            members.len()
+        );
         assert!(
             members.windows(2).all(|w| w[0] < w[1]),
             "group members must be strictly increasing"
         );
         let n = members.len();
         let pairs: Vec<_> = (0..n).map(|_| keypair(rng)).collect();
-        let threshold = majority_of_peers(n);
+        // A majority of the n − 1 peers must survive to reconstruct one
+        // secret; a singleton has nobody to pair with.
+        let threshold = if n > 1 { (n - 1) / 2 + 1 } else { 0 };
         let escrow = if n > 1 {
             pairs
                 .iter()
@@ -274,92 +284,6 @@ impl PreparedGroup {
         // sends one 34-byte ShareBundle to each peer.
         n * (n - 1) * (8 + crate::wire::ShareBundle::ENCODED_LEN as u64)
     }
-
-    /// Restores a checkpointed group, rejecting any document
-    /// [`PreparedGroup::setup`] could not have produced the shape of —
-    /// the masking and recovery paths index by these invariants.
-    pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
-        let members = v.get("members")?.as_u64_vec()?;
-        let publics = v.get("publics")?.as_u64_vec()?;
-        let secrets = v.get("secrets")?.as_u64_vec()?;
-        if members.is_empty() || !members.windows(2).all(|w| w[0] < w[1]) {
-            return Err(JsonError::msg(
-                "secagg group members must be non-empty and strictly increasing",
-            ));
-        }
-        if publics.len() != members.len() || secrets.len() != members.len() {
-            return Err(JsonError::msg("secagg group key arrays disagree on size"));
-        }
-        let mut escrow = Vec::new();
-        for per_member in v.get("escrow")?.as_arr()? {
-            let mut shares = Vec::new();
-            for pair in per_member.as_arr()? {
-                let pair = pair.as_u64_vec()?;
-                let [x, word] = pair[..] else {
-                    return Err(JsonError::msg("escrow share must be [x, word]"));
-                };
-                if x == 0 || x > 255 {
-                    return Err(JsonError::msg("escrow share point out of range"));
-                }
-                shares.push(SeedShare::from_parts(x as u8, word));
-            }
-            escrow.push(shares);
-        }
-        let peers = members.len() - 1;
-        if escrow.len() != members.len() || escrow.iter().any(|shares| shares.len() != peers) {
-            return Err(JsonError::msg(
-                "secagg escrow must hold one share per peer for every member",
-            ));
-        }
-        let threshold = v.get("threshold")?.as_usize()?;
-        if threshold != majority_of_peers(members.len()) {
-            return Err(JsonError::msg(
-                "secagg threshold is not a majority of the member's peers",
-            ));
-        }
-        Ok(Self {
-            round: v.get("round")?.as_u64()?,
-            members,
-            publics,
-            secrets,
-            threshold,
-            escrow,
-        })
-    }
-}
-
-/// Shares needed to reconstruct one secret in a group of `n`: each
-/// secret splits across the `n − 1` peers and a majority of them must
-/// survive; 0 for a singleton, which has nobody to pair with.
-fn majority_of_peers(n: usize) -> usize {
-    if n > 1 {
-        (n - 1) / 2 + 1
-    } else {
-        0
-    }
-}
-
-impl ToJson for PreparedGroup {
-    fn write_json(&self, out: &mut String) {
-        let escrow: Vec<Vec<[u64; 2]>> = self
-            .escrow
-            .iter()
-            .map(|shares| {
-                shares
-                    .iter()
-                    .map(|s| [s.x as u64, s.payload_word()])
-                    .collect()
-            })
-            .collect();
-        obj(out, |o| {
-            o.field("round", &self.round)
-                .field("members", &self.members)
-                .field("publics", &self.publics)
-                .field("secrets", &self.secrets)
-                .field("threshold", &self.threshold)
-                .field("escrow", &escrow);
-        });
-    }
 }
 
 #[cfg(test)]
@@ -481,62 +405,6 @@ mod tests {
         group.mask_payload(7, &mut p);
         assert_eq!(p, vec![1, 2, 3]);
         assert_eq!(group.setup_bytes(), 0);
-    }
-
-    #[test]
-    fn group_json_round_trips_exactly() {
-        use hf_tensor::ser::parse_json;
-        let mut rng = stream(6, SeedStream::SecAggSecret);
-        let group = PreparedGroup::setup(11, &[2, 3, 5, 8], &mut rng);
-        let json = group.to_json();
-        let restored = PreparedGroup::from_json(&parse_json(&json).unwrap()).unwrap();
-        assert_eq!(restored, group);
-        assert_eq!(restored.to_json(), json);
-    }
-
-    #[test]
-    fn malformed_group_documents_are_typed_errors() {
-        use hf_tensor::ser::parse_json;
-        let mut rng = stream(6, SeedStream::SecAggSecret);
-        let group = PreparedGroup::setup(11, &[2, 3, 5, 8], &mut rng);
-        let json = group.to_json();
-        let restore = |doc: &str| PreparedGroup::from_json(&parse_json(doc).unwrap());
-        assert!(restore(&json).is_ok());
-
-        // Members out of order: `index_of` binary-searches them.
-        let unsorted = json.replace("\"members\":[2,3,5,8]", "\"members\":[2,5,3,8]");
-        // One escrow row a share short: `recover_secret` indexes
-        // `escrow[d][k]` for every surviving peer `k`.
-        let first_share = format!(
-            "[{},{}],",
-            group.escrow[0][0].x,
-            group.escrow[0][0].payload_word()
-        );
-        let short_row = json.replacen(&first_share, "", 1);
-        // A threshold `setup` never picks (2 of 3 peers is the majority).
-        let low_threshold = json.replace("\"threshold\":2", "\"threshold\":1");
-        let nobody = PreparedGroup {
-            members: Vec::new(),
-            publics: Vec::new(),
-            secrets: Vec::new(),
-            threshold: 0,
-            escrow: Vec::new(),
-            ..group.clone()
-        }
-        .to_json();
-        for (what, doc) in [
-            ("unsorted members", unsorted),
-            ("short escrow row", short_row),
-            ("wrong threshold", low_threshold),
-            ("no members", nobody),
-        ] {
-            assert_ne!(doc, json, "{what}: the mutation did not apply");
-            assert!(restore(&doc).is_err(), "{what} must not restore");
-        }
-
-        // A singleton is the one group with threshold 0 and an empty row.
-        let solo = PreparedGroup::setup(1, &[7], &mut rng);
-        assert_eq!(restore(&solo.to_json()), Ok(solo));
     }
 
     /// A cohort of three model tiers: two Small members either side of

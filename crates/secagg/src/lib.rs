@@ -15,10 +15,11 @@
 //! member's shares and the server strips its orphaned masks
 //! ([`group`]). Wire shapes for both message kinds live in [`wire`].
 //!
-//! Everything here is deterministic given the session seed, fully
-//! serializable for checkpointing, and exact: ring arithmetic wraps, so
-//! the unmasked aggregate is bit-identical to the plaintext quantized
-//! sum regardless of thread count or summation order.
+//! Everything here is deterministic given the session seed — a group is
+//! a pure function of its members and the RNG it is set up from, so a
+//! checkpoint carries that RNG and no group — and exact: ring arithmetic
+//! wraps, so the unmasked aggregate is bit-identical to the plaintext
+//! quantized sum regardless of thread count or summation order.
 
 #![warn(missing_docs)]
 
@@ -30,7 +31,7 @@ pub mod shamir;
 pub mod wire;
 
 pub use dh::{keypair, modpow, shared_secret, KeyPair, DH_GENERATOR, DH_PRIME};
-pub use group::{PreparedGroup, RecoveryError};
+pub use group::{PreparedGroup, RecoveryError, MAX_GROUP_MEMBERS};
 pub use mask::{apply_pair_mask, mask_words, BandLayout, PayloadLayout};
 pub use quant::{QuantError, Quantizer, MAX_SCALE_BITS};
 pub use shamir::{reconstruct_secret, split_secret, SeedShare, ShamirError};

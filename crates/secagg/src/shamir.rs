@@ -63,21 +63,6 @@ pub struct SeedShare {
     pub bytes: [u8; 8],
 }
 
-impl SeedShare {
-    /// Packs the share payload as a little-endian u64 (for wire/JSON).
-    pub fn payload_word(&self) -> u64 {
-        u64::from_le_bytes(self.bytes)
-    }
-
-    /// Rebuilds a share from its point and packed payload.
-    pub fn from_parts(x: u8, word: u64) -> Self {
-        Self {
-            x,
-            bytes: word.to_le_bytes(),
-        }
-    }
-}
-
 /// GF(256) multiply, AES reduction polynomial `x^8 + x^4 + x^3 + x + 1`.
 fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut acc = 0u8;
@@ -234,14 +219,5 @@ mod tests {
         assert!(split_secret(1, 3, 0, &mut rng).is_err());
         assert!(split_secret(1, 3, 4, &mut rng).is_err());
         assert!(split_secret(1, 256, 2, &mut rng).is_err());
-    }
-
-    #[test]
-    fn share_payload_word_round_trips() {
-        let s = SeedShare {
-            x: 9,
-            bytes: [1, 2, 3, 4, 5, 6, 7, 8],
-        };
-        assert_eq!(SeedShare::from_parts(9, s.payload_word()), s);
     }
 }

@@ -4,11 +4,11 @@
 //! flap-prone churn must produce the identical final checkpoint across
 //! 1/2/8 worker threads in both orchestration modes, every round's
 //! unmasked ring aggregate must verify against the plaintext quantized
-//! reference (the engine hard-asserts it; the report records it), and a
-//! run interrupted mid-epoch — with pipelined escrow shares in flight —
-//! must resume byte-identically. CI greps this test's output for the
-//! `secagg resume verified` and `tier-prefix aggregate == dense aggregate`
-//! proof lines.
+//! reference (the engine hard-asserts it; the report records it), a run
+//! interrupted mid-epoch must resume byte-identically, and every masked
+//! round's setup is pinned by digests. CI greps this test's output for the
+//! `secagg resume verified`, `tier-prefix aggregate == dense aggregate`
+//! and `masked setups pinned` proof lines.
 
 use hetefedrec::prelude::*;
 
@@ -169,9 +169,9 @@ fn masked_mid_epoch_resume_lands_on_the_same_bytes() {
     // Uninterrupted reference at 1 thread.
     let (reference, _) = run_collecting(cfg.clone(), strategy, 1, &split);
 
-    // Interrupt mid-epoch (a prime number of steps), while the pipelined
-    // setup for the next cohort — keys, secrets, escrowed Shamir shares —
-    // is in flight. The document must carry it.
+    // Interrupt mid-epoch (a prime number of steps). Groups are set up
+    // when their round runs, so the document carries the key-agreement
+    // RNG and no setup; the resumed run draws the same groups from it.
     let mut first = SessionBuilder::new(cfg, strategy, split.clone())
         .build()
         .expect("valid masked configuration");
@@ -182,8 +182,8 @@ fn masked_mid_epoch_resume_lands_on_the_same_bytes() {
     let mid = first.checkpoint();
     assert!(mid.contains("\"version\":3"), "masked document stamps v3");
     assert!(
-        mid.contains("\"escrow\":"),
-        "mid-epoch document carries escrowed seed shares"
+        mid.contains("\"pending\":null"),
+        "mid-epoch document carries no group setup"
     );
 
     let mut resumed = SessionBuilder::from_checkpoint(&mid, split.clone())
