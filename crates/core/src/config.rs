@@ -496,6 +496,25 @@ impl TrainConfig {
                 ),
             ));
         }
+        if self.secagg.enabled {
+            // A round's uploads form one group at most this large.
+            let (field, members) = match self.mode {
+                Mode::Sync => ("clients_per_round", self.clients_per_round),
+                Mode::Async => (
+                    "async.buffer",
+                    self.async_cfg.buffer.min(self.async_cfg.concurrency),
+                ),
+            };
+            if members > hf_secagg::MAX_GROUP_MEMBERS {
+                return Err(bad(
+                    field,
+                    format!(
+                        "a masked group holds at most {} members, got {members}",
+                        hf_secagg::MAX_GROUP_MEMBERS
+                    ),
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -723,6 +742,31 @@ mod tests {
             let err = cfg.validate().expect_err(field);
             assert_eq!(err.field, field, "{err}");
         }
+    }
+
+    #[test]
+    fn masked_sync_rounds_are_bounded_by_the_group_size() {
+        let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+        cfg.clients_per_round = 257;
+        assert!(cfg.validate().is_ok(), "plaintext rounds have no bound");
+        cfg.secagg.enabled = true;
+        let err = cfg.validate().expect_err("a 257-member group");
+        assert_eq!(err.field, "clients_per_round", "{err}");
+        cfg.clients_per_round = 256;
+        assert!(cfg.validate().is_ok(), "the paper's round size fits");
+    }
+
+    #[test]
+    fn masked_async_batches_are_bounded_by_the_group_size() {
+        let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+        cfg.mode = Mode::Async;
+        cfg.secagg.enabled = true;
+        cfg.async_cfg.buffer = 300;
+        cfg.async_cfg.concurrency = 257;
+        let err = cfg.validate().expect_err("a 257-arrival batch");
+        assert_eq!(err.field, "async.buffer", "{err}");
+        cfg.async_cfg.concurrency = 256;
+        assert!(cfg.validate().is_ok(), "batches are capped by concurrency");
     }
 
     #[test]
