@@ -56,7 +56,7 @@ use crate::server::ServerState;
 use crate::strategy::Strategy;
 use hf_dataset::{ClientGroups, SplitDataset, Tier};
 use hf_fedsim::comm::CommLedger;
-use hf_fedsim::events::{EventScheduler, TraversalPolicy};
+use hf_fedsim::events::EventScheduler;
 use hf_fedsim::faults::{ChurnProfile, FaultInjector};
 use hf_fedsim::scheduler::RoundScheduler;
 use hf_tensor::ser::{parse_json, JsonError};

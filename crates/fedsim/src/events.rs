@@ -7,15 +7,15 @@
 //! * [`LatencyProfile`] — pluggable per-dispatch latency models whose draws
 //!   are *pure functions* of `(seed, client, dispatch version)`, so no RNG
 //!   state needs checkpointing and results are independent of query order.
-//! * [`PendingArrival`] / [`EventQueue`] — a priority queue of in-flight
-//!   client trainings ordered by `(logical_time, client_id)`; the total
-//!   order is deterministic even when many arrivals share a tick.
+//! * [`PendingArrival`] — one in-flight client training; the scheduler
+//!   keeps them in a priority queue ordered by `(logical_time, client_id)`,
+//!   a total order that is deterministic even when many arrivals share a
+//!   tick.
 //! * [`EventScheduler`] — the logical clock plus dispatch bookkeeping
 //!   (per-client dispatch versions, the not-yet-dispatched remainder of the
-//!   epoch traversal), checkpointable to JSON and restored bit-exactly.
-//! * [`TraversalPolicy`] — the seam shared with the synchronous path: both
-//!   the lockstep [`RoundScheduler`](crate::scheduler::RoundScheduler)
-//!   rounds and the event engine consume the same shuffled epoch traversal.
+//!   epoch traversal), checkpointable to JSON and restored bit-exactly. It
+//!   consumes the same shuffled epoch traversal as the lockstep rounds
+//!   ([`RoundScheduler::next_traversal`](crate::scheduler::RoundScheduler::next_traversal)).
 //!
 //! Time is integer "ticks" — float-free so ordering never depends on
 //! rounding mode or summation order.
@@ -25,22 +25,6 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use hf_tensor::rng::{substream, Rng, SeedStream};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
-
-/// Produces each epoch's client traversal order.
-///
-/// The synchronous policy chunks the traversal into lockstep cohorts; the
-/// asynchronous policy feeds it through an [`EventScheduler`]. Implemented
-/// by [`RoundScheduler`](crate::scheduler::RoundScheduler), whose shuffle
-/// RNG both modes share — so sync and async visit clients in the same
-/// per-epoch order.
-pub trait TraversalPolicy {
-    /// Number of clients in the population.
-    fn population(&self) -> usize;
-
-    /// Shuffles and returns the next epoch's full traversal (every client
-    /// exactly once).
-    fn next_traversal(&mut self) -> Vec<usize>;
-}
 
 /// The longest latency a profile may name or draw, in ticks. The clock
 /// adds one draw per dispatch, so a bound far below `u64::MAX` keeps it
@@ -317,51 +301,46 @@ impl PendingArrival {
 
 /// Min-heap of [`PendingArrival`]s keyed on `(time, client)`.
 #[derive(Clone, Debug, Default)]
-pub struct EventQueue {
+struct EventQueue {
     heap: BinaryHeap<Reverse<PendingArrival>>,
 }
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Number of in-flight arrivals.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no arrivals are in flight.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
     /// Enqueues one arrival.
-    pub fn push(&mut self, a: PendingArrival) {
+    fn push(&mut self, a: PendingArrival) {
         self.heap.push(Reverse(a));
     }
 
     /// Removes and returns the earliest arrival (ties broken by client id).
-    pub fn pop(&mut self) -> Option<PendingArrival> {
+    fn pop(&mut self) -> Option<PendingArrival> {
         self.heap.pop().map(|Reverse(a)| a)
-    }
-
-    /// The earliest arrival without removing it.
-    pub fn peek(&self) -> Option<&PendingArrival> {
-        self.heap.peek().map(|Reverse(a)| a)
     }
 
     /// The queue's contents in `(time, client)` order — heap-layout-free,
     /// so serialized checkpoints are byte-stable.
-    pub fn snapshot(&self) -> Vec<PendingArrival> {
+    fn snapshot(&self) -> Vec<PendingArrival> {
         let mut v: Vec<PendingArrival> = self.heap.iter().map(|Reverse(a)| *a).collect();
         v.sort_unstable();
         v
     }
 
     /// Rebuilds a queue from a [`EventQueue::snapshot`] array.
-    pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
+    fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
         let mut q = EventQueue::new();
         for item in v.as_arr()? {
             q.push(PendingArrival::from_json(item)?);

@@ -35,7 +35,7 @@ pub mod transport;
 pub use hf_tensor::parallel;
 
 pub use comm::{CommLedger, RoundCost};
-pub use events::{EventQueue, EventScheduler, LatencyProfile, PendingArrival, TraversalPolicy};
+pub use events::{EventScheduler, LatencyProfile, PendingArrival};
 pub use faults::{ChurnProfile, FaultInjector};
 pub use scheduler::RoundScheduler;
 pub use transport::{ClientUpdate, SparseRowUpdate};

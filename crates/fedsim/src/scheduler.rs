@@ -8,13 +8,11 @@
 //! of the queue as rounds (the final round of an epoch may be smaller).
 //!
 //! The shuffle itself is exposed through
-//! [`TraversalPolicy`]: synchronous rounds
-//! are one policy over the per-epoch traversal (chunk it into lockstep
-//! cohorts); the event-driven asynchronous engine
-//! ([`crate::events::EventScheduler`]) is another consumer of the very same
-//! traversal, so both modes share the shuffle RNG stream.
+//! [`RoundScheduler::next_traversal`]: synchronous rounds chunk the
+//! per-epoch traversal into lockstep cohorts; the event-driven
+//! asynchronous engine ([`crate::events::EventScheduler`]) consumes the
+//! very same traversal, so both modes share the shuffle RNG stream.
 
-use crate::events::TraversalPolicy;
 use hf_tensor::rng::StdRng;
 use hf_tensor::rng::{stream, SeedStream};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
@@ -43,11 +41,6 @@ impl RoundScheduler {
         }
     }
 
-    /// Paper-default round size of 256 clients.
-    pub fn paper_default(num_clients: usize, seed: u64) -> Self {
-        Self::new(num_clients, 256, seed)
-    }
-
     /// Admits one newly arrived client, returning its id. The client joins
     /// the traversal from the next shuffle on; the current epoch's chunks
     /// (already handed out by [`RoundScheduler::next_epoch`]) are
@@ -59,14 +52,21 @@ impl RoundScheduler {
         client
     }
 
-    /// Shuffles the queue and returns this epoch's rounds — the synchronous
-    /// policy: the traversal chunked into lockstep cohorts.
+    /// Shuffles the queue and returns this epoch's rounds: the traversal
+    /// chunked into lockstep cohorts.
     pub fn next_epoch(&mut self) -> Vec<Vec<usize>> {
-        self.next_traversal();
+        hf_tensor::rng::shuffle(&mut self.queue, &mut self.rng);
         self.queue
             .chunks(self.clients_per_round)
             .map(|c| c.to_vec())
             .collect()
+    }
+
+    /// Shuffles the queue and returns this epoch's full traversal (every
+    /// client exactly once) — what the asynchronous engine consumes.
+    pub fn next_traversal(&mut self) -> Vec<usize> {
+        hf_tensor::rng::shuffle(&mut self.queue, &mut self.rng);
+        self.queue.clone()
     }
 
     /// Restores a checkpointed scheduler (queue order + shuffle-RNG state)
@@ -93,17 +93,6 @@ impl RoundScheduler {
             clients_per_round,
             rng: StdRng::from_json(v.get("rng")?)?,
         })
-    }
-}
-
-impl TraversalPolicy for RoundScheduler {
-    fn population(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn next_traversal(&mut self) -> Vec<usize> {
-        hf_tensor::rng::shuffle(&mut self.queue, &mut self.rng);
-        self.queue.clone()
     }
 }
 
@@ -185,7 +174,6 @@ mod tests {
         let _ = s.next_epoch();
         assert_eq!(s.admit(), 10);
         assert_eq!(s.admit(), 11);
-        assert_eq!(s.population(), 12);
         let mut flat: Vec<usize> = s.next_epoch().into_iter().flatten().collect();
         flat.sort_unstable();
         assert_eq!(flat, (0..12).collect::<Vec<_>>());
