@@ -23,8 +23,9 @@
 //!   restore path must not recompute tiers from the split).
 //!
 //! Every later addition has a prior-version default (secure aggregation
-//! off, no ingest), so v2 and v3 documents still restore — the reader
-//! accepts `MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION` (2..=4).
+//! off, no ingest), so v2 and v3 documents still restore (bar a v3 setup
+//! in flight, above) — the reader accepts
+//! `MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION` (2..=4).
 //! Conversely a run with secure aggregation *off* stamps version 2 and
 //! omits the `secagg` field, and one that never ingested omits `ingest`
 //! (stamping at most v3), so default-configuration checkpoints stay

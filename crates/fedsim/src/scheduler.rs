@@ -52,10 +52,10 @@ impl RoundScheduler {
         client
     }
 
-    /// Shuffles the queue and returns this epoch's rounds: the traversal
-    /// chunked into lockstep cohorts.
+    /// Shuffles the queue and returns this epoch's rounds — the synchronous
+    /// policy: the traversal chunked into lockstep cohorts.
     pub fn next_epoch(&mut self) -> Vec<Vec<usize>> {
-        hf_tensor::rng::shuffle(&mut self.queue, &mut self.rng);
+        self.next_traversal();
         self.queue
             .chunks(self.clients_per_round)
             .map(|c| c.to_vec())
