@@ -95,11 +95,14 @@ cargo run -q --offline --release -p hf_bench --bin async_churn -- \
 test "$status" -eq 2
 grep -q "latency" target/ci-artifacts/async_churn_bad_latency.err
 # The integration test proves async runs are byte-identical across
-# thread counts and across a mid-stream checkpoint/resume, printing its
-# proof line only when the resumed bytes match.
+# thread counts and across a mid-stream checkpoint/resume, and pins every
+# per-tier latency draw of sync and async runs with admissions by
+# checkpoint and round-report digests; each proof line prints only when
+# its comparison held.
 cargo test -q --offline --release --test async_determinism -- --nocapture \
     | tee target/ci-artifacts/async_determinism.log
 grep -q "async resume verified" target/ci-artifacts/async_determinism.log
+grep -q "latency draws pinned" target/ci-artifacts/async_determinism.log
 
 echo "==> online pipeline smoke (hf-pipeline hot swap)"
 # The demo trains against a replayed interaction stream, serves

@@ -572,22 +572,14 @@ impl TrainConfig {
         Ok(cfg)
     }
 
-    /// A fast configuration for unit tests: tiny tiers, few epochs.
+    /// A fast configuration for unit tests: the MovieLens paper defaults
+    /// with tiny tiers, few epochs and small rounds.
     pub fn test_default(model: ModelKind) -> Self {
         Self {
-            model,
             dims: TierDims::new(4, 8, 16),
-            ratio: DivisionRatio::PAPER_DEFAULT,
             epochs: 2,
             clients_per_round: 32,
             local_epochs: 1,
-            local_lr: 0.05,
-            user_lr: 0.01,
-            item_agg_norm: ItemAggNorm::SqrtCount,
-            server_lr: 2.0,
-            negatives: 4,
-            alpha: 1.0,
-            udl_aux_weight: 0.3,
             ddr_max_rows: 64,
             kd: KdConfig {
                 items: 16,
@@ -597,16 +589,12 @@ impl TrainConfig {
             eval_k: 10,
             threads: 1,
             seed: 7,
-            drop_prob: 0.0,
-            mode: Mode::Sync,
             async_cfg: AsyncConfig {
-                staleness_beta: 0.5,
                 buffer: 8,
                 concurrency: 16,
+                ..AsyncConfig::default()
             },
-            latency: LatencyProfile::unit(),
-            churn: ChurnProfile::None,
-            secagg: SecAggConfig::default(),
+            ..Self::paper_defaults(model, DatasetProfile::MovieLens)
         }
     }
 }

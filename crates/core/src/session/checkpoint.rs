@@ -30,11 +30,18 @@
 //! omits the `secagg` field, and one that never ingested omits `ingest`
 //! (stamping at most v3), so default-configuration checkpoints stay
 //! byte-identical to earlier builds.
+//!
+//! Restore builds the session the way a fresh build does
+//! (`Session::assemble`, from the document's `cfg` and its parsed server
+//! and users) and then overwrites only the state the document carries.
+//! What the config makes is derived, never read: the document's copies of
+//! two settings, `scheduler.clients_per_round` and `faults`, stay in the
+//! bytes but must match what `cfg` makes, or the restore is refused.
 
 use super::reports::{History, StopReason};
 use super::{Session, SessionBuilder, SessionError};
 use crate::client::UserState;
-use crate::config::{Mode, TrainConfig};
+use crate::config::TrainConfig;
 use crate::server::ServerState;
 use crate::strategy::Strategy;
 use hf_dataset::{ClientGroups, SplitDataset};
@@ -42,18 +49,18 @@ use hf_fedsim::comm::CommLedger;
 use hf_fedsim::events::EventScheduler;
 use hf_fedsim::faults::FaultInjector;
 use hf_fedsim::scheduler::RoundScheduler;
-use hf_tensor::ser::{obj, JsonValue, ToJson};
+use hf_tensor::ser::{obj, parse_json, ToJson};
 use std::collections::VecDeque;
 use std::io::Write as _;
 
 /// Checkpoint document identifier.
-pub(crate) const CHECKPOINT_FORMAT: &str = "hetefedrec.checkpoint";
+const CHECKPOINT_FORMAT: &str = "hetefedrec.checkpoint";
 /// Newest checkpoint schema version. The writer stamps the lowest
 /// version that fits the state a document carries (see
 /// [`Session::checkpoint`]), so this one appears only after an ingest.
-pub(crate) const CHECKPOINT_VERSION: u64 = 4;
+const CHECKPOINT_VERSION: u64 = 4;
 /// Oldest schema version this build still restores.
-pub(crate) const MIN_CHECKPOINT_VERSION: u64 = 2;
+const MIN_CHECKPOINT_VERSION: u64 = 2;
 
 impl Session {
     /// Serialises the session's complete mutable state as a versioned
@@ -171,59 +178,42 @@ impl Session {
         SessionBuilder::from_checkpoint(json, split)?.build()
     }
 
-    /// Recovers the tier assignments for a restoring session. v4
-    /// documents carry them verbatim (frozen at division time, extended
-    /// by admissions); earlier documents recompute from the split, which
-    /// no stream ever touched.
-    pub(super) fn restore_groups(
-        doc: &JsonValue<'_>,
-        cfg: &TrainConfig,
-        strategy: Strategy,
-        split: &SplitDataset,
-    ) -> Result<(ClientGroups, ClientGroups), SessionError> {
-        let Some(ingest) = doc.opt("ingest") else {
-            return Ok((
-                strategy.assign_tiers(split, cfg.ratio),
-                ClientGroups::divide(split, cfg.ratio),
-            ));
-        };
-        let read = |tiers_key: &str, thr_key: &str| -> Result<ClientGroups, SessionError> {
-            let raw = ingest.get(tiers_key)?.as_u64_vec()?;
-            let mut indices = Vec::with_capacity(raw.len());
-            for v in raw {
-                // Checked conversion: a raw `as u8` would wrap 256 back
-                // to a valid index and mask the corruption.
-                if v > 2 {
-                    return Err(SessionError::Checkpoint(format!(
-                        "tier index {v} out of range in `{tiers_key}`"
-                    )));
-                }
-                indices.push(v as u8);
-            }
-            let thr = ingest.get(thr_key)?.as_usize_vec()?;
-            if thr.len() != 2 {
-                return Err(SessionError::Checkpoint(format!(
-                    "`{thr_key}` must hold exactly two thresholds, got {}",
-                    thr.len()
-                )));
-            }
-            ClientGroups::from_tier_indices(&indices, (thr[0], thr[1]))
-                .map_err(SessionError::Checkpoint)
-        };
-        Ok((
-            read("model_tiers", "model_thresholds")?,
-            read("data_tiers", "data_thresholds")?,
-        ))
-    }
-
-    pub(super) fn restore_parts(
-        doc: &JsonValue<'_>,
-        cfg: TrainConfig,
-        strategy: Strategy,
+    /// Restores a session from a parsed [`Session::checkpoint`] document.
+    ///
+    /// The configuration is the document's `cfg` (with the builder's
+    /// thread override). The state is built the way a fresh session is,
+    /// by [`Session::assemble`] from the parsed server and users, and then
+    /// overwritten with what the document carries. Two settings the
+    /// document also writes, `scheduler.clients_per_round` and `faults`,
+    /// must be what `cfg` makes, or the restore is refused.
+    pub(super) fn restore_doc(
+        json: &str,
+        threads_override: Option<usize>,
         split: SplitDataset,
-        model_groups: ClientGroups,
-        data_groups: ClientGroups,
     ) -> Result<Self, SessionError> {
+        // The one and only parse of the checkpoint text; the tree borrows
+        // its number tokens from `json`.
+        let doc = parse_json(json)?;
+        let format = doc.get("format")?.as_str()?;
+        if format != CHECKPOINT_FORMAT {
+            return Err(SessionError::Checkpoint(format!(
+                "unknown format `{format}`"
+            )));
+        }
+        let version = doc.get("version")?.as_u64()?;
+        if !(MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION).contains(&version) {
+            return Err(SessionError::Checkpoint(format!(
+                "unsupported version {version} (this build reads \
+                 {MIN_CHECKPOINT_VERSION}..={CHECKPOINT_VERSION})"
+            )));
+        }
+        let mut cfg = TrainConfig::from_json(doc.get("cfg")?)?;
+        let strategy = Strategy::from_json(doc.get("strategy")?)?;
+        if let Some(threads) = threads_override {
+            cfg.threads = threads;
+        }
+        cfg.validate()?;
+
         let expected_users = doc.get("num_users")?.as_usize()?;
         let expected_items = doc.get("num_items")?.as_usize()?;
         if expected_users != split.num_users() || expected_items != split.num_items() {
@@ -234,129 +224,130 @@ impl Session {
                 actual_items: split.num_items(),
             });
         }
-
+        let population = split.num_users();
         let server = ServerState::from_json(doc.get("server")?, split.num_items(), &cfg, strategy)?;
         let users_json = doc.get("users")?.as_arr()?;
-        if users_json.len() != split.num_users() {
+        if users_json.len() != population {
             return Err(SessionError::Checkpoint(format!(
-                "{} user states for {} users",
-                users_json.len(),
-                split.num_users()
+                "{} user states for {population} users",
+                users_json.len()
             )));
         }
-        let mut users = Vec::with_capacity(users_json.len());
+        let mut users = Vec::with_capacity(population);
         for (u, v) in users_json.iter().enumerate() {
             let state = UserState::from_json(v, split.num_items())
                 .map_err(|e| SessionError::Checkpoint(format!("user {u}: {e}")))?;
-            let expected_dim = cfg.dims.dim(model_groups.tier(u));
+            users.push(state);
+        }
+
+        let mut s = Session::assemble(cfg, strategy, split, server, Some(users));
+
+        // v4 addition, present once the stream touched the population: the
+        // tier assignments frozen at division time and extended by
+        // admissions (streamed interactions changed train counts since, so
+        // dividing the split again would re-tier users), the baseline
+        // population and the number of stream events applied.
+        if let Some(ingest) = doc.opt("ingest") {
+            let read = |tiers_key: &str, thr_key: &str| -> Result<ClientGroups, SessionError> {
+                let raw = ingest.get(tiers_key)?.as_u64_vec()?;
+                if raw.len() != population {
+                    return Err(SessionError::Checkpoint(format!(
+                        "`{tiers_key}` has {} entries for {population} users",
+                        raw.len()
+                    )));
+                }
+                let mut indices = Vec::with_capacity(raw.len());
+                for v in raw {
+                    // Checked conversion: a raw `as u8` would wrap 256 back
+                    // to a valid index and mask the corruption.
+                    if v > 2 {
+                        return Err(SessionError::Checkpoint(format!(
+                            "tier index {v} out of range in `{tiers_key}`"
+                        )));
+                    }
+                    indices.push(v as u8);
+                }
+                let thr = ingest.get(thr_key)?.as_usize_vec()?;
+                if thr.len() != 2 {
+                    return Err(SessionError::Checkpoint(format!(
+                        "`{thr_key}` must hold exactly two thresholds, got {}",
+                        thr.len()
+                    )));
+                }
+                ClientGroups::from_tier_indices(&indices, (thr[0], thr[1]))
+                    .map_err(SessionError::Checkpoint)
+            };
+            s.model_groups = read("model_tiers", "model_thresholds")?;
+            s.data_groups = read("data_tiers", "data_thresholds")?;
+            s.baseline_users = ingest.get("baseline_users")?.as_usize()?;
+            s.ingested_events = ingest.get("events")?.as_u64()?;
+        }
+        for (u, state) in s.users.iter().enumerate() {
+            let expected_dim = s.cfg.dims.dim(s.model_groups.tier(u));
             if state.emb.len() != expected_dim {
                 return Err(SessionError::Checkpoint(format!(
                     "user {u} embedding has width {}, expected {expected_dim}",
                     state.emb.len()
                 )));
             }
-            users.push(state);
         }
 
-        let mut pending = VecDeque::new();
+        // The round size the scheduler was built with: admissions grow
+        // the population after construction, not the round.
+        let clients_per_round = s.cfg.clients_per_round.min(s.baseline_users);
+        s.scheduler =
+            RoundScheduler::from_json(doc.get("scheduler")?, population, clients_per_round)?;
+        if FaultInjector::from_json(doc.get("faults")?)? != s.faults {
+            return Err(SessionError::Checkpoint(
+                "`faults` differ from the injector the configuration makes".into(),
+            ));
+        }
+        // `null` (what a synchronous run writes) keeps the fresh engine.
+        if let Some(st) = s.async_state.as_mut() {
+            match doc.get("event_scheduler")? {
+                v if v.is_null() => {}
+                v => *st = EventScheduler::from_json(v, population)?,
+            }
+        }
+        // v3 addition — kept fresh when the document predates it (or was
+        // written with secure aggregation off and the config was since
+        // flipped on by hand).
+        if let Some(secagg) = s.secagg.as_mut() {
+            match doc.opt("secagg") {
+                Some(v) if !v.is_null() => *secagg = super::secagg::SecAggState::from_json(v)?,
+                _ => {}
+            }
+        }
+
         for cohort in doc.get("pending")?.as_arr()? {
             let cohort = cohort.as_usize_vec()?;
-            if cohort.iter().any(|&u| u >= split.num_users()) {
+            if cohort.iter().any(|&u| u >= population) {
                 return Err(SessionError::Checkpoint(
                     "pending cohort references unknown client".into(),
                 ));
             }
-            pending.push_back(cohort);
+            s.pending.push_back(cohort);
         }
-
-        let finished = match doc.get("finished")? {
+        s.finished = match doc.get("finished")? {
             v if v.is_null() => None,
             v => Some(StopReason::from_json(v)?),
         };
-        let best = doc.get("best_ndcg")?;
-        let best_ndcg = if best.is_null() {
-            None
-        } else {
-            Some(best.as_f64()?)
+        s.best_ndcg = match doc.get("best_ndcg")? {
+            v if v.is_null() => None,
+            v => Some(v.as_f64()?),
         };
-
-        let clock = doc.get("clock")?.as_u64()?;
-        let async_state = if cfg.mode == Mode::Async {
-            // `null` (what a synchronous run writes) means a fresh engine.
-            let mut st = match doc.get("event_scheduler")? {
-                v if !v.is_null() => EventScheduler::from_json(
-                    v,
-                    split.num_users(),
-                    cfg.async_cfg.concurrency,
-                    cfg.latency.clone(),
-                    cfg.seed,
-                )?,
-                _ => EventScheduler::new(
-                    split.num_users(),
-                    cfg.async_cfg.concurrency,
-                    cfg.latency.clone(),
-                    cfg.seed,
-                ),
-            };
-            // Tier tags are pure functions of the (restored) groups, so
-            // they are rebuilt rather than checkpointed.
-            st.set_tiers(model_groups.tier_indices());
-            Some(st)
-        } else {
-            None
-        };
-        // v3 addition — rebuilt fresh when the document predates it (or
-        // was written with secure aggregation off and the config was
-        // since flipped on by hand).
-        let secagg = if cfg.secagg.enabled {
-            Some(match doc.opt("secagg") {
-                Some(v) if !v.is_null() => super::secagg::SecAggState::from_json(v)?,
-                _ => super::secagg::SecAggState::new(&cfg),
-            })
-        } else {
-            None
-        };
-        // v4 addition — absent means the stream never ran: the whole
-        // population is the baseline and resume replays zero events.
-        let (baseline_users, ingested_events) = match doc.opt("ingest") {
-            Some(v) => (
-                v.get("baseline_users")?.as_usize()?,
-                v.get("events")?.as_u64()?,
-            ),
-            None => (split.num_users(), 0),
-        };
-
-        Ok(Session {
-            scheduler: RoundScheduler::from_json(doc.get("scheduler")?, split.num_users())?,
-            faults: FaultInjector::from_json(doc.get("faults")?)?,
-            ledger: CommLedger::from_json(doc.get("ledger")?)?,
-            round_counter: doc.get("round_counter")?.as_u64()?,
-            history: History::from_json(doc.get("history")?)?,
-            epoch: doc.get("epoch")?.as_usize()?,
-            in_epoch: doc.get("in_epoch")?.as_bool()?,
-            pending,
-            rounds_in_epoch: doc.get("rounds_in_epoch")?.as_usize()?,
-            round_in_epoch: doc.get("round_in_epoch")?.as_usize()?,
-            epoch_loss_sum: doc.get("epoch_loss_sum")?.as_f64()?,
-            epoch_sample_sum: doc.get("epoch_sample_sum")?.as_usize()?,
-            finished,
-            stop_requested: doc.get("stop_requested")?.as_bool()?,
-            best_ndcg,
-            evals_since_improvement: doc.get("evals_since_improvement")?.as_usize()?,
-            clock,
-            async_state,
-            secagg,
-            baseline_users,
-            ingested_events,
-            cfg,
-            strategy,
-            split,
-            server,
-            users,
-            model_groups,
-            data_groups,
-            eval_every: 1,
-            early_stop: None,
-        })
+        s.ledger = CommLedger::from_json(doc.get("ledger")?)?;
+        s.round_counter = doc.get("round_counter")?.as_u64()?;
+        s.history = History::from_json(doc.get("history")?)?;
+        s.epoch = doc.get("epoch")?.as_usize()?;
+        s.in_epoch = doc.get("in_epoch")?.as_bool()?;
+        s.rounds_in_epoch = doc.get("rounds_in_epoch")?.as_usize()?;
+        s.round_in_epoch = doc.get("round_in_epoch")?.as_usize()?;
+        s.epoch_loss_sum = doc.get("epoch_loss_sum")?.as_f64()?;
+        s.epoch_sample_sum = doc.get("epoch_sample_sum")?.as_usize()?;
+        s.stop_requested = doc.get("stop_requested")?.as_bool()?;
+        s.evals_since_improvement = doc.get("evals_since_improvement")?.as_usize()?;
+        s.clock = doc.get("clock")?.as_u64()?;
+        Ok(s)
     }
 }

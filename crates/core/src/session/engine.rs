@@ -10,7 +10,8 @@
 use super::reports::{AsyncRoundStats, RoundReport};
 use super::Session;
 use crate::client::{train_client, ClientCtx, ClientOutcome};
-use hf_dataset::Tier;
+use crate::config::TrainConfig;
+use hf_dataset::{ClientGroups, Tier};
 use hf_fedsim::comm::RoundCost;
 use hf_fedsim::parallel::parallel_map;
 use hf_fedsim::transport::ClientUpdate;
@@ -41,14 +42,7 @@ impl Session {
         let result = self.execute_cohort(&available, &weights, groups);
         let duration = available
             .iter()
-            .map(|&uid| {
-                self.cfg.latency.draw(
-                    self.cfg.seed,
-                    uid,
-                    self.round_counter,
-                    self.model_groups.tier(uid).index(),
-                )
-            })
+            .map(|&uid| latency(&self.cfg, &self.model_groups, uid, self.round_counter))
             .max()
             // An all-offline cohort still ticks, so churn windows advance.
             .unwrap_or(1);
@@ -115,14 +109,16 @@ impl Session {
     /// the churn model at the engine's current tick. Returns the number
     /// of offline clients skipped (they miss the rest of the epoch).
     pub(super) fn async_fill(&mut self) -> usize {
-        let faults = &self.faults;
+        let (cfg, faults, groups) = (&self.cfg, &self.faults, &self.model_groups);
         let round = self.round_counter;
         let st = self
             .async_state
             .as_mut()
             .expect("async engine present in async mode");
         let clock = st.clock();
-        st.fill(round, |c| faults.offline(clock, c))
+        st.fill(cfg.async_cfg.concurrency, round, |client, version| {
+            (!faults.offline(clock, client)).then(|| latency(cfg, groups, client, version))
+        })
     }
 
     /// Trains `cohort` in parallel, accounts downloads/uploads, filters
@@ -262,6 +258,15 @@ impl Session {
         };
         (report, loss_sum)
     }
+}
+
+/// Ticks `client`'s dispatch number `version` takes, drawn from the
+/// configured profile under the client's model tier. The one latency draw
+/// of both modes: a sync round keys it by the round counter, the async
+/// engine by the client's dispatch count.
+fn latency(cfg: &TrainConfig, model_groups: &ClientGroups, client: usize, version: u64) -> u64 {
+    cfg.latency
+        .draw(cfg.seed, client, version, model_groups.tier(client).index())
 }
 
 /// Tier tags for the predictors a client of `tier` holds.

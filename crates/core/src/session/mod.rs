@@ -47,19 +47,17 @@ pub use reports::{
     SessionEvent, StopReason,
 };
 
-use checkpoint::{CHECKPOINT_FORMAT, CHECKPOINT_VERSION, MIN_CHECKPOINT_VERSION};
-
 use crate::client::UserState;
 use crate::config::{ConfigError, Mode, TrainConfig};
 use crate::eval::{evaluate, EvalOutput};
 use crate::server::ServerState;
 use crate::strategy::Strategy;
-use hf_dataset::{ClientGroups, SplitDataset, Tier};
+use hf_dataset::{ClientGroups, SplitDataset};
 use hf_fedsim::comm::CommLedger;
 use hf_fedsim::events::EventScheduler;
 use hf_fedsim::faults::{ChurnProfile, FaultInjector};
 use hf_fedsim::scheduler::RoundScheduler;
-use hf_tensor::ser::{parse_json, JsonError};
+use hf_tensor::ser::JsonError;
 use std::collections::VecDeque;
 
 /// Why a [`SessionBuilder`] refused to produce a session, or a checkpoint
@@ -271,100 +269,10 @@ impl SessionBuilder {
                     cfg.threads = threads;
                 }
                 cfg.validate()?;
-                let model_groups = strategy.assign_tiers(&split, cfg.ratio);
-                let data_groups = ClientGroups::divide(&split, cfg.ratio);
                 let server = ServerState::new(split.num_items(), &cfg, strategy);
-                let users = (0..split.num_users())
-                    .map(|u| {
-                        let tier = model_groups.tier(u);
-                        let standalone_theta = matches!(strategy, Strategy::Standalone)
-                            .then(|| server.theta(tier).clone());
-                        UserState::init(u, cfg.dims.dim(tier), &cfg, standalone_theta)
-                    })
-                    .collect();
-                let scheduler =
-                    RoundScheduler::new(split.num_users(), cfg.clients_per_round, cfg.seed);
-                let faults = if cfg.drop_prob > 0.0 || cfg.churn != ChurnProfile::None {
-                    FaultInjector::with_churn(cfg.seed, cfg.drop_prob, cfg.churn)
-                } else {
-                    FaultInjector::disabled()
-                };
-                let async_state = (cfg.mode == Mode::Async).then(|| {
-                    let mut st = EventScheduler::new(
-                        split.num_users(),
-                        cfg.async_cfg.concurrency,
-                        cfg.latency.clone(),
-                        cfg.seed,
-                    );
-                    st.set_tiers(model_groups.tier_indices());
-                    st
-                });
-                let secagg = cfg.secagg.enabled.then(|| secagg::SecAggState::new(&cfg));
-                let baseline_users = split.num_users();
-                Session {
-                    cfg,
-                    strategy,
-                    split,
-                    server,
-                    users,
-                    model_groups,
-                    data_groups,
-                    scheduler,
-                    faults,
-                    ledger: CommLedger::default(),
-                    round_counter: 0,
-                    history: History::default(),
-                    epoch: 0,
-                    in_epoch: false,
-                    pending: VecDeque::new(),
-                    rounds_in_epoch: 0,
-                    round_in_epoch: 0,
-                    epoch_loss_sum: 0.0,
-                    epoch_sample_sum: 0,
-                    finished: None,
-                    stop_requested: false,
-                    best_ndcg: None,
-                    evals_since_improvement: 0,
-                    clock: 0,
-                    async_state,
-                    secagg,
-                    baseline_users,
-                    ingested_events: 0,
-                    eval_every: 1,
-                    early_stop: None,
-                }
+                Session::assemble(cfg, strategy, split, server, None)
             }
-            Source::Checkpoint { json } => {
-                // The one and only parse of the checkpoint text; the tree
-                // borrows its number tokens from `json`.
-                let doc = parse_json(&json)?;
-                let format = doc.get("format")?.as_str()?;
-                if format != CHECKPOINT_FORMAT {
-                    return Err(SessionError::Checkpoint(format!(
-                        "unknown format `{format}`"
-                    )));
-                }
-                let version = doc.get("version")?.as_u64()?;
-                if !(MIN_CHECKPOINT_VERSION..=CHECKPOINT_VERSION).contains(&version) {
-                    return Err(SessionError::Checkpoint(format!(
-                        "unsupported version {version} (this build reads \
-                         {MIN_CHECKPOINT_VERSION}..={CHECKPOINT_VERSION})"
-                    )));
-                }
-                let mut cfg = TrainConfig::from_json(doc.get("cfg")?)?;
-                let strategy = Strategy::from_json(doc.get("strategy")?)?;
-                if let Some(threads) = threads_override {
-                    cfg.threads = threads;
-                }
-                cfg.validate()?;
-                // Ingest-bearing (v4) documents carry their frozen tier
-                // assignments: streamed interactions changed train counts
-                // after division, so recomputing groups from the split
-                // would re-tier users and invalidate their embeddings.
-                let (model_groups, data_groups) =
-                    Session::restore_groups(&doc, &cfg, strategy, &split)?;
-                Session::restore_parts(&doc, cfg, strategy, split, model_groups, data_groups)?
-            }
+            Source::Checkpoint { json } => Session::restore_doc(&json, threads_override, split)?,
         };
         session.eval_every = eval_every;
         session.early_stop = early_stop;
@@ -668,32 +576,88 @@ impl Session {
     fn admit_user(&mut self, item: u32) {
         let user = self.split.num_users();
         self.split.ingest(user, item);
-        // Mirror Strategy::assign_tiers for a single-interaction user:
-        // uniform strategies pin the tier, everything else places by the
-        // frozen division thresholds.
-        let model_tier = match self.strategy {
-            Strategy::AllSmall => Tier::Small,
-            Strategy::AllLarge => Tier::Large,
-            _ => self.model_groups.tier_for_count(1),
-        };
+        let model_tier = self
+            .strategy
+            .pinned_tier()
+            .unwrap_or_else(|| self.model_groups.tier_for_count(1));
         let data_tier = self.data_groups.tier_for_count(1);
         self.model_groups.admit(model_tier);
         self.data_groups.admit(data_tier);
-        let standalone_theta = matches!(self.strategy, Strategy::Standalone)
-            .then(|| self.server.theta(model_tier).clone());
-        self.users.push(UserState::init(
-            user,
-            self.cfg.dims.dim(model_tier),
-            &self.cfg,
-            standalone_theta,
-        ));
+        let state = self.new_user(user);
+        self.users.push(state);
         self.scheduler.admit();
         if let Some(st) = self.async_state.as_mut() {
-            st.admit(model_tier.index() as u8);
+            st.admit();
         }
     }
 
     // -- internals ----------------------------------------------------------
+
+    /// The one constructor, for fresh and restored sessions alike: the
+    /// tier groups, round scheduler, fault injector, async engine and
+    /// secure-aggregation state all come from `cfg`, and the stepper
+    /// stands before the first round. `users` are the clients' private
+    /// states; `None` starts every client fresh ([`Session::new_user`]).
+    /// Restore then overwrites what its document carries.
+    fn assemble(
+        cfg: TrainConfig,
+        strategy: Strategy,
+        split: SplitDataset,
+        server: ServerState,
+        users: Option<Vec<UserState>>,
+    ) -> Session {
+        let population = split.num_users();
+        let faults = if cfg.drop_prob > 0.0 || cfg.churn != ChurnProfile::None {
+            FaultInjector::with_churn(cfg.seed, cfg.drop_prob, cfg.churn)
+        } else {
+            FaultInjector::disabled()
+        };
+        let mut session = Session {
+            model_groups: strategy.assign_tiers(&split, cfg.ratio),
+            data_groups: ClientGroups::divide(&split, cfg.ratio),
+            scheduler: RoundScheduler::new(population, cfg.clients_per_round, cfg.seed),
+            faults,
+            async_state: (cfg.mode == Mode::Async).then(|| EventScheduler::new(population)),
+            secagg: cfg.secagg.enabled.then(|| secagg::SecAggState::new(&cfg)),
+            cfg,
+            strategy,
+            split,
+            server,
+            users: Vec::new(),
+            ledger: CommLedger::default(),
+            round_counter: 0,
+            history: History::default(),
+            epoch: 0,
+            in_epoch: false,
+            pending: VecDeque::new(),
+            rounds_in_epoch: 0,
+            round_in_epoch: 0,
+            epoch_loss_sum: 0.0,
+            epoch_sample_sum: 0,
+            finished: None,
+            stop_requested: false,
+            best_ndcg: None,
+            evals_since_improvement: 0,
+            clock: 0,
+            baseline_users: population,
+            ingested_events: 0,
+            eval_every: 1,
+            early_stop: None,
+        };
+        session.users =
+            users.unwrap_or_else(|| (0..population).map(|u| session.new_user(u)).collect());
+        session
+    }
+
+    /// A new client's private state: an embedding of its model tier's
+    /// width and, under [`Strategy::Standalone`], its own copy of that
+    /// tier's predictor.
+    fn new_user(&self, user: usize) -> UserState {
+        let tier = self.model_groups.tier(user);
+        let standalone_theta =
+            matches!(self.strategy, Strategy::Standalone).then(|| self.server.theta(tier).clone());
+        UserState::init(user, self.cfg.dims.dim(tier), &self.cfg, standalone_theta)
+    }
 
     fn start_epoch(&mut self) {
         self.epoch += 1;

@@ -919,6 +919,64 @@ fn restore_refuses_a_standalone_row_past_the_catalogue() {
     assert!(msg.contains("item"), "{msg}");
 }
 
+#[test]
+fn restore_refuses_a_scheduler_round_size_the_config_does_not_make() {
+    // A masked document whose scheduler names rounds of 300 under a
+    // config of 32 on a population of more than 300: restoring it once
+    // went through, and the first round then set up a masked group of
+    // 300, past the 256 members one may hold.
+    let data = hf_dataset::DatasetProfile::MovieLens
+        .config_scaled(0.08)
+        .generate(7);
+    let split = SplitDataset::paper_split(&data, 7);
+    assert!(split.num_users() > 300, "{} users", split.num_users());
+    let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+    cfg.secagg.enabled = true;
+    let s = SessionBuilder::new(cfg, Strategy::HeteFedRec(Ablation::FULL), split.clone())
+        .build()
+        .expect("valid masked config");
+    let doc = s.checkpoint();
+    assert!(Session::restore(&doc, split.clone()).is_ok());
+    let r = first_number(&doc, "\"scheduler\"", "\"clients_per_round\":");
+    assert_eq!(&doc[r.clone()], "32");
+    match Session::restore(&spliced(&doc, r, "300"), split) {
+        Err(SessionError::Checkpoint(msg)) => assert!(msg.contains("clients_per_round"), "{msg}"),
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(mut restored) => {
+            restored.step();
+            panic!("a document with rounds of 300 restored and ran");
+        }
+    }
+}
+
+#[test]
+fn restore_refuses_fault_settings_the_config_does_not_make() {
+    // The injector is built from the config; a document whose copy
+    // drops half the uploads under `drop_prob` 0 once restored and did.
+    let json = one_step_checkpoint(Strategy::HeteFedRec(Ablation::FULL), Mode::Sync);
+    assert!(Session::restore(&json, tiny_split(9)).is_ok());
+    let r = first_number(&json, "\"faults\"", "\"drop_prob\":");
+    let msg = refusal(&spliced(&json, r, "0.5"));
+    assert!(msg.contains("faults"), "{msg}");
+}
+
+#[test]
+fn restore_refuses_ingest_tiers_that_do_not_cover_the_population() {
+    let v4 = FIXTURES[2].trim_end();
+    let mut split = fixture_split();
+    replay(&mut split, &FIXTURE_EVENTS);
+    // Without the admitted client's tier, indexing it once panicked.
+    let start = v4.find("\"model_tiers\":[").expect("v4 tiers") + "\"model_tiers\":[".len();
+    let end = start + v4[start..].find(']').expect("tiers end");
+    let last = start + v4[start..end].rfind(',').expect("two tiers");
+    let short = spliced(v4, last..end, "");
+    match Session::restore(&short, split) {
+        Err(SessionError::Checkpoint(msg)) => assert!(msg.contains("model_tiers"), "{msg}"),
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("a corrupt document restored"),
+    }
+}
+
 // --- streaming ingest -------------------------------------------------
 
 /// Applies the same stream events a live session ingested to a freshly
@@ -1073,7 +1131,7 @@ fn per_tier_latency_trains_and_checkpoints() {
     let loss = s.run_epoch();
     assert!(loss.is_finite());
     assert!(s.clock() > 0);
-    // Asynchronous: tier tags steer the event engine's draws, and the
+    // Asynchronous: the model tier steers every dispatch's draw, and the
     // whole thing survives checkpoint/resume.
     let mut cfg = async_cfg(ModelKind::Ncf);
     cfg.latency = per_tier;

@@ -103,18 +103,26 @@ impl Strategy {
         }
     }
 
-    /// Assigns every client its model tier.
-    ///
-    /// Homogeneous strategies pin one tier for everyone (the paper calls
-    /// these the `10:0:0` / `0:0:10` divisions); heterogeneous strategies
-    /// divide by training-data size under `ratio`. `AllLargeExclusive`
-    /// models everyone as Large but still *divides* internally — the
-    /// division defines whose updates are accepted.
-    pub fn assign_tiers(self, split: &SplitDataset, ratio: DivisionRatio) -> ClientGroups {
+    /// The one model tier a homogeneous strategy gives every client,
+    /// admitted ones included (the paper calls these the `10:0:0` /
+    /// `0:0:10` divisions); `None` when tiers follow the data division.
+    pub fn pinned_tier(self) -> Option<Tier> {
         match self {
-            Strategy::AllSmall => ClientGroups::uniform(split.num_users(), Tier::Small),
-            Strategy::AllLarge => ClientGroups::uniform(split.num_users(), Tier::Large),
-            _ => ClientGroups::divide(split, ratio),
+            Strategy::AllSmall => Some(Tier::Small),
+            Strategy::AllLarge => Some(Tier::Large),
+            _ => None,
+        }
+    }
+
+    /// Assigns every client its model tier: the
+    /// [`Strategy::pinned_tier`] when there is one, otherwise the division
+    /// by training-data size under `ratio`. `AllLargeExclusive` models
+    /// everyone as Large but still *divides* internally — the division
+    /// defines whose updates are accepted.
+    pub fn assign_tiers(self, split: &SplitDataset, ratio: DivisionRatio) -> ClientGroups {
+        match self.pinned_tier() {
+            Some(tier) => ClientGroups::uniform(split.num_users(), tier),
+            None => ClientGroups::divide(split, ratio),
         }
     }
 

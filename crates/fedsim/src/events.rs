@@ -16,6 +16,10 @@
 //!   epoch traversal), checkpointable to JSON and restored bit-exactly. It
 //!   consumes the same shuffled epoch traversal as the lockstep rounds
 //!   ([`RoundScheduler::next_traversal`](crate::scheduler::RoundScheduler::next_traversal)).
+//!   It holds no settings: every field is in its JSON, and the caller
+//!   passes the concurrency cap and a dispatch closure that draws each
+//!   latency (or reports the client offline) to [`EventScheduler::fill`],
+//!   so the session draws sync and async latencies through one function.
 //!
 //! Time is integer "ticks" — float-free so ordering never depends on
 //! rounding mode or summation order.
@@ -358,18 +362,15 @@ impl ToJson for EventQueue {
 /// The logical clock plus dispatch bookkeeping for the asynchronous mode.
 ///
 /// One instance drives one epoch at a time: [`EventScheduler::begin_epoch`]
-/// loads a traversal, [`EventScheduler::fill`] dispatches clients up to the
-/// concurrency cap (drawing each latency from the profile and skipping
-/// clients the churn model reports offline), and
-/// [`EventScheduler::pop_batch`] removes the next aggregation buffer of
-/// arrivals, advancing the clock to the latest one. Everything is
-/// deterministic: draws are pure functions, and the queue's `(time,
-/// client)` order is total.
+/// loads a traversal, [`EventScheduler::fill`] dispatches clients up to a
+/// concurrency cap (asking the caller for each latency, or whether the
+/// client is offline), and [`EventScheduler::pop_batch`] removes the next
+/// aggregation buffer of arrivals, advancing the clock to the latest one.
+/// Everything is deterministic: draws are pure functions, and the queue's
+/// `(time, client)` order is total. Every field is checkpointed; the
+/// settings (latency profile, concurrency, seed) stay with the caller.
 #[derive(Clone, Debug)]
 pub struct EventScheduler {
-    seed: u64,
-    latency: LatencyProfile,
-    concurrency: usize,
     clock: u64,
     queue: EventQueue,
     /// This epoch's not-yet-dispatched clients, in traversal order.
@@ -377,56 +378,29 @@ pub struct EventScheduler {
     /// Per-client dispatch versions: how many times each client has been
     /// handed parameters. Keys the latency draws, so it is checkpointed.
     dispatch_versions: Vec<u64>,
-    /// Per-client model-tier indices consulted by
-    /// [`LatencyProfile::PerTier`] draws. Derivable from the configuration
-    /// (not checkpointed); defaults to all-zero until
-    /// [`EventScheduler::set_tiers`] installs real assignments.
-    tiers: Vec<u8>,
 }
 
 impl EventScheduler {
     /// Creates an idle scheduler over `population` clients.
     ///
     /// # Panics
-    /// Panics on an empty population, zero concurrency, or an invalid
-    /// latency profile.
-    pub fn new(population: usize, concurrency: usize, latency: LatencyProfile, seed: u64) -> Self {
+    /// Panics on an empty population.
+    pub fn new(population: usize) -> Self {
         assert!(population > 0, "no clients to schedule");
-        assert!(concurrency > 0, "concurrency must be positive");
-        latency.validate().expect("valid latency profile");
         Self {
-            seed,
-            latency,
-            concurrency,
             clock: 0,
             queue: EventQueue::new(),
             pending_dispatch: VecDeque::new(),
             dispatch_versions: vec![0; population],
-            tiers: vec![0; population],
         }
     }
 
-    /// Installs per-client tier indices for [`LatencyProfile::PerTier`]
-    /// draws. A no-op in spirit for flat profiles (draws ignore the tier).
-    ///
-    /// # Panics
-    /// Panics if `tiers` does not cover the population.
-    pub fn set_tiers(&mut self, tiers: Vec<u8>) {
-        assert_eq!(
-            tiers.len(),
-            self.dispatch_versions.len(),
-            "tier assignments must cover the population"
-        );
-        self.tiers = tiers;
-    }
-
-    /// Grows the population by one newly admitted client with the given
-    /// tier, returning its id. The new client joins traversals from the
-    /// next epoch on (its dispatch version starts at zero).
-    pub fn admit(&mut self, tier: u8) -> usize {
+    /// Grows the population by one newly admitted client, returning its
+    /// id. The new client joins traversals from the next epoch on (its
+    /// dispatch version starts at zero).
+    pub fn admit(&mut self) -> usize {
         let client = self.dispatch_versions.len();
         self.dispatch_versions.push(0);
-        self.tiers.push(tier);
         client
     }
 
@@ -458,23 +432,28 @@ impl EventScheduler {
     }
 
     /// Dispatches queued clients until `concurrency` are in flight or the
-    /// traversal is exhausted. `offline(client)` is consulted at the current
-    /// clock tick; offline clients are skipped for the rest of the epoch.
-    /// Returns the number skipped.
-    pub fn fill(&mut self, dispatched_round: u64, mut offline: impl FnMut(usize) -> bool) -> usize {
+    /// traversal is exhausted. `dispatch(client, version)` names the
+    /// latency in ticks of `client`'s dispatch number `version`, or
+    /// `None` when the client is offline at the current clock tick;
+    /// offline clients are skipped for the rest of the epoch and keep
+    /// their version. Returns the number skipped.
+    pub fn fill(
+        &mut self,
+        concurrency: usize,
+        dispatched_round: u64,
+        mut dispatch: impl FnMut(usize, u64) -> Option<u64>,
+    ) -> usize {
         let mut skipped = 0;
-        while self.queue.len() < self.concurrency {
+        while self.queue.len() < concurrency {
             let Some(client) = self.pending_dispatch.pop_front() else {
                 break;
             };
-            if offline(client) {
+            let version = self.dispatch_versions[client];
+            let Some(ticks) = dispatch(client, version) else {
                 skipped += 1;
                 continue;
-            }
-            let version = self.dispatch_versions[client];
+            };
             self.dispatch_versions[client] = version + 1;
-            let tier = self.tiers[client] as usize;
-            let ticks = self.latency.draw(self.seed, client, version, tier);
             self.queue.push(PendingArrival {
                 time: self.clock + ticks,
                 client,
@@ -496,18 +475,10 @@ impl EventScheduler {
         batch
     }
 
-    /// Restores a checkpointed scheduler. The latency profile, concurrency
-    /// and seed come from the configuration (they are not per-run state);
-    /// only the clock, queue, pending dispatches and dispatch versions are
-    /// read from `v`. Every client id they name must be below
-    /// `population`.
-    pub fn from_json(
-        v: &JsonValue<'_>,
-        population: usize,
-        concurrency: usize,
-        latency: LatencyProfile,
-        seed: u64,
-    ) -> Result<Self, JsonError> {
+    /// Restores a checkpointed scheduler over `population` clients: the
+    /// clock, queue, pending dispatches and dispatch versions. Every
+    /// client id they name must be below `population`.
+    pub fn from_json(v: &JsonValue<'_>, population: usize) -> Result<Self, JsonError> {
         let dispatch_versions = v.get("dispatch_versions")?.as_u64_vec()?;
         if dispatch_versions.len() != population {
             return Err(JsonError::msg(format!(
@@ -516,11 +487,12 @@ impl EventScheduler {
                 population
             )));
         }
-        let mut s = Self::new(population, concurrency, latency, seed);
-        s.clock = v.get("clock")?.as_u64()?;
-        s.queue = EventQueue::from_json(v.get("events")?)?;
-        s.pending_dispatch = v.get("pending_dispatch")?.as_usize_vec()?.into();
-        s.dispatch_versions = dispatch_versions;
+        let s = Self {
+            clock: v.get("clock")?.as_u64()?,
+            queue: EventQueue::from_json(v.get("events")?)?,
+            pending_dispatch: v.get("pending_dispatch")?.as_usize_vec()?.into(),
+            dispatch_versions,
+        };
         let stray = |field: &str, client: usize| {
             JsonError::msg(format!(
                 "`{field}` names client {client} of population {population}"
@@ -731,21 +703,37 @@ mod tests {
         assert!(LatencyProfile::parse("pertier:fixed:0/fixed:1/fixed:1").is_err());
     }
 
+    /// A `fill` dispatch closure: every client online, latency drawn
+    /// from `latency` under `seed` (tier 0).
+    fn online(latency: &LatencyProfile, seed: u64) -> impl FnMut(usize, u64) -> Option<u64> + '_ {
+        move |client, version| Some(latency.draw(seed, client, version, 0))
+    }
+
     #[test]
     fn scheduler_draws_by_tier_and_admits_new_clients() {
-        let mut s = EventScheduler::new(2, 4, per_tier_fixture(), 11);
-        s.set_tiers(vec![0, 1]);
-        let admitted = s.admit(2);
-        assert_eq!(admitted, 2);
-        s.begin_epoch(vec![0, 1, 2]);
-        s.fill(0, |_| false);
-        let batch = s.pop_batch(3);
-        let by_client: std::collections::BTreeMap<usize, u64> =
-            batch.iter().map(|a| (a.client, a.time)).collect();
+        // Tiers live with the caller: its dispatch closure picks the
+        // sub-profile, and the engine keys each draw by dispatch version.
         let p = per_tier_fixture();
-        assert_eq!(by_client[&0], p.draw(11, 0, 0, 0));
-        assert_eq!(by_client[&1], p.draw(11, 1, 0, 1));
-        assert_eq!(by_client[&2], p.draw(11, 2, 0, 2));
+        let tiers = [0, 1, 2];
+        let mut s = EventScheduler::new(2);
+        assert_eq!(s.admit(), 2);
+        let mut start = 0;
+        for version in 0..2 {
+            s.begin_epoch(vec![2, 0, 1]);
+            let mut asked = Vec::new();
+            s.fill(4, version, |c, v| {
+                asked.push((c, v));
+                Some(p.draw(11, c, v, tiers[c]))
+            });
+            assert_eq!(asked, [(2, version), (0, version), (1, version)]);
+            let batch = s.pop_batch(3);
+            let by_client: std::collections::BTreeMap<usize, u64> =
+                batch.iter().map(|a| (a.client, a.time)).collect();
+            for c in 0..3 {
+                assert_eq!(by_client[&c], start + p.draw(11, c, version, tiers[c]));
+            }
+            start = s.clock();
+        }
     }
 
     #[test]
@@ -786,16 +774,16 @@ mod tests {
     fn scheduler_runs_an_epoch_deterministically() {
         let latency = LatencyProfile::Uniform { min: 1, max: 20 };
         let run = || {
-            let mut s = EventScheduler::new(16, 4, latency.clone(), 42);
+            let mut s = EventScheduler::new(16);
             s.begin_epoch((0..16).collect());
             let mut seen = Vec::new();
             let mut round = 0u64;
-            s.fill(round, |_| false);
+            s.fill(4, round, online(&latency, 42));
             while !s.idle() {
                 let batch = s.pop_batch(2);
                 round += 1;
                 seen.extend(batch.iter().map(|a| (a.time, a.client)));
-                s.fill(round, |_| false);
+                s.fill(4, round, online(&latency, 42));
             }
             (seen, s.clock())
         };
@@ -809,9 +797,9 @@ mod tests {
 
     #[test]
     fn scheduler_respects_concurrency_and_skips_offline() {
-        let mut s = EventScheduler::new(10, 3, LatencyProfile::Fixed(2), 1);
+        let mut s = EventScheduler::new(10);
         s.begin_epoch((0..10).collect());
-        let skipped = s.fill(0, |c| c % 2 == 1);
+        let skipped = s.fill(3, 0, |c, _| (c % 2 == 0).then_some(2));
         assert_eq!(s.in_flight(), 3);
         assert!(skipped > 0);
         let batch = s.pop_batch(10);
@@ -822,21 +810,20 @@ mod tests {
     #[test]
     fn scheduler_checkpoint_resumes_mid_epoch() {
         let latency = LatencyProfile::Uniform { min: 1, max: 9 };
-        let mut s = EventScheduler::new(12, 4, latency.clone(), 5);
+        let mut s = EventScheduler::new(12);
         s.begin_epoch((0..12).collect());
-        s.fill(0, |_| false);
+        s.fill(4, 0, online(&latency, 5));
         let _ = s.pop_batch(2);
-        s.fill(1, |_| false);
+        s.fill(4, 1, online(&latency, 5));
 
         let json = s.to_json();
-        let mut r =
-            EventScheduler::from_json(&parse_json(&json).unwrap(), 12, 4, latency, 5).unwrap();
+        let mut r = EventScheduler::from_json(&parse_json(&json).unwrap(), 12).unwrap();
         assert_eq!(r.clock(), s.clock());
         let mut round = 2u64;
         while !s.idle() {
             assert_eq!(s.pop_batch(3), r.pop_batch(3));
-            s.fill(round, |_| false);
-            r.fill(round, |_| false);
+            s.fill(4, round, online(&latency, 5));
+            r.fill(4, round, online(&latency, 5));
             round += 1;
         }
         assert!(r.idle());
@@ -845,9 +832,8 @@ mod tests {
 
     #[test]
     fn scheduler_rejects_mismatched_restores() {
-        let s = EventScheduler::new(4, 2, LatencyProfile::unit(), 1);
-        let json = s.to_json();
+        let json = EventScheduler::new(4).to_json();
         let doc = parse_json(&json).unwrap();
-        assert!(EventScheduler::from_json(&doc, 5, 2, LatencyProfile::unit(), 1).is_err());
+        assert!(EventScheduler::from_json(&doc, 5).is_err());
     }
 }

@@ -127,7 +127,7 @@ impl ToJson for ChurnProfile {
 }
 
 /// Deterministic client-drop injector.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultInjector {
     seed: u64,
     drop_prob: f64,
@@ -166,16 +166,6 @@ impl FaultInjector {
             drop_prob: 0.0,
             churn: ChurnProfile::None,
         }
-    }
-
-    /// Configured drop probability.
-    pub fn drop_prob(&self) -> f64 {
-        self.drop_prob
-    }
-
-    /// Configured churn profile.
-    pub fn churn(&self) -> ChurnProfile {
-        self.churn
     }
 
     /// Restores a checkpointed injector. Decisions are a pure function of

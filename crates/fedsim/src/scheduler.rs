@@ -71,8 +71,14 @@ impl RoundScheduler {
 
     /// Restores a checkpointed scheduler (queue order + shuffle-RNG state)
     /// over `population` clients, resuming the epoch sequence exactly where
-    /// it was captured. The queue must hold every client exactly once.
-    pub fn from_json(v: &JsonValue<'_>, population: usize) -> Result<Self, JsonError> {
+    /// it was captured. The queue must hold every client exactly once. The
+    /// round size is a setting, not state: the caller passes the one its
+    /// configuration makes, and a document naming another is refused.
+    pub fn from_json(
+        v: &JsonValue<'_>,
+        population: usize,
+        clients_per_round: usize,
+    ) -> Result<Self, JsonError> {
         let queue = v.get("queue")?.as_usize_vec()?;
         let mut seen = vec![false; population];
         let is_permutation = queue.len() == population
@@ -84,9 +90,14 @@ impl RoundScheduler {
                 "scheduler `queue` is not a permutation of the {population} clients"
             )));
         }
-        let clients_per_round = v.get("clients_per_round")?.as_usize()?;
-        if clients_per_round == 0 {
+        let written = v.get("clients_per_round")?.as_usize()?;
+        if written == 0 {
             return Err(JsonError::msg("zero round size"));
+        }
+        if written != clients_per_round {
+            return Err(JsonError::msg(format!(
+                "scheduler `clients_per_round` is {written}, the configuration makes {clients_per_round}"
+            )));
         }
         Ok(Self {
             queue,
@@ -185,7 +196,8 @@ mod tests {
         let mut s = RoundScheduler::new(8, 4, 9);
         s.next_epoch();
         s.admit();
-        let mut resumed = RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap(), 9).unwrap();
+        let mut resumed =
+            RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap(), 9, 4).unwrap();
         assert_eq!(s.next_epoch(), resumed.next_epoch());
     }
 
@@ -195,9 +207,12 @@ mod tests {
         let mut s = RoundScheduler::new(50, 16, 7);
         s.next_epoch();
         let mut resumed =
-            RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap(), 50).unwrap();
+            RoundScheduler::from_json(&parse_json(&s.to_json()).unwrap(), 50, 16).unwrap();
         for _ in 0..3 {
             assert_eq!(s.next_epoch(), resumed.next_epoch());
         }
+        let json = s.to_json();
+        let err = RoundScheduler::from_json(&parse_json(&json).unwrap(), 50, 32).unwrap_err();
+        assert!(err.to_string().contains("clients_per_round"), "{err}");
     }
 }

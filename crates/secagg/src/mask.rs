@@ -130,11 +130,6 @@ impl PayloadLayout {
         self.bands().is_empty()
     }
 
-    /// Offset of the item-delta block (row-major `num_items × width`).
-    pub fn item_delta_offset(&self) -> usize {
-        0
-    }
-
     /// Offset of the per-item contributor-count block.
     pub fn item_count_offset(&self) -> usize {
         self.bands().item_count_offset()
@@ -190,7 +185,6 @@ mod tests {
             width: 4,
             theta_lens: [3, 5, 7],
         };
-        assert_eq!(l.item_delta_offset(), 0);
         assert_eq!(l.item_count_offset(), 40);
         assert_eq!(l.theta_offset(0), 50);
         assert_eq!(l.theta_weight_offset(0), 53);

@@ -423,11 +423,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f32, |m, x| m.max(x.abs()))
     }
 
-    /// `true` if every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
-    }
-
     /// Elementwise sum with another matrix, producing a new matrix.
     pub fn add(&self, other: &Matrix) -> Matrix {
         let mut out = self.clone();
@@ -691,9 +686,9 @@ mod tests {
     fn max_abs_and_finiteness() {
         let a = Matrix::from_vec(1, 3, vec![-2.0, 1.0, 0.5]);
         assert_eq!(a.max_abs(), 2.0);
-        assert!(a.all_finite());
+        assert!(a.as_slice().iter().all(|x| x.is_finite()));
         let b = Matrix::from_vec(1, 1, vec![f32::NAN]);
-        assert!(!b.all_finite());
+        assert!(!b.as_slice().iter().all(|x| x.is_finite()));
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub enum SeedStream {
     ClientQueue,
     /// Knowledge-distillation item subset sampling.
     Distill,
-    /// Evaluation-time tie-breaking / sampling.
-    Eval,
     /// Failure injection (client drop simulation).
     Faults,
     /// Per-dispatch client latency draws (event-driven simulation).
@@ -62,7 +60,6 @@ impl SeedStream {
             SeedStream::Negatives => 0x4e45_4753,
             SeedStream::ClientQueue => 0x5155_4555,
             SeedStream::Distill => 0x4449_5354,
-            SeedStream::Eval => 0x4556_414c,
             SeedStream::Faults => 0x4641_554c,
             SeedStream::Latency => 0x4c41_5459,
             SeedStream::Churn => 0x4348_524e,
