@@ -36,6 +36,15 @@ fi
 echo "==> cargo test -q (workspace: unit + integration + doctests)"
 cargo test -q --offline --workspace
 
+if [[ "$quick" != "quick" ]]; then
+    echo "==> exhaustive Gumbel bucket bounds (hf_dataset ignored tests, release)"
+    # SyntheticConfig::generate skips the exact Gumbel key of any item
+    # whose bounded key cannot win; its datasets stay bit-identical only
+    # if every 24-bit draw lies inside its bucket's bounds. The default
+    # test checks a stride of the draws, this one all 2^24.
+    cargo test -q --release --offline -p hf_dataset -- --ignored
+fi
+
 echo "==> non-test line count"
 # Every .rs under crates/ src/ examples/ outside tests/ directories and
 # tests.rs files, each cut where a column-0 #[cfg(test)] opens an inline

@@ -16,22 +16,44 @@
 //!
 //! Selection uses Gumbel-top-k: `score + Gumbel noise`, take the top
 //! `n_u`, which is equivalent to sampling `n_u` items without replacement
-//! from the softmax of the scores (Plackett–Luce), in one `O(|V|)` pass
-//! per user.
+//! from the softmax of the scores (Plackett–Luce).
+//!
+//! Per user the generator scores every item against a transposed
+//! item-latent panel, one item per lane. Each lane adds the products in
+//! the order and from the `-0.0` that [`hf_tensor::ops::dot`]'s chain
+//! uses, so every affinity is the bit pattern `dot` would give. It then
+//! draws one 24-bit uniform per item, in item order, as before. The two
+//! `ln`s of a Gumbel key are paid only by items whose key can reach the
+//! `n_u`-th largest. A table of `g` bounds over the top 12 bits of the
+//! draw rules the rest out, and `f32` addition rounds monotonically, so a
+//! bounded key is a true bound on the exact one. When the `n_u`-th and
+//! `(n_u+1)`-th exact keys tie, which items win depends on the selection
+//! algorithm's pass over the full key array, so that user runs exactly
+//! that pass. Every dataset is therefore the one the plain full-array
+//! selection gives (the digests in this module's tests pin it).
 
 use crate::types::{ImplicitDataset, ItemId};
 use hf_tensor::parallel::parallel_map;
 use hf_tensor::rng::Rng;
 use hf_tensor::rng::{stream, substream, SeedStream};
+use std::sync::OnceLock;
 
-/// Users handed to a worker at a time; one Gumbel key buffer is reused
-/// across them.
+/// Users handed to a worker at a time; one set of per-item scratch
+/// buffers is reused across them.
 const USERS_PER_CHUNK: usize = 16;
 
 /// Below this many `(user, item)` scores the whole population costs a few
 /// milliseconds and is built on the calling thread: spawning workers
 /// would be most of the bill (and test-sized datasets stay thread-free).
 const PARALLEL_MIN_SCORES: usize = 1 << 18;
+
+/// Bits of a 24-bit Gumbel draw (the top ones) that pick its bound bucket.
+const BUCKET_BITS: u32 = 12;
+/// Draws per bucket.
+const BUCKET_DRAWS: u32 = 1 << (24 - BUCKET_BITS);
+/// How far each bucket's bounds reach past the `g` of its first and last
+/// draw, so an `ln` that rounds non-monotonically cannot step outside.
+const BUCKET_SLACK: f32 = 1e-3;
 
 /// Configuration of the synthetic generator.
 #[derive(Clone, Debug)]
@@ -59,6 +81,28 @@ pub struct SyntheticConfig {
     pub popularity_weight: f32,
     /// Softmax temperature on affinity scores; lower is more deterministic.
     pub temperature: f32,
+}
+
+/// What every user is scored against.
+struct Items {
+    /// Item latents transposed: row `d` holds every item's `d`-th
+    /// coordinate.
+    panel: Vec<f32>,
+    /// `popularity_weight · log_pop` per item.
+    boost: Vec<f32>,
+}
+
+/// Per-item buffers one worker reuses across users.
+#[derive(Default)]
+struct Scratch {
+    /// Affinity, then the score before Gumbel noise.
+    scores: Vec<f32>,
+    /// The 24-bit uniform behind each item's Gumbel noise.
+    draws: Vec<u32>,
+    /// Lower bounds on the keys.
+    floors: Vec<f32>,
+    /// Exact `(key, item)` of the items that can win.
+    keys: Vec<(f32, ItemId)>,
 }
 
 impl SyntheticConfig {
@@ -125,31 +169,32 @@ impl SyntheticConfig {
             .map(|_| sample_unit_vector(self.latent_dim, &mut rng))
             .collect();
 
-        let item_latents: Vec<Vec<f32>> = (0..self.num_items)
-            .map(|_| {
-                let c = rng.gen_range(0..self.num_clusters);
-                perturb(&centroids[c], self.cluster_spread, &mut rng)
-            })
-            .collect();
+        let mut panel = vec![0.0_f32; self.latent_dim * self.num_items];
+        for i in 0..self.num_items {
+            let c = rng.gen_range(0..self.num_clusters);
+            let latent = perturb(&centroids[c], self.cluster_spread, &mut rng);
+            for (d, x) in latent.into_iter().enumerate() {
+                panel[d * self.num_items + i] = x;
+            }
+        }
 
         // Zipf popularity over a random item permutation so that item id
         // order carries no information.
         let mut pop_rank: Vec<usize> = (0..self.num_items).collect();
         hf_tensor::rng::shuffle(&mut pop_rank, &mut rng);
-        let log_pop: Vec<f32> = {
-            let mut lp = vec![0.0_f32; self.num_items];
-            for (rank, &item) in pop_rank.iter().enumerate() {
-                lp[item] = -self.zipf_exponent * ((rank + 1) as f32).ln();
-            }
-            lp
-        };
+        let mut boost = vec![0.0_f32; self.num_items];
+        for (rank, &item) in pop_rank.iter().enumerate() {
+            let log_pop = -self.zipf_exponent * ((rank + 1) as f32).ln();
+            boost[item] = self.popularity_weight * log_pop;
+        }
+        let items = Items { panel, boost };
 
         let (mu, sigma) = self.lognormal_params();
         let max_count = self.num_items.saturating_sub(1).max(self.min_interactions);
 
         let chunk_starts: Vec<usize> = (0..self.num_users).step_by(USERS_PER_CHUNK).collect();
         let chunks = parallel_map(&chunk_starts, workers, |&start| {
-            let mut keys = Vec::with_capacity(self.num_items);
+            let mut scratch = Scratch::default();
             (start..(start + USERS_PER_CHUNK).min(self.num_users))
                 .map(|u| {
                     // Per-user substream: independent of user iteration order.
@@ -158,7 +203,7 @@ impl SyntheticConfig {
                     let latent = perturb(&centroids[c], self.cluster_spread, &mut urng);
                     let n = sample_lognormal_count(mu, sigma, &mut urng)
                         .clamp(self.min_interactions, max_count);
-                    self.select_items(&latent, &item_latents, &log_pop, n, &mut urng, &mut keys)
+                    self.select_items(&latent, &items, n, &mut urng, &mut scratch)
                 })
                 .collect::<Vec<_>>()
         });
@@ -170,33 +215,145 @@ impl SyntheticConfig {
         ImplicitDataset::new(self.num_items, per_user)
     }
 
-    /// Gumbel-top-k selection of `n` items for one user. `keys` is scratch
-    /// (refilled on every call); the returned list holds exactly its ids.
+    /// Gumbel-top-k selection of `n` items for one user: the `n` largest
+    /// keys `score + g`, where `g` is one Gumbel draw per item in item
+    /// order. Returns a fresh list of exactly the winners' ids.
     fn select_items(
         &self,
         user_latent: &[f32],
-        item_latents: &[Vec<f32>],
-        log_pop: &[f32],
+        items: &Items,
         n: usize,
         rng: &mut impl Rng,
-        keys: &mut Vec<(f32, ItemId)>,
+        scratch: &mut Scratch,
     ) -> Vec<ItemId> {
         let inv_temp = 1.0 / self.temperature.max(1e-3);
-        keys.clear();
-        keys.extend(item_latents.iter().enumerate().map(|(i, latent)| {
-            let affinity = hf_tensor::ops::dot(user_latent, latent);
-            let score = inv_temp * (affinity + self.popularity_weight * log_pop[i]) + gumbel(rng);
-            (score, i as ItemId)
-        }));
-        let n = n.min(keys.len());
-        keys.select_nth_unstable_by(n.saturating_sub(1), |a, b| {
-            b.0.partial_cmp(&a.0).expect("scores are finite")
-        });
-        // A fresh list of capacity `n`: collecting the truncated buffer
-        // itself would hand its whole `num_items`-wide allocation to the
-        // dataset for life.
-        keys[..n].iter().map(|&(_, i)| i).collect()
+        let scores = &mut scratch.scores;
+        scores.clear();
+        scores.resize(items.boost.len(), -0.0);
+        for (&w, row) in user_latent
+            .iter()
+            .zip(items.panel.chunks_exact(items.boost.len()))
+        {
+            for (acc, &x) in scores.iter_mut().zip(row) {
+                *acc += w * x;
+            }
+        }
+        for (s, &b) in scores.iter_mut().zip(&items.boost) {
+            *s = inv_temp * (*s + b);
+        }
+        scratch.draws.clear();
+        scratch
+            .draws
+            .extend(scores.iter().map(|_| (rng.next_u64() >> 40) as u32));
+        top_n(scratch, n)
     }
+}
+
+/// The standard Gumbel draw [`Rng::gumbel01`] makes when the `f32`
+/// uniform it takes carries the 24-bit draw `m`.
+fn gumbel_of(m: u32) -> f32 {
+    struct Drawn(u64);
+    impl Rng for Drawn {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+    Drawn(u64::from(m) << 40).gumbel01()
+}
+
+/// `(low, high)` bounds on [`gumbel_of`] over each bucket of draws
+/// sharing their top [`BUCKET_BITS`] bits.
+fn gumbel_bounds() -> &'static [(f32, f32)] {
+    static BOUNDS: OnceLock<Vec<(f32, f32)>> = OnceLock::new();
+    BOUNDS.get_or_init(|| {
+        (0..1u32 << BUCKET_BITS)
+            .map(|b| {
+                let first = b * BUCKET_DRAWS;
+                let last = first + BUCKET_DRAWS - 1;
+                (
+                    gumbel_of(first) - BUCKET_SLACK,
+                    gumbel_of(last) + BUCKET_SLACK,
+                )
+            })
+            .collect()
+    })
+}
+
+fn bucket(m: u32) -> usize {
+    (m / BUCKET_DRAWS) as usize
+}
+
+/// The `n` items with the largest keys `scores[i] + gumbel_of(draws[i])`.
+fn top_n(scratch: &mut Scratch, n: usize) -> Vec<ItemId> {
+    let num_items = scratch.scores.len();
+    if n == 0 {
+        Vec::new()
+    } else if n >= num_items {
+        (0..num_items as ItemId).collect()
+    } else {
+        top_n_bounded(scratch, n).unwrap_or_else(|| top_n_exact(scratch, n))
+    }
+}
+
+/// [`top_n`] with exact keys only for the items whose upper bound reaches
+/// the `n`-th largest lower bound; `None` when the `n`-th and `(n+1)`-th
+/// exact keys tie, since which of the tied items wins is up to
+/// [`top_n_exact`]. Keys are never NaN, so `total_cmp` (branch-free,
+/// unlike the `partial_cmp` the full-array pass keeps) orders them as
+/// `<` does, bar `-0.0 < 0.0`: a zero-signed tie is still a tie to `==`.
+fn top_n_bounded(scratch: &mut Scratch, n: usize) -> Option<Vec<ItemId>> {
+    let bounds = gumbel_bounds();
+    let Scratch {
+        scores,
+        draws,
+        floors,
+        keys,
+    } = scratch;
+    floors.clear();
+    floors.extend(
+        scores
+            .iter()
+            .zip(draws.iter())
+            .map(|(&s, &m)| s + bounds[bucket(m)].0),
+    );
+    // At least `n` exact keys reach `floor`, so an item whose upper bound
+    // is below it is below the `n`-th exact key too.
+    let floor = *floors
+        .select_nth_unstable_by(n - 1, |a, b| b.total_cmp(a))
+        .1;
+    keys.clear();
+    for (i, (&s, &m)) in scores.iter().zip(draws.iter()).enumerate() {
+        if s + bounds[bucket(m)].1 >= floor {
+            keys.push((s + gumbel_of(m), i as ItemId));
+        }
+    }
+    let (_, &mut (nth, _), rest) = keys.select_nth_unstable_by(n - 1, |a, b| b.0.total_cmp(&a.0));
+    if rest.iter().any(|&(k, _)| k == nth) {
+        return None;
+    }
+    Some(keys[..n].iter().map(|&(_, i)| i).collect())
+}
+
+/// [`top_n`] over every item's exact key: the selection the generator
+/// has always made.
+fn top_n_exact(scratch: &mut Scratch, n: usize) -> Vec<ItemId> {
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend(
+        scratch
+            .scores
+            .iter()
+            .zip(&scratch.draws)
+            .enumerate()
+            .map(|(i, (&s, &m))| (s + gumbel_of(m), i as ItemId)),
+    );
+    keys.select_nth_unstable_by(n - 1, |a, b| {
+        b.0.partial_cmp(&a.0).expect("scores are finite")
+    });
+    // A fresh list of capacity `n`: collecting the truncated buffer
+    // itself would hand its whole `num_items`-wide allocation to the
+    // dataset for life.
+    keys[..n].iter().map(|&(_, i)| i).collect()
 }
 
 /// Uniformly random unit vector.
@@ -220,11 +377,6 @@ fn sample_lognormal_count(mu: f64, sigma: f64, rng: &mut impl Rng) -> usize {
 
 fn standard_normal(rng: &mut impl Rng) -> f64 {
     rng.standard_normal()
-}
-
-/// Standard Gumbel(0,1) draw.
-fn gumbel(rng: &mut impl Rng) -> f32 {
-    rng.gumbel01()
 }
 
 #[cfg(test)]
@@ -263,15 +415,29 @@ mod tests {
     #[test]
     fn output_is_pinned_and_independent_of_the_worker_count() {
         // Digests of what the sequential, collect-in-place generator
-        // produced (computed at commit 131f2d0, before the fan-out).
+        // produced (computed at commit 131f2d0, before the fan-out); the
+        // quarter-scale MovieLens (the training workloads' shape) and
+        // Anime digests come from the full-array generator before the
+        // bounded Gumbel keys (commit 4a8305d).
         let tiny = SyntheticConfig::tiny();
         let ml = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.05);
+        let ml_quarter = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.25);
+        let anime_quarter = crate::profiles::DatasetProfile::Anime.config_scaled(0.25);
         let pinned = [
             (&tiny, 42, 0x9764_8475_e7f2_c99f_u64),
             (&tiny, 7, 0xedf0_0e66_2c16_1dec),
             (&ml, 42, 0x9440_6622_8eca_80e1),
             (&ml, 7, 0x2aab_7e47_8d3d_7bbb),
+            (&ml_quarter, 42, 0x1b7a_4e3a_2529_4dfd),
+            (&ml_quarter, 7, 0xd8ee_411a_8ab4_ab9b),
+            (&anime_quarter, 42, 0xb5b9_bd59_a539_0ca8),
+            (&anime_quarter, 7, 0x01a0_f2a0_2247_506b),
         ];
+        assert_eq!((ml_quarter.num_users, ml_quarter.num_items), (1_510, 927));
+        assert_eq!(
+            (anime_quarter.num_users, anime_quarter.num_items),
+            (2_621, 1_722)
+        );
         for (cfg, seed, want) in pinned {
             assert!(cfg.num_users > USERS_PER_CHUNK, "several chunks to steal");
             for workers in [1, 2, 8] {
@@ -283,6 +449,100 @@ mod tests {
                 );
             }
             assert_eq!(digest(&cfg.generate(seed)), want);
+        }
+    }
+
+    /// Scratch holding `scores` and `draws` for [`top_n`].
+    fn scratch(scores: Vec<f32>, draws: Vec<u32>) -> Scratch {
+        Scratch {
+            scores,
+            draws,
+            ..Scratch::default()
+        }
+    }
+
+    fn sorted(mut ids: Vec<ItemId>) -> Vec<ItemId> {
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn bounded_keys_select_what_the_full_array_selects() {
+        let mut rng = stream(11, SeedStream::Custom(0x7465_7374));
+        for num_items in [2, 3, 40, 500] {
+            for _ in 0..50 {
+                let scores = (0..num_items)
+                    .map(|_| rng.standard_normal_f32() * 3.0)
+                    .collect();
+                let draws = (0..num_items)
+                    .map(|_| (rng.next_u64() >> 40) as u32)
+                    .collect();
+                let mut s = scratch(scores, draws);
+                for n in [1, num_items / 3, num_items - 1] {
+                    let n = n.max(1);
+                    let full = sorted(top_n_exact(&mut s, n));
+                    assert_eq!(full.len(), n);
+                    assert_eq!(top_n_bounded(&mut s, n).map(sorted), Some(full));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_boundary_tie_falls_back_to_the_full_array() {
+        // Items 5..15 share a score and a draw, and so an exact key; the
+        // rest sit far below. Picking 4 of the 10 tied items is up to the
+        // full-array selection.
+        let num_items = 40;
+        let scores = vec![0.5; num_items];
+        let draws = (0..num_items as u32)
+            .map(|i| if (5..15).contains(&i) { 0xff_f000 } else { i })
+            .collect();
+        let mut s = scratch(scores, draws);
+        assert_eq!(top_n_bounded(&mut s, 4), None, "the tie must be seen");
+        let picked = top_n(&mut s, 4);
+        assert_eq!(picked, top_n_exact(&mut s, 4));
+        assert!(picked.iter().all(|i| (5..15).contains(i)), "{picked:?}");
+        // A tie strictly inside the winners decides nothing.
+        assert_eq!(
+            top_n_bounded(&mut s, 10).map(sorted),
+            Some((5..15).collect())
+        );
+    }
+
+    /// Every `step`-th 24-bit draw (and the last) has its `g` inside its
+    /// bucket's bounds.
+    fn check_bucket_bounds(step: usize) {
+        let bounds = gumbel_bounds();
+        assert_eq!(bounds.len(), 1 << BUCKET_BITS);
+        for m in (0..1u32 << 24).step_by(step).chain([(1 << 24) - 1]) {
+            let (lo, hi) = bounds[bucket(m)];
+            let g = gumbel_of(m);
+            assert!(lo <= g && g <= hi, "draw {m}: {g} outside [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn gumbel_draws_lie_inside_their_bucket_bounds() {
+        check_bucket_bounds(97);
+    }
+
+    /// Exhaustive: run with `cargo test --release -p hf_dataset -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over all 2^24 draws; ci.sh runs it in release"]
+    fn every_gumbel_draw_lies_inside_its_bucket_bounds() {
+        check_bucket_bounds(1);
+    }
+
+    #[test]
+    fn gumbel_of_a_draw_is_the_rng_gumbel() {
+        let mut a = stream(5, SeedStream::Custom(0x7465_7374));
+        let mut b = a.clone();
+        for _ in 0..10_000 {
+            assert_eq!(
+                gumbel_of((a.next_u64() >> 40) as u32).to_bits(),
+                b.gumbel01().to_bits()
+            );
         }
     }
 

@@ -185,6 +185,15 @@ impl UserArena {
         .expect("a copy is never malformed");
     }
 
+    /// Empties the arena, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.tiers.clear();
+        self.ends.clear();
+        self.embs.clear();
+        self.histories.clear();
+        self.solos.clear();
+    }
+
     pub(crate) fn shrink_to_fit(&mut self) {
         self.embs.shrink_to_fit();
         self.histories.shrink_to_fit();

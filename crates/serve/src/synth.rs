@@ -10,15 +10,24 @@
 //!   (the eager reference, fine up to a few hundred thousand users);
 //! * [`ModelArtifact::synthesize_to_file`] — feed the same RNG streams
 //!   straight into [`crate::binfmt`]'s streaming writer, holding one
-//!   table chunk / one user record at a time plus the 8-byte-per-user
-//!   directory, so a 1M×1M artifact builds in bounded memory.
+//!   table chunk / one wave of user records at a time plus the
+//!   8-byte-per-user directory, so a 1M×1M artifact builds in bounded
+//!   memory.
+//!
+//! Both paths generate users in waves of `WAVE_USERS`, each wave split
+//! into one block of consecutive users per core (`available_parallelism`).
+//! A user draws only from its own substreams, so which thread builds it
+//! changes nothing, and the wave is handed on in user order, so the
+//! popularity counts and the fallback means (`f32` sums) add up in the
+//! order a one-thread pass would use.
 //!
 //! **Byte-identity contract**: both paths draw every parameter from
 //! purpose-keyed RNG streams in the same order and both files come out
 //! of the one writer, so `synthesize(p, d, s).save_file(x)` and
 //! `synthesize_to_file(p, d, s, x)` write the *same bytes* — pinned by a
-//! test, and the foundation `examples/capacity.rs` stands on (its lazy
-//! and eager rankings really are the same model).
+//! test, as are the bytes themselves at 1, 2 and 8 workers, and the
+//! foundation `examples/capacity.rs` stands on (its lazy and eager
+//! rankings really are the same model).
 
 use crate::artifact::{ModelArtifact, Tally, UserArena, UserStore, UserView};
 use crate::binfmt::{self, ArtifactWriter, Meta};
@@ -41,6 +50,9 @@ const SCALE: f32 = 0.1;
 
 /// Table rows synthesized per write chunk on the streaming path.
 const ROWS_PER_CHUNK: usize = 4096;
+
+/// Users synthesized per wave: what is held at once beside the output.
+const WAVE_USERS: usize = 1024;
 
 /// What [`ModelArtifact::synthesize_to_file`] wrote — the analytic
 /// breakdown capacity runs report alongside measured footprints.
@@ -77,27 +89,113 @@ fn theta(seed: u64, t: usize, dim: usize) -> Ffn {
     Ffn::new(&paper_predictor_dims(dim), &mut rng)
 }
 
-/// Synthesizes one user (no standalone state) and lends it to `sink` —
-/// the single source of user records for both synthesis paths. `emb` is
-/// scratch, reused across users.
-fn synth_user(
+/// Refills `block` with users `users` (no standalone state). Each user
+/// draws from its own substreams, so a block is the same whichever
+/// thread fills it.
+fn synth_block(
     profile: &SyntheticProfile,
     dims: &TierDims,
     seed: u64,
-    user: usize,
-    emb: &mut Vec<f32>,
-    sink: impl FnOnce(UserView<'_>),
+    users: std::ops::Range<usize>,
+    block: &mut UserArena,
 ) {
-    let (tier, history) = profile.user(seed, user);
-    let mut rng = substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
-    emb.clear();
-    fill_normal(&mut rng, emb, dims.dim(tier));
-    sink(UserView {
-        tier,
-        emb,
-        history: &history,
-        solo: None,
-    })
+    block.clear();
+    let mut seen = Vec::new();
+    for user in users {
+        block
+            .push_with(|embs, histories| {
+                let tier = profile.user_into(seed, user, &mut seen, histories);
+                let mut rng = substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
+                fill_normal(&mut rng, embs, dims.dim(tier));
+                Ok((tier, None))
+            })
+            .expect("a synthesized record is never malformed");
+    }
+}
+
+/// The profile's users, synthesized a wave of `WAVE_USERS` at a time
+/// and lent out in user order — the single source of user records for
+/// both synthesis paths. Each of `workers` threads fills one block of
+/// consecutive users of a wave; one wave is held at a time, in blocks
+/// every wave reuses.
+struct Waves<'a> {
+    profile: &'a SyntheticProfile,
+    dims: &'a TierDims,
+    seed: u64,
+    workers: usize,
+    /// The first user of the current wave.
+    start: usize,
+    /// Users in the current wave.
+    len: usize,
+    /// Users in each block of the current wave (the last may hold fewer).
+    per_block: usize,
+    blocks: Vec<UserArena>,
+}
+
+impl<'a> Waves<'a> {
+    fn new(profile: &'a SyntheticProfile, dims: &'a TierDims, seed: u64, workers: usize) -> Self {
+        Self {
+            profile,
+            dims,
+            seed,
+            workers: workers.max(1),
+            start: 0,
+            len: 0,
+            per_block: 1,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Lends `user` to `f`. Users are asked for in order, so a user past
+    /// the current wave starts the next one.
+    fn with(&mut self, user: usize, f: impl FnOnce(UserView<'_>)) {
+        if user >= self.start + self.len {
+            self.fill(user);
+        }
+        let at = user - self.start;
+        let view = self.blocks[at / self.per_block].get(at % self.per_block);
+        f(view.expect("users are asked for in order"))
+    }
+
+    /// Synthesizes the wave that starts at `start`.
+    fn fill(&mut self, start: usize) {
+        let Self {
+            profile,
+            dims,
+            seed,
+            ..
+        } = *self;
+        let end = (start + WAVE_USERS).min(profile.num_users);
+        let per_block = (end - start).div_ceil(self.workers);
+        let num_blocks = (end - start).div_ceil(per_block);
+        if self.blocks.len() < num_blocks {
+            self.blocks.resize_with(num_blocks, UserArena::default);
+        }
+        let fill = move |first: usize, block: &mut UserArena| {
+            synth_block(
+                profile,
+                dims,
+                seed,
+                first..(first + per_block).min(end),
+                block,
+            )
+        };
+        if num_blocks == 1 {
+            fill(start, &mut self.blocks[0]);
+        } else {
+            std::thread::scope(|scope| {
+                let firsts = (start..end).step_by(per_block);
+                for (first, block) in firsts.zip(&mut self.blocks) {
+                    scope.spawn(move || fill(first, block));
+                }
+            });
+        }
+        (self.start, self.len, self.per_block) = (start, end - start, per_block);
+    }
+}
+
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl ModelArtifact {
@@ -111,6 +209,17 @@ impl ModelArtifact {
         profile: &SyntheticProfile,
         dims: TierDims,
         seed: u64,
+    ) -> Result<Self, ServeError> {
+        Self::synthesize_on(profile, dims, seed, workers())
+    }
+
+    /// [`ModelArtifact::synthesize`] with users generated on `workers`
+    /// threads.
+    fn synthesize_on(
+        profile: &SyntheticProfile,
+        dims: TierDims,
+        seed: u64,
+        workers: usize,
     ) -> Result<Self, ServeError> {
         profile.validate().map_err(synth_err)?;
         let num_items = profile.num_items;
@@ -132,9 +241,9 @@ impl ModelArtifact {
         });
         let mut users = UserArena::with_capacity(profile.num_users, embs, ids);
         let mut tally = Tally::new(num_items, &dims);
-        let mut emb = Vec::new();
+        let mut waves = Waves::new(profile, &dims, seed, workers);
         for u in 0..profile.num_users {
-            synth_user(profile, &dims, seed, u, &mut emb, |user| {
+            waves.with(u, |user| {
                 tally.add(user);
                 users.push(user);
             });
@@ -155,7 +264,7 @@ impl ModelArtifact {
 
     /// Streams a synthesized artifact straight to `path` in bounded
     /// memory: tables go out in `ROWS_PER_CHUNK`-row chunks, user
-    /// records one at a time, popularity and the fallback means
+    /// records a wave at a time, popularity and the fallback means
     /// accumulate as the records pass. Byte-identical to
     /// `synthesize(...)?.save_file(path)`, and atomic like it.
     pub fn synthesize_to_file(
@@ -188,9 +297,9 @@ impl ModelArtifact {
             w.thetas(thetas.each_ref())?;
 
             let mut tally = Tally::new(meta.num_items, &dims);
-            let mut emb = Vec::new();
+            let mut waves = Waves::new(profile, &dims, seed, workers());
             let users_bytes = w.users(|u, out| {
-                synth_user(profile, &dims, seed, u, &mut emb, |user| {
+                waves.with(u, |user| {
                     tally.add(user);
                     binfmt::put_user(out, user);
                 })
@@ -232,6 +341,47 @@ mod tests {
             .map(|i| eager.popularity(i) as u64)
             .sum();
         assert_eq!(total, stats.interactions);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn output_is_pinned_and_independent_of_the_worker_count() {
+        // Digests of what the one-user-at-a-time generator (an ordered
+        // set per history) wrote at commit 4a8305d.
+        let pinned = [
+            (256, 42, 0xaa17_b89e_beb9_604b_u64),
+            (256, 7, 0xba83_8730_953b_692a),
+            (10_000, 42, 0xe4e4_dd8f_bad8_72a9),
+            (10_000, 7, 0xa676_bc27_940b_a31c),
+        ];
+        let dims = TierDims::new(8, 16, 32);
+        let dir = std::env::temp_dir().join(format!("hf_synth_pinned_{}", std::process::id()));
+        for (items, seed, want) in pinned {
+            let profile = SyntheticProfile::new(2_000, items);
+            assert!(
+                profile.num_users > WAVE_USERS / 2,
+                "several blocks to share"
+            );
+            for workers in [1, 2, 8] {
+                let bytes = ModelArtifact::synthesize_on(&profile, dims, seed, workers)
+                    .expect("valid profile")
+                    .to_bytes();
+                let got = fnv1a(&bytes);
+                assert_eq!(
+                    got, want,
+                    "{items} items, seed {seed}, {workers} workers: {got:#018x}"
+                );
+            }
+            let path = dir.join(format!("{items}-{seed}.hfa"));
+            ModelArtifact::synthesize_to_file(&profile, dims, seed, &path).expect("streamed");
+            assert_eq!(fnv1a(&std::fs::read(&path).expect("file")), want);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
