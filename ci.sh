@@ -127,6 +127,12 @@ cargo run -q --offline --release -p hf_pipeline --bin hf_pipeline -- \
 grep -q "hot swap verified: v1 -> v2, rankings attributable" \
     target/ci-artifacts/hf_pipeline_smoke.log
 test -s target/ci-artifacts/hf_pipeline/artifact-v1.hfab
+# The replayed future is pinned: every (time, user, item) event and every
+# base list, by digest, for two shapes and two seeds; the proof line
+# prints only when each digest held.
+cargo test -q --offline --release -p hf_pipeline --test replay_pinned -- --nocapture \
+    | tee target/ci-artifacts/replay_pinned.log
+grep -q "replay stream pinned" target/ci-artifacts/replay_pinned.log
 
 echo "==> network serving smoke (hf-serve + hf-loadgen)"
 # Boot the real hf-serve binary on a generation the pipeline just

@@ -14,6 +14,19 @@
 //! embedding (Eq. 3), the DDR penalty (Eq. 14) applied once per local
 //! pass over the touched rows, and deltas (`trained − downloaded`)
 //! uploaded at the end.
+//!
+//! # What a client keeps between rounds
+//!
+//! A session holds one [`UserState`] per client for the whole run, tens
+//! of thousands of them at once, so a client keeps only what its next
+//! round needs: the private embedding and its two Adam moments in one
+//! list (`emb | m | v`), Adam's hyper-parameters and step count beside
+//! it ([`Adam`] steps over the caller's slices), and a pointer that is
+//! non-null only under [`Strategy::Standalone`], whose private item rows
+//! and predictor are the one large per-client cost. That is 48 bytes
+//! inline and one allocation of `3 × dim` floats; everything a round
+//! builds on top — local item rows, task engines, gradients — is
+//! dropped when the round ends.
 
 use crate::config::TrainConfig;
 use crate::ddr;
@@ -32,16 +45,19 @@ use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use hf_tensor::Matrix;
 use std::collections::HashMap;
 
-/// A client's persistent private state.
+/// A client's persistent private state (module docs): one allocation
+/// of floats, `emb | m | v` — the private user embedding and its two
+/// Adam moments, each the embedding's width — beside the optimiser, and
+/// the standalone model behind one pointer.
 #[derive(Clone, Debug)]
 pub struct UserState {
-    /// Private user embedding (width = model-tier dimension).
-    pub emb: Vec<f32>,
-    /// Persistent Adam state for the user embedding.
-    pub adam: Adam,
+    /// `emb | m | v`, each the embedding's width.
+    floats: Box<[f32]>,
+    /// The embedding's optimiser: hyper-parameters and step count.
+    adam: Adam,
     /// Present only under [`Strategy::Standalone`]: the client's private
     /// copies of the public parameters.
-    pub standalone: Option<StandaloneState>,
+    standalone: Option<Box<StandaloneState>>,
 }
 
 /// Standalone-mode private model: item rows the client has trained
@@ -64,24 +80,66 @@ impl UserState {
         standalone_theta: Option<Ffn>,
     ) -> Self {
         let mut rng = substream(cfg.seed, SeedStream::UserInit, user_id as u64);
-        let emb = hf_tensor::init::normal_vec(dim, 1.0 / (dim as f32).sqrt(), &mut rng);
+        // Adam's moments start at zero.
+        let mut floats = vec![0.0; 3 * dim].into_boxed_slice();
+        let std = 1.0 / (dim as f32).sqrt();
+        hf_tensor::init::fill_normal(&mut floats[..dim], std, &mut rng);
         Self {
-            emb,
-            adam: Adam::new(dim, AdamConfig::with_lr(cfg.user_lr)),
-            standalone: standalone_theta.map(|theta| StandaloneState {
-                rows: HashMap::new(),
-                theta,
+            floats,
+            adam: Adam::new(AdamConfig::with_lr(cfg.user_lr)),
+            standalone: standalone_theta.map(|theta| {
+                Box::new(StandaloneState {
+                    rows: HashMap::new(),
+                    theta,
+                })
             }),
         }
+    }
+
+    /// Width of the private user embedding (its model tier's dimension).
+    pub fn dim(&self) -> usize {
+        self.floats.len() / 3
+    }
+
+    /// The private user embedding.
+    pub fn emb(&self) -> &[f32] {
+        &self.floats[..self.dim()]
+    }
+
+    /// The client's private model — present only under
+    /// [`Strategy::Standalone`].
+    pub fn standalone(&self) -> Option<&StandaloneState> {
+        self.standalone.as_deref()
+    }
+
+    /// Heap bytes of the float list, plus the standalone box's own size
+    /// (not its rows or predictor) when there is one.
+    pub fn heap_bytes(&self) -> usize {
+        let boxed = self
+            .standalone
+            .as_ref()
+            .map_or(0, |_| std::mem::size_of::<StandaloneState>());
+        std::mem::size_of_val(&*self.floats) + boxed
+    }
+
+    /// One Adam step on the embedding along `grads`.
+    fn step_emb(&mut self, grads: &[f32]) {
+        let dim = self.dim();
+        let (emb, moments) = self.floats.split_at_mut(dim);
+        let (m, v) = moments.split_at_mut(dim);
+        self.adam.step(emb, m, v, grads);
     }
 }
 
 impl ToJson for UserState {
     fn write_json(&self, out: &mut String) {
+        let dim = self.dim();
+        let (emb, moments) = self.floats.split_at(dim);
+        let (m, v) = moments.split_at(dim);
         obj(out, |o| {
-            o.field("emb", &self.emb)
-                .field("adam", &self.adam)
-                .field("standalone", &self.standalone);
+            o.field("emb", &emb)
+                .field("adam", &self.adam.json(m, v))
+                .field("standalone", &self.standalone());
         });
     }
 }
@@ -120,11 +178,11 @@ impl UserState {
     /// be as wide as the embedding, and every row's item id in range.
     pub fn from_json(v: &JsonValue<'_>, num_items: usize) -> Result<Self, JsonError> {
         let emb = v.get("emb")?.as_f32_vec()?;
-        let adam = Adam::from_json(v.get("adam")?)?;
-        if adam.len() != emb.len() {
+        let (adam, m, moment2) = Adam::from_json(v.get("adam")?)?;
+        if m.len() != emb.len() {
             return Err(JsonError::msg(format!(
                 "`adam` tracks {} parameters for a {}-wide embedding",
-                adam.len(),
+                m.len(),
                 emb.len()
             )));
         }
@@ -149,14 +207,14 @@ impl UserState {
                     }
                     rows.insert(item as u32, row);
                 }
-                Some(StandaloneState {
+                Some(Box::new(StandaloneState {
                     rows,
                     theta: Ffn::from_json(s.get("theta")?)?,
-                })
+                }))
             }
         };
         Ok(Self {
-            emb,
+            floats: [emb, m, moment2].concat().into_boxed_slice(),
             adam,
             standalone,
         })
@@ -287,7 +345,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     let cfg = ctx.cfg;
     let is_standalone = matches!(ctx.strategy, Strategy::Standalone);
     let tier_dim = cfg.dims.dim(ctx.model_tier);
-    debug_assert_eq!(prev.emb.len(), tier_dim);
+    debug_assert_eq!(prev.dim(), tier_dim);
 
     let mut state = prev.clone();
     if user_split.train.is_empty() {
@@ -300,11 +358,11 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     }
 
     // --- Set up local copies -------------------------------------------------
-    let overlay = prev.standalone.as_ref().map(|s| &s.rows);
+    let overlay = prev.standalone().map(|s| &s.rows);
     let mut local = LocalRows::new(ctx.table, overlay, tier_dim);
 
     let downloaded_thetas: Vec<&Ffn> = if is_standalone {
-        vec![&prev.standalone.as_ref().expect("standalone state").theta]
+        vec![&prev.standalone().expect("standalone state").theta]
     } else {
         ctx.thetas.iter().collect()
     };
@@ -361,7 +419,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
         if is_gcn {
             for task in &mut tasks {
                 task.prop_user = propagate_lightgcn(
-                    &state.emb[..task.dim],
+                    &state.emb()[..task.dim],
                     graph_items.len(),
                     graph_items.iter().map(|&i| local.get(i)),
                 );
@@ -386,7 +444,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
                 } else {
                     let row = local.get(item);
                     task.engine
-                        .forward(&state.emb[..task.dim], &row[..task.dim], &mut task.ws)
+                        .forward(&state.emb()[..task.dim], &row[..task.dim], &mut task.ws)
                 };
                 total_loss += (task_scale * bce_with_logits(logit, label)) as f64;
                 let d_logit = task_scale * bce_with_logits_grad(logit, label);
@@ -422,7 +480,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
                     }
                 }
             }
-            state.adam.step(&mut state.emb, &du_full);
+            state.step_emb(&du_full);
             total_samples += 1;
         }
     }
@@ -615,8 +673,8 @@ mod tests {
         let (cfg, split, server) = setup(ModelKind::Ncf, strategy);
         let before = UserState::init(4, cfg.dims.dim(Tier::Small), &cfg, None);
         let out = run_one(&cfg, strategy, &split, &server, 4, Tier::Small);
-        assert_ne!(before.emb, out.state.emb);
-        assert!(out.state.emb.iter().all(|x| x.is_finite()));
+        assert_ne!(before.emb(), out.state.emb());
+        assert!(out.state.emb().iter().all(|x| x.is_finite()));
     }
 
     #[test]
@@ -626,7 +684,7 @@ mod tests {
         let out = run_one(&cfg, strategy, &split, &server, 0, Tier::Medium);
         assert!(out.update.items.is_empty());
         assert!(out.update.thetas.is_empty());
-        let standalone = out.state.standalone.expect("standalone state");
+        let standalone = out.state.standalone().expect("standalone state");
         assert!(!standalone.rows.is_empty(), "no local rows trained");
     }
 
@@ -734,7 +792,7 @@ mod tests {
         let a = run_one(&cfg, strategy, &split, &server, 8, Tier::Large);
         let b = run_one(&cfg, strategy, &split, &server, 8, Tier::Large);
         assert_eq!(a.update, b.update);
-        assert_eq!(a.state.emb, b.state.emb);
+        assert_eq!(a.state.emb(), b.state.emb());
     }
 
     #[test]

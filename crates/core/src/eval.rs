@@ -91,7 +91,7 @@ pub fn score_user(
     let is_standalone = matches!(strategy, Strategy::Standalone);
 
     let theta = if is_standalone {
-        &state.standalone.as_ref().expect("standalone state").theta
+        &state.standalone().expect("standalone state").theta
     } else {
         server.theta(model_tier)
     };
@@ -99,7 +99,7 @@ pub fn score_user(
     let mut ws = scorer.workspace();
 
     let table = server.table(model_tier);
-    let overlay = state.standalone.as_ref().map(|s| &s.rows);
+    let overlay = state.standalone().map(|s| &s.rows);
     let row_of = |item: usize| -> &[f32] {
         if let Some(overlay) = overlay {
             if let Some(row) = overlay.get(&(item as u32)) {
@@ -111,9 +111,9 @@ pub fn score_user(
 
     // Fed-LightGCN scores with the propagated user representation.
     let user_repr: Vec<f32> = match cfg.model {
-        ModelKind::Ncf => state.emb.clone(),
+        ModelKind::Ncf => state.emb().to_vec(),
         ModelKind::LightGcn => propagate_lightgcn(
-            &state.emb,
+            state.emb(),
             user_split.train.len(),
             user_split.train.iter().map(|&item| row_of(item as usize)),
         ),

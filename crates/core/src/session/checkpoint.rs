@@ -284,10 +284,10 @@ impl Session {
         }
         for (u, state) in s.users.iter().enumerate() {
             let expected_dim = s.cfg.dims.dim(s.model_groups.tier(u));
-            if state.emb.len() != expected_dim {
+            if state.dim() != expected_dim {
                 return Err(SessionError::Checkpoint(format!(
                     "user {u} embedding has width {}, expected {expected_dim}",
-                    state.emb.len()
+                    state.dim()
                 )));
             }
         }

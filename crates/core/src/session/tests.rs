@@ -360,11 +360,10 @@ fn standalone_never_changes_server_tables() {
     s.run_epoch();
     assert_eq!(*s.server().table(Tier::Small), before);
     // But private state advanced.
-    assert!(s.users().iter().any(|u| u
-        .standalone
-        .as_ref()
-        .map(|s| !s.rows.is_empty())
-        .unwrap_or(false)));
+    assert!(s
+        .users()
+        .iter()
+        .any(|u| u.standalone().is_some_and(|s| !s.rows.is_empty())));
 }
 
 #[test]
@@ -1010,7 +1009,7 @@ fn ingest_appends_admits_and_freezes_tiers() {
     assert_eq!(&s.model_groups().tier_indices()[..n], &tiers_before[..]);
     assert_eq!(s.model_groups().tier(n), Tier::Small);
     assert_eq!(
-        s.user_state(n).emb.len(),
+        s.user_state(n).dim(),
         s.cfg().dims.dim(Tier::Small),
         "admitted embedding sized for its tier"
     );

@@ -181,7 +181,6 @@ fn main() {
         .eval_every(0)
         .build()
         .expect("valid training configuration");
-    let held_out = stream.events().to_vec();
     let mut driver = PipelineDriver::new(
         session,
         stream,
@@ -262,7 +261,7 @@ fn main() {
     println!("hot swap verified: v1 -> v2, rankings attributable");
 
     // 6. Price the staleness on the held-out events.
-    let report = drift_report(&gen1, &fresh, &held_out, 10);
+    let report = drift_report(&gen1, &fresh, stream.events(), 10);
     println!(
         "hf-pipeline: drift over {} held-out events @{}: stale NDCG {:.5}, fresh {:.5}, delta {:+.5}, mean displacement {:.2}",
         report.events,

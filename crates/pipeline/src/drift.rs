@@ -97,27 +97,31 @@ impl<'a> ScoreCache<'a> {
 }
 
 /// Replays `events` against a stale and a fresh artifact generation
-/// and aggregates the freshness comparison (module docs).
+/// and aggregates the freshness comparison (module docs). Takes any
+/// event iterator, so [`ReplayStream::events`](crate::ReplayStream::events)
+/// is read in place.
 pub fn drift_report(
     stale: &Recommender,
     fresh: &Recommender,
-    events: &[StreamEvent],
+    events: impl IntoIterator<Item = StreamEvent>,
     k: usize,
 ) -> DriftReport {
     let mut stale_cache = ScoreCache::new(stale);
     let mut fresh_cache = ScoreCache::new(fresh);
     let (mut stale_gain, mut fresh_gain, mut displacement) = (0.0f64, 0.0f64, 0.0f64);
+    let mut count = 0usize;
     for e in events {
+        count += 1;
         let rank_stale = stale_cache.rank(e.user, e.item);
         let rank_fresh = fresh_cache.rank(e.user, e.item);
         stale_gain += ndcg_term(rank_stale, k);
         fresh_gain += ndcg_term(rank_fresh, k);
         displacement += (rank_fresh as f64 - rank_stale as f64).abs();
     }
-    let n = events.len().max(1) as f64;
+    let n = count.max(1) as f64;
     let (stale_ndcg, fresh_ndcg) = (stale_gain / n, fresh_gain / n);
     DriftReport {
-        events: events.len(),
+        events: count,
         k,
         stale_ndcg,
         fresh_ndcg,
@@ -182,7 +186,7 @@ mod tests {
     #[test]
     fn identical_artifacts_show_zero_drift() {
         let rec = recommender(1);
-        let report = drift_report(&rec, &rec, &some_events(), 10);
+        let report = drift_report(&rec, &rec, some_events(), 10);
         assert_eq!(report.events, 8);
         assert_eq!(report.ndcg_delta, 0.0);
         assert_eq!(report.mean_rank_displacement, 0.0);
@@ -193,7 +197,7 @@ mod tests {
     fn different_generations_show_nonzero_displacement() {
         let stale = recommender(1);
         let fresh = recommender(3);
-        let report = drift_report(&stale, &fresh, &some_events(), 10);
+        let report = drift_report(&stale, &fresh, some_events(), 10);
         assert!(report.mean_rank_displacement > 0.0);
         assert!(report.stale_ndcg >= 0.0 && report.fresh_ndcg >= 0.0);
         assert!((report.ndcg_delta - (report.fresh_ndcg - report.stale_ndcg)).abs() < 1e-15);
@@ -202,7 +206,7 @@ mod tests {
     #[test]
     fn empty_event_sets_degrade_gracefully() {
         let rec = recommender(1);
-        let report = drift_report(&rec, &rec, &[], 10);
+        let report = drift_report(&rec, &rec, [], 10);
         assert_eq!(report.events, 0);
         assert_eq!(report.stale_ndcg, 0.0);
         assert_eq!(report.mean_rank_displacement, 0.0);

@@ -22,6 +22,19 @@
 //! id. [`ReplayStream::replay`] constructs such an order by inserting
 //! each new user's event block at a deterministic position in the
 //! shuffled existing-user event list, blocks in increasing user order.
+//!
+//! # What a replay stores
+//!
+//! A replay holds the whole held-out future for as long as the pipeline
+//! runs, so it keeps each event at its data size: a `(u32 user, item)`
+//! pair, 8 bytes, in arrival order. Times are non-decreasing and a
+//! horizon has few ticks, so they are kept run-length coded, one
+//! `(time, first index)` entry (16 bytes) per distinct time: a 256-tick
+//! horizon is 256 entries however many events it spreads. Delivered
+//! [`StreamEvent`]s are rebuilt from the two on the way out
+//! ([`ReplayStream::events`], [`InteractionStream::poll`]).
+//! [`ReplayStream::replay`] writes the pairs straight into that one
+//! array, so building a stream copies no event list either.
 
 use hf_dataset::types::{ItemId, UserId};
 use hf_dataset::ImplicitDataset;
@@ -80,28 +93,97 @@ impl Default for ReplayConfig {
 /// A deterministic replay of held-out interactions.
 ///
 /// Built by [`ReplayStream::replay`], which also returns the pre-cutoff
-/// base dataset the session should be trained (and split) on. The full
-/// event list stays readable after delivery ([`ReplayStream::events`])
+/// base dataset the session should be trained (and split) on. Every
+/// event stays readable after delivery ([`ReplayStream::events`])
 /// so a resumed pipeline can re-align ([`ReplayStream::skip`]) and a
 /// drift evaluation can replay the same future against two artifacts.
+///
+/// Stored at its data size (module docs): one `(u32 user, item)` pair
+/// per event and one `(time, first index)` entry per distinct time.
 #[derive(Clone, Debug)]
 pub struct ReplayStream {
-    events: Vec<StreamEvent>,
+    /// `(user, item)` per event, in arrival order.
+    pairs: Vec<(u32, ItemId)>,
+    /// `(time, index of its first event)` per distinct time, ascending
+    /// in both.
+    runs: Vec<(u64, usize)>,
     cursor: usize,
 }
+
+/// A user id as the stream stores it.
+///
+/// # Panics
+/// Panics if `user` does not fit in 32 bits.
+fn stored_user(user: UserId) -> u32 {
+    u32::try_from(user)
+        .unwrap_or_else(|_| panic!("user id {user} does not fit the stream's 32-bit user column"))
+}
+
+/// Events `index..` of a stream, rebuilt from its pairs and time runs.
+struct Events<'a> {
+    /// Pairs still to yield, the first at `index`.
+    pairs: &'a [(u32, ItemId)],
+    /// Runs starting after `index`'s.
+    runs: &'a [(u64, usize)],
+    /// Time of the run `index` is in.
+    time: u64,
+    index: usize,
+}
+
+impl Iterator for Events<'_> {
+    type Item = StreamEvent;
+
+    fn next(&mut self) -> Option<StreamEvent> {
+        let (&(user, item), rest) = self.pairs.split_first()?;
+        if let Some((&(time, first), later)) = self.runs.split_first() {
+            if first == self.index {
+                self.time = time;
+                self.runs = later;
+            }
+        }
+        self.pairs = rest;
+        self.index += 1;
+        Some(StreamEvent {
+            time: self.time,
+            user: user as UserId,
+            item,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.pairs.len(), Some(self.pairs.len()))
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
 
 impl ReplayStream {
     /// Wraps an explicit event list (must be sorted by `time` and obey
     /// the new-user ordering contract of the module docs).
     ///
     /// # Panics
-    /// Panics if timestamps are not non-decreasing.
+    /// Panics if timestamps are not non-decreasing or a user id does not
+    /// fit in 32 bits.
     pub fn new(events: Vec<StreamEvent>) -> Self {
         assert!(
             events.windows(2).all(|w| w[0].time <= w[1].time),
             "stream events must be sorted by time"
         );
-        Self { events, cursor: 0 }
+        let mut runs: Vec<(u64, usize)> = Vec::new();
+        for (i, e) in events.iter().enumerate() {
+            if runs.last().is_none_or(|&(time, _)| time != e.time) {
+                runs.push((e.time, i));
+            }
+        }
+        runs.shrink_to_fit();
+        Self {
+            pairs: events
+                .iter()
+                .map(|e| (stored_user(e.user), e.item))
+                .collect(),
+            runs,
+            cursor: 0,
+        }
     }
 
     /// Splits `dataset` into a pre-cutoff base dataset and the stream
@@ -117,8 +199,9 @@ impl ReplayStream {
     /// then spread uniformly over `[cfg.start, cfg.start + cfg.horizon)`.
     ///
     /// # Panics
-    /// Panics if `cfg.new_users >= dataset.num_users()` or `item_frac`
-    /// is not in `[0, 1]`.
+    /// Panics if `cfg.new_users >= dataset.num_users()`, `item_frac` is
+    /// not in `[0, 1]`, `cfg.start + cfg.horizon` overflows the `u64`
+    /// clock, or a user id does not fit in 32 bits.
     pub fn replay(
         dataset: &ImplicitDataset,
         cfg: &ReplayConfig,
@@ -134,16 +217,27 @@ impl ReplayStream {
             "item_frac must be a fraction, got {}",
             cfg.item_frac
         );
+        assert!(
+            cfg.start.checked_add(cfg.horizon).is_some(),
+            "start {} + horizon {} overflows the u64 clock",
+            cfg.start,
+            cfg.horizon
+        );
+        stored_user(dataset.num_users() - 1);
         let base_users = dataset.num_users() - cfg.new_users;
 
-        // Per-user item holdout for the retained users.
+        // Per-user item holdout for the retained users, written straight
+        // into the one event array sized for every held-out interaction.
         let hold_of =
             |len: usize| ((len as f64 * cfg.item_frac) as usize).min(len.saturating_sub(1));
         let held: usize = (0..base_users)
             .map(|u| hold_of(dataset.user(u).len()))
             .sum();
+        let withheld: usize = (base_users..dataset.num_users())
+            .map(|u| dataset.user(u).len())
+            .sum();
         let mut base_lists: Vec<Vec<ItemId>> = Vec::with_capacity(base_users);
-        let mut existing: Vec<(UserId, ItemId)> = Vec::with_capacity(held);
+        let mut pairs: Vec<(u32, ItemId)> = Vec::with_capacity(held + withheld);
         // Shuffled in a scratch buffer so each base list is allocated at
         // exactly the size it keeps.
         let mut items: Vec<ItemId> = Vec::new();
@@ -156,59 +250,92 @@ impl ReplayStream {
                 shuffle(&mut items, &mut rng);
             }
             let (kept, held_out) = items.split_at(items.len() - hold);
-            existing.extend(held_out.iter().map(|&it| (u, it)));
+            pairs.extend(held_out.iter().map(|&it| (u as u32, it)));
             base_lists.push(kept.to_vec());
         }
         let base = ImplicitDataset::new(dataset.num_items(), base_lists);
 
         // One global arrival order for the existing-user events; the
         // stream id is offset past any plausible user id so the order
-        // draw never collides with a per-user holdout stream.
+        // draw never collides with a per-user holdout stream. The draws
+        // depend only on the length, not on the element type.
         let mut rng = stream(seed, SeedStream::Custom((1u64 << 40) | 1));
-        shuffle(&mut existing, &mut rng);
+        shuffle(&mut pairs, &mut rng);
 
         // Insert each new user's block at an evenly-spaced position, in
-        // increasing user order (the admission contract).
-        let withheld: usize = (base_users..dataset.num_users())
-            .map(|u| dataset.user(u).len())
-            .sum();
-        let mut merged: Vec<(UserId, ItemId)> = Vec::with_capacity(held + withheld);
+        // increasing user order (the admission contract): block `k` goes
+        // before existing event `(k + 1) * held / (new_users + 1)`.
+        // Filled back to front in place, so no event moves twice.
+        pairs.resize(held + withheld, (0, 0));
         let slots = cfg.new_users + 1;
-        let mut next = 0usize; // next new user (offset)
-        for (i, &pair) in existing.iter().enumerate() {
-            while next < cfg.new_users && i >= ((next + 1) * existing.len()) / slots {
-                let u = base_users + next;
-                merged.extend(dataset.user(u).items().iter().map(|&it| (u, it)));
-                next += 1;
+        let (mut read, mut write) = (held, pairs.len());
+        for k in (0..cfg.new_users).rev() {
+            let at = ((k + 1) * held) / slots;
+            pairs.copy_within(at..read, write - (read - at));
+            write -= read - at;
+            read = at;
+            let u = base_users + k;
+            let block = dataset.user(u).items();
+            write -= block.len();
+            for (slot, &it) in pairs[write..].iter_mut().zip(block) {
+                *slot = (u as u32, it);
             }
-            merged.push(pair);
         }
-        for u in base_users + next..dataset.num_users() {
-            merged.extend(dataset.user(u).items().iter().map(|&it| (u, it)));
-        }
+        debug_assert_eq!(read, write);
 
-        // Spread timestamps over the horizon, non-decreasing.
-        let total = merged.len().max(1) as u64;
-        let events = merged
-            .into_iter()
-            .enumerate()
-            .map(|(i, (user, item))| StreamEvent {
-                time: cfg.start + (i as u64 * cfg.horizon) / total,
-                user,
-                item,
-            })
-            .collect();
-        (base, ReplayStream::new(events))
+        // Spread timestamps over the horizon, non-decreasing: event `i`
+        // arrives at `start + i * horizon / total`. Each run of equal
+        // times is found from its first index alone — the next run starts
+        // at the first `i` whose time is one tick later — so the work is
+        // one step per distinct time, in 128 bits, which no horizon
+        // overflows.
+        let (n, h) = (pairs.len() as u128, u128::from(cfg.horizon));
+        let mut runs = Vec::with_capacity(if n == 0 { 0 } else { n.min(h).max(1) as usize });
+        let mut i = 0u128;
+        while i < n {
+            let q = i * h / n;
+            runs.push((cfg.start + q as u64, i as usize));
+            i = if h == 0 { n } else { ((q + 1) * n).div_ceil(h) };
+        }
+        (
+            base,
+            ReplayStream {
+                pairs,
+                runs,
+                cursor: 0,
+            },
+        )
     }
 
-    /// The full event list, delivered or not.
-    pub fn events(&self) -> &[StreamEvent] {
-        &self.events
+    /// Every event, delivered or not, in arrival order: an exact-size
+    /// iterator that rebuilds each [`StreamEvent`] from the stored pair
+    /// and its time run (no event list is materialised).
+    pub fn events(&self) -> impl ExactSizeIterator<Item = StreamEvent> + '_ {
+        self.events_from(0, self.pairs.len())
+    }
+
+    /// Events `start..end`.
+    fn events_from(&self, start: usize, end: usize) -> Events<'_> {
+        // The run holding `start`: the last one starting at or before it.
+        let run = self.runs.partition_point(|&(_, first)| first <= start);
+        Events {
+            pairs: &self.pairs[start..end],
+            runs: &self.runs[run..],
+            time: run.checked_sub(1).map_or(0, |r| self.runs[r].0),
+            index: start,
+        }
     }
 
     /// Number of events already delivered by [`InteractionStream::poll`].
     pub fn delivered(&self) -> usize {
         self.cursor
+    }
+
+    /// Heap bytes the stream holds: 8 per event and 16 per distinct
+    /// time, at capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.pairs.capacity() * std::mem::size_of::<(u32, ItemId)>()
+            + self.runs.capacity() * std::mem::size_of::<(u64, usize)>()
     }
 
     /// Marks the first `n` events as already delivered — how a resumed
@@ -219,22 +346,26 @@ impl ReplayStream {
     /// # Panics
     /// Panics if `n` exceeds the event count.
     pub fn skip(&mut self, n: usize) {
-        assert!(n <= self.events.len(), "cannot skip past the stream end");
+        assert!(n <= self.pairs.len(), "cannot skip past the stream end");
         self.cursor = n;
     }
 }
 
 impl InteractionStream for ReplayStream {
     fn poll(&mut self, clock: u64) -> Vec<StreamEvent> {
-        let start = self.cursor;
-        while self.cursor < self.events.len() && self.events[self.cursor].time <= clock {
-            self.cursor += 1;
+        // Due events end where the first run past `clock` begins.
+        let end = match self.runs.partition_point(|&(time, _)| time <= clock) {
+            r if r == self.runs.len() => self.pairs.len(),
+            r => self.runs[r].1,
         }
-        self.events[start..self.cursor].to_vec()
+        .max(self.cursor);
+        let due = self.events_from(self.cursor, end).collect();
+        self.cursor = end;
+        due
     }
 
     fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
+        self.pairs.len() - self.cursor
     }
 }
 
@@ -261,12 +392,12 @@ mod tests {
         let d = data(7);
         let (base_a, stream_a) = ReplayStream::replay(&d, &cfg(), 11);
         let (base_b, stream_b) = ReplayStream::replay(&d, &cfg(), 11);
-        assert_eq!(stream_a.events(), stream_b.events());
+        assert!(stream_a.events().eq(stream_b.events()));
         for u in 0..base_a.num_users() {
             assert_eq!(base_a.user(u).items(), base_b.user(u).items());
         }
         let (_, stream_c) = ReplayStream::replay(&d, &cfg(), 12);
-        assert_ne!(stream_a.events(), stream_c.events());
+        assert!(!stream_a.events().eq(stream_c.events()));
     }
 
     #[test]
@@ -282,7 +413,7 @@ mod tests {
             assert!(!base.user(u).items().is_empty(), "user {u} lost everything");
             // Every held-out (user, item) really came from the source
             // user and is absent from the base.
-            for e in stream.events().iter().filter(|e| e.user == u) {
+            for e in stream.events().filter(|e| e.user == u) {
                 assert!(d.user(u).contains(e.item));
                 assert!(!base.user(u).contains(e.item));
             }
@@ -304,7 +435,7 @@ mod tests {
             new_users: 8,
             ..ReplayConfig::default()
         };
-        let (base, _) = ReplayStream::replay(&data, &replay, 42);
+        let (base, stream) = ReplayStream::replay(&data, &replay, 42);
         let split = hf_dataset::SplitDataset::paper_split(&base, 42);
 
         // Per list: the `Vec` header plus four ids of allocator rounding.
@@ -331,15 +462,124 @@ mod tests {
         ] {
             assert!(heap <= bound, "{name}: {heap} B reserved, {bound} B held");
         }
+
+        // The stream: one `(u32 user, item)` pair per event and one
+        // `(time, first index)` entry per distinct time — no 24-byte
+        // event records.
+        let mut times: Vec<u64> = stream.events().map(|e| e.time).collect();
+        times.dedup();
+        let held = stream.events().len() * 8 + times.len() * 16;
+        assert!(
+            stream.heap_bytes() <= held,
+            "replay stream: {} B reserved, {held} B held",
+            stream.heap_bytes()
+        );
+
+        // The clients: each one list of embedding and both Adam moments,
+        // beside the step count, the optimiser's four hyper-parameters
+        // and the standalone pointer — not three lists.
+        use hetefedrec_core::{Ablation, SessionBuilder, Strategy, TrainConfig};
+        let cfg = TrainConfig::paper_defaults(
+            hf_models::ModelKind::Ncf,
+            hf_dataset::DatasetProfile::MovieLens,
+        );
+        let session = SessionBuilder::new(cfg, Strategy::HeteFedRec(Ablation::FULL), split)
+            .eval_every(0)
+            .build()
+            .expect("valid training configuration");
+        const CLIENT: usize = LIST + 8 + 16 + 8;
+        let users = session.users();
+        let held: usize = users.iter().map(|u| 3 * u.dim() * 4 + CLIENT).sum();
+        let used: usize = users
+            .iter()
+            .map(|u| std::mem::size_of_val(u) + u.heap_bytes())
+            .sum();
+        assert!(
+            used <= held,
+            "{} client states: {used} B, {held} B held",
+            users.len()
+        );
+    }
+
+    #[test]
+    fn a_long_horizon_does_not_overflow_the_clock() {
+        // `i * horizon` passes u64::MAX from the third event on; the
+        // times must still spread over the horizon in order.
+        let d = data(13);
+        let c = ReplayConfig {
+            horizon: u64::MAX / 2,
+            ..cfg()
+        };
+        let (_, stream) = ReplayStream::replay(&d, &c, 5);
+        let times: Vec<u64> = stream.events().map(|e| e.time).collect();
+        assert!(times.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(times.first(), Some(&c.start));
+        let total = times.len() as u128;
+        let last = c.start + ((total - 1) * u128::from(c.horizon) / total) as u64;
+        assert_eq!(times.last(), Some(&last));
+    }
+
+    #[test]
+    fn a_zero_horizon_delivers_everything_at_start() {
+        let c = ReplayConfig {
+            horizon: 0,
+            ..cfg()
+        };
+        let (_, mut stream) = ReplayStream::replay(&data(15), &c, 5);
+        assert!(stream.events().all(|e| e.time == c.start));
+        assert_eq!(stream.poll(c.start).len(), stream.events().len());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the u64 clock")]
+    fn a_horizon_past_the_clock_is_refused() {
+        let c = ReplayConfig {
+            start: 2,
+            horizon: u64::MAX - 1,
+            ..cfg()
+        };
+        ReplayStream::replay(&data(14), &c, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit user column")]
+    fn a_user_id_past_u32_is_refused() {
+        ReplayStream::new(vec![StreamEvent {
+            time: 0,
+            user: u32::MAX as usize + 1,
+            item: 0,
+        }]);
+    }
+
+    #[test]
+    fn events_rebuild_what_new_was_given() {
+        // Runs of equal times, a gap, and ids at the edge of the columns.
+        let given: Vec<StreamEvent> = [(1, 0, 3), (1, 4, 1), (4, 2, 0), (9, u32::MAX, 7)]
+            .into_iter()
+            .map(|(time, user, item)| StreamEvent {
+                time,
+                user: user as usize,
+                item,
+            })
+            .collect();
+        let mut stream = ReplayStream::new(given.clone());
+        assert_eq!(stream.events().len(), 4);
+        assert_eq!(stream.events().collect::<Vec<_>>(), given);
+        assert_eq!(stream.poll(0), []);
+        assert_eq!(stream.poll(3), given[..2]);
+        assert_eq!(stream.poll(8), given[2..3]);
+        assert_eq!(stream.poll(9), given[3..]);
+        stream.skip(1);
+        assert_eq!(stream.poll(1), given[1..2]);
     }
 
     #[test]
     fn new_user_blocks_arrive_in_admission_order() {
         let d = data(9);
         let (base, stream) = ReplayStream::replay(&d, &cfg(), 5);
-        let first_of = |u: usize| stream.events().iter().position(|e| e.user == u);
+        let first_of = |u: usize| stream.events().position(|e| e.user == u);
         let mut admitted = base.num_users();
-        for (i, e) in stream.events().iter().enumerate() {
+        for (i, e) in stream.events().enumerate() {
             if e.user >= admitted {
                 // An unseen user must be exactly the next id.
                 assert_eq!(e.user, admitted, "event {i} skips a user id");
@@ -357,7 +597,7 @@ mod tests {
         let d = data(10);
         let c = cfg();
         let (_, stream) = ReplayStream::replay(&d, &c, 5);
-        let times: Vec<u64> = stream.events().iter().map(|e| e.time).collect();
+        let times: Vec<u64> = stream.events().map(|e| e.time).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(times.first(), Some(&c.start));
         assert!(*times.last().unwrap() < c.start + c.horizon);
@@ -378,7 +618,7 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), total);
-        assert_eq!(seen.as_slice(), stream.events());
+        assert_eq!(seen, stream.events().collect::<Vec<_>>());
         assert_eq!(stream.remaining(), 0);
         assert!(stream.poll(u64::MAX).is_empty());
     }

@@ -168,7 +168,7 @@ fn mid_stream_checkpoint_resumes_the_exact_artifact_sequence() {
     let data = SyntheticConfig::tiny().generate(SEED);
     let (base, mut stream) = ReplayStream::replay(&data, &replay_cfg(), SEED);
     let mut split = SplitDataset::paper_split(&base, SEED);
-    for e in &stream.events()[..ingested as usize] {
+    for e in stream.events().take(ingested as usize) {
         split.ingest(e.user, e.item);
     }
     let session = SessionBuilder::from_checkpoint(&json, split)

@@ -522,9 +522,9 @@ fn session_user(session: &Session, user: usize) -> UserView<'_> {
     let state = session.user_state(user);
     UserView {
         tier: session.model_groups().tier(user),
-        emb: &state.emb,
+        emb: state.emb(),
         history: &session.split().user(user).train,
-        solo: state.standalone.as_ref(),
+        solo: state.standalone(),
     }
 }
 

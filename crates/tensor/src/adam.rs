@@ -1,8 +1,10 @@
-//! Dense Adam optimiser state.
+//! The Adam optimiser step.
 //!
 //! The paper adopts Adam with learning rate 0.001 (Section V-D). [`Adam`]
-//! keeps its moments over a flat parameter vector; each client steps its
-//! private user embedding with it.
+//! holds the hyper-parameters and the step count; the caller owns the
+//! parameters and both moments and passes them to [`Adam::step`] as
+//! slices. Each client steps its private user embedding with it, keeping
+//! embedding and moments in one allocation.
 
 /// Adam hyper-parameters.
 #[derive(Clone, Copy, Debug)]
@@ -38,34 +40,20 @@ impl AdamConfig {
     }
 }
 
-/// Dense Adam state over a flat parameter vector.
-#[derive(Clone, Debug)]
+/// Adam's step over caller-owned moments: the hyper-parameters and the
+/// number of steps taken. The first and second moments live wherever
+/// the caller keeps its parameters (a client keeps embedding and both
+/// moments in one allocation), so this is 24 bytes and no heap.
+#[derive(Clone, Copy, Debug)]
 pub struct Adam {
     config: AdamConfig,
-    m: Vec<f32>,
-    v: Vec<f32>,
     t: u64,
 }
 
 impl Adam {
-    /// Creates state for `len` parameters.
-    pub fn new(len: usize, config: AdamConfig) -> Self {
-        Self {
-            config,
-            m: vec![0.0; len],
-            v: vec![0.0; len],
-            t: 0,
-        }
-    }
-
-    /// Number of tracked parameters.
-    pub fn len(&self) -> usize {
-        self.m.len()
-    }
-
-    /// `true` when tracking zero parameters.
-    pub fn is_empty(&self) -> bool {
-        self.m.is_empty()
+    /// A fresh optimiser: no steps taken (moments start at zero).
+    pub fn new(config: AdamConfig) -> Self {
+        Self { config, t: 0 }
     }
 
     /// Steps taken so far.
@@ -73,13 +61,15 @@ impl Adam {
         self.t
     }
 
-    /// Applies one Adam update: `params -= lr * m̂ / (sqrt(v̂) + eps)`.
+    /// Applies one Adam update: `params -= lr * m̂ / (sqrt(v̂) + eps)`,
+    /// advancing the moments `m` and `v` over `params` in place.
     ///
     /// # Panics
-    /// Panics if `params` or `grads` length differs from the state length.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), self.m.len(), "param length mismatch");
-        assert_eq!(grads.len(), self.m.len(), "grad length mismatch");
+    /// Panics if `grads`, `m` or `v` length differs from `params`.
+    pub fn step(&mut self, params: &mut [f32], m: &mut [f32], v: &mut [f32], grads: &[f32]) {
+        assert_eq!(grads.len(), params.len(), "grad length mismatch");
+        assert_eq!(m.len(), params.len(), "moment length mismatch");
+        assert_eq!(v.len(), params.len(), "moment length mismatch");
         self.t += 1;
         let AdamConfig {
             lr,
@@ -91,10 +81,10 @@ impl Adam {
         let bc2 = 1.0 - beta2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = grads[i];
-            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+            let m_hat = m[i] / bc1;
+            let v_hat = v[i] / bc2;
             params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
@@ -129,11 +119,19 @@ impl AdamConfig {
     }
 }
 
-impl ToJson for Adam {
+/// Adam's checkpoint form, `{"config","t","m","v"}`, over the moments
+/// its caller holds ([`Adam::json`]).
+pub struct AdamJson<'a> {
+    adam: &'a Adam,
+    m: &'a [f32],
+    v: &'a [f32],
+}
+
+impl ToJson for AdamJson<'_> {
     fn write_json(&self, out: &mut String) {
         obj(out, |o| {
-            o.field("config", &self.config)
-                .field("t", &self.t)
+            o.field("config", &self.adam.config)
+                .field("t", &self.adam.t)
                 .field("m", &self.m)
                 .field("v", &self.v);
         });
@@ -141,19 +139,24 @@ impl ToJson for Adam {
 }
 
 impl Adam {
-    /// Restores checkpointed optimiser state (moments and timestep).
-    pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
+    /// The checkpoint form of this optimiser with moments `m` and `v`.
+    pub fn json<'a>(&'a self, m: &'a [f32], v: &'a [f32]) -> AdamJson<'a> {
+        AdamJson { adam: self, m, v }
+    }
+
+    /// Restores checkpointed optimiser state: the optimiser and its two
+    /// moments, of equal length.
+    pub fn from_json(v: &JsonValue<'_>) -> Result<(Self, Vec<f32>, Vec<f32>), JsonError> {
         let m = v.get("m")?.as_f32_vec()?;
         let vv = v.get("v")?.as_f32_vec()?;
         if m.len() != vv.len() {
             return Err(JsonError::msg("adam moment length mismatch"));
         }
-        Ok(Self {
+        let adam = Self {
             config: AdamConfig::from_json(v.get("config")?)?,
             t: v.get("t")?.as_u64()?,
-            m,
-            v: vv,
-        })
+        };
+        Ok((adam, m, vv))
     }
 }
 
@@ -164,11 +167,11 @@ mod tests {
     /// Minimising f(x) = (x-3)² should converge to 3.
     #[test]
     fn dense_adam_minimises_quadratic() {
-        let mut adam = Adam::new(1, AdamConfig::with_lr(0.1));
-        let mut x = [0.0_f32];
+        let mut adam = Adam::new(AdamConfig::with_lr(0.1));
+        let (mut x, mut m, mut v) = ([0.0_f32], [0.0_f32], [0.0_f32]);
         for _ in 0..500 {
             let g = [2.0 * (x[0] - 3.0)];
-            adam.step(&mut x, &g);
+            adam.step(&mut x, &mut m, &mut v, &g);
         }
         assert!((x[0] - 3.0).abs() < 1e-2, "x = {}", x[0]);
     }
@@ -176,42 +179,46 @@ mod tests {
     #[test]
     fn first_step_magnitude_is_lr() {
         // Adam's bias correction makes the very first step ≈ lr * sign(g).
-        let mut adam = Adam::new(1, AdamConfig::with_lr(0.01));
-        let mut x = [1.0_f32];
-        adam.step(&mut x, &[42.0]);
+        let mut adam = Adam::new(AdamConfig::with_lr(0.01));
+        let (mut x, mut m, mut v) = ([1.0_f32], [0.0_f32], [0.0_f32]);
+        adam.step(&mut x, &mut m, &mut v, &[42.0]);
         assert!((x[0] - (1.0 - 0.01)).abs() < 1e-4, "x = {}", x[0]);
     }
 
     #[test]
     fn zero_gradient_is_a_noop() {
-        let mut adam = Adam::new(3, AdamConfig::default());
-        let mut x = [1.0, 2.0, 3.0];
-        adam.step(&mut x, &[0.0, 0.0, 0.0]);
+        let mut adam = Adam::new(AdamConfig::default());
+        let (mut x, mut m, mut v) = ([1.0, 2.0, 3.0], [0.0; 3], [0.0; 3]);
+        adam.step(&mut x, &mut m, &mut v, &[0.0, 0.0, 0.0]);
         assert_eq!(x, [1.0, 2.0, 3.0]);
     }
 
     #[test]
     #[should_panic(expected = "grad length mismatch")]
     fn dense_rejects_mismatched_grad() {
-        let mut adam = Adam::new(2, AdamConfig::default());
-        let mut x = [0.0, 0.0];
-        adam.step(&mut x, &[1.0]);
+        let mut adam = Adam::new(AdamConfig::default());
+        let (mut x, mut m, mut v) = ([0.0, 0.0], [0.0; 2], [0.0; 2]);
+        adam.step(&mut x, &mut m, &mut v, &[1.0]);
     }
 
     #[test]
     fn dense_adam_checkpoint_resumes_bit_identically() {
         use crate::ser::parse_json;
-        let mut a = Adam::new(3, AdamConfig::with_lr(0.05));
-        let mut x = [1.0_f32, -2.0, 0.5];
+        let mut a = Adam::new(AdamConfig::with_lr(0.05));
+        let (mut x, mut m, mut v) = ([1.0_f32, -2.0, 0.5], [0.0; 3], [0.0; 3]);
         for step in 0..7 {
-            a.step(&mut x, &[0.1 * step as f32, -0.2, 0.3]);
+            a.step(&mut x, &mut m, &mut v, &[0.1 * step as f32, -0.2, 0.3]);
         }
-        let mut b = Adam::from_json(&parse_json(&a.to_json()).unwrap()).unwrap();
+        let json = a.json(&m, &v).to_json();
+        let (mut b, mb, vb) = Adam::from_json(&parse_json(&json).unwrap()).unwrap();
+        let (mut ma, mut va) = (m, v);
+        let (mut mb, mut vb): ([f32; 3], [f32; 3]) =
+            (mb.try_into().unwrap(), vb.try_into().unwrap());
         let mut xa = x;
         let mut xb = x;
         for _ in 0..5 {
-            a.step(&mut xa, &[0.4, -0.1, 0.05]);
-            b.step(&mut xb, &[0.4, -0.1, 0.05]);
+            a.step(&mut xa, &mut ma, &mut va, &[0.4, -0.1, 0.05]);
+            b.step(&mut xb, &mut mb, &mut vb, &[0.4, -0.1, 0.05]);
         }
         assert_eq!(xa.map(f32::to_bits), xb.map(f32::to_bits));
         assert_eq!(a.steps(), b.steps());

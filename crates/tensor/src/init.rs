@@ -25,7 +25,15 @@ pub fn normal(rows: usize, cols: usize, std: f32, rng: &mut impl Rng) -> Matrix 
 
 /// Normal(0, std) initialised flat vector (for biases / user embeddings).
 pub fn normal_vec(len: usize, std: f32, rng: &mut impl Rng) -> Vec<f32> {
-    (0..len).map(|_| sample_normal(rng) * std).collect()
+    let mut v = vec![0.0; len];
+    fill_normal(&mut v, std, rng);
+    v
+}
+
+/// Overwrites `out` with Normal(0, std) draws, in order — the values
+/// [`normal_vec`] returns, into a slice the caller owns.
+pub fn fill_normal(out: &mut [f32], std: f32, rng: &mut impl Rng) {
+    out.iter_mut().for_each(|x| *x = sample_normal(rng) * std);
 }
 
 /// Embedding-table initialiser: Normal(0, `1/sqrt(dim)`), the scale that

@@ -26,8 +26,8 @@
 //! * [`sim`] — pairwise cosine-similarity matrices and their analytic
 //!   gradient, the core of relation-based ensemble self-distillation
 //!   (Eq. 16–17).
-//! * [`adam`] — Adam optimiser state for dense parameter vectors and for
-//!   sparse row-subsets of embedding tables.
+//! * [`adam`] — the Adam step over caller-owned parameter and moment
+//!   slices.
 //! * [`ser`] — minimal JSON emission ([`ser::ToJson`]) so experiment
 //!   results snapshot without a serde dependency (the build must succeed
 //!   with an empty cargo registry).

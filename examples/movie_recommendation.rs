@@ -132,7 +132,7 @@ fn recommend(
     let mut ws = engine.workspace();
     let table = server.table(tier);
     let scores: Vec<f32> = (0..split.num_items())
-        .map(|item| engine.forward(&state.emb, table.row_prefix(item, dim), &mut ws))
+        .map(|item| engine.forward(state.emb(), table.row_prefix(item, dim), &mut ws))
         .collect();
     hetefedrec::metrics::top_k_excluding(&scores, k, &split.user(user).train)
 }
