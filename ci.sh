@@ -103,6 +103,14 @@ cargo run -q --offline --release -p hf_bench --bin async_churn -- \
     > /dev/null 2> target/ci-artifacts/async_churn_bad_latency.err || status=$?
 test "$status" -eq 2
 grep -q "latency" target/ci-artifacts/async_churn_bad_latency.err
+# So is an override the config refuses: it is checked while the command
+# line is parsed, before any data is generated.
+status=0
+cargo run -q --offline --release -p hf_bench --bin async_churn -- \
+    --scale tiny --dataset ml --model ncf --set epochs=0 \
+    > /dev/null 2> target/ci-artifacts/async_churn_bad_epochs.err || status=$?
+test "$status" -eq 2
+grep -q "epochs" target/ci-artifacts/async_churn_bad_epochs.err
 # The integration test proves async runs are byte-identical across
 # thread counts and across a mid-stream checkpoint/resume, and pins every
 # per-tier latency draw of sync and async runs with admissions by

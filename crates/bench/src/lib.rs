@@ -15,6 +15,8 @@
 //!   experiment: figures that the paper shows only for ML default to
 //!   `ml`).
 //! * `--seed <u64>` — master seed (default 42).
+//! * `--json <path>` — JSON snapshot of the results; `--set key=value`
+//!   (repeatable) — see [`CliOptions::apply_overrides`].
 //!
 //! Output is the paper's table/figure re-rendered as text, with the
 //! measured values where the paper's numbers would be.
@@ -24,6 +26,7 @@
 use hetefedrec_core::config::TrainConfig;
 use hf_dataset::{DatasetProfile, SplitDataset};
 use hf_models::ModelKind;
+use hf_tensor::cli::{self, Cli};
 
 /// Preset experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,76 +95,58 @@ pub struct CliOptions {
 }
 
 impl CliOptions {
-    /// Parses `std::env::args`, with `default_datasets` used when the user
+    /// Parses the command line, with `default_datasets` used when the user
     /// passes no `--dataset`.
     ///
-    /// Exits the process with a usage message on malformed input.
+    /// Exits the process with a usage message on malformed input, and
+    /// on `--set` overrides that leave any selected model × dataset
+    /// configuration invalid ([`TrainConfig::validate`]): before any data
+    /// is generated.
     pub fn parse(default_datasets: &[DatasetProfile]) -> CliOptions {
-        let mut scale = RunScale::TINY;
-        let mut models = vec![ModelKind::Ncf, ModelKind::LightGcn];
-        let mut datasets = default_datasets.to_vec();
-        let mut seed = 42u64;
-        let mut overrides = Vec::new();
-        let mut json = None;
-
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let (flag, value) = (args[i].as_str(), args.get(i + 1));
-            let value = || -> &str {
-                value
-                    .map(String::as_str)
-                    .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-            };
-            match flag {
-                "--scale" => {
-                    scale = RunScale::parse(value()).unwrap_or_else(|| usage("unknown scale"));
+        let mut cli = Cli::new(USAGE, &[]);
+        let opts = CliOptions {
+            scale: cli
+                .value_with("--scale", RunScale::parse)
+                .unwrap_or(RunScale::TINY),
+            models: cli
+                .value_with("--model", |v| match v {
+                    "both" => Some(vec![ModelKind::Ncf, ModelKind::LightGcn]),
+                    tag => ModelKind::from_tag(tag).map(|m| vec![m]),
+                })
+                .unwrap_or_else(|| vec![ModelKind::Ncf, ModelKind::LightGcn]),
+            datasets: cli
+                .value_with("--dataset", |v| match v {
+                    "ml" => Some(vec![DatasetProfile::MovieLens]),
+                    "anime" => Some(vec![DatasetProfile::Anime]),
+                    "douban" => Some(vec![DatasetProfile::Douban]),
+                    "all" => Some(DatasetProfile::ALL.to_vec()),
+                    _ => None,
+                })
+                .unwrap_or_else(|| default_datasets.to_vec()),
+            seed: cli.value("--seed").unwrap_or(42),
+            overrides: cli
+                .values("--set")
+                .iter()
+                .map(|kv| match kv.split_once('=') {
+                    Some((k, v)) => (k.to_string(), v.to_string()),
+                    None => cli.fail("--set expects key=value"),
+                })
+                .collect(),
+            json: cli.value("--json"),
+        };
+        cli.finish();
+        for &model in &opts.models {
+            for &profile in &opts.datasets {
+                if let Err(e) = make_config_with(&opts, model, profile).validate() {
+                    cli.fail(&format!(
+                        "--set leaves {} on {} invalid: {e}",
+                        model.name(),
+                        profile.name()
+                    ));
                 }
-                "--model" => {
-                    models = match value() {
-                        "ncf" => vec![ModelKind::Ncf],
-                        "lightgcn" => vec![ModelKind::LightGcn],
-                        "both" => vec![ModelKind::Ncf, ModelKind::LightGcn],
-                        _ => usage("unknown model"),
-                    };
-                }
-                "--dataset" => {
-                    datasets = match value() {
-                        "ml" => vec![DatasetProfile::MovieLens],
-                        "anime" => vec![DatasetProfile::Anime],
-                        "douban" => vec![DatasetProfile::Douban],
-                        "all" => DatasetProfile::ALL.to_vec(),
-                        _ => usage("unknown dataset"),
-                    };
-                }
-                "--seed" => {
-                    seed = value()
-                        .parse()
-                        .unwrap_or_else(|_| usage("seed must be a u64"));
-                }
-                "--json" => {
-                    json = Some(value().to_string());
-                }
-                "--set" => {
-                    let kv = value();
-                    let (k, v) = kv
-                        .split_once('=')
-                        .unwrap_or_else(|| usage("--set expects key=value"));
-                    overrides.push((k.to_string(), v.to_string()));
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag {other}")),
             }
-            i += 2;
         }
-        CliOptions {
-            scale,
-            models,
-            datasets,
-            seed,
-            overrides,
-            json,
-        }
+        opts
     }
 
     /// Prints the banner every binary opens with.
@@ -196,46 +181,43 @@ impl CliOptions {
         use hetefedrec_core::config::{ItemAggNorm, Mode};
         use hf_fedsim::events::LatencyProfile;
         use hf_fedsim::faults::ChurnProfile;
-        fn bad<T>(k: &str, v: &str) -> T {
-            usage(&format!("bad value for --set {k}={v}"))
+        fn bad(k: &str, v: &str) -> ! {
+            cli::fail(USAGE, &format!("bad value for --set {k}={v}"))
+        }
+        fn num<T: std::str::FromStr>(k: &str, v: &str) -> T {
+            v.parse().unwrap_or_else(|_| bad(k, v))
         }
         for (k, v) in &self.overrides {
             match k.as_str() {
-                "local_lr" => cfg.local_lr = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "user_lr" => cfg.user_lr = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "server_lr" => cfg.server_lr = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "alpha" => cfg.alpha = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "kd_lr" => cfg.kd.lr = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "kd_items" => cfg.kd.items = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "kd_steps" => cfg.kd.steps = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "epochs" => cfg.epochs = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "local_epochs" => cfg.local_epochs = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "clients_per_round" => {
-                    cfg.clients_per_round = v.parse().unwrap_or_else(|_| bad(k, v))
-                }
-                "negatives" => cfg.negatives = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "drop_prob" => cfg.drop_prob = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "eval_k" => cfg.eval_k = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "ddr_max_rows" => cfg.ddr_max_rows = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "udl_aux" => cfg.udl_aux_weight = v.parse().unwrap_or_else(|_| bad(k, v)),
+                "local_lr" => cfg.local_lr = num(k, v),
+                "user_lr" => cfg.user_lr = num(k, v),
+                "server_lr" => cfg.server_lr = num(k, v),
+                "alpha" => cfg.alpha = num(k, v),
+                "kd_lr" => cfg.kd.lr = num(k, v),
+                "kd_items" => cfg.kd.items = num(k, v),
+                "kd_steps" => cfg.kd.steps = num(k, v),
+                "epochs" => cfg.epochs = num(k, v),
+                "local_epochs" => cfg.local_epochs = num(k, v),
+                "clients_per_round" => cfg.clients_per_round = num(k, v),
+                "negatives" => cfg.negatives = num(k, v),
+                "drop_prob" => cfg.drop_prob = num(k, v),
+                "eval_k" => cfg.eval_k = num(k, v),
+                "ddr_max_rows" => cfg.ddr_max_rows = num(k, v),
+                "udl_aux" => cfg.udl_aux_weight = num(k, v),
                 "item_agg_norm" => {
                     cfg.item_agg_norm = ItemAggNorm::from_tag(v).unwrap_or_else(|| bad(k, v))
                 }
                 "mode" => cfg.mode = Mode::from_tag(v).unwrap_or_else(|| bad(k, v)),
-                "staleness_beta" => {
-                    cfg.async_cfg.staleness_beta = v.parse().unwrap_or_else(|_| bad(k, v))
-                }
-                "async_buffer" => cfg.async_cfg.buffer = v.parse().unwrap_or_else(|_| bad(k, v)),
-                "async_concurrency" => {
-                    cfg.async_cfg.concurrency = v.parse().unwrap_or_else(|_| bad(k, v))
-                }
+                "staleness_beta" => cfg.async_cfg.staleness_beta = num(k, v),
+                "async_buffer" => cfg.async_cfg.buffer = num(k, v),
+                "async_concurrency" => cfg.async_cfg.concurrency = num(k, v),
                 "latency" => {
                     cfg.latency = LatencyProfile::parse(v)
-                        .unwrap_or_else(|e| usage(&format!("--set {k}={v}: {e}")))
+                        .unwrap_or_else(|e| cli::fail(USAGE, &format!("--set {k}={v}: {e}")))
                 }
                 "churn" => {
                     cfg.churn = ChurnProfile::parse(v)
-                        .unwrap_or_else(|e| usage(&format!("--set {k}={v}: {e}")))
+                        .unwrap_or_else(|e| cli::fail(USAGE, &format!("--set {k}={v}: {e}")))
                 }
                 "secagg" => {
                     cfg.secagg.enabled = match v.as_str() {
@@ -244,26 +226,16 @@ impl CliOptions {
                         _ => bad(k, v),
                     }
                 }
-                "secagg_scale_bits" => {
-                    cfg.secagg.scale_bits = v.parse().unwrap_or_else(|_| bad(k, v))
-                }
-                _ => usage(&format!("unknown --set key {k}")),
+                "secagg_scale_bits" => cfg.secagg.scale_bits = num(k, v),
+                _ => cli::fail(USAGE, &format!("unknown --set key {k}")),
             }
         }
     }
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: <bin> [--scale tiny|small|medium|paper] [--model ncf|lightgcn|both]\n\
-         \x20             [--dataset ml|anime|douban|all] [--seed <u64>]\n\
-         \x20             [--json <path>] [--set key=value]..."
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 })
-}
+const USAGE: &str = "usage: <bin> [--scale tiny|small|medium|paper] [--model ncf|lightgcn|both]\n\
+    \x20             [--dataset ml|anime|douban|all] [--seed <u64>]\n\
+    \x20             [--json <path>] [--set key=value]...";
 
 /// Serialises `report` and writes it to `path` (atomically, parents
 /// created: [`hf_tensor::wire::write_file`]). Exits with an error
@@ -277,8 +249,7 @@ pub fn write_json_snapshot(path: &str, report: &dyn hf_tensor::ser::ToJson) {
         out.flush()
     });
     if let Err(e) = written {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1)
+        cli::fatal(format!("cannot write {path}: {e}"));
     }
     eprintln!("json snapshot written to {path}");
 }

@@ -19,77 +19,39 @@
 
 use hf_net::{run_loadgen, verify_exchanges, Client, LoadGen};
 use hf_serve::{ModelArtifact, RecommenderBuilder};
+use hf_tensor::cli::{fatal, Cli};
 use std::time::Duration;
 
 const USAGE: &str = "usage: hf-loadgen --addr <host:port> [--connections 8] [--rate 2000]\n\
     \x20   [--requests 4000] [--seed 7] [--users N] [--k 0] [--max-seconds 60]\n\
     \x20   [--verify-artifact model.hfa] [--shutdown]";
 
-fn usage_exit(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut addr: Option<String> = None;
+    let mut cli = Cli::new(USAGE, &["--shutdown"]);
+    let addr: String = cli
+        .value("--addr")
+        .unwrap_or_else(|| cli.fail("--addr is required"));
+    let users: Option<u64> = cli.value("--users");
     let mut config = LoadGen {
-        connections: 8,
-        target_qps: 2000.0,
-        requests: 4000,
-        max_duration: Duration::from_secs(60),
-        seed: 7,
-        users: 0,
-        k: 0,
+        connections: cli.value("--connections").unwrap_or(8),
+        target_qps: cli.value("--rate").unwrap_or(2000.0),
+        requests: cli.value("--requests").unwrap_or(4000),
+        max_duration: Duration::from_secs(cli.value("--max-seconds").unwrap_or(60)),
+        seed: cli.value("--seed").unwrap_or(7),
+        users: users.unwrap_or(0),
+        k: cli.value("--k").unwrap_or(0),
         capture: false,
     };
-    let mut verify_artifact: Option<String> = None;
-    let mut shutdown = false;
-    let mut users_set = false;
-
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = |name: &str| -> String {
-            argv.next()
-                .unwrap_or_else(|| usage_exit(&format!("{name} needs a value")))
-        };
-        macro_rules! parse {
-            ($name:literal) => {
-                value($name)
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit(concat!("bad ", $name)))
-            };
-        }
-        match flag.as_str() {
-            "--addr" => addr = Some(value("--addr")),
-            "--connections" => config.connections = parse!("--connections"),
-            "--rate" => config.target_qps = parse!("--rate"),
-            "--requests" => config.requests = parse!("--requests"),
-            "--seed" => config.seed = parse!("--seed"),
-            "--users" => {
-                config.users = parse!("--users");
-                users_set = true;
-            }
-            "--k" => config.k = parse!("--k"),
-            "--max-seconds" => config.max_duration = Duration::from_secs(parse!("--max-seconds")),
-            "--verify-artifact" => verify_artifact = Some(value("--verify-artifact")),
-            "--shutdown" => shutdown = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_exit(&format!("unknown flag `{other}`")),
-        }
-    }
-    let addr = addr.unwrap_or_else(|| usage_exit("--addr is required"));
+    let verify_artifact: Option<String> = cli.value("--verify-artifact");
+    let shutdown = cli.flag("--shutdown");
+    cli.finish();
 
     // The verification recommender must match hf-serve's defaults so the
     // in-process replay answers from the same configuration.
     let verifier = verify_artifact.as_ref().map(|path| {
-        let artifact = ModelArtifact::load_file(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot load {path}: {e}");
-            std::process::exit(1);
-        });
-        if !users_set {
+        let artifact = ModelArtifact::load_file(path)
+            .unwrap_or_else(|e| fatal(format!("cannot load {path}: {e}")));
+        if users.is_none() {
             // Exercise cold-start ids: ~4% of draws land past the
             // artifact's user count.
             config.users = (artifact.num_users() as u64).max(1) * 105 / 100;
@@ -98,31 +60,23 @@ fn main() {
         RecommenderBuilder::new(artifact)
             .default_k(10)
             .build()
-            .unwrap_or_else(|e| {
-                eprintln!("error: invalid verification configuration: {e}");
-                std::process::exit(1);
-            })
+            .unwrap_or_else(|e| fatal(format!("invalid verification configuration: {e}")))
     });
     if config.users == 0 {
-        usage_exit("--users is required without --verify-artifact");
+        cli.fail("--users is required without --verify-artifact");
     }
 
     // Wait for a booting server (CI starts hf-serve in the background).
     Client::connect_retry(addr.as_str(), Duration::from_secs(10))
         .and_then(|mut probe| probe.ping())
-        .unwrap_or_else(|e| {
-            eprintln!("error: {addr} is not serving: {e}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| fatal(format!("{addr} is not serving: {e}")));
 
     println!(
         "hf-loadgen: {} connections, target {} req/s, {} requests, seed {}",
         config.connections, config.target_qps, config.requests, config.seed
     );
-    let report = run_loadgen(addr.as_str(), &config).unwrap_or_else(|e| {
-        eprintln!("error: load generation failed: {e}");
-        std::process::exit(1);
-    });
+    let report = run_loadgen(addr.as_str(), &config)
+        .unwrap_or_else(|e| fatal(format!("load generation failed: {e}")));
 
     let q = |p: f64| report.latency.quantile_ms(p).unwrap_or(f64::NAN);
     println!(
@@ -140,20 +94,16 @@ fn main() {
         q(0.99)
     );
     if report.received < report.sent {
-        eprintln!(
-            "error: {} requests went unanswered",
+        fatal(format!(
+            "{} requests went unanswered",
             report.sent - report.received
-        );
-        std::process::exit(1);
+        ));
     }
 
     if let Some(recommender) = &verifier {
         match verify_exchanges(recommender, &report.exchanges) {
             Ok(n) => println!("served == in-process ({n} responses bit-identical)"),
-            Err(e) => {
-                eprintln!("error: verification failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fatal(format!("verification failed: {e}")),
         }
     }
 
@@ -161,10 +111,7 @@ fn main() {
         let sent = Client::connect(addr.as_str()).and_then(|mut c| c.shutdown_server());
         match sent {
             Ok(()) => println!("hf-loadgen: sent shutdown"),
-            Err(e) => {
-                eprintln!("error: could not send shutdown: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fatal(format!("could not send shutdown: {e}")),
         }
     }
 }

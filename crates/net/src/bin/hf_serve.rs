@@ -31,6 +31,7 @@ use hf_serve::{
     footprint, ArtifactSlot, ItemHalfMode, LazyConfig, ModelArtifact, Recommender,
     RecommenderBuilder,
 };
+use hf_tensor::cli::{fatal, Cli};
 
 #[derive(Clone)]
 struct Args {
@@ -52,83 +53,29 @@ const USAGE: &str = "usage: hf-serve --artifact <model.hfa>\n\
     \x20   [--lazy] [--user-shards 64] [--user-shard-cap 256] [--tile-panels N]\n\
     \x20   (item-half tiles kept: N; 0 = all, the default; 64 under --lazy)";
 
-fn usage_exit(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
-    let mut artifact: Option<String> = None;
-    let mut args = Args {
-        artifact: String::new(),
-        addr: "127.0.0.1:7878".to_string(),
-        batch_max: 64,
-        queue_cap: 1024,
-        threads: 1,
-        k: 10,
-        lazy: false,
-        user_shards: LazyConfig::default().user_shards,
-        user_shard_cap: LazyConfig::default().shard_capacity,
-        tile_panels: None,
+    let mut cli = Cli::new(USAGE, &["--lazy"]);
+    let args = Args {
+        artifact: cli
+            .value("--artifact")
+            .unwrap_or_else(|| cli.fail("--artifact is required")),
+        addr: cli
+            .value("--addr")
+            .unwrap_or_else(|| "127.0.0.1:7878".into()),
+        batch_max: cli.value("--batch-max").unwrap_or(64),
+        queue_cap: cli.value("--queue-cap").unwrap_or(1024),
+        threads: cli.value("--threads").unwrap_or(1),
+        k: cli.value("--k").unwrap_or(10),
+        lazy: cli.flag("--lazy"),
+        user_shards: cli
+            .value("--user-shards")
+            .unwrap_or(LazyConfig::default().user_shards),
+        user_shard_cap: cli
+            .value("--user-shard-cap")
+            .unwrap_or(LazyConfig::default().shard_capacity),
+        tile_panels: cli.value("--tile-panels"),
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        let mut value = |name: &str| -> String {
-            argv.next()
-                .unwrap_or_else(|| usage_exit(&format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--artifact" => artifact = Some(value("--artifact")),
-            "--addr" => args.addr = value("--addr"),
-            "--batch-max" => {
-                args.batch_max = value("--batch-max")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --batch-max"))
-            }
-            "--queue-cap" => {
-                args.queue_cap = value("--queue-cap")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --queue-cap"))
-            }
-            "--threads" => {
-                args.threads = value("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --threads"))
-            }
-            "--k" => {
-                args.k = value("--k")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --k"))
-            }
-            "--lazy" => args.lazy = true,
-            "--user-shards" => {
-                args.user_shards = value("--user-shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --user-shards"))
-            }
-            "--user-shard-cap" => {
-                args.user_shard_cap = value("--user-shard-cap")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("bad --user-shard-cap"))
-            }
-            "--tile-panels" => {
-                args.tile_panels = Some(
-                    value("--tile-panels")
-                        .parse()
-                        .unwrap_or_else(|_| usage_exit("bad --tile-panels")),
-                )
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_exit(&format!("unknown flag `{other}`")),
-        }
-    }
-    match artifact {
-        Some(path) => args.artifact = path,
-        None => usage_exit("--artifact is required"),
-    }
+    cli.finish();
     args
 }
 
@@ -186,10 +133,7 @@ fn build_recommender(args: &Args) -> Result<Recommender, String> {
 fn main() {
     let args = parse_args();
 
-    let recommender = build_recommender(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let recommender = build_recommender(&args).unwrap_or_else(|e| fatal(e));
     match footprint::resident_bytes() {
         Some(rss) => println!(
             "hf-serve: resident footprint after build: {}",
@@ -212,10 +156,8 @@ fn main() {
     let slot = ArtifactSlot::new(recommender);
     let reload_args = args.clone();
     let reload: ReloadFn = Box::new(move || build_recommender(&reload_args));
-    let handle = serve_slot(slot, Some(reload), &args.addr, config).unwrap_or_else(|e| {
-        eprintln!("error: cannot serve on {}: {e}", args.addr);
-        std::process::exit(1);
-    });
+    let handle = serve_slot(slot, Some(reload), &args.addr, config)
+        .unwrap_or_else(|e| fatal(format!("cannot serve on {}: {e}", args.addr)));
     println!(
         "hf-serve: listening on {} (batch <= {}, queue <= {})",
         handle.local_addr(),

@@ -33,6 +33,7 @@ use hf_pipeline::{
     ReplayStream,
 };
 use hf_serve::{ArtifactSlot, ModelArtifact, RecommendRequest, Recommender, RecommenderBuilder};
+use hf_tensor::cli::{fatal, Cli};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -49,48 +50,21 @@ const USAGE: &str = "usage: hf-pipeline [--seed 42] [--epochs 6] \
     [--addr 127.0.0.1:0] [--dir <artifact dir>] [--k 8] [--keep]";
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        epochs: 6,
-        addr: "127.0.0.1:0".to_string(),
-        dir: None,
-        k: 8,
-        keep: false,
+    let mut cli = Cli::new(USAGE, &["--keep"]);
+    let args = Args {
+        seed: cli.value("--seed").unwrap_or(42),
+        epochs: cli.value("--epochs").unwrap_or(6),
+        addr: cli.value("--addr").unwrap_or_else(|| "127.0.0.1:0".into()),
+        dir: cli.value("--dir"),
+        k: cli.value("--k").unwrap_or(8),
+        keep: cli.flag("--keep"),
     };
-    let mut argv = std::env::args().skip(1);
-    let fail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n{USAGE}");
-        std::process::exit(2);
-    };
-    while let Some(flag) = argv.next() {
-        let mut value = |name: &str| -> String {
-            argv.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                args.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --seed"))
-            }
-            "--epochs" => {
-                args.epochs = value("--epochs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --epochs"))
-            }
-            "--addr" => args.addr = value("--addr"),
-            "--dir" => args.dir = Some(PathBuf::from(value("--dir"))),
-            "--k" => args.k = value("--k").parse().unwrap_or_else(|_| fail("bad --k")),
-            "--keep" => args.keep = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => fail(&format!("unknown flag `{other}`")),
-        }
-    }
+    cli.finish();
     if args.epochs == 0 {
-        fail("--epochs must be at least 1");
+        cli.fail("--epochs must be at least 1");
+    }
+    if args.k == 0 {
+        cli.fail("--k must be at least 1");
     }
     args
 }
@@ -208,10 +182,8 @@ fn main() {
         batch_max: 16,
         queue_capacity: 64,
     };
-    let handle = serve_slot(slot, Some(reload), &args.addr, server_cfg).unwrap_or_else(|e| {
-        eprintln!("error: cannot serve on {}: {e}", args.addr);
-        std::process::exit(1);
-    });
+    let handle = serve_slot(slot, Some(reload), &args.addr, server_cfg)
+        .unwrap_or_else(|e| fatal(format!("cannot serve on {}: {e}", args.addr)));
     println!(
         "hf-pipeline: exported artifact-v1.hfab; serving on {}",
         handle.local_addr()

@@ -31,6 +31,8 @@
 //! * [`ser`] — minimal JSON emission ([`ser::ToJson`]) so experiment
 //!   results snapshot without a serde dependency (the build must succeed
 //!   with an empty cargo registry).
+//! * [`cli`] — the one command-line parser every binary reads its flags
+//!   through (one grammar, one usage exit).
 //! * [`wire`] — the little-endian `Reader`/`Writer` primitives every
 //!   binary format in the workspace encodes through (update payloads in
 //!   `hf_fedsim`, masked uploads in `hf_secagg`, the artifact file in
@@ -45,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod adam;
+pub mod cli;
 pub mod eigen;
 pub mod init;
 pub mod matrix;
