@@ -121,6 +121,17 @@ cargo test -q --offline --release --test async_determinism -- --nocapture \
 grep -q "async resume verified" target/ci-artifacts/async_determinism.log
 grep -q "latency draws pinned" target/ci-artifacts/async_determinism.log
 
+echo "==> training bits (NCF pins)"
+# Every float an NCF run trains lands in its checkpoint, and every float a
+# client uploads in the first round's encoded uploads: the test pins both
+# by digest for four strategies in both orchestration modes, so a change
+# to the forward/backward passes, the local row store or the upload
+# layout that moves one bit fails here. The proof line prints only when
+# every digest held.
+cargo test -q --offline --release -p hetefedrec_core --lib ncf_training_bits_are_pinned -- --nocapture \
+    | tee target/ci-artifacts/training_bits.log
+grep -q "training bits pinned" target/ci-artifacts/training_bits.log
+
 echo "==> online pipeline smoke (hf-pipeline hot swap)"
 # The demo trains against a replayed interaction stream, serves
 # generation 1 over TCP, hot-swaps the freshest export with one on-wire

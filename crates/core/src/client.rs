@@ -32,7 +32,7 @@ use crate::config::TrainConfig;
 use crate::ddr;
 use crate::strategy::Strategy;
 use hf_dataset::{NegativeSampler, SplitDataset, Tier};
-use hf_fedsim::transport::{ClientUpdate, SparseRowUpdate};
+use hf_fedsim::transport::{ClientUpdate, RowBlock, SparseRowUpdate};
 use hf_models::ffn::Ffn;
 use hf_models::ncf::{NcfEngine, NcfWorkspace};
 use hf_models::scoring::propagate_lightgcn;
@@ -257,13 +257,20 @@ pub struct ClientOutcome {
     pub samples: usize,
 }
 
-/// Local item-row store: lazily clones rows from the downloaded table (or
-/// the standalone overlay) on first touch.
+/// Local item-row store: a slot map over one flat block, each row cloned
+/// from the downloaded table (or the standalone overlay) on first touch
+/// — the [`hf_models::RowGradBuffer`] layout, so a touched row costs no
+/// allocation of its own.
 struct LocalRows<'a> {
     base: &'a Matrix,
     overlay: Option<&'a HashMap<u32, Vec<f32>>>,
     width: usize,
-    rows: HashMap<u32, Vec<f32>>,
+    /// Item id → slot.
+    slots: HashMap<u32, usize>,
+    /// Slot → item id, in first-touch order.
+    ids: Vec<u32>,
+    /// Slot `k`'s row is `data[k * width..(k + 1) * width]`.
+    data: Vec<f32>,
 }
 
 impl<'a> LocalRows<'a> {
@@ -272,55 +279,77 @@ impl<'a> LocalRows<'a> {
             base,
             overlay,
             width,
-            rows: HashMap::new(),
+            slots: HashMap::new(),
+            ids: Vec::new(),
+            data: Vec::new(),
         }
     }
 
     /// The pristine (downloaded) value of a row.
-    fn pristine(&self, item: u32) -> &[f32] {
-        if let Some(overlay) = self.overlay {
-            if let Some(row) = overlay.get(&item) {
-                return row;
-            }
+    fn pristine(&self, item: u32) -> &'a [f32] {
+        if let Some(row) = self.overlay.and_then(|overlay| overlay.get(&item)) {
+            return row;
         }
         self.base.row_prefix(item as usize, self.width)
     }
 
-    /// Current local value (read path; no clone for untouched rows).
+    /// The local copy in `slot`.
+    fn row(&self, slot: usize) -> &[f32] {
+        &self.data[slot * self.width..][..self.width]
+    }
+
+    /// Current local value (read path; no copy for untouched rows).
     fn get(&self, item: u32) -> &[f32] {
-        self.rows
-            .get(&item)
-            .map(Vec::as_slice)
-            .unwrap_or_else(|| self.pristine(item))
+        match self.slots.get(&item) {
+            Some(&slot) => self.row(slot),
+            None => self.pristine(item),
+        }
     }
 
     /// Mutable local copy, cloned from pristine on first touch.
-    fn get_mut(&mut self, item: u32) -> &mut Vec<f32> {
-        if !self.rows.contains_key(&item) {
-            let pristine = self.pristine(item).to_vec();
-            self.rows.insert(item, pristine);
-        }
-        self.rows.get_mut(&item).expect("just inserted")
-    }
-
-    /// `(item, delta)` pairs over touched rows: `local − pristine`.
-    fn deltas(&self) -> Vec<(u32, Vec<f32>)> {
-        let mut out: Vec<(u32, Vec<f32>)> = self
-            .rows
-            .iter()
-            .map(|(&item, local)| {
+    fn get_mut(&mut self, item: u32) -> &mut [f32] {
+        let slot = match self.slots.get(&item) {
+            Some(&slot) => slot,
+            None => {
                 let pristine = self.pristine(item);
-                let delta = local.iter().zip(pristine).map(|(l, p)| l - p).collect();
-                (item, delta)
-            })
-            .collect();
-        out.sort_unstable_by_key(|(item, _)| *item);
-        out
+                self.data.extend_from_slice(pristine);
+                self.ids.push(item);
+                self.slots.insert(item, self.ids.len() - 1);
+                self.ids.len() - 1
+            }
+        };
+        &mut self.data[slot * self.width..][..self.width]
     }
 
-    /// Touched row ids (unsorted).
+    /// `(item, local)` over touched rows, in first-touch order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &[f32])> {
+        self.ids
+            .iter()
+            .enumerate()
+            .map(|(slot, &item)| (item, self.row(slot)))
+    }
+
+    /// The upload's item block: `local − pristine` over touched rows,
+    /// ascending item id.
+    fn deltas(&self) -> RowBlock {
+        let mut order: Vec<(u32, usize)> = self.ids.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        let mut block = RowBlock::with_capacity(self.width, order.len());
+        for (item, slot) in order {
+            let pristine = self.pristine(item);
+            block.push(
+                item,
+                self.row(slot).iter().zip(pristine).map(|(l, p)| l - p),
+            );
+        }
+        block
+    }
+
+    /// Touched row ids, ascending.
     fn touched(&self) -> Vec<u32> {
-        self.rows.keys().copied().collect()
+        let mut ids = self.ids.clone();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -395,7 +424,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
         .collect();
 
     let is_gcn = cfg.model == ModelKind::LightGcn;
-    let graph_items = user_split.train.clone();
+    let graph_items: &[u32] = &user_split.train;
     let graph_coeff = 1.0 / (graph_items.len() as f32).sqrt();
 
     let sampler = NegativeSampler::new(ctx.split.num_items(), cfg.negatives);
@@ -490,7 +519,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
         for task in &tasks {
             let scale = -cfg.local_lr * 0.5 * graph_coeff;
             if scale != 0.0 {
-                for &item in &graph_items {
+                for &item in graph_items {
                     let row = local.get_mut(item);
                     hf_tensor::ops::axpy_slice(&mut row[..task.dim], scale, &task.d_prop_total);
                 }
@@ -502,7 +531,6 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     let ablation = ctx.strategy.ablation();
     if ablation.ddr && ctx.model_tier != Tier::Small {
         let mut touched = local.touched();
-        touched.sort_unstable();
         if touched.len() > cfg.ddr_max_rows {
             // Deterministic subsample via the client RNG.
             for i in 0..cfg.ddr_max_rows {
@@ -529,8 +557,8 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     // --- Build the upload / persist standalone state --------------------------
     let update = if is_standalone {
         let standalone = state.standalone.as_mut().expect("standalone state");
-        for (item, row) in local.rows.iter() {
-            standalone.rows.insert(*item, row.clone());
+        for (item, row) in local.iter() {
+            standalone.rows.insert(item, row.to_vec());
         }
         standalone.theta = tasks.pop().expect("one task").engine.ffn().clone();
         ClientUpdate::default()
@@ -546,7 +574,9 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
             })
             .collect();
         ClientUpdate {
-            items: SparseRowUpdate::new(tier_dim, local.deltas()),
+            items: SparseRowUpdate {
+                rows: local.deltas(),
+            },
             thetas,
         }
     };
@@ -613,7 +643,7 @@ mod tests {
         let out = run_one(&cfg, strategy, &split, &server, 0, Tier::Small);
         assert_eq!(out.update.thetas.len(), 1);
         assert_eq!(out.update.thetas[0].0, 0);
-        assert_eq!(out.update.items.dim, cfg.dims.dim(Tier::Small));
+        assert_eq!(out.update.items.dim(), cfg.dims.dim(Tier::Small));
         assert!(out.samples > 0);
         assert!(out.loss.is_finite());
     }
@@ -625,7 +655,7 @@ mod tests {
         let out = run_one(&cfg, strategy, &split, &server, 1, Tier::Large);
         let tiers: Vec<u8> = out.update.thetas.iter().map(|(t, _)| *t).collect();
         assert_eq!(tiers, vec![0, 1, 2]);
-        assert_eq!(out.update.items.dim, cfg.dims.dim(Tier::Large));
+        assert_eq!(out.update.items.dim(), cfg.dims.dim(Tier::Large));
     }
 
     #[test]
@@ -734,13 +764,13 @@ mod tests {
             .items
             .rows
             .iter()
-            .find(|(r, _)| *r == split.user(6).train[0]);
+            .find(|(r, _)| **r == split.user(6).train[0]);
         let b = without
             .update
             .items
             .rows
             .iter()
-            .find(|(r, _)| *r == split.user(6).train[0]);
+            .find(|(r, _)| **r == split.user(6).train[0]);
         assert_ne!(a.unwrap().1, b.unwrap().1);
     }
 

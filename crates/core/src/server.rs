@@ -224,19 +224,14 @@ impl ServerState {
         if self.item_agg_norm == ItemAggNorm::Sum {
             return;
         }
-        // RowGradBuffer has no in-place per-row scaling; rebuild via drain.
-        let dim = acc.dim();
-        let rows = acc.drain();
-        for (row, mut delta) in rows {
+        acc.scale_rows(|row| {
             let n = counts.get(&row).copied().unwrap_or(1).max(1) as f32;
-            let scale = match self.item_agg_norm {
+            match self.item_agg_norm {
                 ItemAggNorm::Sum => 1.0,
                 ItemAggNorm::Mean => 1.0 / n,
                 ItemAggNorm::SqrtCount => 1.0 / n.sqrt(),
-            };
-            delta.iter_mut().for_each(|x| *x *= scale);
-            acc.accumulate(row, 1.0, &delta[..dim]);
-        }
+            }
+        });
     }
 
     /// Folds an aggregated delta buffer into the given tier tables at
@@ -369,7 +364,7 @@ impl ServerState {
 mod tests {
     use super::*;
     use crate::strategy::Ablation;
-    use hf_fedsim::transport::SparseRowUpdate;
+    use hf_fedsim::transport::{RowBlock, SparseRowUpdate};
     use hf_models::ModelKind;
 
     fn cfg() -> TrainConfig {
@@ -392,10 +387,12 @@ mod tests {
         value: f32,
         theta_len: usize,
     ) -> (Tier, ClientUpdate) {
+        let mut rows = RowBlock::new(dim);
+        rows.push(row, std::iter::repeat_n(value, dim));
         (
             tier,
             ClientUpdate {
-                items: SparseRowUpdate::new(dim, vec![(row, vec![value; dim])]),
+                items: SparseRowUpdate { rows },
                 thetas: vec![(tier.index() as u8, vec![value; theta_len])],
             },
         )

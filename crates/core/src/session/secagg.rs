@@ -484,7 +484,7 @@ mod tests {
     use crate::strategy::{Ablation, Strategy};
     use hf_dataset::{SplitDataset, SyntheticConfig};
     use hf_fedsim::comm::RoundCost;
-    use hf_fedsim::transport::SparseRowUpdate;
+    use hf_fedsim::transport::{RowBlock, SparseRowUpdate};
     use hf_models::ModelKind;
 
     /// Three bands of 2, 1 and 1 columns; predictors of 3, 2 and 1 words.
@@ -499,8 +499,10 @@ mod tests {
     fn update(t: usize, row: u32, x: f32) -> ClientUpdate {
         let delta = [x, -x, 0.5 * x, 2.0 * x];
         let width = LAYOUT.widths[t];
+        let mut rows = RowBlock::new(width);
+        rows.push(row, delta[..width].iter().copied());
         ClientUpdate {
-            items: SparseRowUpdate::new(width, vec![(row, delta[..width].to_vec())]),
+            items: SparseRowUpdate { rows },
             thetas: (0..=t)
                 .map(|k| (k as u8, vec![x + k as f32; LAYOUT.theta_lens[k]]))
                 .collect(),

@@ -1,4 +1,5 @@
 use super::*;
+use crate::client::{train_client, ClientCtx};
 use crate::strategy::Ablation;
 use hf_dataset::{SyntheticConfig, Tier};
 use hf_fedsim::LatencyProfile;
@@ -1186,4 +1187,92 @@ fn lightgcn_training_bits_are_pinned() {
         let got = fnv1a(s.checkpoint().as_bytes());
         assert_eq!(got, want, "{strategy:?} {mode:?}: {got:#018x}");
     }
+}
+
+// --- NCF training bits ---------------------------------------------------
+
+/// FNV-1a 64 over the encoded uploads of a fresh synchronous session's
+/// first cohort, in cohort order — what `execute_cohort` trains, before
+/// any fault, weight or aggregation touches it.
+fn first_round_uploads_fnv(strategy: Strategy) -> u64 {
+    let cfg = TrainConfig::test_default(ModelKind::Ncf);
+    let mut s = SessionBuilder::new(cfg, strategy, tiny_split(5))
+        .build()
+        .expect("valid config");
+    s.start_epoch();
+    let cohort = s.pending.front().expect("a first cohort").clone();
+    let udl = s.strategy.ablation().udl;
+    let mut wire = Vec::new();
+    for &uid in &cohort {
+        let tier = s.model_groups.tier(uid);
+        let thetas = s.server.thetas_for(tier, udl);
+        let tiers = engine::theta_tiers(tier, udl);
+        let ctx = ClientCtx {
+            cfg: &s.cfg,
+            strategy,
+            split: &s.split,
+            user_id: uid,
+            model_tier: tier,
+            table: s.server.table(tier),
+            thetas: &thetas,
+            theta_tiers: &tiers,
+            round_key: s.round_counter + 1,
+        };
+        wire.extend(train_client(&ctx, &s.users[uid]).update.encode());
+    }
+    fnv1a(&wire)
+}
+
+#[test]
+fn ncf_training_bits_are_pinned() {
+    // The NCF counterpart of `lightgcn_training_bits_are_pinned`: every
+    // float a run trains lands in the checkpoint, and every float a
+    // client uploads lands in the encoded first-round uploads, so these
+    // digests pin the client's forward and backward passes, its local
+    // row store and the upload's wire bytes in both orchestration modes.
+    // If one moves, training arithmetic or the upload layout changed.
+    let cases = [
+        (
+            Strategy::HeteFedRec(Ablation::FULL),
+            0xb446_97d2_7d2f_1049u64,
+            0x8def_d621_e1d3_7afd,
+            0xde99_7e71_5d2c_d225,
+        ),
+        (
+            Strategy::DirectlyAggregate,
+            0x24f5_3530_cd4c_cc68,
+            0x4f99_0d74_d1d3_40e4,
+            0x8201_f9c2_4c00_c1dd,
+        ),
+        (
+            Strategy::ClusteredFedRec,
+            0xec60_c1b0_8565_fc6f,
+            0xf7a3_6aa6_46ca_e82a,
+            0x8201_f9c2_4c00_c1dd,
+        ),
+        (
+            Strategy::Standalone,
+            0xb264_d815_011b_ca3f,
+            0x598b_88f8_5040_79f7,
+            0xc86e_c345_c0ee_8125,
+        ),
+    ];
+    for (strategy, want_sync, want_async, want_uploads) in cases {
+        for (mode, want) in [(Mode::Sync, want_sync), (Mode::Async, want_async)] {
+            let mut cfg = TrainConfig::test_default(ModelKind::Ncf);
+            cfg.mode = mode;
+            let mut s = SessionBuilder::new(cfg, strategy, tiny_split(5))
+                .build()
+                .expect("valid config");
+            s.run();
+            let got = fnv1a(s.checkpoint().as_bytes());
+            assert_eq!(got, want, "{strategy:?} {mode:?}: {got:#018x}");
+        }
+        let got = first_round_uploads_fnv(strategy);
+        assert_eq!(
+            got, want_uploads,
+            "{strategy:?} first-round uploads: {got:#018x}"
+        );
+    }
+    println!("training bits pinned");
 }

@@ -77,12 +77,18 @@ impl DivisionRatio {
 
     /// Creates a ratio; at least one weight must be positive.
     pub fn new(small: u32, medium: u32, large: u32) -> Self {
-        assert!(small + medium + large > 0, "ratio weights sum to zero");
-        Self {
+        let ratio = Self {
             small,
             medium,
             large,
-        }
+        };
+        assert!(ratio.total() > 0, "ratio weights sum to zero");
+        ratio
+    }
+
+    /// The three weights summed, in `u64` so no `u32` weights overflow.
+    fn total(&self) -> u64 {
+        u64::from(self.small) + u64::from(self.medium) + u64::from(self.large)
     }
 
     /// Paper-style display, e.g. `5:3:2`.
@@ -97,21 +103,23 @@ impl DivisionRatio {
             u32::try_from(x)
                 .map_err(|_| hf_tensor::ser::JsonError::msg(format!("{key} overflows u32")))
         };
-        let (small, medium, large) = (read("small")?, read("medium")?, read("large")?);
-        if small + medium + large == 0 {
+        let ratio = Self {
+            small: read("small")?,
+            medium: read("medium")?,
+            large: read("large")?,
+        };
+        if ratio.total() == 0 {
             return Err(hf_tensor::ser::JsonError::msg("ratio weights sum to zero"));
         }
-        Ok(Self {
-            small,
-            medium,
-            large,
-        })
+        Ok(ratio)
     }
 
-    /// Cut points `(n_small, n_small + n_medium)` for `n` clients, using
-    /// largest-remainder rounding so group sizes always sum to `n`.
+    /// Cut points `(n_small, n_small + n_medium)` for `n` clients: the
+    /// small and medium shares are each rounded to the nearest count on
+    /// their own (clamped so they fit in `n`), and the large group takes
+    /// the rest, so group sizes always sum to `n`.
     fn cuts(&self, n: usize) -> (usize, usize) {
-        let total = (self.small + self.medium + self.large) as f64;
+        let total = self.total() as f64;
         let n_small = ((n as f64) * (self.small as f64) / total).round() as usize;
         let n_medium = ((n as f64) * (self.medium as f64) / total).round() as usize;
         let n_small = n_small.min(n);
@@ -296,6 +304,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn weights_summing_past_u32_divide_by_their_true_total() {
+        // u32::MAX + 1 + 0 wrapped to 1 when summed in u32: a debug build
+        // panicked restoring this ratio and a release build divided by 1.
+        use hf_tensor::ser::parse_json;
+        let doc = r#"{"small":4294967295,"medium":1,"large":0}"#;
+        let ratio = DivisionRatio::from_json(&parse_json(doc).unwrap()).unwrap();
+        assert_eq!(ratio, DivisionRatio::new(u32::MAX, 1, 0));
+        let counts: Vec<usize> = (0..100).collect();
+        let g = ClientGroups::divide_by_counts(&counts, ratio);
+        assert_eq!(g.sizes(), [100, 0, 0]);
+        let g = ClientGroups::divide_by_counts(&counts, DivisionRatio::new(1, u32::MAX, u32::MAX));
+        assert_eq!(g.sizes(), [0, 50, 50]);
     }
 
     #[test]

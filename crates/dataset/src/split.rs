@@ -28,6 +28,14 @@ impl UserSplit {
     }
 }
 
+/// Which list a position of a user's ids goes to.
+#[derive(Clone, Copy)]
+enum Role {
+    Train,
+    Valid,
+    Test,
+}
+
 /// Dataset with per-user train/valid/test splits.
 #[derive(Clone, Debug)]
 pub struct SplitDataset {
@@ -46,32 +54,49 @@ impl SplitDataset {
     pub fn split(dataset: &ImplicitDataset, test_frac: f64, valid_frac: f64, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&test_frac), "test_frac in [0,1)");
         assert!((0.0..1.0).contains(&valid_frac), "valid_frac in [0,1)");
+        // A user's lists come out of its sorted ids in their own order:
+        // the shuffle permutes positions (its draws depend only on the
+        // length), the first `n_test` shuffled positions are held out for
+        // testing and the next `n_valid` for validation, and one pass over
+        // the ids sorts each into its list. `order` and `role` are scratch
+        // reused across users.
+        let (mut order, mut role): (Vec<u32>, Vec<Role>) = (Vec::new(), Vec::new());
         let users = dataset
             .iter_users()
             .map(|(u, ints)| {
-                let mut items: Vec<ItemId> = ints.items().to_vec();
-                let mut rng = substream(seed, SeedStream::Split, u as u64);
-                hf_tensor::rng::shuffle(&mut items, &mut rng);
-
-                // Three exact-size lists out of the shuffled order: the
-                // first `n_test` ids, the next `n_valid`, the rest.
+                let items = ints.items();
                 let n = items.len();
+                order.clear();
+                order.extend(0..n as u32);
+                let mut rng = substream(seed, SeedStream::Split, u as u64);
+                hf_tensor::rng::shuffle(&mut order, &mut rng);
+
                 let n_test = ((n as f64) * test_frac).floor() as usize;
                 let n_test = n_test.min(n.saturating_sub(1));
-                let (test, rest) = items.split_at(n_test);
+                let rest = n - n_test;
+                let n_valid = ((rest as f64) * valid_frac).floor() as usize;
+                let n_valid = n_valid.min(rest.saturating_sub(1));
 
-                let n_valid = ((rest.len() as f64) * valid_frac).floor() as usize;
-                let n_valid = n_valid.min(rest.len().saturating_sub(1));
-                let (valid, train) = rest.split_at(n_valid);
-
+                role.clear();
+                role.resize(n, Role::Train);
+                for &pos in &order[..n_test] {
+                    role[pos as usize] = Role::Test;
+                }
+                for &pos in &order[n_test..n_test + n_valid] {
+                    role[pos as usize] = Role::Valid;
+                }
                 let mut split = UserSplit {
-                    train: train.to_vec(),
-                    valid: valid.to_vec(),
-                    test: test.to_vec(),
+                    train: Vec::with_capacity(rest - n_valid),
+                    valid: Vec::with_capacity(n_valid),
+                    test: Vec::with_capacity(n_test),
                 };
-                split.train.sort_unstable();
-                split.valid.sort_unstable();
-                split.test.sort_unstable();
+                for (&item, r) in items.iter().zip(&role) {
+                    match r {
+                        Role::Train => split.train.push(item),
+                        Role::Valid => split.valid.push(item),
+                        Role::Test => split.test.push(item),
+                    }
+                }
                 split
             })
             .collect();
@@ -282,6 +307,41 @@ mod tests {
         let d = ImplicitDataset::new(10, vec![vec![1]]);
         let mut s = SplitDataset::split(&d, 0.0, 0.0, 1);
         let _ = s.ingest(5, 2);
+    }
+
+    /// FNV-1a 64 over every user's train, valid and test lists, each
+    /// length-prefixed.
+    fn split_digest(s: &SplitDataset) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (_, u) in s.iter_users() {
+            for list in [&u.train, &u.valid, &u.test] {
+                put(&(list.len() as u64).to_le_bytes());
+                for item in list.iter() {
+                    put(&item.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn split_is_pinned() {
+        // MovieLens x 0.25 at 2 000 users, the paper split. The digests
+        // were taken from the split that shuffled each user's ids and
+        // sorted the three lists again; marking held-out positions must
+        // give the same lists.
+        let mut ml = crate::DatasetProfile::MovieLens.config_scaled(0.25);
+        ml.num_users = 2_000;
+        for (seed, want) in [(42, 0x53a6_b4c3_3200_662c), (7, 0x6586_0529_362c_af24)] {
+            let s = SplitDataset::paper_split(&ml.generate(seed), seed);
+            let got = split_digest(&s);
+            assert_eq!(got, want, "seed {seed}: {got:#018x}");
+        }
     }
 
     #[test]

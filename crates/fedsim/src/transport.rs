@@ -14,25 +14,121 @@
 
 use hf_tensor::wire::{DecodeError, Reader, Writer};
 
+/// Rows of one width, back to back: the row ids in one list, their
+/// values in one flat block (row `k` is `values[k * dim..(k + 1) * dim]`).
+/// A round's uploads hold two allocations each, whatever their row
+/// count. `&block` iterates `(&row id, &row values)` in push order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RowBlock {
+    dim: usize,
+    ids: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl RowBlock {
+    /// An empty block of `dim`-wide rows.
+    pub fn new(dim: usize) -> Self {
+        Self::with_capacity(dim, 0)
+    }
+
+    /// An empty block with room for `rows` rows of `dim` values.
+    pub fn with_capacity(dim: usize, rows: usize) -> Self {
+        Self {
+            dim,
+            ids: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows * dim),
+        }
+    }
+
+    /// Row width.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` when the block holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Appends row `id` with the values `row` yields.
+    ///
+    /// # Panics
+    /// Panics unless `row` yields exactly `dim` values.
+    pub fn push(&mut self, id: u32, row: impl IntoIterator<Item = f32>) {
+        let start = self.values.len();
+        self.values.extend(row);
+        let width = self.values.len() - start;
+        assert_eq!(
+            width, self.dim,
+            "row {id} has width {width} != {}",
+            self.dim
+        );
+        self.ids.push(id);
+    }
+
+    /// Iterates `(&row id, &row values)` in push order.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows {
+            ids: self.ids.iter(),
+            values: &self.values,
+            dim: self.dim,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a RowBlock {
+    type Item = (&'a u32, &'a [f32]);
+    type IntoIter = Rows<'a>;
+
+    fn into_iter(self) -> Rows<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`RowBlock`]'s rows. It walks the ids and splits the
+/// value block `dim` at a time, so zero-width rows come out as empty
+/// slices.
+#[derive(Clone, Debug)]
+pub struct Rows<'a> {
+    ids: std::slice::Iter<'a, u32>,
+    values: &'a [f32],
+    dim: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = (&'a u32, &'a [f32]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let id = self.ids.next()?;
+        let (row, rest) = self.values.split_at(self.dim);
+        self.values = rest;
+        Some((id, row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
 /// Sparse row-keyed update to an embedding table.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseRowUpdate {
-    /// Row width (the uploading tier's embedding dimension).
-    pub dim: usize,
-    /// `(row index, row delta)` pairs; each delta is `dim` long.
-    pub rows: Vec<(u32, Vec<f32>)>,
+    /// The touched rows and their deltas, each the uploading tier's
+    /// embedding width.
+    pub rows: RowBlock,
 }
 
 impl SparseRowUpdate {
-    /// Creates an update, validating row widths.
-    ///
-    /// # Panics
-    /// Panics if any row delta is not `dim` long.
-    pub fn new(dim: usize, rows: Vec<(u32, Vec<f32>)>) -> Self {
-        for (r, d) in &rows {
-            assert_eq!(d.len(), dim, "row {r} delta has width {} != {dim}", d.len());
-        }
-        Self { dim, rows }
+    /// Row width (the uploading tier's embedding dimension).
+    pub fn dim(&self) -> usize {
+        self.rows.dim()
     }
 
     /// Number of touched rows.
@@ -47,9 +143,7 @@ impl SparseRowUpdate {
 
     /// Scales all deltas in place.
     pub fn scale(&mut self, alpha: f32) {
-        for (_, d) in &mut self.rows {
-            d.iter_mut().for_each(|x| *x *= alpha);
-        }
+        self.rows.values.iter_mut().for_each(|x| *x *= alpha);
     }
 }
 
@@ -68,7 +162,7 @@ impl ClientUpdate {
         // Header: dim (u32) + row count (u32).
         let mut n = 8;
         // Rows: index (u32) + dim floats.
-        n += self.items.rows.len() * (4 + 4 * self.items.dim);
+        n += self.items.len() * (4 + 4 * self.items.dim());
         // Theta section: count (u32), then per entry tier (u8) + len (u32) + floats.
         n += 4;
         for (_, flat) in &self.thetas {
@@ -80,8 +174,8 @@ impl ClientUpdate {
     /// Serialises to the binary wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Writer::with_capacity(self.encoded_len());
-        buf.put_u32_le(self.items.dim as u32);
-        buf.put_u32_le(self.items.rows.len() as u32);
+        buf.put_u32_le(self.items.dim() as u32);
+        buf.put_u32_le(self.items.len() as u32);
         for (row, delta) in &self.items.rows {
             buf.put_u32_le(*row);
             for &x in delta {
@@ -109,9 +203,10 @@ impl ClientUpdate {
             let dim = r.get_u32_le()? as usize;
             let n_rows = r.get_u32_le()? as usize;
             let row_width = dim.saturating_mul(4).saturating_add(4);
-            let mut rows = Vec::with_capacity(r.fits(n_rows, row_width)?);
+            let mut rows = RowBlock::with_capacity(dim, r.fits(n_rows, row_width)?);
             for _ in 0..n_rows {
-                rows.push((r.get_u32_le()?, r.get_f32_vec(dim)?));
+                rows.ids.push(r.get_u32_le()?);
+                r.extend_f32s(dim, &mut rows.values)?;
             }
             let n_thetas = r.get_u32_le()? as usize;
             if n_thetas > 16 {
@@ -125,7 +220,7 @@ impl ClientUpdate {
                 thetas.push((tier, r.get_f32_vec(len)?));
             }
             Ok(Self {
-                items: SparseRowUpdate { dim, rows },
+                items: SparseRowUpdate { rows },
                 thetas,
             })
         })
@@ -137,11 +232,11 @@ mod tests {
     use super::*;
 
     fn sample() -> ClientUpdate {
+        let mut rows = RowBlock::new(3);
+        rows.push(5, [1.0, -2.0, 0.5]);
+        rows.push(11, [0.0, 0.25, -0.75]);
         ClientUpdate {
-            items: SparseRowUpdate::new(
-                3,
-                vec![(5, vec![1.0, -2.0, 0.5]), (11, vec![0.0, 0.25, -0.75])],
-            ),
+            items: SparseRowUpdate { rows },
             thetas: vec![(0, vec![0.1, 0.2]), (2, vec![-0.3])],
         }
     }
@@ -196,13 +291,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "width")]
     fn sparse_update_validates_row_width() {
-        let _ = SparseRowUpdate::new(3, vec![(0, vec![1.0])]);
+        RowBlock::new(3).push(0, [1.0]);
     }
 
     #[test]
     fn scale_rescales_deltas() {
         let mut u = sample().items;
         u.scale(2.0);
-        assert_eq!(u.rows[0].1, vec![2.0, -4.0, 1.0]);
+        assert_eq!(u.rows.iter().next(), Some((&5, &[2.0, -4.0, 1.0][..])));
     }
 }

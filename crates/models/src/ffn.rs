@@ -181,22 +181,35 @@ impl Ffn {
     ///
     /// `d_logit` is `∂L/∂logit`; gradients accumulate into `grads`
     /// (shape-matched, from [`Ffn::zeros_like`]) and the gradient with
-    /// respect to the input is written into `d_input`.
-    pub fn backward(&self, d_logit: f32, cache: &FfnCache, grads: &mut Ffn, d_input: &mut [f32]) {
+    /// respect to the input is written into `d_input`. The per-layer
+    /// deltas ping-pong between two scratch buffers `cache` owns, so a
+    /// sample allocates nothing.
+    pub fn backward(
+        &self,
+        d_logit: f32,
+        cache: &mut FfnCache,
+        grads: &mut Ffn,
+        d_input: &mut [f32],
+    ) {
         assert_eq!(self.dims, grads.dims, "grad accumulator shape mismatch");
         assert_eq!(d_input.len(), self.dims[0], "d_input width mismatch");
+        let FfnCache {
+            input,
+            pre,
+            post,
+            delta,
+            d_src,
+        } = cache;
         let last = self.num_layers() - 1;
-        // delta holds ∂L/∂pre[l] as we walk backwards.
-        let mut delta = vec![d_logit]; // output layer is linear
+        // delta[..dims[l + 1]] holds ∂L/∂pre[l] as we walk backwards; the
+        // output layer is linear and only its first unit is the logit.
+        delta[0] = d_logit;
         for l in (0..=last).rev() {
-            let src: &[f32] = if l == 0 {
-                &cache.input
-            } else {
-                &cache.post[l - 1]
-            };
+            let src: &[f32] = if l == 0 { input } else { &post[l - 1] };
+            let delta_l = &delta[..if l == last { 1 } else { self.dims[l + 1] }];
             // Parameter gradients.
             let gw = &mut grads.weights[l];
-            for (o, &d) in delta.iter().enumerate() {
+            for (o, &d) in delta_l.iter().enumerate() {
                 if d != 0.0 {
                     gw.row_axpy(o, d, src);
                 }
@@ -204,20 +217,21 @@ impl Ffn {
             }
             // Propagate to the layer input.
             let w = &self.weights[l];
-            let mut d_src = vec![0.0_f32; self.dims[l]];
-            for (o, &d) in delta.iter().enumerate() {
+            let d_src_l = &mut d_src[..self.dims[l]];
+            d_src_l.fill(0.0);
+            for (o, &d) in delta_l.iter().enumerate() {
                 if d != 0.0 {
-                    hf_tensor::ops::axpy_slice(&mut d_src, d, w.row(o));
+                    hf_tensor::ops::axpy_slice(d_src_l, d, w.row(o));
                 }
             }
             if l == 0 {
-                d_input.copy_from_slice(&d_src);
+                d_input.copy_from_slice(d_src_l);
             } else {
                 // Through the ReLU of layer l-1.
-                for (ds, &pre) in d_src.iter_mut().zip(cache.pre[l - 1].iter()) {
+                for (ds, &pre) in d_src_l.iter_mut().zip(pre[l - 1].iter()) {
                     *ds *= relu_grad(pre);
                 }
-                delta = d_src;
+                std::mem::swap(delta, d_src);
             }
         }
     }
@@ -265,22 +279,29 @@ impl Ffn {
     }
 }
 
-/// Reusable forward-pass activation cache (one per worker thread; avoids
-/// per-sample allocation in the hot loop).
+/// Reusable forward activations and backward scratch (one per worker
+/// thread; the hot loop allocates nothing per sample).
 #[derive(Clone, Debug)]
 pub struct FfnCache {
     input: Vec<f32>,
     pre: Vec<Vec<f32>>,
     post: Vec<Vec<f32>>,
+    /// [`Ffn::backward`]'s two delta buffers, each as wide as the widest
+    /// layer.
+    delta: Vec<f32>,
+    d_src: Vec<f32>,
 }
 
 impl FfnCache {
     /// Allocates a cache matching `ffn`'s shape.
     pub fn for_ffn(ffn: &Ffn) -> Self {
+        let widest = ffn.dims.iter().copied().max().unwrap_or(0);
         Self {
             input: Vec::with_capacity(ffn.dims[0]),
             pre: ffn.dims[1..].iter().map(|&d| vec![0.0; d]).collect(),
             post: ffn.dims[1..].iter().map(|&d| vec![0.0; d]).collect(),
+            delta: vec![0.0; widest],
+            d_src: vec![0.0; widest],
         }
     }
 }
@@ -372,7 +393,7 @@ mod tests {
         let mut d_input = vec![0.0; 5];
         ffn.backward(
             bce_with_logits_grad(logit, target),
-            &cache,
+            &mut cache,
             &mut grads,
             &mut d_input,
         );
@@ -414,7 +435,7 @@ mod tests {
         let mut d_input = vec![0.0; 4];
         ffn.backward(
             bce_with_logits_grad(logit, 0.0),
-            &cache,
+            &mut cache,
             &mut grads,
             &mut d_input,
         );
@@ -464,7 +485,7 @@ mod tests {
             let mut d_input = [0.0_f32; 2];
             for (x, y) in &samples {
                 let logit = model.forward(x, &mut cache);
-                model_backward(&model, logit, *y, &cache, &mut grads, &mut d_input);
+                model_backward(&model, logit, *y, &mut cache, &mut grads, &mut d_input);
             }
             model.add_scaled(-0.5 / samples.len() as f32, &grads);
         }
@@ -476,7 +497,7 @@ mod tests {
         model: &Ffn,
         logit: f32,
         y: f32,
-        cache: &FfnCache,
+        cache: &mut FfnCache,
         grads: &mut Ffn,
         d_input: &mut [f32; 2],
     ) {

@@ -83,7 +83,7 @@ impl NcfEngine {
         d_item: &mut [f32],
     ) {
         self.ffn
-            .backward(d_logit, &ws.cache, theta_grads, &mut ws.d_input);
+            .backward(d_logit, &mut ws.cache, theta_grads, &mut ws.d_input);
         d_user.copy_from_slice(&ws.d_input[..self.dim]);
         d_item.copy_from_slice(&ws.d_input[self.dim..]);
     }

@@ -85,22 +85,17 @@ impl RowGradBuffer {
         self.data.clear();
     }
 
-    /// Drains into owned `(row, grad)` pairs (the upload payload), leaving
-    /// the buffer empty but allocated.
-    pub fn drain(&mut self) -> Vec<(u32, Vec<f32>)> {
-        let out = self
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(slot, &row)| {
-                (
-                    row,
-                    self.data[slot * self.dim..(slot + 1) * self.dim].to_vec(),
-                )
-            })
-            .collect();
-        self.clear();
-        out
+    /// Scales each row by `factor(row)` in place, in first-touch order,
+    /// as if each scaled row were summed into a zeroed one: the `+ 0.0`
+    /// turns a product that underflowed to `-0.0` into `+0.0`.
+    pub fn scale_rows(&mut self, mut factor: impl FnMut(u32) -> f32) {
+        if self.dim == 0 {
+            return;
+        }
+        for (&row, grad) in self.rows.iter().zip(self.data.chunks_exact_mut(self.dim)) {
+            let alpha = factor(row);
+            grad.iter_mut().for_each(|x| *x = *x * alpha + 0.0);
+        }
     }
 
     /// Scales every accumulated gradient (e.g. batch-size normalisation).
@@ -152,14 +147,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_empties_but_retains_capacity() {
+    fn scale_rows_scales_each_row_in_place() {
         let mut buf = RowGradBuffer::new(2);
-        buf.accumulate(4, 1.0, &[1.0, 1.0]);
-        let drained = buf.drain();
-        assert_eq!(drained, vec![(4, vec![1.0, 1.0])]);
-        assert!(buf.is_empty());
-        buf.accumulate(4, 1.0, &[2.0, 2.0]);
-        assert_eq!(buf.get(4).unwrap(), &[2.0, 2.0]);
+        buf.accumulate(4, 1.0, &[1.0, -2.0]);
+        buf.accumulate(9, 1.0, &[-f32::from_bits(1), 3.0]);
+        buf.scale_rows(|row| if row == 4 { 2.0 } else { 0.5 });
+        assert_eq!(buf.get(4).unwrap(), &[2.0, -4.0]);
+        // The smallest subnormal halves to zero, and that zero is +0.0.
+        assert_eq!(buf.get(9).unwrap()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(buf.get(9).unwrap()[1], 1.5);
+        let order: Vec<u32> = buf.iter().map(|(r, _)| r).collect();
+        assert_eq!(order, vec![4, 9]);
     }
 
     #[test]

@@ -238,20 +238,38 @@ impl ReplayStream {
             .sum();
         let mut base_lists: Vec<Vec<ItemId>> = Vec::with_capacity(base_users);
         let mut pairs: Vec<(u32, ItemId)> = Vec::with_capacity(held + withheld);
-        // Shuffled in a scratch buffer so each base list is allocated at
-        // exactly the size it keeps.
-        let mut items: Vec<ItemId> = Vec::new();
+        // The shuffle permutes positions (its draws depend only on the
+        // length): the last `hold` shuffled positions are held out, in
+        // shuffled order, and the base list keeps the rest in the sorted
+        // order the ids already have, allocated at exactly its size.
+        // `order` and `held` are scratch reused across users.
+        let (mut order, mut held_at): (Vec<u32>, Vec<bool>) = (Vec::new(), Vec::new());
         for u in 0..base_users {
-            items.clear();
-            items.extend_from_slice(dataset.user(u).items());
+            let items = dataset.user(u).items();
             let hold = hold_of(items.len());
-            if hold > 0 {
-                let mut rng = stream(seed, SeedStream::Custom(u as u64));
-                shuffle(&mut items, &mut rng);
+            if hold == 0 {
+                base_lists.push(items.to_vec());
+                continue;
             }
-            let (kept, held_out) = items.split_at(items.len() - hold);
-            pairs.extend(held_out.iter().map(|&it| (u as u32, it)));
-            base_lists.push(kept.to_vec());
+            order.clear();
+            order.extend(0..items.len() as u32);
+            let mut rng = stream(seed, SeedStream::Custom(u as u64));
+            shuffle(&mut order, &mut rng);
+            held_at.clear();
+            held_at.resize(items.len(), false);
+            for &pos in &order[items.len() - hold..] {
+                held_at[pos as usize] = true;
+                pairs.push((u as u32, items[pos as usize]));
+            }
+            let mut kept = Vec::with_capacity(items.len() - hold);
+            kept.extend(
+                items
+                    .iter()
+                    .zip(&held_at)
+                    .filter(|&(_, &held)| !held)
+                    .map(|(&it, _)| it),
+            );
+            base_lists.push(kept);
         }
         let base = ImplicitDataset::new(dataset.num_items(), base_lists);
 

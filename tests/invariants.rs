@@ -13,7 +13,7 @@
 use hetefedrec::core::config::TrainConfig;
 use hetefedrec::core::server::ServerState;
 use hetefedrec::core::strategy::{Ablation, Strategy};
-use hetefedrec::fedsim::transport::{ClientUpdate, SparseRowUpdate};
+use hetefedrec::fedsim::transport::{ClientUpdate, RowBlock, SparseRowUpdate};
 use hetefedrec::metrics::eval::Evaluator;
 use hetefedrec::models::ModelKind;
 use hetefedrec::prelude::Tier;
@@ -52,10 +52,14 @@ fn gen_update(rng: &mut StdRng, tier: Tier) -> (Tier, ClientUpdate) {
         .collect();
     rows.sort_by_key(|(r, _)| *r);
     rows.dedup_by_key(|(r, _)| *r);
+    let mut block = RowBlock::new(dim);
+    for (row, delta) in rows {
+        block.push(row, delta);
+    }
     (
         tier,
         ClientUpdate {
-            items: SparseRowUpdate::new(dim, rows),
+            items: SparseRowUpdate { rows: block },
             thetas: vec![],
         },
     )
@@ -142,11 +146,11 @@ fn aggregation_is_additive() {
             // overlap. For disjoint rows the results must match exactly.
             let rows_a: std::collections::HashSet<u32> = a
                 .iter()
-                .flat_map(|(_, u)| u.items.rows.iter().map(|(r, _)| *r))
+                .flat_map(|(_, u)| u.items.rows.iter().map(|(&r, _)| r))
                 .collect();
             let rows_b: std::collections::HashSet<u32> = b
                 .iter()
-                .flat_map(|(_, u)| u.items.rows.iter().map(|(r, _)| *r))
+                .flat_map(|(_, u)| u.items.rows.iter().map(|(&r, _)| r))
                 .collect();
             if rows_a.is_disjoint(&rows_b) {
                 assert!(diff < 1e-4, "case {case}: {tier:?} diff {diff}");

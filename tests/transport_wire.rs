@@ -3,7 +3,7 @@
 //! valid payloads, and `encoded_len` must equal the encoded buffer length
 //! *exactly* — communication accounting in Table III depends on it.
 
-use hetefedrec::fedsim::transport::{ClientUpdate, SparseRowUpdate};
+use hetefedrec::fedsim::transport::{ClientUpdate, RowBlock, SparseRowUpdate};
 use hetefedrec::tensor::rng::{substream, Rng, SeedStream, StdRng};
 use hetefedrec::tensor::wire::DecodeError;
 
@@ -32,6 +32,10 @@ fn gen_update(rng: &mut StdRng) -> ClientUpdate {
         .collect();
     rows.sort_by_key(|(r, _)| *r);
     rows.dedup_by_key(|(r, _)| *r);
+    let mut block = RowBlock::new(dim);
+    for (row, delta) in rows {
+        block.push(row, delta);
+    }
     let n_thetas = rng.gen_range(0usize..4);
     let thetas: Vec<(u8, Vec<f32>)> = (0..n_thetas)
         .map(|t| {
@@ -43,7 +47,7 @@ fn gen_update(rng: &mut StdRng) -> ClientUpdate {
         })
         .collect();
     ClientUpdate {
-        items: SparseRowUpdate::new(dim, rows),
+        items: SparseRowUpdate { rows: block },
         thetas,
     }
 }
@@ -69,8 +73,8 @@ fn encoded_len_matches_buffer_length_exactly() {
             wire.len(),
             u.encoded_len(),
             "case {case}: encoded_len out of sync with encoder ({} rows, dim {}, {} thetas)",
-            u.items.rows.len(),
-            u.items.dim,
+            u.items.len(),
+            u.items.dim(),
             u.thetas.len()
         );
     }
@@ -84,8 +88,15 @@ fn degenerate_payloads_roundtrip() {
     assert_eq!(ClientUpdate::decode(empty.encode()).unwrap(), empty);
 
     // Rows of width zero (dim 0 is legal: a tier with no embedding delta).
+    let mut rows = RowBlock::new(0);
+    rows.push(3, []);
+    rows.push(9, []);
+    assert_eq!(
+        rows.iter().collect::<Vec<_>>(),
+        [(&3, &[][..]), (&9, &[][..])]
+    );
     let zero_dim = ClientUpdate {
-        items: SparseRowUpdate::new(0, vec![(3, vec![]), (9, vec![])]),
+        items: SparseRowUpdate { rows },
         thetas: vec![(0, vec![])],
     };
     assert_eq!(zero_dim.encode().len(), zero_dim.encoded_len());
