@@ -132,6 +132,16 @@ cargo test -q --offline --release -p hetefedrec_core --lib ncf_training_bits_are
     | tee target/ci-artifacts/training_bits.log
 grep -q "training bits pinned" target/ci-artifacts/training_bits.log
 
+echo "==> round allocations"
+# A counting global allocator holds a round's allocations to a few a
+# client and a pass, never one a sample or a touched row: for HeteFedRec
+# and for Standalone, whose clients keep their trained rows between
+# rounds. The proof line prints only when every bound held.
+cargo test -q --offline --release -p hetefedrec_core --test round_allocations -- --nocapture \
+    | tee target/ci-artifacts/round_allocations.log
+grep -q "round allocations per client, not per sample" \
+    target/ci-artifacts/round_allocations.log
+
 echo "==> online pipeline smoke (hf-pipeline hot swap)"
 # The demo trains against a replayed interaction stream, serves
 # generation 1 over TCP, hot-swaps the freshest export with one on-wire

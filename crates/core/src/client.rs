@@ -23,27 +23,28 @@
 //! list (`emb | m | v`), Adam's hyper-parameters and step count beside
 //! it ([`Adam`] steps over the caller's slices), and a pointer that is
 //! non-null only under [`Strategy::Standalone`], whose private item rows
-//! and predictor are the one large per-client cost. That is 48 bytes
-//! inline and one allocation of `3 × dim` floats; everything a round
-//! builds on top — local item rows, task engines, gradients — is
-//! dropped when the round ends.
+//! (one [`RowBlock`], ascending item id) and predictor are the one large
+//! per-client cost. That is 48 bytes inline and one allocation of
+//! `3 × dim` floats; everything a round builds on top — local item rows
+//! (one [`RowGradBuffer`], each row copied on first touch), task
+//! engines, gradients — is dropped when the round ends, a standalone
+//! client's touched rows merged into a fresh sorted block first.
 
 use crate::config::TrainConfig;
 use crate::ddr;
 use crate::strategy::Strategy;
 use hf_dataset::{NegativeSampler, SplitDataset, Tier};
-use hf_fedsim::transport::{ClientUpdate, RowBlock, SparseRowUpdate};
+use hf_fedsim::transport::{ClientUpdate, SparseRowUpdate};
 use hf_models::ffn::Ffn;
 use hf_models::ncf::{NcfEngine, NcfWorkspace};
 use hf_models::scoring::propagate_lightgcn;
-use hf_models::ModelKind;
+use hf_models::{ModelKind, RowGradBuffer};
 use hf_tensor::adam::{Adam, AdamConfig};
 use hf_tensor::ops::{bce_with_logits, bce_with_logits_grad};
 use hf_tensor::rng::Rng;
 use hf_tensor::rng::{substream, SeedStream};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
-use hf_tensor::Matrix;
-use std::collections::HashMap;
+use hf_tensor::{Matrix, RowBlock};
 
 /// A client's persistent private state (module docs): one allocation
 /// of floats, `emb | m | v` — the private user embedding and its two
@@ -64,8 +65,8 @@ pub struct UserState {
 /// (overlay over the shared initial table) and its own predictor.
 #[derive(Clone, Debug)]
 pub struct StandaloneState {
-    /// Trained item rows, keyed by item id (tier width).
-    pub rows: HashMap<u32, Vec<f32>>,
+    /// Trained item rows (tier width), ascending item id.
+    pub rows: RowBlock,
     /// The client's private predictor.
     pub theta: Ffn,
 }
@@ -89,7 +90,7 @@ impl UserState {
             adam: Adam::new(AdamConfig::with_lr(cfg.user_lr)),
             standalone: standalone_theta.map(|theta| {
                 Box::new(StandaloneState {
-                    rows: HashMap::new(),
+                    rows: RowBlock::new(dim),
                     theta,
                 })
             }),
@@ -146,28 +147,17 @@ impl ToJson for UserState {
 
 impl ToJson for StandaloneState {
     fn write_json(&self, out: &mut String) {
-        // Rows emit sorted by item id so snapshots are stable across runs
-        // (HashMap iteration order is not).
-        struct Rows<'a>(&'a HashMap<u32, Vec<f32>>);
-        impl ToJson for Rows<'_> {
+        struct Row<'a>(&'a u32, &'a [f32]);
+        impl ToJson for Row<'_> {
             fn write_json(&self, out: &mut String) {
-                let mut items: Vec<u32> = self.0.keys().copied().collect();
-                items.sort_unstable();
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    obj(out, |o| {
-                        o.field("item", item).field("row", &self.0[item]);
-                    });
-                }
-                out.push(']');
+                obj(out, |o| {
+                    o.field("item", self.0).field("row", &self.1);
+                });
             }
         }
+        let rows: Vec<Row> = self.rows.iter().map(|(item, row)| Row(item, row)).collect();
         obj(out, |o| {
-            o.field("rows", &Rows(&self.rows))
-                .field("theta", &self.theta);
+            o.field("rows", &rows).field("theta", &self.theta);
         });
     }
 }
@@ -175,7 +165,8 @@ impl ToJson for StandaloneState {
 impl UserState {
     /// Restores a checkpointed client state over a catalogue of
     /// `num_items` items. The Adam moments and every standalone row must
-    /// be as wide as the embedding, and every row's item id in range.
+    /// be as wide as the embedding, and the rows' item ids in range and
+    /// strictly ascending.
     pub fn from_json(v: &JsonValue<'_>, num_items: usize) -> Result<Self, JsonError> {
         let emb = v.get("emb")?.as_f32_vec()?;
         let (adam, m, moment2) = Adam::from_json(v.get("adam")?)?;
@@ -189,14 +180,18 @@ impl UserState {
         let standalone = match v.get("standalone")? {
             s if s.is_null() => None,
             s => {
-                let mut rows = HashMap::new();
-                for entry in s.get("rows")?.as_arr()? {
+                let entries = s.get("rows")?.as_arr()?;
+                let mut rows = RowBlock::with_capacity(emb.len(), entries.len());
+                let mut next = 0;
+                for entry in entries {
                     let item = entry.get("item")?.as_usize()?;
-                    if item >= num_items {
+                    if !(next..num_items).contains(&item) {
                         return Err(JsonError::msg(format!(
-                            "standalone `item` {item} is outside the {num_items}-item catalogue"
+                            "standalone `item` {item} is outside {next}..{num_items}: past \
+                             the row before it, inside the catalogue"
                         )));
                     }
+                    next = item + 1;
                     let row = entry.get("row")?.as_f32_vec()?;
                     if row.len() != emb.len() {
                         return Err(JsonError::msg(format!(
@@ -205,7 +200,7 @@ impl UserState {
                             emb.len()
                         )));
                     }
-                    rows.insert(item as u32, row);
+                    rows.push(item as u32, row);
                 }
                 Some(Box::new(StandaloneState {
                     rows,
@@ -257,97 +252,94 @@ pub struct ClientOutcome {
     pub samples: usize,
 }
 
-/// Local item-row store: a slot map over one flat block, each row cloned
-/// from the downloaded table (or the standalone overlay) on first touch
-/// — the [`hf_models::RowGradBuffer`] layout, so a touched row costs no
-/// allocation of its own.
+/// Item `item`'s row at width `dim`: the client's private copy when
+/// `overlay` (a standalone client's trained rows) holds one, else the
+/// table's row prefix.
+pub fn item_row<'a>(
+    table: &'a Matrix,
+    overlay: Option<&'a RowBlock>,
+    item: u32,
+    dim: usize,
+) -> &'a [f32] {
+    overlay
+        .and_then(|rows| rows.get(item))
+        .unwrap_or_else(|| table.row_prefix(item as usize, dim))
+}
+
+/// Local item-row store: the touched rows in one [`RowGradBuffer`], each
+/// copied from the downloaded table (or the standalone overlay) on first
+/// touch, so a touched row costs no allocation of its own.
 struct LocalRows<'a> {
     base: &'a Matrix,
-    overlay: Option<&'a HashMap<u32, Vec<f32>>>,
-    width: usize,
-    /// Item id → slot.
-    slots: HashMap<u32, usize>,
-    /// Slot → item id, in first-touch order.
-    ids: Vec<u32>,
-    /// Slot `k`'s row is `data[k * width..(k + 1) * width]`.
-    data: Vec<f32>,
+    overlay: Option<&'a RowBlock>,
+    rows: RowGradBuffer,
 }
 
 impl<'a> LocalRows<'a> {
-    fn new(base: &'a Matrix, overlay: Option<&'a HashMap<u32, Vec<f32>>>, width: usize) -> Self {
+    fn new(base: &'a Matrix, overlay: Option<&'a RowBlock>, width: usize) -> Self {
         Self {
             base,
             overlay,
-            width,
-            slots: HashMap::new(),
-            ids: Vec::new(),
-            data: Vec::new(),
+            rows: RowGradBuffer::new(width),
         }
     }
 
     /// The pristine (downloaded) value of a row.
     fn pristine(&self, item: u32) -> &'a [f32] {
-        if let Some(row) = self.overlay.and_then(|overlay| overlay.get(&item)) {
-            return row;
-        }
-        self.base.row_prefix(item as usize, self.width)
-    }
-
-    /// The local copy in `slot`.
-    fn row(&self, slot: usize) -> &[f32] {
-        &self.data[slot * self.width..][..self.width]
+        item_row(self.base, self.overlay, item, self.rows.dim())
     }
 
     /// Current local value (read path; no copy for untouched rows).
     fn get(&self, item: u32) -> &[f32] {
-        match self.slots.get(&item) {
-            Some(&slot) => self.row(slot),
-            None => self.pristine(item),
-        }
+        self.rows.get(item).unwrap_or_else(|| self.pristine(item))
     }
 
     /// Mutable local copy, cloned from pristine on first touch.
     fn get_mut(&mut self, item: u32) -> &mut [f32] {
-        let slot = match self.slots.get(&item) {
-            Some(&slot) => slot,
-            None => {
-                let pristine = self.pristine(item);
-                self.data.extend_from_slice(pristine);
-                self.ids.push(item);
-                self.slots.insert(item, self.ids.len() - 1);
-                self.ids.len() - 1
-            }
-        };
-        &mut self.data[slot * self.width..][..self.width]
+        let (base, overlay) = (self.base, self.overlay);
+        self.rows.row_mut(item, |row| {
+            row.copy_from_slice(item_row(base, overlay, item, row.len()));
+        })
     }
 
-    /// `(item, local)` over touched rows, in first-touch order.
-    fn iter(&self) -> impl Iterator<Item = (u32, &[f32])> {
-        self.ids
-            .iter()
-            .enumerate()
-            .map(|(slot, &item)| (item, self.row(slot)))
+    /// `(item, local)` over touched rows, ascending item id; with
+    /// `untouched`, also every overlay row the round left alone.
+    fn sorted(&self, untouched: bool) -> Vec<(u32, &[f32])> {
+        let kept = self.overlay.filter(|_| untouched).into_iter().flatten();
+        let mut rows: Vec<(u32, &[f32])> = self.rows.iter().collect();
+        rows.extend(
+            kept.map(|(&item, row)| (item, row))
+                .filter(|&(item, _)| self.rows.get(item).is_none()),
+        );
+        rows.sort_unstable_by_key(|&(item, _)| item);
+        rows
     }
 
-    /// The upload's item block: `local − pristine` over touched rows,
-    /// ascending item id.
+    /// The upload's item block: `local − pristine` over touched rows.
     fn deltas(&self) -> RowBlock {
-        let mut order: Vec<(u32, usize)> = self.ids.iter().copied().zip(0..).collect();
-        order.sort_unstable();
-        let mut block = RowBlock::with_capacity(self.width, order.len());
-        for (item, slot) in order {
+        let rows = self.sorted(false);
+        let mut block = RowBlock::with_capacity(self.rows.dim(), rows.len());
+        for (item, local) in rows {
             let pristine = self.pristine(item);
-            block.push(
-                item,
-                self.row(slot).iter().zip(pristine).map(|(l, p)| l - p),
-            );
+            block.push(item, local.iter().zip(pristine).map(|(l, p)| l - p));
+        }
+        block
+    }
+
+    /// A standalone client's rows after the round: the overlay with each
+    /// touched row replaced by, or added as, its local copy.
+    fn persisted(&self) -> RowBlock {
+        let rows = self.sorted(true);
+        let mut block = RowBlock::with_capacity(self.rows.dim(), rows.len());
+        for (item, row) in rows {
+            block.push(item, row.iter().copied());
         }
         block
     }
 
     /// Touched row ids, ascending.
     fn touched(&self) -> Vec<u32> {
-        let mut ids = self.ids.clone();
+        let mut ids: Vec<u32> = self.rows.iter().map(|(item, _)| item).collect();
         ids.sort_unstable();
         ids
     }
@@ -557,9 +549,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     // --- Build the upload / persist standalone state --------------------------
     let update = if is_standalone {
         let standalone = state.standalone.as_mut().expect("standalone state");
-        for (item, row) in local.iter() {
-            standalone.rows.insert(item, row.to_vec());
-        }
+        standalone.rows = local.persisted();
         standalone.theta = tasks.pop().expect("one task").engine.ffn().clone();
         ClientUpdate::default()
     } else {

@@ -12,7 +12,7 @@
 //! so offline evaluation and online serving produce identical rankings by
 //! construction. [`score_user`] is the shared per-user entry point.
 
-use crate::client::UserState;
+use crate::client::{item_row, UserState};
 use crate::config::TrainConfig;
 use crate::server::ServerState;
 use crate::strategy::Strategy;
@@ -100,14 +100,7 @@ pub fn score_user(
 
     let table = server.table(model_tier);
     let overlay = state.standalone().map(|s| &s.rows);
-    let row_of = |item: usize| -> &[f32] {
-        if let Some(overlay) = overlay {
-            if let Some(row) = overlay.get(&(item as u32)) {
-                return row.as_slice();
-            }
-        }
-        table.row_prefix(item, dim)
-    };
+    let row_of = |item: usize| item_row(table, overlay, item as u32, dim);
 
     // Fed-LightGCN scores with the propagated user representation.
     let user_repr: Vec<f32> = match cfg.model {

@@ -364,8 +364,9 @@ impl ServerState {
 mod tests {
     use super::*;
     use crate::strategy::Ablation;
-    use hf_fedsim::transport::{RowBlock, SparseRowUpdate};
+    use hf_fedsim::transport::SparseRowUpdate;
     use hf_models::ModelKind;
+    use hf_tensor::RowBlock;
 
     fn cfg() -> TrainConfig {
         // These tests exercise the Eq. 8/9 literal semantics: plain sum,

@@ -484,8 +484,9 @@ mod tests {
     use crate::strategy::{Ablation, Strategy};
     use hf_dataset::{SplitDataset, SyntheticConfig};
     use hf_fedsim::comm::RoundCost;
-    use hf_fedsim::transport::{RowBlock, SparseRowUpdate};
+    use hf_fedsim::transport::SparseRowUpdate;
     use hf_models::ModelKind;
+    use hf_tensor::RowBlock;
 
     /// Three bands of 2, 1 and 1 columns; predictors of 3, 2 and 1 words.
     const LAYOUT: BandLayout = BandLayout {

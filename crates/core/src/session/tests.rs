@@ -920,6 +920,19 @@ fn restore_refuses_a_standalone_row_past_the_catalogue() {
 }
 
 #[test]
+fn restore_refuses_standalone_rows_out_of_item_order() {
+    // A repeated item once restored, the later row silently replacing
+    // the earlier one.
+    let json = one_step_checkpoint(Strategy::Standalone, Mode::Sync);
+    let anchor = "\"standalone\":{\"rows\":[{";
+    let first = first_number(&json, anchor, "\"item\":");
+    let second = first_number(&json, anchor, "},{\"item\":");
+    assert!(first.end < second.start, "the user holds two rows");
+    let msg = refusal(&spliced(&json, second, &json[first]));
+    assert!(msg.contains("item"), "{msg}");
+}
+
+#[test]
 fn restore_refuses_a_scheduler_round_size_the_config_does_not_make() {
     // A masked document whose scheduler names rounds of 300 under a
     // config of 32 on a population of more than 300: restoring it once

@@ -38,4 +38,4 @@ pub use comm::{CommLedger, RoundCost};
 pub use events::{EventScheduler, LatencyProfile, PendingArrival};
 pub use faults::{ChurnProfile, FaultInjector};
 pub use scheduler::RoundScheduler;
-pub use transport::{ClientUpdate, RowBlock, SparseRowUpdate};
+pub use transport::{ClientUpdate, SparseRowUpdate};

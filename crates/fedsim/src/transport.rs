@@ -13,109 +13,7 @@
 //! and the sparse bytes this format actually moves.
 
 use hf_tensor::wire::{DecodeError, Reader, Writer};
-
-/// Rows of one width, back to back: the row ids in one list, their
-/// values in one flat block (row `k` is `values[k * dim..(k + 1) * dim]`).
-/// A round's uploads hold two allocations each, whatever their row
-/// count. `&block` iterates `(&row id, &row values)` in push order.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RowBlock {
-    dim: usize,
-    ids: Vec<u32>,
-    values: Vec<f32>,
-}
-
-impl RowBlock {
-    /// An empty block of `dim`-wide rows.
-    pub fn new(dim: usize) -> Self {
-        Self::with_capacity(dim, 0)
-    }
-
-    /// An empty block with room for `rows` rows of `dim` values.
-    pub fn with_capacity(dim: usize, rows: usize) -> Self {
-        Self {
-            dim,
-            ids: Vec::with_capacity(rows),
-            values: Vec::with_capacity(rows * dim),
-        }
-    }
-
-    /// Row width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// `true` when the block holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Appends row `id` with the values `row` yields.
-    ///
-    /// # Panics
-    /// Panics unless `row` yields exactly `dim` values.
-    pub fn push(&mut self, id: u32, row: impl IntoIterator<Item = f32>) {
-        let start = self.values.len();
-        self.values.extend(row);
-        let width = self.values.len() - start;
-        assert_eq!(
-            width, self.dim,
-            "row {id} has width {width} != {}",
-            self.dim
-        );
-        self.ids.push(id);
-    }
-
-    /// Iterates `(&row id, &row values)` in push order.
-    pub fn iter(&self) -> Rows<'_> {
-        Rows {
-            ids: self.ids.iter(),
-            values: &self.values,
-            dim: self.dim,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a RowBlock {
-    type Item = (&'a u32, &'a [f32]);
-    type IntoIter = Rows<'a>;
-
-    fn into_iter(self) -> Rows<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over a [`RowBlock`]'s rows. It walks the ids and splits the
-/// value block `dim` at a time, so zero-width rows come out as empty
-/// slices.
-#[derive(Clone, Debug)]
-pub struct Rows<'a> {
-    ids: std::slice::Iter<'a, u32>,
-    values: &'a [f32],
-    dim: usize,
-}
-
-impl<'a> Iterator for Rows<'a> {
-    type Item = (&'a u32, &'a [f32]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let id = self.ids.next()?;
-        let (row, rest) = self.values.split_at(self.dim);
-        self.values = rest;
-        Some((id, row))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Rows<'_> {}
+use hf_tensor::RowBlock;
 
 /// Sparse row-keyed update to an embedding table.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -139,11 +37,6 @@ impl SparseRowUpdate {
     /// `true` when no rows are touched.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Scales all deltas in place.
-    pub fn scale(&mut self, alpha: f32) {
-        self.rows.values.iter_mut().for_each(|x| *x *= alpha);
     }
 }
 
@@ -197,7 +90,7 @@ impl ClientUpdate {
     /// Parses the binary wire format, strictly: a hostile payload is a
     /// typed [`DecodeError`], never a panic, and trailing bytes are
     /// rejected so that `decode(b)?.encode() == b`, as in every other
-    /// codec of the workspace.
+    /// codec of the workspace. Row ids must be strictly ascending.
     pub fn decode(buf: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
         Reader::whole(buf.as_ref(), |r| {
             let dim = r.get_u32_le()? as usize;
@@ -205,8 +98,7 @@ impl ClientUpdate {
             let row_width = dim.saturating_mul(4).saturating_add(4);
             let mut rows = RowBlock::with_capacity(dim, r.fits(n_rows, row_width)?);
             for _ in 0..n_rows {
-                rows.ids.push(r.get_u32_le()?);
-                r.extend_f32s(dim, &mut rows.values)?;
+                rows.read_row(r.get_u32_le()?, r)?;
             }
             let n_thetas = r.get_u32_le()? as usize;
             if n_thetas > 16 {
@@ -292,12 +184,5 @@ mod tests {
     #[should_panic(expected = "width")]
     fn sparse_update_validates_row_width() {
         RowBlock::new(3).push(0, [1.0]);
-    }
-
-    #[test]
-    fn scale_rescales_deltas() {
-        let mut u = sample().items;
-        u.scale(2.0);
-        assert_eq!(u.rows.iter().next(), Some((&5, &[2.0, -4.0, 1.0][..])));
     }
 }

@@ -4,9 +4,9 @@
 //! positives, sampled negatives, and — for LightGCN — its local-graph
 //! items). Accumulating into a dense `|V| x N` buffer would dominate the
 //! round cost, so gradients are keyed by row with slot reuse across a
-//! local epoch. The server accumulates uploads in one; a client's own
-//! upload is the delta of the rows it cloned (`hetefedrec_core::client`'s
-//! `LocalRows`), not this buffer's contents.
+//! local epoch. The server accumulates uploads in one; a client keeps its
+//! local copies of the rows it trains in one too, each row filled from
+//! its downloaded value on first touch ([`RowGradBuffer::row_mut`]).
 
 use std::collections::HashMap;
 
@@ -45,6 +45,19 @@ impl RowGradBuffer {
         self.rows.is_empty()
     }
 
+    /// Row `row`'s slot. On first touch it is appended zeroed and handed
+    /// to `fill`, so a caller can start it from any value.
+    pub fn row_mut(&mut self, row: u32, fill: impl FnOnce(&mut [f32])) -> &mut [f32] {
+        let dim = self.dim;
+        let slot = *self.slots.entry(row).or_insert_with(|| {
+            self.rows.push(row);
+            self.data.resize(self.rows.len() * dim, 0.0);
+            fill(&mut self.data[(self.rows.len() - 1) * dim..]);
+            self.rows.len() - 1
+        });
+        &mut self.data[slot * dim..][..dim]
+    }
+
     /// `grad` may be narrower than `dim` (a prefix-width contribution from
     /// a smaller tier task); the tail stays untouched.
     ///
@@ -52,13 +65,7 @@ impl RowGradBuffer {
     /// Panics if `grad` is wider than `dim`.
     pub fn accumulate(&mut self, row: u32, scale: f32, grad: &[f32]) {
         assert!(grad.len() <= self.dim, "grad wider than buffer dim");
-        let slot = *self.slots.entry(row).or_insert_with(|| {
-            self.rows.push(row);
-            self.data.extend(std::iter::repeat_n(0.0, self.dim));
-            self.rows.len() - 1
-        });
-        let start = slot * self.dim;
-        for (acc, &g) in self.data[start..start + grad.len()].iter_mut().zip(grad) {
+        for (acc, &g) in self.row_mut(row, |_| {}).iter_mut().zip(grad) {
             *acc += scale * g;
         }
     }
@@ -78,13 +85,6 @@ impl RowGradBuffer {
             .map(|&slot| &self.data[slot * self.dim..(slot + 1) * self.dim])
     }
 
-    /// Resets to empty, retaining allocations for reuse.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.rows.clear();
-        self.data.clear();
-    }
-
     /// Scales each row by `factor(row)` in place, in first-touch order,
     /// as if each scaled row were summed into a zeroed one: the `+ 0.0`
     /// turns a product that underflowed to `-0.0` into `+0.0`.
@@ -96,11 +96,6 @@ impl RowGradBuffer {
             let alpha = factor(row);
             grad.iter_mut().for_each(|x| *x = *x * alpha + 0.0);
         }
-    }
-
-    /// Scales every accumulated gradient (e.g. batch-size normalisation).
-    pub fn scale(&mut self, alpha: f32) {
-        self.data.iter_mut().for_each(|x| *x *= alpha);
     }
 }
 
@@ -161,13 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_rescales_everything() {
-        let mut buf = RowGradBuffer::new(1);
-        buf.accumulate(0, 1.0, &[2.0]);
-        buf.accumulate(1, 1.0, &[4.0]);
-        buf.scale(0.5);
-        assert_eq!(buf.get(0).unwrap(), &[1.0]);
-        assert_eq!(buf.get(1).unwrap(), &[2.0]);
+    fn row_mut_fills_a_row_on_first_touch_only() {
+        let mut buf = RowGradBuffer::new(2);
+        buf.row_mut(6, |row| row.copy_from_slice(&[1.0, 2.0]))[1] += 0.5;
+        buf.row_mut(6, |_| unreachable!("row 6 is held"))[0] -= 1.0;
+        buf.accumulate(3, 1.0, &[4.0]);
+        assert_eq!(buf.get(6).unwrap(), &[0.0, 2.5]);
+        assert_eq!(buf.get(3).unwrap(), &[4.0, 0.0]);
     }
 
     #[test]

@@ -67,8 +67,7 @@ use hetefedrec_core::config::TierDims;
 use hf_dataset::Tier;
 use hf_models::{Ffn, ModelKind};
 use hf_tensor::wire::{DecodeError, Reader, Writer};
-use hf_tensor::Matrix;
-use std::collections::HashMap;
+use hf_tensor::{Matrix, RowBlock};
 use std::fs::File;
 use std::io::{self, BufWriter, Read as _, Seek, SeekFrom, Write};
 use std::ops::Deref;
@@ -387,13 +386,9 @@ pub(crate) fn put_user(w: &mut Writer, user: UserView<'_>) {
         Some(solo) => {
             w.put_u8(1);
             put_ffn(w, &solo.theta);
-            // Deterministic row order: the HashMap iteration order must
-            // not leak into the file bytes.
-            let mut rows: Vec<(&u32, &Vec<f32>)> = solo.rows.iter().collect();
-            rows.sort_by_key(|(&item, _)| item);
-            w.put_uleb32(rows.len() as u32);
-            for (gap, (_, row)) in gaps(rows.iter().map(|(&item, _)| item)).zip(&rows) {
-                assert_eq!(row.len(), user.emb.len(), "private row width");
+            assert_eq!(solo.rows.dim(), user.emb.len(), "private row width");
+            w.put_uleb32(solo.rows.len() as u32);
+            for (gap, (_, row)) in gaps(solo.rows.iter().map(|(&item, _)| item)).zip(&solo.rows) {
                 w.put_uleb32(gap);
                 row.iter().for_each(|&x| w.put_f32_le(x));
             }
@@ -955,10 +950,9 @@ fn get_user(
     }
     let theta = get_ffn(r)?;
     let n = r.get_uleb32("rows")? as usize;
-    let mut rows = HashMap::with_capacity(r.fits(n, 1 + 4 * dim)?);
+    let mut rows = RowBlock::with_capacity(dim, r.fits(n, 1 + 4 * dim)?);
     get_ids(r, n, meta.num_items, "rows", |r, item| {
-        rows.insert(item, r.get_f32_vec(dim)?);
-        Ok(())
+        rows.read_row(item, r)
     })?;
     Ok((tier, Some(SoloModel { rows, theta })))
 }
@@ -1014,9 +1008,9 @@ mod tests {
     /// A small standalone-style artifact whose users carry hand-built
     /// [`SoloModel`]s: every float is a dyadic rational of its position,
     /// so the committed fixture holds no trained weights. Covers both solo
-    /// flags, an empty history, an empty overlay, and overlay rows
-    /// inserted out of item order (the file must hold them sorted).
-    /// Histories are strictly ascending, as every producer's are.
+    /// flags, an empty history, an empty overlay, and overlays of one to
+    /// three rows. Histories and overlays are strictly ascending, as every
+    /// producer's are.
     fn solo_fixture_source() -> ModelArtifact {
         let dims = TierDims::new(2, 4, 8);
         let num_items = 6usize;
@@ -1039,12 +1033,17 @@ mod tests {
                 let mut history: Vec<u32> = (0..u as u32).map(|i| (i * 2 + u as u32) % 6).collect();
                 history.sort_unstable();
                 history.dedup();
-                let solo = (u != 3).then(|| SoloModel {
-                    rows: [5u32, 1, 3][..u.min(3)]
-                        .iter()
-                        .map(|&item| (item, ramp(dim, 20 + u + item as usize)))
-                        .collect(),
-                    theta: ffn(dim, 10 + u),
+                let solo = (u != 3).then(|| {
+                    let mut items = [5u32, 1, 3][..u.min(3)].to_vec();
+                    items.sort_unstable();
+                    let mut rows = RowBlock::new(dim);
+                    for item in items {
+                        rows.push(item, ramp(dim, 20 + u + item as usize));
+                    }
+                    SoloModel {
+                        rows,
+                        theta: ffn(dim, 10 + u),
+                    }
                 });
                 UserRecord {
                     tier,
@@ -1404,7 +1403,7 @@ mod tests {
         let (num_items, dim) = (solo.num_items() as u32, solo.dims().dim(Tier::Small));
         let rows = with_user_zero(&solo, |u| {
             let private = u.solo.as_mut().expect("user 0 carries a private model");
-            private.rows.insert(num_items, vec![0.0; dim]);
+            private.rows.push(num_items, vec![0.0; dim]);
         });
         let dir = scratch_dir("catalogue");
         let path = dir.join("bad.hfa");

@@ -32,6 +32,7 @@
 
 use crate::artifact::ModelArtifact;
 use crate::ServeError;
+use hetefedrec_core::client::item_row;
 use hf_dataset::Tier;
 use hf_metrics::top_k_scored;
 use hf_models::scoring::{propagate_lightgcn, SplitNcf};
@@ -650,14 +651,7 @@ impl Recommender {
                 let dim = dims.dim(tier);
                 let table = self.artifact.table(tier);
                 let overlay = record.solo.map(|s| &s.rows);
-                let row_of = |item: u32| -> &[f32] {
-                    if let Some(overlay) = overlay {
-                        if let Some(row) = overlay.get(&item) {
-                            return row.as_slice();
-                        }
-                    }
-                    table.row_prefix(item as usize, dim)
-                };
+                let row_of = |item: u32| item_row(table, overlay, item, dim);
                 let repr = match self.artifact.model() {
                     ModelKind::Ncf => record.emb.to_vec(),
                     ModelKind::LightGcn => propagate_lightgcn(

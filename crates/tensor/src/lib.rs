@@ -31,6 +31,8 @@
 //! * [`ser`] — minimal JSON emission ([`ser::ToJson`]) so experiment
 //!   results snapshot without a serde dependency (the build must succeed
 //!   with an empty cargo registry).
+//! * [`rows`] — [`RowBlock`], id-sorted rows of one width: an upload's
+//!   item block and a standalone client's private item rows.
 //! * [`cli`] — the one command-line parser every binary reads its flags
 //!   through (one grammar, one usage exit).
 //! * [`wire`] — the little-endian `Reader`/`Writer` primitives every
@@ -54,6 +56,7 @@ pub mod matrix;
 pub mod ops;
 pub mod parallel;
 pub mod rng;
+pub mod rows;
 pub mod ser;
 pub mod sim;
 pub mod stats;
@@ -62,4 +65,5 @@ pub mod wire;
 pub use adam::{Adam, AdamConfig};
 pub use matrix::Matrix;
 pub use rng::{stream, SeedStream};
+pub use rows::RowBlock;
 pub use ser::ToJson;

@@ -13,12 +13,13 @@
 use hetefedrec::core::config::TrainConfig;
 use hetefedrec::core::server::ServerState;
 use hetefedrec::core::strategy::{Ablation, Strategy};
-use hetefedrec::fedsim::transport::{ClientUpdate, RowBlock, SparseRowUpdate};
+use hetefedrec::fedsim::transport::{ClientUpdate, SparseRowUpdate};
 use hetefedrec::metrics::eval::Evaluator;
 use hetefedrec::models::ModelKind;
 use hetefedrec::prelude::Tier;
 use hetefedrec::tensor::rng::{substream, Rng, SeedStream, StdRng};
 use hetefedrec::tensor::wire::DecodeError;
+use hetefedrec::tensor::RowBlock;
 use hetefedrec::tensor::{sim, stats, Matrix};
 
 const ITEMS: usize = 24;

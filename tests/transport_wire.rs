@@ -3,9 +3,10 @@
 //! valid payloads, and `encoded_len` must equal the encoded buffer length
 //! *exactly* — communication accounting in Table III depends on it.
 
-use hetefedrec::fedsim::transport::{ClientUpdate, RowBlock, SparseRowUpdate};
+use hetefedrec::fedsim::transport::{ClientUpdate, SparseRowUpdate};
 use hetefedrec::tensor::rng::{substream, Rng, SeedStream, StdRng};
 use hetefedrec::tensor::wire::DecodeError;
+use hetefedrec::tensor::RowBlock;
 
 fn wire_rng(case: u64) -> StdRng {
     substream(0xB17E5, SeedStream::Custom(99), case)
@@ -118,4 +119,29 @@ fn every_truncation_of_a_valid_payload_is_rejected() {
         |wire| ClientUpdate::decode(wire).map(|u| u.encode()),
         |e| *e == DecodeError::Truncated,
     );
+}
+
+/// A row id that repeats or descends is refused: the server would add a
+/// repeated row's delta twice and count its contributor twice.
+#[test]
+fn rows_out_of_id_order_are_rejected() {
+    let mut rows = RowBlock::new(1);
+    rows.push(4, [0.5]);
+    rows.push(9, [-1.0]);
+    let update = ClientUpdate {
+        items: SparseRowUpdate { rows },
+        thetas: vec![],
+    };
+    let wire = update.encode();
+    // The second row's id sits after the header (8 bytes) and the first
+    // row (id + one float).
+    for id in [4u32, 2] {
+        let mut hostile = wire.clone();
+        hostile[16..20].copy_from_slice(&id.to_le_bytes());
+        assert_eq!(
+            ClientUpdate::decode(hostile),
+            Err(DecodeError::Invalid { field: "rows" }),
+            "second row id {id}"
+        );
+    }
 }
