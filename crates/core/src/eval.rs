@@ -158,7 +158,7 @@ pub fn evaluate(
     data_groups: &ClientGroups,
 ) -> EvalOutput {
     let ids: Vec<usize> = (0..split.num_users()).collect();
-    let evals = hf_fedsim::parallel::parallel_map(&ids, cfg.threads, |&u| {
+    let evals = hf_tensor::parallel::parallel_map(&ids, cfg.threads, |&u| {
         evaluate_user(
             cfg,
             strategy,

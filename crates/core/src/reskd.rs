@@ -71,7 +71,7 @@ pub fn distill_round(
     // count makes `kd.lr` scale-free in `kd.items`.
     let k = selected.len() as f32;
     let pair_norm = 1.0 / (k * (k - 1.0)).max(1.0);
-    let distilled = hf_fedsim::parallel::parallel_map(&subsets, threads, |subset| {
+    let distilled = hf_tensor::parallel::parallel_map(&subsets, threads, |subset| {
         let mut subset = subset.clone();
         let mut first_loss = None;
         for _ in 0..kd.steps.max(1) {

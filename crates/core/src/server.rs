@@ -121,58 +121,62 @@ impl ServerState {
     /// because every upload carries a dense delta for the whole predictor,
     /// so a sum would scale its step with the cohort size.
     ///
+    /// A fold of `updates` in order through [`ServerState::round_fold`].
+    ///
     /// # Panics
     /// Panics if `weights.len() != updates.len()`.
     pub fn apply_round_weighted(&mut self, updates: &[(Tier, ClientUpdate)], weights: &[f32]) {
         assert_eq!(updates.len(), weights.len(), "one weight per update");
-        if updates.is_empty() {
+        let mut fold = self.round_fold();
+        for ((tier, update), &w) in updates.iter().zip(weights) {
+            fold.add(*tier, update, w);
+        }
+        self.apply_fold(fold);
+    }
+
+    /// An empty round aggregate sized for this server: what
+    /// [`ServerState::apply_round_weighted`] sums, to be filled one upload
+    /// at a time ([`RoundFold::add`]) and applied by
+    /// [`ServerState::apply_fold`]. Folding the same uploads in the same
+    /// order gives the same bits however the uploads arrive.
+    pub fn round_fold(&self) -> RoundFold {
+        let item_dims: Vec<usize> = if self.strategy.aggregates_across_tiers() {
+            vec![self.dims.largest()]
+        } else {
+            Tier::ALL.iter().map(|&t| self.dims.dim(t)).collect()
+        };
+        RoundFold {
+            items: item_dims
+                .into_iter()
+                .map(|dim| (RowGradBuffer::new(dim), HashMap::new()))
+                .collect(),
+            thetas: Tier::ALL.map(|t| ThetaSum {
+                sum: vec![0.0; self.thetas[t.index()].num_params()],
+                count: 0,
+                weight_sum: 0.0,
+            }),
+            uploads: 0,
+        }
+    }
+
+    /// Applies a round's folded uploads: each item sum through
+    /// [`ServerState::apply_item_aggregate`] (the padded sum to every tier
+    /// table, or each tier's own sum to its table), then each tier's
+    /// predictor sum through [`ServerState::apply_theta_aggregate`]. A
+    /// fold of no uploads changes nothing.
+    pub fn apply_fold(&mut self, fold: RoundFold) {
+        if fold.uploads == 0 {
             return;
         }
-        if self.strategy.aggregates_across_tiers() {
-            let mut acc = RowGradBuffer::new(self.dims.largest());
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            for ((_, update), &w) in updates.iter().zip(weights) {
-                for (row, delta) in &update.items.rows {
-                    acc.accumulate(*row, w, delta);
-                    *counts.entry(*row).or_insert(0) += 1;
-                }
-            }
-            self.apply_item_aggregate(&mut acc, &counts, &[Tier::Small, Tier::Medium, Tier::Large]);
-        } else {
-            // Clustered: aggregate within each tier only.
-            for tier in Tier::ALL {
-                let mut acc = RowGradBuffer::new(self.dims.dim(tier));
-                let mut counts: HashMap<u32, u32> = HashMap::new();
-                for ((t, update), &w) in updates.iter().zip(weights) {
-                    if *t == tier {
-                        for (row, delta) in &update.items.rows {
-                            acc.accumulate(*row, w, delta);
-                            *counts.entry(*row).or_insert(0) += 1;
-                        }
-                    }
-                }
-                if !acc.is_empty() {
-                    self.apply_item_aggregate(&mut acc, &counts, &[tier]);
-                }
+        let across = fold.items.len() == 1;
+        for (tier, (mut acc, counts)) in Tier::ALL.into_iter().zip(fold.items) {
+            if !acc.is_empty() {
+                let tiers = if across { &Tier::ALL[..] } else { &[tier][..] };
+                self.apply_item_aggregate(&mut acc, &counts, tiers);
             }
         }
-        for tier in Tier::ALL {
-            let idx = tier.index();
-            let expected = self.thetas[idx].num_params();
-            let mut sum = vec![0.0f32; expected];
-            let mut count = 0usize;
-            let mut weight_sum = 0.0f32;
-            for ((_, update), &w) in updates.iter().zip(weights) {
-                for (t, flat) in &update.thetas {
-                    if *t as usize == idx {
-                        assert_eq!(flat.len(), expected, "theta delta width mismatch");
-                        hf_tensor::ops::axpy_slice(&mut sum, w, flat);
-                        count += 1;
-                        weight_sum += w;
-                    }
-                }
-            }
-            self.apply_theta_aggregate(tier, sum, count, weight_sum);
+        for (tier, theta) in Tier::ALL.into_iter().zip(fold.thetas) {
+            self.apply_theta_aggregate(tier, theta.sum, theta.count, theta.weight_sum);
         }
     }
 
@@ -357,6 +361,69 @@ impl ServerState {
             }
         }
         worst
+    }
+}
+
+/// One round's uploads, summed as they arrive: exactly what
+/// [`ServerState::apply_round_weighted`] reads of them, so an upload can
+/// be dropped once it is added. Built by [`ServerState::round_fold`],
+/// applied by [`ServerState::apply_fold`].
+#[derive(Debug)]
+pub struct RoundFold {
+    /// Weighted item-delta sums with their per-row contributor counts:
+    /// one padded sum at the largest width, or under
+    /// [`Strategy::ClusteredFedRec`] one per tier at its width.
+    items: Vec<(RowGradBuffer, HashMap<u32, u32>)>,
+    /// Per-tier predictor sums.
+    thetas: [ThetaSum; 3],
+    /// Uploads added.
+    uploads: usize,
+}
+
+/// One tier's predictor deltas, summed: `Σ wᵢ·Δᵢ` over `count`
+/// contributors of total weight `weight_sum`.
+#[derive(Debug)]
+struct ThetaSum {
+    sum: Vec<f32>,
+    count: usize,
+    weight_sum: f32,
+}
+
+impl RoundFold {
+    /// Adds one upload from a client of model tier `tier` at weight `w`.
+    /// Sums are floating-point, so uploads must be added in one fixed
+    /// order (the cohort's) for the aggregate's bits to repeat.
+    ///
+    /// # Panics
+    /// Panics if an item delta is wider than its sum or a predictor delta
+    /// does not match its tier's width.
+    pub fn add(&mut self, tier: Tier, update: &ClientUpdate, w: f32) {
+        let slot = if self.items.len() == 1 {
+            0
+        } else {
+            tier.index()
+        };
+        let (acc, counts) = &mut self.items[slot];
+        for (row, delta) in &update.items.rows {
+            acc.accumulate(*row, w, delta);
+            *counts.entry(*row).or_insert(0) += 1;
+        }
+        for (t, flat) in &update.thetas {
+            // A tag past the three tiers names no predictor.
+            let Some(theta) = self.thetas.get_mut(usize::from(*t)) else {
+                continue;
+            };
+            assert_eq!(flat.len(), theta.sum.len(), "theta delta width mismatch");
+            hf_tensor::ops::axpy_slice(&mut theta.sum, w, flat);
+            theta.count += 1;
+            theta.weight_sum += w;
+        }
+        self.uploads += 1;
+    }
+
+    /// Uploads added so far.
+    pub fn uploads(&self) -> usize {
+        self.uploads
     }
 }
 

@@ -9,14 +9,14 @@
 
 use super::reports::{AsyncRoundStats, RoundReport};
 use super::Session;
-use crate::client::{train_client, ClientCtx, ClientOutcome};
+use crate::client::{train_client, ClientCtx, ClientOutcome, UserState};
 use crate::config::TrainConfig;
 use hf_dataset::{ClientGroups, Tier};
 use hf_fedsim::comm::RoundCost;
-use hf_fedsim::parallel::parallel_map;
 use hf_fedsim::transport::ClientUpdate;
 use hf_models::Ffn;
 use hf_secagg::PreparedGroup;
+use hf_tensor::parallel::parallel_for_each_ordered;
 use std::collections::HashMap;
 
 impl Session {
@@ -127,11 +127,17 @@ impl Session {
     /// accepted updates reach the server). All-ones weights reproduce the
     /// unweighted aggregation bit-for-bit.
     ///
+    /// Results reach this thread in cohort order as clients finish
+    /// ([`parallel_for_each_ordered`]); each accepted upload is added to
+    /// the round's [`RoundFold`](crate::server::RoundFold) and dropped, so
+    /// the round holds one upload at a time plus the fan-out's reorder
+    /// window, never the cohort's uploads.
+    ///
     /// With `secagg_groups` present the round aggregates through the
     /// masked ring path instead: eligibility was fixed at group setup,
     /// survivors upload their tier's quantized ring prefix, and injected
     /// drops become dropouts whose orphaned masks get recovered from
-    /// escrow.
+    /// escrow. Groups fold after the fan-out, so survivors are kept.
     fn execute_cohort(
         &mut self,
         cohort: &[usize],
@@ -160,7 +166,20 @@ impl Session {
         let model_groups = &self.model_groups;
         let round_key = self.round_counter;
 
-        let outcomes: Vec<ClientOutcome> = parallel_map(cohort, cfg.threads, |&uid| {
+        // Plaintext path: each accepted upload is folded into the round's
+        // aggregate as it arrives, in cohort order, then dropped.
+        let mut fold = secagg_groups.is_none().then(|| server.round_fold());
+        // Masked path: surviving uploads keyed by uid (group membership
+        // and eligibility were fixed at setup; a committed member absent
+        // from this map is a dropout). Groups fold after training.
+        let mut survivor_uploads: HashMap<u64, (ClientUpdate, f32)> = HashMap::new();
+        // New client states wait for the fan-out, which reads the old ones.
+        let mut states: Vec<UserState> = Vec::with_capacity(cohort.len());
+        let mut loss_sum = 0.0;
+        let mut sample_sum = 0usize;
+        let mut round_download = 0u64;
+        let mut round_upload = 0u64;
+        let train = |&uid: &usize| {
             let tier = model_groups.tier(uid);
             let ctx = ClientCtx {
                 cfg,
@@ -174,67 +193,58 @@ impl Session {
                 round_key,
             };
             train_client(&ctx, &users[uid])
-        });
-
-        let masked = secagg_groups.is_some();
-        let mut accepted: Vec<(Tier, ClientUpdate)> = Vec::new();
-        let mut accepted_weights: Vec<f32> = Vec::new();
-        // Masked path: surviving uploads keyed by uid (group membership
-        // and eligibility were fixed at setup; a committed member absent
-        // from this map is a dropout).
-        let mut survivor_uploads: HashMap<u64, (ClientUpdate, f32)> = HashMap::new();
-        let mut loss_sum = 0.0;
-        let mut sample_sum = 0usize;
-        let mut round_download = 0u64;
-        let mut round_upload = 0u64;
-        for ((&uid, outcome), &weight) in cohort.iter().zip(outcomes).zip(weights) {
-            let model_tier = self.model_groups.tier(uid);
+        };
+        parallel_for_each_ordered(cohort, cfg.threads, train, |i, outcome: ClientOutcome| {
+            let (uid, weight) = (cohort[i], weights[i]);
+            let model_tier = model_groups.tier(uid);
             let data_tier = self.data_groups.tier(uid);
             // Download accounting: tier table + every downloaded predictor.
             let theta_sizes: Vec<usize> = tier_thetas[model_tier.index()]
                 .iter()
                 .map(Ffn::num_params)
                 .collect();
-            let download = RoundCost::dense(
-                self.split.num_items(),
-                self.cfg.dims.dim(model_tier),
-                &theta_sizes,
-            );
+            let download =
+                RoundCost::dense(split.num_items(), cfg.dims.dim(model_tier), &theta_sizes);
             self.ledger.record_download(download.bytes());
             round_download += download.bytes() as u64;
 
             loss_sum += outcome.loss;
             sample_sum += outcome.samples;
-            self.users[uid] = outcome.state;
+            states.push(outcome.state);
 
-            if masked {
-                if !self.faults.drops(self.round_counter, uid) {
-                    survivor_uploads.insert(uid as u64, (outcome.update, weight));
+            let dropped = self.faults.drops(round_key, uid);
+            if let Some(fold) = fold.as_mut() {
+                let update = &outcome.update;
+                if strategy.accepts_update(data_tier)
+                    && !dropped
+                    && !(update.items.is_empty() && update.thetas.is_empty())
+                {
+                    let bytes = update.encoded_len();
+                    self.ledger.record_upload(bytes);
+                    round_upload += bytes as u64;
+                    fold.add(model_tier, update, weight);
                 }
-            } else if self.strategy.accepts_update(data_tier)
-                && !self.faults.drops(self.round_counter, uid)
-                && !(outcome.update.items.is_empty() && outcome.update.thetas.is_empty())
-            {
-                let bytes = outcome.update.encoded_len();
-                self.ledger.record_upload(bytes);
-                round_upload += bytes as u64;
-                accepted.push((model_tier, outcome.update));
-                accepted_weights.push(weight);
+            } else if !dropped {
+                survivor_uploads.insert(uid as u64, (outcome.update, weight));
             }
+        });
+        for (&uid, state) in cohort.iter().zip(states) {
+            self.users[uid] = state;
         }
 
-        let mut accepted_count = accepted.len();
         let mut secagg_stats = None;
-        if let Some(groups) = secagg_groups {
+        let accepted_count = if let Some(groups) = secagg_groups {
             let (stats, secagg_accepted, masked_bytes) =
                 self.secagg_aggregate(&groups, &survivor_uploads);
-            accepted_count = secagg_accepted;
             round_upload += masked_bytes;
             secagg_stats = Some(stats);
+            secagg_accepted
         } else {
-            self.server
-                .apply_round_weighted(&accepted, &accepted_weights);
-        }
+            let fold = fold.expect("plaintext rounds fold");
+            let accepted = fold.uploads();
+            self.server.apply_fold(fold);
+            accepted
+        };
         if self.strategy.ablation().reskd {
             self.server.distill(&self.cfg.kd, self.cfg.threads);
         }

@@ -34,10 +34,10 @@ use super::reports::SecAggRoundStats;
 use super::Session;
 use crate::config::TrainConfig;
 use hf_dataset::Tier;
-use hf_fedsim::parallel::parallel_map;
 use hf_fedsim::transport::ClientUpdate;
 use hf_models::RowGradBuffer;
 use hf_secagg::{BandLayout, MaskedUpload, PayloadLayout, PreparedGroup, Quantizer};
+use hf_tensor::parallel::parallel_map;
 use hf_tensor::rng::{stream, SeedStream, StdRng};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;

@@ -15,7 +15,8 @@
 //! * [`parallel`] — re-export of [`hf_tensor::parallel`], the work-stealing
 //!   scoped worker pool running independent client computations within a
 //!   round (it lives beside `rng` so `hf_dataset` and `hf_serve` reach it
-//!   without this crate).
+//!   without this crate). The workspace calls it by its own path; only
+//!   the out-of-workspace `benchmark/` package still names this one.
 //! * [`faults`] — seeded client-failure injection (dropped updates) and
 //!   churn profiles for robustness experiments beyond the paper's happy
 //!   path.
@@ -31,7 +32,7 @@ pub mod faults;
 pub mod scheduler;
 pub mod transport;
 
-// Kept under this path for its callers (the frozen `benchmark/` names it).
+// Kept under this path for `benchmark/`, its one remaining caller.
 pub use hf_tensor::parallel;
 
 pub use comm::{CommLedger, RoundCost};

@@ -607,11 +607,8 @@ impl Recommender {
                 let mut block = scorer.item_half_block(table, start, end);
                 // Patch the user's privately trained rows (bit-identical
                 // to the blocked product by the SplitNcf contract).
-                for (&item, row) in &solo.rows {
-                    let i = item as usize;
-                    if (start..end).contains(&i) {
-                        scorer.item_half_into(row, block.row_mut(i - start));
-                    }
+                for (&item, row) in solo.rows.range(start as u32..end as u32) {
+                    scorer.item_half_into(row, block.row_mut(item as usize - start));
                 }
                 let mut ws = scorer.workspace();
                 let part: Vec<f32> = (0..end - start)

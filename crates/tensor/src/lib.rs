@@ -12,9 +12,12 @@
 //! * [`rng`] — deterministic, purpose-keyed random streams so every
 //!   experiment is bit-reproducible from a single seed.
 //! * [`parallel`] — the workspace's one worker pool: a work-stealing
-//!   scoped-thread [`parallel::parallel_map`] whose output is bit-identical
-//!   for any thread count (client training, dataset generation, serving
-//!   batches and the masked fold all fan out over it).
+//!   scoped-thread fan-out whose output is bit-identical for any thread
+//!   count. [`parallel::parallel_for_each_ordered`] hands each result to
+//!   the caller in input order as it is ready (a round's client training
+//!   folds its uploads that way); [`parallel::parallel_map`] collects them
+//!   (evaluation, dataset generation, serving batches and the masked
+//!   fold).
 //! * [`init`] — Glorot/Xavier and scaled-normal initialisers.
 //! * [`ops`] — scalar activations and losses (sigmoid, BCE-with-logits,
 //!   ReLU) plus a few vector helpers.

@@ -2,87 +2,126 @@
 //!
 //! Clients selected in the same round train independently against the same
 //! downloaded snapshot of the public parameters, so their local work is
-//! embarrassingly parallel. [`parallel_map`] fans a slice of inputs over a
-//! bounded number of `std::thread::scope` workers and returns outputs in
-//! input order — determinism is preserved because each client's computation
-//! derives its randomness from its own id, never from execution order.
+//! embarrassingly parallel. [`parallel_for_each_ordered`] fans a slice of
+//! inputs over a bounded number of `std::thread::scope` workers and hands
+//! each output to the calling thread in input order as soon as it and every
+//! earlier one are ready; [`parallel_map`] collects them. Determinism is
+//! preserved because each client's computation derives its randomness from
+//! its own id, never from execution order.
 //!
-//! Work is claimed from a shared atomic index in small batches rather than
-//! pre-split into fixed contiguous chunks. Heterogeneous tiers make
+//! Work is claimed from a shared atomic index one item at a time rather
+//! than pre-split into fixed contiguous chunks. Heterogeneous tiers make
 //! per-client cost skewed (large-tier clients train wider models), and with
 //! fixed chunking the round serialises on whichever worker drew the most
 //! expensive chunk; with atomic claiming, workers that finish early steal
 //! the remaining items instead of idling. Which worker computes an item
 //! never affects its value, so results stay bit-identical across thread
-//! counts.
+//! counts. Claims are not batched: every result already costs a channel
+//! send, which outweighs the claim's atomic, and a batch claimed ahead
+//! would wait whole in the caller's reorder window.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Upper bound on the number of items a worker claims per atomic fetch.
-/// Small enough to keep stealing effective on skewed workloads, large
-/// enough that the shared counter is not contended for cheap items.
-const MAX_CLAIM: usize = 16;
+use std::sync::mpsc;
 
 /// Applies `f` to every element of `items`, using up to `threads` worker
 /// threads, returning results in input order.
 ///
-/// Workers repeatedly claim the next batch of items from a shared atomic
-/// cursor (work stealing via self-scheduling), so skewed per-item costs
-/// re-balance automatically. Each worker records `(index, value)` pairs
-/// that are scattered back into input order after the join — `f(items[i])`
-/// is computed exactly once, by exactly one worker, so the output is
-/// bit-identical regardless of `threads`. With `threads <= 1` (or one
-/// item) this degrades to a plain sequential map with zero thread or
-/// atomic overhead.
+/// `f(items[i])` is computed exactly once, by exactly one worker, so the
+/// output is bit-identical regardless of `threads`. A collect over
+/// [`parallel_for_each_ordered`].
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    let mut out = Vec::with_capacity(items.len());
+    parallel_for_each_ordered(items, threads, f, |_, value| out.push(value));
+    out
+}
+
+/// Applies `f` to every element of `items` on up to `threads` worker
+/// threads and calls `sink(i, f(&items[i]))` on the calling thread for
+/// every `i` in ascending order, each as soon as that result and every
+/// earlier one are ready.
+///
+/// Workers repeatedly claim the next item from a shared atomic cursor
+/// (work stealing via self-scheduling), so skewed per-item costs
+/// re-balance automatically, and send each result to the caller as it is
+/// computed. The caller holds only the *reorder window*: results that
+/// arrived ahead of the next index `sink` expects, which is about one
+/// result per other worker unless one item is far slower than the ones
+/// after it. A consumer that folds each result and drops it therefore
+/// never holds the whole output. With `threads <= 1` (or one item) this
+/// degrades to a plain sequential loop with zero thread or atomic
+/// overhead.
+///
+/// # Panics
+/// A panic in `f` is re-raised on the calling thread with the worker's
+/// payload once every worker has stopped; `sink` has then seen a prefix
+/// of the results.
+pub fn parallel_for_each_ordered<T, R, F, S>(items: &[T], threads: usize, f: F, mut sink: S)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    S: FnMut(usize, R),
+{
     if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
+        for (i, item) in items.iter().enumerate() {
+            sink(i, f(item));
+        }
+        return;
     }
     let workers = threads.min(items.len());
-    // Batch size: fine-grained enough that `workers * 4` claims exist even
-    // if every item were uniform, capped so cheap items amortise the
-    // atomic traffic.
-    let claim = (items.len() / (workers * 4)).clamp(1, MAX_CLAIM);
     let cursor = AtomicUsize::new(0);
     let f = &f;
     let cursor = &cursor;
 
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(claim, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + claim).min(items.len());
-                        for (i, item) in items[start..end].iter().enumerate() {
-                            produced.push((start + i, f(item)));
-                        }
+                let tx = tx.clone();
+                scope.spawn(move || loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else {
+                        break;
+                    };
+                    // A closed channel means the caller is unwinding.
+                    if tx.send((i, f(item))).is_err() {
+                        break;
                     }
-                    produced
                 })
             })
             .collect();
-        for handle in handles {
-            for (i, value) in handle.join().expect("worker thread panicked") {
-                debug_assert!(slots[i].is_none(), "item {i} computed twice");
-                slots[i] = Some(value);
+        // Only the workers hold senders now, so the receive loop ends when
+        // the last one has finished or panicked.
+        drop(tx);
+        // `window[k]` holds item `next + k`'s result once it has arrived.
+        let mut window: VecDeque<Option<R>> = VecDeque::new();
+        let mut next = 0;
+        for (i, value) in rx {
+            let k = i - next;
+            if window.len() <= k {
+                window.resize_with(k + 1, || None);
+            }
+            debug_assert!(window[k].is_none(), "item {i} computed twice");
+            window[k] = Some(value);
+            while let Some(value) = window.front_mut().and_then(Option::take) {
+                window.pop_front();
+                sink(next, value);
+                next += 1;
             }
         }
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        assert_eq!(next, items.len(), "every item claimed exactly once");
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item claimed exactly once"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -189,15 +228,81 @@ mod tests {
         assert_eq!(parallel_map(&items, 8, f), seq);
     }
 
+    /// Item `x` costs about `x²` rounds of mixing, so later items are
+    /// slower and each worker's claims finish out of input order.
+    fn skewed(x: &u64) -> u64 {
+        let mut h = *x + 1;
+        for _ in 0..(x * x) {
+            h = h.rotate_left(7).wrapping_mul(0x2545_f491_4f6c_dd1d);
+        }
+        h
+    }
+
     #[test]
-    #[should_panic]
-    fn worker_panic_propagates() {
-        let items = [1, 2, 3, 4];
-        let _ = parallel_map(&items, 2, |&x| {
-            if x == 3 {
-                panic!("boom");
+    fn ordered_sink_sees_every_index_once_in_order() {
+        // Reversed costs too: the first items are then the slowest, so
+        // nearly every result waits in the reorder window.
+        let rising: Vec<u64> = (0..200).collect();
+        let falling: Vec<u64> = (0..200).rev().collect();
+        for items in [rising, falling] {
+            let expected: Vec<u64> = items.iter().map(skewed).collect();
+            for threads in [1, 2, 8] {
+                let mut seen = Vec::new();
+                parallel_for_each_ordered(&items, threads, skewed, |i, value| {
+                    assert_eq!(i, seen.len(), "{threads} threads: index out of order");
+                    seen.push(value);
+                });
+                assert_eq!(seen, expected, "{threads} threads");
             }
-            x
-        });
+        }
+    }
+
+    #[test]
+    fn parallel_map_is_unchanged_by_the_ordered_fan_out() {
+        let items: Vec<u64> = (0..300).collect();
+        let expected: Vec<u64> = items.iter().map(skewed).collect();
+        for threads in [1, 2, 8] {
+            assert_eq!(parallel_map(&items, threads, skewed), expected, "{threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker failed on item 37")]
+    fn worker_panic_propagates() {
+        let items: Vec<u64> = (0..64).collect();
+        parallel_for_each_ordered(
+            &items,
+            2,
+            |&x| {
+                if x == 37 {
+                    panic!("worker failed on item {x}");
+                }
+                skewed(&x)
+            },
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    fn a_worker_panic_leaves_the_sink_a_prefix() {
+        let items: Vec<u64> = (0..64).collect();
+        let mut seen = Vec::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_for_each_ordered(
+                &items,
+                8,
+                |&x| {
+                    assert!(x != 5, "boom at {x}");
+                    x
+                },
+                |i, _| seen.push(i),
+            )
+        }));
+        let payload = caught.expect_err("the worker's panic propagates");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(message, "boom at 5");
+        assert_eq!(seen, (0..5).collect::<Vec<_>>());
     }
 }

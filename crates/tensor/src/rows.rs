@@ -2,6 +2,7 @@
 //! standalone client's private item rows.
 
 use crate::wire::{DecodeError, Reader};
+use std::ops::Range;
 
 /// Rows of one width, back to back, in strictly ascending id order: the
 /// row ids in one list, their values in one flat block (row `k` is
@@ -84,6 +85,18 @@ impl RowBlock {
         Some(&self.values[k * self.dim..][..self.dim])
     }
 
+    /// Iterates the rows whose ids lie in `ids`, ascending id: two
+    /// binary searches, then only those rows.
+    pub fn range(&self, ids: Range<u32>) -> Rows<'_> {
+        let lo = self.ids.partition_point(|&id| id < ids.start);
+        let hi = lo + self.ids[lo..].partition_point(|&id| id < ids.end);
+        Rows {
+            ids: self.ids[lo..hi].iter(),
+            values: &self.values[lo * self.dim..hi * self.dim],
+            dim: self.dim,
+        }
+    }
+
     /// Iterates `(&row id, &row values)`, ascending id.
     pub fn iter(&self) -> Rows<'_> {
         Rows {
@@ -151,6 +164,23 @@ mod tests {
         assert_eq!(rows.get(7), Some(&[3.0, 4.0][..]));
         assert_eq!(rows.get(4), None);
         assert_eq!(RowBlock::new(2).get(0), None);
+    }
+
+    #[test]
+    fn range_yields_exactly_the_rows_inside_it() {
+        let mut rows = RowBlock::new(1);
+        for id in [2, 5, 6, 9] {
+            rows.push(id, [id as f32]);
+        }
+        let ids = |range: Range<u32>| -> Vec<(u32, f32)> {
+            rows.range(range).map(|(&id, row)| (id, row[0])).collect()
+        };
+        assert_eq!(ids(0..100), [(2, 2.0), (5, 5.0), (6, 6.0), (9, 9.0)]);
+        assert_eq!(ids(5..9), [(5, 5.0), (6, 6.0)]);
+        assert_eq!(ids(3..5), []);
+        assert_eq!(ids(9..10), [(9, 9.0)]);
+        assert_eq!(ids(10..20), []);
+        assert_eq!(RowBlock::new(3).range(0..10).count(), 0);
     }
 
     #[test]
