@@ -137,13 +137,16 @@ echo "==> round allocations"
 # client and a pass, never one a sample or a touched row: for HeteFedRec
 # and for Standalone, whose clients keep their trained rows between
 # rounds. It also holds a round's peak live heap flat from 16 to 64
-# clients (uploads fold into the aggregate as they arrive). Each proof
-# line prints only when its bounds held.
+# clients (uploads fold into the aggregate as they arrive), plaintext
+# and masked (each member masks its own upload and adds it to its
+# group's sums). Each proof line prints only when its bounds held.
 cargo test -q --offline --release -p hetefedrec_core --test round_allocations -- --nocapture \
     | tee target/ci-artifacts/round_allocations.log
 grep -q "round allocations per client, not per sample" \
     target/ci-artifacts/round_allocations.log
 grep -q "round peak heap independent of the cohort" \
+    target/ci-artifacts/round_allocations.log
+grep -q "masked round peak independent of the cohort" \
     target/ci-artifacts/round_allocations.log
 
 echo "==> online pipeline smoke (hf-pipeline hot swap)"

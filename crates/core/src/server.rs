@@ -395,8 +395,9 @@ impl RoundFold {
     /// order (the cohort's) for the aggregate's bits to repeat.
     ///
     /// # Panics
-    /// Panics if an item delta is wider than its sum or a predictor delta
-    /// does not match its tier's width.
+    /// Panics if an item delta is wider than its sum, a predictor tag
+    /// names no tier, or a predictor delta does not match its tier's
+    /// width ([`ClientUpdate::decode`] refuses the first two on the wire).
     pub fn add(&mut self, tier: Tier, update: &ClientUpdate, w: f32) {
         let slot = if self.items.len() == 1 {
             0
@@ -409,10 +410,10 @@ impl RoundFold {
             *counts.entry(*row).or_insert(0) += 1;
         }
         for (t, flat) in &update.thetas {
-            // A tag past the three tiers names no predictor.
-            let Some(theta) = self.thetas.get_mut(usize::from(*t)) else {
-                continue;
-            };
+            let theta = self
+                .thetas
+                .get_mut(usize::from(*t))
+                .unwrap_or_else(|| panic!("theta tag {t} names no tier"));
             assert_eq!(flat.len(), theta.sum.len(), "theta delta width mismatch");
             hf_tensor::ops::axpy_slice(&mut theta.sum, w, flat);
             theta.count += 1;

@@ -8,16 +8,14 @@
 //! batches with staleness-discounted weights `1/(1+s)^β`.
 
 use super::reports::{AsyncRoundStats, RoundReport};
+use super::secagg::MaskedGroup;
 use super::Session;
 use crate::client::{train_client, ClientCtx, ClientOutcome, UserState};
 use crate::config::TrainConfig;
 use hf_dataset::{ClientGroups, Tier};
 use hf_fedsim::comm::RoundCost;
-use hf_fedsim::transport::ClientUpdate;
 use hf_models::Ffn;
-use hf_secagg::PreparedGroup;
 use hf_tensor::parallel::parallel_for_each_ordered;
-use std::collections::HashMap;
 
 impl Session {
     /// Executes one synchronous round over the given lockstep cohort,
@@ -128,35 +126,35 @@ impl Session {
     /// unweighted aggregation bit-for-bit.
     ///
     /// Results reach this thread in cohort order as clients finish
-    /// ([`parallel_for_each_ordered`]); each accepted upload is added to
-    /// the round's [`RoundFold`](crate::server::RoundFold) and dropped, so
-    /// the round holds one upload at a time plus the fan-out's reorder
-    /// window, never the cohort's uploads.
+    /// ([`parallel_for_each_ordered`]), and a round holds one upload at a
+    /// time plus the fan-out's reorder window, never the cohort's
+    /// uploads. Without `secagg_groups` each accepted upload is added to
+    /// the round's [`RoundFold`](crate::server::RoundFold) there and
+    /// dropped: float sums need the one fixed order.
     ///
-    /// With `secagg_groups` present the round aggregates through the
-    /// masked ring path instead: eligibility was fixed at group setup,
-    /// survivors upload their tier's quantized ring prefix, and injected
-    /// drops become dropouts whose orphaned masks get recovered from
-    /// escrow. Groups fold after the fan-out, so survivors are kept.
+    /// With them the round aggregates through the masked ring path:
+    /// eligibility was fixed at group setup, and the worker that trains a
+    /// member also quantizes and masks its tier's prefix and adds it to
+    /// its group's sums ([`MaskedGroup::deliver`]) unless the upload is
+    /// dropped — ring sums need no order — so no plaintext update reaches
+    /// this thread. Members that never deliver become dropouts whose
+    /// orphaned masks get recovered from escrow once the fan-out ends.
     fn execute_cohort(
         &mut self,
         cohort: &[usize],
         weights: &[f32],
-        secagg_groups: Option<Vec<PreparedGroup>>,
+        secagg_groups: Option<Vec<MaskedGroup>>,
     ) -> (RoundReport, f64) {
         debug_assert_eq!(cohort.len(), weights.len());
         let udl = self.strategy.ablation().udl;
-        // Per-tier download bundles, cloned once per round.
-        let tier_thetas: [Vec<Ffn>; 3] = [
-            self.server.thetas_for(Tier::Small, udl),
-            self.server.thetas_for(Tier::Medium, udl),
-            self.server.thetas_for(Tier::Large, udl),
-        ];
-        let tier_tags: [Vec<Tier>; 3] = [
-            theta_tiers(Tier::Small, udl),
-            theta_tiers(Tier::Medium, udl),
-            theta_tiers(Tier::Large, udl),
-        ];
+        // Per-tier download bundles, cloned once per round, and the bytes
+        // one download of each moves: tier table + every predictor.
+        let tier_thetas: [Vec<Ffn>; 3] = Tier::ALL.map(|t| self.server.thetas_for(t, udl));
+        let tier_tags: [Vec<Tier>; 3] = Tier::ALL.map(|t| theta_tiers(t, udl));
+        let download_bytes: [usize; 3] = Tier::ALL.map(|t| {
+            let sizes: Vec<usize> = tier_thetas[t.index()].iter().map(Ffn::num_params).collect();
+            RoundCost::dense(self.split.num_items(), self.cfg.dims.dim(t), &sizes).bytes()
+        });
 
         let cfg = &self.cfg;
         let strategy = self.strategy;
@@ -164,22 +162,23 @@ impl Session {
         let server = &self.server;
         let users = &self.users;
         let model_groups = &self.model_groups;
+        let faults = &self.faults;
         let round_key = self.round_counter;
+        let masked = secagg_groups.as_deref();
 
-        // Plaintext path: each accepted upload is folded into the round's
-        // aggregate as it arrives, in cohort order, then dropped.
-        let mut fold = secagg_groups.is_none().then(|| server.round_fold());
-        // Masked path: surviving uploads keyed by uid (group membership
-        // and eligibility were fixed at setup; a committed member absent
-        // from this map is a dropout). Groups fold after training.
-        let mut survivor_uploads: HashMap<u64, (ClientUpdate, f32)> = HashMap::new();
+        let mut fold = masked.is_none().then(|| server.round_fold());
         // New client states wait for the fan-out, which reads the old ones.
         let mut states: Vec<UserState> = Vec::with_capacity(cohort.len());
         let mut loss_sum = 0.0;
         let mut sample_sum = 0usize;
         let mut round_download = 0u64;
         let mut round_upload = 0u64;
-        let train = |&uid: &usize| {
+        let jobs: Vec<(usize, f32)> = cohort
+            .iter()
+            .copied()
+            .zip(weights.iter().copied())
+            .collect();
+        let train = |&(uid, weight): &(usize, f32)| {
             let tier = model_groups.tier(uid);
             let ctx = ClientCtx {
                 cfg,
@@ -192,31 +191,35 @@ impl Session {
                 theta_tiers: &tier_tags[tier.index()],
                 round_key,
             };
-            train_client(&ctx, &users[uid])
+            let mut outcome = train_client(&ctx, &users[uid]);
+            if let Some(groups) = masked {
+                // A member masks its own upload, as its device would; a
+                // lost upload never arrives.
+                let update = std::mem::take(&mut outcome.update);
+                let member = groups
+                    .iter()
+                    .find(|g| g.group.index_of(uid as u64).is_some());
+                if let Some(group) = member.filter(|_| !faults.drops(round_key, uid)) {
+                    group.deliver(uid as u64, &update, weight);
+                }
+            }
+            outcome
         };
-        parallel_for_each_ordered(cohort, cfg.threads, train, |i, outcome: ClientOutcome| {
-            let (uid, weight) = (cohort[i], weights[i]);
+        parallel_for_each_ordered(&jobs, cfg.threads, train, |i, outcome: ClientOutcome| {
+            let (uid, weight) = jobs[i];
             let model_tier = model_groups.tier(uid);
-            let data_tier = self.data_groups.tier(uid);
-            // Download accounting: tier table + every downloaded predictor.
-            let theta_sizes: Vec<usize> = tier_thetas[model_tier.index()]
-                .iter()
-                .map(Ffn::num_params)
-                .collect();
-            let download =
-                RoundCost::dense(split.num_items(), cfg.dims.dim(model_tier), &theta_sizes);
-            self.ledger.record_download(download.bytes());
-            round_download += download.bytes() as u64;
+            let download = download_bytes[model_tier.index()];
+            self.ledger.record_download(download);
+            round_download += download as u64;
 
             loss_sum += outcome.loss;
             sample_sum += outcome.samples;
             states.push(outcome.state);
 
-            let dropped = self.faults.drops(round_key, uid);
             if let Some(fold) = fold.as_mut() {
                 let update = &outcome.update;
-                if strategy.accepts_update(data_tier)
-                    && !dropped
+                if strategy.accepts_update(self.data_groups.tier(uid))
+                    && !faults.drops(round_key, uid)
                     && !(update.items.is_empty() && update.thetas.is_empty())
                 {
                     let bytes = update.encoded_len();
@@ -224,8 +227,6 @@ impl Session {
                     round_upload += bytes as u64;
                     fold.add(model_tier, update, weight);
                 }
-            } else if !dropped {
-                survivor_uploads.insert(uid as u64, (outcome.update, weight));
             }
         });
         for (&uid, state) in cohort.iter().zip(states) {
@@ -234,11 +235,10 @@ impl Session {
 
         let mut secagg_stats = None;
         let accepted_count = if let Some(groups) = secagg_groups {
-            let (stats, secagg_accepted, masked_bytes) =
-                self.secagg_aggregate(&groups, &survivor_uploads);
+            let (stats, accepted, masked_bytes) = self.secagg_aggregate(groups);
             round_upload += masked_bytes;
             secagg_stats = Some(stats);
-            secagg_accepted
+            accepted
         } else {
             let fold = fold.expect("plaintext rounds fold");
             let accepted = fold.uploads();

@@ -13,15 +13,19 @@
 //!   scheduled cohort in synchronous mode, over the arrival batch in
 //!   asynchronous mode. Setup alone advances the key-agreement RNG, so
 //!   the RNG is all a checkpoint carries and a resumed run draws the
-//!   same groups from it.
-//! * **The masked path.** Survivors quantize their (staleness-weighted)
-//!   deltas into their tier's prefix of the group layout and apply their
-//!   pairwise masks, each pair over the words both members carry; the
-//!   fold is *streamed* ([`fold_group`]): each worker builds one member's
-//!   prefix at a time in a buffer it reuses and ring-adds it into the
-//!   head of a full-length sum, so a round holds three ring vectors per
-//!   worker, not two per survivor. Wrapping ring addition is exact and
-//!   commutative, so the sum is the same for any thread count.
+//!   same groups from it. Each [`MaskedGroup`] also fixes its layout and
+//!   the prefix every member carries before anyone trains.
+//! * **The masked path.** A member masks its own upload, as a device
+//!   would: the worker that trained it quantizes the (staleness-weighted)
+//!   delta into its tier's prefix of the group layout and applies its
+//!   pairwise masks, each pair over the words both members carry
+//!   ([`MaskedGroup::mask`]). The round's thread ring-adds each masked
+//!   prefix into its group's running [`GroupSum`] as it arrives, in the
+//!   same sink that folds plaintext uploads, so a round holds one sum
+//!   pair per group plus the fan-out's reorder window, never the
+//!   cohort's uploads. Wrapping ring addition is exact and commutative,
+//!   so the sum is the same in any arrival order and for any thread
+//!   count.
 //! * **Recovery + self-check.** Members that committed at setup but
 //!   never delivered (churn, injected drops, or an unencodable update)
 //!   leave orphaned masks; survivors reveal the dropped member's
@@ -36,11 +40,11 @@ use crate::config::TrainConfig;
 use hf_dataset::Tier;
 use hf_fedsim::transport::ClientUpdate;
 use hf_models::RowGradBuffer;
-use hf_secagg::{BandLayout, MaskedUpload, PayloadLayout, PreparedGroup, Quantizer};
-use hf_tensor::parallel::parallel_map;
+use hf_secagg::{BandLayout, MaskedUpload, PreparedGroup, Quantizer};
 use hf_tensor::rng::{stream, SeedStream, StdRng};
 use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Session-owned secure-aggregation state. Present exactly when the
 /// configuration enables the masked path.
@@ -115,18 +119,37 @@ impl Session {
     }
 
     /// Sets up the masking groups (key agreement + escrow) for the round
-    /// about to run over `cohort`; `None` when secure aggregation is off.
-    pub(super) fn secagg_groups(&mut self, cohort: &[usize]) -> Option<Vec<PreparedGroup>> {
+    /// about to run over `cohort`, each with its layout and its members'
+    /// prefixes; `None` when secure aggregation is off.
+    pub(super) fn secagg_groups(&mut self, cohort: &[usize]) -> Option<Vec<MaskedGroup>> {
         self.secagg.as_ref()?;
-        let parts = self.secagg_partition(cohort);
+        let quant = Quantizer::new(self.cfg.secagg.scale_bits)
+            .expect("scale_bits validated at session build");
+        let clustered = !self.strategy.aggregates_across_tiers();
         let round = self.round_counter;
-        let st = self.secagg.as_mut().expect("checked above");
-        Some(
-            parts
-                .iter()
-                .map(|members| PreparedGroup::setup(round, members, &mut st.rng))
-                .collect(),
-        )
+        let parts = self.secagg_partition(cohort);
+        let mut groups = Vec::with_capacity(parts.len());
+        for members in &parts {
+            let st = self.secagg.as_mut().expect("checked above");
+            let group = PreparedGroup::setup(round, members, &mut st.rng);
+            let tier = clustered.then(|| self.model_groups.tier(members[0] as usize));
+            let layout = self.secagg_layout(tier);
+            let sum = Mutex::new(GroupSum {
+                delivered: vec![false; members.len()],
+                accepted: 0,
+                aggregate: vec![0; layout.len()],
+                reference: vec![0; layout.len()],
+            });
+            groups.push(MaskedGroup {
+                prefixes: self.secagg_prefixes(&group, &layout),
+                group,
+                tier,
+                layout,
+                quant,
+                sum,
+            });
+        }
+        Some(groups)
     }
 
     /// The ring layout shared by one masking group: the full item table
@@ -151,12 +174,11 @@ impl Session {
             Some(t) => {
                 let mut theta_lens = [0usize; 3];
                 theta_lens[t.index()] = theta_len(t);
-                PayloadLayout {
+                BandLayout {
                     num_items,
-                    width: self.cfg.dims.dim(t),
+                    widths: [self.cfg.dims.dim(t); 3],
                     theta_lens,
                 }
-                .bands()
             }
         }
     }
@@ -172,21 +194,17 @@ impl Session {
             .collect()
     }
 
-    /// Executes the masked aggregation for one round: builds each
-    /// survivor's quantized payload, masks and ring-folds them, recovers
-    /// dropped members' masks from escrow, verifies the unmasked sum
-    /// against the plaintext quantized reference, and applies the
-    /// decoded aggregate through the same server seams the plaintext
-    /// path uses. Returns the round stats plus the accepted-upload count
-    /// (survivors with a non-empty update) and masked wire bytes.
+    /// Finishes the masked aggregation for one round over group sums the
+    /// members completed as they delivered: recovers dropped members'
+    /// masks from escrow, verifies each unmasked sum against its plaintext
+    /// quantized reference, and applies the decoded aggregate through the
+    /// same server seams the plaintext path uses. Returns the round stats
+    /// plus the accepted-upload count (survivors with a non-empty update)
+    /// and masked wire bytes.
     pub(super) fn secagg_aggregate(
         &mut self,
-        groups: &[PreparedGroup],
-        uploads: &HashMap<u64, (ClientUpdate, f32)>,
+        groups: Vec<MaskedGroup>,
     ) -> (SecAggRoundStats, usize, u64) {
-        let quant = Quantizer::new(self.cfg.secagg.scale_bits)
-            .expect("scale_bits validated at session build");
-        let clustered = !self.strategy.aggregates_across_tiers();
         let mut stats = SecAggRoundStats {
             groups: groups.len(),
             participants: 0,
@@ -195,25 +213,21 @@ impl Session {
             dropped: 0,
             recovered: 0,
             masked_bytes: 0,
-            setup_bytes: groups.iter().map(PreparedGroup::setup_bytes).sum(),
+            setup_bytes: groups.iter().map(|g| g.group.setup_bytes()).sum(),
             verified: true,
         };
         let mut accepted = 0usize;
 
-        for group in groups {
+        if !groups.is_empty() {
+            self.ledger.record_secagg_setup(stats.setup_bytes);
+        }
+        for masked in groups {
+            let (group, prefixes) = (&masked.group, &masked.prefixes);
+            let sum = masked.sum.into_inner().expect("group sum poisoned");
+            let (survivors, dropped) = sum.survivors_and_dropped(group);
+            let mut aggregate = sum.aggregate;
             stats.participants += group.member_count();
-            let tier = clustered.then(|| self.model_groups.tier(group.members[0] as usize));
-            let layout = self.secagg_layout(tier);
-            let prefixes = self.secagg_prefixes(group, &layout);
-
-            let GroupFold {
-                survivors,
-                dropped,
-                accepted: group_accepted,
-                mut aggregate,
-                reference,
-            } = fold_group(group, &layout, &prefixes, quant, uploads, self.cfg.threads);
-            accepted += group_accepted;
+            accepted += sum.accepted;
             stats.survivors += survivors.len();
             stats.dropped += dropped.len();
             if survivors.is_empty() {
@@ -246,16 +260,12 @@ impl Session {
             // The proof obligation: after recovery, the masked aggregate
             // must equal the plaintext quantized ring sum bit-for-bit.
             assert_eq!(
-                aggregate, reference,
+                aggregate, sum.reference,
                 "secure-aggregation self-check failed: unmasked sum diverged \
                  from the plaintext quantized reference"
             );
 
-            self.secagg_apply(&layout, quant, tier, &aggregate);
-        }
-
-        if !groups.is_empty() {
-            self.ledger.record_secagg_setup(stats.setup_bytes);
+            self.secagg_apply(&masked.layout, masked.quant, masked.tier, &aggregate);
         }
         let masked_bytes = stats.masked_bytes;
         (stats, accepted, masked_bytes)
@@ -316,129 +326,98 @@ impl Session {
     }
 }
 
-/// One group's masked uploads, folded.
-struct GroupFold {
-    /// Members whose update arrived and quantized, in member order.
-    survivors: Vec<u64>,
-    /// Committed members that delivered nothing usable, in member order;
-    /// their masks are still in `aggregate`.
-    dropped: Vec<u64>,
-    /// Survivors with a non-empty update.
+/// One masking group as its round runs: the setup, the ring layout the
+/// members share, what each carries and how they quantize — fixed before
+/// the fan-out — and the running sums the members' uploads join as they
+/// arrive, from whichever worker trained them.
+pub(super) struct MaskedGroup {
+    pub(super) group: PreparedGroup,
+    /// `Some(t)` for the tier-`t` group of clustered aggregation.
+    tier: Option<Tier>,
+    layout: BandLayout,
+    /// Ring words each member carries, in member order.
+    prefixes: Vec<usize>,
+    quant: Quantizer,
+    sum: Mutex<GroupSum>,
+}
+
+/// A masking group's running sums.
+struct GroupSum {
+    /// Whether each member (in member order) delivered a masked upload.
+    delivered: Vec<bool>,
+    /// Delivered members with a non-empty update.
     accepted: usize,
-    /// Ring sum of the survivors' masked payloads.
+    /// Ring sum of the delivered masked prefixes.
     aggregate: Vec<u64>,
-    /// Ring sum of the same payloads before masking.
+    /// Ring sum of the same prefixes before masking.
     reference: Vec<u64>,
 }
 
-/// Folds a group's uploads without ever holding more than one payload
-/// per worker. Each of `threads` workers takes a contiguous share of the
-/// members ([`mask_cost_shares`]) and, member by member, quantizes the
-/// member's prefix (`prefixes[i]` words) into a buffer it reuses,
-/// ring-adds it into the head of its `reference`, masks it in place and
-/// ring-adds it into the head of its `aggregate`; the full-length
-/// per-worker sums are then ring-added in share order. A committed
-/// member survives when its (weighted) update both arrived and
-/// quantized; anything else orphans its masks.
-fn fold_group(
-    group: &PreparedGroup,
-    layout: &BandLayout,
-    prefixes: &[usize],
-    quant: Quantizer,
-    uploads: &HashMap<u64, (ClientUpdate, f32)>,
-    threads: usize,
-) -> GroupFold {
-    let bounds = mask_cost_shares(prefixes, threads);
-    let mut partials = parallel_map(&bounds, bounds.len(), |&(start, end)| {
-        let mut fold = GroupFold {
-            survivors: Vec::new(),
-            dropped: Vec::new(),
-            accepted: 0,
-            aggregate: vec![0u64; layout.len()],
-            reference: vec![0u64; layout.len()],
-        };
-        let mut buffer = vec![0u64; layout.len()];
-        for i in start..end {
-            let m = group.members[i];
-            let payload = &mut buffer[..prefixes[i]];
-            let built = uploads.get(&m).and_then(|(update, weight)| {
-                build_payload(layout, quant, update, *weight, payload)?;
-                Some(update)
-            });
-            let Some(update) = built else {
-                fold.dropped.push(m);
-                continue;
-            };
-            if !(update.items.is_empty() && update.thetas.is_empty()) {
-                fold.accepted += 1;
+impl MaskedGroup {
+    /// Delivers member `uid`'s upload the way its device would: its
+    /// weighted update quantized into the prefix its tier carries and
+    /// blinded by its pairwise masks, then ring-added into the group's
+    /// aggregate — and the same update's quantized words into the
+    /// reference the self-check compares against. An update that does
+    /// not quantize is never delivered; the member's masks are then
+    /// recovered like any other dropout's. Ring addition is exact and
+    /// commutative, so members deliver from any thread in any order.
+    pub(super) fn deliver(&self, uid: u64, update: &ClientUpdate, weight: f32) {
+        let i = self.group.index_of(uid).expect("a member delivers");
+        let mut words = vec![0u64; self.prefixes[i]];
+        if add_payload(&self.layout, self.quant, update, weight, &mut words).is_none() {
+            return;
+        }
+        self.group
+            .mask_prefix(uid, &mut words, |j| self.prefixes[j]);
+        let mut sum = self.sum.lock().expect("group sum poisoned");
+        ring_add(&mut sum.aggregate[..words.len()], &words);
+        add_payload(&self.layout, self.quant, update, weight, &mut sum.reference)
+            .expect("the update quantized for its own upload");
+        sum.delivered[i] = true;
+        if !(update.items.is_empty() && update.thetas.is_empty()) {
+            sum.accepted += 1;
+        }
+    }
+}
+
+impl GroupSum {
+    /// `group`'s members that delivered and those that did not (whose
+    /// masks are still in the aggregate), each in member order.
+    fn survivors_and_dropped(&self, group: &PreparedGroup) -> (Vec<u64>, Vec<u64>) {
+        let (mut survivors, mut dropped) = (Vec::new(), Vec::new());
+        for (&m, &delivered) in group.members.iter().zip(&self.delivered) {
+            if delivered {
+                survivors.push(m);
+            } else {
+                dropped.push(m);
             }
-            fold.survivors.push(m);
-            ring_add(&mut fold.reference[..payload.len()], payload);
-            group.mask_prefix(m, payload, |j| prefixes[j]);
-            ring_add(&mut fold.aggregate[..payload.len()], payload);
         }
-        fold
-    })
-    .into_iter();
-    let mut total = partials.next().expect("at least one share");
-    for part in partials {
-        total.survivors.extend(part.survivors);
-        total.dropped.extend(part.dropped);
-        total.accepted += part.accepted;
-        ring_add(&mut total.aggregate, &part.aggregate);
-        ring_add(&mut total.reference, &part.reference);
+        (survivors, dropped)
     }
-    total
 }
 
-/// Cuts the members into at most `threads` contiguous, non-empty shares
-/// of about equal masking work. Member `i` expands one pair stream per
-/// peer over the shorter of the two prefixes, so a Large member among
-/// Small peers costs little more than they do and equal head counts
-/// would leave a worker idle.
-fn mask_cost_shares(prefixes: &[usize], threads: usize) -> Vec<(usize, usize)> {
-    let n = prefixes.len();
-    let shares = threads.min(n).max(1);
-    let cost: Vec<usize> = prefixes
-        .iter()
-        .map(|&p| prefixes.iter().map(|&q| p.min(q)).sum::<usize>() - p)
-        .collect();
-    let total: usize = cost.iter().sum();
-    let mut bounds = Vec::with_capacity(shares);
-    let (mut start, mut done) = (0, 0);
-    for (i, c) in cost.iter().enumerate() {
-        done += c;
-        // Close share k at the first member that brings the running
-        // cost to (k + 1) / shares of the total; the last share takes
-        // whoever is left.
-        let (k, end) = (bounds.len(), i + 1);
-        if k + 1 < shares && end < n && done * shares >= total * (k + 1) {
-            bounds.push((start, end));
-            start = end;
-        }
-    }
-    bounds.push((start, n));
-    bounds
-}
-
-/// Quantizes one survivor's weighted update into `payload`, the prefix
-/// of the group's band layout its tier carries (zeroed here, so a worker
-/// can reuse one buffer). The aggregation weight scales deltas
-/// client-side (before quantization); contributor counts stay
-/// unweighted, and each uploaded predictor carries its quantized weight
-/// so the server can form the weighted average from the sum alone.
-/// Returns `None` when any delta is non-finite — such a client cannot
-/// participate and is treated as dropped (its masks get recovered like
-/// any other dropout). An update wider than the prefix is a bug and
-/// panics on the slice bound.
-fn build_payload(
+/// Ring-adds one member's weighted update, quantized, into `target`: the
+/// head of the group's band layout, at least the prefix the member's
+/// tier carries. The aggregation weight scales deltas client-side
+/// (before quantization); contributor counts stay unweighted, and each
+/// uploaded predictor carries its quantized weight so the server can
+/// form the weighted average from the sum alone. Returns `None` when any
+/// delta is non-finite — such a client cannot participate and is treated
+/// as dropped — after adding the words before it, so a member builds
+/// into a buffer of its own first. An update wider than `target` is a
+/// bug and panics on the slice bound.
+fn add_payload(
     layout: &BandLayout,
     quant: Quantizer,
     update: &ClientUpdate,
     weight: f32,
-    payload: &mut [u64],
+    target: &mut [u64],
 ) -> Option<()> {
-    payload.fill(0);
+    let add = |slot: &mut u64, x: f32| -> Option<()> {
+        *slot = slot.wrapping_add(quant.encode(x).ok()?);
+        Some(())
+    };
     for (row, delta) in &update.items.rows {
         let row = *row as usize;
         for b in 0..3 {
@@ -447,22 +426,22 @@ fn build_payload(
                 break;
             }
             let cols = cols.start..cols.end.min(delta.len());
-            let slots = &mut payload[layout.row_offset(b, row)..][..cols.len()];
+            let slots = &mut target[layout.row_offset(b, row)..][..cols.len()];
             for (slot, &x) in slots.iter_mut().zip(&delta[cols]) {
-                *slot = quant.encode(weight * x).ok()?;
+                add(slot, weight * x)?;
             }
         }
-        payload[layout.item_count_offset() + row] = 1;
+        target[layout.item_count_offset() + row] += 1;
     }
     for (tier, flat) in &update.thetas {
         let t = *tier as usize;
         debug_assert_eq!(flat.len(), layout.theta_lens[t], "theta slot mismatch");
         let off = layout.theta_offset(t);
-        for (slot, &x) in payload[off..off + flat.len()].iter_mut().zip(flat) {
-            *slot = quant.encode(weight * x).ok()?;
+        for (slot, &x) in target[off..off + flat.len()].iter_mut().zip(flat) {
+            add(slot, weight * x)?;
         }
-        payload[layout.theta_weight_offset(t)] = quant.encode(weight).ok()?;
-        payload[layout.theta_count_offset(t)] = 1;
+        add(&mut target[layout.theta_weight_offset(t)], weight)?;
+        target[layout.theta_count_offset(t)] += 1;
     }
     Some(())
 }
@@ -486,6 +465,7 @@ mod tests {
     use hf_fedsim::comm::RoundCost;
     use hf_fedsim::transport::SparseRowUpdate;
     use hf_models::ModelKind;
+    use hf_secagg::PayloadLayout;
     use hf_tensor::RowBlock;
 
     /// Three bands of 2, 1 and 1 columns; predictors of 3, 2 and 1 words.
@@ -494,6 +474,9 @@ mod tests {
         widths: [2, 3, 4],
         theta_lens: [3, 2, 1],
     };
+
+    /// One member's upload and its aggregation weight.
+    type Upload = (u64, ClientUpdate, f32);
 
     /// What a tier-`t` client uploads with UDL on: its tier's columns of
     /// one row, and every predictor at or below its tier.
@@ -508,6 +491,63 @@ mod tests {
                 .map(|k| (k as u8, vec![x + k as f32; LAYOUT.theta_lens[k]]))
                 .collect(),
         }
+    }
+
+    /// The arrival orders every stream is fed in, by name.
+    const ORDERS: [&str; 3] = ["member order", "reversed", "interleaved"];
+
+    /// [`ORDERS`] over `n` uploads; interleaved takes them from both ends
+    /// in turn.
+    fn arrival_orders(n: usize) -> [Vec<usize>; 3] {
+        let interleaved = (0..n)
+            .map(|k| if k % 2 == 0 { k / 2 } else { n - 1 - k / 2 })
+            .collect();
+        [(0..n).collect(), (0..n).rev().collect(), interleaved]
+    }
+
+    /// `group` over `layout`, its members carrying `prefixes`, before
+    /// anyone delivers.
+    fn masked_group(
+        group: PreparedGroup,
+        tier: Option<Tier>,
+        layout: BandLayout,
+        prefixes: Vec<usize>,
+        quant: Quantizer,
+    ) -> MaskedGroup {
+        let sum = GroupSum {
+            delivered: vec![false; group.member_count()],
+            accepted: 0,
+            aggregate: vec![0; layout.len()],
+            reference: vec![0; layout.len()],
+        };
+        let sum = Mutex::new(sum);
+        MaskedGroup {
+            group,
+            tier,
+            layout,
+            prefixes,
+            quant,
+            sum,
+        }
+    }
+
+    /// A copy of `masked` that nobody has delivered to yet.
+    fn fresh(masked: &MaskedGroup) -> MaskedGroup {
+        let (group, prefixes) = (masked.group.clone(), masked.prefixes.clone());
+        masked_group(group, masked.tier, masked.layout, prefixes, masked.quant)
+    }
+
+    /// The sums a fresh copy of `masked` holds once the members among
+    /// `uploads` have delivered in `order`, as members finishing in that
+    /// order would.
+    fn arrive(masked: &MaskedGroup, uploads: &[Upload], order: &[usize]) -> GroupSum {
+        let group = fresh(masked);
+        for (m, update, weight) in order.iter().map(|&k| &uploads[k]) {
+            if group.group.index_of(*m).is_some() {
+                group.deliver(*m, update, *weight);
+            }
+        }
+        group.sum.into_inner().expect("group sum poisoned")
     }
 
     /// The dense form every group carried before tier prefixes: one
@@ -575,13 +615,12 @@ mod tests {
     fn dense_sum(
         layout: &BandLayout,
         quant: Quantizer,
-        uploads: &HashMap<u64, (ClientUpdate, f32)>,
+        uploads: &[Upload],
         members: &[u64],
     ) -> Vec<u64> {
         let dense = dense_of(layout);
         let mut sum = vec![0u64; dense.len()];
-        for m in members {
-            let (upload, weight) = &uploads[m];
+        for (_, upload, weight) in uploads.iter().filter(|u| members.contains(&u.0)) {
             let payload =
                 build_dense_payload(&dense, quant, upload, *weight).expect("finite update");
             ring_add(&mut sum, &payload);
@@ -590,38 +629,44 @@ mod tests {
     }
 
     #[test]
-    fn streamed_fold_is_the_same_for_any_share_of_the_members() {
+    fn streamed_fold_is_the_same_in_any_arrival_order() {
         let quant = Quantizer::new(24).expect("valid scale");
         let members: Vec<u64> = (0..24).map(|i| 100 + 3 * i).collect();
         let mut rng = stream(9, SeedStream::SecAggSecret);
-        let group = PreparedGroup::setup(5, &members, &mut rng);
         // Mixed tiers, 5:3:2 in no particular uid order.
         let tier_of = |i: usize| [0, 1, 0, 2, 0, 1, 0, 0, 1, 2][i % 10];
-        let prefixes: Vec<usize> = (0..24).map(|i| LAYOUT.prefix_words(tier_of(i))).collect();
+        let masked = masked_group(
+            PreparedGroup::setup(5, &members, &mut rng),
+            None,
+            LAYOUT,
+            (0..24).map(|i| LAYOUT.prefix_words(tier_of(i))).collect(),
+            quant,
+        );
 
-        // Unencodable updates at the head of the first share, inside a
-        // middle share and at the tail of the last; one member that
-        // never delivered; one empty update (a survivor that is not an
-        // accepted upload).
+        // Unencodable updates from the first member, a middle one and the
+        // last; one member that never delivered; one empty update (a
+        // survivor that is not an accepted upload).
         let poisoned = [members[0], members[11], members[23]];
         let silent = members[6];
         let empty = members[17];
-        let mut uploads: HashMap<u64, (ClientUpdate, f32)> = HashMap::new();
-        for (i, &m) in members.iter().enumerate() {
-            let x = if poisoned.contains(&m) {
-                f32::NAN
-            } else {
-                0.01 * (i as f32 + 1.0)
-            };
-            let upload = if m == empty {
-                ClientUpdate::default()
-            } else {
-                update(tier_of(i), i as u32 % 12, x)
-            };
-            if m != silent {
-                uploads.insert(m, (upload, 1.0 + 0.125 * (i % 3) as f32));
-            }
-        }
+        let uploads: Vec<Upload> = members
+            .iter()
+            .enumerate()
+            .filter(|&(_, &m)| m != silent)
+            .map(|(i, &m)| {
+                let x = if poisoned.contains(&m) {
+                    f32::NAN
+                } else {
+                    0.01 * (i as f32 + 1.0)
+                };
+                let upload = if m == empty {
+                    ClientUpdate::default()
+                } else {
+                    update(tier_of(i), i as u32 % 12, x)
+                };
+                (m, upload, 1.0 + 0.125 * (i % 3) as f32)
+            })
+            .collect();
         let dropped: Vec<u64> = vec![members[0], silent, members[11], members[23]];
         let survivors: Vec<u64> = members
             .iter()
@@ -630,32 +675,44 @@ mod tests {
             .collect();
         let reference = dense_sum(&LAYOUT, quant, &uploads, &survivors);
 
-        let folds: Vec<GroupFold> = [1, 2, 8]
+        let mut sums: Vec<GroupSum> = arrival_orders(uploads.len())
             .iter()
-            .map(|&threads| fold_group(&group, &LAYOUT, &prefixes, quant, &uploads, threads))
+            .map(|order| arrive(&masked, &uploads, order))
             .collect();
-        for (fold, threads) in folds.iter().zip([1, 2, 8]) {
-            assert_eq!(fold.survivors, survivors, "{threads} threads");
-            assert_eq!(fold.dropped, dropped, "{threads} threads");
-            assert_eq!(fold.accepted, survivors.len() - 1, "{threads} threads");
-            assert_eq!(
-                row_major(&LAYOUT, &fold.reference),
-                reference,
-                "{threads} threads"
-            );
-            assert_eq!(fold.aggregate, folds[0].aggregate, "{threads} threads");
-            assert_ne!(fold.aggregate, fold.reference, "orphaned masks must blind");
-
-            let mut aggregate = fold.aggregate.clone();
-            let recovered =
-                group.unmask_dropped_prefix(&mut aggregate, &fold.dropped, &fold.survivors, |j| {
-                    prefixes[j]
+        // And from two threads at once, each taking every other upload.
+        let group = fresh(&masked);
+        std::thread::scope(|scope| {
+            for half in 0..2 {
+                let group = &group;
+                let uploads = &uploads;
+                scope.spawn(move || {
+                    for (m, update, weight) in uploads.iter().skip(half).step_by(2) {
+                        group.deliver(*m, update, *weight);
+                    }
                 });
-            assert_eq!(recovered, Ok(dropped.len()));
+            }
+        });
+        sums.push(group.sum.into_inner().expect("group sum poisoned"));
+        for (sum, order) in sums.iter().zip(ORDERS.iter().chain(&["two threads"])) {
             assert_eq!(
-                aggregate, fold.reference,
-                "{threads} threads: masks recovered"
+                sum.survivors_and_dropped(&masked.group),
+                (survivors.clone(), dropped.clone()),
+                "{order}"
             );
+            assert_eq!(sum.accepted, survivors.len() - 1, "{order}");
+            assert_eq!(row_major(&LAYOUT, &sum.reference), reference, "{order}");
+            assert_eq!(sum.aggregate, sums[0].aggregate, "{order}");
+            assert_ne!(sum.aggregate, sum.reference, "orphaned masks must blind");
+
+            let mut aggregate = sum.aggregate.clone();
+            let recovered =
+                masked
+                    .group
+                    .unmask_dropped_prefix(&mut aggregate, &dropped, &survivors, |j| {
+                        masked.prefixes[j]
+                    });
+            assert_eq!(recovered, Ok(dropped.len()));
+            assert_eq!(aggregate, sum.reference, "{order}: masks recovered");
         }
     }
 
@@ -663,48 +720,26 @@ mod tests {
     fn a_group_nobody_delivers_for_folds_to_nothing() {
         let quant = Quantizer::new(24).expect("valid scale");
         let mut rng = stream(9, SeedStream::SecAggSecret);
-        let group = PreparedGroup::setup(1, &[3, 4, 8], &mut rng);
-        let prefixes = [0, 2, 1].map(|t| LAYOUT.prefix_words(t));
-        let fold = fold_group(&group, &LAYOUT, &prefixes, quant, &HashMap::new(), 8);
-        assert!(fold.survivors.is_empty());
-        assert_eq!(fold.dropped, vec![3, 4, 8]);
-        assert_eq!(fold.accepted, 0);
-        assert!(fold.aggregate.iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    fn shares_are_contiguous_non_empty_and_balance_the_mask_cost() {
-        let [s, m, l] = [0, 1, 2].map(|t| LAYOUT.prefix_words(t));
-        let cases: [&[usize]; 5] = [
-            &[s; 24],
-            &[l, s, s, s, s, s, s, s],
-            &[s, s, s, s, s, s, m, l],
-            &[s, m, l],
-            &[l],
+        let masked = masked_group(
+            PreparedGroup::setup(1, &[3, 4, 8], &mut rng),
+            None,
+            LAYOUT,
+            [0, 2, 1].map(|t| LAYOUT.prefix_words(t)).to_vec(),
+            quant,
+        );
+        // Two members' updates do not quantize; the third never arrives.
+        let uploads: Vec<Upload> = vec![
+            (3, update(0, 1, f32::NAN), 1.0),
+            (8, update(1, 2, f32::INFINITY), 1.0),
         ];
-        for prefixes in cases {
-            for threads in [1, 2, 3, 8, 64] {
-                let bounds = mask_cost_shares(prefixes, threads);
-                assert!(bounds.len() <= threads.min(prefixes.len()));
-                assert_eq!(bounds[0].0, 0);
-                assert_eq!(bounds[bounds.len() - 1].1, prefixes.len());
-                assert!(bounds.iter().all(|&(start, end)| start < end));
-                assert!(bounds.windows(2).all(|w| w[0].1 == w[1].0));
-            }
-        }
-        // Equal members: equal head counts, as before prefixes.
+        let sum = arrive(&masked, &uploads, &[0, 1]);
         assert_eq!(
-            mask_cost_shares(&[s; 24], 8),
-            (0..8).map(|k| (3 * k, 3 * k + 3)).collect::<Vec<_>>()
+            sum.survivors_and_dropped(&masked.group),
+            (vec![], vec![3, 4, 8])
         );
-        // At the benchmark's Small and Large prefixes a Large member's
-        // streams cost 1.74 Small members': the cut falls one head short
-        // of the middle.
-        let (s, l) = (8_562, 31_760);
-        assert_eq!(
-            mask_cost_shares(&[l, l, l, l, s, s, s, s, s, s, s, s], 2),
-            [(0, 5), (5, 12)]
-        );
+        assert_eq!(sum.accepted, 0);
+        assert!(sum.aggregate.iter().all(|&w| w == 0));
+        assert!(sum.reference.iter().all(|&w| w == 0));
     }
 
     /// A secagg-enabled session of `strategy` over the tiny split.
@@ -717,9 +752,10 @@ mod tests {
             .expect("valid config")
     }
 
-    /// What `cohort` would upload this round: real local training
-    /// against the session's server state, with staleness-like weights.
-    fn trained_uploads(s: &Session, cohort: &[usize]) -> HashMap<u64, (ClientUpdate, f32)> {
+    /// What `cohort` would upload this round, in cohort order: real local
+    /// training against the session's server state, with staleness-like
+    /// weights.
+    fn trained_uploads(s: &Session, cohort: &[usize]) -> Vec<Upload> {
         let udl = s.strategy.ablation().udl;
         cohort
             .iter()
@@ -737,7 +773,7 @@ mod tests {
                     round_key: s.round_counter,
                 };
                 let update = train_client(&ctx, &s.users[uid]).update;
-                (uid as u64, (update, 1.0 - 0.25 * (uid % 3) as f32))
+                (uid as u64, update, 1.0 - 0.25 * (uid % 3) as f32)
             })
             .collect()
     }
@@ -769,11 +805,12 @@ mod tests {
             for members in &parts {
                 // One member of every group commits and never delivers.
                 let silent = members[members.len() / 2];
-                uploads.remove(&silent);
+                uploads.retain(|u| u.0 != silent);
                 let group = PreparedGroup::setup(s.round_counter, members, &mut rng);
                 let tier = (parts.len() > 1).then(|| s.model_groups.tier(members[0] as usize));
                 let layout = s.secagg_layout(tier);
                 let prefixes = s.secagg_prefixes(&group, &layout);
+                let masked = masked_group(group, tier, layout, prefixes, quant);
                 let survivors: Vec<u64> =
                     members.iter().copied().filter(|&m| m != silent).collect();
                 let reference = dense_sum(&layout, quant, &uploads, &survivors);
@@ -782,32 +819,36 @@ mod tests {
                     "{strategy:?}: nothing trained"
                 );
 
-                for threads in [1, 2, 8] {
-                    let mut fold = fold_group(&group, &layout, &prefixes, quant, &uploads, threads);
-                    assert_eq!(fold.survivors, survivors, "{strategy:?}, {threads} threads");
-                    assert_eq!(fold.dropped, [silent], "{strategy:?}, {threads} threads");
-                    let recovered = group.unmask_dropped_prefix(
-                        &mut fold.aggregate,
-                        &fold.dropped,
-                        &fold.survivors,
-                        |j| prefixes[j],
+                // The whole cohort's uploads stream past: only members'
+                // reach this group's sums.
+                let orders = arrival_orders(uploads.len());
+                for (order, name) in orders.iter().zip(ORDERS) {
+                    let mut sum = arrive(&masked, &uploads, order);
+                    let (got, dropped) = sum.survivors_and_dropped(&masked.group);
+                    assert_eq!(got, survivors, "{strategy:?}, {name}");
+                    assert_eq!(dropped, [silent], "{strategy:?}, {name}");
+                    let recovered = masked.group.unmask_dropped_prefix(
+                        &mut sum.aggregate,
+                        &dropped,
+                        &survivors,
+                        |j| masked.prefixes[j],
                     );
-                    assert_eq!(recovered, Ok(1), "{strategy:?}, {threads} threads");
+                    assert_eq!(recovered, Ok(1), "{strategy:?}, {name}");
                     assert_eq!(
-                        row_major(&layout, &fold.aggregate),
+                        row_major(&layout, &sum.aggregate),
                         reference,
-                        "{strategy:?}, {threads} threads: not the dense aggregate"
+                        "{strategy:?}, {name}: not the dense aggregate"
                     );
                 }
 
                 // Nobody's update reaches past its own prefix: the words
                 // a survivor omits were exact ring zeros in the dense form.
-                for (&m, &prefix) in group.members.iter().zip(&prefixes) {
+                for (&m, &prefix) in masked.group.members.iter().zip(&masked.prefixes) {
                     let t = s.model_groups.tier(m as usize).index();
                     carried[t] = true;
-                    if let Some((upload, weight)) = uploads.get(&m) {
+                    if let Some((_, upload, weight)) = uploads.iter().find(|u| u.0 == m) {
                         let mut full = vec![0u64; layout.len()];
-                        build_payload(&layout, quant, upload, *weight, &mut full[..prefix])
+                        add_payload(&layout, quant, upload, *weight, &mut full[..prefix])
                             .expect("finite update");
                         let dense = build_dense_payload(&dense_of(&layout), quant, upload, *weight)
                             .expect("finite update");

@@ -8,7 +8,8 @@
 //!
 //! And what a round holds at once: uploads are folded into the
 //! aggregate as they arrive, so a round's peak live heap must not grow
-//! with its cohort.
+//! with its cohort — nor a masked round's, whose members each mask their
+//! own upload and add it to their group's sums.
 //!
 //! The counters are process-wide, so the tests take one lock: a test
 //! running beside another would be counted too.
@@ -149,16 +150,19 @@ fn a_round_allocates_per_client_not_per_sample() {
 /// `(peak, upload)` of a session's second round: its peak live heap
 /// bytes above the heap live when it starts, and its mean upload's
 /// encoded bytes. MovieLens x 0.25, NCF, `strategy`, `cohort` clients a
-/// round on `threads` workers; the first round runs unmeasured.
+/// round on `threads` workers, `masked` or plaintext uploads; the first
+/// round runs unmeasured.
 fn round_peak_above_rest(
     split: &SplitDataset,
     strategy: Strategy,
+    masked: bool,
     cohort: usize,
     threads: usize,
 ) -> (u64, u64) {
     let mut cfg = TrainConfig::paper_defaults(ModelKind::Ncf, DatasetProfile::MovieLens);
     cfg.clients_per_round = cohort;
     cfg.threads = threads;
+    cfg.secagg.enabled = masked;
     let mut session: Session = SessionBuilder::new(cfg, strategy, split.clone())
         .eval_every(0)
         .build()
@@ -186,8 +190,8 @@ fn a_round_holds_one_upload_at_a_time() {
     for strategy in strategies {
         let name = strategy.name();
         for threads in [1, 2] {
-            let (small, _) = round_peak_above_rest(&split, strategy, 16, threads);
-            let (large, upload) = round_peak_above_rest(&split, strategy, 64, threads);
+            let (small, _) = round_peak_above_rest(&split, strategy, false, 16, threads);
+            let (large, upload) = round_peak_above_rest(&split, strategy, false, 64, threads);
             let growth = large.saturating_sub(small);
             println!(
                 "{name} round peak above rest, {threads} thread(s): {small} B for 16 clients, \
@@ -207,5 +211,46 @@ fn a_round_holds_one_upload_at_a_time() {
     }
     println!(
         "round peak heap independent of the cohort: HeteFedRec and Clustered, 1 and 2 threads"
+    );
+}
+
+#[test]
+fn a_masked_round_holds_one_upload_at_a_time() {
+    let _counters = counters();
+    let split = movielens();
+    let strategies = [
+        Strategy::HeteFedRec(Ablation::FULL),
+        Strategy::ClusteredFedRec,
+    ];
+    for strategy in strategies {
+        let name = strategy.name();
+        for threads in [1, 2] {
+            let (_, plain) = round_peak_above_rest(&split, strategy, false, 64, threads);
+            let (small, _) = round_peak_above_rest(&split, strategy, true, 16, threads);
+            let (large, masked) = round_peak_above_rest(&split, strategy, true, 64, threads);
+            let growth = large.saturating_sub(small);
+            println!(
+                "masked {name} round peak above rest, {threads} thread(s): {small} B for 16 \
+                 clients, {large} B for 64 (+{:.1} masked uploads of {masked} B, {:.1} \
+                 plaintext ones of {plain} B)",
+                growth as f64 / masked as f64,
+                growth as f64 / plain as f64
+            );
+            // A group's sums are as long as its layout whatever the
+            // cohort, its escrow grows by 9 B a pair of members, and each
+            // member's upload is masked and added where it was trained, so
+            // a worker holds one prefix at a time (a Large member's is 2.1
+            // mean masked uploads). Keeping every member's update until
+            // the group is masked grows the peak by about 12 masked
+            // uploads (43 plaintext ones).
+            assert!(
+                growth <= 4 * masked,
+                "masked {name}, {threads} thread(s): {large} B at 64 clients against {small} B \
+                 at 16, {masked} B a masked upload"
+            );
+        }
+    }
+    println!(
+        "masked round peak independent of the cohort: HeteFedRec and Clustered, 1 and 2 threads"
     );
 }

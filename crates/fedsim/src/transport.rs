@@ -90,7 +90,8 @@ impl ClientUpdate {
     /// Parses the binary wire format, strictly: a hostile payload is a
     /// typed [`DecodeError`], never a panic, and trailing bytes are
     /// rejected so that `decode(b)?.encode() == b`, as in every other
-    /// codec of the workspace. Row ids must be strictly ascending.
+    /// codec of the workspace. Row ids must be strictly ascending, and
+    /// so must predictor tags, each naming one of the three tiers.
     pub fn decode(buf: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
         Reader::whole(buf.as_ref(), |r| {
             let dim = r.get_u32_le()? as usize;
@@ -101,13 +102,14 @@ impl ClientUpdate {
                 rows.read_row(r.get_u32_le()?, r)?;
             }
             let n_thetas = r.get_u32_le()? as usize;
-            if n_thetas > 16 {
-                // Sanity bound: no protocol has that many tiers.
-                return Err(DecodeError::Invalid { field: "thetas" });
-            }
-            let mut thetas = Vec::with_capacity(n_thetas);
+            let mut thetas: Vec<(u8, Vec<f32>)> = Vec::with_capacity(n_thetas.min(3));
             for _ in 0..n_thetas {
+                // One predictor per tier, ascending: a tag past the three
+                // tiers names none, and a repeated one would count twice.
                 let tier = r.get_u8()?;
+                if tier > 2 || thetas.last().is_some_and(|&(prev, _)| tier <= prev) {
+                    return Err(DecodeError::Invalid { field: "thetas" });
+                }
                 let len = r.get_u32_le()? as usize;
                 thetas.push((tier, r.get_f32_vec(len)?));
             }

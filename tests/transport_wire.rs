@@ -145,3 +145,34 @@ fn rows_out_of_id_order_are_rejected() {
         );
     }
 }
+
+/// A predictor tag past the three tiers, or one that repeats or
+/// descends, is refused: the server would drop the first predictor
+/// delta and sum a repeated one twice.
+#[test]
+fn predictor_tags_past_the_tiers_or_out_of_order_are_rejected() {
+    let update = ClientUpdate {
+        items: SparseRowUpdate::default(),
+        thetas: vec![(0, vec![0.5]), (2, vec![-1.0])],
+    };
+    let wire = update.encode();
+    assert_eq!(ClientUpdate::decode(&wire).as_ref(), Ok(&update));
+    // The second tag sits after the header (8 bytes), the predictor
+    // count (4) and the first predictor (tag, length, one float).
+    for tag in [3u8, 255, 0] {
+        let mut hostile = wire.clone();
+        hostile[8 + 4 + 9] = tag;
+        assert_eq!(
+            ClientUpdate::decode(hostile),
+            Err(DecodeError::Invalid { field: "thetas" }),
+            "second tag {tag}"
+        );
+    }
+    let mut first = wire.clone();
+    first[12] = 3;
+    assert_eq!(
+        ClientUpdate::decode(first),
+        Err(DecodeError::Invalid { field: "thetas" }),
+        "first tag 3"
+    );
+}
