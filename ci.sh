@@ -136,13 +136,16 @@ echo "==> round allocations"
 # A counting global allocator holds a round's allocations to a few a
 # client and a pass, never one a sample or a touched row: for HeteFedRec
 # and for Standalone, whose clients keep their trained rows between
-# rounds. It also holds a round's peak live heap flat from 16 to 64
+# rounds, and to at most 80 a client in all (each task's predictor is one
+# flat buffer). It also holds a round's peak live heap flat from 16 to 64
 # clients (uploads fold into the aggregate as they arrive), plaintext
 # and masked (each member masks its own upload and adds it to its
 # group's sums). Each proof line prints only when its bounds held.
 cargo test -q --offline --release -p hetefedrec_core --test round_allocations -- --nocapture \
     | tee target/ci-artifacts/round_allocations.log
 grep -q "round allocations per client, not per sample" \
+    target/ci-artifacts/round_allocations.log
+grep -q "round set-up allocations: one predictor buffer a task" \
     target/ci-artifacts/round_allocations.log
 grep -q "round peak heap independent of the cohort" \
     target/ci-artifacts/round_allocations.log

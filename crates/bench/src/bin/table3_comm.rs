@@ -12,7 +12,6 @@ use hf_bench::{make_config_with, make_split, rule, CliOptions, SnapshotRow};
 use hf_dataset::{DatasetProfile, Tier};
 use hf_fedsim::comm::RoundCost;
 use hf_models::{paper_predictor_dims, Ffn};
-use hf_tensor::rng::{stream, SeedStream};
 
 fn main() {
     let opts = CliOptions::parse(&[DatasetProfile::MovieLens]);
@@ -27,10 +26,10 @@ fn main() {
         let dims = cfg.dims;
 
         // Predictor sizes at each tier width.
-        let mut rng = stream(0, SeedStream::ParamInit);
-        let mut theta_size =
-            |tier: Tier| Ffn::new(&paper_predictor_dims(dims.dim(tier)), &mut rng).num_params();
-        let thetas: Vec<usize> = Tier::ALL.iter().map(|&t| theta_size(t)).collect();
+        let thetas: Vec<usize> = Tier::ALL
+            .iter()
+            .map(|&t| Ffn::param_count(&paper_predictor_dims(dims.dim(t))).expect("tier widths"))
+            .collect();
 
         let mut session = SessionBuilder::new(
             cfg.clone(),

@@ -26,19 +26,19 @@
 //! (one [`RowBlock`], ascending item id) and predictor are the one large
 //! per-client cost. That is 48 bytes inline and one allocation of
 //! `3 × dim` floats; everything a round builds on top — local item rows
-//! (one [`RowGradBuffer`], each row copied on first touch), task
-//! engines, gradients — is dropped when the round ends, a standalone
-//! client's touched rows merged into a fresh sorted block first.
+//! (one [`RowGradBuffer`], each row copied on first touch), each task's
+//! predictor copy, gradient and scratch — is dropped when the round ends,
+//! a standalone client's touched rows merged into a fresh sorted block
+//! first.
 
 use crate::config::TrainConfig;
 use crate::ddr;
 use crate::strategy::Strategy;
 use hf_dataset::{NegativeSampler, SplitDataset, Tier};
 use hf_fedsim::transport::{ClientUpdate, SparseRowUpdate};
-use hf_models::ffn::Ffn;
-use hf_models::ncf::{NcfEngine, NcfWorkspace};
+use hf_models::ffn::{Ffn, FfnCache};
 use hf_models::scoring::propagate_lightgcn;
-use hf_models::{ModelKind, RowGradBuffer};
+use hf_models::{paper_predictor_dims, ModelKind, RowGradBuffer};
 use hf_tensor::adam::{Adam, AdamConfig};
 use hf_tensor::ops::{bce_with_logits, bce_with_logits_grad};
 use hf_tensor::rng::Rng;
@@ -165,8 +165,9 @@ impl ToJson for StandaloneState {
 impl UserState {
     /// Restores a checkpointed client state over a catalogue of
     /// `num_items` items. The Adam moments and every standalone row must
-    /// be as wide as the embedding, and the rows' item ids in range and
-    /// strictly ascending.
+    /// be as wide as the embedding, the rows' item ids in range and
+    /// strictly ascending, and a standalone predictor of the paper's
+    /// shape for the embedding's width.
     pub fn from_json(v: &JsonValue<'_>, num_items: usize) -> Result<Self, JsonError> {
         let emb = v.get("emb")?.as_f32_vec()?;
         let (adam, m, moment2) = Adam::from_json(v.get("adam")?)?;
@@ -202,10 +203,15 @@ impl UserState {
                     }
                     rows.push(item as u32, row);
                 }
-                Some(Box::new(StandaloneState {
-                    rows,
-                    theta: Ffn::from_json(s.get("theta")?)?,
-                }))
+                let theta = Ffn::from_json(s.get("theta")?)?;
+                if theta.dims() != paper_predictor_dims(emb.len()) {
+                    return Err(JsonError::msg(format!(
+                        "standalone predictor has shape {:?}, expected {:?}",
+                        theta.dims(),
+                        paper_predictor_dims(emb.len())
+                    )));
+                }
+                Some(Box::new(StandaloneState { rows, theta }))
             }
         };
         Ok(Self {
@@ -345,15 +351,19 @@ impl<'a> LocalRows<'a> {
     }
 }
 
-/// One UDL task: a tier width, its predictor engine, and scratch buffers.
+/// One UDL task: a tier width, the predictor it trains, and scratch
+/// buffers.
 struct Task {
     tier: Tier,
     dim: usize,
-    engine: NcfEngine,
-    ws: NcfWorkspace,
+    /// The local copy of the downloaded predictor, trained in place.
+    theta: Ffn,
     theta_grad: Ffn,
-    du: Vec<f32>,
-    dv: Vec<f32>,
+    cache: FfnCache,
+    /// The predictor's input `[u, v]`, `2 * dim` wide.
+    input: Vec<f32>,
+    /// `∂L/∂[u, v]`: the user gradient, then the item gradient.
+    d_input: Vec<f32>,
     /// LightGCN: propagated user representation (refreshed per pass).
     prop_user: Vec<f32>,
     /// LightGCN: accumulated `∂L/∂u'` for the deferred graph-row update.
@@ -398,19 +408,16 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
         .zip(&downloaded_thetas)
         .map(|(&tier, theta)| {
             let dim = cfg.dims.dim(tier);
-            let engine = NcfEngine::from_ffn(dim, (*theta).clone());
-            let ws = engine.workspace();
-            let theta_grad = engine.ffn().zeros_like();
             Task {
                 tier,
                 dim,
-                ws,
-                theta_grad,
-                du: vec![0.0; dim],
-                dv: vec![0.0; dim],
+                theta: (*theta).clone(),
+                theta_grad: theta.zeros_like(),
+                cache: FfnCache::for_ffn(theta),
+                input: vec![0.0; 2 * dim],
+                d_input: vec![0.0; 2 * dim],
                 prop_user: Vec::new(),
                 d_prop_total: vec![0.0; dim],
-                engine,
             }
         })
         .collect();
@@ -458,45 +465,43 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
                 } else {
                     cfg.udl_aux_weight
                 };
-                let logit = if is_gcn {
-                    let row = local.get(item);
-                    task.engine
-                        .forward(&task.prop_user, &row[..task.dim], &mut task.ws)
+                let user = if is_gcn {
+                    &task.prop_user
                 } else {
-                    let row = local.get(item);
-                    task.engine
-                        .forward(&state.emb()[..task.dim], &row[..task.dim], &mut task.ws)
+                    &state.emb()[..task.dim]
                 };
+                let (u, v) = task.input.split_at_mut(task.dim);
+                u.copy_from_slice(user);
+                v.copy_from_slice(&local.get(item)[..task.dim]);
+                let logit = task.theta.forward(&task.input, &mut task.cache);
                 total_loss += (task_scale * bce_with_logits(logit, label)) as f64;
                 let d_logit = task_scale * bce_with_logits_grad(logit, label);
 
-                task.engine.backward(
+                task.theta.backward(
                     d_logit,
-                    &mut task.ws,
+                    &mut task.cache,
                     &mut task.theta_grad,
-                    &mut task.du,
-                    &mut task.dv,
+                    &mut task.d_input,
                 );
+                let (du, dv) = task.d_input.split_at(task.dim);
                 // Θ: immediate local SGD step, then reset the accumulator.
-                task.engine
-                    .ffn_mut()
-                    .add_scaled(-cfg.local_lr, &task.theta_grad);
+                task.theta.add_scaled(-cfg.local_lr, &task.theta_grad);
                 task.theta_grad.zero();
                 // V row: immediate local SGD step on the task's prefix.
                 {
                     let row = local.get_mut(item);
-                    hf_tensor::ops::axpy_slice(&mut row[..task.dim], -cfg.local_lr, &task.dv);
+                    hf_tensor::ops::axpy_slice(&mut row[..task.dim], -cfg.local_lr, dv);
                 }
                 // User embedding gradient.
                 if is_gcn {
                     // u' = (u + coeff Σ V_g)/2 ⇒ ∂u'/∂u = 1/2; graph-row
                     // gradients are deferred via d_prop_total.
-                    for (acc, &d) in du_full.iter_mut().zip(&task.du) {
+                    for (acc, &d) in du_full.iter_mut().zip(du) {
                         *acc += 0.5 * d;
                     }
-                    hf_tensor::ops::axpy_slice(&mut task.d_prop_total, 1.0, &task.du);
+                    hf_tensor::ops::axpy_slice(&mut task.d_prop_total, 1.0, du);
                 } else {
-                    for (acc, &d) in du_full.iter_mut().zip(&task.du) {
+                    for (acc, &d) in du_full.iter_mut().zip(du) {
                         *acc += d;
                     }
                 }
@@ -550,16 +555,15 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     let update = if is_standalone {
         let standalone = state.standalone.as_mut().expect("standalone state");
         standalone.rows = local.persisted();
-        standalone.theta = tasks.pop().expect("one task").engine.ffn().clone();
+        standalone.theta = tasks.pop().expect("one task").theta;
         ClientUpdate::default()
     } else {
         let thetas = tasks
             .iter()
             .zip(&downloaded_thetas)
             .map(|(task, downloaded)| {
-                let trained = task.engine.ffn().to_flat();
-                let base = downloaded.to_flat();
-                let delta: Vec<f32> = trained.iter().zip(&base).map(|(t, b)| t - b).collect();
+                let (trained, base) = (task.theta.as_flat(), downloaded.as_flat());
+                let delta: Vec<f32> = trained.iter().zip(base).map(|(t, b)| t - b).collect();
                 (task.tier.index() as u8, delta)
             })
             .collect();

@@ -218,8 +218,7 @@ impl ServerState {
         }
         let inv = 1.0 / weight_sum;
         sum.iter_mut().for_each(|x| *x *= inv * self.server_lr);
-        let delta = Ffn::from_flat(self.thetas[idx].dims(), &sum);
-        self.thetas[idx].add_scaled(1.0, &delta);
+        hf_tensor::ops::axpy_slice(self.thetas[idx].as_flat_mut(), 1.0, &sum);
     }
 
     /// Applies the configured per-row normalisation to an aggregated
@@ -591,7 +590,7 @@ mod tests {
     fn theta_deltas_weight_average_per_tier() {
         let mut s = server(Strategy::HeteFedRec(Ablation::NO_RESKD));
         let theta_len = s.theta(Tier::Small).num_params();
-        let before = s.theta(Tier::Small).to_flat();
+        let before = s.theta(Tier::Small).as_flat().to_vec();
         // Weights 3 and 1 over deltas +1 and +5: weighted mean is +2.
         s.apply_round_weighted(
             &[
@@ -600,7 +599,7 @@ mod tests {
             ],
             &[3.0, 1.0],
         );
-        let after = s.theta(Tier::Small).to_flat();
+        let after = s.theta(Tier::Small).as_flat();
         for (a, b) in after.iter().zip(&before) {
             assert!((a - b - 2.0).abs() < 1e-5, "{a} vs {b}");
         }
@@ -610,13 +609,13 @@ mod tests {
     fn theta_deltas_average_per_tier() {
         let mut s = server(Strategy::HeteFedRec(Ablation::NO_RESKD));
         let theta_len = s.theta(Tier::Small).num_params();
-        let before = s.theta(Tier::Small).to_flat();
+        let before = s.theta(Tier::Small).as_flat().to_vec();
         // Two small clients upload +1 and +3: mean is +2.
         s.apply_round(&[
             update(Tier::Small, 0, 4, 1.0, theta_len),
             update(Tier::Small, 1, 4, 3.0, theta_len),
         ]);
-        let after = s.theta(Tier::Small).to_flat();
+        let after = s.theta(Tier::Small).as_flat();
         for (a, b) in after.iter().zip(&before) {
             assert!((a - b - 2.0).abs() < 1e-5);
         }

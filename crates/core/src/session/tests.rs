@@ -933,6 +933,22 @@ fn restore_refuses_standalone_rows_out_of_item_order() {
 }
 
 #[test]
+fn restore_refuses_a_standalone_predictor_of_the_wrong_shape() {
+    // `[2N, 8, 8, 1]` and `[16N + 88, 1]` hold as many parameters, so the
+    // document parses; the first round would then train the wrong shape.
+    let json = one_step_checkpoint(Strategy::Standalone, Mode::Sync);
+    let anchor = "\"standalone\":{\"rows\"";
+    let key = "\"theta\":{\"dims\":[";
+    let from = json.find(anchor).expect("a standalone user");
+    let start = from + json[from..].find(key).expect("its predictor") + key.len();
+    let end = start + json[start..].find(']').expect("dims end");
+    let two_n: usize = json[start..end].split(',').next().unwrap().parse().unwrap();
+    let dims = format!("{},1", 8 * two_n + 88);
+    let msg = refusal(&spliced(&json, start..end, &dims));
+    assert!(msg.contains("standalone predictor"), "{msg}");
+}
+
+#[test]
 fn restore_refuses_a_scheduler_round_size_the_config_does_not_make() {
     // A masked document whose scheduler names rounds of 300 under a
     // config of 32 on a population of more than 300: restoring it once

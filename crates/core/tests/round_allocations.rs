@@ -1,10 +1,11 @@
 //! What one federated round asks the allocator for, counted: local
 //! training allocates per client and per local pass, never per sample
-//! or per touched row (the backward pass ping-pongs scratch the
-//! workspace owns, local rows and the upload are flat blocks), so
-//! tripling the samples a round trains must leave its allocation count
-//! nearly where it was. That holds for a Standalone round too, whose
-//! clients keep their trained rows as one sorted block.
+//! or per touched row (the backward pass ping-pongs scratch the cache
+//! owns, local rows and the upload are flat blocks), so tripling the
+//! samples a round trains must leave its allocation count nearly where
+//! it was. That holds for a Standalone round too, whose clients keep
+//! their trained rows as one sorted block. And a client's set-up stays
+//! small: each task copies its predictor as one flat buffer.
 //!
 //! And what a round holds at once: uploads are folded into the
 //! aggregate as they arrive, so a round's peak live heap must not grow
@@ -135,17 +136,29 @@ fn a_round_allocates_per_client_not_per_sample() {
             "{name}: {extra} more allocations for {} more samples",
             more_samples - samples
         );
-        // Per-client set-up (task engines, workspaces, the upload or the
-        // persisted rows) and the server's aggregate: a few thousand in
-        // all, against roughly eleven a sample when the backward pass and
-        // every touched row allocated.
+        // Per-client set-up (each task's predictor copy, gradient and
+        // scratch, the upload or the persisted rows) and the server's
+        // aggregate: a few thousand in all, against roughly eleven a
+        // sample when the backward pass and every touched row allocated.
         assert!(
             one_pass < samples as u64 / 2,
             "{name}: {one_pass} allocations for {samples} samples"
         );
+        // A task copies its predictor as one flat buffer: 4 636 and
+        // 3 482 a round (~72 and ~54 a client); nested per-layer weight
+        // and bias vectors made 6 595 and 5 551, past the bound.
+        assert!(
+            one_pass <= SETUP_PER_CLIENT * 64,
+            "{name}: {one_pass} allocations for 64 clients' set-up"
+        );
     }
     println!("round allocations per client, not per sample: HeteFedRec and Standalone");
+    println!("round set-up allocations: one predictor buffer a task");
 }
+
+/// The most allocations one pass of a 64-client round may make per
+/// client: the measured ~72 a HeteFedRec client, plus ~10 % headroom.
+const SETUP_PER_CLIENT: u64 = 80;
 
 /// `(peak, upload)` of a session's second round: its peak live heap
 /// bytes above the heap live when it starts, and its mean upload's

@@ -4,56 +4,69 @@
 //! hidden layers, identity on the output (the loss consumes logits).
 //! `Θ` travels between clients and server as a flat `Vec<f32>`; both the
 //! heterogeneous aggregation (Eq. 15) and the communication accounting
-//! (Table III) work on that flat form.
+//! (Table III) work on that flat form, and an [`Ffn`] holds its
+//! parameters in that one layout, so no boundary converts.
 
-use hf_tensor::ops::{relu, relu_grad};
+use hf_tensor::ops::{axpy_slice, dot, relu, relu_grad};
 use hf_tensor::rng::Rng;
-use hf_tensor::Matrix;
+use hf_tensor::ser::{JsonError, JsonValue};
 
 /// A multi-layer perceptron with ReLU hidden activations and a linear
-/// single-output head.
+/// single-output head, held in the flat layout it travels in.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ffn {
     dims: Vec<usize>,
-    /// Per-layer weight matrices, `out_dim x in_dim`.
-    weights: Vec<Matrix>,
-    /// Per-layer bias vectors.
-    biases: Vec<Vec<f32>>,
+    /// Every parameter, per layer: the `dims[l + 1] x dims[l]` weights
+    /// row-major (row `o` feeds output unit `o`), then the bias.
+    params: Vec<f32>,
 }
 
 impl Ffn {
     /// Builds an FFN with the given layer sizes (`dims[0]` inputs through
-    /// `dims.last()` outputs), Glorot-initialised.
+    /// `dims.last()` outputs): Glorot-initialised weights, drawn layer by
+    /// layer, and zero biases.
     ///
     /// # Panics
-    /// Panics if fewer than two sizes are given.
+    /// Panics if fewer than two sizes are given or the parameter count
+    /// overflows `usize`.
     pub fn new(dims: &[usize], rng: &mut impl Rng) -> Self {
         assert!(
             dims.len() >= 2,
             "an FFN needs at least input and output sizes"
         );
-        let weights = dims
-            .windows(2)
-            .map(|w| hf_tensor::init::glorot_uniform(w[1], w[0], rng))
-            .collect();
-        let biases = dims[1..].iter().map(|&d| vec![0.0; d]).collect();
+        let count = Self::param_count(dims).expect("FFN parameter count overflows usize");
+        let mut params = vec![0.0; count];
+        let mut at = 0;
+        for w in dims.windows(2) {
+            let (n_in, n_out) = (w[0], w[1]);
+            hf_tensor::init::fill_glorot_uniform(
+                &mut params[at..at + n_out * n_in],
+                n_out,
+                n_in,
+                rng,
+            );
+            at += n_out * n_in + n_out;
+        }
         Self {
             dims: dims.to_vec(),
-            weights,
-            biases,
+            params,
         }
+    }
+
+    /// Parameter count of an FFN with layer sizes `dims` (per layer
+    /// `out × in` weights plus `out` biases), or `None` if it overflows
+    /// `usize` — `dims` may be a file's claim.
+    pub fn param_count(dims: &[usize]) -> Option<usize> {
+        dims.windows(2).try_fold(0usize, |sum, w| {
+            sum.checked_add(w[1].checked_mul(w[0])?.checked_add(w[1])?)
+        })
     }
 
     /// Zero-valued FFN with the same shape (gradient accumulator).
     pub fn zeros_like(&self) -> Self {
         Self {
             dims: self.dims.clone(),
-            weights: self
-                .weights
-                .iter()
-                .map(|w| Matrix::zeros(w.rows(), w.cols()))
-                .collect(),
-            biases: self.biases.iter().map(|b| vec![0.0; b.len()]).collect(),
+            params: vec![0.0; self.params.len()],
         }
     }
 
@@ -69,74 +82,51 @@ impl Ffn {
 
     /// Total parameter count (weights + biases).
     pub fn num_params(&self) -> usize {
-        self.weights.iter().map(|w| w.len()).sum::<usize>()
-            + self.biases.iter().map(|b| b.len()).sum::<usize>()
+        self.params.len()
     }
 
     /// Number of layers.
     pub fn num_layers(&self) -> usize {
-        self.weights.len()
+        self.dims.len() - 1
     }
 
-    /// Serialises all parameters into one flat vector
-    /// (per layer: row-major weights, then bias).
-    pub fn to_flat(&self) -> Vec<f32> {
-        let mut flat = Vec::with_capacity(self.num_params());
-        for (w, b) in self.weights.iter().zip(&self.biases) {
-            flat.extend_from_slice(w.as_slice());
-            flat.extend_from_slice(b);
-        }
-        flat
+    /// All parameters in their transport layout (per layer: row-major
+    /// weights, then bias).
+    pub fn as_flat(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Reconstructs an FFN of shape `dims` from [`Ffn::to_flat`] output.
+    /// Mutable view of [`Ffn::as_flat`] (server-side update application).
+    pub fn as_flat_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    /// Reconstructs an FFN of shape `dims` from [`Ffn::as_flat`] output.
     ///
     /// # Panics
     /// Panics if the flat length does not match the shape.
     pub fn from_flat(dims: &[usize], flat: &[f32]) -> Self {
         assert!(dims.len() >= 2);
-        let mut ffn = Self {
-            dims: dims.to_vec(),
-            weights: dims.windows(2).map(|w| Matrix::zeros(w[1], w[0])).collect(),
-            biases: dims[1..].iter().map(|&d| vec![0.0; d]).collect(),
-        };
         assert_eq!(
-            flat.len(),
-            ffn.num_params(),
+            Some(flat.len()),
+            Self::param_count(dims),
             "flat parameter length mismatch"
         );
-        let mut offset = 0;
-        for (w, b) in ffn.weights.iter_mut().zip(ffn.biases.iter_mut()) {
-            let wl = w.len();
-            w.as_mut_slice().copy_from_slice(&flat[offset..offset + wl]);
-            offset += wl;
-            let bl = b.len();
-            b.copy_from_slice(&flat[offset..offset + bl]);
-            offset += bl;
+        Self {
+            dims: dims.to_vec(),
+            params: flat.to_vec(),
         }
-        ffn
     }
 
-    /// `self += alpha * other`, shape-checked (used for gradient
-    /// accumulation and server-side update application).
+    /// `self += alpha * other`, shape-checked (gradient steps).
     pub fn add_scaled(&mut self, alpha: f32, other: &Ffn) {
         assert_eq!(self.dims, other.dims, "FFN shape mismatch");
-        for (w, ow) in self.weights.iter_mut().zip(&other.weights) {
-            w.axpy(alpha, ow);
-        }
-        for (b, ob) in self.biases.iter_mut().zip(&other.biases) {
-            hf_tensor::ops::axpy_slice(b, alpha, ob);
-        }
+        axpy_slice(&mut self.params, alpha, &other.params);
     }
 
     /// Sets every parameter to zero (gradient-buffer reset).
     pub fn zero(&mut self) {
-        for w in &mut self.weights {
-            w.fill(0.0);
-        }
-        for b in &mut self.biases {
-            b.iter_mut().for_each(|x| *x = 0.0);
-        }
+        self.params.fill(0.0);
     }
 
     /// Forward pass producing the scalar logit, recording activations in
@@ -150,8 +140,11 @@ impl Ffn {
         cache.input.clear();
         cache.input.extend_from_slice(input);
         let last = self.num_layers() - 1;
-        for l in 0..self.num_layers() {
-            let (w, b) = (&self.weights[l], &self.biases[l]);
+        let mut at = 0;
+        for l in 0..=last {
+            let (n_in, n_out) = (self.dims[l], self.dims[l + 1]);
+            let (w, b) = self.params[at..].split_at(n_out * n_in);
+            at += n_out * n_in + n_out;
             // `pre` and `post` are distinct fields, so reading the previous
             // layer's activations while writing this layer's borrows cleanly.
             {
@@ -162,7 +155,7 @@ impl Ffn {
                 };
                 let pre = &mut cache.pre[l];
                 for (o, out) in pre.iter_mut().enumerate() {
-                    *out = hf_tensor::ops::dot(w.row(o), src) + b[o];
+                    *out = dot(&w[o * n_in..][..n_in], src) + b[o];
                 }
             }
             let (pre_done, post_rest) = (&cache.pre[l], &mut cache.post[l]);
@@ -201,27 +194,32 @@ impl Ffn {
             d_src,
         } = cache;
         let last = self.num_layers() - 1;
+        // Layers are walked from the output back, so `at` steps down from
+        // the end of the flat layout.
+        let mut at = self.params.len();
         // delta[..dims[l + 1]] holds ∂L/∂pre[l] as we walk backwards; the
         // output layer is linear and only its first unit is the logit.
         delta[0] = d_logit;
         for l in (0..=last).rev() {
+            let (n_in, n_out) = (self.dims[l], self.dims[l + 1]);
+            at -= n_out * n_in + n_out;
             let src: &[f32] = if l == 0 { input } else { &post[l - 1] };
-            let delta_l = &delta[..if l == last { 1 } else { self.dims[l + 1] }];
+            let delta_l = &delta[..if l == last { 1 } else { n_out }];
             // Parameter gradients.
-            let gw = &mut grads.weights[l];
+            let (gw, gb) = grads.params[at..].split_at_mut(n_out * n_in);
             for (o, &d) in delta_l.iter().enumerate() {
                 if d != 0.0 {
-                    gw.row_axpy(o, d, src);
+                    axpy_slice(&mut gw[o * n_in..][..n_in], d, src);
                 }
-                grads.biases[l][o] += d;
+                gb[o] += d;
             }
             // Propagate to the layer input.
-            let w = &self.weights[l];
-            let d_src_l = &mut d_src[..self.dims[l]];
+            let w = &self.params[at..at + n_out * n_in];
+            let d_src_l = &mut d_src[..n_in];
             d_src_l.fill(0.0);
             for (o, &d) in delta_l.iter().enumerate() {
                 if d != 0.0 {
-                    hf_tensor::ops::axpy_slice(d_src_l, d, w.row(o));
+                    axpy_slice(d_src_l, d, &w[o * n_in..][..n_in]);
                 }
             }
             if l == 0 {
@@ -238,44 +236,33 @@ impl Ffn {
 
     /// Largest absolute parameter (diagnostics / divergence guards).
     pub fn max_abs(&self) -> f32 {
-        let w = self
-            .weights
-            .iter()
-            .map(|w| w.max_abs())
-            .fold(0.0_f32, f32::max);
-        let b = self
-            .biases
-            .iter()
-            .flat_map(|b| b.iter())
-            .fold(0.0_f32, |m, x| m.max(x.abs()));
-        w.max(b)
+        self.params.iter().fold(0.0_f32, |m, x| m.max(x.abs()))
     }
 }
 
 impl hf_tensor::ser::ToJson for Ffn {
     fn write_json(&self, out: &mut String) {
         hf_tensor::ser::obj(out, |o| {
-            o.field("dims", &self.dims).field("flat", &self.to_flat());
+            o.field("dims", &self.dims).field("flat", &self.as_flat());
         });
     }
 }
 
 impl Ffn {
-    /// Restores a checkpointed FFN ([`Ffn::to_flat`] layout, shape-checked).
-    pub fn from_json(v: &hf_tensor::ser::JsonValue<'_>) -> Result<Self, hf_tensor::ser::JsonError> {
+    /// Restores a checkpointed FFN ([`Ffn::as_flat`] layout, shape-checked).
+    pub fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
         let dims = v.get("dims")?.as_usize_vec()?;
-        let flat = v.get("flat")?.as_f32_vec()?;
+        let params = v.get("flat")?.as_f32_vec()?;
         if dims.len() < 2 {
-            return Err(hf_tensor::ser::JsonError::msg("ffn needs >= 2 layer sizes"));
+            return Err(JsonError::msg("ffn needs >= 2 layer sizes"));
         }
-        let expected: usize = dims.windows(2).map(|w| w[1] * w[0] + w[1]).sum();
-        if flat.len() != expected {
-            return Err(hf_tensor::ser::JsonError::msg(format!(
+        if Self::param_count(&dims) != Some(params.len()) {
+            return Err(JsonError::msg(format!(
                 "ffn flat length {} does not match dims {dims:?}",
-                flat.len()
+                params.len()
             )));
         }
-        Ok(Self::from_flat(&dims, &flat))
+        Ok(Self { dims, params })
     }
 }
 
@@ -328,14 +315,7 @@ mod tests {
     #[test]
     fn forward_known_linear_case() {
         // Single layer [2 -> 1]: logit = w . x + b.
-        let mut ffn = make(&[2, 1], 2);
-        ffn.zero();
-        let flat = vec![0.5, -1.0, 0.25]; // w00 w01 b0
-        let ffn = {
-            let mut f = Ffn::from_flat(&[2, 1], &flat);
-            f.dims = vec![2, 1];
-            f
-        };
+        let ffn = Ffn::from_flat(&[2, 1], &[0.5, -1.0, 0.25]); // w00 w01 b0
         let mut cache = FfnCache::for_ffn(&ffn);
         let y = ffn.forward(&[2.0, 3.0], &mut cache);
         assert!((y - (0.5 * 2.0 - 1.0 * 3.0 + 0.25)).abs() < 1e-6);
@@ -344,9 +324,9 @@ mod tests {
     #[test]
     fn flat_roundtrip_preserves_parameters() {
         let ffn = make(&[6, 8, 8, 1], 3);
-        let flat = ffn.to_flat();
+        let flat = ffn.as_flat();
         assert_eq!(flat.len(), ffn.num_params());
-        let back = Ffn::from_flat(&[6, 8, 8, 1], &flat);
+        let back = Ffn::from_flat(&[6, 8, 8, 1], flat);
         assert_eq!(ffn, back);
     }
 
@@ -356,11 +336,16 @@ mod tests {
         let ffn = make(&[6, 8, 8, 1], 3);
         let back = Ffn::from_json(&parse_json(&ffn.to_json()).unwrap()).unwrap();
         assert_eq!(ffn.dims(), back.dims());
-        for (a, b) in ffn.to_flat().iter().zip(back.to_flat()) {
+        for (a, b) in ffn.as_flat().iter().zip(back.as_flat()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         let bad = parse_json(r#"{"dims":[2,1],"flat":[0.5]}"#).unwrap();
         assert!(Ffn::from_json(&bad).is_err());
+        // Layer sizes whose parameter count overflows `usize` are refused,
+        // not multiplied out.
+        let huge = parse_json(r#"{"dims":[4294967296,4294967296,1],"flat":[0.5]}"#).unwrap();
+        let err = Ffn::from_json(&huge).unwrap_err();
+        assert!(err.to_string().contains("does not match dims"), "{err}");
     }
 
     #[test]
@@ -398,14 +383,14 @@ mod tests {
             &mut d_input,
         );
 
-        let flat = ffn.to_flat();
-        let gflat = grads.to_flat();
+        let flat = ffn.as_flat();
+        let gflat = grads.as_flat();
         let eps = 1e-2;
         let mut checked = 0;
         for idx in (0..flat.len()).step_by(5) {
-            let mut fplus = flat.clone();
+            let mut fplus = flat.to_vec();
             fplus[idx] += eps;
-            let mut fminus = flat.clone();
+            let mut fminus = flat.to_vec();
             fminus[idx] -= eps;
             let fp = Ffn::from_flat(&dims, &fplus);
             let fm = Ffn::from_flat(&dims, &fminus);

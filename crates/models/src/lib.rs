@@ -13,16 +13,16 @@
 //!   §III-B), then scored with the same predictor (Eq. 5).
 //!
 //! There is no autograd anywhere in this workspace, so every gradient is
-//! analytic. The [`ffn`] and [`ncf`] gradients are checked against finite
-//! differences in their test suites. LightGCN's extra chain rule (through
-//! the propagation, in `hetefedrec_core::client::train_client`) is pinned
-//! by the checkpoint digests of `lightgcn_training_bits_are_pinned`
-//! instead.
+//! analytic. The [`ffn`] gradients, parameter and input alike, are
+//! checked against finite differences in its test suite. LightGCN's extra
+//! chain rule (through the propagation, in
+//! `hetefedrec_core::client::train_client`) is pinned by the checkpoint
+//! digests of `lightgcn_training_bits_are_pinned` instead.
 //!
 //! Layout:
-//! * [`ffn`] — the shared feedforward predictor with forward caches,
-//!   backward pass, and flat (de)serialisation for federated transport.
-//! * [`ncf`] — the NCF scoring engine.
+//! * [`ffn`] — the shared feedforward predictor, held in the one flat
+//!   layout it travels in, with forward caches and the backward pass.
+//!   Local NCF training scores `[u, v]` through it directly.
 //! * [`scoring`] — the split-layer serving/evaluation scorer shared by
 //!   `hetefedrec_core::eval` and `hf_serve` (panel-batchable, with a
 //!   bit-identity contract between its scalar and blocked paths), and
@@ -33,12 +33,10 @@
 #![warn(missing_docs)]
 
 pub mod ffn;
-pub mod ncf;
 pub mod scoring;
 pub mod sparse;
 
 pub use ffn::{Ffn, FfnCache};
-pub use ncf::NcfEngine;
 pub use scoring::{SplitNcf, SplitWorkspace};
 pub use sparse::RowGradBuffer;
 
@@ -102,4 +100,10 @@ impl ModelKind {
 /// dimensions").
 pub fn paper_predictor_dims(n: usize) -> Vec<usize> {
     vec![2 * n, 8, 8, 1]
+}
+
+/// NCF is the predictor on `[u, v]`; its tests pin that contract.
+#[cfg(test)]
+mod ncf {
+    mod tests;
 }

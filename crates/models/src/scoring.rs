@@ -25,11 +25,11 @@
 //! is what lets `hetefedrec_core::eval` and `hf_serve` share one scorer
 //! while batching however they like.
 //!
-//! Note the split logit is *not* bit-identical to the historical
-//! monolithic [`crate::ncf::NcfEngine::forward`] chain (float addition is
-//! not associative); the split form is the canonical scoring path — local
-//! *training* keeps the monolithic engine, whose backward pass matches its
-//! own forward. LightGCN's propagation step, [`propagate_lightgcn`], is
+//! Note the split logit is *not* bit-identical to the monolithic
+//! [`Ffn::forward`] chain on `[u, v]` (float addition is not
+//! associative); the split form is the canonical scoring path — local
+//! *training* keeps the monolithic forward, whose backward pass matches
+//! it. LightGCN's propagation step, [`propagate_lightgcn`], is
 //! shared by all three: training, evaluation and serving.
 
 use crate::ffn::{Ffn, FfnCache};
@@ -70,7 +70,7 @@ impl SplitNcf {
         let dims = ffn.dims();
         assert_eq!(dims[0], 2 * dim, "predictor width must be 2*dim");
         let h1 = dims[1];
-        let flat = ffn.to_flat();
+        let flat = ffn.as_flat();
         let w0 = &flat[..h1 * 2 * dim]; // h1 x 2dim, row-major
         let b1 = flat[h1 * 2 * dim..h1 * 2 * dim + h1].to_vec();
         let w_user = Matrix::from_fn(h1, dim, |o, j| w0[o * 2 * dim + j]);
@@ -219,8 +219,7 @@ mod tests {
         // is *within* the split paths, tested below.
         let dim = 16;
         let (s, ffn) = scorer(dim, 3);
-        let engine = crate::ncf::NcfEngine::from_ffn(dim, ffn);
-        let mut ews = engine.workspace();
+        let mut cache = FfnCache::for_ffn(&ffn);
         let mut ws = s.workspace();
         let mut ih = vec![0.0; s.hidden_width()];
         for case in 0..32u64 {
@@ -229,7 +228,7 @@ mod tests {
             let uh = s.user_half(&u);
             s.item_half_into(&v, &mut ih);
             let got = s.finish(&uh, &ih, &mut ws);
-            let want = engine.forward(&u, &v, &mut ews);
+            let want = ffn.forward(&[u, v].concat(), &mut cache);
             assert!(
                 (got - want).abs() <= 1e-5 * want.abs().max(1.0),
                 "case {case}: split {got} vs monolithic {want}"

@@ -423,9 +423,9 @@ fn put_ffn(w: &mut Writer, ffn: &Ffn) {
     for &d in dims {
         w.put_u32_le(d as u32);
     }
-    let flat = ffn.to_flat();
+    let flat = ffn.as_flat();
     w.put_u64_le(flat.len() as u64);
-    for &x in &flat {
+    for &x in flat {
         w.put_f32_le(x);
     }
 }
@@ -911,12 +911,9 @@ pub(crate) fn get_ffn(r: &mut Reader) -> Result<Ffn, DecodeError> {
         }
     }
     let declared = r.get_u64_le()?;
-    // `Ffn::from_flat` panics on a length mismatch; check first (in
-    // checked arithmetic — the layer widths are the file's claim).
-    let flat_len = (dims.windows(2))
-        .try_fold(0usize, |sum, w| {
-            sum.checked_add(w[1].checked_mul(w[0])?.checked_add(w[1])?)
-        })
+    // `Ffn::from_flat` panics on a length mismatch; check first (the
+    // layer widths are the file's claim, so the count may overflow).
+    let flat_len = Ffn::param_count(&dims)
         .filter(|&n| n as u64 == declared)
         .ok_or(DecodeError::Invalid { field: "flat" })?;
     Ok(Ffn::from_flat(&dims, &r.get_f32_vec(flat_len)?))
@@ -1021,7 +1018,7 @@ mod tests {
         };
         let ffn = |dim: usize, salt: usize| {
             let d = hf_models::paper_predictor_dims(dim);
-            let n = d.windows(2).map(|w| w[0] * w[1] + w[1]).sum();
+            let n = Ffn::param_count(&d).expect("small dims");
             Ffn::from_flat(&d, &ramp(n, salt))
         };
         let mut tally = crate::artifact::Tally::new(num_items, &dims);

@@ -11,11 +11,13 @@
 use crate::matrix::Matrix;
 use crate::rng::Rng;
 
-/// Glorot/Xavier-uniform initialised matrix: `U(-a, a)` with
+/// Overwrites `out`, a `rows x cols` weight matrix in row-major order,
+/// with Glorot/Xavier-uniform draws, in order: `U(-a, a)` with
 /// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn glorot_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
+pub fn fill_glorot_uniform(out: &mut [f32], rows: usize, cols: usize, rng: &mut impl Rng) {
+    debug_assert_eq!(out.len(), rows * cols);
     let a = (6.0 / (rows + cols) as f32).sqrt();
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..a))
+    out.iter_mut().for_each(|x| *x = rng.gen_range(-a..a));
 }
 
 /// Normal(0, std) initialised matrix, the convention for embedding tables.
@@ -56,9 +58,10 @@ mod tests {
     #[test]
     fn glorot_respects_bound() {
         let mut rng = stream(1, SeedStream::ParamInit);
-        let m = glorot_uniform(64, 32, &mut rng);
+        let mut m = vec![0.0; 64 * 32];
+        fill_glorot_uniform(&mut m, 64, 32, &mut rng);
         let a = (6.0 / 96.0_f32).sqrt();
-        assert!(m.as_slice().iter().all(|&x| x > -a && x < a));
+        assert!(m.iter().all(|&x| x > -a && x < a));
     }
 
     #[test]
@@ -99,7 +102,10 @@ mod tests {
     fn initialisation_is_deterministic_per_stream() {
         let mut a = stream(9, SeedStream::ParamInit);
         let mut b = stream(9, SeedStream::ParamInit);
-        assert_eq!(glorot_uniform(4, 4, &mut a), glorot_uniform(4, 4, &mut b));
+        let (mut x, mut y) = ([0.0; 16], [0.0; 16]);
+        fill_glorot_uniform(&mut x, 4, 4, &mut a);
+        fill_glorot_uniform(&mut y, 4, 4, &mut b);
+        assert_eq!(x, y);
     }
 
     #[test]

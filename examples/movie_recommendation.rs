@@ -15,7 +15,7 @@
 
 use hetefedrec::core::client::UserState;
 use hetefedrec::core::server::ServerState;
-use hetefedrec::models::ncf::NcfEngine;
+use hetefedrec::models::FfnCache;
 use hetefedrec::prelude::*;
 
 fn main() {
@@ -128,11 +128,17 @@ fn recommend(
     k: usize,
 ) -> Vec<u32> {
     let dim = cfg.dims.dim(tier);
-    let engine = NcfEngine::from_ffn(dim, server.theta(tier).clone());
-    let mut ws = engine.workspace();
+    let theta = server.theta(tier);
+    let mut cache = FfnCache::for_ffn(theta);
     let table = server.table(tier);
+    // The predictor scores `[u, v]`; the user half is fixed.
+    let mut input = vec![0.0; 2 * dim];
+    input[..dim].copy_from_slice(state.emb());
     let scores: Vec<f32> = (0..split.num_items())
-        .map(|item| engine.forward(state.emb(), table.row_prefix(item, dim), &mut ws))
+        .map(|item| {
+            input[dim..].copy_from_slice(table.row_prefix(item, dim));
+            theta.forward(&input, &mut cache)
+        })
         .collect();
     hetefedrec::metrics::top_k_excluding(&scores, k, &split.user(user).train)
 }

@@ -281,7 +281,7 @@ fn model_digest(session: &Session) -> u64 {
     };
     for tier in Tier::ALL {
         eat(session.server().table(tier).as_slice());
-        eat(&session.server().theta(tier).to_flat());
+        eat(session.server().theta(tier).as_flat());
     }
     h
 }
