@@ -423,7 +423,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
         .collect();
 
     let is_gcn = cfg.model == ModelKind::LightGcn;
-    let graph_items: &[u32] = &user_split.train;
+    let graph_items: &[u32] = user_split.train;
     let graph_coeff = 1.0 / (graph_items.len() as f32).sqrt();
 
     let sampler = NegativeSampler::new(ctx.split.num_items(), cfg.negatives);
@@ -454,7 +454,7 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
             }
         }
 
-        let (items, labels) = sampler.build_epoch(user_split, &mut rng);
+        let (items, labels) = sampler.build_epoch(&user_split, &mut rng);
         for (&item, &label) in items.iter().zip(&labels) {
             du_full.iter_mut().for_each(|x| *x = 0.0);
             for task in &mut tasks {
@@ -666,7 +666,7 @@ mod tests {
         let strategy = Strategy::HeteFedRec(Ablation::FULL);
         let (cfg, split, server) = setup(ModelKind::Ncf, strategy);
         let out = run_one(&cfg, strategy, &split, &server, 2, Tier::Medium);
-        let positives = &split.user(2).train;
+        let positives = split.user(2).train;
         // Every train positive must be touched; the touched set is
         // positives + negatives, well below the universe.
         let touched: Vec<u32> = out.update.items.rows.iter().map(|(r, _)| *r).collect();
@@ -721,7 +721,7 @@ mod tests {
         assert!(out.loss.is_finite());
         // Graph items (= train positives) must all carry deltas.
         let touched: Vec<u32> = out.update.items.rows.iter().map(|(r, _)| *r).collect();
-        for p in &split.user(5).train {
+        for p in split.user(5).train {
             assert!(touched.contains(p));
         }
     }

@@ -140,7 +140,7 @@ pub fn evaluate_user(
     }
     let scores = score_user(cfg, strategy, split, server, state, user_id, model_tier);
     let evaluator = Evaluator { k: cfg.eval_k };
-    evaluator.evaluate_user(&scores, &user_split.train, &user_split.test)
+    evaluator.evaluate_user(&scores, user_split.train, user_split.test)
 }
 
 /// Evaluates the whole population in parallel.

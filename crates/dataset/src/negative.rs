@@ -69,7 +69,7 @@ impl NegativeSampler {
         let mut items = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
         let mut negs = Vec::with_capacity(self.ratio);
-        for &pos in &user.train {
+        for &pos in user.train {
             items.push(pos);
             labels.push(1.0);
             negs.clear();
@@ -88,17 +88,17 @@ mod tests {
     use super::*;
     use hf_tensor::rng::{stream, SeedStream};
 
-    fn user(train: Vec<ItemId>, valid: Vec<ItemId>) -> UserSplit {
+    fn user<'a>(train: &'a [ItemId], valid: &'a [ItemId]) -> UserSplit<'a> {
         UserSplit {
             train,
             valid,
-            test: vec![],
+            test: &[],
         }
     }
 
     #[test]
     fn negatives_avoid_local_positives() {
-        let u = user(vec![0, 1, 2], vec![3]);
+        let u = user(&[0, 1, 2], &[3]);
         let sampler = NegativeSampler::new(10, 4);
         let mut rng = stream(1, SeedStream::Negatives);
         for _ in 0..200 {
@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn epoch_stream_has_paper_ratio() {
-        let u = user(vec![0, 5, 9], vec![]);
+        let u = user(&[0, 5, 9], &[]);
         let sampler = NegativeSampler::paper_default(100);
         let mut rng = stream(2, SeedStream::Negatives);
         let (items, labels) = sampler.build_epoch(&u, &mut rng);
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn epoch_is_deterministic_per_rng() {
-        let u = user(vec![1, 2], vec![]);
+        let u = user(&[1, 2], &[]);
         let sampler = NegativeSampler::paper_default(50);
         let a = sampler.build_epoch(&u, &mut stream(7, SeedStream::Negatives));
         let b = sampler.build_epoch(&u, &mut stream(7, SeedStream::Negatives));
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn negatives_cover_the_universe() {
-        let u = user(vec![0], vec![]);
+        let u = user(&[0], &[]);
         let sampler = NegativeSampler::new(5, 4);
         let mut rng = stream(3, SeedStream::Negatives);
         let mut seen = [false; 5];
@@ -152,7 +152,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole universe")]
     fn dense_user_panics_cleanly() {
-        let u = user((0..10).collect(), vec![]);
+        let train: Vec<ItemId> = (0..10).collect();
+        let u = user(&train, &[]);
         let sampler = NegativeSampler::new(10, 1);
         let mut rng = stream(4, SeedStream::Negatives);
         let _ = sampler.sample_one(&u, &mut rng);

@@ -5,22 +5,42 @@
 //! its training data will be used as the validation set to guide the local
 //! training." Splits are per-user (the client owns all of its data) and
 //! deterministic given the seed.
+//!
+//! # Layout
+//!
+//! Like an [`ImplicitDataset`] (see [`crate::types`]), a [`SplitDataset`]
+//! is one id buffer: each user's ids are a train | valid | test run of
+//! three sorted sections, users end to end, with three `u32` cut points a
+//! user (where its sections start) and one final end. It costs 4 bytes an
+//! id and 12 a user, and [`SplitDataset::user`] lends a [`UserSplit`] of
+//! three borrowed slices. [`SplitDataset::split`] sizes every section
+//! from the dataset's lengths, then fills the buffer chunk by chunk in
+//! user order, so it is allocated once at its final length.
+//!
+//! A streamed interaction ([`SplitDataset::ingest`]) never shifts the
+//! buffer: on a user's first insert its train section is copied into an
+//! owned list, which serves as its train set from then on, so an insert
+//! costs that user's list, never the population's (the first ingest also
+//! allocates a 4-byte slot a user naming who owns a list). A user
+//! admitted by ingest gets empty sections at the buffer's end and an
+//! owned train list holding its first item.
 
-use crate::types::{ImplicitDataset, ItemId, UserId};
+use crate::types::{population_workers, user_chunks, ImplicitDataset, ItemId, UserId};
+use hf_tensor::parallel::parallel_fill_ordered;
 use hf_tensor::rng::{substream, SeedStream};
 
-/// A user's split interaction data.
-#[derive(Clone, Debug, Default)]
-pub struct UserSplit {
+/// A user's split interaction data, borrowed from its [`SplitDataset`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct UserSplit<'a> {
     /// Training positives (sorted).
-    pub train: Vec<ItemId>,
+    pub train: &'a [ItemId],
     /// Validation positives carved out of train (sorted).
-    pub valid: Vec<ItemId>,
+    pub valid: &'a [ItemId],
     /// Held-out test positives (sorted).
-    pub test: Vec<ItemId>,
+    pub test: &'a [ItemId],
 }
 
-impl UserSplit {
+impl UserSplit<'_> {
     /// `true` iff `item` is a train or validation positive (the set a
     /// client may not sample as a negative).
     pub fn is_local_positive(&self, item: ItemId) -> bool {
@@ -28,7 +48,8 @@ impl UserSplit {
     }
 }
 
-/// Which list a position of a user's ids goes to.
+/// Which section a position of a user's ids goes to; the discriminant is
+/// the section's place in the user's train | valid | test run.
 #[derive(Clone, Copy)]
 enum Role {
     Train,
@@ -36,12 +57,35 @@ enum Role {
     Test,
 }
 
-/// Dataset with per-user train/valid/test splits.
+/// What one chunk of users leaves for the sink: their train | valid |
+/// test runs end to end, and the per-user scratch that sorted them.
+#[derive(Default)]
+struct Chunk {
+    ids: Vec<ItemId>,
+    order: Vec<u32>,
+    role: Vec<Role>,
+}
+
+/// Dataset with per-user train/valid/test splits (module docs).
 #[derive(Clone, Debug)]
 pub struct SplitDataset {
     num_items: usize,
-    users: Vec<UserSplit>,
+    /// Every user's train | valid | test sections, end to end.
+    ids: Vec<ItemId>,
+    /// `cuts[3u]`, `cuts[3u + 1]`, `cuts[3u + 2]`: where user `u`'s train,
+    /// valid and test sections start; the next entry ends its test
+    /// section. `3 · num_users + 1` entries.
+    cuts: Vec<u32>,
+    /// `slot[u]`: where in `grown` user `u`'s train set lives once it has
+    /// outgrown its section, or [`NOT_GROWN`]. Empty until the first
+    /// ingest, then one entry a user.
+    slot: Vec<u32>,
+    /// Train sets that outgrew their section (module docs).
+    grown: Vec<Vec<ItemId>>,
 }
+
+/// A `slot` entry of a user whose train set is still its section.
+const NOT_GROWN: u32 = u32::MAX;
 
 impl SplitDataset {
     /// Splits `dataset` with the paper's ratios: `test_frac` of each user's
@@ -52,57 +96,86 @@ impl SplitDataset {
     /// training set would make the client untrainable); at least one train
     /// item is always retained.
     pub fn split(dataset: &ImplicitDataset, test_frac: f64, valid_frac: f64, seed: u64) -> Self {
+        let workers = population_workers(dataset.num_interactions());
+        Self::split_on(dataset, test_frac, valid_frac, seed, workers)
+    }
+
+    /// [`split`](Self::split) on exactly `workers` threads.
+    pub(crate) fn split_on(
+        dataset: &ImplicitDataset,
+        test_frac: f64,
+        valid_frac: f64,
+        seed: u64,
+        workers: usize,
+    ) -> Self {
         assert!((0.0..1.0).contains(&test_frac), "test_frac in [0,1)");
         assert!((0.0..1.0).contains(&valid_frac), "valid_frac in [0,1)");
-        // A user's lists come out of its sorted ids in their own order:
+        // `(n_valid, n_test)` of an `n`-id user.
+        let sizes = |n: usize| {
+            let n_test = ((n as f64) * test_frac).floor() as usize;
+            let n_test = n_test.min(n.saturating_sub(1));
+            let rest = n - n_test;
+            let n_valid = ((rest as f64) * valid_frac).floor() as usize;
+            (n_valid.min(rest.saturating_sub(1)), n_test)
+        };
+        // A user's sections start where its dataset section does.
+        let mut cuts = Vec::with_capacity(3 * dataset.num_users() + 1);
+        let mut end = 0;
+        for (_, ints) in dataset.iter_users() {
+            let (n_valid, n_test) = sizes(ints.len());
+            let start = end;
+            end += ints.len() as u32;
+            cuts.extend([start, end - (n_valid + n_test) as u32, end - n_test as u32]);
+        }
+        cuts.push(end);
+
+        // A user's sections come out of its sorted ids in their own order:
         // the shuffle permutes positions (its draws depend only on the
         // length), the first `n_test` shuffled positions are held out for
         // testing and the next `n_valid` for validation, and one pass over
-        // the ids sorts each into its list. `order` and `role` are scratch
-        // reused across users.
-        let (mut order, mut role): (Vec<u32>, Vec<Role>) = (Vec::new(), Vec::new());
-        let users = dataset
-            .iter_users()
-            .map(|(u, ints)| {
-                let items = ints.items();
-                let n = items.len();
-                order.clear();
-                order.extend(0..n as u32);
-                let mut rng = substream(seed, SeedStream::Split, u as u64);
-                hf_tensor::rng::shuffle(&mut order, &mut rng);
+        // the ids writes each into its section.
+        let mut ids = Vec::with_capacity(dataset.num_interactions());
+        parallel_fill_ordered(
+            &user_chunks(dataset.num_users()),
+            workers,
+            |users, chunk: &mut Chunk| {
+                let Chunk { ids, order, role } = chunk;
+                ids.clear();
+                for u in users.clone() {
+                    let items = dataset.user(u).items();
+                    let n = items.len();
+                    order.clear();
+                    order.extend(0..n as u32);
+                    let mut rng = substream(seed, SeedStream::Split, u as u64);
+                    hf_tensor::rng::shuffle(order, &mut rng);
+                    let (n_valid, n_test) = sizes(n);
 
-                let n_test = ((n as f64) * test_frac).floor() as usize;
-                let n_test = n_test.min(n.saturating_sub(1));
-                let rest = n - n_test;
-                let n_valid = ((rest as f64) * valid_frac).floor() as usize;
-                let n_valid = n_valid.min(rest.saturating_sub(1));
-
-                role.clear();
-                role.resize(n, Role::Train);
-                for &pos in &order[..n_test] {
-                    role[pos as usize] = Role::Test;
-                }
-                for &pos in &order[n_test..n_test + n_valid] {
-                    role[pos as usize] = Role::Valid;
-                }
-                let mut split = UserSplit {
-                    train: Vec::with_capacity(rest - n_valid),
-                    valid: Vec::with_capacity(n_valid),
-                    test: Vec::with_capacity(n_test),
-                };
-                for (&item, r) in items.iter().zip(&role) {
-                    match r {
-                        Role::Train => split.train.push(item),
-                        Role::Valid => split.valid.push(item),
-                        Role::Test => split.test.push(item),
+                    role.clear();
+                    role.resize(n, Role::Train);
+                    for &pos in &order[..n_test] {
+                        role[pos as usize] = Role::Test;
+                    }
+                    for &pos in &order[n_test..n_test + n_valid] {
+                        role[pos as usize] = Role::Valid;
+                    }
+                    let start = ids.len();
+                    ids.resize(start + n, 0);
+                    let mut at = [start, start + n - n_valid - n_test, start + n - n_test];
+                    for (&item, &r) in items.iter().zip(role.iter()) {
+                        let at = &mut at[r as usize];
+                        ids[*at] = item;
+                        *at += 1;
                     }
                 }
-                split
-            })
-            .collect();
+            },
+            |_, chunk| ids.extend_from_slice(&chunk.ids),
+        );
         Self {
             num_items: dataset.num_items(),
-            users,
+            ids,
+            cuts,
+            slot: Vec::new(),
+            grown: Vec::new(),
         }
     }
 
@@ -113,7 +186,7 @@ impl SplitDataset {
 
     /// Number of users.
     pub fn num_users(&self) -> usize {
-        self.users.len()
+        self.cuts.len() / 3
     }
 
     /// Item-universe size.
@@ -122,19 +195,29 @@ impl SplitDataset {
     }
 
     /// A user's split.
-    pub fn user(&self, u: UserId) -> &UserSplit {
-        &self.users[u]
+    pub fn user(&self, u: UserId) -> UserSplit<'_> {
+        let cuts = &self.cuts[3 * u..3 * u + 4];
+        let section = |k: usize| &self.ids[cuts[k] as usize..cuts[k + 1] as usize];
+        let train = match self.slot.get(u) {
+            Some(&g) if g != NOT_GROWN => &self.grown[g as usize],
+            _ => section(0),
+        };
+        UserSplit {
+            train,
+            valid: section(1),
+            test: section(2),
+        }
     }
 
     /// Iterator over `(user id, split)`.
-    pub fn iter_users(&self) -> impl Iterator<Item = (UserId, &UserSplit)> {
-        self.users.iter().enumerate()
+    pub fn iter_users(&self) -> impl Iterator<Item = (UserId, UserSplit<'_>)> {
+        (0..self.num_users()).map(|u| (u, self.user(u)))
     }
 
     /// Per-user training-set sizes — the quantity client division is based
     /// on (paper groups clients by interaction amounts).
     pub fn train_counts(&self) -> Vec<usize> {
-        self.users.iter().map(|u| u.train.len()).collect()
+        self.iter_users().map(|(_, u)| u.train.len()).collect()
     }
 
     /// Ingests one streamed interaction as a training positive.
@@ -143,7 +226,8 @@ impl SplitDataset {
     /// `train = [item]` with empty validation and test sets (so evaluation
     /// skips it until held-out data exists). For existing users the item
     /// is inserted into the sorted training set; duplicates are ignored.
-    /// Returns `true` iff the dataset changed.
+    /// Returns `true` iff the dataset changed. The id buffer never moves
+    /// (module docs): the cost is `O(that user's train set)`.
     ///
     /// # Panics
     /// Panics when `item` is outside the item universe or `user` would
@@ -154,45 +238,53 @@ impl SplitDataset {
             "item {item} outside the {}-item universe",
             self.num_items
         );
+        let users = self.num_users();
         assert!(
-            user <= self.users.len(),
-            "user {user} would leave a gap (population is {})",
-            self.users.len()
+            user <= users,
+            "user {user} would leave a gap (population is {users})"
         );
-        if user == self.users.len() {
-            self.users.push(UserSplit {
-                train: vec![item],
-                valid: Vec::new(),
-                test: Vec::new(),
-            });
-            return true;
+        if user == users {
+            // Empty sections at the buffer's end.
+            let end = self.ids.len() as u32;
+            self.cuts.extend([end; 3]);
         }
-        let train = &mut self.users[user].train;
-        match train.binary_search(&item) {
-            Ok(_) => false,
-            Err(pos) => {
-                train.insert(pos, item);
-                true
-            }
+        let pos = match self.user(user).train.binary_search(&item) {
+            Ok(_) => return false,
+            Err(pos) => pos,
+        };
+        self.slot.resize(self.num_users(), NOT_GROWN);
+        let slot = &mut self.slot[user];
+        if *slot == NOT_GROWN {
+            *slot = self.grown.len() as u32;
+            let cuts = &self.cuts[3 * user..3 * user + 2];
+            self.grown
+                .push(self.ids[cuts[0] as usize..cuts[1] as usize].to_vec());
         }
+        // Grown one id at a time, like the section it replaced: a doubling
+        // would leave most of the population's train sets half empty.
+        let train = &mut self.grown[*slot as usize];
+        train.reserve_exact(1);
+        train.insert(pos, item);
+        true
     }
 
-    /// Heap bytes the split reserves: every list's *capacity* plus the
-    /// per-user headers (see [`ImplicitDataset::heap_bytes`]).
+    /// Heap bytes the split reserves, at capacity: `4 B` an id and
+    /// `4 B × (3 · num_users() + 1)` cut points when nothing is wasted or
+    /// ingested; ingest adds a 4-byte slot a user and each grown train set
+    /// with its list header.
     pub fn heap_bytes(&self) -> usize {
-        let ids: usize = self
-            .users
-            .iter()
-            .map(|u| u.train.capacity() + u.valid.capacity() + u.test.capacity())
-            .sum();
-        ids * std::mem::size_of::<ItemId>()
-            + self.users.capacity() * std::mem::size_of::<UserSplit>()
+        let words = self.ids.capacity()
+            + self.cuts.capacity()
+            + self.slot.capacity()
+            + self.grown.iter().map(Vec::capacity).sum::<usize>();
+        words * std::mem::size_of::<u32>()
+            + self.grown.capacity() * std::mem::size_of::<Vec<ItemId>>()
     }
 
     /// Total train/valid/test sizes.
     pub fn totals(&self) -> (usize, usize, usize) {
         let mut t = (0, 0, 0);
-        for u in &self.users {
+        for (_, u) in self.iter_users() {
             t.0 += u.train.len();
             t.1 += u.valid.len();
             t.2 += u.test.len();
@@ -218,8 +310,8 @@ mod tests {
             let mut all: Vec<ItemId> = split
                 .train
                 .iter()
-                .chain(&split.valid)
-                .chain(&split.test)
+                .chain(split.valid)
+                .chain(split.test)
                 .copied()
                 .collect();
             all.sort_unstable();
@@ -288,17 +380,42 @@ mod tests {
     fn ingest_appends_sorted_and_admits_new_users() {
         let d = ImplicitDataset::new(10, vec![vec![1, 5], vec![2, 7, 9]]);
         let mut s = SplitDataset::split(&d, 0.0, 0.0, 1);
-        let before = s.user(0).train.clone();
+        let before = s.user(0).train.to_vec();
         assert!(s.ingest(0, 3));
         assert!(!s.ingest(0, 3), "duplicate ingests are no-ops");
-        let after = &s.user(0).train;
+        assert!(s.ingest(0, 0));
+        let after = s.user(0).train;
         assert!(after.windows(2).all(|w| w[0] < w[1]), "train stays sorted");
-        assert_eq!(after.len(), before.len() + 1);
+        assert_eq!(after, [0, 1, 3, 5]);
+        assert_eq!(after.len(), before.len() + 2);
+        assert_eq!(s.user(1).train, [2, 7, 9], "other users are untouched");
 
         assert!(s.ingest(2, 4), "user == num_users admits");
         assert_eq!(s.num_users(), 3);
         assert_eq!(s.user(2).train, vec![4]);
         assert!(s.user(2).valid.is_empty() && s.user(2).test.is_empty());
+        assert!(s.ingest(2, 1) && s.ingest(3, 8));
+        assert_eq!(s.user(2).train, [1, 4]);
+        assert_eq!(s.user(3).train, [8]);
+        assert_eq!(s.totals(), (4 + 3 + 2 + 1, 0, 0));
+    }
+
+    #[test]
+    fn ingest_grows_a_train_set_by_its_ids_and_leaves_the_buffer() {
+        let d = ImplicitDataset::new(10, vec![vec![1, 5, 8], vec![2, 7, 9]]);
+        let mut s = SplitDataset::split(&d, 0.0, 0.0, 1);
+        assert_eq!(s.heap_bytes(), (6 + 7) * 4, "6 ids and 7 cut points");
+        let buffer = s.ids.as_ptr();
+        for item in [0, 3, 4] {
+            assert!(s.ingest(0, item));
+        }
+        assert_eq!(s.user(0).train, [0, 1, 3, 4, 5, 8]);
+        assert_eq!(s.grown[0].capacity(), 6, "one id an insert, no doubling");
+        assert_eq!(
+            (s.ids.as_ptr(), s.ids.len()),
+            (buffer, 6),
+            "the buffer never moves"
+        );
     }
 
     #[test]

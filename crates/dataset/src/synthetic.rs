@@ -32,20 +32,11 @@
 //! that pass. Every dataset is therefore the one the plain full-array
 //! selection gives (the digests in this module's tests pin it).
 
-use crate::types::{ImplicitDataset, ItemId};
-use hf_tensor::parallel::parallel_map;
+use crate::types::{offsets_of, population_workers, user_chunks, ImplicitDataset, ItemId};
+use hf_tensor::parallel::parallel_fill_ordered;
 use hf_tensor::rng::Rng;
 use hf_tensor::rng::{stream, substream, SeedStream};
 use std::sync::OnceLock;
-
-/// Users handed to a worker at a time; one set of per-item scratch
-/// buffers is reused across them.
-const USERS_PER_CHUNK: usize = 16;
-
-/// Below this many `(user, item)` scores the whole population costs a few
-/// milliseconds and is built on the calling thread: spawning workers
-/// would be most of the bill (and test-sized datasets stay thread-free).
-const PARALLEL_MIN_SCORES: usize = 1 << 18;
 
 /// Bits of a 24-bit Gumbel draw (the top ones) that pick its bound bucket.
 const BUCKET_BITS: u32 = 12;
@@ -92,9 +83,12 @@ struct Items {
     boost: Vec<f32>,
 }
 
-/// Per-item buffers one worker reuses across users.
+/// Per-item buffers reused across users, and the ids of the chunk of
+/// users last filled in.
 #[derive(Default)]
 struct Scratch {
+    /// One chunk's users' sorted ids, end to end.
+    ids: Vec<ItemId>,
     /// Affinity, then the score before Gumbel noise.
     scores: Vec<f32>,
     /// The 24-bit uniform behind each item's Gumbel noise.
@@ -147,11 +141,7 @@ impl SyntheticConfig {
     /// Threads [`generate`](Self::generate) fans out over: every core, or
     /// one when the work is too small to pay for spawning them.
     fn workers(&self) -> usize {
-        if self.num_users.saturating_mul(self.num_items) < PARALLEL_MIN_SCORES {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        population_workers(self.num_users.saturating_mul(self.num_items))
     }
 
     /// [`generate`](Self::generate) on exactly `workers` threads.
@@ -191,33 +181,42 @@ impl SyntheticConfig {
 
         let (mu, sigma) = self.lognormal_params();
         let max_count = self.num_items.saturating_sub(1).max(self.min_interactions);
+        // A user's cluster, latent and count come first off its own
+        // substream (independent of user iteration order), so one cheap
+        // pass sizes every section before any item is scored.
+        let draw_user = |u: usize| {
+            let mut urng = substream(seed, SeedStream::Dataset, u as u64 + 1);
+            let c = urng.gen_range(0..self.num_clusters);
+            let latent = perturb(&centroids[c], self.cluster_spread, &mut urng);
+            let n = sample_lognormal_count(mu, sigma, &mut urng)
+                .clamp(self.min_interactions, max_count);
+            (latent, n.min(self.num_items), urng)
+        };
+        let offsets = offsets_of((0..self.num_users).map(|u| draw_user(u).1));
 
-        let chunk_starts: Vec<usize> = (0..self.num_users).step_by(USERS_PER_CHUNK).collect();
-        let chunks = parallel_map(&chunk_starts, workers, |&start| {
-            let mut scratch = Scratch::default();
-            (start..(start + USERS_PER_CHUNK).min(self.num_users))
-                .map(|u| {
-                    // Per-user substream: independent of user iteration order.
-                    let mut urng = substream(seed, SeedStream::Dataset, u as u64 + 1);
-                    let c = urng.gen_range(0..self.num_clusters);
-                    let latent = perturb(&centroids[c], self.cluster_spread, &mut urng);
-                    let n = sample_lognormal_count(mu, sigma, &mut urng)
-                        .clamp(self.min_interactions, max_count);
-                    self.select_items(&latent, &items, n, &mut urng, &mut scratch)
-                })
-                .collect::<Vec<_>>()
-        });
-        // Reserved up front: `flatten` has no exact size hint, and a
-        // doubling `collect` would leave the outer list over-sized.
-        let mut per_user: Vec<Vec<ItemId>> = Vec::with_capacity(self.num_users);
-        per_user.extend(chunks.into_iter().flatten());
-
-        ImplicitDataset::new(self.num_items, per_user)
+        // Each chunk's ids go into a recycled scratch buffer on a worker
+        // and from there, in user order, into the one id buffer.
+        let mut ids = Vec::with_capacity(*offsets.last().expect("one offset") as usize);
+        parallel_fill_ordered(
+            &user_chunks(self.num_users),
+            workers,
+            |users, scratch: &mut Scratch| {
+                scratch.ids.clear();
+                for u in users.clone() {
+                    let (latent, n, mut urng) = draw_user(u);
+                    let start = scratch.ids.len();
+                    self.select_items(&latent, &items, n, &mut urng, scratch);
+                    scratch.ids[start..].sort_unstable();
+                }
+            },
+            |_, scratch| ids.extend_from_slice(&scratch.ids),
+        );
+        ImplicitDataset::from_sections(self.num_items, ids, offsets)
     }
 
     /// Gumbel-top-k selection of `n` items for one user: the `n` largest
     /// keys `score + g`, where `g` is one Gumbel draw per item in item
-    /// order. Returns a fresh list of exactly the winners' ids.
+    /// order. Appends the winners' ids to `scratch.ids`, unsorted.
     fn select_items(
         &self,
         user_latent: &[f32],
@@ -225,7 +224,7 @@ impl SyntheticConfig {
         n: usize,
         rng: &mut impl Rng,
         scratch: &mut Scratch,
-    ) -> Vec<ItemId> {
+    ) {
         let inv_temp = 1.0 / self.temperature.max(1e-3);
         let scores = &mut scratch.scores;
         scores.clear();
@@ -245,7 +244,7 @@ impl SyntheticConfig {
         scratch
             .draws
             .extend(scores.iter().map(|_| (rng.next_u64() >> 40) as u32));
-        top_n(scratch, n)
+        top_n(scratch, n);
     }
 }
 
@@ -283,31 +282,36 @@ fn bucket(m: u32) -> usize {
     (m / BUCKET_DRAWS) as usize
 }
 
-/// The `n` items with the largest keys `scores[i] + gumbel_of(draws[i])`.
-fn top_n(scratch: &mut Scratch, n: usize) -> Vec<ItemId> {
+/// Appends to `scratch.ids` the `n` items with the largest keys
+/// `scores[i] + gumbel_of(draws[i])`.
+fn top_n(scratch: &mut Scratch, n: usize) {
     let num_items = scratch.scores.len();
-    if n == 0 {
-        Vec::new()
-    } else if n >= num_items {
-        (0..num_items as ItemId).collect()
-    } else {
-        top_n_bounded(scratch, n).unwrap_or_else(|| top_n_exact(scratch, n))
+    if n >= num_items {
+        scratch.ids.extend(0..num_items as ItemId);
+    } else if n > 0 {
+        if !top_n_bounded(scratch, n) {
+            top_n_exact(scratch, n);
+        }
+        let Scratch { ids, keys, .. } = scratch;
+        ids.extend(keys[..n].iter().map(|&(_, i)| i));
     }
 }
 
 /// [`top_n`] with exact keys only for the items whose upper bound reaches
-/// the `n`-th largest lower bound; `None` when the `n`-th and `(n+1)`-th
-/// exact keys tie, since which of the tied items wins is up to
-/// [`top_n_exact`]. Keys are never NaN, so `total_cmp` (branch-free,
-/// unlike the `partial_cmp` the full-array pass keeps) orders them as
-/// `<` does, bar `-0.0 < 0.0`: a zero-signed tie is still a tie to `==`.
-fn top_n_bounded(scratch: &mut Scratch, n: usize) -> Option<Vec<ItemId>> {
+/// the `n`-th largest lower bound, leaving the winners in `keys[..n]`;
+/// `false` when the `n`-th and `(n+1)`-th exact keys tie, since which of
+/// the tied items wins is up to [`top_n_exact`]. Keys are never NaN, so
+/// `total_cmp` (branch-free, unlike the `partial_cmp` the full-array pass
+/// keeps) orders them as `<` does, bar `-0.0 < 0.0`: a zero-signed tie is
+/// still a tie to `==`.
+fn top_n_bounded(scratch: &mut Scratch, n: usize) -> bool {
     let bounds = gumbel_bounds();
     let Scratch {
         scores,
         draws,
         floors,
         keys,
+        ..
     } = scratch;
     floors.clear();
     floors.extend(
@@ -328,15 +332,12 @@ fn top_n_bounded(scratch: &mut Scratch, n: usize) -> Option<Vec<ItemId>> {
         }
     }
     let (_, &mut (nth, _), rest) = keys.select_nth_unstable_by(n - 1, |a, b| b.0.total_cmp(&a.0));
-    if rest.iter().any(|&(k, _)| k == nth) {
-        return None;
-    }
-    Some(keys[..n].iter().map(|&(_, i)| i).collect())
+    !rest.iter().any(|&(k, _)| k == nth)
 }
 
-/// [`top_n`] over every item's exact key: the selection the generator
-/// has always made.
-fn top_n_exact(scratch: &mut Scratch, n: usize) -> Vec<ItemId> {
+/// [`top_n`] over every item's exact key, leaving the winners in
+/// `keys[..n]`: the selection the generator has always made.
+fn top_n_exact(scratch: &mut Scratch, n: usize) {
     let keys = &mut scratch.keys;
     keys.clear();
     keys.extend(
@@ -350,10 +351,6 @@ fn top_n_exact(scratch: &mut Scratch, n: usize) -> Vec<ItemId> {
     keys.select_nth_unstable_by(n - 1, |a, b| {
         b.0.partial_cmp(&a.0).expect("scores are finite")
     });
-    // A fresh list of capacity `n`: collecting the truncated buffer
-    // itself would hand its whole `num_items`-wide allocation to the
-    // dataset for life.
-    keys[..n].iter().map(|&(_, i)| i).collect()
 }
 
 /// Uniformly random unit vector.
@@ -439,7 +436,10 @@ mod tests {
             (2_621, 1_722)
         );
         for (cfg, seed, want) in pinned {
-            assert!(cfg.num_users > USERS_PER_CHUNK, "several chunks to steal");
+            assert!(
+                cfg.num_users > crate::types::USERS_PER_CHUNK,
+                "several chunks to steal"
+            );
             for workers in [1, 2, 8] {
                 let got = digest(&cfg.generate_on(seed, workers));
                 assert_eq!(
@@ -449,6 +449,32 @@ mod tests {
                 );
             }
             assert_eq!(digest(&cfg.generate(seed)), want);
+        }
+    }
+
+    #[test]
+    fn split_is_independent_of_the_worker_count() {
+        // Past the fan-out threshold in ids, so `split` itself fans out
+        // wherever there are cores to fan out over.
+        let mut ml = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.25);
+        ml.num_users = 3_000;
+        let data = ml.generate(42);
+        assert!(data.num_interactions() >= crate::types::PARALLEL_MIN_WORK);
+        let split_on = |workers| crate::SplitDataset::split_on(&data, 0.2, 0.1, 42, workers);
+        let one = split_on(1);
+        for many in [
+            split_on(2),
+            split_on(8),
+            crate::SplitDataset::paper_split(&data, 42),
+        ] {
+            assert_eq!(many.num_users(), one.num_users());
+            for ((u, a), (_, b)) in one.iter_users().zip(many.iter_users()) {
+                assert_eq!(
+                    (a.train, a.valid, a.test),
+                    (b.train, b.valid, b.test),
+                    "user {u}"
+                );
+            }
         }
     }
 
@@ -466,6 +492,11 @@ mod tests {
         ids
     }
 
+    /// The winners a selection left in `keys[..n]`, in key order.
+    fn winners(s: &Scratch, n: usize) -> Vec<ItemId> {
+        s.keys[..n].iter().map(|&(_, i)| i).collect()
+    }
+
     #[test]
     fn bounded_keys_select_what_the_full_array_selects() {
         let mut rng = stream(11, SeedStream::Custom(0x7465_7374));
@@ -480,9 +511,11 @@ mod tests {
                 let mut s = scratch(scores, draws);
                 for n in [1, num_items / 3, num_items - 1] {
                     let n = n.max(1);
-                    let full = sorted(top_n_exact(&mut s, n));
+                    top_n_exact(&mut s, n);
+                    let full = sorted(winners(&s, n));
                     assert_eq!(full.len(), n);
-                    assert_eq!(top_n_bounded(&mut s, n).map(sorted), Some(full));
+                    assert!(top_n_bounded(&mut s, n), "no tie at n = {n}");
+                    assert_eq!(sorted(winners(&s, n)), full);
                 }
             }
         }
@@ -499,15 +532,15 @@ mod tests {
             .map(|i| if (5..15).contains(&i) { 0xff_f000 } else { i })
             .collect();
         let mut s = scratch(scores, draws);
-        assert_eq!(top_n_bounded(&mut s, 4), None, "the tie must be seen");
-        let picked = top_n(&mut s, 4);
-        assert_eq!(picked, top_n_exact(&mut s, 4));
+        assert!(!top_n_bounded(&mut s, 4), "the tie must be seen");
+        top_n(&mut s, 4);
+        let picked = std::mem::take(&mut s.ids);
+        top_n_exact(&mut s, 4);
+        assert_eq!(picked, winners(&s, 4));
         assert!(picked.iter().all(|i| (5..15).contains(i)), "{picked:?}");
         // A tie strictly inside the winners decides nothing.
-        assert_eq!(
-            top_n_bounded(&mut s, 10).map(sorted),
-            Some((5..15).collect())
-        );
+        assert!(top_n_bounded(&mut s, 10));
+        assert_eq!(sorted(winners(&s, 10)), (5..15).collect::<Vec<_>>());
     }
 
     /// Every `step`-th 24-bit draw (and the last) has its `g` inside its

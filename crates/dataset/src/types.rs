@@ -3,36 +3,90 @@
 //! Following the paper's setting (§III-A): each user `u_i` is one federated
 //! client holding a private local dataset `D_i` of `(u_i, v_j, r_ij)`
 //! triples with binary implicit feedback — `r_ij = 1` iff the user
-//! interacted with item `v_j`. Per-user item lists are the natural storage:
-//! clients never see each other's data, so there is no benefit to a global
-//! interaction log.
+//! interacted with item `v_j`. Clients never see each other's data, so
+//! there is no global interaction log: each user's sorted item ids form
+//! its own section of one id buffer.
+//!
+//! # Layout
+//!
+//! An [`ImplicitDataset`] is one `Vec<ItemId>` holding every user's ids
+//! end to end, plus `num_users + 1` `u32` offsets: user `u` owns
+//! `ids[offsets[u]..offsets[u + 1]]`. A dataset therefore costs 4 bytes an
+//! interaction and 4 a user; a `Vec` a user would add a 24-byte header and
+//! an allocation's bookkeeping and rounding to every one of them.
+//! [`ImplicitDataset::user`] lends a [`UserInteractions`] view of one
+//! section. Builders that fan out over workers fill the buffer chunk by
+//! chunk in user order ([`hf_tensor::parallel::parallel_fill_ordered`])
+//! after sizing it from the per-user lengths, so it is allocated once at
+//! its final length and no per-user list ever exists.
+
+use std::ops::Range;
 
 /// Index of a user (== federated client id).
 pub type UserId = usize;
 /// Index of an item.
 pub type ItemId = u32;
 
-/// A user's local interaction list. Item ids are kept sorted so membership
-/// checks are `O(log n)`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct UserInteractions {
-    items: Vec<ItemId>,
+/// Below this much work — `(user, item)` scores for the generator, ids
+/// for a split or a replay — a pass over the population costs a few
+/// milliseconds and runs on the calling thread: spawning workers would be
+/// most of the bill (and test-sized datasets stay thread-free).
+pub const PARALLEL_MIN_WORK: usize = 1 << 18;
+
+/// Threads a population pass over `work` units fans out over: every core,
+/// or one below [`PARALLEL_MIN_WORK`].
+pub fn population_workers(work: usize) -> usize {
+    if work < PARALLEL_MIN_WORK {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
 }
 
-impl UserInteractions {
-    /// Builds from an arbitrary item list; sorts, deduplicates and gives
-    /// back whatever capacity the argument carried beyond its ids (lists
-    /// live as long as the dataset; a builder's scratch room must not).
-    pub fn new(mut items: Vec<ItemId>) -> Self {
-        items.sort_unstable();
-        items.dedup();
-        items.shrink_to_fit();
-        Self { items }
-    }
+/// Users a population pass hands a worker at a time.
+pub(crate) const USERS_PER_CHUNK: usize = 16;
 
+/// The user ranges a population pass fans out, in order: 16 users each
+/// (the last one fewer), so one claim and one scratch buffer serve
+/// several users.
+pub fn user_chunks(num_users: usize) -> Vec<Range<usize>> {
+    (0..num_users)
+        .step_by(USERS_PER_CHUNK)
+        .map(|start| start..(start + USERS_PER_CHUNK).min(num_users))
+        .collect()
+}
+
+/// Running offsets of sections of the given lengths: `lens.len() + 1`
+/// entries from 0, allocated at exactly that length.
+///
+/// # Panics
+/// Panics if the total does not fit the `u32` offsets.
+pub fn offsets_of(lens: impl ExactSizeIterator<Item = usize>) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(lens.len() + 1);
+    let mut end = 0u32;
+    offsets.push(end);
+    for len in lens {
+        end = u32::try_from(len)
+            .ok()
+            .and_then(|len| end.checked_add(len))
+            .expect("a population's ids must fit u32 offsets");
+        offsets.push(end);
+    }
+    offsets
+}
+
+/// A user's local interactions: a borrowed view of its sorted section of
+/// the dataset's id buffer. Item ids are sorted so membership checks are
+/// `O(log n)`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct UserInteractions<'a> {
+    items: &'a [ItemId],
+}
+
+impl<'a> UserInteractions<'a> {
     /// Sorted interacted item ids.
-    pub fn items(&self) -> &[ItemId] {
-        &self.items
+    pub fn items(&self) -> &'a [ItemId] {
+        self.items
     }
 
     /// Number of interactions.
@@ -51,38 +105,74 @@ impl UserInteractions {
     }
 }
 
-/// An implicit-feedback dataset: one interaction list per user over a fixed
-/// item universe.
+/// An implicit-feedback dataset: one sorted interaction list per user over
+/// a fixed item universe, every list a section of one id buffer (module
+/// docs).
 #[derive(Clone, Debug)]
 pub struct ImplicitDataset {
     num_items: usize,
-    users: Vec<UserInteractions>,
+    /// Every user's sorted ids, end to end.
+    ids: Vec<ItemId>,
+    /// `offsets[u]..offsets[u + 1]` is user `u`'s section of `ids`.
+    offsets: Vec<u32>,
 }
 
 impl ImplicitDataset {
-    /// Builds a dataset from per-user item lists.
+    /// Builds a dataset from per-user item lists, each sorted and
+    /// deduplicated.
     ///
     /// # Panics
     /// Panics if any item id is out of range.
-    pub fn new(num_items: usize, per_user_items: Vec<Vec<ItemId>>) -> Self {
-        for (u, items) in per_user_items.iter().enumerate() {
-            for &it in items {
+    pub fn new(num_items: usize, mut per_user_items: Vec<Vec<ItemId>>) -> Self {
+        for items in &mut per_user_items {
+            items.sort_unstable();
+            items.dedup();
+        }
+        let offsets = offsets_of(per_user_items.iter().map(Vec::len));
+        let mut ids = Vec::with_capacity(*offsets.last().expect("one offset") as usize);
+        for items in &per_user_items {
+            ids.extend_from_slice(items);
+        }
+        Self::from_sections(num_items, ids, offsets)
+    }
+
+    /// Builds a dataset from its id buffer and offsets (module docs):
+    /// user `u`'s ids are `ids[offsets[u]..offsets[u + 1]]`.
+    ///
+    /// # Panics
+    /// Panics unless the offsets start at 0, never fall and end at
+    /// `ids.len()`, and every section is strictly ascending inside the
+    /// `num_items`-item universe.
+    pub fn from_sections(num_items: usize, ids: Vec<ItemId>, offsets: Vec<u32>) -> Self {
+        assert!(
+            offsets.first() == Some(&0) && offsets.last().map(|&e| e as usize) == Some(ids.len()),
+            "offsets must run from 0 to the {} ids",
+            ids.len()
+        );
+        for (u, bounds) in offsets.windows(2).enumerate() {
+            assert!(bounds[0] <= bounds[1], "user {u}'s offsets fall");
+            let items = &ids[bounds[0] as usize..bounds[1] as usize];
+            assert!(
+                items.windows(2).all(|w| w[0] < w[1]),
+                "user {u}'s ids are not strictly ascending"
+            );
+            if let Some(&it) = items.last() {
                 assert!(
                     (it as usize) < num_items,
                     "user {u} references item {it} outside universe of {num_items}"
                 );
             }
         }
-        let users = per_user_items
-            .into_iter()
-            .map(UserInteractions::new)
-            .collect();
-        Self { num_items, users }
+        Self {
+            num_items,
+            ids,
+            offsets,
+        }
     }
 
     /// Number of users (= federated clients).
     pub fn num_users(&self) -> usize {
-        self.users.len()
+        self.offsets.len() - 1
     }
 
     /// Size of the item universe.
@@ -91,32 +181,35 @@ impl ImplicitDataset {
     }
 
     /// A user's interactions.
-    pub fn user(&self, u: UserId) -> &UserInteractions {
-        &self.users[u]
+    pub fn user(&self, u: UserId) -> UserInteractions<'_> {
+        UserInteractions {
+            items: &self.ids[self.offsets[u] as usize..self.offsets[u + 1] as usize],
+        }
     }
 
     /// Iterator over `(user id, interactions)` pairs.
-    pub fn iter_users(&self) -> impl Iterator<Item = (UserId, &UserInteractions)> {
-        self.users.iter().enumerate()
+    pub fn iter_users(&self) -> impl Iterator<Item = (UserId, UserInteractions<'_>)> {
+        (0..self.num_users()).map(|u| (u, self.user(u)))
     }
 
     /// Total number of interactions across all users.
     pub fn num_interactions(&self) -> usize {
-        self.users.iter().map(|u| u.len()).sum()
+        self.ids.len()
     }
 
     /// Per-user interaction counts.
     pub fn interaction_counts(&self) -> Vec<usize> {
-        self.users.iter().map(|u| u.len()).collect()
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .collect()
     }
 
-    /// Heap bytes the dataset reserves: every list's *capacity* plus the
-    /// list headers — `4 B × num_interactions()` plus 24 B a user when
-    /// nothing is wasted.
+    /// Heap bytes the dataset reserves, at capacity: `4 B ×
+    /// num_interactions()` plus `4 B × (num_users() + 1)` when nothing is
+    /// wasted.
     pub fn heap_bytes(&self) -> usize {
-        let ids: usize = self.users.iter().map(|u| u.items.capacity()).sum();
-        ids * std::mem::size_of::<ItemId>()
-            + self.users.capacity() * std::mem::size_of::<UserInteractions>()
+        (self.ids.capacity() + self.offsets.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -139,17 +232,18 @@ mod tests {
 
     #[test]
     fn interactions_are_sorted_and_deduped() {
-        let u = UserInteractions::new(vec![4, 1, 4, 2]);
-        assert_eq!(u.items(), &[1, 2, 4]);
-        assert_eq!(u.len(), 3);
+        let d = ImplicitDataset::new(5, vec![vec![4, 1, 4, 2], vec![3, 0]]);
+        assert_eq!(d.user(0).items(), &[1, 2, 4]);
+        assert_eq!(d.user(0).len(), 3);
+        assert_eq!(d.user(1).items(), &[0, 3]);
     }
 
     #[test]
     fn lists_keep_no_spare_capacity() {
         let mut roomy = Vec::with_capacity(1_000);
         roomy.extend([4, 1, 4, 2]);
-        let u = UserInteractions::new(roomy);
-        assert_eq!(u.items.capacity(), 3);
+        let d = ImplicitDataset::new(5, vec![roomy, vec![0]]);
+        assert_eq!(d.heap_bytes(), (4 + 3) * 4, "4 ids and 3 offsets");
     }
 
     #[test]
@@ -167,9 +261,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn rejects_unsorted_sections() {
+        let _ = ImplicitDataset::from_sections(5, vec![1, 3, 2], vec![0, 1, 3]);
+    }
+
+    #[test]
     fn iter_users_yields_all() {
         let d = toy();
         let ids: Vec<usize> = d.iter_users().map(|(u, _)| u).collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn chunks_cover_the_population_in_order() {
+        let chunks = user_chunks(2 * USERS_PER_CHUNK + 3);
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(chunks[2], 2 * USERS_PER_CHUNK..2 * USERS_PER_CHUNK + 3);
+        assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(offsets_of([2, 0, 3].into_iter()), vec![0, 2, 2, 5]);
     }
 }

@@ -34,10 +34,16 @@
 //! [`StreamEvent`]s are rebuilt from the two on the way out
 //! ([`ReplayStream::events`], [`InteractionStream::poll`]).
 //! [`ReplayStream::replay`] writes the pairs straight into that one
-//! array, so building a stream copies no event list either.
+//! array, so building a stream copies no event list either. The base
+//! dataset it returns is built the way [`hf_dataset::types`] describes:
+//! users fan out in chunks, each chunk's kept ids and held-out pairs go
+//! into recycled scratch buffers, and the in-order sink appends them to
+//! the base's id buffer and the event array, both allocated once at
+//! their final length.
 
-use hf_dataset::types::{ItemId, UserId};
+use hf_dataset::types::{offsets_of, population_workers, user_chunks, ItemId, UserId};
 use hf_dataset::ImplicitDataset;
+use hf_tensor::parallel::parallel_fill_ordered;
 use hf_tensor::rng::{shuffle, stream, SeedStream};
 
 /// One timestamped interaction delivered by a stream.
@@ -117,6 +123,17 @@ pub struct ReplayStream {
 fn stored_user(user: UserId) -> u32 {
     u32::try_from(user)
         .unwrap_or_else(|_| panic!("user id {user} does not fit the stream's 32-bit user column"))
+}
+
+/// What one chunk of retained users leaves for the sink: the ids each
+/// keeps in the base and the events it holds out, plus the per-user
+/// scratch that chose them.
+#[derive(Default)]
+struct Holdout {
+    kept: Vec<ItemId>,
+    held: Vec<(u32, ItemId)>,
+    order: Vec<u32>,
+    held_at: Vec<bool>,
 }
 
 /// Events `index..` of a stream, rebuilt from its pairs and time runs.
@@ -207,6 +224,17 @@ impl ReplayStream {
         cfg: &ReplayConfig,
         seed: u64,
     ) -> (ImplicitDataset, ReplayStream) {
+        let workers = population_workers(dataset.num_interactions());
+        Self::replay_on(dataset, cfg, seed, workers)
+    }
+
+    /// [`replay`](Self::replay) on exactly `workers` threads.
+    fn replay_on(
+        dataset: &ImplicitDataset,
+        cfg: &ReplayConfig,
+        seed: u64,
+        workers: usize,
+    ) -> (ImplicitDataset, ReplayStream) {
         assert!(
             cfg.new_users < dataset.num_users(),
             "cannot hold out all {} users",
@@ -226,8 +254,9 @@ impl ReplayStream {
         stored_user(dataset.num_users() - 1);
         let base_users = dataset.num_users() - cfg.new_users;
 
-        // Per-user item holdout for the retained users, written straight
-        // into the one event array sized for every held-out interaction.
+        // Per-user item holdout for the retained users: the base's id
+        // buffer and the one event array are sized for every kept and
+        // every held-out interaction before any is written.
         let hold_of =
             |len: usize| ((len as f64 * cfg.item_frac) as usize).min(len.saturating_sub(1));
         let held: usize = (0..base_users)
@@ -236,42 +265,60 @@ impl ReplayStream {
         let withheld: usize = (base_users..dataset.num_users())
             .map(|u| dataset.user(u).len())
             .sum();
-        let mut base_lists: Vec<Vec<ItemId>> = Vec::with_capacity(base_users);
+        let offsets = offsets_of((0..base_users).map(|u| {
+            let len = dataset.user(u).len();
+            len - hold_of(len)
+        }));
+        let mut base_ids = Vec::with_capacity(*offsets.last().expect("one offset") as usize);
         let mut pairs: Vec<(u32, ItemId)> = Vec::with_capacity(held + withheld);
         // The shuffle permutes positions (its draws depend only on the
         // length): the last `hold` shuffled positions are held out, in
-        // shuffled order, and the base list keeps the rest in the sorted
-        // order the ids already have, allocated at exactly its size.
-        // `order` and `held` are scratch reused across users.
-        let (mut order, mut held_at): (Vec<u32>, Vec<bool>) = (Vec::new(), Vec::new());
-        for u in 0..base_users {
-            let items = dataset.user(u).items();
-            let hold = hold_of(items.len());
-            if hold == 0 {
-                base_lists.push(items.to_vec());
-                continue;
-            }
-            order.clear();
-            order.extend(0..items.len() as u32);
-            let mut rng = stream(seed, SeedStream::Custom(u as u64));
-            shuffle(&mut order, &mut rng);
-            held_at.clear();
-            held_at.resize(items.len(), false);
-            for &pos in &order[items.len() - hold..] {
-                held_at[pos as usize] = true;
-                pairs.push((u as u32, items[pos as usize]));
-            }
-            let mut kept = Vec::with_capacity(items.len() - hold);
-            kept.extend(
-                items
-                    .iter()
-                    .zip(&held_at)
-                    .filter(|&(_, &held)| !held)
-                    .map(|(&it, _)| it),
-            );
-            base_lists.push(kept);
-        }
-        let base = ImplicitDataset::new(dataset.num_items(), base_lists);
+        // shuffled order, and the base keeps the rest in the sorted order
+        // the ids already have.
+        parallel_fill_ordered(
+            &user_chunks(base_users),
+            workers,
+            |users, chunk: &mut Holdout| {
+                let Holdout {
+                    kept,
+                    held,
+                    order,
+                    held_at,
+                } = chunk;
+                kept.clear();
+                held.clear();
+                for u in users.clone() {
+                    let items = dataset.user(u).items();
+                    let hold = hold_of(items.len());
+                    if hold == 0 {
+                        kept.extend_from_slice(items);
+                        continue;
+                    }
+                    order.clear();
+                    order.extend(0..items.len() as u32);
+                    let mut rng = stream(seed, SeedStream::Custom(u as u64));
+                    shuffle(order, &mut rng);
+                    held_at.clear();
+                    held_at.resize(items.len(), false);
+                    for &pos in &order[items.len() - hold..] {
+                        held_at[pos as usize] = true;
+                        held.push((u as u32, items[pos as usize]));
+                    }
+                    kept.extend(
+                        items
+                            .iter()
+                            .zip(held_at.iter())
+                            .filter(|&(_, &held)| !held)
+                            .map(|(&it, _)| it),
+                    );
+                }
+            },
+            |_, chunk| {
+                base_ids.extend_from_slice(&chunk.kept);
+                pairs.extend_from_slice(&chunk.held);
+            },
+        );
+        let base = ImplicitDataset::from_sections(dataset.num_items(), base_ids, offsets);
 
         // One global arrival order for the existing-user events; the
         // stream id is offset past any plausible user id so the order
@@ -439,10 +486,42 @@ mod tests {
     }
 
     #[test]
+    fn replay_is_independent_of_the_worker_count() {
+        // Past the fan-out threshold in ids, so `replay` itself fans out
+        // wherever there are cores to fan out over.
+        let mut ml = hf_dataset::DatasetProfile::MovieLens.config_scaled(0.25);
+        ml.num_users = 3_000;
+        let data = ml.generate(42);
+        assert!(data.num_interactions() >= hf_dataset::types::PARALLEL_MIN_WORK);
+        let replay = ReplayConfig {
+            item_frac: 0.2,
+            new_users: 8,
+            start: 1,
+            horizon: 256,
+        };
+        let replay_on = |workers| ReplayStream::replay_on(&data, &replay, 42, workers);
+        let (base, stream) = replay_on(1);
+        let others = [
+            replay_on(2),
+            replay_on(8),
+            ReplayStream::replay(&data, &replay, 42),
+        ];
+        for (run, (b, s)) in ["2 workers", "8 workers", "replay"].iter().zip(others) {
+            assert!(s.events().eq(stream.events()), "{run}");
+            assert_eq!(b.num_users(), base.num_users());
+            for u in 0..base.num_users() {
+                assert_eq!(b.user(u), base.user(u), "{run}, user {u}");
+            }
+        }
+    }
+
+    #[test]
     fn population_heap_follows_what_is_held() {
         // The benchmark's population shape (MovieLens x 0.25 is 927
-        // items). A list that keeps its builder's scratch room — the
-        // generator's `num_items`-wide key buffer, a `drain`ed shuffle
+        // items). Each dataset is one id buffer plus `u32` offsets, so its
+        // heap is 4 B an id and 4 B an offset: a `Vec` a user would add
+        // its header, and a list that keeps its builder's scratch room —
+        // the generator's `num_items`-wide key buffer, a `drain`ed shuffle
         // buffer — shows here as heap far above its ids.
         let mut cfg = hf_dataset::DatasetProfile::MovieLens.config_scaled(0.25);
         cfg.num_users = 2_000;
@@ -456,29 +535,35 @@ mod tests {
         let (base, stream) = ReplayStream::replay(&data, &replay, 42);
         let split = hf_dataset::SplitDataset::paper_split(&base, 42);
 
-        // Per list: the `Vec` header plus four ids of allocator rounding.
-        const LIST: usize = 24 + 16;
-        let ids = std::mem::size_of::<ItemId>();
-        let bound = |interactions: usize, lists: usize| interactions * ids + lists * LIST;
+        // Ids and offsets are both 4 bytes: a dataset has one offset a
+        // user and a final end, a split three cut points a user and a
+        // final end.
+        let word = std::mem::size_of::<ItemId>();
+        let bound = |ids: usize, offsets: usize| (ids + offsets) * word;
         let (train, valid, test) = split.totals();
-        for (name, heap, bound) in [
+        let mut per_user = Vec::new();
+        for (name, heap, bound, users) in [
             (
                 "generate",
                 data.heap_bytes(),
-                bound(data.num_interactions(), data.num_users()),
+                bound(data.num_interactions(), data.num_users() + 1),
+                data.num_users(),
             ),
             (
                 "replay base",
                 base.heap_bytes(),
-                bound(base.num_interactions(), base.num_users()),
+                bound(base.num_interactions(), base.num_users() + 1),
+                base.num_users(),
             ),
             (
                 "paper_split",
                 split.heap_bytes(),
-                bound(train + valid + test, 3 * split.num_users()),
+                bound(train + valid + test, 3 * split.num_users() + 1),
+                split.num_users(),
             ),
         ] {
             assert!(heap <= bound, "{name}: {heap} B reserved, {bound} B held");
+            per_user.push(format!("{name} {:.1}", heap as f64 / users as f64));
         }
 
         // The stream: one `(u32 user, item)` pair per event and one
@@ -505,7 +590,9 @@ mod tests {
             .eval_every(0)
             .build()
             .expect("valid training configuration");
-        const CLIENT: usize = LIST + 8 + 16 + 8;
+        // Its one list: the `Vec` header plus four floats of allocator
+        // rounding.
+        const CLIENT: usize = 24 + 16 + 8 + 16 + 8;
         let users = session.users();
         let held: usize = users.iter().map(|u| 3 * u.dim() * 4 + CLIENT).sum();
         let used: usize = users
@@ -517,6 +604,8 @@ mod tests {
             "{} client states: {used} B, {held} B held",
             users.len()
         );
+        // Printed only once every bound above held.
+        println!("population bytes per user: {}", per_user.join(", "));
     }
 
     #[test]

@@ -523,7 +523,7 @@ fn session_user(session: &Session, user: usize) -> UserView<'_> {
     UserView {
         tier: session.model_groups().tier(user),
         emb: state.emb(),
-        history: &session.split().user(user).train,
+        history: session.split().user(user).train,
         solo: state.standalone(),
     }
 }

@@ -140,5 +140,5 @@ fn recommend(
             theta.forward(&input, &mut cache)
         })
         .collect();
-    hetefedrec::metrics::top_k_excluding(&scores, k, &split.user(user).train)
+    hetefedrec::metrics::top_k_excluding(&scores, k, split.user(user).train)
 }

@@ -82,7 +82,7 @@ fn main() {
         }
         let ranked: Vec<u32> = response.items.iter().map(|it| it.item).collect();
         let eval = evaluator
-            .evaluate_ranked(&ranked, &user_split.test)
+            .evaluate_ranked(&ranked, user_split.test)
             .expect("non-empty test set");
         grouped.push(session.data_groups().tier(user).index(), eval);
     }

@@ -313,8 +313,8 @@ fn split_partitions_users() {
             let mut all: Vec<u32> = s
                 .train
                 .iter()
-                .chain(&s.valid)
-                .chain(&s.test)
+                .chain(s.valid)
+                .chain(s.test)
                 .copied()
                 .collect();
             all.sort_unstable();

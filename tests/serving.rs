@@ -82,7 +82,7 @@ fn recommend_matches_naive_full_sort_reference() {
         let scores = recommender.score_request(&request);
         let mut exclude = request.exclude.clone();
         if request.exclude_seen && user < split.num_users() {
-            exclude.extend_from_slice(&split.user(user).train);
+            exclude.extend_from_slice(split.user(user).train);
         }
         let expected = naive_reference(&scores, k, &exclude);
         let response = recommender.recommend(&request);
@@ -118,7 +118,7 @@ fn serving_rankings_agree_with_evaluate() {
             let response = recommender.recommend(&RecommendRequest::new(user));
             let ranked: Vec<u32> = response.items.iter().map(|it| it.item).collect();
             let eval = evaluator
-                .evaluate_ranked(&ranked, &user_split.test)
+                .evaluate_ranked(&ranked, user_split.test)
                 .expect("test items present");
             grouped.push(session.data_groups().tier(user).index(), eval);
         }
