@@ -174,10 +174,13 @@ cargo test -q --offline --release -p hf_pipeline --test replay_pinned -- --nocap
 grep -q "replay stream pinned" target/ci-artifacts/replay_pinned.log
 # The population is paid for in ids: the generated dataset, the replay
 # base and the split each reserve 4 bytes an id plus their u32 offsets,
-# no list per user; the line prints only when every bound held.
+# no list per user; a client holds its embedding alone until its first
+# Adam step, and only a round's cohort gains the two moments. The lines
+# print only when every bound held.
 cargo test -q --offline --release -p hf_pipeline --lib population_heap_follows_what_is_held \
     -- --nocapture | tee target/ci-artifacts/population_heap.log
 grep -q "population bytes per user:" target/ci-artifacts/population_heap.log
+grep -q "client bytes per user:" target/ci-artifacts/population_heap.log
 
 echo "==> network serving smoke (hf-serve + hf-loadgen)"
 # Boot the real hf-serve binary on a generation the pipeline just

@@ -18,18 +18,21 @@
 //! # What a client keeps between rounds
 //!
 //! A session holds one [`UserState`] per client for the whole run, tens
-//! of thousands of them at once, so a client keeps only what its next
-//! round needs: the private embedding and its two Adam moments in one
-//! list (`emb | m | v`), Adam's hyper-parameters and step count beside
-//! it ([`Adam`] steps over the caller's slices), and a pointer that is
-//! non-null only under [`Strategy::Standalone`], whose private item rows
-//! (one [`RowBlock`], ascending item id) and predictor are the one large
-//! per-client cost. That is 48 bytes inline and one allocation of
-//! `3 × dim` floats; everything a round builds on top — local item rows
-//! (one [`RowGradBuffer`], each row copied on first touch), each task's
-//! predictor copy, gradient and scratch — is dropped when the round ends,
-//! a standalone client's touched rows merged into a fresh sorted block
-//! first.
+//! of thousands of them at once, and under partial participation most
+//! of them never train, so a client keeps only what it has earned: the
+//! private embedding alone until its first Adam step, and from then on
+//! the embedding and its two Adam moments in one list (`emb | m | v`).
+//! Adam's hyper-parameters and step count sit beside the list ([`Adam`]
+//! steps over the caller's slices; a step count of zero says the list is
+//! `emb` alone, so the moments it lacks are zero), with a pointer that
+//! is non-null only under [`Strategy::Standalone`], whose private item
+//! rows (one [`RowBlock`], ascending item id) and predictor are the one
+//! large per-client cost. That is 48 bytes inline and one allocation of
+//! `dim` floats, `3 × dim` once trained; everything a round builds on
+//! top — local item rows (one [`RowGradBuffer`], each row copied on
+//! first touch), each task's predictor copy, gradient and scratch — is
+//! dropped when the round ends, a standalone client's touched rows
+//! merged into a fresh sorted block first.
 
 use crate::config::TrainConfig;
 use crate::ddr;
@@ -47,12 +50,12 @@ use hf_tensor::ser::{obj, JsonError, JsonValue, ToJson};
 use hf_tensor::{Matrix, RowBlock};
 
 /// A client's persistent private state (module docs): one allocation
-/// of floats, `emb | m | v` — the private user embedding and its two
-/// Adam moments, each the embedding's width — beside the optimiser, and
-/// the standalone model behind one pointer.
+/// of floats — the private user embedding, followed by its two Adam
+/// moments (each the embedding's width) once it has taken a step —
+/// beside the optimiser, and the standalone model behind one pointer.
 #[derive(Clone, Debug)]
 pub struct UserState {
-    /// `emb | m | v`, each the embedding's width.
+    /// `emb` before the first step, `emb | m | v` from then on.
     floats: Box<[f32]>,
     /// The embedding's optimiser: hyper-parameters and step count.
     adam: Adam,
@@ -81,10 +84,10 @@ impl UserState {
         standalone_theta: Option<Ffn>,
     ) -> Self {
         let mut rng = substream(cfg.seed, SeedStream::UserInit, user_id as u64);
-        // Adam's moments start at zero.
-        let mut floats = vec![0.0; 3 * dim].into_boxed_slice();
+        // No step taken: the embedding alone, Adam's moments still zero.
+        let mut floats = vec![0.0; dim].into_boxed_slice();
         let std = 1.0 / (dim as f32).sqrt();
-        hf_tensor::init::fill_normal(&mut floats[..dim], std, &mut rng);
+        hf_tensor::init::fill_normal(&mut floats, std, &mut rng);
         Self {
             floats,
             adam: Adam::new(AdamConfig::with_lr(cfg.user_lr)),
@@ -99,7 +102,10 @@ impl UserState {
 
     /// Width of the private user embedding (its model tier's dimension).
     pub fn dim(&self) -> usize {
-        self.floats.len() / 3
+        match self.adam.steps() {
+            0 => self.floats.len(),
+            _ => self.floats.len() / 3,
+        }
     }
 
     /// The private user embedding.
@@ -123,9 +129,36 @@ impl UserState {
         std::mem::size_of_val(&*self.floats) + boxed
     }
 
-    /// One Adam step on the embedding along `grads`.
-    fn step_emb(&mut self, grads: &[f32]) {
+    /// Adam's two moments, `None` before the first step (both zero).
+    fn moments(&self) -> Option<(&[f32], &[f32])> {
         let dim = self.dim();
+        (self.adam.steps() > 0).then(|| self.floats[dim..].split_at(dim))
+    }
+
+    /// A copy that holds `emb | m | v` whatever this state holds, built
+    /// in one allocation: an untrained client's zero moments are made
+    /// here, as it is about to take its first step.
+    fn for_training(&self) -> Self {
+        let dim = self.dim();
+        let floats = if self.adam.steps() > 0 {
+            self.floats.clone()
+        } else {
+            let mut floats = vec![0.0; 3 * dim].into_boxed_slice();
+            floats[..dim].copy_from_slice(&self.floats);
+            floats
+        };
+        Self {
+            floats,
+            adam: self.adam,
+            standalone: self.standalone.clone(),
+        }
+    }
+
+    /// One Adam step on the embedding along `grads`. The list must hold
+    /// both moments ([`for_training`](Self::for_training)).
+    fn step_emb(&mut self, grads: &[f32]) {
+        let dim = grads.len();
+        debug_assert_eq!(self.floats.len(), 3 * dim, "an `emb`-only list");
         let (emb, moments) = self.floats.split_at_mut(dim);
         let (m, v) = moments.split_at_mut(dim);
         self.adam.step(emb, m, v, grads);
@@ -134,11 +167,18 @@ impl UserState {
 
 impl ToJson for UserState {
     fn write_json(&self, out: &mut String) {
-        let dim = self.dim();
-        let (emb, moments) = self.floats.split_at(dim);
-        let (m, v) = moments.split_at(dim);
+        // An untrained client writes the zero moments it does not hold,
+        // so the document is the same whichever form its list is in.
+        let zeros;
+        let (m, v) = match self.moments() {
+            Some(moments) => moments,
+            None => {
+                zeros = vec![0.0; self.dim()];
+                (&zeros[..], &zeros[..])
+            }
+        };
         obj(out, |o| {
-            o.field("emb", &emb)
+            o.field("emb", &self.emb())
                 .field("adam", &self.adam.json(m, v))
                 .field("standalone", &self.standalone());
         });
@@ -167,7 +207,9 @@ impl UserState {
     /// `num_items` items. The Adam moments and every standalone row must
     /// be as wide as the embedding, the rows' item ids in range and
     /// strictly ascending, and a standalone predictor of the paper's
-    /// shape for the embedding's width.
+    /// shape for the embedding's width. A client that has taken no step
+    /// must have all-zero moments (what the writer writes for it); it is
+    /// restored as the embedding alone.
     pub fn from_json(v: &JsonValue<'_>, num_items: usize) -> Result<Self, JsonError> {
         let emb = v.get("emb")?.as_f32_vec()?;
         let (adam, m, moment2) = Adam::from_json(v.get("adam")?)?;
@@ -177,6 +219,12 @@ impl UserState {
                 m.len(),
                 emb.len()
             )));
+        }
+        let untrained = adam.steps() == 0;
+        if untrained && m.iter().chain(&moment2).any(|x| x.to_bits() != 0) {
+            return Err(JsonError::msg(
+                "`adam` has taken no step but holds a non-zero moment",
+            ));
         }
         let standalone = match v.get("standalone")? {
             s if s.is_null() => None,
@@ -214,8 +262,13 @@ impl UserState {
                 Some(Box::new(StandaloneState { rows, theta }))
             }
         };
+        let floats = if untrained {
+            emb.into_boxed_slice()
+        } else {
+            [emb, m, moment2].concat().into_boxed_slice()
+        };
         Ok(Self {
-            floats: [emb, m, moment2].concat().into_boxed_slice(),
+            floats,
             adam,
             standalone,
         })
@@ -378,15 +431,16 @@ pub fn train_client(ctx: &ClientCtx<'_>, prev: &UserState) -> ClientOutcome {
     let tier_dim = cfg.dims.dim(ctx.model_tier);
     debug_assert_eq!(prev.dim(), tier_dim);
 
-    let mut state = prev.clone();
     if user_split.train.is_empty() {
         return ClientOutcome {
             update: ClientUpdate::default(),
-            state,
+            state: prev.clone(),
             loss: 0.0,
             samples: 0,
         };
     }
+    // Every positive is a sample, so the state takes at least one step.
+    let mut state = prev.for_training();
 
     // --- Set up local copies -------------------------------------------------
     let overlay = prev.standalone().map(|s| &s.rows);

@@ -739,6 +739,37 @@ fn a_v1_checkpoint_is_refused() {
 }
 
 #[test]
+fn an_untrained_checkpoint_restores_embeddings_alone() {
+    // Every fixture is written before the first round: each client comes
+    // back as its embedding, no moments held, and writes the zero moments
+    // it does not hold, byte for byte.
+    let fixture = FIXTURES[0].trim_end();
+    let restored = Session::restore(fixture, fixture_split()).expect("fixture restores");
+    for (u, state) in restored.users().iter().enumerate() {
+        assert_eq!(state.heap_bytes(), 4 * state.dim(), "user {u}");
+    }
+    assert!(restored.checkpoint() == fixture, "re-encoding drifted");
+}
+
+#[test]
+fn a_moment_without_a_step_is_refused() {
+    // No writer leaves a non-zero moment on a client that has taken no
+    // step, so a document that holds one is refused, not trained on.
+    let doc = FIXTURES[0].replacen("\"t\":0,\"m\":[0,", "\"t\":0,\"m\":[0.5,", 1);
+    assert_ne!(doc, FIXTURES[0]);
+    match Session::restore(&doc, fixture_split()) {
+        Err(SessionError::Checkpoint(msg)) => {
+            assert!(
+                msg.contains("user 0: ") && msg.contains("non-zero moment"),
+                "{msg}"
+            )
+        }
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("a moment without a step restored"),
+    }
+}
+
+#[test]
 fn failed_checkpoint_writes_keep_the_previous_checkpoint() {
     let dir = std::env::temp_dir().join(format!("hf_ckpt_atomic_{}", std::process::id()));
     let path = dir.join("session.json");

@@ -17,13 +17,19 @@
 //! from the dataset's lengths, then fills the buffer chunk by chunk in
 //! user order, so it is allocated once at its final length.
 //!
-//! A streamed interaction ([`SplitDataset::ingest`]) never shifts the
+//! A streamed interaction ([`SplitDataset::ingest`]) does not shift the
 //! buffer: on a user's first insert its train section is copied into an
 //! owned list, which serves as its train set from then on, so an insert
 //! costs that user's list, never the population's (the first ingest also
 //! allocates a 4-byte slot a user naming who owns a list). A user
 //! admitted by ingest gets empty sections at the buffer's end and an
-//! owned train list holding its first item.
+//! owned train list holding its first item. The sections grown users
+//! leave behind are dead ids; once they pass half the buffer, every run
+//! moves left over them in place and the buffer is cut to what is left
+//! (a grown user keeps an empty train section). Nothing is allocated,
+//! the split never holds more than one and a half times its live ids,
+//! and the squeeze's cost is paid by the copies that killed those
+//! sections.
 
 use crate::types::{population_workers, user_chunks, ImplicitDataset, ItemId, UserId};
 use hf_tensor::parallel::parallel_fill_ordered;
@@ -82,6 +88,9 @@ pub struct SplitDataset {
     slot: Vec<u32>,
     /// Train sets that outgrew their section (module docs).
     grown: Vec<Vec<ItemId>>,
+    /// Ids of the sections `grown` replaced and that are still in `ids`,
+    /// read by no one.
+    dead: usize,
 }
 
 /// A `slot` entry of a user whose train set is still its section.
@@ -176,6 +185,7 @@ impl SplitDataset {
             cuts,
             slot: Vec::new(),
             grown: Vec::new(),
+            dead: 0,
         }
     }
 
@@ -198,15 +208,24 @@ impl SplitDataset {
     pub fn user(&self, u: UserId) -> UserSplit<'_> {
         let cuts = &self.cuts[3 * u..3 * u + 4];
         let section = |k: usize| &self.ids[cuts[k] as usize..cuts[k + 1] as usize];
-        let train = match self.slot.get(u) {
-            Some(&g) if g != NOT_GROWN => &self.grown[g as usize],
-            _ => section(0),
+        let train = match self.grown_slot(u) {
+            Some(g) => &self.grown[g],
+            None => section(0),
         };
         UserSplit {
             train,
             valid: section(1),
             test: section(2),
         }
+    }
+
+    /// Where in `grown` user `u`'s train set lives, once it has outgrown
+    /// its section.
+    fn grown_slot(&self, u: UserId) -> Option<usize> {
+        self.slot
+            .get(u)
+            .filter(|&&g| g != NOT_GROWN)
+            .map(|&g| g as usize)
     }
 
     /// Iterator over `(user id, split)`.
@@ -226,8 +245,9 @@ impl SplitDataset {
     /// `train = [item]` with empty validation and test sets (so evaluation
     /// skips it until held-out data exists). For existing users the item
     /// is inserted into the sorted training set; duplicates are ignored.
-    /// Returns `true` iff the dataset changed. The id buffer never moves
-    /// (module docs): the cost is `O(that user's train set)`.
+    /// Returns `true` iff the dataset changed. The id buffer does not
+    /// move until dead sections pass half of it (module docs): the cost
+    /// is `O(that user's train set)`, amortised.
     ///
     /// # Panics
     /// Panics when `item` is outside the item universe or `user` would
@@ -256,16 +276,49 @@ impl SplitDataset {
         let slot = &mut self.slot[user];
         if *slot == NOT_GROWN {
             *slot = self.grown.len() as u32;
-            let cuts = &self.cuts[3 * user..3 * user + 2];
-            self.grown
-                .push(self.ids[cuts[0] as usize..cuts[1] as usize].to_vec());
+            let section = self.cuts[3 * user] as usize..self.cuts[3 * user + 1] as usize;
+            self.dead += section.len();
+            self.grown.push(self.ids[section].to_vec());
         }
         // Grown one id at a time, like the section it replaced: a doubling
         // would leave most of the population's train sets half empty.
         let train = &mut self.grown[*slot as usize];
         train.reserve_exact(1);
         train.insert(pos, item);
+        if 2 * self.dead > self.ids.len() {
+            self.squeeze_dead();
+        }
         true
+    }
+
+    /// Squeezes the dead sections out of `ids`, in place: every run moves
+    /// left over the dead ids before it (a grown user keeps an empty
+    /// train section), and the buffer is cut to what is left. Nothing is
+    /// allocated, and the cut tail is free for the lists that grow next.
+    fn squeeze_dead(&mut self) {
+        let users = self.num_users();
+        let mut at = 0;
+        for u in 0..users {
+            // `u + 1`'s start is still its old one: cut points are
+            // rewritten a user at a time, in order.
+            let [train, valid, test, end] = [0, 1, 2, 3].map(|k| self.cuts[3 * u + k] as usize);
+            let from = match self.grown_slot(u) {
+                Some(_) => valid,
+                None => train,
+            };
+            self.ids.copy_within(from..end, at);
+            let valid_at = at + valid - from;
+            self.cuts[3 * u..3 * u + 3].copy_from_slice(&[
+                at as u32,
+                valid_at as u32,
+                (valid_at + test - valid) as u32,
+            ]);
+            at += end - from;
+        }
+        self.cuts[3 * users] = at as u32;
+        self.ids.truncate(at);
+        self.ids.shrink_to_fit();
+        self.dead = 0;
     }
 
     /// Heap bytes the split reserves, at capacity: `4 B` an id and
@@ -416,6 +469,59 @@ mod tests {
             (buffer, 6),
             "the buffer never moves"
         );
+    }
+
+    #[test]
+    fn squeezing_dead_sections_out_changes_no_section() {
+        let d = dataset();
+        let mut s = SplitDataset::paper_split(&d, 5);
+        let mut want: Vec<[Vec<ItemId>; 3]> = s
+            .iter_users()
+            .map(|(_, u)| [u.train.to_vec(), u.valid.to_vec(), u.test.to_vec()])
+            .collect();
+        let mut squeezes = 0;
+        for i in 0..2 * d.num_interactions() {
+            // Every 97th event admits a user; the rest land on a spread
+            // of existing users.
+            let users = s.num_users();
+            let user = if i % 97 == 96 {
+                users
+            } else {
+                i * 7919 % users
+            };
+            let item = ((i * 31 + user * 17) % s.num_items()) as ItemId;
+            if user == users {
+                want.push(Default::default());
+            }
+            let train = &mut want[user][0];
+            let changed = match train.binary_search(&item) {
+                Ok(_) => false,
+                Err(pos) => {
+                    train.insert(pos, item);
+                    true
+                }
+            };
+            let len = s.ids.len();
+            assert_eq!(s.ingest(user, item), changed, "event {i}");
+            if s.ids.len() < len {
+                squeezes += 1;
+                let (train, valid, test) = s.totals();
+                let listed: usize = s.grown.iter().map(Vec::len).sum();
+                assert_eq!(s.ids.len() + listed, train + valid + test, "a dead id left");
+                assert_eq!(s.ids.capacity(), s.ids.len(), "spare room left");
+            }
+            assert!(2 * s.dead <= s.ids.len(), "event {i}: {} dead", s.dead);
+            for (u, [train, valid, test]) in want.iter().enumerate() {
+                let got = s.user(u);
+                let got = (got.train, got.valid, got.test);
+                assert_eq!(
+                    got,
+                    (&train[..], &valid[..], &test[..]),
+                    "event {i}, user {u}"
+                );
+            }
+        }
+        assert!(squeezes >= 1, "no squeeze");
     }
 
     #[test]

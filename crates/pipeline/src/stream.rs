@@ -578,15 +578,16 @@ mod tests {
             stream.heap_bytes()
         );
 
-        // The clients: each one list of embedding and both Adam moments,
-        // beside the step count, the optimiser's four hyper-parameters
-        // and the standalone pointer — not three lists.
-        use hetefedrec_core::{Ablation, SessionBuilder, Strategy, TrainConfig};
-        let cfg = TrainConfig::paper_defaults(
+        // The clients: each one list, the embedding alone until its first
+        // Adam step, beside the step count, the optimiser's four
+        // hyper-parameters and the standalone pointer.
+        use hetefedrec_core::{Ablation, SessionBuilder, SessionEvent, Strategy, TrainConfig};
+        let mut cfg = TrainConfig::paper_defaults(
             hf_models::ModelKind::Ncf,
             hf_dataset::DatasetProfile::MovieLens,
         );
-        let session = SessionBuilder::new(cfg, Strategy::HeteFedRec(Ablation::FULL), split)
+        cfg.clients_per_round = 16;
+        let mut session = SessionBuilder::new(cfg, Strategy::HeteFedRec(Ablation::FULL), split)
             .eval_every(0)
             .build()
             .expect("valid training configuration");
@@ -594,18 +595,90 @@ mod tests {
         // rounding.
         const CLIENT: usize = 24 + 16 + 8 + 16 + 8;
         let users = session.users();
-        let held: usize = users.iter().map(|u| 3 * u.dim() * 4 + CLIENT).sum();
-        let used: usize = users
-            .iter()
-            .map(|u| std::mem::size_of_val(u) + u.heap_bytes())
-            .sum();
+        let held: usize = users.iter().map(|u| 4 * u.dim() + CLIENT).sum();
+        let client_bytes = |users: &[hetefedrec_core::client::UserState]| -> usize {
+            users
+                .iter()
+                .map(|u| std::mem::size_of_val(u) + u.heap_bytes())
+                .sum()
+        };
+        let fresh = client_bytes(users);
         assert!(
-            used <= held,
-            "{} client states: {used} B, {held} B held",
+            fresh <= held,
+            "{} client states: {fresh} B, {held} B held",
             users.len()
         );
+
+        // One round: exactly its cohort has stepped, and holds `emb | m | v`.
+        let before: Vec<Vec<f32>> = users.iter().map(|u| u.emb().to_vec()).collect();
+        let Some(SessionEvent::Round(round)) = session.step() else {
+            panic!("the first step is a round");
+        };
+        let users = session.users();
+        let mut trained = 0;
+        for (u, (state, emb)) in users.iter().zip(&before).enumerate() {
+            let stepped = state.emb() != &emb[..];
+            let floats = if stepped {
+                3 * state.dim()
+            } else {
+                state.dim()
+            };
+            assert_eq!(
+                state.heap_bytes(),
+                4 * floats,
+                "user {u}, stepped: {stepped}"
+            );
+            trained += usize::from(stepped);
+        }
+        assert_eq!(
+            trained, round.cohort,
+            "one list of moments per client trained"
+        );
+        let after = client_bytes(users);
+
         // Printed only once every bound above held.
         println!("population bytes per user: {}", per_user.join(", "));
+        let per = |bytes: usize| bytes as f64 / users.len() as f64;
+        println!(
+            "client bytes per user: fresh {:.1}, after a {trained}-client round {:.1}",
+            per(fresh),
+            per(after)
+        );
+    }
+
+    #[test]
+    fn ingest_keeps_the_split_within_half_again_its_live_ids() {
+        // The swap workload's stream at 2 000 users, replayed to its
+        // horizon: every user's train set outgrows its section, and the
+        // sections left behind are squeezed out once they pass half the
+        // buffer. A grown list holds at least the section it replaced, so
+        // the dead ids stay under half the live ones. Beside the ids: the
+        // cut points, and per user a 4-byte slot and one grown list's
+        // header, each list of lists room for twice what it holds.
+        let mut ml = hf_dataset::DatasetProfile::MovieLens.config_scaled(0.25);
+        ml.num_users = 2_000;
+        let replay = ReplayConfig {
+            item_frac: 0.2,
+            new_users: 8,
+            start: 1,
+            horizon: 256,
+        };
+        let (base, mut stream) = ReplayStream::replay(&ml.generate(42), &replay, 42);
+        let mut split = hf_dataset::SplitDataset::paper_split(&base, 42);
+        for e in stream.poll(u64::MAX) {
+            split.ingest(e.user, e.item);
+        }
+        let (train, valid, test) = split.totals();
+        let live = train + valid + test;
+        let users = split.num_users();
+        let word = std::mem::size_of::<ItemId>();
+        let per_user = word + 2 * std::mem::size_of::<Vec<ItemId>>();
+        let bound = (3 * live / 2 + 2 * (3 * users + 1)) * word + per_user * users;
+        assert!(
+            split.heap_bytes() <= bound,
+            "{} B reserved for {live} live ids and {users} users, {bound} B allowed",
+            split.heap_bytes()
+        );
     }
 
     #[test]
