@@ -215,6 +215,13 @@ grep -q "lazy == eager rankings verified" target/ci-artifacts/capacity_smoke.log
 grep -q "item-half budget held: 64 of 588 tiles" target/ci-artifacts/capacity_smoke.log
 grep -q "eager load within 1.25x of payload" target/ci-artifacts/capacity_smoke.log
 test -s target/ci-artifacts/capacity_model.hfa
+# Synthesis fans its users out in chunks; the bytes are pinned by digest
+# at 1, 2 and 8 workers and for the streamed file (more chunks than the
+# 8-worker reorder window holds). The line prints only when every digest
+# held.
+cargo test -q --offline --release -p hf_serve --lib output_is_pinned_and_independent_of_the_worker_count \
+    -- --nocapture | tee target/ci-artifacts/synthesis_pinned.log
+grep -q "synthesis bytes pinned at 1, 2 and 8 workers" target/ci-artifacts/synthesis_pinned.log
 # Boot the real hf-serve binary lazily on that artifact and verify every
 # served exchange against an in-process replay of the same file.
 cargo run -q --offline --release -p hf_net --bin hf-serve -- \

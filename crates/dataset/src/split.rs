@@ -96,6 +96,17 @@ pub struct SplitDataset {
 /// A `slot` entry of a user whose train set is still its section.
 const NOT_GROWN: u32 = u32::MAX;
 
+/// `v.resize(len, value)`, except that a `v` too small for `len` grows
+/// by an eighth of its length (or to `len`, if further) rather than
+/// doubling: admitting users one at a time stays amortised `O(1)`, and a
+/// population's per-user tables keep at most an eighth spare.
+fn resize_by_eighths<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    if len > v.capacity() {
+        v.reserve_exact((len - v.len()).max(v.len() / 8));
+    }
+    v.resize(len, value);
+}
+
 impl SplitDataset {
     /// Splits `dataset` with the paper's ratios: `test_frac` of each user's
     /// interactions held out for testing (paper: 0.2) and `valid_frac` of
@@ -266,13 +277,15 @@ impl SplitDataset {
         if user == users {
             // Empty sections at the buffer's end.
             let end = self.ids.len() as u32;
-            self.cuts.extend([end; 3]);
+            let len = self.cuts.len() + 3;
+            resize_by_eighths(&mut self.cuts, len, end);
         }
         let pos = match self.user(user).train.binary_search(&item) {
             Ok(_) => return false,
             Err(pos) => pos,
         };
-        self.slot.resize(self.num_users(), NOT_GROWN);
+        let len = self.num_users();
+        resize_by_eighths(&mut self.slot, len, NOT_GROWN);
         let slot = &mut self.slot[user];
         if *slot == NOT_GROWN {
             *slot = self.grown.len() as u32;
@@ -353,6 +366,29 @@ mod tests {
 
     fn dataset() -> ImplicitDataset {
         SyntheticConfig::tiny().generate(11)
+    }
+
+    #[test]
+    fn admissions_leave_at_most_an_eighth_spare() {
+        let d = dataset();
+        let mut s = SplitDataset::paper_split(&d, 5);
+        let spare = |v: &Vec<u32>| v.capacity() - v.len();
+        for i in 0..d.num_users() {
+            let (user, item) = (s.num_users(), (i % s.num_items()) as ItemId);
+            assert!(s.ingest(user, item));
+            assert!(
+                spare(&s.cuts) <= s.cuts.len() / 8,
+                "admission {i}: {} cut points, room for {}",
+                s.cuts.len(),
+                s.cuts.capacity()
+            );
+            assert!(
+                spare(&s.slot) <= s.slot.len() / 8,
+                "admission {i}: {} slots, room for {}",
+                s.slot.len(),
+                s.slot.capacity()
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! section. Builders that fan out over workers fill the buffer chunk by
 //! chunk in user order ([`hf_tensor::parallel::parallel_fill_ordered`])
 //! after sizing it from the per-user lengths, so it is allocated once at
-//! its final length and no per-user list ever exists.
+//! its final length and no per-user list ever exists. The generator, the
+//! split, the replay (`hf_pipeline`) and artifact synthesis (`hf_serve`)
+//! all fan out this way, over [`user_chunks`] on [`population_workers`]
+//! threads.
 
 use std::ops::Range;
 
@@ -28,9 +31,10 @@ pub type UserId = usize;
 pub type ItemId = u32;
 
 /// Below this much work — `(user, item)` scores for the generator, ids
-/// for a split or a replay — a pass over the population costs a few
-/// milliseconds and runs on the calling thread: spawning workers would be
-/// most of the bill (and test-sized datasets stay thread-free).
+/// for a split, a replay or a synthesized artifact — a pass over the
+/// population costs a few milliseconds and runs on the calling thread:
+/// spawning workers would be most of the bill (and test-sized datasets
+/// stay thread-free).
 pub const PARALLEL_MIN_WORK: usize = 1 << 18;
 
 /// Threads a population pass over `work` units fans out over: every core,

@@ -653,8 +653,9 @@ mod tests {
         // sections left behind are squeezed out once they pass half the
         // buffer. A grown list holds at least the section it replaced, so
         // the dead ids stay under half the live ones. Beside the ids: the
-        // cut points, and per user a 4-byte slot and one grown list's
-        // header, each list of lists room for twice what it holds.
+        // cut points with at most an eighth spare, and per user a 4-byte
+        // slot and one grown list's header, the list of lists room for
+        // twice what it holds.
         let mut ml = hf_dataset::DatasetProfile::MovieLens.config_scaled(0.25);
         ml.num_users = 2_000;
         let replay = ReplayConfig {
@@ -673,7 +674,8 @@ mod tests {
         let users = split.num_users();
         let word = std::mem::size_of::<ItemId>();
         let per_user = word + 2 * std::mem::size_of::<Vec<ItemId>>();
-        let bound = (3 * live / 2 + 2 * (3 * users + 1)) * word + per_user * users;
+        let cuts = 3 * users + 1;
+        let bound = (3 * live / 2 + cuts + cuts / 8) * word + per_user * users;
         assert!(
             split.heap_bytes() <= bound,
             "{} B reserved for {live} live ids and {users} users, {bound} B allowed",

@@ -309,10 +309,12 @@ impl ModelArtifact {
             w.tables(|tier| [server.table(tier).as_slice()])?;
             w.thetas(Tier::ALL.map(|tier| server.theta(tier)))?;
             let mut tally = Tally::new(meta.num_items, &meta.dims);
-            w.users(|u, out| {
-                let user = session_user(session, u);
-                tally.add(user);
-                binfmt::put_user(out, user);
+            w.users(|records| {
+                for u in 0..meta.num_users {
+                    let user = session_user(session, u);
+                    tally.add(user);
+                    records.put(user);
+                }
             })?;
             let (popularity, fallback) = tally.finish();
             w.finish(&popularity, &fallback).map(drop)

@@ -268,25 +268,31 @@ impl<W: Write + Seek> ArtifactWriter<W> {
         self.small_section(SEC_THETAS, &[&dir, &block])
     }
 
-    /// Writes the `users` section: `put(u, out)` encodes user `u`'s
-    /// record ([`put_user`]) for each of `meta.num_users` users in order.
+    /// Writes the `users` section: `produce` pushes the `meta.num_users`
+    /// records, in user order, through the [`UserRecords`] it is lent.
     /// Record lengths are only known once encoded, so the section length
     /// and the directory are written as placeholders and back-patched
-    /// after the last record. Returns the payload length.
-    pub(crate) fn users(&mut self, mut put: impl FnMut(usize, &mut Writer)) -> io::Result<u64> {
+    /// after the last record. Returns the payload length, or the first
+    /// failed write's error once `produce` has returned.
+    pub(crate) fn users(
+        &mut self,
+        produce: impl FnOnce(&mut UserRecords<'_, W>),
+    ) -> io::Result<u64> {
         let at = self.out.stream_position()?;
         let dir_len = self.meta.num_users as u64 * USER_DIR_ENTRY;
         self.section_header(SEC_USERS, 0)?;
         io::copy(&mut io::repeat(0).take(dir_len), &mut self.out)?;
-        let mut ends: Vec<u64> = Vec::with_capacity(self.meta.num_users);
-        let mut end = 0u64;
-        for user in 0..self.meta.num_users {
-            self.scratch.clear();
-            put(user, &mut self.scratch);
-            self.out.write_all(self.scratch.as_slice())?;
-            end += self.scratch.len() as u64;
-            ends.push(end);
-        }
+        let mut records = UserRecords {
+            out: &mut self.out,
+            scratch: &mut self.scratch,
+            ends: Vec::with_capacity(self.meta.num_users),
+            written: Ok(()),
+        };
+        produce(&mut records);
+        let UserRecords { ends, written, .. } = records;
+        written?;
+        assert_eq!(ends.len(), self.meta.num_users, "one record a user");
+        let end = ends.last().copied().unwrap_or(0);
         self.out.seek(SeekFrom::Start(at))?;
         self.section_header(SEC_USERS, dir_len + end)?;
         self.put_scalars(&ends, Writer::put_u64_le)?;
@@ -316,6 +322,36 @@ impl<W: Write + Seek> ArtifactWriter<W> {
     }
 }
 
+/// The records of the `users` section, pushed by its producer in user
+/// order (lent by [`ArtifactWriter::users`]). Once a write has failed,
+/// every later record is dropped unencoded.
+pub(crate) struct UserRecords<'a, W> {
+    out: &'a mut W,
+    scratch: &'a mut Writer,
+    /// Where each record so far ends, counted from the first one's start.
+    ends: Vec<u64>,
+    written: io::Result<()>,
+}
+
+impl<W: Write> UserRecords<'_, W> {
+    /// Pushes the next user's record.
+    pub(crate) fn put(&mut self, user: UserView<'_>) {
+        self.put_with(|out| put_user(out, user));
+    }
+
+    /// Pushes the next record as `encode` writes it: the raw form
+    /// [`put`](Self::put) is built on, through one reused frame buffer.
+    pub(crate) fn put_with(&mut self, encode: impl FnOnce(&mut Writer)) {
+        if self.written.is_ok() {
+            self.scratch.clear();
+            encode(self.scratch);
+            self.written = self.out.write_all(self.scratch.as_slice());
+            self.ends
+                .push(self.ends.last().unwrap_or(&0) + self.scratch.len() as u64);
+        }
+    }
+}
+
 /// Streams an artifact (eager or lazy) through the writer. A lazy
 /// artifact's records are read past its user cache, so re-encoding a
 /// serving artifact leaves its hot set alone.
@@ -323,12 +359,14 @@ pub(crate) fn write_artifact<W: Write + Seek>(a: &ModelArtifact, out: W) -> io::
     let mut w = ArtifactWriter::begin(out, a.meta())?;
     w.tables(|tier| [a.table(tier).as_slice()])?;
     w.thetas(Tier::ALL.map(|tier| a.theta(tier)))?;
-    match &a.users {
-        UserStore::Eager(users) => {
-            w.users(|u, out| put_user(out, users.get(u).expect("user in range")))?
+    w.users(|records| {
+        for u in 0..a.num_users() {
+            match &a.users {
+                UserStore::Eager(users) => records.put(users.get(u).expect("user in range")),
+                UserStore::Lazy(lazy) => records.put(lazy.fetch(u).view()),
+            }
         }
-        UserStore::Lazy(lazy) => w.users(|u, out| put_user(out, lazy.fetch(u).view()))?,
-    };
+    })?;
     Ok(w.finish(&a.popularity, &a.fallback)?.0)
 }
 
@@ -374,7 +412,7 @@ pub(crate) fn write_file<T>(
 /// # Panics
 /// If the history is not strictly ascending — every producer keeps it
 /// so, and the file must not hold what the decoder refuses.
-pub(crate) fn put_user(w: &mut Writer, user: UserView<'_>) {
+fn put_user(w: &mut Writer, user: UserView<'_>) {
     w.put_u8(user.tier.index() as u8);
     for &x in user.emb {
         w.put_f32_le(x);
@@ -1220,6 +1258,70 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A sink that takes `left` more bytes, fails the write that would
+    /// pass them, and counts every write asked of it after that.
+    struct FailingSink {
+        out: std::io::Cursor<Vec<u8>>,
+        left: usize,
+        failed: bool,
+        writes_after_failure: usize,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.failed || buf.len() > self.left {
+                self.writes_after_failure += usize::from(self.failed);
+                self.failed = true;
+                return Err(io::Error::other("disk full"));
+            }
+            self.left -= buf.len();
+            self.out.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Seek for FailingSink {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.out.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_write_failing_inside_the_users_section_is_returned() {
+        let a = synth_fixture_source();
+        let sink = FailingSink {
+            out: std::io::Cursor::new(Vec::new()),
+            left: usize::MAX,
+            failed: false,
+            writes_after_failure: 0,
+        };
+        let mut w = ArtifactWriter::begin(sink, a.meta()).unwrap();
+        w.tables(|tier| [a.table(tier).as_slice()]).unwrap();
+        w.thetas(Tier::ALL.map(|tier| a.theta(tier))).unwrap();
+        // Room for the section header, the placeholder directory and a
+        // few of the 48 records.
+        let directory = SECTION_HEADER_LEN + USER_DIR_ENTRY * a.num_users() as u64;
+        w.out.left = directory as usize + 200;
+        let mut pushed = 0;
+        let result = w.users(|records| {
+            for u in 0..a.num_users() {
+                records.put(a.user(u).expect("user in range").view());
+                pushed += 1;
+            }
+        });
+        let e = result.expect_err("the failed write is returned");
+        assert_eq!(e.to_string(), "disk full");
+        assert_eq!(pushed, a.num_users(), "the producer runs to its end");
+        assert!(w.out.failed, "the section outgrew the sink");
+        assert_eq!(
+            w.out.writes_after_failure, 0,
+            "a record followed the failure"
+        );
+    }
+
     #[test]
     fn binary_roundtrip_is_bit_identical() {
         for (strategy, model) in [
@@ -1307,16 +1409,13 @@ mod tests {
         let UserStore::Eager(users) = &a.users else {
             panic!("an eager artifact");
         };
-        let mut put = Some(put);
         let mut w = ArtifactWriter::begin(std::io::Cursor::new(Vec::new()), a.meta()).unwrap();
         w.tables(|tier| [a.table(tier).as_slice()]).unwrap();
         w.thetas(Tier::ALL.map(|tier| a.theta(tier))).unwrap();
-        w.users(|u, out| {
-            let user = users.get(u).expect("user in range");
-            match put.take() {
-                Some(put) => put(out, user),
-                None => put_user(out, user),
-            }
+        w.users(|records| {
+            let user = |u| users.get(u).expect("user in range");
+            records.put_with(|out| put(out, user(0)));
+            (1..users.len()).for_each(|u| records.put(user(u)));
         })
         .unwrap();
         let (out, _) = w.finish(&a.popularity, &a.fallback).unwrap();

@@ -10,14 +10,17 @@
 //!   (the eager reference, fine up to a few hundred thousand users);
 //! * [`ModelArtifact::synthesize_to_file`] — feed the same RNG streams
 //!   straight into [`crate::binfmt`]'s streaming writer, holding one
-//!   table chunk / one wave of user records at a time plus the
-//!   8-byte-per-user directory, so a 1M×1M artifact builds in bounded
+//!   table chunk and the chunks of user records in flight at a time plus
+//!   the 8-byte-per-user directory, so a 1M×1M artifact builds in bounded
 //!   memory.
 //!
-//! Both paths generate users in waves of `WAVE_USERS`, each wave split
-//! into one block of consecutive users per core (`available_parallelism`).
+//! Both paths generate users the way the training population is built
+//! (`hf_dataset::SyntheticConfig::generate`): 16-user chunks fanned out
+//! over [`population_workers`] threads by
+//! [`hf_tensor::parallel::parallel_fill_ordered`], each chunk filled into
+//! a recycled buffer that also keeps the catalogue bitset its draws use.
 //! A user draws only from its own substreams, so which thread builds it
-//! changes nothing, and the wave is handed on in user order, so the
+//! changes nothing, and the chunks are handed on in user order, so the
 //! popularity counts and the fallback means (`f32` sums) add up in the
 //! order a one-thread pass would use.
 //!
@@ -34,8 +37,10 @@ use crate::binfmt::{self, ArtifactWriter, Meta};
 use crate::lazy::Tiers;
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
+use hf_dataset::types::{population_workers, user_chunks};
 use hf_dataset::{SyntheticProfile, Tier};
 use hf_models::{paper_predictor_dims, Ffn, ModelKind};
+use hf_tensor::parallel::parallel_fill_ordered;
 use hf_tensor::rng::{substream, Rng, SeedStream};
 use hf_tensor::Matrix;
 
@@ -50,9 +55,6 @@ const SCALE: f32 = 0.1;
 
 /// Table rows synthesized per write chunk on the streaming path.
 const ROWS_PER_CHUNK: usize = 4096;
-
-/// Users synthesized per wave: what is held at once beside the output.
-const WAVE_USERS: usize = 1024;
 
 /// What [`ModelArtifact::synthesize_to_file`] wrote — the analytic
 /// breakdown capacity runs report alongside measured footprints.
@@ -89,113 +91,47 @@ fn theta(seed: u64, t: usize, dim: usize) -> Ffn {
     Ffn::new(&paper_predictor_dims(dim), &mut rng)
 }
 
-/// Refills `block` with users `users` (no standalone state). Each user
-/// draws from its own substreams, so a block is the same whichever
-/// thread fills it.
-fn synth_block(
+/// Embedding floats and history ids the profile's users hold between
+/// them, from each user's shape alone (two cheap draws a user).
+fn population_size(profile: &SyntheticProfile, dims: &TierDims, seed: u64) -> (usize, usize) {
+    (0..profile.num_users).fold((0, 0), |(embs, ids), u| {
+        let (tier, interactions) = profile.user_shape(seed, u);
+        (embs + dims.dim(tier), ids + interactions)
+    })
+}
+
+/// Synthesizes the profile's users on `workers` threads and lends each
+/// to `f` in user order — the single source of user records for both
+/// synthesis paths. A chunk's buffer holds its users (no standalone
+/// state) and the catalogue bitset their history draws share, so a
+/// recycled buffer allocates neither again. Each user draws from its own
+/// substreams, so a chunk is the same whichever thread fills it.
+fn for_each_user(
     profile: &SyntheticProfile,
     dims: &TierDims,
     seed: u64,
-    users: std::ops::Range<usize>,
-    block: &mut UserArena,
-) {
-    block.clear();
-    let mut seen = Vec::new();
-    for user in users {
-        block
-            .push_with(|embs, histories| {
-                let tier = profile.user_into(seed, user, &mut seen, histories);
-                let mut rng = substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
-                fill_normal(&mut rng, embs, dims.dim(tier));
-                Ok((tier, None))
-            })
-            .expect("a synthesized record is never malformed");
-    }
-}
-
-/// The profile's users, synthesized a wave of `WAVE_USERS` at a time
-/// and lent out in user order — the single source of user records for
-/// both synthesis paths. Each of `workers` threads fills one block of
-/// consecutive users of a wave; one wave is held at a time, in blocks
-/// every wave reuses.
-struct Waves<'a> {
-    profile: &'a SyntheticProfile,
-    dims: &'a TierDims,
-    seed: u64,
     workers: usize,
-    /// The first user of the current wave.
-    start: usize,
-    /// Users in the current wave.
-    len: usize,
-    /// Users in each block of the current wave (the last may hold fewer).
-    per_block: usize,
-    blocks: Vec<UserArena>,
-}
-
-impl<'a> Waves<'a> {
-    fn new(profile: &'a SyntheticProfile, dims: &'a TierDims, seed: u64, workers: usize) -> Self {
-        Self {
-            profile,
-            dims,
-            seed,
-            workers: workers.max(1),
-            start: 0,
-            len: 0,
-            per_block: 1,
-            blocks: Vec::new(),
-        }
-    }
-
-    /// Lends `user` to `f`. Users are asked for in order, so a user past
-    /// the current wave starts the next one.
-    fn with(&mut self, user: usize, f: impl FnOnce(UserView<'_>)) {
-        if user >= self.start + self.len {
-            self.fill(user);
-        }
-        let at = user - self.start;
-        let view = self.blocks[at / self.per_block].get(at % self.per_block);
-        f(view.expect("users are asked for in order"))
-    }
-
-    /// Synthesizes the wave that starts at `start`.
-    fn fill(&mut self, start: usize) {
-        let Self {
-            profile,
-            dims,
-            seed,
-            ..
-        } = *self;
-        let end = (start + WAVE_USERS).min(profile.num_users);
-        let per_block = (end - start).div_ceil(self.workers);
-        let num_blocks = (end - start).div_ceil(per_block);
-        if self.blocks.len() < num_blocks {
-            self.blocks.resize_with(num_blocks, UserArena::default);
-        }
-        let fill = move |first: usize, block: &mut UserArena| {
-            synth_block(
-                profile,
-                dims,
-                seed,
-                first..(first + per_block).min(end),
-                block,
-            )
-        };
-        if num_blocks == 1 {
-            fill(start, &mut self.blocks[0]);
-        } else {
-            std::thread::scope(|scope| {
-                let firsts = (start..end).step_by(per_block);
-                for (first, block) in firsts.zip(&mut self.blocks) {
-                    scope.spawn(move || fill(first, block));
-                }
-            });
-        }
-        (self.start, self.len, self.per_block) = (start, end - start, per_block);
-    }
-}
-
-fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    mut f: impl FnMut(UserView<'_>),
+) {
+    parallel_fill_ordered(
+        &user_chunks(profile.num_users),
+        workers,
+        |users, (arena, seen): &mut (UserArena, Vec<u64>)| {
+            arena.clear();
+            for user in users.clone() {
+                arena
+                    .push_with(|embs, histories| {
+                        let tier = profile.user_into(seed, user, seen, histories);
+                        let mut rng =
+                            substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
+                        fill_normal(&mut rng, embs, dims.dim(tier));
+                        Ok((tier, None))
+                    })
+                    .expect("a synthesized record is never malformed");
+            }
+        },
+        |_, (arena, _)| (0..arena.len()).for_each(|u| f(arena.get(u).expect("user in range"))),
+    );
 }
 
 impl ModelArtifact {
@@ -210,16 +146,16 @@ impl ModelArtifact {
         dims: TierDims,
         seed: u64,
     ) -> Result<Self, ServeError> {
-        Self::synthesize_on(profile, dims, seed, workers())
+        Self::synthesize_on(profile, dims, seed, None)
     }
 
     /// [`ModelArtifact::synthesize`] with users generated on `workers`
-    /// threads.
+    /// threads, or on what [`population_workers`] gives their ids.
     fn synthesize_on(
         profile: &SyntheticProfile,
         dims: TierDims,
         seed: u64,
-        workers: usize,
+        workers: Option<usize>,
     ) -> Result<Self, ServeError> {
         profile.validate().map_err(synth_err)?;
         let num_items = profile.num_items;
@@ -233,21 +169,15 @@ impl ModelArtifact {
         });
         let thetas: [Ffn; 3] = std::array::from_fn(|t| theta(seed, t, dims.dim(Tier::ALL[t])));
 
-        // Sized exactly from the profile's shapes (two cheap draws a
-        // user) before any record is generated.
-        let (embs, ids) = (0..profile.num_users).fold((0, 0), |(embs, ids), u| {
-            let (tier, interactions) = profile.user_shape(seed, u);
-            (embs + dims.dim(tier), ids + interactions)
-        });
+        // Sized exactly before any record is generated.
+        let (embs, ids) = population_size(profile, &dims, seed);
         let mut users = UserArena::with_capacity(profile.num_users, embs, ids);
         let mut tally = Tally::new(num_items, &dims);
-        let mut waves = Waves::new(profile, &dims, seed, workers);
-        for u in 0..profile.num_users {
-            waves.with(u, |user| {
-                tally.add(user);
-                users.push(user);
-            });
-        }
+        let workers = workers.unwrap_or_else(|| population_workers(ids));
+        for_each_user(profile, &dims, seed, workers, |user| {
+            tally.add(user);
+            users.push(user);
+        });
         let (popularity, fallback) = tally.finish();
 
         Ok(Self {
@@ -264,7 +194,7 @@ impl ModelArtifact {
 
     /// Streams a synthesized artifact straight to `path` in bounded
     /// memory: tables go out in `ROWS_PER_CHUNK`-row chunks, user
-    /// records a wave at a time, popularity and the fallback means
+    /// records a chunk at a time, popularity and the fallback means
     /// accumulate as the records pass. Byte-identical to
     /// `synthesize(...)?.save_file(path)`, and atomic like it.
     pub fn synthesize_to_file(
@@ -297,11 +227,11 @@ impl ModelArtifact {
             w.thetas(thetas.each_ref())?;
 
             let mut tally = Tally::new(meta.num_items, &dims);
-            let mut waves = Waves::new(profile, &dims, seed, workers());
-            let users_bytes = w.users(|u, out| {
-                waves.with(u, |user| {
+            let (_, ids) = population_size(profile, &dims, seed);
+            let users_bytes = w.users(|records| {
+                for_each_user(profile, &dims, seed, population_workers(ids), |user| {
                     tally.add(user);
-                    binfmt::put_user(out, user);
+                    records.put(user);
                 })
             })?;
             let (popularity, fallback) = tally.finish();
@@ -320,6 +250,7 @@ impl ModelArtifact {
 mod tests {
     use super::*;
     use hf_dataset::SyntheticProfile;
+    use hf_tensor::parallel::WINDOW_PER_WORKER;
 
     #[test]
     fn streaming_and_eager_synthesis_are_byte_identical() {
@@ -365,11 +296,11 @@ mod tests {
         for (items, seed, want) in pinned {
             let profile = SyntheticProfile::new(2_000, items);
             assert!(
-                profile.num_users > WAVE_USERS / 2,
-                "several blocks to share"
+                user_chunks(profile.num_users).len() > WINDOW_PER_WORKER * 8,
+                "more chunks than the 8-worker reorder window holds"
             );
             for workers in [1, 2, 8] {
-                let bytes = ModelArtifact::synthesize_on(&profile, dims, seed, workers)
+                let bytes = ModelArtifact::synthesize_on(&profile, dims, seed, Some(workers))
                     .expect("valid profile")
                     .to_bytes();
                 let got = fnv1a(&bytes);
@@ -383,6 +314,7 @@ mod tests {
             assert_eq!(fnv1a(&std::fs::read(&path).expect("file")), want);
         }
         std::fs::remove_dir_all(&dir).ok();
+        println!("synthesis bytes pinned at 1, 2 and 8 workers");
     }
 
     #[test]

@@ -16,14 +16,16 @@
 //!   count. [`parallel::parallel_for_each_ordered`] hands each result to
 //!   the caller in input order as it is ready (a round's client training
 //!   folds its uploads that way); [`parallel::parallel_map`] collects them
-//!   (evaluation, dataset generation, serving batches and the masked
-//!   fold).
+//!   (evaluation, distillation and serving batches), and
+//!   [`parallel::parallel_fill_ordered`] fills recycled buffers (every
+//!   population builder: the dataset generator, the split, the replay and
+//!   artifact synthesis).
 //! * [`init`] — Glorot/Xavier and scaled-normal initialisers.
 //! * [`ops`] — scalar activations and losses (sigmoid, BCE-with-logits,
 //!   ReLU) plus a few vector helpers.
-//! * [`stats`] — column statistics, covariance and correlation matrices
-//!   (the inputs to the paper's dimensional-decorrelation regulariser,
-//!   Eq. 13, and the Table V diagnostic).
+//! * [`stats`] — column statistics and covariance matrices (the inputs to
+//!   the paper's dimensional-decorrelation regulariser, Eq. 13, and the
+//!   Table V diagnostic).
 //! * [`eigen`] — a cyclic Jacobi eigen-solver for symmetric matrices, used
 //!   to obtain the singular values of embedding covariance matrices.
 //! * [`sim`] — pairwise cosine-similarity matrices and their analytic

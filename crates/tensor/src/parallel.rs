@@ -7,7 +7,9 @@
 //! each output to the calling thread in input order as soon as it and every
 //! earlier one are ready; [`parallel_map`] collects them, and
 //! [`parallel_fill_ordered`] has each worker write its output into a
-//! recycled buffer instead of a fresh one. Determinism is
+//! recycled buffer instead of a fresh one — how every population is
+//! built a chunk of users at a time: the training dataset, its split,
+//! its replay and the synthesized serving artifact. Determinism is
 //! preserved because each client's computation derives its randomness from
 //! its own id, never from execution order.
 //!

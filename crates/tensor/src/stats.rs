@@ -1,10 +1,12 @@
-//! Column statistics, covariance, and correlation matrices.
+//! Column statistics and covariance matrices.
 //!
 //! Two consumers in the paper:
 //!
 //! * **Eq. 13 (DDR):** `Lreg(V) = (1/N) ‖corr((V - V̄)/sqrt(var(V)))‖_F`,
 //!   the Frobenius norm of the correlation matrix of the (column-
-//!   standardised) embedding matrix.
+//!   standardised) embedding matrix: the column means and variances
+//!   standardise it, and `hetefedrec_core::ddr` forms the correlation
+//!   matrix itself, beside the gradient it needs.
 //! * **Table V:** the variance of the singular values of `cov(Vl)` — since
 //!   a covariance matrix is symmetric positive semi-definite, its singular
 //!   values equal its eigenvalues, which [`crate::eigen`] supplies.
@@ -73,17 +75,6 @@ pub fn covariance(m: &Matrix) -> Matrix {
     let mut cov = centered.gram();
     cov.scale(1.0 / m.rows().max(1) as f32);
     cov
-}
-
-/// Correlation matrix of the columns of `m` (`cols x cols`).
-///
-/// Equivalent to the covariance of the column-standardised matrix; the
-/// diagonal is 1 for every column with variance above `eps`, 0 otherwise.
-pub fn correlation(m: &Matrix, eps: f32) -> Matrix {
-    let z = standardize_columns(m, eps);
-    let mut corr = z.gram();
-    corr.scale(1.0 / m.rows().max(1) as f32);
-    corr
 }
 
 /// Variance of the eigenvalues (= singular values) of the covariance
@@ -163,43 +154,6 @@ mod tests {
                 assert!((cov.get(i, j) - cov.get(j, i)).abs() < 1e-5);
             }
         }
-    }
-
-    #[test]
-    fn correlation_diagonal_is_one() {
-        let mut rng = stream(14, SeedStream::Custom(3));
-        let m = init::normal(400, 6, 3.0, &mut rng);
-        let corr = correlation(&m, 1e-12);
-        for j in 0..6 {
-            assert!(
-                (corr.get(j, j) - 1.0).abs() < 1e-3,
-                "diag {}",
-                corr.get(j, j)
-            );
-        }
-    }
-
-    #[test]
-    fn correlation_detects_perfectly_correlated_columns() {
-        // Column 1 = 2 * column 0 → correlation 1.
-        let m = Matrix::from_fn(100, 2, |r, c| {
-            let base = (r as f32).sin();
-            if c == 0 {
-                base
-            } else {
-                2.0 * base
-            }
-        });
-        let corr = correlation(&m, 1e-12);
-        assert!((corr.get(0, 1) - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn independent_columns_have_low_correlation() {
-        let mut rng = stream(15, SeedStream::Custom(4));
-        let m = init::normal(5000, 2, 1.0, &mut rng);
-        let corr = correlation(&m, 1e-12);
-        assert!(corr.get(0, 1).abs() < 0.05, "corr {}", corr.get(0, 1));
     }
 
     #[test]

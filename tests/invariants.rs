@@ -225,7 +225,10 @@ fn correlation_matrix_bounds() {
         let mut rng = case_rng(5, case);
         let data: Vec<f32> = (0..20 * 4).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
         let m = Matrix::from_vec(20, 4, data);
-        let corr = stats::correlation(&m, 1e-9);
+        // The correlation matrix as DDR forms it: the Gram of the
+        // column-standardised data over the row count.
+        let mut corr = stats::standardize_columns(&m, 1e-9).gram();
+        corr.scale(1.0 / m.rows() as f32);
         let vars = stats::column_variances(&m);
         for (i, &var) in vars.iter().enumerate() {
             if var > 1e-6 {
