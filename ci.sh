@@ -132,6 +132,16 @@ cargo test -q --offline --release -p hetefedrec_core --lib ncf_training_bits_are
     | tee target/ci-artifacts/training_bits.log
 grep -q "training bits pinned" target/ci-artifacts/training_bits.log
 
+echo "==> exact Gumbel keys (generator selection)"
+# The generator settles sure winners and sure losers from their key
+# bounds and computes an exact Gumbel key only for a candidate whose
+# bounds straddle the (n+1)-th largest upper bound: at the training
+# shape that is about one key a user, not one per candidate (~104). The
+# line prints only when the count stayed under its bound.
+cargo test -q --offline --release -p hf_dataset --lib exact_gumbel_keys_are_rare_at_the_training_shape \
+    -- --nocapture | tee target/ci-artifacts/gumbel_keys.log
+grep -q "gumbel keys per user:" target/ci-artifacts/gumbel_keys.log
+
 echo "==> round allocations"
 # A counting global allocator holds a round's allocations to a few a
 # client and a pass, never one a sample or a touched row: for HeteFedRec

@@ -18,24 +18,26 @@
 //! `n_u`, which is equivalent to sampling `n_u` items without replacement
 //! from the softmax of the scores (Plackett–Luce).
 //!
-//! Per user the generator scores every item against a transposed
-//! item-latent panel, one item per lane. Each lane adds the products in
-//! the order and from the `-0.0` that [`hf_tensor::ops::dot`]'s chain
-//! uses, so every affinity is the bit pattern `dot` would give. It then
-//! draws one 24-bit uniform per item, in item order, as before. The two
-//! `ln`s of a Gumbel key are paid only by items whose key can reach the
-//! `n_u`-th largest. A table of `g` bounds over the top 12 bits of the
-//! draw rules the rest out, and `f32` addition rounds monotonically, so a
-//! bounded key is a true bound on the exact one. When the `n_u`-th and
-//! `(n_u+1)`-th exact keys tie, which items win depends on the selection
-//! algorithm's pass over the full key array, so that user runs exactly
-//! that pass. Every dataset is therefore the one the plain full-array
-//! selection gives (the digests in this module's tests pin it).
+//! Per user the generator scores every item against an item-latent panel
+//! laid out in blocks of 32 items, one item per lane. Each lane adds the
+//! products in the order and from the `-0.0` that [`hf_tensor::ops::dot`]'s
+//! chain uses, so every affinity is the bit pattern `dot` would give. It
+//! then draws one 24-bit uniform per item, in item order, as before. The
+//! two `ln`s of a Gumbel key are paid only by candidates whose bounds
+//! straddle the `(n_u+1)`-th largest upper bound (about one a user). A
+//! table of `g` bounds over the top 12 bits of the draw settles every
+//! other item as a sure loser or a sure winner, and `f32` addition rounds
+//! monotonically, so a bounded key is a true bound on the exact one. When
+//! the `n_u`-th and `(n_u+1)`-th exact keys tie, which items win depends on
+//! the selection algorithm's pass over the full key array, so that user
+//! runs exactly that pass. Every dataset is therefore the one the plain
+//! full-array selection gives (the digests in this module's tests pin it).
+//! Winners are emitted in item order, so each user's ids come out sorted.
 
 use crate::types::{offsets_of, population_workers, user_chunks, ImplicitDataset, ItemId};
 use hf_tensor::parallel::parallel_fill_ordered;
-use hf_tensor::rng::Rng;
-use hf_tensor::rng::{stream, substream, SeedStream};
+use hf_tensor::rng::{stream, substream, Rng, SeedStream, StdRng};
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 /// Bits of a 24-bit Gumbel draw (the top ones) that pick its bound bucket.
@@ -45,6 +47,11 @@ const BUCKET_DRAWS: u32 = 1 << (24 - BUCKET_BITS);
 /// How far each bucket's bounds reach past the `g` of its first and last
 /// draw, so an `ln` that rounds non-monotonically cannot step outside.
 const BUCKET_SLACK: f32 = 1e-3;
+/// Items a block of the item-latent panel holds, one a lane.
+const LANES: usize = 32;
+/// Items tested for candidacy, branch-free, before their candidates are
+/// appended to the list.
+const CANDIDATE_BLOCK: usize = 64;
 
 /// Configuration of the synthetic generator.
 #[derive(Clone, Debug)]
@@ -74,29 +81,41 @@ pub struct SyntheticConfig {
     pub temperature: f32,
 }
 
-/// What every user is scored against.
-struct Items {
-    /// Item latents transposed: row `d` holds every item's `d`-th
-    /// coordinate.
+/// One generation's shared draws: what every user is drawn around and
+/// scored against.
+struct Generator<'a> {
+    cfg: &'a SyntheticConfig,
+    seed: u64,
+    /// Ground-truth cluster centroids, shared between users and items so
+    /// that affinity has signal.
+    centroids: Vec<Vec<f32>>,
+    /// Item latents in blocks of [`LANES`] items, one a lane: block `k`
+    /// holds, for each `d` in turn, the `d`-th coordinate of items
+    /// `LANES·k..` (zero past the last item).
     panel: Vec<f32>,
     /// `popularity_weight · log_pop` per item.
     boost: Vec<f32>,
+    /// Log-normal `(mu, sigma)` of the counts.
+    lognormal: (f64, f64),
 }
 
-/// Per-item buffers reused across users, and the ids of the chunk of
-/// users last filled in.
+/// Per-item buffers reused across one chunk's users.
 #[derive(Default)]
 struct Scratch {
-    /// One chunk's users' sorted ids, end to end.
-    ids: Vec<ItemId>,
-    /// Affinity, then the score before Gumbel noise.
+    /// The user being filled in's latent.
+    latent: Vec<f32>,
+    /// Each item's score before Gumbel noise.
     scores: Vec<f32>,
     /// The 24-bit uniform behind each item's Gumbel noise.
     draws: Vec<u32>,
-    /// Lower bounds on the keys.
-    floors: Vec<f32>,
-    /// Exact `(key, item)` of the items that can win.
+    /// What a selection ranks: the keys' lower bounds, then the
+    /// candidates' upper bounds, then the straddlers' exact keys.
+    ranked: Vec<f32>,
+    /// The candidates in item order, each with its upper bound, then with
+    /// its exact key (`+∞` for a sure winner); or every item's exact key.
     keys: Vec<(f32, ItemId)>,
+    /// Exact Gumbel keys computed so far.
+    exact_keys: usize,
 }
 
 impl SyntheticConfig {
@@ -146,105 +165,148 @@ impl SyntheticConfig {
 
     /// [`generate`](Self::generate) on exactly `workers` threads.
     pub(crate) fn generate_on(&self, seed: u64, workers: usize) -> ImplicitDataset {
+        let gen = Generator::new(self, seed);
+        // A user's count comes off its own substream (independent of user
+        // iteration order), so one cheap pass sizes every section before
+        // any item is scored.
+        let offsets = offsets_of((0..self.num_users).map(|u| gen.count(u)));
+
+        // Each chunk's ids go into a recycled buffer on a worker and from
+        // there, in user order, into the one id buffer. The per-item
+        // scratch lives for one chunk, so a chunk waiting in the reorder
+        // window holds its ids alone.
+        let mut ids = Vec::with_capacity(*offsets.last().expect("one offset") as usize);
+        parallel_fill_ordered(
+            &user_chunks(self.num_users),
+            workers,
+            |users, chunk: &mut Vec<ItemId>| {
+                chunk.clear();
+                let mut scratch = Scratch::default();
+                for u in users.clone() {
+                    gen.fill(u, &mut scratch, chunk);
+                }
+            },
+            |_, chunk| ids.extend_from_slice(chunk),
+        );
+        ImplicitDataset::from_sections(self.num_items, ids, offsets)
+    }
+}
+
+impl<'a> Generator<'a> {
+    /// Draws the centroids, the item latents and the popularity boost off
+    /// `seed`'s dataset stream.
+    fn new(cfg: &'a SyntheticConfig, seed: u64) -> Self {
         assert!(
-            self.num_users > 0 && self.num_items > 1,
+            cfg.num_users > 0 && cfg.num_items > 1,
             "degenerate universe"
         );
-        assert!(self.num_clusters > 0, "need at least one cluster");
+        assert!(cfg.num_clusters > 0, "need at least one cluster");
         let mut rng = stream(seed, SeedStream::Dataset);
-
-        // Ground-truth cluster centroids, shared between users and items so
-        // that affinity has signal.
-        let centroids: Vec<Vec<f32>> = (0..self.num_clusters)
-            .map(|_| sample_unit_vector(self.latent_dim, &mut rng))
+        let centroids: Vec<Vec<f32>> = (0..cfg.num_clusters)
+            .map(|_| sample_unit_vector(cfg.latent_dim, &mut rng))
             .collect();
 
-        let mut panel = vec![0.0_f32; self.latent_dim * self.num_items];
-        for i in 0..self.num_items {
-            let c = rng.gen_range(0..self.num_clusters);
-            let latent = perturb(&centroids[c], self.cluster_spread, &mut rng);
-            for (d, x) in latent.into_iter().enumerate() {
-                panel[d * self.num_items + i] = x;
+        let blocks = cfg.num_items.div_ceil(LANES);
+        let mut panel = vec![0.0_f32; blocks * cfg.latent_dim * LANES];
+        let mut latent = vec![0.0_f32; cfg.latent_dim];
+        for i in 0..cfg.num_items {
+            let c = rng.gen_range(0..cfg.num_clusters);
+            perturb(&mut latent, &centroids[c], cfg.cluster_spread, &mut rng);
+            let block = (i / LANES) * cfg.latent_dim * LANES;
+            for (d, &x) in latent.iter().enumerate() {
+                panel[block + d * LANES + i % LANES] = x;
             }
         }
 
         // Zipf popularity over a random item permutation so that item id
         // order carries no information.
-        let mut pop_rank: Vec<usize> = (0..self.num_items).collect();
+        let mut pop_rank: Vec<usize> = (0..cfg.num_items).collect();
         hf_tensor::rng::shuffle(&mut pop_rank, &mut rng);
-        let mut boost = vec![0.0_f32; self.num_items];
+        let mut boost = vec![0.0_f32; cfg.num_items];
         for (rank, &item) in pop_rank.iter().enumerate() {
-            let log_pop = -self.zipf_exponent * ((rank + 1) as f32).ln();
-            boost[item] = self.popularity_weight * log_pop;
+            let log_pop = -cfg.zipf_exponent * ((rank + 1) as f32).ln();
+            boost[item] = cfg.popularity_weight * log_pop;
         }
-        let items = Items { panel, boost };
-
-        let (mu, sigma) = self.lognormal_params();
-        let max_count = self.num_items.saturating_sub(1).max(self.min_interactions);
-        // A user's cluster, latent and count come first off its own
-        // substream (independent of user iteration order), so one cheap
-        // pass sizes every section before any item is scored.
-        let draw_user = |u: usize| {
-            let mut urng = substream(seed, SeedStream::Dataset, u as u64 + 1);
-            let c = urng.gen_range(0..self.num_clusters);
-            let latent = perturb(&centroids[c], self.cluster_spread, &mut urng);
-            let n = sample_lognormal_count(mu, sigma, &mut urng)
-                .clamp(self.min_interactions, max_count);
-            (latent, n.min(self.num_items), urng)
-        };
-        let offsets = offsets_of((0..self.num_users).map(|u| draw_user(u).1));
-
-        // Each chunk's ids go into a recycled scratch buffer on a worker
-        // and from there, in user order, into the one id buffer.
-        let mut ids = Vec::with_capacity(*offsets.last().expect("one offset") as usize);
-        parallel_fill_ordered(
-            &user_chunks(self.num_users),
-            workers,
-            |users, scratch: &mut Scratch| {
-                scratch.ids.clear();
-                for u in users.clone() {
-                    let (latent, n, mut urng) = draw_user(u);
-                    let start = scratch.ids.len();
-                    self.select_items(&latent, &items, n, &mut urng, scratch);
-                    scratch.ids[start..].sort_unstable();
-                }
-            },
-            |_, scratch| ids.extend_from_slice(&scratch.ids),
-        );
-        ImplicitDataset::from_sections(self.num_items, ids, offsets)
+        Self {
+            cfg,
+            seed,
+            centroids,
+            panel,
+            boost,
+            lognormal: cfg.lognormal_params(),
+        }
     }
 
-    /// Gumbel-top-k selection of `n` items for one user: the `n` largest
-    /// keys `score + g`, where `g` is one Gumbel draw per item in item
-    /// order. Appends the winners' ids to `scratch.ids`, unsorted.
-    fn select_items(
-        &self,
-        user_latent: &[f32],
-        items: &Items,
-        n: usize,
-        rng: &mut impl Rng,
-        scratch: &mut Scratch,
-    ) {
-        let inv_temp = 1.0 / self.temperature.max(1e-3);
-        let scores = &mut scratch.scores;
+    /// User `u`'s count, the third thing off its substream. The words
+    /// before it are skipped, not turned into a latent: one picks the
+    /// cluster and two make each Box–Muller normal of the latent.
+    fn count(&self, u: usize) -> usize {
+        let mut urng = self.user_stream(u);
+        for _ in 0..1 + 2 * self.cfg.latent_dim {
+            urng.next_u64();
+        }
+        self.draw_count(&mut urng)
+    }
+
+    /// Draws user `u`'s cluster and latent (into `latent`) and count, and
+    /// returns the count with the substream at the user's first item draw.
+    fn draw_user(&self, u: usize, latent: &mut Vec<f32>) -> (usize, StdRng) {
+        let mut urng = self.user_stream(u);
+        let c = urng.gen_range(0..self.cfg.num_clusters);
+        latent.resize(self.cfg.latent_dim, 0.0);
+        perturb(
+            latent,
+            &self.centroids[c],
+            self.cfg.cluster_spread,
+            &mut urng,
+        );
+        (self.draw_count(&mut urng), urng)
+    }
+
+    fn user_stream(&self, u: usize) -> StdRng {
+        substream(self.seed, SeedStream::Dataset, u as u64 + 1)
+    }
+
+    fn draw_count(&self, rng: &mut impl Rng) -> usize {
+        let cfg = self.cfg;
+        let (mu, sigma) = self.lognormal;
+        let max_count = cfg.num_items.saturating_sub(1).max(cfg.min_interactions);
+        sample_lognormal_count(mu, sigma, rng)
+            .clamp(cfg.min_interactions, max_count)
+            .min(cfg.num_items)
+    }
+
+    /// Appends user `u`'s ids, sorted, to `ids`: Gumbel-top-k
+    /// selection of its count's worth of items, the `n` largest keys
+    /// `score + g`, where `g` is one Gumbel draw per item in item order.
+    fn fill(&self, u: usize, scratch: &mut Scratch, ids: &mut Vec<ItemId>) {
+        let (n, mut urng) = self.draw_user(u, &mut scratch.latent);
+        let inv_temp = 1.0 / self.cfg.temperature.max(1e-3);
+        let Scratch {
+            latent,
+            scores,
+            draws,
+            ..
+        } = scratch;
         scores.clear();
-        scores.resize(items.boost.len(), -0.0);
-        for (&w, row) in user_latent
-            .iter()
-            .zip(items.panel.chunks_exact(items.boost.len()))
-        {
-            for (acc, &x) in scores.iter_mut().zip(row) {
-                *acc += w * x;
+        scores.resize(self.boost.len(), 0.0);
+        let stride = latent.len() * LANES;
+        let lanes = scores.chunks_mut(LANES).zip(self.boost.chunks(LANES));
+        for (k, (out, boost)) in lanes.enumerate() {
+            let block = &self.panel[k * stride..][..stride];
+            let mut acc = [-0.0_f32; LANES];
+            for (&w, row) in latent.iter().zip(block.chunks_exact(LANES)) {
+                for (a, &x) in acc.iter_mut().zip(row) {
+                    *a += w * x;
+                }
+            }
+            for ((s, a), &b) in out.iter_mut().zip(acc).zip(boost) {
+                *s = inv_temp * (a + b);
             }
         }
-        for (s, &b) in scores.iter_mut().zip(&items.boost) {
-            *s = inv_temp * (*s + b);
-        }
-        scratch.draws.clear();
-        scratch
-            .draws
-            .extend(scores.iter().map(|_| (rng.next_u64() >> 40) as u32));
-        top_n(scratch, n);
+        draws.clear();
+        draws.extend(scores.iter().map(|_| (urng.next_u64() >> 40) as u32));
+        top_n(scratch, n, ids);
     }
 }
 
@@ -282,57 +344,125 @@ fn bucket(m: u32) -> usize {
     (m / BUCKET_DRAWS) as usize
 }
 
-/// Appends to `scratch.ids` the `n` items with the largest keys
-/// `scores[i] + gumbel_of(draws[i])`.
-fn top_n(scratch: &mut Scratch, n: usize) {
+/// Largest first. Keys and bounds are never NaN, so `total_cmp`
+/// (branch-free, unlike the `partial_cmp` the full-array pass keeps)
+/// orders them as `<` does, bar `-0.0 < 0.0`: a zero-signed tie is still
+/// a tie to `==`.
+fn descending(a: &f32, b: &f32) -> Ordering {
+    b.total_cmp(a)
+}
+
+/// Appends to `ids`, in ascending order, the `n` items with the largest
+/// keys `scores[i] + gumbel_of(draws[i])`.
+fn top_n(scratch: &mut Scratch, n: usize, ids: &mut Vec<ItemId>) {
     let num_items = scratch.scores.len();
     if n >= num_items {
-        scratch.ids.extend(0..num_items as ItemId);
-    } else if n > 0 {
-        if !top_n_bounded(scratch, n) {
-            top_n_exact(scratch, n);
-        }
-        let Scratch { ids, keys, .. } = scratch;
-        ids.extend(keys[..n].iter().map(|&(_, i)| i));
+        ids.extend(0..num_items as ItemId);
+    } else if n > 0 && !top_n_bounded(scratch, n, ids) {
+        top_n_exact(scratch, n);
+        let start = ids.len();
+        ids.extend(scratch.keys[..n].iter().map(|&(_, i)| i));
+        ids[start..].sort_unstable();
     }
 }
 
-/// [`top_n`] with exact keys only for the items whose upper bound reaches
-/// the `n`-th largest lower bound, leaving the winners in `keys[..n]`;
-/// `false` when the `n`-th and `(n+1)`-th exact keys tie, since which of
-/// the tied items wins is up to [`top_n_exact`]. Keys are never NaN, so
-/// `total_cmp` (branch-free, unlike the `partial_cmp` the full-array pass
-/// keeps) orders them as `<` does, bar `-0.0 < 0.0`: a zero-signed tie is
-/// still a tie to `==`.
-fn top_n_bounded(scratch: &mut Scratch, n: usize) -> bool {
+/// [`top_n`] with exact keys only for the candidates whose bounds
+/// straddle the `(n+1)`-th largest upper bound, for `0 < n < items`;
+/// `false`, with nothing appended, when the `n`-th and `(n+1)`-th exact
+/// keys tie, since which of the tied items wins is up to
+/// [`top_n_exact`].
+///
+/// Each item's key lies in `[lo, hi]`, its score plus its bucket's
+/// bounds (`f32` addition rounds monotonically). Three facts settle all
+/// but a few items:
+///
+/// 1. At least `n` exact keys reach `floor`, the `n`-th largest `lo`, so
+///    the `n`-th largest key does too. An item whose `hi` is below
+///    `floor` loses; the rest are the candidates, and every winner is
+///    one.
+/// 2. Let `H` be the `(n+1)`-th largest `hi`: with more than `n`
+///    candidates, a candidate's, since theirs reach `floor` and no other
+///    item's does. A candidate `c` with `lo > H` wins outright: every item whose key reaches `c`'s has
+///    `hi ≥ key ≥ lo > H`, and at most `n` items (`c` among them) have
+///    `hi > H`. So fewer than `n + 1` keys reach `c`'s: it is in the top
+///    `n` and strictly above the `(n+1)`-th key, never in a boundary
+///    tie. With exactly `n` candidates they are the winners (the rest lie
+///    below `floor`), and `H = −∞` marks them all so.
+/// 3. The other `r = n − sure` winners are therefore the `r` largest
+///    exact keys among the straddlers, the candidates with `lo ≤ H`. The
+///    `(n+1)`-th key overall is the `(r+1)`-th among the non-sure items;
+///    when that is not a straddler it lies below `floor` and ties
+///    nothing, so a boundary tie shows as a straddler past the `r`-th
+///    whose key equals the `r`-th's.
+fn top_n_bounded(scratch: &mut Scratch, n: usize, ids: &mut Vec<ItemId>) -> bool {
     let bounds = gumbel_bounds();
     let Scratch {
         scores,
         draws,
-        floors,
+        ranked,
         keys,
+        exact_keys,
         ..
     } = scratch;
-    floors.clear();
-    floors.extend(
+    ranked.clear();
+    ranked.extend(
         scores
             .iter()
             .zip(draws.iter())
             .map(|(&s, &m)| s + bounds[bucket(m)].0),
     );
-    // At least `n` exact keys reach `floor`, so an item whose upper bound
-    // is below it is below the `n`-th exact key too.
-    let floor = *floors
-        .select_nth_unstable_by(n - 1, |a, b| b.total_cmp(a))
-        .1;
+    let floor = *ranked.select_nth_unstable_by(n - 1, descending).1;
+    // Each item is written where the next candidate goes, which only a
+    // candidate then claims: no branch on the comparison. A block of items
+    // at a time, so `keys` grows to the candidates alone.
     keys.clear();
-    for (i, (&s, &m)) in scores.iter().zip(draws.iter()).enumerate() {
-        if s + bounds[bucket(m)].1 >= floor {
-            keys.push((s + gumbel_of(m), i as ItemId));
+    let mut block = [(0.0, 0); CANDIDATE_BLOCK];
+    let items = scores
+        .chunks(CANDIDATE_BLOCK)
+        .zip(draws.chunks(CANDIDATE_BLOCK));
+    for (b, (scores, draws)) in items.enumerate() {
+        let mut len = 0;
+        for (j, (&s, &m)) in scores.iter().zip(draws).enumerate() {
+            let hi = s + bounds[bucket(m)].1;
+            block[len] = (hi, (b * CANDIDATE_BLOCK + j) as ItemId);
+            len += usize::from(hi >= floor);
         }
+        keys.extend_from_slice(&block[..len]);
     }
-    let (_, &mut (nth, _), rest) = keys.select_nth_unstable_by(n - 1, |a, b| b.0.total_cmp(&a.0));
-    !rest.iter().any(|&(k, _)| k == nth)
+    let lo = |i: usize| scores[i] + bounds[bucket(draws[i])].0;
+    let h = if keys.len() > n {
+        ranked.clear();
+        ranked.extend(keys.iter().map(|&(hi, _)| hi));
+        *ranked.select_nth_unstable_by(n, descending).1
+    } else {
+        f32::NEG_INFINITY
+    };
+    ranked.clear();
+    for (key, i) in keys.iter_mut() {
+        let i = *i as usize;
+        *key = if lo(i) > h {
+            f32::INFINITY
+        } else {
+            let exact = scores[i] + gumbel_of(draws[i]);
+            ranked.push(exact);
+            exact
+        };
+    }
+    *exact_keys += ranked.len();
+    let r = n - (keys.len() - ranked.len());
+    // The straddlers' `r`-th largest key: sure winners (`+∞`) and exactly
+    // `r` straddlers reach it.
+    let cut = if r == 0 {
+        f32::INFINITY
+    } else {
+        let (_, &mut rth, rest) = ranked.select_nth_unstable_by(r - 1, descending);
+        if rest.contains(&rth) {
+            return false;
+        }
+        rth
+    };
+    ids.extend(keys.iter().filter(|&&(k, _)| k >= cut).map(|&(_, i)| i));
+    true
 }
 
 /// [`top_n`] over every item's exact key, leaving the winners in
@@ -348,6 +478,7 @@ fn top_n_exact(scratch: &mut Scratch, n: usize) {
             .enumerate()
             .map(|(i, (&s, &m))| (s + gumbel_of(m), i as ItemId)),
     );
+    scratch.exact_keys += keys.len();
     keys.select_nth_unstable_by(n - 1, |a, b| {
         b.0.partial_cmp(&a.0).expect("scores are finite")
     });
@@ -360,10 +491,12 @@ fn sample_unit_vector(dim: usize, rng: &mut impl Rng) -> Vec<f32> {
     v.into_iter().map(|x| x / norm).collect()
 }
 
-/// Centroid plus isotropic Gaussian noise.
-fn perturb(center: &[f32], spread: f32, rng: &mut impl Rng) -> Vec<f32> {
-    let noise = hf_tensor::init::normal_vec(center.len(), spread, rng);
-    center.iter().zip(noise).map(|(c, n)| c + n).collect()
+/// Writes `center` plus isotropic Gaussian noise into `out`.
+fn perturb(out: &mut [f32], center: &[f32], spread: f32, rng: &mut impl Rng) {
+    hf_tensor::init::fill_normal(out, spread, rng);
+    for (x, &c) in out.iter_mut().zip(center) {
+        *x += c;
+    }
 }
 
 /// One log-normal draw, rounded to a count.
@@ -487,14 +620,35 @@ mod tests {
         }
     }
 
-    fn sorted(mut ids: Vec<ItemId>) -> Vec<ItemId> {
+    /// What the full-array pass selects, sorted.
+    fn exact_winners(s: &mut Scratch, n: usize) -> Vec<ItemId> {
+        top_n_exact(s, n);
+        let mut ids: Vec<ItemId> = s.keys[..n].iter().map(|&(_, i)| i).collect();
         ids.sort_unstable();
         ids
     }
 
-    /// The winners a selection left in `keys[..n]`, in key order.
-    fn winners(s: &Scratch, n: usize) -> Vec<ItemId> {
-        s.keys[..n].iter().map(|&(_, i)| i).collect()
+    /// Runs the bounded pass alone on `scores` and `draws` and checks it
+    /// against the full-array pass: the same set, ascending, unless it
+    /// saw a boundary tie, when it must append nothing. Returns whether it
+    /// settled the selection and how many exact keys it computed.
+    fn check_bounded(scores: Vec<f32>, draws: Vec<u32>, n: usize) -> (bool, usize) {
+        let mut s = scratch(scores, draws);
+        let full = exact_winners(&mut s, n);
+        assert_eq!(full.len(), n);
+        s.exact_keys = 0;
+        let mut ids = Vec::new();
+        let settled = top_n_bounded(&mut s, n, &mut ids);
+        let exact_keys = s.exact_keys;
+        if settled {
+            assert_eq!(ids, full, "n = {n}");
+        } else {
+            assert!(ids.is_empty(), "a tie appends nothing");
+        }
+        ids.clear();
+        top_n(&mut s, n, &mut ids);
+        assert_eq!(ids, full, "top_n, n = {n}");
+        (settled, exact_keys)
     }
 
     #[test]
@@ -502,20 +656,16 @@ mod tests {
         let mut rng = stream(11, SeedStream::Custom(0x7465_7374));
         for num_items in [2, 3, 40, 500] {
             for _ in 0..50 {
-                let scores = (0..num_items)
+                let scores: Vec<f32> = (0..num_items)
                     .map(|_| rng.standard_normal_f32() * 3.0)
                     .collect();
-                let draws = (0..num_items)
+                let draws: Vec<u32> = (0..num_items)
                     .map(|_| (rng.next_u64() >> 40) as u32)
                     .collect();
-                let mut s = scratch(scores, draws);
                 for n in [1, num_items / 3, num_items - 1] {
                     let n = n.max(1);
-                    top_n_exact(&mut s, n);
-                    let full = sorted(winners(&s, n));
-                    assert_eq!(full.len(), n);
-                    assert!(top_n_bounded(&mut s, n), "no tie at n = {n}");
-                    assert_eq!(sorted(winners(&s, n)), full);
+                    let (settled, _) = check_bounded(scores.clone(), draws.clone(), n);
+                    assert!(settled, "no tie at n = {n}");
                 }
             }
         }
@@ -528,19 +678,117 @@ mod tests {
         // full-array selection.
         let num_items = 40;
         let scores = vec![0.5; num_items];
-        let draws = (0..num_items as u32)
+        let draws: Vec<u32> = (0..num_items as u32)
             .map(|i| if (5..15).contains(&i) { 0xff_f000 } else { i })
             .collect();
-        let mut s = scratch(scores, draws);
-        assert!(!top_n_bounded(&mut s, 4), "the tie must be seen");
-        top_n(&mut s, 4);
-        let picked = std::mem::take(&mut s.ids);
-        top_n_exact(&mut s, 4);
-        assert_eq!(picked, winners(&s, 4));
-        assert!(picked.iter().all(|i| (5..15).contains(i)), "{picked:?}");
-        // A tie strictly inside the winners decides nothing.
-        assert!(top_n_bounded(&mut s, 10));
-        assert_eq!(sorted(winners(&s, 10)), (5..15).collect::<Vec<_>>());
+        let (settled, _) = check_bounded(scores.clone(), draws.clone(), 4);
+        assert!(!settled, "the tie must be seen");
+        let mut ids = Vec::new();
+        top_n(&mut scratch(scores.clone(), draws.clone()), 4, &mut ids);
+        assert!(ids.iter().all(|i| (5..15).contains(i)), "{ids:?}");
+        // A tie strictly inside the winners decides nothing: the ten tied
+        // items are the only candidates, so all are sure winners.
+        let (settled, exact_keys) = check_bounded(scores, draws, 10);
+        assert!(settled);
+        assert_eq!(exact_keys, 0);
+    }
+
+    #[test]
+    fn items_straddling_in_one_bucket_all_pay_exact_keys() {
+        // Equal scores and every draw in one bucket: every item's bounds
+        // are the same interval, so each straddles the (n+1)-th upper
+        // bound and is ranked by its exact key alone.
+        let num_items = 64;
+        let scores = vec![0.25; num_items];
+        let draws: Vec<u32> = (0..num_items as u32).map(|i| 0x80_0000 + 37 * i).collect();
+        assert!(draws.iter().all(|&m| bucket(m) == bucket(draws[0])));
+        for n in [1, num_items / 2, num_items - 1] {
+            let (settled, exact_keys) = check_bounded(scores.clone(), draws.clone(), n);
+            assert!(settled, "distinct draws, distinct keys at n = {n}");
+            assert_eq!(exact_keys, num_items, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn exactly_n_candidates_are_all_sure_winners() {
+        // n items sit far above the rest, whatever their draws: they are
+        // the only candidates and win without an exact key.
+        let mut rng = stream(12, SeedStream::Custom(0x7465_7374));
+        let num_items = 50;
+        for n in [1, 7, num_items - 1] {
+            let scores = (0..num_items)
+                .map(|i| if i * 7 % num_items < n { 40.0 } else { -40.0 })
+                .collect();
+            let draws = (0..num_items)
+                .map(|_| (rng.next_u64() >> 40) as u32)
+                .collect();
+            assert_eq!(check_bounded(scores, draws, n), (true, 0), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_tie_inside_the_sure_winners_decides_nothing() {
+        // Items 3 and 30 share a score and a draw far above the rest, so
+        // their equal keys are both sure winners; the boundary sits among
+        // the random rest.
+        let mut rng = stream(13, SeedStream::Custom(0x7465_7374));
+        let num_items = 200;
+        for _ in 0..20 {
+            let mut scores: Vec<f32> = (0..num_items).map(|_| rng.standard_normal_f32()).collect();
+            let mut draws: Vec<u32> = (0..num_items)
+                .map(|_| (rng.next_u64() >> 40) as u32)
+                .collect();
+            scores[3] = 50.0;
+            scores[30] = 50.0;
+            draws[30] = draws[3];
+            for n in [2, 5, 60] {
+                assert!(check_bounded(scores.clone(), draws.clone(), n).0, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_gumbel_keys_are_rare_at_the_training_shape() {
+        // Sure winners and losers are settled from their bounds, so a user
+        // computes about one exact key, not one per candidate (~110 a user
+        // when every candidate paid).
+        let cfg = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.25);
+        let gen = Generator::new(&cfg, 42);
+        let (mut s, mut ids) = (Scratch::default(), Vec::new());
+        let mut selected = 0;
+        for u in 0..cfg.num_users {
+            ids.clear();
+            gen.fill(u, &mut s, &mut ids);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "user {u} sorted");
+            selected += ids.len();
+        }
+        let users = cfg.num_users as f64;
+        let per_user = s.exact_keys as f64 / users;
+        assert!(per_user <= 4.0, "{per_user} exact keys a user");
+        println!(
+            "gumbel keys per user: {per_user:.2} (n {:.1})",
+            selected as f64 / users
+        );
+    }
+
+    #[test]
+    fn the_sizing_pass_skips_exactly_the_latents_words() {
+        // `count` skips `1 + 2·latent_dim` words where `draw_user` draws a
+        // cluster and a Box–Muller latent; a draw that changed its word
+        // count would shift every count after it.
+        let tiny = SyntheticConfig::tiny();
+        let ml = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.05);
+        let ml_quarter = crate::profiles::DatasetProfile::MovieLens.config_scaled(0.25);
+        let anime_quarter = crate::profiles::DatasetProfile::Anime.config_scaled(0.25);
+        let mut latent = Vec::new();
+        for cfg in [&tiny, &ml, &ml_quarter, &anime_quarter] {
+            for seed in [42, 7] {
+                let gen = Generator::new(cfg, seed);
+                for u in 0..cfg.num_users {
+                    assert_eq!(gen.count(u), gen.draw_user(u, &mut latent).0, "user {u}");
+                }
+            }
+        }
     }
 
     /// Every `step`-th 24-bit draw (and the last) has its `g` inside its
