@@ -215,7 +215,7 @@ echo "==> capacity smoke (synthetic profile + lazy serving)"
 # it lazily, and proves lazy/tiled/sharded rankings bit-identical to the
 # eager load, the item-half store at exactly its budget after one pass and
 # after two, and the eager load's resident growth — afterwards and at its
-# peak — within 1.25x of the payload it decodes (it exits non-zero on any
+# peak — within 1.25x of the payload it holds (it exits non-zero on any
 # mismatch or overshoot).
 HF_CAPACITY_USERS=100000 HF_CAPACITY_ITEMS=100000 \
     HF_CAPACITY_ARTIFACT=target/ci-artifacts/capacity_model.hfa \
@@ -232,6 +232,13 @@ test -s target/ci-artifacts/capacity_model.hfa
 cargo test -q --offline --release -p hf_serve --lib output_is_pinned_and_independent_of_the_worker_count \
     -- --nocapture | tee target/ci-artifacts/synthesis_pinned.log
 grep -q "synthesis bytes pinned at 1, 2 and 8 workers" target/ci-artifacts/synthesis_pinned.log
+# An eager load holds the `users` section as the file encodes it: a
+# counting allocator bounds what the load asks for by the tables, that
+# section, popularity and the fallback plus the two read windows. The
+# line prints only when the bound held.
+cargo test -q --offline --release -p hf_serve --test load_allocations -- --nocapture \
+    | tee target/ci-artifacts/load_allocations.log
+grep -q "eager load holds its users as encoded" target/ci-artifacts/load_allocations.log
 # Boot the real hf-serve binary lazily on that artifact and verify every
 # served exchange against an in-process replay of the same file.
 cargo run -q --offline --release -p hf_net --bin hf-serve -- \

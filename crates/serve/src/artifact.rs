@@ -23,28 +23,28 @@
 //! replace their target atomically, and `session_to_file` never
 //! materialises the artifact either.
 //!
-//! **An eager artifact costs what it holds.** Eager user state is one
-//! `UserArena`: two flat buffers (every embedding, every history id)
-//! plus a tier byte and two end offsets per user, and a sparse map for
-//! the standalone baseline's private models — `4·(Σd + ΣI) + 17·U`
-//! bytes, whichever constructor filled it, with no per-user allocation.
-//! [`ModelArtifact::user`] lends a [`UserView`] into it; the lazy backend
-//! lends the same view out of its cached [`UserRecord`]s.
+//! **A user has one form: its record in the `users` section.** An eager
+//! artifact holds that section in memory, one exact-size buffer framed as
+//! the file frames it (an end offset a user, then the records, history
+//! ids delta-coded at about a byte each), whichever constructor filled
+//! it; a lazy one leaves it on disk. [`ModelArtifact::user`] decodes the
+//! one record asked for into a [`UserRecord`] either way — the lazy
+//! backend keeps it in its shard cache, the eager one hands it over —
+//! and [`UserRecord::view`] lends it as a [`UserView`], the borrowed form
+//! the writer and the recommender read.
 //!
 //! The artifact schema ([`ARTIFACT_VERSION`]) and its container
 //! ([`crate::BINFMT_VERSION`]) are versioned, and a reader accepts exactly
 //! the versions this build writes.
 
-use crate::binfmt::{self, Meta};
+use crate::binfmt::{self, HeldUsers, Meta};
 use crate::lazy::{LazyConfig, LazyUsers, Tiers};
 use crate::ServeError;
 use hetefedrec_core::session::Session;
 use hetefedrec_core::Strategy;
 use hf_dataset::Tier;
 use hf_models::{Ffn, ModelKind};
-use hf_tensor::wire::DecodeError;
 use hf_tensor::Matrix;
-use std::collections::HashMap;
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -76,8 +76,8 @@ pub struct UserView<'a> {
     pub solo: Option<&'a SoloModel>,
 }
 
-/// One user's frozen serving state, owned: the unit the lazy backend
-/// decodes on first touch and caches (fields as in [`UserView`]).
+/// One user's frozen serving state, owned: what a read of a user decodes
+/// (fields as in [`UserView`]).
 #[derive(Clone, Debug)]
 pub struct UserRecord {
     /// The model tier this user is served with.
@@ -100,143 +100,24 @@ impl UserRecord {
             solo: self.solo.as_ref(),
         }
     }
-}
 
-/// A fetched user: either a view straight into the eager arena, or a
-/// shared handle into the lazy store's shard cache (the record may be
-/// evicted and re-decoded later; the handle keeps this copy alive).
-/// [`UserRef::view`] reads the same either way.
-#[derive(Clone, Debug)]
-pub enum UserRef<'a> {
-    /// Borrowed from the eager arena.
-    Borrowed(UserView<'a>),
-    /// A cache handle from the lazy sharded backend.
-    Cached(Arc<UserRecord>),
-}
-
-impl UserRef<'_> {
-    /// The user's state, borrowed for as long as this handle lives.
-    pub fn view(&self) -> UserView<'_> {
-        match self {
-            UserRef::Borrowed(view) => *view,
-            UserRef::Cached(record) => record.view(),
-        }
-    }
-}
-
-/// Every eager user in two flat buffers: embeddings back to back, history
-/// ids back to back, and per user a tier byte and the two offsets its
-/// slices end at (they start where the previous user's end). Private
-/// standalone models are rare and large, so they sit in a sparse map.
-/// Filled in user order through [`UserArena::push_with`] alone.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct UserArena {
-    tiers: Vec<u8>,
-    /// `(embs, histories)` lengths once this user is in.
-    ends: Vec<(usize, usize)>,
-    embs: Vec<f32>,
-    histories: Vec<u32>,
-    solos: HashMap<usize, SoloModel>,
-}
-
-impl UserArena {
-    /// An arena with room for exactly `users` users holding `embs`
-    /// embedding floats and `ids` history ids between them. A caller
-    /// that only has upper bounds follows up with
-    /// [`UserArena::shrink_to_fit`]; capacity never written to is never
-    /// resident.
-    pub(crate) fn with_capacity(users: usize, embs: usize, ids: usize) -> Self {
+    /// A record to decode into.
+    pub(crate) fn empty() -> Self {
         Self {
-            tiers: Vec::with_capacity(users),
-            ends: Vec::with_capacity(users),
-            embs: Vec::with_capacity(embs),
-            histories: Vec::with_capacity(ids),
-            solos: HashMap::new(),
+            tier: Tier::Small,
+            emb: Vec::new(),
+            history: Vec::new(),
+            solo: None,
         }
-    }
-
-    /// Appends one user: `fill` extends the two flat buffers with the
-    /// user's embedding and history and returns its tier and private
-    /// model. An error (a decoder's malformed record) passes through and
-    /// leaves the arena unusable.
-    pub(crate) fn push_with(
-        &mut self,
-        fill: impl FnOnce(
-            &mut Vec<f32>,
-            &mut Vec<u32>,
-        ) -> Result<(Tier, Option<SoloModel>), DecodeError>,
-    ) -> Result<(), DecodeError> {
-        let (tier, solo) = fill(&mut self.embs, &mut self.histories)?;
-        if let Some(solo) = solo {
-            self.solos.insert(self.tiers.len(), solo);
-        }
-        self.tiers.push(tier.index() as u8);
-        self.ends.push((self.embs.len(), self.histories.len()));
-        Ok(())
-    }
-
-    /// Appends a copy of `user`.
-    pub(crate) fn push(&mut self, user: UserView<'_>) {
-        self.push_with(|embs, histories| {
-            embs.extend_from_slice(user.emb);
-            histories.extend_from_slice(user.history);
-            Ok((user.tier, user.solo.cloned()))
-        })
-        .expect("a copy is never malformed");
-    }
-
-    /// Empties the arena, keeping its buffers.
-    pub(crate) fn clear(&mut self) {
-        self.tiers.clear();
-        self.ends.clear();
-        self.embs.clear();
-        self.histories.clear();
-        self.solos.clear();
-    }
-
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.embs.shrink_to_fit();
-        self.histories.shrink_to_fit();
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.tiers.len()
-    }
-
-    pub(crate) fn get(&self, user: usize) -> Option<UserView<'_>> {
-        let &(emb_end, history_end) = self.ends.get(user)?;
-        let (emb_start, history_start) = match user {
-            0 => (0, 0),
-            _ => self.ends[user - 1],
-        };
-        Some(UserView {
-            tier: Tier::ALL[self.tiers[user] as usize],
-            emb: &self.embs[emb_start..emb_end],
-            history: &self.histories[history_start..history_end],
-            solo: self.solos.get(&user),
-        })
-    }
-
-    /// Embedding floats plus history ids held.
-    #[cfg(test)]
-    pub(crate) fn scalars(&self) -> usize {
-        self.embs.len() + self.histories.len()
-    }
-
-    /// Heap bytes held (by capacity), private models aside.
-    #[cfg(test)]
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.tiers.capacity()
-            + std::mem::size_of::<(usize, usize)>() * self.ends.capacity()
-            + 4 * (self.embs.capacity() + self.histories.capacity())
     }
 }
 
 /// Where user records live.
 #[derive(Clone, Debug)]
 pub(crate) enum UserStore {
-    /// All users decoded up front (training export, eager file load).
-    Eager(UserArena),
+    /// The `users` section in memory (training export, synthesis, eager
+    /// file load).
+    Held(HeldUsers),
     /// Records decoded on first touch from the file, held in a sharded
     /// bounded LRU (see [`crate::lazy`]).
     Lazy(LazyUsers),
@@ -264,21 +145,22 @@ impl ModelArtifact {
     /// Snapshots a session's current model state into an artifact.
     ///
     /// The session keeps training afterwards if it likes; the artifact is
-    /// a deep copy (into an exact-size arena) and never changes.
+    /// a deep copy (its users encoded into an exact-size buffer) and never
+    /// changes.
     pub fn from_session(session: &Session) -> Self {
         let server = session.server();
         let meta = session_meta(session);
-        let sizes = (0..meta.num_users).map(|u| session_user(session, u));
-        let (embs, ids) = sizes.fold((0, 0), |(embs, ids), user| {
-            (embs + user.emb.len(), ids + user.history.len())
-        });
-        let mut users = UserArena::with_capacity(meta.num_users, embs, ids);
+        let bytes = (0..meta.num_users)
+            .map(|u| binfmt::record_len(session_user(session, u)))
+            .sum();
         let mut tally = Tally::new(meta.num_items, &meta.dims);
-        for u in 0..meta.num_users {
-            let user = session_user(session, u);
-            tally.add(user);
-            users.push(user);
-        }
+        let users = HeldUsers::encode(meta, bytes, |records| {
+            for u in 0..meta.num_users {
+                let user = session_user(session, u);
+                tally.add(user);
+                records.put(user);
+            }
+        });
         let (popularity, fallback) = tally.finish();
         Self::assemble(
             meta,
@@ -286,7 +168,7 @@ impl ModelArtifact {
                 Tier::ALL.map(|t| server.table(t).clone()),
                 Tier::ALL.map(|t| server.theta(t).clone()),
             ),
-            UserStore::Eager(users),
+            UserStore::Held(users),
             popularity,
             fallback,
         )
@@ -370,12 +252,7 @@ impl ModelArtifact {
     /// Truncated, malformed, or version-mismatched buffers are rejected
     /// with [`ServeError::Artifact`], never a panic.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, ServeError> {
-        binfmt::decode(buf.len() as u64, |off, len| {
-            let (off, len) = (usize::try_from(off).ok(), usize::try_from(len).ok());
-            (off.zip(len))
-                .and_then(|(off, len)| buf.get(off..off.checked_add(len)?))
-                .ok_or_else(|| binfmt::err("read past the end of the buffer"))
-        })
+        binfmt::decode(buf.len() as u64, binfmt::slice_source(buf))
     }
 
     /// Streams the binary format to `path` — the same writer as
@@ -395,10 +272,11 @@ impl ModelArtifact {
     }
 
     /// Reads an artifact from the binary file format written by
-    /// [`ModelArtifact::save_file`], decoding everything up front — the
-    /// decoder of [`ModelArtifact::from_bytes`] over a bounded read
-    /// window instead of a buffer, so the file is never resident beside
-    /// what is decoded from it.
+    /// [`ModelArtifact::save_file`], everything up front — the decoder of
+    /// [`ModelArtifact::from_bytes`] over a bounded read window instead
+    /// of a buffer: tables are decoded, the `users` section is held as it
+    /// is encoded (every record checked on the way in), and the file is
+    /// never resident beside what is taken from it.
     pub fn load_file(path: impl AsRef<std::path::Path>) -> Result<Self, ServeError> {
         crate::lazy::open_eager(path.as_ref())
     }
@@ -452,28 +330,31 @@ impl ModelArtifact {
     /// Number of known users.
     pub fn num_users(&self) -> usize {
         match &self.users {
-            UserStore::Eager(users) => users.len(),
+            UserStore::Held(users) => users.num_users(),
             UserStore::Lazy(lazy) => lazy.num_users(),
         }
     }
 
-    /// How many decoded user records are resident right now: all of them
-    /// for an eager artifact, the shard-cache occupancy for a lazy one.
+    /// How many user records are resident right now: all of them (as
+    /// encoded) for an eager artifact, the shard-cache occupancy for a
+    /// lazy one.
     pub fn cached_user_records(&self) -> usize {
         match &self.users {
-            UserStore::Eager(users) => users.len(),
+            UserStore::Held(users) => users.num_users(),
             UserStore::Lazy(lazy) => lazy.cached_records(),
         }
     }
 
     /// One known user's frozen state, or `None` for unknown ids (the
-    /// recommender's cold-start path). On a lazy artifact this decodes
-    /// the record from disk on first touch and caches it in the user's
-    /// shard.
-    pub fn user(&self, user: usize) -> Option<UserRef<'_>> {
+    /// recommender's cold-start path), decoded from its record. An eager
+    /// artifact decodes the record it holds on every call; a lazy one
+    /// reads it from disk on first touch and keeps it in the user's shard
+    /// cache, whose handle this is (the record may be evicted later; the
+    /// handle keeps this copy alive).
+    pub fn user(&self, user: usize) -> Option<Arc<UserRecord>> {
         match &self.users {
-            UserStore::Eager(users) => users.get(user).map(UserRef::Borrowed),
-            UserStore::Lazy(lazy) => lazy.user(user).map(UserRef::Cached),
+            UserStore::Held(users) => users.get(user).map(Arc::new),
+            UserStore::Lazy(lazy) => lazy.user(user),
         }
     }
 

@@ -47,19 +47,22 @@
 //! `Write + Seek` sink and driven by `to_bytes`, `save_file`,
 //! `session_to_file` and `synthesize_to_file` — **one layout scan** —
 //! `scan`, over any random-access byte source, the front half of both
-//! the eager decoder and the lazy open — and **one eager decoder** —
+//! the eager decoder and the lazy open — **one eager decoder** —
 //! `decode`, over the same kind of source: a slice for `from_bytes`, a
 //! bounded read window over the file for `load_file`
-//! (`crate::lazy::open_eager`). The scan validates every declared length
-//! against the bytes remaining *before* a payload is touched, and the
-//! decoder sizes its one user arena from those validated lengths, so
-//! hostile inputs fail with [`ServeError::Artifact`] instead of panicking
-//! or over-allocating, and a valid file costs its payload to load: every
-//! user record is parsed where the source lends it, straight into the
-//! arena's flat buffers.
+//! (`crate::lazy::open_eager`) — and **one user-record form**: the
+//! `users` section as the writer frames it. An eager artifact holds that
+//! section in memory (`HeldUsers`), the lazy one leaves it on disk, and
+//! either way a user is read by decoding its one record through
+//! `UserIndex::get`. The scan validates every declared length against
+//! the bytes remaining *before* a payload is touched, and the decoder
+//! checks the `users` directory before it sizes the held copy by the
+//! validated section length, so hostile inputs fail with
+//! [`ServeError::Artifact`] instead of panicking or over-allocating, and
+//! a valid file costs its payload to load.
 
 use crate::artifact::{
-    ModelArtifact, SoloModel, UserArena, UserRecord, UserStore, UserView, ARTIFACT_VERSION,
+    ModelArtifact, SoloModel, UserRecord, UserStore, UserView, ARTIFACT_VERSION,
 };
 use crate::lazy::Tiers;
 use crate::ServeError;
@@ -110,15 +113,12 @@ const TABLE_DIR_ENTRY: u64 = 8 + 8 + 8 + 4;
 /// Bytes of one `thetas` directory entry: `off: u64, len: u64`.
 const THETA_DIR_ENTRY: u64 = 8 + 8;
 
-/// The fewest bytes a user record holds besides its embedding: the tier
-/// byte, a one-byte (empty) history count and the solo flag.
-const USER_RECORD_MIN: u64 = 1 + 1 + 1;
-
 /// The most the eager decoder asks its source for at once while it walks
-/// a table or the `users` directory — what lets a file-backed source keep
-/// a bounded window. Whole floats, so a table splits on scalar boundaries.
+/// a table or the `users` section — what lets a file-backed source keep
+/// a bounded window. Whole floats and whole directory entries, so a table
+/// and the `users` directory split on scalar boundaries.
 pub(crate) const READ_CHUNK: u64 = 96 << 10;
-const _: () = assert!(READ_CHUNK.is_multiple_of(4));
+const _: () = assert!(READ_CHUNK.is_multiple_of(USER_DIR_ENTRY));
 
 /// Scalars framed per `write_all` when a table or popularity vector
 /// streams out — bounds the writer's scratch buffer at 256 KiB.
@@ -289,15 +289,21 @@ impl<W: Write + Seek> ArtifactWriter<W> {
             written: Ok(()),
         };
         produce(&mut records);
-        let UserRecords { ends, written, .. } = records;
-        written?;
-        assert_eq!(ends.len(), self.meta.num_users, "one record a user");
+        let ends = records.finish(self.meta.num_users)?;
         let end = ends.last().copied().unwrap_or(0);
         self.out.seek(SeekFrom::Start(at))?;
         self.section_header(SEC_USERS, dir_len + end)?;
         self.put_scalars(&ends, Writer::put_u64_le)?;
         self.out.seek(SeekFrom::End(0))?;
         Ok(dir_len + end)
+    }
+
+    /// Writes a `users` section whose payload is already framed (a
+    /// [`HeldUsers`]' bytes), as is. Returns the payload length.
+    fn users_framed(&mut self, payload: &[u8]) -> io::Result<u64> {
+        self.section_header(SEC_USERS, payload.len() as u64)?;
+        self.out.write_all(payload)?;
+        Ok(payload.len() as u64)
     }
 
     /// Writes `popularity` and `fallback`, flushes, and returns the sink
@@ -350,42 +356,43 @@ impl<W: Write> UserRecords<'_, W> {
                 .push(self.ends.last().unwrap_or(&0) + self.scratch.len() as u64);
         }
     }
+
+    /// Where each of the `num_users` records ends, or the first failed
+    /// write's error.
+    fn finish(self, num_users: usize) -> io::Result<Vec<u64>> {
+        self.written?;
+        assert_eq!(self.ends.len(), num_users, "one record a user");
+        Ok(self.ends)
+    }
 }
 
-/// Streams an artifact (eager or lazy) through the writer. A lazy
-/// artifact's records are read past its user cache, so re-encoding a
-/// serving artifact leaves its hot set alone.
+/// Streams an artifact (eager or lazy) through the writer. A held
+/// `users` section goes out as it is held; a lazy artifact's records are
+/// decoded past its user cache and re-encoded, so re-encoding a serving
+/// artifact leaves its hot set alone (and a file the decoder accepts
+/// re-encodes to its own bytes only if every record it accepts is
+/// canonical — which the fuzz test holds the two paths to).
 pub(crate) fn write_artifact<W: Write + Seek>(a: &ModelArtifact, out: W) -> io::Result<W> {
     let mut w = ArtifactWriter::begin(out, a.meta())?;
     w.tables(|tier| [a.table(tier).as_slice()])?;
     w.thetas(Tier::ALL.map(|tier| a.theta(tier)))?;
-    w.users(|records| {
-        for u in 0..a.num_users() {
-            match &a.users {
-                UserStore::Eager(users) => records.put(users.get(u).expect("user in range")),
-                UserStore::Lazy(lazy) => records.put(lazy.fetch(u).view()),
-            }
+    match &a.users {
+        UserStore::Held(held) => w.users_framed(&held.payload),
+        UserStore::Lazy(lazy) => {
+            w.users(|records| (0..a.num_users()).for_each(|u| records.put(lazy.fetch(u).view())))
         }
-    })?;
+    }?;
     Ok(w.finish(&a.popularity, &a.fallback)?.0)
 }
 
-/// The bytes `a` encodes to, exact when no user carries a private model
-/// (each of those adds its own) — what `to_bytes` reserves, so the
-/// buffer is allocated once.
+/// The bytes `a` encodes to — what `to_bytes` reserves, so the buffer is
+/// allocated once.
 pub(crate) fn encoded_len(a: &ModelArtifact) -> usize {
     let meta = a.meta();
     let widths: usize = Tier::ALL.iter().map(|&t| meta.dims.dim(t)).sum();
-    let thetas: usize = (Tier::ALL.iter())
-        .map(|&t| 4 + 4 * a.theta(t).dims().len() + 8 + 4 * a.theta(t).num_params())
-        .sum();
+    let thetas: usize = Tier::ALL.iter().map(|&t| ffn_len(a.theta(t))).sum();
     let users = match &a.users {
-        // A directory entry, the tier and solo bytes, the embedding and
-        // the coded history.
-        UserStore::Eager(users) => (0..users.len())
-            .map(|u| users.get(u).expect("user in range"))
-            .map(|user| (USER_DIR_ENTRY + 2) as usize + 4 * user.emb.len() + ids_len(user.history))
-            .sum(),
+        UserStore::Held(held) => held.payload.len(),
         UserStore::Lazy(lazy) => lazy.index().section_len() as usize,
     };
     let framing = HEADER_LEN + 6 * SECTION_HEADER_LEN + META_LEN;
@@ -450,9 +457,34 @@ fn uleb_len(x: u32) -> usize {
     (32 - (x | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// Bytes of an id list as [`put_user`] codes it: the count, then the gaps.
-fn ids_len(ids: &[u32]) -> usize {
-    uleb_len(ids.len() as u32) + gaps(ids.iter().copied()).map(uleb_len).sum::<usize>()
+/// Bytes of `n` ascending ids as [`put_user`] codes them: the count, then
+/// the gaps.
+fn ids_len(n: usize, ids: impl IntoIterator<Item = u32>) -> usize {
+    uleb_len(n as u32) + gaps(ids).map(uleb_len).sum::<usize>()
+}
+
+/// Bytes [`put_ffn`] encodes `ffn` to.
+fn ffn_len(ffn: &Ffn) -> usize {
+    4 + 4 * ffn.dims().len() + 8 + 4 * ffn.num_params()
+}
+
+/// Bytes [`put_user`] encodes `user` to: the tier and solo bytes, the
+/// embedding, the coded history and the private model, if any.
+pub(crate) fn record_len(user: UserView<'_>) -> usize {
+    let solo = user.solo.map_or(0, |solo| {
+        let keys = solo.rows.iter().map(|(&item, _)| item);
+        ffn_len(&solo.theta)
+            + ids_len(solo.rows.len(), keys)
+            + 4 * solo.rows.len() * solo.rows.dim()
+    });
+    2 + 4 * user.emb.len() + ids_len(user.history.len(), user.history.iter().copied()) + solo
+}
+
+/// The most bytes a record with no private model takes when all that is
+/// known is its shape: `dim` floats and `ids` history ids, each gap
+/// below `num_items`.
+pub(crate) fn record_bound(dim: usize, ids: usize, num_items: usize) -> usize {
+    2 + 4 * dim + uleb_len(ids as u32) + ids * uleb_len(num_items.saturating_sub(1) as u32)
 }
 
 fn put_ffn(w: &mut Writer, ffn: &Ffn) {
@@ -720,41 +752,35 @@ impl UserIndex {
         }
     }
 
-    /// Walks the directory in [`READ_CHUNK`]-sized pieces, handing
-    /// `each` every user's extent in order; returns the last end.
+    /// Walks the directory alone, in [`READ_CHUNK`]-sized pieces: every
+    /// end must lie inside the block and none may fall. Returns the last.
     fn walk<B: Deref<Target = [u8]>>(
         &self,
-        num_users: usize,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
-        mut each: impl FnMut(usize, Extent) -> Result<(), ServeError>,
     ) -> Result<u64, ServeError> {
-        let per_chunk = (READ_CHUNK / USER_DIR_ENTRY) as usize;
-        let mut end = 0;
-        for first in (0..num_users).step_by(per_chunk) {
-            let n = per_chunk.min(num_users - first);
-            let dir = read(
-                self.dir + first as u64 * USER_DIR_ENTRY,
-                n as u64 * USER_DIR_ENTRY,
-            )?;
-            let mut dir = Reader::new(&dir);
-            for user in first..first + n {
+        let (mut user, mut end) = (0, 0);
+        for_each_chunk((self.dir, self.block.0 - self.dir), read, |dir| {
+            let mut dir = Reader::new(dir);
+            while dir.remaining() > 0 {
                 let (start, len) = self.entry(user, end, &mut dir)?;
-                each(user, (start, len))?;
-                end = start + len;
+                (user, end) = (user + 1, start + len);
             }
-        }
+            Ok(())
+        })?;
         Ok(end)
     }
 
-    /// Decodes user `user` alone through `read` (the lazy store's touch):
-    /// its directory window — the previous user's end, then its own (its
-    /// own alone for user 0) — then the record.
-    pub(crate) fn get<B: Deref<Target = [u8]>>(
+    /// Decodes user `user` alone through `read` — its directory window
+    /// (the previous user's end, then its own; its own alone for user 0),
+    /// then the record — into `record`, whose buffers it reuses. The one
+    /// way a user record is read, held or on disk.
+    pub(crate) fn get_into<B: Deref<Target = [u8]>>(
         &self,
         user: usize,
         meta: &Meta,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
-    ) -> Result<UserRecord, ServeError> {
+        record: &mut UserRecord,
+    ) -> Result<(), ServeError> {
         let (at, len) = match user {
             0 => (self.dir, USER_DIR_ENTRY),
             _ => (
@@ -774,67 +800,147 @@ impl UserIndex {
         exactly(
             &read(self.block.0 + off, len)?,
             format_args!("`users` section at user {user}"),
-            |r| {
-                let (mut emb, mut history) = (Vec::new(), Vec::new());
-                let (tier, solo) = get_user(r, meta, &mut emb, &mut history)?;
-                Ok(UserRecord {
-                    tier,
-                    emb,
-                    history,
-                    solo,
-                })
-            },
+            |r| get_user(r, meta, record),
         )
     }
 
-    /// Decodes every user into one arena. The directory is walked twice:
-    /// once alone, demanding ends that never fall and a last one that
-    /// covers the block exactly, before anything is reserved, then in step
-    /// with the record block, each record parsed where `read` lends it.
-    fn decode_all<B: Deref<Target = [u8]>>(
+    /// [`UserIndex::get_into`] a record of its own.
+    pub(crate) fn get<B: Deref<Target = [u8]>>(
+        &self,
+        user: usize,
+        meta: &Meta,
+        read: impl Fn(u64, u64) -> Result<B, ServeError>,
+    ) -> Result<UserRecord, ServeError> {
+        let mut record = UserRecord::empty();
+        self.get_into(user, meta, read, &mut record)?;
+        Ok(record)
+    }
+
+    /// Takes the whole section in as a [`HeldUsers`] and decodes every
+    /// record once, so a malformed one is refused at load, not at its
+    /// first request. The directory is walked alone first — ends that
+    /// never fall, the last covering the block exactly — so nothing is
+    /// sized by a lying one; then the section (its length validated by
+    /// the scan) is copied in [`READ_CHUNK`] pieces, and the records are
+    /// decoded from the copy into one reused scratch record.
+    fn hold<B: Deref<Target = [u8]>>(
         &self,
         meta: &Meta,
         read: impl Fn(u64, u64) -> Result<B, ServeError>,
-    ) -> Result<UserArena, ServeError> {
-        if self.walk(meta.num_users, &read, |_, _| Ok(()))? != self.block.1 {
+    ) -> Result<HeldUsers, ServeError> {
+        if self.walk(&read)? != self.block.1 {
             return Err(err("`users` section has trailing bytes"));
         }
-        let mut users = reserve_users(meta, self.block.1)?;
-        self.walk(meta.num_users, &read, |user, (off, len)| {
-            exactly(
-                &read(self.block.0 + off, len)?,
-                format_args!("`users` section at user {user}"),
-                |r| users.push_with(|embs, ids| get_user(r, meta, embs, ids)),
-            )
+        let mut payload = Vec::with_capacity(self.section_len() as usize);
+        for_each_chunk((self.dir, self.section_len()), read, |chunk| {
+            payload.extend_from_slice(chunk);
+            Ok(())
         })?;
-        users.shrink_to_fit();
-        Ok(users)
+        let held = HeldUsers::new(payload, *meta);
+        let mut scratch = UserRecord::empty();
+        for user in 0..meta.num_users {
+            held.index
+                .get_into(user, meta, slice_source(&held.payload), &mut scratch)?;
+        }
+        Ok(held)
     }
 }
 
-/// An arena sized for `meta.num_users` records in `block_len` bytes,
-/// before any is parsed. A record is at least a tier byte, a one-byte
-/// count, a solo flag and the smallest tier's embedding, which bounds the
-/// file's user count by its (already validated) length; embeddings are
-/// at most the largest tier's each, and every history id takes at least a
-/// byte of what the fixed parts leave. Upper bounds only —
-/// [`UserArena::shrink_to_fit`] once the records are in.
-fn reserve_users(meta: &Meta, block_len: u64) -> Result<UserArena, ServeError> {
-    let (users, block) = (meta.num_users as u64, block_len);
-    let (smallest, largest) = (
-        meta.dims.dim(Tier::Small) as u64,
-        meta.dims.dim(Tier::Large) as u64,
-    );
-    let fixed = users
-        .checked_mul(USER_RECORD_MIN + 4 * smallest)
-        .filter(|&fixed| fixed <= block)
-        .ok_or_else(|| err(format!("`users` section too short for {users} records")))?;
-    let floats = (block - users * USER_RECORD_MIN) / 4;
-    Ok(UserArena::with_capacity(
-        meta.num_users,
-        floats.min(users.saturating_mul(largest)) as usize,
-        (block - fixed) as usize,
-    ))
+/// A `users` section held in memory: the `8 B`-a-user end directory, then
+/// the records, byte for byte as [`ArtifactWriter::users`] frames them —
+/// what an eager artifact keeps of its users. A read decodes the one
+/// record asked for through [`UserIndex::get`], as on the lazy path.
+#[derive(Clone, Debug)]
+pub(crate) struct HeldUsers {
+    payload: Vec<u8>,
+    meta: Meta,
+    /// The section's layout, offsets relative to `payload`.
+    index: UserIndex,
+}
+
+impl HeldUsers {
+    /// Frames the `meta.num_users` records `produce` pushes, in user
+    /// order, through the writer's own [`UserRecords`]. The buffer is
+    /// reserved for the directory and `records` bytes of records — exact
+    /// or an upper bound — and shrunk to what was written.
+    pub(crate) fn encode(
+        meta: Meta,
+        records: usize,
+        produce: impl FnOnce(&mut UserRecords<'_, Vec<u8>>),
+    ) -> Self {
+        let dir_len = meta.num_users * USER_DIR_ENTRY as usize;
+        let mut payload = Vec::with_capacity(dir_len + records);
+        payload.resize(dir_len, 0);
+        let mut sink = UserRecords {
+            out: &mut payload,
+            scratch: &mut Writer::new(),
+            ends: Vec::with_capacity(meta.num_users),
+            written: Ok(()),
+        };
+        produce(&mut sink);
+        let ends = sink
+            .finish(meta.num_users)
+            .expect("memory takes every write");
+        for (entry, end) in payload.chunks_exact_mut(USER_DIR_ENTRY as usize).zip(ends) {
+            entry.copy_from_slice(&end.to_le_bytes());
+        }
+        payload.shrink_to_fit();
+        Self::new(payload, meta)
+    }
+
+    /// Holds `payload`, a whole `users` section for `meta.num_users`.
+    fn new(payload: Vec<u8>, meta: Meta) -> Self {
+        let dir_len = meta.num_users as u64 * USER_DIR_ENTRY;
+        let index = UserIndex {
+            dir: 0,
+            block: (dir_len, payload.len() as u64 - dir_len),
+        };
+        Self {
+            payload,
+            meta,
+            index,
+        }
+    }
+
+    pub(crate) fn num_users(&self) -> usize {
+        self.meta.num_users
+    }
+
+    /// User `user`'s record, decoded, or `None` past the last user.
+    pub(crate) fn get(&self, user: usize) -> Option<UserRecord> {
+        (user < self.meta.num_users).then(|| {
+            (self.index)
+                .get(user, &self.meta, slice_source(&self.payload))
+                .expect("a held record was framed by the writer or checked by the decoder")
+        })
+    }
+}
+
+/// `buf` as a random-access source: `read(off, len)` lends that range,
+/// or fails typed when it runs past the end.
+pub(crate) fn slice_source<'a>(buf: &'a [u8]) -> impl Fn(u64, u64) -> Result<&'a [u8], ServeError> {
+    move |off, len| {
+        let (off, len) = (usize::try_from(off).ok(), usize::try_from(len).ok());
+        (off.zip(len))
+            .and_then(|(off, len)| buf.get(off..off.checked_add(len)?))
+            .ok_or_else(|| err("read past the end of the buffer"))
+    }
+}
+
+/// Hands `each` the bytes at `(off, len)` in order, asking `read` for at
+/// most [`READ_CHUNK`] of them at a time.
+fn for_each_chunk<B: Deref<Target = [u8]>>(
+    (off, len): Extent,
+    read: impl Fn(u64, u64) -> Result<B, ServeError>,
+    mut each: impl FnMut(&[u8]) -> Result<(), ServeError>,
+) -> Result<(), ServeError> {
+    let mut at = off;
+    while at < off + len {
+        let n = READ_CHUNK.min(off + len - at);
+        each(&read(at, n)?)?;
+        at += n;
+    }
+    Ok(())
 }
 
 /// Decodes one matrix payload at `extent` — `rows: u64, cols: u32`, then
@@ -853,24 +959,19 @@ pub(crate) fn read_table<B: Deref<Target = [u8]>>(
     exactly(&read(off, 12)?, &what, |r| get_shape(r, shape))?;
     // Bounded by `len`, which the scan checked against the source.
     let mut data = Vec::with_capacity(floats as usize);
-    let mut at = off + 12;
-    while at < off + len {
-        let n = READ_CHUNK.min(off + len - at);
-        exactly(&read(at, n)?, &what, |r| {
-            r.extend_f32s((n / 4) as usize, &mut data)
-        })?;
-        at += n;
-    }
+    for_each_chunk((off + 12, len - 12), read, |chunk| {
+        exactly(chunk, &what, |r| r.extend_f32s(chunk.len() / 4, &mut data))
+    })?;
     Ok(Matrix::from_vec(shape.0, shape.1, data))
 }
 
 /// The one eager decoder, over any random-access source (a slice for
 /// [`ModelArtifact::from_bytes`], a read window over the file for
-/// [`ModelArtifact::load_file`]): the layout scan, then every payload
-/// parsed into memory where `read` lends it. Beyond the always-needed
-/// small sections it asks for at most [`READ_CHUNK`] bytes or one user
-/// record at a time. Lazy file-backed loading is
-/// [`ModelArtifact::load_file_lazy`].
+/// [`ModelArtifact::load_file`]): the layout scan, then the tables and
+/// predictors decoded and the `users` section held as it is framed
+/// (every record checked). Beyond the always-needed small sections it
+/// asks for at most [`READ_CHUNK`] bytes at a time. Lazy file-backed
+/// loading is [`ModelArtifact::load_file_lazy`].
 pub(crate) fn decode<B: Deref<Target = [u8]>>(
     len: u64,
     read: impl Fn(u64, u64) -> Result<B, ServeError>,
@@ -888,7 +989,7 @@ pub(crate) fn decode<B: Deref<Target = [u8]>>(
             exactly(&read(off, len)?, what, get_ffn)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let users = layout.users.decode_all(&layout.meta, &read)?;
+    let users = layout.users.hold(&layout.meta, &read)?;
 
     Ok(ModelArtifact::assemble(
         layout.meta,
@@ -896,7 +997,7 @@ pub(crate) fn decode<B: Deref<Target = [u8]>>(
             tables.try_into().expect("three tables"),
             thetas.try_into().expect("three predictors"),
         ),
-        UserStore::Eager(users),
+        UserStore::Held(users),
         layout.popularity,
         layout.fallback,
     ))
@@ -957,39 +1058,36 @@ pub(crate) fn get_ffn(r: &mut Reader) -> Result<Ffn, DecodeError> {
     Ok(Ffn::from_flat(&dims, &r.get_f32_vec(flat_len)?))
 }
 
-/// Parses one user record, appending its embedding to `embs` and its
-/// history to `ids` (an arena's flat buffers, or a lone record's own);
-/// returns the tier and the private model, if the record carries one.
-/// Every item id it names — history or private row — must lie inside the
-/// catalogue, or ranking would index past the item tables.
-fn get_user(
-    r: &mut Reader,
-    meta: &Meta,
-    embs: &mut Vec<f32>,
-    ids: &mut Vec<u32>,
-) -> Result<(Tier, Option<SoloModel>), DecodeError> {
-    let tier = *Tier::ALL
+/// Parses one user record into `record`, reusing its embedding and
+/// history buffers. Every item id it names — history or private row —
+/// must lie inside the catalogue, or ranking would index past the item
+/// tables.
+fn get_user(r: &mut Reader, meta: &Meta, record: &mut UserRecord) -> Result<(), DecodeError> {
+    record.tier = *Tier::ALL
         .get(r.get_u8()? as usize)
         .ok_or(DecodeError::Invalid { field: "tier" })?;
-    let dim = meta.dims.dim(tier);
-    r.extend_f32s(dim, embs)?;
+    let dim = meta.dims.dim(record.tier);
+    record.emb.clear();
+    r.extend_f32s(dim, &mut record.emb)?;
     let n = r.get_uleb32("history")? as usize;
+    record.history.clear();
     // Every id is at least a byte.
-    ids.reserve(r.fits(n, 1)?);
+    record.history.reserve(r.fits(n, 1)?);
     get_ids(r, n, meta.num_items, "history", |_, item| {
-        ids.push(item);
+        record.history.push(item);
         Ok(())
     })?;
-    if !r.get_bool("solo")? {
-        return Ok((tier, None));
+    record.solo = None;
+    if r.get_bool("solo")? {
+        let theta = get_ffn(r)?;
+        let n = r.get_uleb32("rows")? as usize;
+        let mut rows = RowBlock::with_capacity(dim, r.fits(n, 1 + 4 * dim)?);
+        get_ids(r, n, meta.num_items, "rows", |r, item| {
+            rows.read_row(item, r)
+        })?;
+        record.solo = Some(SoloModel { rows, theta });
     }
-    let theta = get_ffn(r)?;
-    let n = r.get_uleb32("rows")? as usize;
-    let mut rows = RowBlock::with_capacity(dim, r.fits(n, 1 + 4 * dim)?);
-    get_ids(r, n, meta.num_items, "rows", |r, item| {
-        rows.read_row(item, r)
-    })?;
-    Ok((tier, Some(SoloModel { rows, theta })))
+    Ok(())
 }
 
 /// Reads `n` ids coded by [`gaps`], handing each to `each` with the
@@ -1059,10 +1157,8 @@ mod tests {
             let n = Ffn::param_count(&d).expect("small dims");
             Ffn::from_flat(&d, &ramp(n, salt))
         };
-        let mut tally = crate::artifact::Tally::new(num_items, &dims);
-        let mut users = UserArena::default();
-        for u in 0..5usize {
-            let record = {
+        let records: Vec<UserRecord> = (0..5usize)
+            .map(|u| {
                 let tier = Tier::ALL[u % 3];
                 let dim = dims.dim(tier);
                 let mut history: Vec<u32> = (0..u as u32).map(|i| (i * 2 + u as u32) % 6).collect();
@@ -1086,27 +1182,35 @@ mod tests {
                     history,
                     solo,
                 }
-            };
-            tally.add(record.view());
-            users.push(record.view());
-        }
+            })
+            .collect();
+        let mut tally = crate::artifact::Tally::new(num_items, &dims);
+        records.iter().for_each(|record| tally.add(record.view()));
         let (popularity, fallback) = tally.finish();
-        ModelArtifact {
+        let meta = Meta {
             model: ModelKind::Ncf,
-            dims,
             standalone: true,
+            dims,
             num_items,
-            params: Tiers::filled(
+            num_users: records.len(),
+        };
+        let bytes = records.iter().map(|record| record_len(record.view())).sum();
+        let users = HeldUsers::encode(meta, bytes, |out| {
+            records.iter().for_each(|record| out.put(record.view()))
+        });
+        ModelArtifact::assemble(
+            meta,
+            Tiers::filled(
                 std::array::from_fn(|t| {
                     let cols = dims.dim(Tier::ALL[t]);
                     Matrix::from_vec(num_items, cols, ramp(num_items * cols, 40 + t))
                 }),
                 std::array::from_fn(|t| ffn(dims.dim(Tier::ALL[t]), 50 + t)),
             ),
-            users: UserStore::Eager(users),
+            UserStore::Held(users),
             popularity,
             fallback,
-        }
+        )
     }
 
     /// Frozen files: `GOLDEN` and `GOLDEN_SOLO` are the container-3
@@ -1196,14 +1300,13 @@ mod tests {
     }
 
     #[test]
-    fn arenas_keep_no_spare_capacity_and_to_bytes_allocates_once() {
+    fn held_users_keep_no_spare_capacity_and_to_bytes_allocates_once() {
         let dir = scratch_dir("capacity");
         let path = dir.join("model.hfab");
         let profile = hf_dataset::SyntheticProfile::new(700, 400);
         let synthesized = ModelArtifact::synthesize(&profile, TierDims::new(4, 8, 16), 5).unwrap();
         synthesized.save_file(&path).unwrap();
         let bytes = synthesized.to_bytes();
-        assert_eq!(bytes.capacity(), bytes.len(), "to_bytes grew its buffer");
         let standalone = artifact(Strategy::Standalone, ModelKind::Ncf);
         for (what, artifact) in [
             ("synthesize", synthesized),
@@ -1219,21 +1322,30 @@ mod tests {
             ),
             ("from_session (standalone)", standalone),
         ] {
-            let UserStore::Eager(users) = &artifact.users else {
+            // Private models included, the reserve is the encoded length.
+            let bytes = artifact.to_bytes();
+            assert_eq!(
+                bytes.capacity(),
+                bytes.len(),
+                "{what}: to_bytes grew its buffer"
+            );
+            let UserStore::Held(users) = &artifact.users else {
                 panic!("{what}: an eager artifact");
             };
-            // What is held — a float per embedding width, an id per
-            // interaction — plus a tier byte and two offsets per user.
             assert_eq!(
-                users.heap_bytes(),
-                4 * users.scalars() + 17 * users.len(),
-                "{what}: the arena holds spare capacity"
+                users.payload.capacity(),
+                users.payload.len(),
+                "{what}: the held users keep spare capacity"
             );
-            let held: usize = (0..users.len())
-                .map(|u| users.get(u).expect("user in range"))
-                .map(|user| user.emb.len() + user.history.len())
-                .sum();
-            assert_eq!(users.scalars(), held, "{what}");
+            // What is held is the file's `users` section, byte for byte.
+            let index = scan(bytes.len() as u64, slice_source(&bytes))
+                .unwrap()
+                .users;
+            let section = index.dir as usize..(index.dir + index.section_len()) as usize;
+            assert!(
+                users.payload == bytes[section],
+                "{what}: the held users are not the file's section"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1406,16 +1518,13 @@ mod tests {
         a: &ModelArtifact,
         put: impl FnOnce(&mut Writer, UserView<'_>),
     ) -> Vec<u8> {
-        let UserStore::Eager(users) = &a.users else {
-            panic!("an eager artifact");
-        };
         let mut w = ArtifactWriter::begin(std::io::Cursor::new(Vec::new()), a.meta()).unwrap();
         w.tables(|tier| [a.table(tier).as_slice()]).unwrap();
         w.thetas(Tier::ALL.map(|tier| a.theta(tier))).unwrap();
         w.users(|records| {
-            let user = |u| users.get(u).expect("user in range");
-            records.put_with(|out| put(out, user(0)));
-            (1..users.len()).for_each(|u| records.put(user(u)));
+            let user = |u| a.user(u).expect("user in range");
+            records.put_with(|out| put(out, user(0).view()));
+            (1..a.num_users()).for_each(|u| records.put(user(u).view()));
         })
         .unwrap();
         let (out, _) = w.finish(&a.popularity, &a.fallback).unwrap();

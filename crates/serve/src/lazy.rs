@@ -25,10 +25,11 @@
 //!
 //! The *eager* file load lives here too, because it is the same decoder
 //! over the same file handle: `open_eager` hands `binfmt::decode` a
-//! `ReadWindows` source — two bounded buffers that follow the decoder's
-//! two cursors (the `users` directory and the record block advance in
-//! step) — so the decoder parses each record where the window holds it
-//! and the file is never resident beside what is decoded from it.
+//! `ReadWindows` source — two bounded buffers taking turns — so the
+//! decoder takes the tables and the `users` section in piece by piece and
+//! the file is never resident beside what is taken from it. Either way a
+//! user is read by decoding its one record through `UserIndex::get`: from
+//! the file here, from the held section on an eager artifact.
 //!
 //! Failure discipline: *structure* (headers, directories, shapes) is
 //! validated at open and returns errors; a payload that fails to decode
@@ -170,10 +171,10 @@ impl Window {
 
 /// The eager decoder's view of a file: `read` lends bytes out of one of
 /// two windows, refilling — from the requested offset forward — whichever
-/// is not lent out, the two taking turns. A decoder that holds a piece of
-/// the `users` directory while it asks for the records that piece names
-/// therefore keeps one window on each, and a sequential walk costs one
-/// `read` call per [`WINDOW`] bytes with nothing copied out.
+/// is not lent out, the two taking turns. A decoder may therefore hold
+/// one piece while it asks for another (the scan holds the `tables`
+/// directory while it reads the `thetas` one), and a sequential walk
+/// costs one `read` call per [`WINDOW`] bytes.
 struct ReadWindows<'f> {
     file: &'f ArtifactFile,
     windows: [RefCell<Window>; 2],

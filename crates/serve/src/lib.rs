@@ -12,10 +12,10 @@
 //!   cold-start fallback for unknown users. Exported from a live session
 //!   ([`ExportArtifact::export_artifact`], or straight to a file with
 //!   [`ExportArtifact::export_artifact_to`]); a persisted checkpoint is
-//!   restored into a session first. Every user is
-//!   read through one borrowed [`UserView`] ([`ModelArtifact::user`] →
-//!   [`UserRef::view`]), whether it sits in the eager arena or the lazy
-//!   cache.
+//!   restored into a session first. A user is held in one form, its
+//!   encoded record, in memory or on disk; [`ModelArtifact::user`]
+//!   decodes it into a [`UserRecord`], read through the borrowed
+//!   [`UserView`] it lends.
 //! * [`RecommenderBuilder`] → [`Recommender`] — validated serving
 //!   configuration ([`ServeError`] per field) and the batch-oriented
 //!   query engine: requests group per model tier, score as blocked
@@ -71,7 +71,7 @@ pub mod recommender;
 pub mod slot;
 pub mod synth;
 
-pub use artifact::{ModelArtifact, SoloModel, UserRecord, UserRef, UserView, ARTIFACT_VERSION};
+pub use artifact::{ModelArtifact, SoloModel, UserRecord, UserView, ARTIFACT_VERSION};
 pub use binfmt::BINFMT_VERSION;
 pub use lazy::LazyConfig;
 pub use recommender::{

@@ -30,7 +30,7 @@
 //! evaluator's scores ([`hetefedrec_core::eval::score_user`]), which uses
 //! the same [`SplitNcf`] scorer in scalar form.
 
-use crate::artifact::ModelArtifact;
+use crate::artifact::{ModelArtifact, UserRecord};
 use crate::ServeError;
 use hetefedrec_core::client::item_row;
 use hf_dataset::Tier;
@@ -382,8 +382,10 @@ struct Resolved {
     cold_start: bool,
     user_half: Vec<f32>,
     exclude: Vec<u32>,
-    /// Present for standalone users: private scorer + overlay owner id.
-    solo: Option<(SplitNcf, usize)>,
+    /// Present for standalone users: the private scorer, and the record
+    /// the request fetched, whose overlay every panel of the request
+    /// patches.
+    solo: Option<(SplitNcf, Arc<UserRecord>)>,
 }
 
 /// One unit of batch work: score the items `start..end` for either every
@@ -599,10 +601,8 @@ impl Recommender {
                     .collect::<Vec<_>>()
             }
             Unit::Solo { query, start, end } => {
-                let (scorer, user) = resolved[query].solo.as_ref().expect("solo unit");
-                let record = self.artifact.user(*user).expect("known user");
-                let record = record.view();
-                let solo = record.solo.expect("standalone state");
+                let (scorer, record) = resolved[query].solo.as_ref().expect("solo unit");
+                let solo = record.solo.as_ref().expect("standalone state");
                 let table = self.artifact.table(record.tier);
                 let mut block = scorer.item_half_block(table, start, end);
                 // Patch the user's privately trained rows (bit-identical
@@ -643,31 +643,28 @@ impl Recommender {
         let dims = self.artifact.dims();
         match self.artifact.user(request.user) {
             Some(record) => {
-                let record = record.view();
                 let tier = record.tier;
                 let dim = dims.dim(tier);
                 let table = self.artifact.table(tier);
-                let overlay = record.solo.map(|s| &s.rows);
+                let overlay = record.solo.as_ref().map(|s| &s.rows);
                 let row_of = |item: u32| item_row(table, overlay, item, dim);
                 let repr = match self.artifact.model() {
-                    ModelKind::Ncf => record.emb.to_vec(),
+                    ModelKind::Ncf => record.emb.clone(),
                     ModelKind::LightGcn => propagate_lightgcn(
-                        record.emb,
+                        &record.emb,
                         record.history.len(),
                         record.history.iter().map(|&item| row_of(item)),
                     ),
                 };
-                let solo = record
-                    .solo
-                    .map(|s| (SplitNcf::from_ffn(dim, &s.theta), request.user));
-                let user_half = match &solo {
-                    Some((scorer, _)) => scorer.user_half(&repr),
-                    None => self.scorers[tier.index()].user_half(&repr),
-                };
                 let mut exclude = request.exclude.clone();
                 if request.exclude_seen {
-                    exclude.extend_from_slice(record.history);
+                    exclude.extend_from_slice(&record.history);
                 }
+                let solo = (record.solo.as_ref()).map(|s| SplitNcf::from_ffn(dim, &s.theta));
+                let user_half = match &solo {
+                    Some(scorer) => scorer.user_half(&repr),
+                    None => self.scorers[tier.index()].user_half(&repr),
+                };
                 exclude.sort_unstable();
                 exclude.dedup();
                 Resolved {
@@ -675,7 +672,7 @@ impl Recommender {
                     cold_start: false,
                     user_half,
                     exclude,
-                    solo,
+                    solo: solo.map(|scorer| (scorer, record)),
                 }
             }
             None => {

@@ -18,7 +18,7 @@
 //! (`hf_dataset::SyntheticConfig::generate`): 16-user chunks fanned out
 //! over [`population_workers`] threads by
 //! [`hf_tensor::parallel::parallel_fill_ordered`], each chunk filled into
-//! a recycled buffer that also keeps the catalogue bitset its draws use.
+//! a recycled buffer of records whose lists are reused.
 //! A user draws only from its own substreams, so which thread builds it
 //! changes nothing, and the chunks are handed on in user order, so the
 //! popularity counts and the fallback means (`f32` sums) add up in the
@@ -32,8 +32,8 @@
 //! foundation `examples/capacity.rs` stands on (its lazy and eager
 //! rankings really are the same model).
 
-use crate::artifact::{ModelArtifact, Tally, UserArena, UserStore, UserView};
-use crate::binfmt::{self, ArtifactWriter, Meta};
+use crate::artifact::{ModelArtifact, Tally, UserRecord, UserStore, UserView};
+use crate::binfmt::{self, ArtifactWriter, HeldUsers, Meta};
 use crate::lazy::Tiers;
 use crate::ServeError;
 use hetefedrec_core::config::TierDims;
@@ -72,6 +72,17 @@ pub struct SynthStats {
     pub interactions: u64,
 }
 
+/// The `meta` section of a synthesized artifact.
+fn synth_meta(profile: &SyntheticProfile, dims: TierDims) -> Meta {
+    Meta {
+        model: ModelKind::Ncf,
+        standalone: false,
+        dims,
+        num_items: profile.num_items,
+        num_users: profile.num_users,
+    }
+}
+
 fn synth_err(e: String) -> ServeError {
     ServeError::Artifact(format!("bad synthetic profile: {e}"))
 }
@@ -91,21 +102,23 @@ fn theta(seed: u64, t: usize, dim: usize) -> Ffn {
     Ffn::new(&paper_predictor_dims(dim), &mut rng)
 }
 
-/// Embedding floats and history ids the profile's users hold between
-/// them, from each user's shape alone (two cheap draws a user).
+/// History ids the profile's users hold between them, and the most bytes
+/// their records can encode to, from each user's shape alone (two cheap
+/// draws a user).
 fn population_size(profile: &SyntheticProfile, dims: &TierDims, seed: u64) -> (usize, usize) {
-    (0..profile.num_users).fold((0, 0), |(embs, ids), u| {
-        let (tier, interactions) = profile.user_shape(seed, u);
-        (embs + dims.dim(tier), ids + interactions)
+    (0..profile.num_users).fold((0, 0), |(ids, bytes), u| {
+        let (tier, n) = profile.user_shape(seed, u);
+        let bound = binfmt::record_bound(dims.dim(tier), n, profile.num_items);
+        (ids + n, bytes + bound)
     })
 }
 
 /// Synthesizes the profile's users on `workers` threads and lends each
 /// to `f` in user order — the single source of user records for both
-/// synthesis paths. A chunk's buffer holds its users (no standalone
-/// state) and the catalogue bitset their history draws share, so a
-/// recycled buffer allocates neither again. Each user draws from its own
-/// substreams, so a chunk is the same whichever thread fills it.
+/// synthesis paths. A chunk's buffer holds its users' records (no
+/// standalone state), whose lists a recycled buffer reuses. Each user
+/// draws from its own substreams, so a chunk is the same whichever
+/// thread fills it.
 fn for_each_user(
     profile: &SyntheticProfile,
     dims: &TierDims,
@@ -116,21 +129,16 @@ fn for_each_user(
     parallel_fill_ordered(
         &user_chunks(profile.num_users),
         workers,
-        |users, (arena, seen): &mut (UserArena, Vec<u64>)| {
-            arena.clear();
-            for user in users.clone() {
-                arena
-                    .push_with(|embs, histories| {
-                        let tier = profile.user_into(seed, user, seen, histories);
-                        let mut rng =
-                            substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
-                        fill_normal(&mut rng, embs, dims.dim(tier));
-                        Ok((tier, None))
-                    })
-                    .expect("a synthesized record is never malformed");
+        |users, records: &mut Vec<UserRecord>| {
+            records.resize_with(users.len(), UserRecord::empty);
+            for (user, record) in users.clone().zip(records.iter_mut()) {
+                record.tier = profile.user_into(seed, user, &mut record.history);
+                let mut rng = substream(seed, SeedStream::Custom(KEY_USER), user as u64 + 1);
+                record.emb.clear();
+                fill_normal(&mut rng, &mut record.emb, dims.dim(record.tier));
             }
         },
-        |_, (arena, _)| (0..arena.len()).for_each(|u| f(arena.get(u).expect("user in range"))),
+        |_, records| records.iter().for_each(|record| f(record.view())),
     );
 }
 
@@ -169,27 +177,25 @@ impl ModelArtifact {
         });
         let thetas: [Ffn; 3] = std::array::from_fn(|t| theta(seed, t, dims.dim(Tier::ALL[t])));
 
-        // Sized exactly before any record is generated.
-        let (embs, ids) = population_size(profile, &dims, seed);
-        let mut users = UserArena::with_capacity(profile.num_users, embs, ids);
+        // Sized from the users' shapes before any record is generated.
+        let meta = synth_meta(profile, dims);
+        let (ids, bound) = population_size(profile, &dims, seed);
         let mut tally = Tally::new(num_items, &dims);
         let workers = workers.unwrap_or_else(|| population_workers(ids));
-        for_each_user(profile, &dims, seed, workers, |user| {
-            tally.add(user);
-            users.push(user);
+        let users = HeldUsers::encode(meta, bound, |records| {
+            for_each_user(profile, &dims, seed, workers, |user| {
+                tally.add(user);
+                records.put(user);
+            })
         });
         let (popularity, fallback) = tally.finish();
-
-        Ok(Self {
-            model: ModelKind::Ncf,
-            dims,
-            standalone: false,
-            num_items,
-            params: Tiers::filled(tables, thetas),
-            users: UserStore::Eager(users),
+        Ok(Self::assemble(
+            meta,
+            Tiers::filled(tables, thetas),
+            UserStore::Held(users),
             popularity,
             fallback,
-        })
+        ))
     }
 
     /// Streams a synthesized artifact straight to `path` in bounded
@@ -204,13 +210,7 @@ impl ModelArtifact {
         path: impl AsRef<std::path::Path>,
     ) -> Result<SynthStats, ServeError> {
         profile.validate().map_err(synth_err)?;
-        let meta = Meta {
-            model: ModelKind::Ncf,
-            standalone: false,
-            dims,
-            num_items: profile.num_items,
-            num_users: profile.num_users,
-        };
+        let meta = synth_meta(profile, dims);
         binfmt::write_file(path.as_ref(), |out| {
             let mut w = ArtifactWriter::begin(out, meta)?;
             let tables_bytes = w.tables(|tier| {
@@ -227,7 +227,7 @@ impl ModelArtifact {
             w.thetas(thetas.each_ref())?;
 
             let mut tally = Tally::new(meta.num_items, &dims);
-            let (_, ids) = population_size(profile, &dims, seed);
+            let (ids, _) = population_size(profile, &dims, seed);
             let users_bytes = w.users(|records| {
                 for_each_user(profile, &dims, seed, population_workers(ids), |user| {
                     tally.add(user);

@@ -6,7 +6,6 @@ use hetefedrec_core::config::TierDims;
 use hf_dataset::SyntheticProfile;
 use hf_serve::{
     ItemHalfMode, LazyConfig, ModelArtifact, RecommendRequest, RecommenderBuilder, ServeError,
-    UserRef,
 };
 use std::sync::Arc;
 
@@ -173,10 +172,7 @@ fn reencoding_a_lazy_artifact_leaves_its_user_cache_alone() {
         shard_capacity: 2,
     };
     let lazy = ModelArtifact::load_file_lazy(&path, cfg).unwrap();
-    let held = |user: usize| match lazy.user(user).expect("known user") {
-        UserRef::Cached(record) => record,
-        UserRef::Borrowed(_) => panic!("a lazy artifact lends cache handles"),
-    };
+    let held = |user: usize| lazy.user(user).expect("known user");
     let hot: Vec<_> = (0..4).map(|u| (u, held(u))).collect();
     assert_eq!(lazy.cached_user_records(), 4);
 

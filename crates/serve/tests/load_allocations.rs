@@ -1,7 +1,9 @@
 //! What an eager file load asks the allocator for, counted: the number
-//! of allocations must not depend on how many users the file holds (one
-//! arena, not two `Vec`s a user), and a file whose `users` section lies
-//! about its size must fail typed before anything is sized by the lie.
+//! of allocations must not depend on how many users the file holds (the
+//! `users` section is held as one buffer, as the file encodes it, not two
+//! `Vec`s a user), the bytes asked for are what the load holds plus its
+//! two read windows, and a file whose `users` section lies about its size
+//! must fail typed before anything is sized by the lie.
 //!
 //! One `#[test]` on purpose — the counters are process-wide, and a
 //! second test running beside this one would be counted too.
@@ -58,8 +60,9 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     )
 }
 
-/// Payload extent of the section tagged `tag` (`users` is 4): the file
-/// header is 10 bytes, each section `tag: u8, len: u64, payload`.
+/// Payload extent of the section tagged `tag` (`tables` 2, `users` 4,
+/// `popularity` 5, `fallback` 6): the file header is 10 bytes, each
+/// section `tag: u8, len: u64, payload`.
 fn section(bytes: &[u8], tag: u8) -> (usize, usize) {
     let mut at = 10;
     loop {
@@ -97,11 +100,23 @@ fn an_eager_load_allocates_by_section_not_by_user() {
     );
     assert!(large_allocations < 100, "{large_allocations} allocations");
 
+    // (a') The load asks for what it holds — the decoded tables, the
+    // `users` section as encoded, popularity and the fallback, each no
+    // larger than its section — plus the two 128 KiB read windows and
+    // 16 KiB of slack (the predictors, one scratch record, the layout).
+    let valid = std::fs::read(&many).unwrap();
+    let (users_at, users_len) = section(&valid, 4);
+    let held: usize = [2, 4, 5, 6].map(|tag| section(&valid, tag).1).iter().sum();
+    let bound = (held + 2 * (128 << 10) + (16 << 10)) as u64;
+    assert!(
+        large_bytes <= bound,
+        "the load asked for {large_bytes} bytes, more than the {bound} it holds and reads through"
+    );
+    println!("eager load holds its users as encoded: {users_len} bytes for {MANY} users");
+
     // (b) Hostile `users` sections fail typed, before anything is sized
     // by what they claim: the failing load asks for less memory than the
     // section it refuses holds, where the load that succeeds asks for more.
-    let valid = std::fs::read(&many).unwrap();
-    let (users_at, users_len) = section(&valid, 4);
     assert!(large_bytes > users_len as u64);
     let hostile = dir.join("hostile.hfa");
     let refused = |bytes: &[u8], needle: &str| {

@@ -99,6 +99,6 @@ pub mod prelude {
     pub use hf_serve::{
         ArtifactSlot, ExportArtifact, ItemHalfMode, LazyConfig, ModelArtifact, RecommendRequest,
         RecommendResponse, Recommender, RecommenderBuilder, ScoredItem, ServeError, SynthStats,
-        UserRef, UserView,
+        UserView,
     };
 }
