@@ -234,7 +234,7 @@ cargo test -q --offline --release -p hf_serve --lib output_is_pinned_and_indepen
 grep -q "synthesis bytes pinned at 1, 2 and 8 workers" target/ci-artifacts/synthesis_pinned.log
 # An eager load holds the `users` section as the file encodes it: a
 # counting allocator bounds what the load asks for by the tables, that
-# section, popularity and the fallback plus the two read windows. The
+# section, popularity and the fallback plus the one read window. The
 # line prints only when the bound held.
 cargo test -q --offline --release -p hf_serve --test load_allocations -- --nocapture \
     | tee target/ci-artifacts/load_allocations.log

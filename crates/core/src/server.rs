@@ -9,6 +9,7 @@ use hf_fedsim::transport::ClientUpdate;
 use hf_models::{paper_predictor_dims, Ffn, RowGradBuffer};
 use hf_tensor::rng::StdRng;
 use hf_tensor::rng::{stream, SeedStream};
+use hf_tensor::ser::{obj, ToJson};
 use hf_tensor::Matrix;
 use std::collections::HashMap;
 
@@ -262,24 +263,8 @@ impl ServerState {
         hf_tensor::stats::singular_value_variance(&self.tables[tier.index()])
     }
 
-    /// Writes the server's *mutable* state (tables, predictors,
-    /// distillation RNG) as JSON. Config-derived fields are not repeated —
-    /// [`ServerState::from_json`] rebuilds them from the configuration
-    /// stored alongside the snapshot. `item_adam` and `theta_adam` are
-    /// always `null`: the retired server-Adam state keeps its place so
-    /// every snapshot stays byte-identical.
-    pub fn snapshot_json(&self, out: &mut String) {
-        hf_tensor::ser::obj(out, |o| {
-            o.field("tables", &self.tables)
-                .field("thetas", &self.thetas)
-                .field("item_adam", &None::<bool>)
-                .field("theta_adam", &None::<bool>)
-                .field("kd_rng", &self.kd_rng);
-        });
-    }
-
-    /// Restores a server from a [`ServerState::snapshot_json`] snapshot
-    /// plus the run's configuration and strategy.
+    /// Restores a server from its [`ToJson`] snapshot plus the run's
+    /// configuration and strategy.
     pub fn from_json(
         v: &hf_tensor::ser::JsonValue<'_>,
         num_items: usize,
@@ -360,6 +345,24 @@ impl ServerState {
             }
         }
         worst
+    }
+}
+
+/// The server's *mutable* state (tables, predictors, distillation RNG).
+/// Config-derived fields are not repeated — [`ServerState::from_json`]
+/// rebuilds them from the configuration stored alongside the snapshot.
+/// `item_adam` and `theta_adam` are always `null`: the retired
+/// server-Adam state keeps its place so every snapshot stays
+/// byte-identical.
+impl ToJson for ServerState {
+    fn write_json(&self, out: &mut String) {
+        obj(out, |o| {
+            o.field("tables", &self.tables)
+                .field("thetas", &self.thetas)
+                .field("item_adam", &None::<bool>)
+                .field("theta_adam", &None::<bool>)
+                .field("kd_rng", &self.kd_rng);
+        });
     }
 }
 
@@ -569,10 +572,7 @@ mod tests {
                 plain.apply_round(&updates);
                 weighted.apply_round_weighted(&updates, &[1.0, 1.0, 1.0]);
             }
-            let (mut a, mut b) = (String::new(), String::new());
-            plain.snapshot_json(&mut a);
-            weighted.snapshot_json(&mut b);
-            assert_eq!(a, b, "{strategy:?}");
+            assert_eq!(plain.to_json(), weighted.to_json(), "{strategy:?}");
         }
     }
 
@@ -627,8 +627,7 @@ mod tests {
     fn snapshots_carrying_server_adam_state_fail_restore() {
         use hf_tensor::ser::parse_json;
         let strategy = Strategy::HeteFedRec(Ablation::FULL);
-        let mut json = String::new();
-        server(strategy).snapshot_json(&mut json);
+        let json = server(strategy).to_json();
         let restore =
             |doc: &str| ServerState::from_json(&parse_json(doc).unwrap(), 30, &cfg(), strategy);
         assert!(restore(&json).is_ok());

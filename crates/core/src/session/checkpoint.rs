@@ -50,7 +50,6 @@ use hf_fedsim::events::EventScheduler;
 use hf_fedsim::faults::FaultInjector;
 use hf_fedsim::scheduler::RoundScheduler;
 use hf_tensor::ser::{obj, parse_json, ToJson};
-use std::collections::VecDeque;
 use std::io::Write as _;
 
 /// Checkpoint document identifier.
@@ -69,25 +68,6 @@ impl Session {
     /// orchestration mode, and regardless of the thread count on either
     /// side.
     pub fn checkpoint(&self) -> String {
-        struct Pending<'a>(&'a VecDeque<Vec<usize>>);
-        impl ToJson for Pending<'_> {
-            fn write_json(&self, out: &mut String) {
-                out.push('[');
-                for (i, cohort) in self.0.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    cohort.write_json(out);
-                }
-                out.push(']');
-            }
-        }
-        struct Server<'a>(&'a ServerState);
-        impl ToJson for Server<'_> {
-            fn write_json(&self, out: &mut String) {
-                self.0.snapshot_json(out);
-            }
-        }
         // Stamp the version the document actually needs: v4 state exists
         // only once ingest happened, v3 only with secure aggregation on,
         // so default runs keep writing byte-identical v2 documents.
@@ -109,7 +89,7 @@ impl Session {
                 .field("round_counter", &self.round_counter)
                 .field("epoch", &self.epoch)
                 .field("in_epoch", &self.in_epoch)
-                .field("pending", &Pending(&self.pending))
+                .field("pending", &self.pending.iter().collect::<Vec<_>>())
                 .field("rounds_in_epoch", &self.rounds_in_epoch)
                 .field("round_in_epoch", &self.round_in_epoch)
                 .field("epoch_loss_sum", &self.epoch_loss_sum)
@@ -153,7 +133,7 @@ impl Session {
             o.field("ledger", &self.ledger)
                 .field("scheduler", &self.scheduler)
                 .field("faults", &self.faults)
-                .field("server", &Server(&self.server))
+                .field("server", &self.server)
                 .field("users", &self.users)
                 .field("history", &self.history);
         });

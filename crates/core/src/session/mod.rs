@@ -480,8 +480,8 @@ impl Session {
     }
 
     /// Iterator view over [`Session::step`] — `for event in session.events()`.
-    pub fn events(&mut self) -> Events<'_> {
-        Events { session: self }
+    pub fn events(&mut self) -> impl Iterator<Item = SessionEvent> + '_ {
+        std::iter::from_fn(|| self.step())
     }
 
     /// Drives the session to completion (configured epochs, early stop,
@@ -768,17 +768,4 @@ pub struct IngestReport {
     pub admitted: usize,
     /// Events already present in the split (no-ops).
     pub duplicates: usize,
-}
-
-/// Iterator adaptor over [`Session::step`].
-pub struct Events<'a> {
-    session: &'a mut Session,
-}
-
-impl Iterator for Events<'_> {
-    type Item = SessionEvent;
-
-    fn next(&mut self) -> Option<SessionEvent> {
-        self.session.step()
-    }
 }

@@ -12,25 +12,42 @@
 //! with its cohort — nor a masked round's, whose members each mask their
 //! own upload and add it to their group's sums.
 //!
-//! The counters are process-wide, so the tests take one lock: a test
-//! running beside another would be counted too.
+//! The allocation count is the counted round's own thread's; the live
+//! and peak byte counters are process-wide (a round's workers allocate),
+//! so the tests take one lock: a test running beside another would be
+//! counted too.
 
 use hetefedrec_core::{Ablation, Session, SessionBuilder, SessionEvent, Strategy, TrainConfig};
 use hf_dataset::{DatasetProfile, SplitDataset};
 use hf_models::ModelKind;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
+/// Allocations made on a thread while its `COUNTING` is set.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Bytes allocated and not yet freed.
 static LIVE: AtomicU64 = AtomicU64::new(0);
 /// The most `LIVE` has been since it was last reset.
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting every request for memory (`realloc`
-/// is one: growing a buffer is what a per-row store does) and the bytes
-/// live at once.
+thread_local! {
+    /// Whether this thread's requests count into `ALLOCATIONS`. `const`
+    /// and without a destructor, so reading it allocates nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts a request for memory if this thread is being counted.
+fn count() {
+    if COUNTING.try_with(Cell::get) == Ok(true) {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+    }
+}
+
+/// The system allocator, counting the counted thread's requests for
+/// memory (`realloc` is one: growing a buffer is what a per-row store
+/// does) and every thread's bytes live at once.
 struct Counting;
 
 fn grow(bytes: usize) {
@@ -44,10 +61,10 @@ fn shrink(bytes: usize) {
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counters are atomics and
-// allocate nothing.
+// a `const` thread-local flag, and allocate nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count();
         grow(layout.size());
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
@@ -60,7 +77,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count();
         if new_size >= layout.size() {
             grow(new_size - layout.size());
         } else {
@@ -75,7 +92,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Serialises the tests: the counters see every thread.
+/// Serialises the tests: the byte counters see every thread.
 fn counters() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -90,7 +107,8 @@ fn movielens() -> SplitDataset {
 /// `(allocations, samples)` of a session's second round: MovieLens x 0.25,
 /// NCF, `strategy`, 64 clients a round on one thread, `local_epochs`
 /// passes over each client's data. The first round runs uncounted, so
-/// the epoch's schedule is nobody's.
+/// the epoch's schedule is nobody's; on one thread the whole second round
+/// runs on this one, the only thread counted.
 fn second_round(split: &SplitDataset, strategy: Strategy, local_epochs: usize) -> (u64, usize) {
     let mut cfg = TrainConfig::paper_defaults(ModelKind::Ncf, DatasetProfile::MovieLens);
     cfg.clients_per_round = 64;
@@ -102,7 +120,10 @@ fn second_round(split: &SplitDataset, strategy: Strategy, local_epochs: usize) -
         .expect("valid config");
     assert!(matches!(session.step(), Some(SessionEvent::Round(_))));
     let before = ALLOCATIONS.load(Relaxed);
-    let Some(SessionEvent::Round(report)) = session.step() else {
+    COUNTING.set(true);
+    let step = session.step();
+    COUNTING.set(false);
+    let Some(SessionEvent::Round(report)) = step else {
         panic!("the second step is a round");
     };
     (ALLOCATIONS.load(Relaxed) - before, report.samples)

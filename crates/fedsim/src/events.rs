@@ -303,62 +303,6 @@ impl PendingArrival {
     }
 }
 
-/// Min-heap of [`PendingArrival`]s keyed on `(time, client)`.
-#[derive(Clone, Debug, Default)]
-struct EventQueue {
-    heap: BinaryHeap<Reverse<PendingArrival>>,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of in-flight arrivals.
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no arrivals are in flight.
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Enqueues one arrival.
-    fn push(&mut self, a: PendingArrival) {
-        self.heap.push(Reverse(a));
-    }
-
-    /// Removes and returns the earliest arrival (ties broken by client id).
-    fn pop(&mut self) -> Option<PendingArrival> {
-        self.heap.pop().map(|Reverse(a)| a)
-    }
-
-    /// The queue's contents in `(time, client)` order — heap-layout-free,
-    /// so serialized checkpoints are byte-stable.
-    fn snapshot(&self) -> Vec<PendingArrival> {
-        let mut v: Vec<PendingArrival> = self.heap.iter().map(|Reverse(a)| *a).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Rebuilds a queue from a [`EventQueue::snapshot`] array.
-    fn from_json(v: &JsonValue<'_>) -> Result<Self, JsonError> {
-        let mut q = EventQueue::new();
-        for item in v.as_arr()? {
-            q.push(PendingArrival::from_json(item)?);
-        }
-        Ok(q)
-    }
-}
-
-impl ToJson for EventQueue {
-    fn write_json(&self, out: &mut String) {
-        self.snapshot().write_json(out);
-    }
-}
-
 /// The logical clock plus dispatch bookkeeping for the asynchronous mode.
 ///
 /// One instance drives one epoch at a time: [`EventScheduler::begin_epoch`]
@@ -372,7 +316,8 @@ impl ToJson for EventQueue {
 #[derive(Clone, Debug)]
 pub struct EventScheduler {
     clock: u64,
-    queue: EventQueue,
+    /// In-flight arrivals, a min-heap on `(time, client)`.
+    arrivals: BinaryHeap<Reverse<PendingArrival>>,
     /// This epoch's not-yet-dispatched clients, in traversal order.
     pending_dispatch: VecDeque<usize>,
     /// Per-client dispatch versions: how many times each client has been
@@ -389,7 +334,7 @@ impl EventScheduler {
         assert!(population > 0, "no clients to schedule");
         Self {
             clock: 0,
-            queue: EventQueue::new(),
+            arrivals: BinaryHeap::new(),
             pending_dispatch: VecDeque::new(),
             dispatch_versions: vec![0; population],
         }
@@ -411,13 +356,13 @@ impl EventScheduler {
 
     /// Number of in-flight (dispatched, not yet arrived) clients.
     pub fn in_flight(&self) -> usize {
-        self.queue.len()
+        self.arrivals.len()
     }
 
     /// Whether the current epoch is fully drained (nothing in flight and
     /// nothing left to dispatch).
     pub fn idle(&self) -> bool {
-        self.queue.is_empty() && self.pending_dispatch.is_empty()
+        self.arrivals.is_empty() && self.pending_dispatch.is_empty()
     }
 
     /// Loads the next epoch's traversal. Must only be called when
@@ -444,7 +389,7 @@ impl EventScheduler {
         mut dispatch: impl FnMut(usize, u64) -> Option<u64>,
     ) -> usize {
         let mut skipped = 0;
-        while self.queue.len() < concurrency {
+        while self.arrivals.len() < concurrency {
             let Some(client) = self.pending_dispatch.pop_front() else {
                 break;
             };
@@ -454,11 +399,11 @@ impl EventScheduler {
                 continue;
             };
             self.dispatch_versions[client] = version + 1;
-            self.queue.push(PendingArrival {
+            self.arrivals.push(Reverse(PendingArrival {
                 time: self.clock + ticks,
                 client,
                 dispatched_round,
-            });
+            }));
         }
         skipped
     }
@@ -466,9 +411,11 @@ impl EventScheduler {
     /// Pops up to `max` earliest arrivals and advances the clock to the
     /// latest of them. Returns an empty vec when nothing is in flight.
     pub fn pop_batch(&mut self, max: usize) -> Vec<PendingArrival> {
-        let mut batch = Vec::with_capacity(max.min(self.queue.len()));
+        let mut batch = Vec::with_capacity(max.min(self.arrivals.len()));
         while batch.len() < max {
-            let Some(a) = self.queue.pop() else { break };
+            let Some(Reverse(a)) = self.arrivals.pop() else {
+                break;
+            };
             self.clock = self.clock.max(a.time);
             batch.push(a);
         }
@@ -489,7 +436,9 @@ impl EventScheduler {
         }
         let s = Self {
             clock: v.get("clock")?.as_u64()?,
-            queue: EventQueue::from_json(v.get("events")?)?,
+            arrivals: (v.get("events")?.as_arr()?.iter())
+                .map(|a| PendingArrival::from_json(a).map(Reverse))
+                .collect::<Result<_, _>>()?,
             pending_dispatch: v.get("pending_dispatch")?.as_usize_vec()?.into(),
             dispatch_versions,
         };
@@ -501,12 +450,7 @@ impl EventScheduler {
         if let Some(&c) = s.pending_dispatch.iter().find(|&&c| c >= population) {
             return Err(stray("pending_dispatch", c));
         }
-        if let Some(Reverse(a)) = s
-            .queue
-            .heap
-            .iter()
-            .find(|Reverse(a)| a.client >= population)
-        {
+        if let Some(Reverse(a)) = s.arrivals.iter().find(|Reverse(a)| a.client >= population) {
             return Err(stray("events", a.client));
         }
         Ok(s)
@@ -516,9 +460,12 @@ impl EventScheduler {
 impl ToJson for EventScheduler {
     fn write_json(&self, out: &mut String) {
         let pending: Vec<usize> = self.pending_dispatch.iter().copied().collect();
+        // In `(time, client)` order, not heap layout, so the bytes are stable.
+        let mut events: Vec<PendingArrival> = self.arrivals.iter().map(|Reverse(a)| *a).collect();
+        events.sort_unstable();
         obj(out, |o| {
             o.field("clock", &self.clock)
-                .field("events", &self.queue)
+                .field("events", &events)
                 .field("pending_dispatch", &pending)
                 .field("dispatch_versions", &self.dispatch_versions);
         });
@@ -737,37 +684,40 @@ mod tests {
     }
 
     #[test]
-    fn queue_pops_in_time_then_client_order() {
-        let mut q = EventQueue::new();
-        for (time, client) in [(5, 2), (3, 9), (5, 1), (3, 0), (4, 7)] {
-            q.push(PendingArrival {
-                time,
-                client,
-                dispatched_round: 0,
-            });
-        }
-        let order: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
+    fn scheduler_pops_in_time_then_client_order() {
+        let mut s = EventScheduler::new(10);
+        s.begin_epoch(vec![2, 9, 1, 0, 7]);
+        s.fill(5, 0, |c, _| {
+            Some(match c {
+                0 | 9 => 3,
+                7 => 4,
+                _ => 5,
+            })
+        });
+        let order: Vec<(u64, usize)> = std::iter::from_fn(|| s.pop_batch(1).pop())
             .map(|a| (a.time, a.client))
             .collect();
         assert_eq!(order, vec![(3, 0), (3, 9), (4, 7), (5, 1), (5, 2)]);
     }
 
     #[test]
-    fn queue_snapshot_is_sorted_and_roundtrips() {
-        let mut q = EventQueue::new();
-        for client in [9usize, 1, 4, 7] {
-            q.push(PendingArrival {
-                time: 10 - client as u64,
-                client,
-                dispatched_round: client as u64,
-            });
-        }
-        let snap = q.snapshot();
-        assert!(snap.windows(2).all(|w| w[0] < w[1]));
-        let mut back = EventQueue::from_json(&parse_json(&q.to_json()).unwrap()).unwrap();
-        let a: Vec<PendingArrival> = std::iter::from_fn(|| q.pop()).collect();
-        let b: Vec<PendingArrival> = std::iter::from_fn(|| back.pop()).collect();
-        assert_eq!(a, b);
+    fn scheduler_events_are_sorted_and_roundtrip() {
+        let mut s = EventScheduler::new(10);
+        s.begin_epoch(vec![9, 1, 4, 7]);
+        s.fill(4, 0, |c, _| Some(10 - c as u64));
+        let json = s.to_json();
+        let doc = parse_json(&json).unwrap();
+        let events = (doc.get("events").unwrap().as_arr().unwrap().iter())
+            .map(|a| PendingArrival::from_json(a).unwrap())
+            .collect::<Vec<_>>();
+        assert_eq!(events.len(), 4);
+        assert!(events.windows(2).all(|w| w[0] < w[1]));
+        let mut back = EventScheduler::from_json(&doc, 10).unwrap();
+        assert_eq!(back.to_json(), json);
+        let drain = |s: &mut EventScheduler| {
+            std::iter::from_fn(|| s.pop_batch(1).pop()).collect::<Vec<_>>()
+        };
+        assert_eq!(drain(&mut s), drain(&mut back));
     }
 
     #[test]

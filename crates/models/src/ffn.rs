@@ -75,11 +75,6 @@ impl Ffn {
         &self.dims
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.dims[0]
-    }
-
     /// Total parameter count (weights + biases).
     pub fn num_params(&self) -> usize {
         self.params.len()

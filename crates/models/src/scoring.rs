@@ -65,7 +65,7 @@ impl SplitNcf {
     /// Builds the scorer from a predictor whose input width is `2 * dim`.
     ///
     /// # Panics
-    /// Panics if `ffn.input_dim() != 2 * dim`.
+    /// Panics if `ffn.dims()[0] != 2 * dim`.
     pub fn from_ffn(dim: usize, ffn: &Ffn) -> Self {
         let dims = ffn.dims();
         assert_eq!(dims[0], 2 * dim, "predictor width must be 2*dim");

@@ -18,9 +18,9 @@
 //! the same accessors and produce **bit-identical** rankings; the lazy
 //! one bounds resident memory by what requests actually touch. Going
 //! out, [`ModelArtifact::to_bytes`], [`ModelArtifact::save_file`] and
-//! [`ModelArtifact::session_to_file`] drive the one streaming writer in
-//! [`crate::binfmt`]; the file writers never materialise the file and
-//! replace their target atomically, and `session_to_file` never
+//! [`ExportArtifact::export_artifact_to`] drive the one streaming writer
+//! in [`crate::binfmt`]; the file writers never materialise the file and
+//! replace their target atomically, and `export_artifact_to` never
 //! materialises the artifact either.
 //!
 //! **A user has one form: its record in the `users` section.** An eager
@@ -39,7 +39,7 @@
 
 use crate::binfmt::{self, HeldUsers, Meta};
 use crate::lazy::{LazyConfig, LazyUsers, Tiers};
-use crate::ServeError;
+use crate::{ExportArtifact, ServeError};
 use hetefedrec_core::session::Session;
 use hetefedrec_core::Strategy;
 use hf_dataset::Tier;
@@ -142,67 +142,6 @@ pub struct ModelArtifact {
 }
 
 impl ModelArtifact {
-    /// Snapshots a session's current model state into an artifact.
-    ///
-    /// The session keeps training afterwards if it likes; the artifact is
-    /// a deep copy (its users encoded into an exact-size buffer) and never
-    /// changes.
-    pub fn from_session(session: &Session) -> Self {
-        let server = session.server();
-        let meta = session_meta(session);
-        let bytes = (0..meta.num_users)
-            .map(|u| binfmt::record_len(session_user(session, u)))
-            .sum();
-        let mut tally = Tally::new(meta.num_items, &meta.dims);
-        let users = HeldUsers::encode(meta, bytes, |records| {
-            for u in 0..meta.num_users {
-                let user = session_user(session, u);
-                tally.add(user);
-                records.put(user);
-            }
-        });
-        let (popularity, fallback) = tally.finish();
-        Self::assemble(
-            meta,
-            Tiers::filled(
-                Tier::ALL.map(|t| server.table(t).clone()),
-                Tier::ALL.map(|t| server.theta(t).clone()),
-            ),
-            UserStore::Held(users),
-            popularity,
-            fallback,
-        )
-    }
-
-    /// Streams a session's current model state to `path` without
-    /// building the artifact: tables, predictors, embeddings and
-    /// histories go from the session's own memory through the one writer,
-    /// popularity and the fallback means accumulate as the users pass.
-    /// Byte-identical to `from_session(session).save_file(path)` (pinned
-    /// by test) and atomic like it.
-    pub fn session_to_file(
-        session: &Session,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), ServeError> {
-        let server = session.server();
-        let meta = session_meta(session);
-        binfmt::write_file(path.as_ref(), |out| {
-            let mut w = binfmt::ArtifactWriter::begin(out, meta)?;
-            w.tables(|tier| [server.table(tier).as_slice()])?;
-            w.thetas(Tier::ALL.map(|tier| server.theta(tier)))?;
-            let mut tally = Tally::new(meta.num_items, &meta.dims);
-            w.users(|records| {
-                for u in 0..meta.num_users {
-                    let user = session_user(session, u);
-                    tally.add(user);
-                    records.put(user);
-                }
-            })?;
-            let (popularity, fallback) = tally.finish();
-            w.finish(&popularity, &fallback).map(drop)
-        })
-    }
-
     /// Assembles an artifact from decoded parts (the binary readers'
     /// constructor, eager and lazy).
     pub(crate) fn assemble(
@@ -273,7 +212,7 @@ impl ModelArtifact {
 
     /// Reads an artifact from the binary file format written by
     /// [`ModelArtifact::save_file`], everything up front — the decoder of
-    /// [`ModelArtifact::from_bytes`] over a bounded read window instead
+    /// [`ModelArtifact::from_bytes`] over one bounded read window instead
     /// of a buffer: tables are decoded, the `users` section is held as it
     /// is encoded (every record checked on the way in), and the file is
     /// never resident beside what is taken from it.
@@ -386,6 +325,55 @@ impl ModelArtifact {
     /// The cold-start fallback embedding of one tier.
     pub fn fallback(&self, tier: Tier) -> &[f32] {
         &self.fallback[tier.index()]
+    }
+}
+
+impl ExportArtifact for Session {
+    fn export_artifact(&self) -> ModelArtifact {
+        let server = self.server();
+        let meta = session_meta(self);
+        let bytes = (0..meta.num_users)
+            .map(|u| binfmt::record_len(session_user(self, u)))
+            .sum();
+        let mut tally = Tally::new(meta.num_items, &meta.dims);
+        let users = HeldUsers::encode(meta, bytes, |records| {
+            for u in 0..meta.num_users {
+                let user = session_user(self, u);
+                tally.add(user);
+                records.put(user);
+            }
+        });
+        let (popularity, fallback) = tally.finish();
+        ModelArtifact::assemble(
+            meta,
+            Tiers::filled(
+                Tier::ALL.map(|t| server.table(t).clone()),
+                Tier::ALL.map(|t| server.theta(t).clone()),
+            ),
+            UserStore::Held(users),
+            popularity,
+            fallback,
+        )
+    }
+
+    fn export_artifact_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
+        let server = self.server();
+        let meta = session_meta(self);
+        binfmt::write_file(path.as_ref(), |out| {
+            let mut w = binfmt::ArtifactWriter::begin(out, meta)?;
+            w.tables(|tier| [server.table(tier).as_slice()])?;
+            w.thetas(Tier::ALL.map(|tier| server.theta(tier)))?;
+            let mut tally = Tally::new(meta.num_items, &meta.dims);
+            w.users(|records| {
+                for u in 0..meta.num_users {
+                    let user = session_user(self, u);
+                    tally.add(user);
+                    records.put(user);
+                }
+            })?;
+            let (popularity, fallback) = tally.finish();
+            w.finish(&popularity, &fallback).map(drop)
+        })
     }
 }
 

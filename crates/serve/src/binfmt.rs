@@ -45,10 +45,10 @@
 //!
 //! There is **one writer** — `ArtifactWriter`, streaming over any
 //! `Write + Seek` sink and driven by `to_bytes`, `save_file`,
-//! `session_to_file` and `synthesize_to_file` — **one layout scan** —
+//! `export_artifact_to` and `synthesize_to_file` — **one layout scan** —
 //! `scan`, over any random-access byte source, the front half of both
 //! the eager decoder and the lazy open — **one eager decoder** —
-//! `decode`, over the same kind of source: a slice for `from_bytes`, a
+//! `decode`, over the same kind of source: a slice for `from_bytes`, one
 //! bounded read window over the file for `load_file`
 //! (`crate::lazy::open_eager`) — and **one user-record form**: the
 //! `users` section as the writer frames it. An eager artifact holds that
@@ -59,7 +59,9 @@
 //! checks the `users` directory before it sizes the held copy by the
 //! validated section length, so hostile inputs fail with
 //! [`ServeError::Artifact`] instead of panicking or over-allocating, and
-//! a valid file costs its payload to load.
+//! a valid file costs its payload to load. Scan and decoder each drop a
+//! piece they are lent before they ask for the next, so one read window
+//! serves a whole file load.
 
 use crate::artifact::{
     ModelArtifact, SoloModel, UserRecord, UserStore, UserView, ARTIFACT_VERSION,
@@ -542,7 +544,7 @@ pub(crate) fn exactly<'a, T>(
 /// `u64::MAX` bytes fails typed here, never an allocation or a panic —
 /// then decodes the small always-needed sections and the three
 /// directories. `read(off, len)` is only ever asked for ranges inside
-/// `0..len`.
+/// `0..len`, and never while a piece it lent is still held.
 pub(crate) fn scan<B: Deref<Target = [u8]>>(
     len: u64,
     read: impl Fn(u64, u64) -> Result<B, ServeError>,
@@ -602,9 +604,13 @@ pub(crate) fn scan<B: Deref<Target = [u8]>>(
                 meta.num_users
             ))
         })?;
+    // One directory parsed before the next is read: a file's read window
+    // lends one piece at a time.
+    let tables = parse_table_dir(&dir(tables, 3 * TABLE_DIR_ENTRY)?, tables, &meta)?;
+    let thetas = parse_theta_dir(&dir(thetas, 3 * THETA_DIR_ENTRY)?, thetas)?;
     Ok(Layout {
-        tables: parse_table_dir(&dir(tables, 3 * TABLE_DIR_ENTRY)?, tables, &meta)?,
-        thetas: parse_theta_dir(&dir(thetas, 3 * THETA_DIR_ENTRY)?, thetas)?,
+        tables,
+        thetas,
         users: UserIndex {
             dir: users.0,
             block: (users.0 + user_dir, users.1 - user_dir),
@@ -966,11 +972,12 @@ pub(crate) fn read_table<B: Deref<Target = [u8]>>(
 }
 
 /// The one eager decoder, over any random-access source (a slice for
-/// [`ModelArtifact::from_bytes`], a read window over the file for
+/// [`ModelArtifact::from_bytes`], one read window over the file for
 /// [`ModelArtifact::load_file`]): the layout scan, then the tables and
 /// predictors decoded and the `users` section held as it is framed
 /// (every record checked). Beyond the always-needed small sections it
-/// asks for at most [`READ_CHUNK`] bytes at a time. Lazy file-backed
+/// asks for at most [`READ_CHUNK`] bytes at a time, and like the scan it
+/// drops each piece before it asks for the next. Lazy file-backed
 /// loading is [`ModelArtifact::load_file_lazy`].
 pub(crate) fn decode<B: Deref<Target = [u8]>>(
     len: u64,
@@ -1313,14 +1320,14 @@ mod tests {
             ("load_file", ModelArtifact::load_file(&path).unwrap()),
             ("from_bytes", ModelArtifact::from_bytes(&bytes).unwrap()),
             (
-                "from_session",
+                "export_artifact",
                 artifact(Strategy::HeteFedRec(Ablation::FULL), ModelKind::Ncf),
             ),
             (
                 "from_bytes (standalone)",
                 ModelArtifact::from_bytes(&standalone.to_bytes()).unwrap(),
             ),
-            ("from_session (standalone)", standalone),
+            ("export_artifact (standalone)", standalone),
         ] {
             // Private models included, the reserve is the encoded length.
             let bytes = artifact.to_bytes();

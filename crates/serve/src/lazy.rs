@@ -25,9 +25,10 @@
 //!
 //! The *eager* file load lives here too, because it is the same decoder
 //! over the same file handle: `open_eager` hands `binfmt::decode` a
-//! `ReadWindows` source — two bounded buffers taking turns — so the
-//! decoder takes the tables and the `users` section in piece by piece and
-//! the file is never resident beside what is taken from it. Either way a
+//! `ReadWindow` source — one bounded buffer, refilled as the decoder
+//! moves on — so the decoder takes the tables and the `users` section in
+//! piece by piece and the file is never resident beside what is taken
+//! from it. Either way a
 //! user is read by decoding its one record through `UserIndex::get`: from
 //! the file here, from the held section on an eager artifact.
 //!
@@ -44,7 +45,7 @@ use crate::ServeError;
 use hf_dataset::Tier;
 use hf_models::Ffn;
 use hf_tensor::Matrix;
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
@@ -152,71 +153,44 @@ impl ArtifactFile {
 const WINDOW: u64 = 128 << 10;
 const _: () = assert!(binfmt::READ_CHUNK <= WINDOW);
 
-/// One window: the file's bytes from `off` on.
-struct Window {
-    off: u64,
-    buf: Vec<u8>,
-}
-
-impl Window {
-    /// Lends `off..off + len` of the file, if this window is free to be
-    /// read and holds all of it.
-    fn lend(this: &RefCell<Self>, off: u64, len: u64) -> Option<Ref<'_, [u8]>> {
-        let window = this.try_borrow().ok()?;
-        let start = off.checked_sub(window.off)?;
-        (start + len <= window.buf.len() as u64)
-            .then(|| Ref::map(window, |w| &w.buf[start as usize..(start + len) as usize]))
-    }
-}
-
-/// The eager decoder's view of a file: `read` lends bytes out of one of
-/// two windows, refilling — from the requested offset forward — whichever
-/// is not lent out, the two taking turns. A decoder may therefore hold
-/// one piece while it asks for another (the scan holds the `tables`
-/// directory while it reads the `thetas` one), and a sequential walk
-/// costs one `read` call per [`WINDOW`] bytes.
-struct ReadWindows<'f> {
+/// The eager decoder's view of a file: `read` lends bytes out of one
+/// window, refilled from the requested offset forward when it does not
+/// hold them, so a sequential walk costs one `read` call per [`WINDOW`]
+/// bytes. The decoder drops each piece before it asks for the next (the
+/// scan parses one directory before it reads another).
+struct ReadWindow<'f> {
     file: &'f ArtifactFile,
-    windows: [RefCell<Window>; 2],
-    /// The window the next refill tries first.
-    turn: Cell<usize>,
+    /// The file's bytes from `.0` on.
+    window: RefCell<(u64, Vec<u8>)>,
 }
 
-impl ReadWindows<'_> {
+impl ReadWindow<'_> {
     fn read(&self, off: u64, len: u64) -> Result<Ref<'_, [u8]>, ServeError> {
         self.file.in_bounds(off, len)?;
-        if let Some(bytes) = self.windows.iter().find_map(|w| Window::lend(w, off, len)) {
-            return Ok(bytes);
+        let mut window = (self.window.try_borrow_mut())
+            .expect("the decoder drops each piece of the file before it asks for the next");
+        let (at, buf) = &mut *window;
+        if off < *at || off + len > *at + buf.len() as u64 {
+            *at = off;
+            buf.resize(len.max(WINDOW.min(self.file.len - off)) as usize, 0);
+            self.file.read_into(off, buf)?;
         }
-        let turn = self.turn.get();
-        let (slot, mut window) = [turn, 1 - turn]
-            .into_iter()
-            .find_map(|i| Some((i, self.windows[i].try_borrow_mut().ok()?)))
-            .expect("the decoder holds at most one window while it asks for more");
-        self.turn.set(1 - slot);
-        let fill = len.max(WINDOW.min(self.file.len - off)) as usize;
-        window.off = off;
-        window.buf.resize(fill, 0);
-        self.file.read_into(off, &mut window.buf)?;
+        let start = (off - *at) as usize;
         drop(window);
-        Ok(Window::lend(&self.windows[slot], off, len).expect("the window just filled holds it"))
+        Ok(Ref::map(self.window.borrow(), |(_, buf)| {
+            &buf[start..start + len as usize]
+        }))
     }
 }
 
 /// Loads an artifact file eagerly; see [`ModelArtifact::load_file`].
 pub(crate) fn open_eager(path: &Path) -> Result<ModelArtifact, ServeError> {
     let file = ArtifactFile::open(path)?;
-    let source = ReadWindows {
+    let source = ReadWindow {
         file: &file,
         // Sized once, so refills allocate nothing; what a small file
         // never fills is never resident.
-        windows: std::array::from_fn(|_| {
-            RefCell::new(Window {
-                off: 0,
-                buf: Vec::with_capacity(WINDOW as usize),
-            })
-        }),
-        turn: Cell::new(0),
+        window: RefCell::new((0, Vec::with_capacity(WINDOW as usize))),
     };
     binfmt::decode(file.len, |off, len| source.read(off, len))
 }

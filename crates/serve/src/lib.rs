@@ -4,7 +4,8 @@
 //! artifacts and a batched top-K query layer.
 //!
 //! Training produces rankings only inside offline evaluation; this crate
-//! is the inference surface that turns a trained [`Session`] into
+//! is the inference surface that turns a trained
+//! [`Session`](hetefedrec_core::Session) into
 //! something that answers queries:
 //!
 //! * [`ModelArtifact`] — an immutable, versioned snapshot of the frozen
@@ -81,8 +82,6 @@ pub use recommender::{
 pub use slot::ArtifactSlot;
 pub use synth::SynthStats;
 
-use hetefedrec_core::session::Session;
-
 /// Why a serving configuration or artifact was rejected.
 #[derive(Clone, Debug)]
 pub enum ServeError {
@@ -120,33 +119,28 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Session-side sugar for artifact export: `session.export_artifact()`
+/// Artifact export from a training session: `session.export_artifact()`
 /// for the object, `session.export_artifact_to(path)` for the file.
 pub trait ExportArtifact {
     /// Snapshots the current model state into an immutable
-    /// [`ModelArtifact`].
+    /// [`ModelArtifact`]. The session keeps training afterwards if it
+    /// likes; the artifact is a deep copy (its users encoded into an
+    /// exact-size buffer) and never changes.
     fn export_artifact(&self) -> ModelArtifact;
 
-    /// Streams the current model state to an artifact file — the bytes
-    /// `export_artifact().save_file(path)` writes, without building the
-    /// artifact in between ([`ModelArtifact::session_to_file`]).
+    /// Streams the current model state to an artifact file without
+    /// building the artifact: tables, predictors, embeddings and
+    /// histories go from the session's own memory through the one writer,
+    /// popularity and the fallback means accumulate as the users pass.
+    /// Byte-identical to `export_artifact().save_file(path)` (pinned by
+    /// test) and atomic like it.
     fn export_artifact_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError>;
-}
-
-impl ExportArtifact for Session {
-    fn export_artifact(&self) -> ModelArtifact {
-        ModelArtifact::from_session(self)
-    }
-
-    fn export_artifact_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
-        ModelArtifact::session_to_file(self, path)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetefedrec_core::{Ablation, SessionBuilder, Strategy, TrainConfig};
+    use hetefedrec_core::{Ablation, Session, SessionBuilder, Strategy, TrainConfig};
     use hf_dataset::{SplitDataset, SyntheticConfig, Tier};
     use hf_models::ModelKind;
 

@@ -2,7 +2,7 @@
 //! of allocations must not depend on how many users the file holds (the
 //! `users` section is held as one buffer, as the file encodes it, not two
 //! `Vec`s a user), the bytes asked for are what the load holds plus its
-//! two read windows, and a file whose `users` section lies about its size
+//! one read window, and a file whose `users` section lies about its size
 //! must fail typed before anything is sized by the lie.
 //!
 //! One `#[test]` on purpose — the counters are process-wide, and a
@@ -84,7 +84,7 @@ fn an_eager_load_allocates_by_section_not_by_user() {
         path
     };
     // Enough users that the `users` section (about a byte an id) dwarfs
-    // the two read windows and the tables a refused load has asked for.
+    // the read window and the tables a refused load has asked for.
     const MANY: usize = 20_000;
     let (few, many) = (file(MANY / 10), file(MANY));
 
@@ -102,12 +102,12 @@ fn an_eager_load_allocates_by_section_not_by_user() {
 
     // (a') The load asks for what it holds — the decoded tables, the
     // `users` section as encoded, popularity and the fallback, each no
-    // larger than its section — plus the two 128 KiB read windows and
+    // larger than its section — plus the one 128 KiB read window and
     // 16 KiB of slack (the predictors, one scratch record, the layout).
     let valid = std::fs::read(&many).unwrap();
     let (users_at, users_len) = section(&valid, 4);
     let held: usize = [2, 4, 5, 6].map(|tag| section(&valid, tag).1).iter().sum();
-    let bound = (held + 2 * (128 << 10) + (16 << 10)) as u64;
+    let bound = (held + (128 << 10) + (16 << 10)) as u64;
     assert!(
         large_bytes <= bound,
         "the load asked for {large_bytes} bytes, more than the {bound} it holds and reads through"
